@@ -9,8 +9,8 @@
 
    2. A Bechamel suite with one [Test.make] per table/figure (the quick
       variant of each driver, so the regression harness measures the cost of
-      regenerating each experiment) plus microbenchmarks of the simulator's
-      hot operations.
+      regenerating each experiment).  The simulator's hot operations are
+      timed by the layer probes in perfbench/perf.ml.
 
    3. A machine-readable summary: BENCH_results.json with per-workload
       simulated cycle counts and the full counter report (including the
@@ -73,34 +73,35 @@ let baseline_path =
     Sys.argv;
   !p
 
-(* Pull "wall_ms_workloads": <num> out of a results file without a JSON
-   dependency: scan for the key, then read the number after the colon. *)
-let baseline_workload_ms path =
+(* Pull each workload's ("name", "wall_ms") pair out of a results file
+   without a JSON dependency: every workload object lists "name" before
+   "wall_ms", and the file-level keys come before the first "name". *)
+let baseline_walls path =
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let key = "\"wall_ms_workloads\"" in
-    let klen = String.length key in
-    let rec find i =
-      if i + klen > String.length s then None
-      else if String.sub s i klen = key then begin
-        let j = ref (i + klen) in
-        while !j < String.length s && (s.[!j] = ':' || s.[!j] = ' ') do incr j done;
-        let k = ref !j in
-        while
-          !k < String.length s
-          && (match s.[!k] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-        do
-          incr k
-        done;
-        float_of_string_opt (String.sub s !j (!k - !j))
-      end
-      else find (i + 1)
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    let n = String.length s in
+    let rec find key i =
+      let k = String.length key in
+      if i + k > n then None
+      else if String.sub s i k = key then Some (i + k)
+      else find key (i + 1)
     in
-    find 0
+    let rec go i acc =
+      match find "\"name\": \"" i with
+      | None -> List.rev acc
+      | Some j -> (
+        let name = String.sub s j (String.index_from s j '"' - j) in
+        match find "\"wall_ms\": " j with
+        | None -> List.rev acc
+        | Some w ->
+          let e = ref w in
+          while !e < n && (match s.[!e] with '0' .. '9' | '.' -> true | _ -> false) do
+            incr e
+          done;
+          go !e ((name, float_of_string (String.sub s w (!e - w))) :: acc))
+    in
+    Some (go 0 [])
   end
 
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
@@ -112,56 +113,10 @@ let figure_test name =
        | Some f -> f ~quick:true null_ppf
        | None -> assert false))
 
-(* Hot-path microbenchmarks of the simulator itself. *)
-let sim_tests =
-  let make_hot name f =
-    Test.make ~name
-      (Staged.stage (fun () ->
-         let sys = S.create (C.platform ~cores:1 ~skip_it:true ()) in
-         let addr = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
-         f sys addr))
-  in
-  [
-    make_hot "sim/store+clean+fence" (fun sys addr ->
-      S.store sys ~core:0 addr 1;
-      S.clean sys ~core:0 addr;
-      S.fence sys ~core:0);
-    make_hot "sim/load-hit-x100" (fun sys addr ->
-      S.store sys ~core:0 addr 1;
-      for _ = 1 to 100 do
-        ignore (S.load sys ~core:0 addr)
-      done);
-    make_hot "sim/skip-drop-x100" (fun sys addr ->
-      S.store sys ~core:0 addr 1;
-      S.clean sys ~core:0 addr;
-      S.fence sys ~core:0;
-      for _ = 1 to 100 do
-        S.clean sys ~core:0 addr
-      done;
-      S.fence sys ~core:0);
-    (* The tuned primitives themselves: the cached-argmin resource and the
-       open-addressed per-line table. *)
-    Test.make ~name:"sim/resource-acquire-x1000"
-      (Staged.stage (fun () ->
-         let r = Skipit_sim.Resource.create ~count:8 "bench" in
-         for i = 0 to 999 do
-           ignore (Skipit_sim.Resource.acquire_finish r ~now:i ~busy:3)
-         done));
-    Test.make ~name:"sim/int_tbl-mixed-x1000"
-      (Staged.stage (fun () ->
-         let t = Skipit_sim.Int_tbl.create ~size_hint:256 () in
-         for i = 0 to 999 do
-           let key = i land 255 * 64 in
-           Skipit_sim.Int_tbl.replace t key i;
-           ignore (Skipit_sim.Int_tbl.find_default t key ~default:0)
-         done));
-  ]
-
 let all_tests =
   Test.make_grouped ~name:"skipit" ~fmt:"%s %s"
     (List.map figure_test
-       [ "scalar"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14"; "fig15"; "fig16" ]
-    @ sim_tests)
+       [ "scalar"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14"; "fig15"; "fig16" ])
 
 let run_bechamel () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -440,8 +395,14 @@ type timing = {
   t_cores : int;  (* host cores the clamp was computed from *)
   wall_ms_serial : float;
   wall_ms_parallel : float;  (* = serial when the effective width is 1 *)
-  baseline_ms : float option;  (* pinned pre-refactor serial workload wall *)
+  baseline : (string * float) list option;
+      (* pinned pre-refactor serial wall per workload *)
 }
+
+(* (pinned wall, this run's serial wall) for a workload the baseline has. *)
+let baseline_pair timing r =
+  Option.bind timing.baseline (fun base ->
+    Option.map (fun b -> b, r.wall_ms) (List.assoc_opt r.w_name base))
 
 let json_of_results ~timing results =
   let total_workload_ms =
@@ -463,16 +424,22 @@ let json_of_results ~timing results =
     (Printf.sprintf "  \"wall_ms_serial\": %.2f,\n" timing.wall_ms_serial);
   (* "speedup_vs_serial" is the engine-v2 headline: the pinned pre-refactor
      serial wall (bench/baseline_v1.json, measured with the v1 engine at
-     --jobs 1) over this run's wall for the same workload set.  On hosts
-     with real parallelism the pool compounds it; on a single-core host it
-     measures the serial-path rebuild alone.  "pool_efficiency" is the
-     honest intra-run ratio (this run's serial pass over its pooled pass). *)
-  (match timing.baseline_ms with
-   | Some b ->
-     Buffer.add_string buf (Printf.sprintf "  \"baseline_wall_ms\": %.2f,\n" b);
+     --jobs 1) over this run's serial wall, both summed over only the
+     workloads present in both files, so rows added since the pin never
+     enter the ratio.  Each shared workload also carries its own
+     "speedup_vs_baseline".  "pool_efficiency" is the intra-run parallel
+     ratio (this run's serial pass over its pooled pass). *)
+  (match timing.baseline with
+   | Some _ ->
+     let pairs = List.filter_map (baseline_pair timing) results in
+     let b = List.fold_left (fun acc (b, _) -> acc +. b) 0. pairs in
+     let f = List.fold_left (fun acc (_, f) -> acc +. f) 0. pairs in
      Buffer.add_string buf
-       (Printf.sprintf "  \"speedup_vs_serial\": %.2f,\n"
-          (if timing.wall_ms_parallel > 0. then b /. timing.wall_ms_parallel else 1.))
+       (Printf.sprintf "  \"baseline_workloads\": %d,\n" (List.length pairs));
+     Buffer.add_string buf (Printf.sprintf "  \"baseline_wall_ms\": %.2f,\n" b);
+     Buffer.add_string buf (Printf.sprintf "  \"shared_wall_ms\": %.2f,\n" f);
+     Buffer.add_string buf
+       (Printf.sprintf "  \"speedup_vs_serial\": %.2f,\n" (if f > 0. then b /. f else 1.))
    | None ->
      Buffer.add_string buf
        (Printf.sprintf "  \"speedup_vs_serial\": %.2f,\n"
@@ -493,6 +460,12 @@ let json_of_results ~timing results =
       Buffer.add_string buf (Printf.sprintf "    {\n      \"name\": \"%s\",\n" r.w_name);
       Buffer.add_string buf (Printf.sprintf "      \"cycles\": %d,\n" r.cycles);
       Buffer.add_string buf (Printf.sprintf "      \"wall_ms\": %.2f,\n" r.wall_ms);
+      Option.iter
+        (fun (b, f) ->
+          Buffer.add_string buf
+            (Printf.sprintf "      \"speedup_vs_baseline\": %.2f,\n"
+               (if f > 0. then b /. f else 1.)))
+        (baseline_pair timing r);
       Buffer.add_string buf "      \"checksums\": [";
       Array.iteri
         (fun j c ->
@@ -624,7 +597,7 @@ let emit_json ~jobs path =
       t_cores = Domain.recommended_domain_count ();
       wall_ms_serial;
       wall_ms_parallel;
-      baseline_ms = baseline_workload_ms baseline_path;
+      baseline = baseline_walls baseline_path;
     }
   in
   let oc = open_out path in

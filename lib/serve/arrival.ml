@@ -245,6 +245,50 @@ let phases_of_spec spec =
     None
   else Some phases
 
+(* Exclusive end of the run that starts at the active cycle [t]: every
+   cycle in [\[t, run_end)] is active ([skip_gaps] is the identity there)
+   and has the same rate multiplier, so one trial probability covers the
+   whole run. *)
+let rec run_end process t =
+  match process with
+  | Poisson -> max_int
+  | Bursty { on; off } ->
+    let period = on + off in
+    (t / period * period) + on
+  | Phased { phases; base } ->
+    let period = List.fold_left (fun a (l, _) -> a + l) 0 phases in
+    Int.min (segment_end (t - (t mod period)) t phases) (run_end base t)
+  | Degraded { windows; base } -> Int.min (next_window t windows) (run_end base t)
+
+and segment_end start t = function
+  | [] -> max_int (* unreachable: t - start < period *)
+  | (l, _) :: rest -> if t < start + l then start + l else segment_end (start + l) t rest
+
+and next_window t = function
+  | [] -> max_int
+  | (s, _) :: rest -> if s > t then s else next_window t rest
+
+(* The trial cap bounds the walk when [p] is tiny: after [trial_cap + 1]
+   failed trials the walk stops at the last cycle tried, which shows up as
+   one very late arrival rather than an unbounded loop. *)
+let trial_cap = 10_000_000
+
+(* One Bernoulli trial per active cycle, drawn a run at a time: within a
+   run every cycle has the same probability, so [Rng.first_below] consumes
+   exactly the draws a cycle-by-cycle [Rng.chance] loop would, and a miss
+   jumps to the next run with [skip_gaps].  [budget] is the number of
+   trials left under the cap. *)
+let rec walk process rng p t budget =
+  let t = skip_gaps process t in
+  let len = Int.min (run_end process t - t) budget in
+  let threshold = Rng.chance_threshold (p_at process p t) in
+  let n = Rng.first_below rng ~threshold ~limit:len in
+  if n < len then t + n
+  else if len = budget then t + len - 1
+  else walk process rng p (t + len) (budget - len)
+
+let next_arrival process rng ~p ~from = walk process rng p from (trial_cap + 1)
+
 (* One client session: its own Rng split, its own clock, its own request
    counter.  [p] is the per-cycle arrival probability during an active
    phase. *)
@@ -256,20 +300,8 @@ type session = {
   mutable count : int;
 }
 
-(* Advance [s.clock] past its next arrival: Bernoulli trials cycle by
-   cycle, skipping off phases and degraded windows.  The trial cap bounds
-   the walk when [p] is tiny (it shows up as one very late arrival rather
-   than an unbounded loop). *)
-let next_arrival process s =
-  let cap = 10_000_000 in
-  let t = ref (skip_gaps process (s.clock + 1)) in
-  let trials = ref 0 in
-  while not (Rng.chance s.rng (p_at process s.p !t)) && !trials < cap do
-    incr trials;
-    t := skip_gaps process (!t + 1)
-  done;
-  s.clock <- !t;
-  !t
+let advance process s =
+  s.clock <- next_arrival process s.rng ~p:s.p ~from:(s.clock + 1)
 
 let aggregate_threshold = 256
 
@@ -287,20 +319,14 @@ let schedule_aggregate ~process ~draw ~p ~clients ~requests ~seed =
   let rng = Rng.create ~seed in
   let counts = Array.make clients 0 in
   let clock = ref (-1) in
-  let cap = 10_000_000 in
   Array.init requests (fun _ ->
-    let t = ref (skip_gaps process (!clock + 1)) in
-    let trials = ref 0 in
-    while not (Rng.chance rng (p_at process p !t)) && !trials < cap do
-      incr trials;
-      t := skip_gaps process (!t + 1)
-    done;
-    clock := !t;
+    let t = next_arrival process rng ~p ~from:(!clock + 1) in
+    clock := t;
     let client = Rng.int rng clients in
-    let op, key = draw rng ~at:!t in
+    let op, key = draw rng ~at:t in
     let seq = counts.(client) in
     counts.(client) <- seq + 1;
-    { arrival = !t; client; seq; op; key })
+    { arrival = t; client; seq; op; key })
 
 (* Reject malformed process nestings before any rng state is consumed.
    Phases sit strictly between degraded windows and the poisson/bursty
@@ -343,7 +369,7 @@ let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~see
     (* Prime every session with its first arrival, then pull the globally
        earliest [requests] times (earliest-deadline merge; ties by client id
        via the scan order, seq is strictly increasing per client). *)
-    Array.iter (fun s -> ignore (next_arrival process s)) sessions;
+    Array.iter (advance process) sessions;
     let out =
       Array.init requests (fun _ ->
         let best = ref sessions.(0) in
@@ -352,7 +378,7 @@ let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~see
         let op, key = draw s.rng ~at:s.clock in
         let req = { arrival = s.clock; client = s.id; seq = s.count; op; key } in
         s.count <- s.count + 1;
-        ignore (next_arrival process s);
+        advance process s;
         req)
     in
     out

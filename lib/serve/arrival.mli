@@ -75,6 +75,14 @@ val mult_milli_at : process -> int -> int
 (** Diurnal rate multiplier (integer thousandths) in force at a cycle;
     1000 everywhere for non-phased processes. *)
 
+val next_arrival : process -> Skipit_sim.Rng.t -> p:float -> from:int -> int
+(** [next_arrival process rng ~p ~from] is the first cycle [>= from] whose
+    Bernoulli trial succeeds: one [Rng.chance rng (p * multiplier)] per
+    active cycle (gaps draw nothing).  After [10_000_001] failed trials it
+    gives up and returns the last cycle tried.  Both schedule paths advance
+    through this one walk, which draws the stream a constant-rate run at a
+    time ({!Skipit_sim.Rng.first_below}) with no per-trial allocation. *)
+
 val aggregate_threshold : int
 (** Client-count bound above which {!schedule} samples the merged aggregate
     stream instead of one stream per session. *)

@@ -34,6 +34,34 @@ let float t =
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 let chance t p = float t < p
 
+(* [float t < p] compares [raw53 * 2^-53] with [p]; scaling by a power of
+   two is exact and [raw53] is an integer, so the test is exactly
+   [raw53 < ceil (p * 2^53)]. *)
+let two_53 = 9007199254740992.0
+
+let chance_threshold p =
+  if p >= 1. then 1 lsl 53
+  else if p > 0. then int_of_float (Float.ceil (p *. two_53))
+  else 0 (* p <= 0 or NaN: [chance] never succeeds *)
+
+(* The splitmix64 step of [next_int64], run on a local state so the loop
+   boxes nothing; [t.state] is written back once. *)
+let first_below t ~threshold ~limit =
+  let s = ref t.state in
+  let n = ref 0 in
+  let hit = ref false in
+  while (not !hit) && !n < limit do
+    s := Int64.add !s golden_gamma;
+    let z = !s in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    if Int64.to_int (Int64.shift_right_logical z 11) < threshold then hit := true
+    else incr n
+  done;
+  t.state <- !s;
+  !n
+
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

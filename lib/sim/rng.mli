@@ -37,5 +37,18 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p]. *)
 
+val chance_threshold : float -> int
+(** [chance_threshold p] is the integer [k] such that [chance t p] holds
+    exactly when the draw's top 53 bits are [< k]: [ceil (p * 2^53)], [0]
+    for [p <= 0] or NaN, [2^53] for [p >= 1]. *)
+
+val first_below : t -> threshold:int -> limit:int -> int
+(** [first_below t ~threshold ~limit] draws until a draw's top 53 bits are
+    [< threshold] or [limit] draws have failed, and returns the number of
+    failed draws.  A result [n < limit] means draw [n] (0-based) succeeded
+    and [n + 1] draws were consumed; [limit] means all [limit] failed.
+    Draw-for-draw the same as looping [chance t p] with
+    [threshold = chance_threshold p], without allocating per draw. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -10,6 +10,7 @@ module Report = Skipit_serve.Report
 module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
 module Pool = Skipit_par.Pool
+module Rng = Skipit_sim.Rng
 
 (* == Arrival schedules ================================================== *)
 
@@ -134,6 +135,211 @@ let test_aggregate_path_matches_contract () =
     (Array.for_all2 (fun a b -> req_tuple a = req_tuple b) s (make 42));
   Alcotest.(check bool) "different seed, different schedule" false
     (Array.for_all2 (fun a b -> req_tuple a = req_tuple b) s (make 43))
+
+(* == The gap walk against its per-cycle reference ====================== *)
+
+(* The cycle-by-cycle walk [Arrival] drew before it drew whole runs: one
+   [Rng.chance] per active cycle, at most cap + 1 trials.  The run-length
+   walk must reproduce it draw for draw. *)
+let reference_walk process rng p from =
+  let p_at t =
+    match Arrival.mult_milli_at process t with
+    | 1000 -> p
+    | m -> p *. (float_of_int m /. 1000.)
+  in
+  let cap = 10_000_000 in
+  let t = ref (Arrival.skip_gaps process from) in
+  let trials = ref 0 in
+  while (not (Rng.chance rng (p_at !t))) && !trials < cap do
+    incr trials;
+    t := Arrival.skip_gaps process (!t + 1)
+  done;
+  !t
+
+let rec reference_boost = function
+  | Arrival.Poisson -> 1.
+  | Arrival.Bursty { on; off } -> float_of_int (on + off) /. float_of_int on
+  | Arrival.Phased { phases; base } ->
+    let period = List.fold_left (fun a (l, _) -> a + l) 0 phases in
+    let weight = List.fold_left (fun a (l, m) -> a + (l * m)) 0 phases in
+    float_of_int period *. 1000. /. float_of_int weight *. reference_boost base
+  | Arrival.Degraded { base; _ } -> reference_boost base
+
+(* Fingerprints the owning stream's state at each arrival (without
+   advancing it) into the key, so equal schedules mean equal rng states
+   after every walk. *)
+let fingerprint_draw : Arrival.draw =
+  let uniform = Arrival.uniform_draw ~key_range:256 ~update_pct:50 in
+  fun rng ~at ->
+    let fp = Int64.to_int (Rng.next_int64 (Rng.copy rng)) land 0xFFFFFF in
+    let op, key = uniform rng ~at in
+    (op, key + (256 * fp))
+
+(* [Arrival.schedule]'s two regimes, rebuilt over [reference_walk]. *)
+let reference_schedule ~process ~rate ~clients ~requests ~seed =
+  let draw = fingerprint_draw in
+  let boost = reference_boost process in
+  if clients > Arrival.aggregate_threshold then begin
+    let p = Float.min 1. (rate /. 1000. *. boost) in
+    let rng = Rng.create ~seed in
+    let counts = Array.make clients 0 in
+    let clock = ref (-1) in
+    Array.init requests (fun _ ->
+      let t = reference_walk process rng p (!clock + 1) in
+      clock := t;
+      let client = Rng.int rng clients in
+      let op, key = draw rng ~at:t in
+      let seq = counts.(client) in
+      counts.(client) <- seq + 1;
+      (t, client, seq, Arrival.op_name op, key))
+  end
+  else begin
+    let p = Float.min 1. (rate /. 1000. /. float_of_int clients *. boost) in
+    let master = Rng.create ~seed in
+    let rngs = Array.init clients (fun _ -> Rng.split master) in
+    let clocks = Array.map (fun rng -> reference_walk process rng p 0) rngs in
+    let counts = Array.make clients 0 in
+    Array.init requests (fun _ ->
+      let c = ref 0 in
+      Array.iteri (fun i t -> if t < clocks.(!c) then c := i) clocks;
+      let c = !c in
+      let t = clocks.(c) in
+      let op, key = draw rngs.(c) ~at:t in
+      let seq = counts.(c) in
+      counts.(c) <- seq + 1;
+      clocks.(c) <- reference_walk process rngs.(c) p (t + 1);
+      (t, c, seq, Arrival.op_name op, key))
+  end
+
+(* Random process trees: poisson or bursty, optionally under diurnal
+   phases, optionally under fault windows.  Short on/off phases, segments
+   and windows put many run boundaries inside each walk. *)
+let gen_process =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [
+        return Arrival.Poisson;
+        map2 (fun on off -> Arrival.Bursty { on; off }) (int_range 1 50) (int_range 0 100);
+      ]
+  in
+  let mult = oneof [ return 0; int_range 500 3000 ] in
+  let phases =
+    map2 (fun live rest -> live :: rest)
+      (pair (int_range 1 60) (int_range 500 3000))
+      (list_size (int_range 0 3) (pair (int_range 1 60) mult))
+  in
+  let windows =
+    map
+      (fun spans ->
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (at, acc) (gap, len) ->
+                  let s = at + gap in
+                  (s + len, (s, s + len) :: acc))
+                (0, []) spans)))
+      (list_size (int_range 1 4) (pair (int_range 0 300) (int_range 1 300)))
+  in
+  base >>= fun b ->
+  oneof [ return b; map (fun phases -> Arrival.Phased { phases; base = b }) phases ]
+  >>= fun inner ->
+  oneof [ return inner; map (fun windows -> Arrival.Degraded { windows; base = inner }) windows ]
+
+(* Log-uniform per-trial probability from 1e-6 up past 1. *)
+let gen_p = QCheck.Gen.map (fun e -> 10. ** e) (QCheck.Gen.float_range (-6.) 0.3)
+
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"next_arrival = per-cycle reference walk, draw for draw" ~count:120
+    (QCheck.make
+       ~print:(fun (process, p, from, seed) ->
+         Printf.sprintf "%s p=%h from=%d seed=%d" (Arrival.process_name process) p from seed)
+       QCheck.Gen.(quad gen_process gen_p (int_range 0 2000) (int_bound 100_000)))
+  @@ fun (process, p, from, seed) ->
+  let a = Rng.create ~seed and b = Rng.create ~seed in
+  let rec walks from k =
+    k = 0
+    ||
+    let x = Arrival.next_arrival process a ~p ~from in
+    let y = reference_walk process b p from in
+    x = y && Rng.next_int64 (Rng.copy a) = Rng.next_int64 (Rng.copy b) && walks (x + 1) (k - 1)
+  in
+  walks from 3
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"schedule = per-cycle reference schedule, request for request"
+    ~count:120
+    (QCheck.make
+       ~print:(fun (process, (clients, requests), p, seed) ->
+         Printf.sprintf "%s clients=%d requests=%d p=%h seed=%d"
+           (Arrival.process_name process) clients requests p seed)
+       QCheck.Gen.(
+         quad gen_process
+           (pair
+              (oneof
+                 [
+                   int_range 1 24;
+                   int_range (Arrival.aggregate_threshold + 1) (Arrival.aggregate_threshold + 40);
+                 ])
+              (int_range 1 40))
+           (float_range 0. 1.) (int_bound 100_000)))
+  @@ fun (process, (clients, requests), u, seed) ->
+  (* Keep the reference's trial count near 2M: the smallest p scales with
+     the number of walks (priming plus one per request). *)
+  let aggregate = clients > Arrival.aggregate_threshold in
+  let walks = if aggregate then requests else clients + requests in
+  let lo = Float.max 1e-6 (float_of_int walks /. 2e6) in
+  let p = 10. ** (log10 lo +. (u *. (0.3 -. log10 lo))) in
+  let boost = reference_boost process in
+  let rate =
+    if aggregate then p *. 1000. /. boost
+    else p *. 1000. *. float_of_int clients /. boost
+  in
+  let got =
+    Arrival.schedule ~process ~draw:fingerprint_draw ~rate ~clients ~requests ~key_range:256
+      ~update_pct:50 ~seed ()
+  in
+  Array.map req_tuple got = reference_schedule ~process ~rate ~clients ~requests ~seed
+
+let test_walk_trial_cap () =
+  (* p = 0 never succeeds: both walks spend exactly cap + 1 trials and stop
+     on the last cycle tried.  Runs of 3 make the cap land mid-run. *)
+  List.iter
+    (fun process ->
+      let a = Rng.create ~seed:5 and b = Rng.create ~seed:5 in
+      let x = Arrival.next_arrival process a ~p:0. ~from:7 in
+      let y = reference_walk process b 0. 7 in
+      Alcotest.(check int) (Arrival.process_name process ^ ": capped cycle") y x;
+      Alcotest.(check int64)
+        (Arrival.process_name process ^ ": same draws consumed")
+        (Rng.next_int64 b) (Rng.next_int64 a))
+    [ Arrival.Poisson; Arrival.Bursty { on = 3; off = 2 } ]
+
+let test_schedule_allocation_budget () =
+  (* The serve benchmark's schedule: Poisson, 16 clients, rate 8, 10k
+     requests, zipf:0.99 keys with churn.  The walk draws ~2000 trials per
+     request; any per-trial allocation shows up as thousands of words. *)
+  let requests = 10_000 in
+  let draw =
+    Skipit_serve.Workload.draw
+      {
+        Skipit_serve.Workload.keys =
+          Skipit_serve.Workload.Zipf
+            { theta_milli = Skipit_serve.Workload.default_zipf_theta_milli };
+        churn = Some 4000;
+      }
+      ~key_range:1024 ~update_pct:50 ~seed:13
+  in
+  let before = Gc.minor_words () in
+  let s =
+    Arrival.schedule ~process:Arrival.Poisson ~draw ~rate:8. ~clients:16 ~requests
+      ~key_range:1024 ~update_pct:50 ~seed:12 ()
+  in
+  let per_req = (Gc.minor_words () -. before) /. float_of_int requests in
+  Alcotest.(check int) "full schedule" requests (Array.length s);
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 64 minor words per request (saw %.1f)" per_req)
+    true (per_req <= 64.)
 
 (* == Batcher ordering contract ========================================== *)
 
@@ -388,6 +594,11 @@ let tests =
         test_degraded_windows_are_quiet;
       Alcotest.test_case "aggregate path keeps the schedule contract" `Quick
         test_aggregate_path_matches_contract;
+      QCheck_alcotest.to_alcotest prop_walk_matches_reference;
+      QCheck_alcotest.to_alcotest prop_schedule_matches_reference;
+      Alcotest.test_case "walk keeps the trial cap" `Quick test_walk_trial_cap;
+      Alcotest.test_case "schedule allocation budget" `Quick
+        test_schedule_allocation_budget;
       Alcotest.test_case "batcher defers, dedups, never reorders" `Quick test_batcher_defers_and_orders;
       Alcotest.test_case "non-deferrable strategies pass through" `Quick
         test_batcher_non_deferrable_passthrough;

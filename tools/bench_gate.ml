@@ -21,8 +21,9 @@
    Two optional hard perf gates (the execution-engine-v2 contract):
 
    - [--min-speedup X]: fail unless the fresh file's "speedup_vs_serial"
-     (pinned-baseline serial wall over this run's wall, computed by the
-     bench) is at least X.  When the fresh run records "pool_clamped"
+     (pinned-baseline serial wall over this run's serial wall, both summed
+     over the workloads the two have in common, computed by the bench) is
+     at least X.  When the fresh run records "pool_clamped"
      (an oversubscribed --jobs clamped to the host's cores), the floor is
      scaled by pool_width/jobs — the run never had the parallelism the
      floor assumed, and demanding it anyway would gate on host shape.
