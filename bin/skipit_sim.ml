@@ -9,6 +9,15 @@ module C = Skipit_core.Config
 module Trace = Skipit_obs.Trace
 module Latency = Skipit_obs.Latency
 module Perfetto = Skipit_obs.Perfetto
+module Ops = Skipit_pds.Set_ops
+module Pctx = Skipit_persist.Pctx
+module Ds_bench = Skipit_workload.Ds_bench
+module Arrival = Skipit_serve.Arrival
+module Workload = Skipit_serve.Workload
+module Engine = Skipit_serve.Engine
+module Report = Skipit_serve.Report
+module Fleet = Skipit_fleet.Fleet
+module Metrics = Skipit_obs.Metrics
 open Cmdliner
 
 let with_ppf f =
@@ -35,6 +44,20 @@ let with_jobs jobs f =
   let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
   if jobs <= 1 then f None else Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
+(* A name-based argument converter: [of_name] parses, [to_name] prints. *)
+let conv_of ~what ~of_name ~to_name =
+  Arg.conv
+    ( (fun s ->
+        match of_name s with
+        | Some v -> Ok v
+        | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))),
+      fun ppf v -> Format.pp_print_string ppf (to_name v) )
+
+(* Report a bad command line and exit 2. *)
+let fail cmd msg =
+  prerr_endline (cmd ^ ": " ^ msg);
+  exit 2
+
 (* ------------------------------------------------------------------ *)
 (* Hierarchy shape shared by the simulation commands.                 *)
 
@@ -49,6 +72,12 @@ let banked_bus_arg =
   Arg.(value & flag & info [ "banked-bus" ]
        ~doc:"Wire the clients to the L2 over one bus per bank \
              (address-interleaved) instead of a full crossbar.")
+
+let skip_it_arg = Arg.(value & flag & info [ "skip-it" ] ~doc:"Enable Skip It.")
+
+let shared_bus_arg =
+  Arg.(value & flag & info [ "shared-bus" ]
+       ~doc:"Wire all L1 ports onto one shared bus instead of a crossbar.")
 
 let topology_of ~shared_bus ~banked_bus =
   if banked_bus then `Banked_bus else if shared_bus then `Shared_bus else `Crossbar
@@ -189,11 +218,6 @@ let stats_cmd =
   let lines =
     Arg.(value & opt int 64 & info [ "lines" ] ~doc:"Cache lines to store+flush.")
   in
-  let skip_it = Arg.(value & flag & info [ "skip-it" ] ~doc:"Enable Skip It.") in
-  let shared_bus =
-    Arg.(value & flag & info [ "shared-bus" ]
-         ~doc:"Wire all L1 ports onto one shared bus instead of a crossbar.")
-  in
   let run threads lines skip_it shared_bus l2_banks banked_bus trace_out trace_filter
       _jobs =
     (* --jobs is accepted for CLI uniformity; this command runs a single
@@ -224,7 +248,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Run a store+double-flush loop and dump all counters")
-    Term.(const run $ threads $ lines $ skip_it $ shared_bus $ l2_banks_arg
+    Term.(const run $ threads $ lines $ skip_it_arg $ shared_bus_arg $ l2_banks_arg
           $ banked_bus_arg $ trace_out_arg $ trace_filter_arg $ jobs_arg)
 
 let sweep_cmd =
@@ -278,12 +302,6 @@ let program_arg =
 let cores_arg =
   Arg.(value & opt (some int) None
        & info [ "cores" ] ~doc:"Simulated cores (default: enough for the trace).")
-
-let skip_it_arg = Arg.(value & flag & info [ "skip-it" ] ~doc:"Enable Skip It.")
-
-let shared_bus_arg =
-  Arg.(value & flag & info [ "shared-bus" ]
-       ~doc:"Wire all L1 ports onto one shared bus instead of a crossbar.")
 
 let run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats =
   let program, cores = load_program file cores in
@@ -352,52 +370,27 @@ let audit_cmd =
            ~doc:"Crash boundaries tested per spec (exhaustive when the run \
                  has at most N persist events, else first + last + sampled).")
   in
-  let csv_list ~all ~name ~of_name arg_name doc =
-    let cv =
-      let parse s =
-        let parts = String.split_on_char ',' s |> List.map String.trim in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | p :: rest -> (
-            match of_name p with
-            | Some v -> go (v :: acc) rest
-            | None ->
-              Error (`Msg (Printf.sprintf "unknown %s %S (expected one of: %s)" arg_name p
-                             (String.concat ", " (List.map name all)))))
-        in
-        go [] parts
-      in
-      let print ppf l = Format.pp_print_string ppf (String.concat "," (List.map name l)) in
-      Arg.conv (parse, print)
-    in
-    Arg.(value & opt (some cv) None & info [ arg_name ] ~docv:"LIST" ~doc)
+  let csv_list ~name ~of_name arg_name doc =
+    Arg.(value
+         & opt (some (list ~sep:',' (conv_of ~what:arg_name ~of_name ~to_name:name))) None
+         & info [ arg_name ] ~docv:"LIST" ~doc)
   in
   let structures =
-    csv_list ~all:Campaign.all_structures ~name:Campaign.structure_name
-      ~of_name:Campaign.structure_of_name "structures"
+    csv_list ~name:Campaign.structure_name ~of_name:Campaign.structure_of_name "structures"
       "Comma-separated structures to test (default: all five)."
   in
   let modes =
-    let module Pctx = Skipit_persist.Pctx in
-    csv_list ~all:Pctx.all_modes ~name:Pctx.mode_name
-      ~of_name:(fun s -> List.find_opt (fun m -> Pctx.mode_name m = s) Pctx.all_modes)
-      "modes" "Comma-separated persistence modes (default: all three)."
+    csv_list ~name:Pctx.mode_name ~of_name:Pctx.mode_of_name "modes"
+      "Comma-separated persistence modes (default: all three)."
   in
   let strategies =
-    csv_list ~all:Campaign.all_strategies ~name:Campaign.strategy_name
-      ~of_name:Campaign.strategy_of_name "strategies"
+    csv_list ~name:Campaign.strategy_name ~of_name:Campaign.strategy_of_name "strategies"
       "Comma-separated strategies (default: plain,skip-it)."
   in
   let fault =
-    let cv =
-      let parse s =
-        match Campaign.fault_of_name s with
-        | Some f -> Ok f
-        | None -> Error (`Msg ("unknown fault " ^ s ^ " (none, drop-nth-persist:N, drop-all-persists)"))
-      in
-      Arg.conv (parse, fun ppf f -> Format.pp_print_string ppf (Campaign.fault_name f))
-    in
-    Arg.(value & opt cv Campaign.No_fault
+    Arg.(value
+         & opt (conv_of ~what:"fault" ~of_name:Campaign.fault_of_name ~to_name:Campaign.fault_name)
+             Campaign.No_fault
          & info [ "fault" ] ~docv:"FAULT"
            ~doc:"Seeded fault for validating the campaign itself: a test-only \
                  strategy wrapper eliding required writebacks \
@@ -434,7 +427,7 @@ let audit_cmd =
     | Some file -> replay ~l2_banks file
     | None ->
       let structures = Option.value structures ~default:Campaign.all_structures in
-      let modes = Option.value modes ~default:Skipit_persist.Pctx.all_modes in
+      let modes = Option.value modes ~default:Pctx.all_modes in
       let strategies =
         Option.value strategies ~default:[ Campaign.Plain; Campaign.Skipit ]
       in
@@ -492,42 +485,50 @@ let audit_cmd =
     Term.(const run $ seed $ ops $ budget $ structures $ modes $ strategies $ fault
           $ repro $ repro_out $ l2_banks_arg $ jobs_arg)
 
-let serve_cmd =
-  let module Engine = Skipit_serve.Engine in
-  let module Arrival = Skipit_serve.Arrival in
-  let module Report = Skipit_serve.Report in
-  let module Ops = Skipit_pds.Set_ops in
-  let module Ds_bench = Skipit_workload.Ds_bench in
-  let module Pctx = Skipit_persist.Pctx in
-  let conv_of ~what ~of_name ~to_name =
-    Arg.conv
-      ( (fun s ->
-          match of_name s with
-          | Some v -> Ok v
-          | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))),
-        fun ppf v -> Format.pp_print_string ppf (to_name v) )
-  in
+(* ------------------------------------------------------------------ *)
+(* Serving front end: the flags serve and fleet share.                *)
+
+(* The shared flags, resolved: --mix folded into the update percentage and
+   --phases wrapped around the arrival process.  [requests] and [rates] stay
+   optional because serve and fleet default them differently. *)
+type serving = {
+  kind : Ops.kind;
+  mode : Pctx.mode;
+  spec : Ds_bench.strategy_spec;
+  process : Arrival.process;
+  workload : Workload.t;
+  update_pct : int;
+  clients : int;
+  requests : int option;
+  batch : int;
+  depth : int;
+  seed : int;
+  rates : float list option;
+  csv : bool;
+}
+
+(* Serve and fleet share every default except the client count and the
+   waiting-room depth. *)
+let serving_term ~cmd ~clients ~depth =
+  let d = Engine.default in
   let structure =
-    let of_name s = List.find_opt (fun k -> Ops.kind_name k = s) Ops.all_kinds in
     Arg.(value
-         & opt (conv_of ~what:"structure" ~of_name ~to_name:Ops.kind_name)
-             Engine.default.Engine.kind
+         & opt (conv_of ~what:"structure" ~of_name:Ops.kind_of_name ~to_name:Ops.kind_name)
+             d.Engine.kind
          & info [ "structure" ] ~docv:"S"
-           ~doc:"Structure to serve: list, hash, bst, skiplist.")
+           ~doc:"Structure to serve: linked-list, hash-table, bst, skiplist.")
   in
   let mode =
-    let of_name s = List.find_opt (fun m -> Pctx.mode_name m = s) Pctx.all_modes in
     Arg.(value
-         & opt (conv_of ~what:"mode" ~of_name ~to_name:Pctx.mode_name)
-             Engine.default.Engine.mode
-         & info [ "mode" ] ~docv:"M"
-           ~doc:"Persistence mode: automatic, nvtraverse, manual.")
+         & opt (conv_of ~what:"mode" ~of_name:Pctx.mode_of_name ~to_name:Pctx.mode_name)
+             d.Engine.mode
+         & info [ "mode" ] ~docv:"M" ~doc:"Persistence mode: automatic, nvtraverse, manual.")
   in
   let strategy =
     Arg.(value
          & opt (conv_of ~what:"strategy" ~of_name:Ds_bench.spec_of_name
                   ~to_name:Ds_bench.spec_name)
-             Engine.default.Engine.spec
+             d.Engine.spec
          & info [ "strategy" ] ~docv:"STRAT"
            ~doc:"Persist strategy: plain, flit-adjacent, flit-hash[/N], \
                  link-and-persist, skip-it, baseline.")
@@ -536,13 +537,13 @@ let serve_cmd =
     Arg.(value
          & opt (conv_of ~what:"arrival process" ~of_name:Arrival.process_of_name
                   ~to_name:Arrival.process_name)
-             Engine.default.Engine.process
+             d.Engine.process
          & info [ "arrival" ] ~docv:"PROC"
-           ~doc:"Arrival process: poisson, or bursty[:ON/OFF] (on/off phase \
-                 lengths in cycles).")
+           ~doc:"Arrival process: poisson, bursty[:ON/OFF] (on/off phase \
+                 lengths in cycles), or degraded:S-E[,S-E]:BASE (fault windows \
+                 over BASE).")
   in
   let keys =
-    let module Workload = Skipit_serve.Workload in
     Arg.(value
          & opt (conv_of ~what:"key distribution" ~of_name:Workload.keys_of_name
                   ~to_name:Workload.keys_name)
@@ -570,463 +571,275 @@ let serve_cmd =
                  multiplier as a decimal; 0 = dead trough), e.g. \
                  4000:0.25,4000:2.5.")
   in
-  let rates =
-    Arg.(value
-         & opt (some (list ~sep:',' float)) None
-         & info [ "rate" ] ~docv:"R1,R2,..."
-           ~doc:"Offered loads to sweep, in operations per 1000 cycles \
-                 (default: the standard sweep; --quick thins it).")
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Fewer sweep points and requests.") in
-  let batch =
-    Arg.(value & opt int Engine.default.Engine.batch
-         & info [ "batch" ] ~docv:"N"
-           ~doc:"Group-commit epoch size; 1 = per-operation persists.")
-  in
-  let depth =
-    Arg.(value & opt int Engine.default.Engine.depth
-         & info [ "depth" ] ~docv:"N"
-           ~doc:"Waiting-room capacity; arrivals that find it full are shed.")
+  let update =
+    Arg.(value & opt int d.Engine.update_pct
+         & info [ "update" ] ~docv:"PCT" ~doc:"Update percentage (insert/delete 50/50).")
   in
   let clients =
-    Arg.(value & opt int Engine.default.Engine.clients
+    Arg.(value & opt int clients
          & info [ "clients" ] ~docv:"N" ~doc:"Independent open-loop sessions.")
   in
   let requests =
     Arg.(value & opt (some int) None
          & info [ "requests" ] ~docv:"N"
-           ~doc:"Requests per sweep point (default 2000; 600 with --quick).")
+           ~doc:"Requests per sweep point (default 2000; 600 with serve --quick).")
   in
+  let batch =
+    Arg.(value & opt int d.Engine.batch
+         & info [ "batch" ] ~docv:"N"
+           ~doc:"Group-commit epoch size; 1 = per-operation persists.")
+  in
+  let depth =
+    Arg.(value & opt int depth
+         & info [ "depth" ] ~docv:"N"
+           ~doc:"Waiting-room capacity; arrivals that find it full are shed.")
+  in
+  let seed = Arg.(value & opt int d.Engine.seed & info [ "seed" ] ~doc:"Workload seed.") in
+  let rates =
+    Arg.(value
+         & opt (some (list ~sep:',' float)) None
+         & info [ "rate" ] ~docv:"R1,R2,..."
+           ~doc:"Offered loads to sweep, in operations per 1000 cycles.")
+  in
+  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
+  let resolve kind mode spec arrival keys churn mix phases update clients requests batch
+      depth seed rates csv =
+    let fail = fail cmd in
+    let update_pct =
+      match mix with
+      | None -> update
+      | Some m -> (
+        match Workload.mix_of_spec m with
+        | Some pct -> pct
+        | None -> fail ("bad --mix " ^ m ^ " (want R:W, e.g. 80:20)"))
+    in
+    let process =
+      match phases with
+      | None -> arrival
+      | Some p -> (
+        match Arrival.phases_of_spec p with
+        | None -> fail ("bad --phases " ^ p ^ " (want LEN:MULT[,LEN:MULT])")
+        | Some ps -> (
+          match Arrival.with_phases arrival ps with
+          | Some p -> p
+          | None -> fail "--phases cannot wrap an already-phased process"))
+    in
+    { kind; mode; spec; process; workload = { Workload.keys; churn }; update_pct; clients;
+      requests; batch; depth; seed; rates; csv }
+  in
+  Term.(const resolve $ structure $ mode $ strategy $ arrival $ keys $ churn $ mix $ phases
+        $ update $ clients $ requests $ batch $ depth $ seed $ rates $ csv)
+
+(* Write [content] to [dest] ('-' = stdout), reporting a file write. *)
+let write_out ~what dest content =
+  match dest with
+  | "-" -> print_string content
+  | file ->
+    let oc = open_out file in
+    output_string oc content;
+    close_out oc;
+    Printf.printf "telemetry: wrote %s (%s)\n" file what
+
+(* One telemetry run on the console: the CO-corrected distribution next to
+   what a naive (dequeue-stamped) recorder would have reported, then where
+   the cycles went. *)
+let print_attribution (p : Engine.point) =
+  let pp_summary name = function
+    | Some (s : Latency.summary) ->
+      Printf.printf "%-22s p50 %.0f  p95 %.0f  p99 %.0f  p99.9 %.0f  max %.0f\n" name
+        s.Latency.p50 s.Latency.p95 s.Latency.p99 s.Latency.p999 s.Latency.max
+    | None -> ()
+  in
+  Printf.printf "rate %.1f: served %d, shed %d (of %d)\n" p.Engine.offered p.Engine.served
+    p.Engine.shed p.Engine.n;
+  pp_summary "latency (intended):" p.Engine.latency;
+  pp_summary "latency (dequeue):" p.Engine.dequeue_latency;
+  (match p.Engine.gap with
+   | Some g ->
+     Printf.printf "%-22s p50 %.0f  p99 %.0f  p99.9 %.0f\n" "co gap (cycles):"
+       g.Latency.gap_p50 g.Latency.gap_p99 g.Latency.gap_p999
+   | None -> ());
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 p.Engine.attribution in
+  if total > 0 then begin
+    Printf.printf "attribution over %d request(s), %d cycle(s):\n" p.Engine.attr_requests
+      total;
+    List.iter
+      (fun (name, c) ->
+        if c > 0 then
+          Printf.printf "  %-14s %10d  %5.1f%%\n" name c
+            (100. *. float_of_int c /. float_of_int total))
+      p.Engine.attribution;
+    Printf.printf "conservation: %s (%d cycle(s) trimmed)\n"
+      (if p.Engine.attr_conserved then "ok" else "VIOLATED")
+      p.Engine.attr_trimmed
+  end
+
+let serve_cmd =
+  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Fewer sweep points and requests.") in
   let cores =
     Arg.(value & opt int Engine.default.Engine.cores
          & info [ "cores" ] ~docv:"N" ~doc:"Serving cores, each with its own batcher.")
   in
-  let update =
-    Arg.(value & opt int Engine.default.Engine.update_pct
-         & info [ "update" ] ~docv:"PCT" ~doc:"Update percentage (insert/delete 50/50).")
-  in
-  let seed = Arg.(value & opt int Engine.default.Engine.seed & info [ "seed" ] ~doc:"Workload seed.") in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of a table.") in
   let telemetry =
     Arg.(value & opt (some string) None
          & info [ "telemetry" ] ~docv:"FILE"
            ~doc:"Record per-stage cycle attribution and windowed metrics \
-                 during every run and write the telemetry JSON to FILE \
-                 ('-' for stdout).  Simulated cycles are bit-identical with \
-                 this on or off, and the document is byte-identical at any \
-                 --jobs width.")
+                 during every run, print each run's attribution, and write \
+                 the telemetry JSON to FILE ('-' for stdout).  Simulated \
+                 cycles are bit-identical with this on or off, and the \
+                 document is byte-identical at any --jobs width.")
   in
   let window =
     Arg.(value & opt int Engine.default.Engine.window
          & info [ "window" ] ~docv:"CYCLES"
            ~doc:"Metrics window width in simulated cycles.")
   in
-  let run structure mode strategy arrival keys churn mix phases rates quick batch depth
-      clients requests cores update seed csv json telemetry window l2_banks jobs =
-    let module Workload = Skipit_serve.Workload in
-    let update_pct =
-      match mix with
-      | None -> update
-      | Some spec -> (
-        match Workload.mix_of_spec spec with
-        | Some pct -> pct
-        | None ->
-          prerr_endline ("serve: bad --mix " ^ spec ^ " (want R:W, e.g. 80:20)");
-          exit 2)
-    in
-    let process =
-      match phases with
-      | None -> arrival
-      | Some spec -> (
-        match Arrival.phases_of_spec spec with
-        | None ->
-          prerr_endline
-            ("serve: bad --phases " ^ spec ^ " (want LEN:MULT[,LEN:MULT])");
-          exit 2
-        | Some ps -> (
-          match Arrival.with_phases arrival ps with
-          | Some p -> p
-          | None ->
-            prerr_endline "serve: --phases cannot wrap an already-phased process";
-            exit 2))
-    in
+  let export name ~doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc) in
+  let prom =
+    export "prom"
+      ~doc:"Write the metrics registry as Prometheus-style text ('-' for stdout); \
+            needs a single --rate."
+  in
+  let metrics_csv =
+    export "metrics-csv"
+      ~doc:"Write the metrics registry as CSV ('-' for stdout); needs a single --rate."
+  in
+  let perfetto =
+    export "perfetto"
+      ~doc:"Also trace the run and write Chrome trace-event JSON with the metrics \
+            as counter tracks (open in ui.perfetto.dev); needs a single --rate."
+  in
+  let run (c : serving) quick cores json telemetry window prom metrics_csv perfetto l2_banks
+      jobs =
+    let exports = prom <> None || metrics_csv <> None || perfetto <> None in
     let cfg =
       {
         Engine.default with
-        Engine.kind = structure;
-        mode;
-        spec = strategy;
-        process;
-        workload = { Workload.keys; churn };
-        clients;
-        requests = (match requests with Some n -> n | None -> if quick then 600 else 2000);
-        batch;
-        depth;
+        Engine.kind = c.kind;
+        mode = c.mode;
+        spec = c.spec;
+        process = c.process;
+        workload = c.workload;
+        clients = c.clients;
+        requests = Option.value c.requests ~default:(if quick then 600 else 2000);
+        batch = c.batch;
+        depth = c.depth;
         cores;
-        update_pct;
-        seed;
-        telemetry = telemetry <> None;
+        update_pct = c.update_pct;
+        seed = c.seed;
+        telemetry = telemetry <> None || exports;
         window;
       }
     in
-    (match Engine.validate cfg with
-     | Ok () -> ()
-     | Error e ->
-       prerr_endline ("serve: " ^ e);
-       exit 2);
-    let rates = match rates with Some rs -> rs | None -> Report.default_rates ~quick in
+    let fail = fail "serve" in
+    (match Engine.validate cfg with Ok () -> () | Error e -> fail e);
+    let rates = match c.rates with Some rs -> rs | None -> Report.default_rates ~quick in
     let params =
       if l2_banks = 1 then None else Some (C.Params.with_l2_banks C.default l2_banks)
     in
-    let points = with_jobs jobs (fun pool -> Engine.sweep ?params ?pool cfg ~rates) in
+    if exports && List.length rates <> 1 then
+      fail "--prom, --metrics-csv and --perfetto need a single --rate";
+    let tr = Option.map (fun _ -> Trace.start ~capacity:(1 lsl 21) ()) perfetto in
+    let points =
+      match rates with
+      | [ rate ] -> [ Engine.run ?params cfg ~rate ]
+      | rates -> with_jobs jobs (fun pool -> Engine.sweep ?params ?pool cfg ~rates)
+    in
+    if tr <> None then ignore (Trace.stop ());
     if json then print_string (Report.to_json cfg points)
     else
       with_ppf (fun ppf ->
-        if csv then Report.pp_csv ppf points
+        if c.csv then Report.pp_csv ppf points
         else begin
           Report.pp_config ppf cfg;
           Report.pp_table ppf points
         end);
-    (if not json && not csv then
-       let leaked =
-         List.fold_left (fun acc (p : Engine.point) -> acc + p.Engine.leaked) 0 points
-       in
-       if
-         List.for_all
-           (fun (p : Engine.point) -> p.Engine.served + p.Engine.shed = p.Engine.n)
-           points
-         && leaked = 0
-       then
-         Printf.printf "conservation: ok (served + shed = offered at every point, 0 leaked slots)\n"
-       else begin
-         Printf.printf "conservation: VIOLATED (%d leaked slot(s))\n" leaked;
-         exit 1
-       end);
-    match telemetry with
-    | None -> ()
-    | Some "-" -> print_string (Report.telemetry_json cfg points)
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Report.telemetry_json cfg points);
-      close_out oc;
-      Printf.printf "telemetry: wrote %s (%d point%s)\n" file (List.length points)
-        (if List.length points = 1 then "" else "s")
+    if not json && not c.csv then begin
+      let leaked =
+        List.fold_left (fun acc (p : Engine.point) -> acc + p.Engine.leaked) 0 points
+      in
+      if
+        List.for_all
+          (fun (p : Engine.point) -> p.Engine.served + p.Engine.shed = p.Engine.n)
+          points
+        && leaked = 0
+      then
+        Printf.printf "conservation: ok (served + shed = offered at every point, 0 leaked slots)\n"
+      else begin
+        Printf.printf "conservation: VIOLATED (%d leaked slot(s))\n" leaked;
+        exit 1
+      end;
+      if cfg.Engine.telemetry then List.iter print_attribution points
+    end;
+    Option.iter
+      (fun dest ->
+        let n = List.length points in
+        write_out dest (Report.telemetry_json cfg points)
+          ~what:(Printf.sprintf "%d point%s" n (if n = 1 then "" else "s")))
+      telemetry;
+    match points with
+    | [ { Engine.metrics = Some m; _ } ] -> (
+      Option.iter (fun dest -> write_out ~what:"prometheus text" dest (Metrics.to_prometheus m)) prom;
+      Option.iter (fun dest -> write_out ~what:"metrics CSV" dest (Metrics.to_csv m)) metrics_csv;
+      match perfetto, tr with
+      | Some dest, Some tr ->
+        Perfetto.write_file ~counters:(Metrics.counter_tracks m) dest tr;
+        Printf.printf "telemetry: wrote %s (%d events + %d counter tracks)\n" dest
+          (Trace.length tr)
+          (List.length (Metrics.counter_tracks m))
+      | _ -> ())
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Open-loop serving: arrival-process load over a persistent \
              structure with group-committed persists, bounded admission and \
-             load shedding; prints the throughput-latency sweep")
-    Term.(const run $ structure $ mode $ strategy $ arrival $ keys $ churn $ mix
-          $ phases $ rates $ quick $ batch $ depth $ clients $ requests $ cores $ update
-          $ seed $ csv $ json $ telemetry $ window $ l2_banks_arg $ jobs_arg)
-
-let telemetry_cmd =
-  let module Engine = Skipit_serve.Engine in
-  let module Report = Skipit_serve.Report in
-  let module Metrics = Skipit_obs.Metrics in
-  let rate =
-    Arg.(value & opt float 16.
-         & info [ "rate" ] ~docv:"R" ~doc:"Offered load in operations per 1000 cycles.")
-  in
-  let requests =
-    Arg.(value & opt int Engine.default.Engine.requests
-         & info [ "requests" ] ~docv:"N" ~doc:"Requests to serve.")
-  in
-  let batch =
-    Arg.(value & opt int Engine.default.Engine.batch
-         & info [ "batch" ] ~docv:"N" ~doc:"Group-commit epoch size.")
-  in
-  let depth =
-    Arg.(value & opt int Engine.default.Engine.depth
-         & info [ "depth" ] ~docv:"N" ~doc:"Waiting-room capacity.")
-  in
-  let clients =
-    Arg.(value & opt int Engine.default.Engine.clients
-         & info [ "clients" ] ~docv:"N" ~doc:"Independent open-loop sessions.")
-  in
-  let cores =
-    Arg.(value & opt int Engine.default.Engine.cores
-         & info [ "cores" ] ~docv:"N" ~doc:"Serving cores.")
-  in
-  let update =
-    Arg.(value & opt int Engine.default.Engine.update_pct
-         & info [ "update" ] ~docv:"PCT" ~doc:"Update percentage.")
-  in
-  let seed =
-    Arg.(value & opt int Engine.default.Engine.seed & info [ "seed" ] ~doc:"Workload seed.")
-  in
-  let window =
-    Arg.(value & opt int Engine.default.Engine.window
-         & info [ "window" ] ~docv:"CYCLES" ~doc:"Metrics window width in simulated cycles.")
-  in
-  let out_json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the full telemetry document (latency, attribution, metrics) \
-                 as JSON ('-' for stdout).")
-  in
-  let out_prom =
-    Arg.(value & opt (some string) None
-         & info [ "prom" ] ~docv:"FILE"
-           ~doc:"Write the metrics registry as Prometheus-style text ('-' for stdout).")
-  in
-  let out_csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Write the metrics registry as CSV ('-' for stdout).")
-  in
-  let out_perfetto =
-    Arg.(value & opt (some string) None
-         & info [ "perfetto" ] ~docv:"FILE"
-           ~doc:"Also trace the run and write Chrome trace-event JSON with the \
-                 metrics as counter tracks (open in ui.perfetto.dev).")
-  in
-  let write ~what dest content =
-    match dest with
-    | "-" -> print_string content
-    | file ->
-      let oc = open_out file in
-      output_string oc content;
-      close_out oc;
-      Printf.printf "telemetry: wrote %s (%s)\n" file what
-  in
-  let run rate requests batch depth clients cores update seed window l2_banks out_json
-      out_prom out_csv out_perfetto =
-    let cfg =
-      {
-        Engine.default with
-        Engine.requests;
-        batch;
-        depth;
-        clients;
-        cores;
-        update_pct = update;
-        seed;
-        telemetry = true;
-        window;
-      }
-    in
-    (match Engine.validate cfg with
-     | Ok () -> ()
-     | Error e ->
-       prerr_endline ("telemetry: " ^ e);
-       exit 2);
-    let tr =
-      match out_perfetto with
-      | None -> None
-      | Some _ -> Some (Trace.start ~capacity:(1 lsl 21) ())
-    in
-    let params =
-      if l2_banks = 1 then None else Some (C.Params.with_l2_banks C.default l2_banks)
-    in
-    let point = Engine.run ?params cfg ~rate in
-    (match tr with Some _ -> ignore (Trace.stop ()) | None -> ());
-    (* Console summary: the CO-corrected distribution next to what a naive
-       (dequeue-stamped) recorder would have reported, then where the
-       cycles went. *)
-    let pp_summary name = function
-      | Some (s : Latency.summary) ->
-        Printf.printf "%-22s p50 %.0f  p95 %.0f  p99 %.0f  p99.9 %.0f  max %.0f\n" name
-          s.Latency.p50 s.Latency.p95 s.Latency.p99 s.Latency.p999 s.Latency.max
-      | None -> ()
-    in
-    Printf.printf "rate %.1f: served %d, shed %d (of %d)\n" rate point.Engine.served
-      point.Engine.shed point.Engine.n;
-    pp_summary "latency (intended):" point.Engine.latency;
-    pp_summary "latency (dequeue):" point.Engine.dequeue_latency;
-    (match point.Engine.gap with
-     | Some g ->
-       Printf.printf "%-22s p50 %.0f  p99 %.0f  p99.9 %.0f\n" "co gap (cycles):"
-         g.Latency.gap_p50 g.Latency.gap_p99 g.Latency.gap_p999
-     | None -> ());
-    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 point.Engine.attribution in
-    if total > 0 then begin
-      Printf.printf "attribution over %d request(s), %d cycle(s):\n"
-        point.Engine.attr_requests total;
-      List.iter
-        (fun (name, c) ->
-          if c > 0 then
-            Printf.printf "  %-14s %10d  %5.1f%%\n" name c
-              (100. *. float_of_int c /. float_of_int total))
-        point.Engine.attribution;
-      Printf.printf "conservation: %s (%d cycle(s) trimmed)\n"
-        (if point.Engine.attr_conserved then "ok" else "VIOLATED")
-        point.Engine.attr_trimmed
-    end;
-    (match out_json with
-     | None -> ()
-     | Some dest -> write ~what:"telemetry JSON" dest (Report.telemetry_json cfg [ point ]));
-    (match point.Engine.metrics with
-     | None -> ()
-     | Some m ->
-       (match out_prom with
-        | None -> ()
-        | Some dest -> write ~what:"prometheus text" dest (Metrics.to_prometheus m));
-       (match out_csv with
-        | None -> ()
-        | Some dest -> write ~what:"metrics CSV" dest (Metrics.to_csv m)));
-    match out_perfetto, tr, point.Engine.metrics with
-    | Some dest, Some tr, Some m ->
-      Perfetto.write_file ~counters:(Metrics.counter_tracks m) dest tr;
-      Printf.printf "telemetry: wrote %s (%d events + %d counter tracks)\n" dest
-        (Trace.length tr)
-        (List.length (Metrics.counter_tracks m))
-    | _ -> ()
-  in
-  Cmd.v
-    (Cmd.info "telemetry"
-       ~doc:"Serve one offered-load point with cycle-accounting telemetry on: \
-             per-stage critical-path attribution, windowed metrics, and \
-             coordinated-omission-correct latency, exportable as JSON, \
-             Prometheus text, CSV, or Perfetto counter tracks")
-    Term.(const run $ rate $ requests $ batch $ depth $ clients $ cores $ update $ seed
-          $ window $ l2_banks_arg $ out_json $ out_prom $ out_csv $ out_perfetto)
+             load shedding; prints the throughput-latency sweep, and with \
+             --telemetry the per-stage cycle attribution of every run")
+    Term.(const run
+          $ serving_term ~cmd:"serve" ~clients:Engine.default.Engine.clients
+              ~depth:Engine.default.Engine.depth
+          $ quick $ cores $ json $ telemetry $ window $ prom $ metrics_csv $ perfetto
+          $ l2_banks_arg $ jobs_arg)
 
 let fleet_cmd =
-  let module Fleet = Skipit_fleet.Fleet in
-  let module Arrival = Skipit_serve.Arrival in
-  let module Ops = Skipit_pds.Set_ops in
-  let module Ds_bench = Skipit_workload.Ds_bench in
-  let module Pctx = Skipit_persist.Pctx in
-  let conv_of ~what ~of_name ~to_name =
-    Arg.conv
-      ( (fun s ->
-          match of_name s with
-          | Some v -> Ok v
-          | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))),
-        fun ppf v -> Format.pp_print_string ppf (to_name v) )
-  in
   let d = Fleet.default in
+  let int_opt name v ~docv ~doc = Arg.(value & opt int v & info [ name ] ~docv ~doc) in
   let shards =
-    Arg.(value & opt int d.Fleet.shards
-         & info [ "shards" ] ~docv:"N" ~doc:"Independent serving shards (one system each).")
+    int_opt "shards" d.Fleet.shards ~docv:"N" ~doc:"Independent serving shards (one system each)."
   in
   let replicas =
-    Arg.(value & opt int d.Fleet.replicas
-         & info [ "replicas" ] ~docv:"K" ~doc:"Copies of every key (1 <= K <= shards).")
+    int_opt "replicas" d.Fleet.replicas ~docv:"K" ~doc:"Copies of every key (1 <= K <= shards)."
   in
-  let vnodes =
-    Arg.(value & opt int d.Fleet.vnodes
-         & info [ "vnodes" ] ~docv:"N" ~doc:"Ring virtual nodes per shard.")
-  in
-  let structure =
-    let of_name s = List.find_opt (fun k -> Ops.kind_name k = s) Ops.all_kinds in
-    Arg.(value
-         & opt (conv_of ~what:"structure" ~of_name ~to_name:Ops.kind_name) d.Fleet.kind
-         & info [ "structure" ] ~docv:"S"
-           ~doc:"Structure each shard serves: list, hash, bst, skiplist.")
-  in
-  let mode =
-    let of_name s = List.find_opt (fun m -> Pctx.mode_name m = s) Pctx.all_modes in
-    Arg.(value
-         & opt (conv_of ~what:"mode" ~of_name ~to_name:Pctx.mode_name) d.Fleet.mode
-         & info [ "mode" ] ~docv:"M" ~doc:"Persistence mode: automatic, nvtraverse, manual.")
-  in
-  let strategy =
-    Arg.(value
-         & opt (conv_of ~what:"strategy" ~of_name:Ds_bench.spec_of_name
-                  ~to_name:Ds_bench.spec_name)
-             d.Fleet.spec
-         & info [ "strategy" ] ~docv:"STRAT"
-           ~doc:"Persist strategy: plain, flit-adjacent, flit-hash[/N], \
-                 link-and-persist, skip-it.")
-  in
-  let arrival =
-    Arg.(value
-         & opt (conv_of ~what:"arrival process" ~of_name:Arrival.process_of_name
-                  ~to_name:Arrival.process_name)
-             d.Fleet.process
-         & info [ "arrival" ] ~docv:"PROC"
-           ~doc:"Arrival process: poisson, bursty[:ON/OFF], or \
-                 degraded:S-E[,S-E]:BASE (fault windows over BASE).")
-  in
-  let keys =
-    let module Workload = Skipit_serve.Workload in
-    Arg.(value
-         & opt (conv_of ~what:"key distribution" ~of_name:Workload.keys_of_name
-                  ~to_name:Workload.keys_name)
-             Workload.Uniform
-         & info [ "keys" ] ~docv:"DIST"
-           ~doc:"Key popularity: uniform, zipf (theta 0.99), or zipf:THETA — \
-                 skew concentrates traffic on few ring positions.")
-  in
-  let churn =
-    Arg.(value & opt (some int) None
-         & info [ "churn" ] ~docv:"CYCLES"
-           ~doc:"Hot-set rotation period in cycles (requires zipf keys).")
-  in
-  let mix =
-    Arg.(value & opt (some string) None
-         & info [ "mix" ] ~docv:"R:W"
-           ~doc:"Read/write mix, e.g. 80:20 (overrides --update).")
-  in
-  let phases =
-    Arg.(value & opt (some string) None
-         & info [ "phases" ] ~docv:"LEN:MULT,..."
-           ~doc:"Diurnal rate phases wrapped around the arrival process \
-                 (LEN:MULT comma list; composes under degraded windows).")
-  in
+  let vnodes = int_opt "vnodes" d.Fleet.vnodes ~docv:"N" ~doc:"Ring virtual nodes per shard." in
   let faults =
-    let of_name = Fleet.fault_schedule_of_name in
     Arg.(value
-         & opt (conv_of ~what:"fault schedule" ~of_name
+         & opt (conv_of ~what:"fault schedule" ~of_name:Fleet.fault_schedule_of_name
                   ~to_name:Fleet.fault_schedule_name)
              d.Fleet.faults
          & info [ "fault-schedule" ] ~docv:"SCHED"
            ~doc:"Shard kills: none, rand:N (N seeded mid-run kills), or \
                  AT:SHARD[,AT:SHARD] explicit kill times in cycles.")
   in
-  let rates =
-    Arg.(value & opt (list ~sep:',' float) [ 16. ]
-         & info [ "rate" ] ~docv:"R1,R2,..."
-           ~doc:"Offered loads to sweep, in operations per 1000 cycles.")
-  in
-  let clients =
-    Arg.(value & opt int d.Fleet.clients
-         & info [ "clients" ] ~docv:"N" ~doc:"Independent open-loop sessions.")
-  in
-  let requests =
-    Arg.(value & opt int d.Fleet.requests
-         & info [ "requests" ] ~docv:"N" ~doc:"Requests per sweep point.")
-  in
-  let depth =
-    Arg.(value & opt int d.Fleet.depth
-         & info [ "depth" ] ~docv:"N" ~doc:"Waiting-room slots per shard.")
-  in
-  let batch =
-    Arg.(value & opt int d.Fleet.batch
-         & info [ "batch" ] ~docv:"N" ~doc:"Group-commit epoch size per shard.")
-  in
   let retry_max =
-    Arg.(value & opt int d.Fleet.retry_max
-         & info [ "retry-max" ] ~docv:"N" ~doc:"Retry budget before a write is shed.")
+    int_opt "retry-max" d.Fleet.retry_max ~docv:"N" ~doc:"Retry budget before a write is shed."
   in
   let backoff =
-    Arg.(value & opt int d.Fleet.backoff
-         & info [ "backoff" ] ~docv:"CYCLES"
-           ~doc:"Base retry backoff; attempt i waits backoff*2^i (+ seeded jitter), \
-                 capped by --backoff-cap.")
+    int_opt "backoff" d.Fleet.backoff ~docv:"CYCLES"
+      ~doc:"Base retry backoff; attempt i waits backoff*2^i (+ seeded jitter), \
+            capped by --backoff-cap."
   in
   let backoff_cap =
-    Arg.(value & opt int d.Fleet.backoff_cap
-         & info [ "backoff-cap" ] ~docv:"CYCLES" ~doc:"Exponential backoff ceiling.")
+    int_opt "backoff-cap" d.Fleet.backoff_cap ~docv:"CYCLES" ~doc:"Exponential backoff ceiling."
   in
   let timeout =
-    Arg.(value & opt int d.Fleet.timeout
-         & info [ "timeout" ] ~docv:"CYCLES" ~doc:"Dead-shard detection penalty.")
+    int_opt "timeout" d.Fleet.timeout ~docv:"CYCLES" ~doc:"Dead-shard detection penalty."
   in
   let fanout_pct =
-    Arg.(value & opt int d.Fleet.fanout_pct
-         & info [ "fanout-pct" ] ~docv:"PCT" ~doc:"Percent of reads that become multi-gets.")
+    int_opt "fanout-pct" d.Fleet.fanout_pct ~docv:"PCT"
+      ~doc:"Percent of reads that become multi-gets."
   in
-  let update =
-    Arg.(value & opt int d.Fleet.update_pct
-         & info [ "update" ] ~docv:"PCT" ~doc:"Update percentage (insert/delete 50/50).")
-  in
-  let seed = Arg.(value & opt int d.Fleet.seed & info [ "seed" ] ~doc:"Fleet seed.") in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
   let repro =
     Arg.(value & opt (some string) None
          & info [ "repro" ] ~docv:"FILE"
@@ -1038,6 +851,7 @@ let fleet_cmd =
          & info [ "repro-out" ] ~docv:"FILE"
            ~doc:"Where to write the shrunk reproducer when a run fails verification.")
   in
+  let lat (p : Fleet.point) f = match p.Fleet.latency with Some s -> f s | None -> 0. in
   let pp_points ppf (cfg : Fleet.config) points =
     let open Format in
     fprintf ppf
@@ -1046,7 +860,7 @@ let fleet_cmd =
       cfg.Fleet.shards cfg.Fleet.replicas
       (Ops.kind_name cfg.Fleet.kind) (Pctx.mode_name cfg.Fleet.mode)
       (Ds_bench.spec_name cfg.Fleet.spec)
-      (Skipit_serve.Workload.name cfg.Fleet.workload)
+      (Workload.name cfg.Fleet.workload)
       cfg.Fleet.clients cfg.Fleet.requests
       (Fleet.fault_schedule_name cfg.Fleet.faults) cfg.Fleet.seed;
     fprintf ppf
@@ -1054,12 +868,11 @@ let fleet_cmd =
       "served" "shed" "part" "fail" "crash" "retry" "hints" "p50" "p99" "p99.9";
     List.iter
       (fun (p : Fleet.point) ->
-        let l f = match p.Fleet.latency with Some s -> f s | None -> 0. in
         fprintf ppf "%8.1f %8.2f %7d %6d %6d %6d %6d %6d %7d %9.0f %9.0f %9.0f@."
           p.Fleet.offered p.Fleet.achieved p.Fleet.served p.Fleet.shed p.Fleet.partial
           p.Fleet.failovers p.Fleet.crashes p.Fleet.retries p.Fleet.hints
-          (l (fun s -> s.Latency.p50)) (l (fun s -> s.Latency.p99))
-          (l (fun s -> s.Latency.p999)))
+          (lat p (fun s -> s.Latency.p50)) (lat p (fun s -> s.Latency.p99))
+          (lat p (fun s -> s.Latency.p999)))
       points;
     List.iter
       (fun (p : Fleet.point) ->
@@ -1082,96 +895,57 @@ let fleet_cmd =
        recovery_cycles,elapsed,p50,p99,p999@.";
     List.iter
       (fun (p : Fleet.point) ->
-        let l f = match p.Fleet.latency with Some s -> f s | None -> 0. in
         Format.fprintf ppf "%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%g,%g,%g@."
           p.Fleet.offered p.Fleet.achieved p.Fleet.served p.Fleet.shed p.Fleet.partial
           p.Fleet.failovers p.Fleet.crashes p.Fleet.repairs p.Fleet.retries
           p.Fleet.hints p.Fleet.recovery_cycles p.Fleet.elapsed
-          (l (fun s -> s.Latency.p50)) (l (fun s -> s.Latency.p99))
-          (l (fun s -> s.Latency.p999)))
+          (lat p (fun s -> s.Latency.p50)) (lat p (fun s -> s.Latency.p99))
+          (lat p (fun s -> s.Latency.p999)))
       points
   in
-  let run shards replicas vnodes structure mode strategy arrival keys churn mix phases
-      faults rates clients requests depth batch retry_max backoff backoff_cap timeout
-      fanout_pct update seed csv repro repro_out jobs =
-    let module Workload = Skipit_serve.Workload in
+  let run (c : serving) shards replicas vnodes faults retry_max backoff backoff_cap timeout
+      fanout_pct repro repro_out jobs =
     let cfg, rates =
       match repro with
       | Some file -> (
         match Fleet.read_reproducer file with
         | Ok (cfg, rate) -> (cfg, [ rate ])
-        | Error e ->
-          prerr_endline ("fleet: " ^ e);
-          exit 2)
+        | Error e -> fail "fleet" e)
       | None ->
-        let update_pct =
-          match mix with
-          | None -> update
-          | Some spec -> (
-            match Workload.mix_of_spec spec with
-            | Some pct -> pct
-            | None ->
-              prerr_endline ("fleet: bad --mix " ^ spec ^ " (want R:W, e.g. 80:20)");
-              exit 2)
-        in
-        let process =
-          match phases with
-          | None -> arrival
-          | Some spec -> (
-            match Arrival.phases_of_spec spec with
-            | None ->
-              prerr_endline
-                ("fleet: bad --phases " ^ spec ^ " (want LEN:MULT[,LEN:MULT])");
-              exit 2
-            | Some ps -> (
-              match Arrival.with_phases arrival ps with
-              | Some p -> p
-              | None ->
-                prerr_endline
-                  "fleet: --phases cannot wrap an already-phased process";
-                exit 2))
-        in
         ( {
-            Fleet.default with
+            d with
             Fleet.shards;
             replicas;
             vnodes;
-            kind = structure;
-            mode;
-            spec = strategy;
-            process;
-            workload = { Workload.keys; churn };
-            clients;
-            requests;
-            depth;
-            batch;
+            kind = c.kind;
+            mode = c.mode;
+            spec = c.spec;
+            process = c.process;
+            workload = c.workload;
+            clients = c.clients;
+            requests = Option.value c.requests ~default:d.Fleet.requests;
+            depth = c.depth;
+            batch = c.batch;
             retry_max;
             backoff;
             backoff_cap;
             timeout;
             fanout_pct;
-            update_pct;
-            seed;
+            update_pct = c.update_pct;
+            seed = c.seed;
             faults;
           },
-          rates )
+          Option.value c.rates ~default:[ 16. ] )
     in
-    (match Fleet.validate cfg with
-     | Ok () -> ()
-     | Error e ->
-       prerr_endline ("fleet: " ^ e);
-       exit 2);
+    (match Fleet.validate cfg with Ok () -> () | Error e -> fail "fleet" e);
     let points = with_jobs jobs (fun pool -> Fleet.sweep ?pool cfg ~rates) in
-    with_ppf (fun ppf -> if csv then pp_csv ppf points else pp_points ppf cfg points);
-    let bad =
-      List.filter (fun (p : Fleet.point) -> p.Fleet.violations <> []) points
-    in
-    if bad = [] then begin
+    with_ppf (fun ppf -> if c.csv then pp_csv ppf points else pp_points ppf cfg points);
+    match List.filter (fun (p : Fleet.point) -> p.Fleet.violations <> []) points with
+    | [] ->
       Printf.printf "conservation: ok (%d checkpoint(s))\n"
         (List.fold_left (fun acc (p : Fleet.point) -> acc + p.Fleet.checkpoints) 0 points);
       print_endline "verification: ok (durable linearizability holds fleet-wide)"
-    end
-    else begin
+    | first :: _ as bad ->
       List.iter
         (fun (p : Fleet.point) ->
           Printf.printf "verification FAILED at rate %.1f (%d violation(s)):\n"
@@ -1181,9 +955,7 @@ let fleet_cmd =
             (fun i v -> if i < 8 then print_endline ("  " ^ v))
             p.Fleet.violations)
         bad;
-      let rate =
-        match bad with p :: _ -> p.Fleet.offered | [] -> assert false
-      in
+      let rate = first.Fleet.offered in
       let small, sp = Fleet.shrink cfg ~rate in
       Fleet.write_reproducer repro_out small ~rate;
       Printf.printf
@@ -1192,7 +964,6 @@ let fleet_cmd =
         (List.length sp.Fleet.violations)
         repro_out;
       exit 1
-    end
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1200,10 +971,10 @@ let fleet_cmd =
              replication over independent shard systems, crash-driven \
              failover with retry/backoff and hinted handoff, graceful load \
              shedding, and fleet-wide durable-linearizability verification")
-    Term.(const run $ shards $ replicas $ vnodes $ structure $ mode $ strategy $ arrival
-          $ keys $ churn $ mix $ phases $ faults $ rates $ clients $ requests $ depth
-          $ batch $ retry_max $ backoff $ backoff_cap $ timeout $ fanout_pct $ update
-          $ seed $ csv $ repro $ repro_out $ jobs_arg)
+    Term.(const run
+          $ serving_term ~cmd:"fleet" ~clients:d.Fleet.clients ~depth:d.Fleet.depth
+          $ shards $ replicas $ vnodes $ faults $ retry_max $ backoff $ backoff_cap $ timeout
+          $ fanout_pct $ repro $ repro_out $ jobs_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1216,5 +987,5 @@ let () =
        (Cmd.group ~default info
           [
             figure_cmd; stats_cmd; sweep_cmd; ablate_cmd; run_cmd; trace_cmd; audit_cmd;
-            serve_cmd; telemetry_cmd; fleet_cmd;
+            serve_cmd; fleet_cmd;
           ]))

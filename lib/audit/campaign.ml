@@ -157,11 +157,6 @@ let build_system ?(l2_banks = 1) spec =
   in
   S.create params
 
-let run_task sys f =
-  let r = ref None in
-  ignore (T.run sys [ { T.core = 0; body = (fun () -> r := Some (f ())) } ]);
-  Option.get !r
-
 (* Replay the completed prefix of the schedule on the host-side model. *)
 let set_model ops ~completed =
   let model = Hashtbl.create 64 in
@@ -190,7 +185,7 @@ let queue_model ops ~completed =
 let verify_set (h : Ops.handle) p sys ops ~completed =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  ignore (run_task sys (fun () -> h.Ops.repair p));
+  ignore (T.run_task sys (fun () -> h.Ops.repair p));
   let snap = h.Ops.snapshot sys in
   let model = set_model ops ~completed in
   let pending = if completed < Array.length ops then Some ops.(completed) else None in
@@ -221,7 +216,7 @@ let verify_set (h : Ops.handle) p sys ops ~completed =
   List.rev !out
 
 let verify_queue q p sys ops ~completed =
-  ignore (run_task sys (fun () -> MQ.repair q p));
+  ignore (T.run_task sys (fun () -> MQ.repair q p));
   let snap = MQ.to_list_unsafe q sys in
   let base = queue_model ops ~completed in
   let pending = if completed < Array.length ops then Some ops.(completed) else None in
@@ -458,68 +453,36 @@ let shrink fail =
 (* Reproducer files.                                                  *)
 
 let write_reproducer path (fail : failure) =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  Printf.fprintf oc "# skipit_sim audit reproducer (replay: skipit_sim audit --repro %s)\n" path;
-  Printf.fprintf oc "structure=%s\n" (structure_name fail.spec.structure);
-  Printf.fprintf oc "mode=%s\n" (Pctx.mode_name fail.spec.mode);
-  Printf.fprintf oc "strategy=%s\n" (strategy_name fail.spec.strategy);
-  Printf.fprintf oc "fault=%s\n" (fault_name fail.spec.fault);
-  Printf.fprintf oc "seed=%d\n" fail.spec.seed;
-  Printf.fprintf oc "ops=%d\n" fail.spec.n_ops;
-  Printf.fprintf oc "crash_at=%d\n" (match fail.crash_at with Some b -> b | None -> 0);
-  List.iter (fun v -> Printf.fprintf oc "# violation: %s\n" v) fail.violations
+  Repro_file.write path
+    ~header:(Printf.sprintf "skipit_sim audit reproducer (replay: skipit_sim audit --repro %s)" path)
+    ~notes:(List.map (( ^ ) "violation: ") fail.violations)
+    [
+      ("structure", structure_name fail.spec.structure);
+      ("mode", Pctx.mode_name fail.spec.mode);
+      ("strategy", strategy_name fail.spec.strategy);
+      ("fault", fault_name fail.spec.fault);
+      ("seed", string_of_int fail.spec.seed);
+      ("ops", string_of_int fail.spec.n_ops);
+      ("crash_at", string_of_int (match fail.crash_at with Some b -> b | None -> 0));
+    ]
 
 let read_reproducer path =
-  try
-    let ic = open_in path in
-    let fields = Hashtbl.create 8 in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.index_opt line '=' with
-           | Some i ->
-             Hashtbl.replace fields
-               (String.sub line 0 i)
-               (String.sub line (i + 1) (String.length line - i - 1))
-           | None -> ()
-       done
-     with End_of_file -> close_in ic);
-    let get k = match Hashtbl.find_opt fields k with Some v -> Ok v | None -> Error ("missing field " ^ k) in
-    let ( let* ) = Result.bind in
-    let* structure =
-      let* s = get "structure" in
-      Option.to_result ~none:("unknown structure " ^ s) (structure_of_name s)
-    in
-    let* mode =
-      let* s = get "mode" in
-      Option.to_result ~none:("unknown mode " ^ s)
-        (List.find_opt (fun m -> Pctx.mode_name m = s) Pctx.all_modes)
-    in
-    let* strategy =
-      let* s = get "strategy" in
-      Option.to_result ~none:("unknown strategy " ^ s) (strategy_of_name s)
-    in
-    let* fault =
-      let* s = get "fault" in
-      Option.to_result ~none:("unknown fault " ^ s) (fault_of_name s)
-    in
-    let int_field k =
-      let* s = get k in
-      Option.to_result ~none:("bad integer for " ^ k) (int_of_string_opt s)
-    in
-    let* seed = int_field "seed" in
-    let* n_ops = int_field "ops" in
-    let* crash_at = int_field "crash_at" in
-    Ok
-      {
-        spec = { structure; mode; strategy; fault; seed; n_ops };
-        crash_at = (if crash_at > 0 then Some crash_at else None);
-        completed = 0;
-        violations = [];
-      }
-  with Sys_error e -> Error e
+  let ( let* ) = Result.bind in
+  let* r = Repro_file.read path in
+  let* structure = Repro_file.parse r "structure" structure_of_name in
+  let* mode = Repro_file.parse r "mode" Pctx.mode_of_name in
+  let* strategy = Repro_file.parse r "strategy" strategy_of_name in
+  let* fault = Repro_file.parse r "fault" fault_of_name in
+  let* seed = Repro_file.int r "seed" in
+  let* n_ops = Repro_file.int r "ops" in
+  let* crash_at = Repro_file.int r "crash_at" in
+  Ok
+    {
+      spec = { structure; mode; strategy; fault; seed; n_ops };
+      crash_at = (if crash_at > 0 then Some crash_at else None);
+      completed = 0;
+      violations = [];
+    }
 
 let pp_report ppf r =
   match r.failure with

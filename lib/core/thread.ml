@@ -101,3 +101,8 @@ let run system tasks =
   | `Stopped _ -> assert false
 
 let run_until system ~stop tasks = run_loop system ~stop tasks
+
+let run_task system f =
+  let r = ref None in
+  ignore (run system [ { core = 0; body = (fun () -> r := Some (f ())) } ]);
+  Option.get !r

@@ -45,6 +45,9 @@ val run : System.t -> task list -> int
     Several tasks may share a core (they interleave on its clock).  Raises
     whatever a task body raises. *)
 
+val run_task : System.t -> (unit -> 'a) -> 'a
+(** Run [f] as the only task, on core 0, and return its result. *)
+
 val run_until :
   System.t -> stop:(unit -> bool) -> task list -> [ `Completed of int | `Stopped of int ]
 (** Like {!run}, but [stop] is consulted before every instruction dispatch;

@@ -14,7 +14,9 @@ module Ds_bench = Skipit_workload.Ds_bench
 module Arrival = Skipit_serve.Arrival
 module Workload = Skipit_serve.Workload
 module Batcher = Skipit_serve.Batcher
+module Shard = Skipit_serve.Shard
 module Invariant = Skipit_audit.Invariant
+module Repro_file = Skipit_audit.Repro_file
 
 (* ------------------------------------------------------------------ *)
 (* Fault schedules.                                                   *)
@@ -111,17 +113,31 @@ let default =
     drop_persists = None;
   }
 
+let shard_config cfg =
+  {
+    Shard.kind = cfg.kind;
+    mode = cfg.mode;
+    spec = cfg.spec;
+    process = cfg.process;
+    workload = cfg.workload;
+    clients = cfg.clients;
+    requests = cfg.requests;
+    batch = cfg.batch;
+    depth = cfg.depth;
+    key_range = cfg.key_range;
+    update_pct = cfg.update_pct;
+    prefill = cfg.prefill;
+    seed = cfg.seed;
+  }
+
 let validate cfg =
   let check cond msg = if cond then Error msg else Ok () in
-  let ( >>= ) r f = Result.bind r (fun () -> f ()) in
+  let ( >>= ) r f = Result.bind r f in
   check (cfg.shards <= 0) "shards must be positive"
   >>= fun () -> check (cfg.replicas <= 0 || cfg.replicas > cfg.shards)
                   "replicas must be in [1, shards]"
   >>= fun () -> check (cfg.vnodes <= 0) "vnodes must be positive"
-  >>= fun () -> check (cfg.clients <= 0) "clients must be positive"
-  >>= fun () -> check (cfg.requests <= 0) "requests must be positive"
-  >>= fun () -> check (cfg.depth <= 0) "depth must be positive"
-  >>= fun () -> check (cfg.batch <= 0) "batch must be positive"
+  >>= fun () -> Shard.validate (shard_config cfg)
   >>= fun () -> check (cfg.linger <= 0) "linger must be positive"
   >>= fun () -> check (cfg.retry_max < 0) "retry-max must be non-negative"
   >>= fun () -> check (cfg.backoff <= 0) "backoff must be positive"
@@ -130,19 +146,6 @@ let validate cfg =
   >>= fun () -> check (cfg.fanout_pct < 0 || cfg.fanout_pct > 100)
                   "fanout-pct must be in [0,100]"
   >>= fun () -> check (cfg.fanout <= 0) "fanout must be positive"
-  >>= fun () -> check (cfg.key_range <= 0) "key-range must be positive"
-  >>= fun () -> check (cfg.update_pct < 0 || cfg.update_pct > 100)
-                  "update-pct must be in [0,100]"
-  >>= fun () -> check (cfg.prefill < 0) "prefill must be non-negative"
-  >>= fun () ->
-  (match Workload.validate cfg.workload ~key_range:cfg.key_range with
-   | Ok () -> Ok ()
-   | Error e -> Error e)
-  >>= fun () ->
-  check
-    (not (Ds_bench.compatible cfg.kind cfg.spec))
-    (Printf.sprintf "%s is incompatible with %s (word-bit conflict)"
-       (Ds_bench.spec_name cfg.spec) (Ops.kind_name cfg.kind))
   >>= fun () ->
   check
     (cfg.faults <> No_faults && cfg.spec = Ds_bench.Baseline)
@@ -314,20 +317,14 @@ type req_state = {
 
 (* ------------------------------------------------------------------ *)
 
-let run_task sys f = ignore (T.run sys [ { T.core = 0; body = f } ])
+(* Run [f] on the shard's system and return the simulated cycles it took. *)
+let cycles sys f =
+  let c0 = S.max_clock sys in
+  T.run_task sys f;
+  S.max_clock sys - c0
 
 let drop_persists_fault (s : Strategy.t) =
   { s with name = s.name ^ "+drop-persists"; persist_store = (fun _ -> ()) }
-
-(* The prefilled key set: every (key_range/prefill)-th key, as in the
-   serving engine.  Both the shards and the oracle derive it from the
-   config alone. *)
-let prefill_keys cfg =
-  if cfg.prefill = 0 then [||]
-  else begin
-    let step = max 1 (cfg.key_range / max 1 cfg.prefill) in
-    Array.init (cfg.key_range / step) (fun i -> 1 + (i * step))
-  end
 
 let realize_faults cfg ~rate =
   let fs =
@@ -352,41 +349,29 @@ let run cfg ~rate =
   if rate <= 0. then invalid_arg "Fleet.run: rate must be positive";
   let ring = Ring.create ~shards:cfg.shards ~vnodes:cfg.vnodes ~seed:cfg.seed in
   let route key = Ring.replicas ring ~key ~k:cfg.replicas in
+  let primary key = match route key with p :: _ -> p | [] -> 0 in
   let group = cfg.batch > 1 in
-  let pre = prefill_keys cfg in
+  let pre = Ds_bench.prefill_keys ~key_range:cfg.key_range ~prefill:cfg.prefill in
   (* Build every shard: its own tiny system, strategy, structure, batcher;
      prefill it with the keys it owns and fence so the base state is
      durable (the oracle's ground truth must survive any crash). *)
   let make_shard sid =
-    let params =
-      { (C.tiny ~cores:1 ()) with
-        Params.skip_it = Ds_bench.wants_skip_it_hw cfg.spec }
-    in
-    let sys = S.create params in
     (* Setup (structure skeleton + prefill) always persists properly — the
        drop-persists fault, like the campaign's, applies to post-setup
        operation only, so a crash exposes lost updates, not a garbage
        skeleton. *)
-    let clean = Ds_bench.realize cfg.spec sys in
+    let { Shard.sys; strategy = clean; handle = h } =
+      Shard.create ~params:(C.tiny ~cores:1 ())
+        ~keep:(fun k -> List.mem sid (route k))
+        ~shuffle_seed:(cfg.seed + sid) (shard_config cfg)
+    in
+    T.run_task sys clean.Strategy.fence;
     let strat = if cfg.drop_persists = Some sid then drop_persists_fault clean else clean in
-    let setup_pctx = Pctx.make clean cfg.mode in
-    let handle = ref None in
-    let buckets = max 16 (cfg.key_range / 4) in
-    run_task sys (fun () ->
-      let h = Ops.create_sized cfg.kind ~buckets setup_pctx (S.allocator sys) in
-      let keys = Array.copy pre in
-      Rng.shuffle (Rng.create ~seed:(cfg.seed + sid)) keys;
-      Array.iter
-        (fun k ->
-          if List.mem sid (route k) then ignore (h.Ops.insert setup_pctx k))
-        keys;
-      strat.Strategy.fence ();
-      handle := Some h);
     {
       sid;
       sys;
       strat;
-      h = Option.get !handle;
+      h;
       b = Batcher.create ~group ~strategy:strat ~mode:cfg.mode ();
       phase = Live;
       readmit = 0;
@@ -406,15 +391,7 @@ let run cfg ~rate =
     }
   in
   let shards = Array.init cfg.shards make_shard in
-  let draw =
-    Workload.draw cfg.workload ~key_range:cfg.key_range
-      ~update_pct:cfg.update_pct ~seed:(cfg.seed + 2)
-  in
-  let sched =
-    Arrival.schedule ~process:cfg.process ~draw ~rate ~clients:cfg.clients
-      ~requests:cfg.requests ~key_range:cfg.key_range ~update_pct:cfg.update_pct
-      ~seed:(cfg.seed + 1) ()
-  in
+  let sched = Shard.schedule (shard_config cfg) ~rate in
   let n = Array.length sched in
   let reqs =
     Array.init n (fun idx ->
@@ -488,20 +465,12 @@ let run cfg ~rate =
               (Pq.length retry_q) !dispatching))
   in
   let exec s f =
-    let c0 = S.max_clock s.sys in
-    run_task s.sys f;
-    let d = S.max_clock s.sys - c0 in
+    let d = cycles s.sys f in
     s.executed <- s.executed + 1;
     s.busy_cycles <- s.busy_cycles + d;
     d
   in
-  let apply_op pctx (h : Ops.handle) op key =
-    match op with
-    | Arrival.Insert -> ignore (h.Ops.insert pctx key : bool)
-    | Arrival.Delete -> ignore (h.Ops.delete pctx key : bool)
-    | Arrival.Contains -> ignore (h.Ops.contains pctx key : bool)
-  in
-  let resolve_served r ~ack ~lin ~key ~primary =
+  let resolve_served r ~ack ~lin ~key =
     r.status <- Served;
     r.ack <- ack;
     r.lin <- lin;
@@ -510,7 +479,7 @@ let run cfg ~rate =
     let arrival = sched.(r.idx).Arrival.arrival in
     Sample.add_int lat (ack - arrival);
     if r.svc_start >= 0 then Sample.add_int dlat (ack - r.svc_start);
-    let rid = Trace.req_start ~at:arrival ~cls:Trace.Cls_fleet ~core:primary ~addr:key in
+    let rid = Trace.req_start ~at:arrival ~cls:Trace.Cls_fleet ~core:(primary key) ~addr:key in
     Trace.req_end ~at:ack rid
   in
   let resolve_shed r ~at =
@@ -525,16 +494,18 @@ let run cfg ~rate =
       let key = sched.(m.m_req).Arrival.key in
       if m.m_committed > 0 then
         resolve_served r ~ack:m.m_ack ~lin:m.m_ack ~key
-          ~primary:(match route key with p :: _ -> p | [] -> 0)
-      else assert false  (* waits hit 0 without commits only via crash, handled there *)
+      else
+        (* Waits reach 0 without a commit only through a crash, which
+           resolves the request itself. *)
+        violation
+          (Invariant.make ~rule:"fleet-member"
+             (Printf.sprintf "request %d lost every replica wait without a commit" m.m_req))
     end
   in
   let commit_shard s ~at =
     if s.epoch_n > 0 then begin
       let start = max at s.busy_until in
-      let c0 = S.max_clock s.sys in
-      run_task s.sys (fun () -> Batcher.commit s.b);
-      let d = S.max_clock s.sys - c0 in
+      let d = cycles s.sys (fun () -> Batcher.commit s.b) in
       let f = start + d in
       s.busy_until <- f;
       s.busy_cycles <- s.busy_cycles + d;
@@ -560,9 +531,23 @@ let run cfg ~rate =
           commit_shard s ~at:s.epoch_deadline)
       shards
   in
-  let schedule_retry ridx ~at =
-    incr retries;
-    Pq.push retry_q at ridx
+  (* A request whose replicas were all down: retry after capped backoff,
+     or shed once the retry budget is spent. *)
+  let retry_or_shed r ~at =
+    if r.attempts >= cfg.retry_max then resolve_shed r ~at
+    else begin
+      r.attempts <- r.attempts + 1;
+      incr retries;
+      Pq.push retry_q (at + backoff_delay (r.attempts - 1)) r.idx
+    end
+  in
+  let shard_violations s =
+    List.iter
+      (fun v ->
+        violation
+          (Invariant.make ~rule:("shard-" ^ string_of_int s.sid ^ "/" ^ v.Invariant.rule)
+             ?addr:v.Invariant.addr v.Invariant.detail))
+      (Invariant.check_all ~quiesced:true s.sys)
   in
   let crash_shard f =
     let s = shards.(f.shard) in
@@ -592,14 +577,7 @@ let run cfg ~rate =
                  replication timeout instead of the dead shard's commit *)
               resolve_served r ~ack:(max m.m_ack (f.at + cfg.timeout)) ~lin:m.m_ack
                 ~key:req.Arrival.key
-                ~primary:(match route req.Arrival.key with p :: _ -> p | [] -> 0)
-            else if r.attempts >= cfg.retry_max then
-              resolve_shed r ~at:(f.at + cfg.timeout)
-            else begin
-              r.attempts <- r.attempts + 1;
-              schedule_retry m.m_req
-                ~at:(f.at + cfg.timeout + backoff_delay (r.attempts - 1))
-            end
+            else retry_or_shed r ~at:(f.at + cfg.timeout)
         end)
       lost;
     checkpoint ~at:f.at "crash"
@@ -609,17 +587,12 @@ let run cfg ~rate =
      epoch commit — and schedules re-admission. *)
   let detect s ~at =
     incr repairs;
-    List.iter
-      (fun v ->
-        violation
-          (Invariant.make ~rule:("shard-" ^ string_of_int s.sid ^ "/" ^ v.Invariant.rule)
-             ?addr:v.Invariant.addr v.Invariant.detail))
-      (Invariant.check_all ~quiesced:true s.sys);
-    let c0 = S.max_clock s.sys in
-    run_task s.sys (fun () ->
-      ignore (s.h.Ops.repair (Batcher.pctx s.b) : int);
-      Batcher.commit s.b);
-    let d = S.max_clock s.sys - c0 in
+    shard_violations s;
+    let d =
+      cycles s.sys (fun () ->
+        ignore (s.h.Ops.repair (Batcher.pctx s.b) : int);
+        Batcher.commit s.b)
+    in
     s.recovery <- s.recovery + d;
     recovery_cycles := !recovery_cycles + d;
     s.phase <- Repairing;
@@ -633,13 +606,13 @@ let run cfg ~rate =
   let readmit_shard s ~at =
     if not (Queue.is_empty s.hints) then begin
       let count = Queue.length s.hints in
-      let c0 = S.max_clock s.sys in
-      run_task s.sys (fun () ->
-        let pctx = Batcher.pctx s.b in
-        Queue.iter (fun (op, key) -> apply_op pctx s.h op key) s.hints;
-        Batcher.commit s.b);
+      let d =
+        cycles s.sys (fun () ->
+          let pctx = Batcher.pctx s.b in
+          Queue.iter (fun (op, key) -> Shard.apply pctx s.h op key) s.hints;
+          Batcher.commit s.b)
+      in
       Queue.clear s.hints;
-      let d = S.max_clock s.sys - c0 in
       s.recovery <- s.recovery + d;
       recovery_cycles := !recovery_cycles + d;
       s.hints_replayed <- s.hints_replayed + count;
@@ -691,28 +664,32 @@ let run cfg ~rate =
       rt;
     (List.rev !live, List.rev !down, !t_eff)
   in
-  let exec_read s key ~at =
-    let start = max at s.busy_until in
-    let d = exec s (fun () -> ignore (s.h.Ops.contains (Batcher.pctx s.b) key : bool)) in
-    let fin = start + d in
-    s.busy_until <- fin;
-    s.occ <- s.occ + 1;
-    Pq.push releases fin s.sid;
-    (start, fin)
+  (* One read of [key] from fleet time [at] on the first replica that can
+     take it. *)
+  let read_key r key ~at =
+    match walk_read at (route key) with
+    | `Serve (s, t_eff) ->
+      if s.sid <> primary key then incr failovers;
+      let start = max t_eff s.busy_until in
+      let fin =
+        start + exec s (fun () -> ignore (s.h.Ops.contains (Batcher.pctx s.b) key : bool))
+      in
+      s.busy_until <- fin;
+      s.occ <- s.occ + 1;
+      Pq.push releases fin s.sid;
+      if r.svc_start < 0 then r.svc_start <- start;
+      `Served fin
+    | `Full (s, t_eff) ->
+      s.shed_full <- s.shed_full + 1;
+      `Full t_eff
+    | `Down t_eff -> `Down t_eff
   in
   let dispatch_write r ~at =
     let req = sched.(r.idx) in
     let key = req.Arrival.key in
-    let rt = route key in
-    let primary = match rt with p :: _ -> p | [] -> 0 in
-    let live, down, t_eff = classify_write at rt in
+    let live, down, t_eff = classify_write at (route key) in
     match live with
-    | [] ->
-      if r.attempts >= cfg.retry_max then resolve_shed r ~at:t_eff
-      else begin
-        r.attempts <- r.attempts + 1;
-        schedule_retry r.idx ~at:(t_eff + backoff_delay (r.attempts - 1))
-      end
+    | [] -> retry_or_shed r ~at:t_eff
     | s0 :: _ ->
       drain_releases t_eff;
       if s0.occ >= cfg.depth then begin
@@ -720,7 +697,7 @@ let run cfg ~rate =
         resolve_shed r ~at:t_eff
       end
       else begin
-        if s0.sid <> primary then incr failovers;
+        if s0.sid <> primary key then incr failovers;
         r.touched <- true;
         let m = { m_req = r.idx; m_waits = List.length live; m_committed = 0; m_ack = 0 } in
         List.iter
@@ -728,7 +705,7 @@ let run cfg ~rate =
             let start = max t_eff s.busy_until in
             if r.svc_start < 0 then r.svc_start <- start;
             let d =
-              exec s (fun () -> apply_op (Batcher.pctx s.b) s.h req.Arrival.op key)
+              exec s (fun () -> Shard.apply (Batcher.pctx s.b) s.h req.Arrival.op key)
             in
             s.busy_until <- start + d;
             join_epoch s m ~start)
@@ -737,50 +714,25 @@ let run cfg ~rate =
       end
   in
   let dispatch_read r ~at =
-    let req = sched.(r.idx) in
-    let key = req.Arrival.key in
-    let rt = route key in
-    let primary = match rt with p :: _ -> p | [] -> 0 in
-    match walk_read at rt with
-    | `Serve (s, t_eff) ->
-      if s.sid <> primary then incr failovers;
-      let start, fin = exec_read s key ~at:t_eff in
-      if r.svc_start < 0 then r.svc_start <- start;
-      resolve_served r ~ack:fin ~lin:fin ~key ~primary
-    | `Full (s, t_eff) ->
-      s.shed_full <- s.shed_full + 1;
-      resolve_shed r ~at:t_eff
-    | `Down t_eff ->
-      if r.attempts >= cfg.retry_max then resolve_shed r ~at:t_eff
-      else begin
-        r.attempts <- r.attempts + 1;
-        schedule_retry r.idx ~at:(t_eff + backoff_delay (r.attempts - 1))
-      end
+    let key = sched.(r.idx).Arrival.key in
+    match read_key r key ~at with
+    | `Served fin -> resolve_served r ~ack:fin ~lin:fin ~key
+    | `Full t_eff -> resolve_shed r ~at:t_eff
+    | `Down t_eff -> retry_or_shed r ~at:t_eff
   in
   (* Multi-get: [fanout] sub-reads fanned out concurrently over derived
      keys; the request completes at the slowest sub-read.  Sub-reads that
      find every replica down (or a full waiting room) are dropped and the
      result is partial — degraded, never blocked. *)
   let dispatch_multi r ~at =
-    let req = sched.(r.idx) in
-    let base = req.Arrival.key in
+    let base = sched.(r.idx).Arrival.key in
     let step = max 1 (cfg.key_range / cfg.fanout) in
     let best_ack = ref (-1) in
     let missing = ref 0 in
     for j = 0 to cfg.fanout - 1 do
-      let key = 1 + ((base - 1 + (j * step)) mod cfg.key_range) in
-      let rt = route key in
-      let primary = match rt with p :: _ -> p | [] -> 0 in
-      match walk_read at rt with
-      | `Serve (s, t_eff) ->
-        if s.sid <> primary then incr failovers;
-        let start, fin = exec_read s key ~at:t_eff in
-        if r.svc_start < 0 then r.svc_start <- start;
-        if fin > !best_ack then best_ack := fin
-      | `Full (s, _) ->
-        s.shed_full <- s.shed_full + 1;
-        incr missing
-      | `Down _ -> incr missing
+      match read_key r (1 + ((base - 1 + (j * step)) mod cfg.key_range)) ~at with
+      | `Served fin -> if fin > !best_ack then best_ack := fin
+      | `Full _ | `Down _ -> incr missing
     done;
     if !best_ack < 0 then resolve_shed r ~at
     else begin
@@ -788,8 +740,7 @@ let run cfg ~rate =
         r.is_partial <- true;
         incr partial
       end;
-      let primary = match route base with p :: _ -> p | [] -> 0 in
-      resolve_served r ~ack:!best_ack ~lin:!best_ack ~key:base ~primary
+      resolve_served r ~ack:!best_ack ~lin:!best_ack ~key:base
     end
   in
   let dispatch idx ~at =
@@ -858,16 +809,7 @@ let run cfg ~rate =
       (Invariant.make ~rule:"fleet-leak"
          (Printf.sprintf "%d waiting-room slot(s) still held at quiesce" leaked));
   (* Structural invariants on every (now quiesced, repaired) shard. *)
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun v ->
-          violation
-            (Invariant.make
-               ~rule:("shard-" ^ string_of_int s.sid ^ "/" ^ v.Invariant.rule)
-               ?addr:v.Invariant.addr v.Invariant.detail))
-        (Invariant.check_all ~quiesced:true s.sys))
-    shards;
+  Array.iter shard_violations shards;
   (* ---------------- durable-linearizability oracle ----------------
      Replay acked writes in linearization order over the prefilled model;
      every replica of every key must agree, except keys written by a
@@ -939,25 +881,18 @@ let run cfg ~rate =
       base @ [ Printf.sprintf "... (%d more violations suppressed)" (!n_violations - 64) ]
     else base
   in
-  let latency = Latency.summarize lat in
-  let dequeue_latency = Latency.summarize dlat in
-  let gap =
-    match latency, dequeue_latency with
-    | Some i, Some r -> Some (Latency.gap ~intended:i ~recorded:r)
-    | _ -> None
-  in
   let elapsed = !t_end in
+  let sum = Shard.summarize ~served:!served ~elapsed ~intended:lat ~dequeue:dlat in
   {
     offered = rate;
-    achieved =
-      (if elapsed > 0 then float_of_int !served *. 1000. /. float_of_int elapsed else 0.);
+    achieved = sum.Shard.achieved;
     served = !served;
     shed = !shed;
     partial = !partial;
     n;
-    latency;
-    dequeue_latency;
-    gap;
+    latency = sum.Shard.latency;
+    dequeue_latency = sum.Shard.dequeue_latency;
+    gap = sum.Shard.gap;
     elapsed;
     failovers = !failovers;
     crashes = !crashes;
@@ -991,136 +926,81 @@ let sweep ?pool cfg ~rates = Pool.run_chunked_opt ~chunk:1 pool (fun rate -> run
 (* ------------------------------------------------------------------ *)
 (* Reproducers (campaign-style key=value files) and shrinking.        *)
 
+(* Every reproducer key, in file order, with whether it may be absent (keys
+   older reproducers predate), its printer ([None] omits the line) and its
+   parser into a config.  The writer and the reader both walk this table. *)
+let repro_fields =
+  let field ?(optional = false) k show (read : config -> string -> config option) =
+    (k, optional, show, read)
+  in
+  let named k name of_name (get : config -> _) set =
+    field k (fun c -> Some (name (get c))) (fun c v -> Option.map (set c) (of_name v))
+  in
+  let int k = named k string_of_int int_of_string_opt in
+  let opt_int k (get : config -> _) set =
+    field ~optional:true k (fun c -> Option.map string_of_int (get c)) (fun c v ->
+      Option.map (fun n -> set c (Some n)) (int_of_string_opt v))
+  in
+  [
+    int "shards" (fun c -> c.shards) (fun c shards -> { c with shards });
+    int "replicas" (fun c -> c.replicas) (fun c replicas -> { c with replicas });
+    int "vnodes" (fun c -> c.vnodes) (fun c vnodes -> { c with vnodes });
+    named "structure" Ops.kind_name Ops.kind_of_name (fun c -> c.kind) (fun c kind ->
+      { c with kind });
+    named "mode" Pctx.mode_name Pctx.mode_of_name (fun c -> c.mode) (fun c mode -> { c with mode });
+    named "strategy" Ds_bench.spec_name Ds_bench.spec_of_name (fun c -> c.spec) (fun c spec ->
+      { c with spec });
+    named "process" Arrival.process_name Arrival.process_of_name (fun c -> c.process)
+      (fun c process -> { c with process });
+    field ~optional:true "keys"
+      (fun c -> Some (Workload.keys_name c.workload.Workload.keys))
+      (fun c v ->
+        Option.map (fun keys -> { c with workload = { c.workload with keys } })
+          (Workload.keys_of_name v));
+    opt_int "churn" (fun c -> c.workload.Workload.churn) (fun c churn ->
+      { c with workload = { c.workload with churn } });
+    int "clients" (fun c -> c.clients) (fun c clients -> { c with clients });
+    int "requests" (fun c -> c.requests) (fun c requests -> { c with requests });
+    int "depth" (fun c -> c.depth) (fun c depth -> { c with depth });
+    int "batch" (fun c -> c.batch) (fun c batch -> { c with batch });
+    int "linger" (fun c -> c.linger) (fun c linger -> { c with linger });
+    int "retry_max" (fun c -> c.retry_max) (fun c retry_max -> { c with retry_max });
+    int "backoff" (fun c -> c.backoff) (fun c backoff -> { c with backoff });
+    int "backoff_cap" (fun c -> c.backoff_cap) (fun c backoff_cap -> { c with backoff_cap });
+    int "timeout" (fun c -> c.timeout) (fun c timeout -> { c with timeout });
+    int "fanout_pct" (fun c -> c.fanout_pct) (fun c fanout_pct -> { c with fanout_pct });
+    int "fanout" (fun c -> c.fanout) (fun c fanout -> { c with fanout });
+    int "key_range" (fun c -> c.key_range) (fun c key_range -> { c with key_range });
+    int "update_pct" (fun c -> c.update_pct) (fun c update_pct -> { c with update_pct });
+    int "prefill" (fun c -> c.prefill) (fun c prefill -> { c with prefill });
+    int "seed" (fun c -> c.seed) (fun c seed -> { c with seed });
+    named "faults" fault_schedule_name fault_schedule_of_name (fun c -> c.faults) (fun c faults ->
+      { c with faults });
+    opt_int "drop_persists" (fun c -> c.drop_persists) (fun c drop_persists ->
+      { c with drop_persists });
+  ]
+
 let write_reproducer path (cfg : config) ~rate =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "# skipit fleet failure reproducer\n";
-  p "shards=%d\n" cfg.shards;
-  p "replicas=%d\n" cfg.replicas;
-  p "vnodes=%d\n" cfg.vnodes;
-  p "structure=%s\n" (Ops.kind_name cfg.kind);
-  p "mode=%s\n" (Pctx.mode_name cfg.mode);
-  p "strategy=%s\n" (Ds_bench.spec_name cfg.spec);
-  p "process=%s\n" (Arrival.process_name cfg.process);
-  p "keys=%s\n" (Workload.keys_name cfg.workload.Workload.keys);
-  (match cfg.workload.Workload.churn with
-   | Some c -> p "churn=%d\n" c
-   | None -> ());
-  p "rate=%h\n" rate;
-  p "clients=%d\n" cfg.clients;
-  p "requests=%d\n" cfg.requests;
-  p "depth=%d\n" cfg.depth;
-  p "batch=%d\n" cfg.batch;
-  p "linger=%d\n" cfg.linger;
-  p "retry_max=%d\n" cfg.retry_max;
-  p "backoff=%d\n" cfg.backoff;
-  p "backoff_cap=%d\n" cfg.backoff_cap;
-  p "timeout=%d\n" cfg.timeout;
-  p "fanout_pct=%d\n" cfg.fanout_pct;
-  p "fanout=%d\n" cfg.fanout;
-  p "key_range=%d\n" cfg.key_range;
-  p "update_pct=%d\n" cfg.update_pct;
-  p "prefill=%d\n" cfg.prefill;
-  p "seed=%d\n" cfg.seed;
-  p "faults=%s\n" (fault_schedule_name cfg.faults);
-  (match cfg.drop_persists with Some s -> p "drop_persists=%d\n" s | None -> ());
-  close_out oc
+  Repro_file.write path ~header:"skipit fleet failure reproducer"
+    (("rate", Printf.sprintf "%h" rate)
+    :: List.filter_map (fun (k, _, show, _) -> Option.map (fun v -> (k, v)) (show cfg)) repro_fields)
 
 let read_reproducer path =
-  let ic = open_in path in
-  let tbl = Hashtbl.create 32 in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.index_opt line '=' with
-         | Some i ->
-           Hashtbl.replace tbl
-             (String.sub line 0 i)
-             (String.sub line (i + 1) (String.length line - i - 1))
-         | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  let missing = ref [] in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some v -> v
-    | None ->
-      missing := name :: !missing;
-      ""
-  in
-  let int name ~default:d =
-    match int_of_string_opt (get name) with Some v -> v | None -> d
-  in
-  let cfg =
-    {
-      shards = int "shards" ~default:default.shards;
-      replicas = int "replicas" ~default:default.replicas;
-      vnodes = int "vnodes" ~default:default.vnodes;
-      kind =
-        (match
-           List.find_opt (fun k -> Ops.kind_name k = get "structure") Ops.all_kinds
-         with
-         | Some k -> k
-         | None -> default.kind);
-      mode =
-        (match
-           List.find_opt (fun m -> Pctx.mode_name m = get "mode") Pctx.all_modes
-         with
-         | Some m -> m
-         | None -> default.mode);
-      spec =
-        (match Ds_bench.spec_of_name (get "strategy") with
-         | Some s -> s
-         | None -> default.spec);
-      process =
-        (match Arrival.process_of_name (get "process") with
-         | Some p -> p
-         | None -> default.process);
-      workload =
-        (* Optional for pre-workload reproducers, like drop_persists. *)
-        {
-          Workload.keys =
-            (match Hashtbl.find_opt tbl "keys" with
-             | Some v -> (
-               match Workload.keys_of_name v with
-               | Some k -> k
-               | None -> Workload.Uniform)
-             | None -> Workload.Uniform);
-          churn =
-            (match Hashtbl.find_opt tbl "churn" with
-             | Some v -> int_of_string_opt v
-             | None -> None);
-        };
-      clients = int "clients" ~default:default.clients;
-      requests = int "requests" ~default:default.requests;
-      depth = int "depth" ~default:default.depth;
-      batch = int "batch" ~default:default.batch;
-      linger = int "linger" ~default:default.linger;
-      retry_max = int "retry_max" ~default:default.retry_max;
-      backoff = int "backoff" ~default:default.backoff;
-      backoff_cap = int "backoff_cap" ~default:default.backoff_cap;
-      timeout = int "timeout" ~default:default.timeout;
-      fanout_pct = int "fanout_pct" ~default:default.fanout_pct;
-      fanout = int "fanout" ~default:default.fanout;
-      key_range = int "key_range" ~default:default.key_range;
-      update_pct = int "update_pct" ~default:default.update_pct;
-      prefill = int "prefill" ~default:default.prefill;
-      seed = int "seed" ~default:default.seed;
-      faults =
-        (match fault_schedule_of_name (get "faults") with
-         | Some f -> f
-         | None -> default.faults);
-      drop_persists =
-        (match Hashtbl.find_opt tbl "drop_persists" with
-         | Some v -> int_of_string_opt v
-         | None -> None);
-    }
-  in
-  let rate = match float_of_string_opt (get "rate") with Some r -> r | None -> 16. in
-  match List.filter (fun k -> k <> "drop_persists") !missing with
-  | [] -> Ok (cfg, rate)
-  | ks -> Error (Printf.sprintf "reproducer %s: missing key(s) %s" path (String.concat ", " ks))
+  let ( let* ) = Result.bind in
+  let* r = Repro_file.read path in
+  Result.map_error (Printf.sprintf "reproducer %s: %s" path)
+    (let* rate = Repro_file.parse r "rate" float_of_string_opt in
+     let* cfg =
+       List.fold_left
+         (fun acc (k, optional, _, read) ->
+           let* c = acc in
+           match Repro_file.find r k with
+           | None when optional -> Ok c
+           | None -> Error ("missing field " ^ k)
+           | Some v -> Option.to_result ~none:(Printf.sprintf "unknown %s %s" k v) (read c v))
+         (Ok default) repro_fields
+     in
+     Ok (cfg, rate))
 
 let shrink cfg ~rate =
   let fails c = let p = run c ~rate in (p, p.violations <> []) in

@@ -137,6 +137,9 @@ val write_reproducer : string -> config -> rate:float -> unit
 (** Key=value reproducer file, campaign-style. *)
 
 val read_reproducer : string -> (config * float, string) result
+(** [Error] on an unreadable file, a missing key, or an unknown or
+    unparseable value; only [keys], [churn] and [drop_persists] may be
+    absent (they take their {!default}). *)
 
 val shrink : config -> rate:float -> config * point
 (** Greedily shrink [requests] while the run still reports violations;

@@ -69,6 +69,8 @@ let create p ~core =
 
 let stats t = t.stats
 let note_skip_drop t = Stats.Registry.incr t.stats "skip_dropped"
+let skip_dropped t = Stats.Registry.get t.stats "skip_dropped"
+let submitted t = Stats.Registry.get t.stats "submitted"
 
 let append_pending t pend =
   let n = { pend; pprev = t.ptail; pnext = None } in

@@ -109,6 +109,12 @@ val crash : t -> unit
 val note_skip_drop : t -> unit
 (** Record a Skip-It fast drop (the request never reached the queue). *)
 
+val skip_dropped : t -> int
+(** Writebacks elided by the skip bit so far. *)
+
+val submitted : t -> int
+(** Writebacks submitted to the flush queue so far. *)
+
 val stats : t -> Skipit_sim.Stats.Registry.t
 (** ["submitted"], ["coalesced"], ["skip_dropped"], ["fshr_allocs"],
     ["wb_with_data"], ["wb_without_data"]. *)

@@ -8,6 +8,8 @@ let kind_name = function
   | Bst_set -> "bst"
   | Skiplist_set -> "skiplist"
 
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
+
 let uses_word_bits = function
   | Bst_set -> true
   | List_set | Hash_set | Skiplist_set -> false

@@ -6,6 +6,9 @@ type kind = List_set | Hash_set | Bst_set | Skiplist_set
 val all_kinds : kind list
 val kind_name : kind -> string
 
+val kind_of_name : string -> kind option
+(** Inverse of {!kind_name}. *)
+
 val uses_word_bits : kind -> bool
 (** The BST owns spare pointer-word bits, which excludes Link-and-Persist
     (§7.4). *)

@@ -6,6 +6,7 @@ let mode_name = function
   | Manual -> "manual"
 
 let all_modes = [ Automatic; Nvtraverse; Manual ]
+let mode_of_name s = List.find_opt (fun m -> mode_name m = s) all_modes
 
 type t = { s : Strategy.t; mode : mode }
 

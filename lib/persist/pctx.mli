@@ -22,6 +22,9 @@ type mode = Automatic | Nvtraverse | Manual
 val mode_name : mode -> string
 val all_modes : mode list
 
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name}. *)
+
 type t
 
 val make : Strategy.t -> mode -> t

@@ -30,14 +30,6 @@ let valid_windows windows =
   && List.for_all (fun (s, e) -> e > s) windows
   && fst (List.fold_left (fun (ok, prev) (s, e) -> (ok && s >= prev, e)) (true, 0) windows)
 
-let parse_window w =
-  match String.split_on_char '-' w with
-  | [ a; b ] -> (
-    match int_of_string_opt a, int_of_string_opt b with
-    | Some s, Some e -> Some (s, e)
-    | _ -> None)
-  | _ -> None
-
 (* A phase list must have positive lengths and at least one phase with a
    non-zero rate multiplier, or the gap walk would never find an active
    cycle. *)
@@ -46,70 +38,57 @@ let valid_phases phases =
   && List.for_all (fun (l, m) -> l > 0 && m >= 0) phases
   && List.exists (fun (_, m) -> m > 0) phases
 
-let parse_phase seg =
-  match String.split_on_char 'x' seg with
+(* "A<sep>B" with both halves integers. *)
+let int_pair sep s =
+  match String.split_on_char sep s with
   | [ a; b ] -> (
     match int_of_string_opt a, int_of_string_opt b with
-    | Some l, Some m -> Some (l, m)
+    | Some a, Some b -> Some (a, b)
     | _ -> None)
   | _ -> None
+
+(* A comma-separated list of which every element parses. *)
+let parse_list f s =
+  let parts = String.split_on_char ',' s in
+  let xs = List.filter_map f parts in
+  if List.length xs = List.length parts then Some xs else None
+
+(* Split at the first ':'. *)
+let split_colon s =
+  Option.map
+    (fun i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1)))
+    (String.index_opt s ':')
 
 let rec process_of_name s =
   match s with
   | "poisson" -> Some Poisson
   | "bursty" -> Some default_bursty
-  | _ ->
-    (match String.index_opt s ':' with
-     | Some i when String.sub s 0 i = "bursty" -> (
-       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-       match String.split_on_char '/' rest with
-       | [ a; b ] -> (
-         match int_of_string_opt a, int_of_string_opt b with
-         | Some on, Some off when on > 0 && off >= 0 -> Some (Bursty { on; off })
-         | _ -> None)
-       | _ -> None)
-     | Some i when String.sub s 0 i = "phases" -> (
-       (* phases:LENxMILLI[,LENxMILLI]:BASE — segment lengths in cycles,
-          rate multipliers in thousandths (integers, so the name
-          round-trips without float formatting).  BASE must be a plain
-          poisson/bursty process. *)
-       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-       match String.index_opt rest ':' with
-       | None -> None
-       | Some j -> (
-         let pspec = String.sub rest 0 j in
-         let bspec = String.sub rest (j + 1) (String.length rest - j - 1) in
-         let phases =
-           List.filter_map parse_phase (String.split_on_char ',' pspec)
-         in
-         if List.length phases <> List.length (String.split_on_char ',' pspec)
-            || not (valid_phases phases)
-         then None
-         else
-           match process_of_name bspec with
-           | Some ((Poisson | Bursty _) as base) -> Some (Phased { phases; base })
-           | _ -> None))
-     | Some i when String.sub s 0 i = "degraded" -> (
-       (* degraded:S-E[,S-E]:BASE — the window list never contains ':', so
-          the first ':' after the prefix splits windows from the base name
-          (which may itself contain ':'). *)
-       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-       match String.index_opt rest ':' with
-       | None -> None
-       | Some j -> (
-         let wspec = String.sub rest 0 j in
-         let bspec = String.sub rest (j + 1) (String.length rest - j - 1) in
-         let windows =
-           List.filter_map parse_window (String.split_on_char ',' wspec)
-         in
-         if List.length windows <> List.length (String.split_on_char ',' wspec)
-            || not (valid_windows windows)
-         then None
-         else
-           match process_of_name bspec with
-           | Some (Degraded _) | None -> None
-           | Some base -> Some (Degraded { windows; base })))
-     | _ -> None)
+  | _ -> (
+    match split_colon s with
+    | Some ("bursty", rest) -> (
+      match int_pair '/' rest with
+      | Some (on, off) when on > 0 && off >= 0 -> Some (Bursty { on; off })
+      | _ -> None)
+    | Some ("phases", rest) -> (
+      (* phases:LENxMILLI[,LENxMILLI]:BASE — segment lengths in cycles,
+         rate multipliers in thousandths (integers, so the name
+         round-trips without float formatting).  BASE must be a plain
+         poisson/bursty process. *)
+      match Option.map (fun (p, b) -> (parse_list (int_pair 'x') p, process_of_name b))
+              (split_colon rest) with
+      | Some (Some phases, Some ((Poisson | Bursty _) as base)) when valid_phases phases ->
+        Some (Phased { phases; base })
+      | _ -> None)
+    | Some ("degraded", rest) -> (
+      (* degraded:S-E[,S-E]:BASE — the window list never contains ':', so
+         the first ':' after the prefix splits windows from the base name
+         (which may itself contain ':'). *)
+      match Option.map (fun (w, b) -> (parse_list (int_pair '-') w, process_of_name b))
+              (split_colon rest) with
+      | Some (Some windows, Some base) when valid_windows windows -> (
+        match base with Degraded _ -> None | _ -> Some (Degraded { windows; base }))
+      | _ -> None)
+    | _ -> None)
 
 type op = Insert | Delete | Contains
 
@@ -239,11 +218,9 @@ let phases_of_spec spec =
       | _ -> None)
     | _ -> None
   in
-  let parts = String.split_on_char ',' spec in
-  let phases = List.filter_map seg parts in
-  if List.length phases <> List.length parts || not (valid_phases phases) then
-    None
-  else Some phases
+  match parse_list seg spec with
+  | Some phases when valid_phases phases -> Some phases
+  | _ -> None
 
 (* Exclusive end of the run that starts at the active cycle [t]: every
    cycle in [\[t, run_end)] is active ([skip_gaps] is the identity there)

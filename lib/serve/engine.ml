@@ -3,7 +3,6 @@ module T = Skipit_core.Thread
 module Params = Skipit_cache.Params
 module Pctx = Skipit_persist.Pctx
 module Ops = Skipit_pds.Set_ops
-module Rng = Skipit_sim.Rng
 module Admission = Skipit_sim.Admission
 module Sample = Skipit_sim.Stats.Sample
 module Trace = Skipit_obs.Trace
@@ -52,27 +51,28 @@ let default =
     window = Metrics.default_window;
   }
 
+let shard_config cfg =
+  {
+    Shard.kind = cfg.kind;
+    mode = cfg.mode;
+    spec = cfg.spec;
+    process = cfg.process;
+    workload = cfg.workload;
+    clients = cfg.clients;
+    requests = cfg.requests;
+    batch = cfg.batch;
+    depth = cfg.depth;
+    key_range = cfg.key_range;
+    update_pct = cfg.update_pct;
+    prefill = cfg.prefill;
+    seed = cfg.seed;
+  }
+
 let validate cfg =
-  let check cond msg = if cond then Error msg else Ok () in
-  let ( >>= ) r f = Result.bind r (fun () -> f ()) in
-  check (cfg.clients <= 0) "clients must be positive"
-  >>= fun () -> check (cfg.requests <= 0) "requests must be positive"
-  >>= fun () -> check (cfg.batch <= 0) "batch must be positive"
-  >>= fun () -> check (cfg.depth <= 0) "depth must be positive"
-  >>= fun () -> check (cfg.cores <= 0) "cores must be positive"
-  >>= fun () -> check (cfg.key_range <= 0) "key-range must be positive"
-  >>= fun () -> check (cfg.update_pct < 0 || cfg.update_pct > 100) "update-pct must be in [0,100]"
-  >>= fun () -> check (cfg.prefill < 0) "prefill must be non-negative"
-  >>= fun () -> check (cfg.window <= 0) "window must be positive"
-  >>= fun () ->
-  (match Workload.validate cfg.workload ~key_range:cfg.key_range with
-   | Ok () -> Ok ()
-   | Error e -> Error e)
-  >>= fun () ->
-  check
-    (not (Ds_bench.compatible cfg.kind cfg.spec))
-    (Printf.sprintf "%s is incompatible with %s (word-bit conflict)"
-       (Ds_bench.spec_name cfg.spec) (Ops.kind_name cfg.kind))
+  Result.bind (Shard.validate (shard_config cfg)) (fun () ->
+    if cfg.cores <= 0 then Error "cores must be positive"
+    else if cfg.window <= 0 then Error "window must be positive"
+    else Ok ())
 
 type point = {
   offered : float;
@@ -109,48 +109,15 @@ let run ?(params = Params.boom_default) cfg ~rate =
   (match validate cfg with
    | Ok () -> ()
    | Error e -> invalid_arg ("Serve.Engine.run: " ^ e));
-  let params =
-    Params.with_skip_it
-      (Params.with_cores params cfg.cores)
-      (Ds_bench.wants_skip_it_hw cfg.spec)
+  let sc = shard_config cfg in
+  (* Build + prefill (untimed relative to the serving window). *)
+  let { Shard.sys; strategy; handle = h } =
+    Shard.create ~params:(Params.with_cores params cfg.cores) sc
   in
-  let sys = S.create params in
-  let strategy = Ds_bench.realize cfg.spec sys in
-  let alloc = S.allocator sys in
-  (* Build + prefill (untimed relative to the serving window) with a plain
-     per-operation context, exactly like the closed-loop harness: every
-     (range/prefill)-th key in shuffled order. *)
-  let setup_pctx = Pctx.make strategy cfg.mode in
-  let handle = ref None in
-  let buckets = max 16 (cfg.key_range / 4) in
-  ignore
-    (T.run sys
-       [
-         {
-           T.core = 0;
-           body =
-             (fun () ->
-               let h = Ops.create_sized cfg.kind ~buckets setup_pctx alloc in
-               let step = max 1 (cfg.key_range / max 1 cfg.prefill) in
-               let keys = Array.init (cfg.key_range / step) (fun i -> 1 + (i * step)) in
-               Rng.shuffle (Rng.create ~seed:cfg.seed) keys;
-               Array.iter (fun k -> ignore (h.Ops.insert setup_pctx k)) keys;
-               handle := Some h);
-         };
-       ]);
-  let h = Option.get !handle in
   (* The serving window opens when the prefill quiesces; arrival offsets are
      relative to it. *)
   let t0 = S.max_clock sys in
-  let draw =
-    Workload.draw cfg.workload ~key_range:cfg.key_range
-      ~update_pct:cfg.update_pct ~seed:(cfg.seed + 2)
-  in
-  let sched =
-    Arrival.schedule ~process:cfg.process ~draw ~rate ~clients:cfg.clients
-      ~requests:cfg.requests ~key_range:cfg.key_range ~update_pct:cfg.update_pct
-      ~seed:(cfg.seed + 1) ()
-  in
+  let sched = Shard.schedule sc ~rate in
   let n = Array.length sched in
   let arrival i = t0 + sched.(i).Arrival.arrival in
   let adm = Admission.create ~capacity:cfg.depth in
@@ -285,11 +252,7 @@ let run ?(params = Params.boom_default) cfg ~rate =
                      Metrics.counter_incr m "serve.admitted" ~at;
                      Metrics.occupancy_alloc m "serve.admission" ~at
                    | None -> ());
-                  let pctx = Batcher.pctx b in
-                  (match r.Arrival.op with
-                   | Arrival.Insert -> ignore (h.Ops.insert pctx r.Arrival.key)
-                   | Arrival.Delete -> ignore (h.Ops.delete pctx r.Arrival.key)
-                   | Arrival.Contains -> ignore (h.Ops.contains pctx r.Arrival.key));
+                  Shard.apply (Batcher.pctx b) h r.Arrival.op r.Arrival.key;
                   if attr <> None then Attr.bind ~core None;
                   members := (i, rid, frame, issued) :: !members;
                   incr n_members;
@@ -321,35 +284,18 @@ let run ?(params = Params.boom_default) cfg ~rate =
       fences := !fences + s.Batcher.fences)
     batchers;
   (* Per-strategy skip effectiveness over the whole run (prefill included,
-     like every other hardware counter): CBOs elided by the skip bit vs
-     writebacks actually submitted to the flush FSHRs. *)
-  let skip_dropped = ref 0 and wb_submitted = ref 0 in
-  List.iter
-    (fun (k, v) ->
-      let suffix s = String.length k >= String.length s
-                     && String.sub k (String.length k - String.length s) (String.length s) = s in
-      if String.length k > 3 && String.sub k 0 3 = "fu." then begin
-        if suffix ".skip_dropped" then skip_dropped := !skip_dropped + v
-        else if suffix ".submitted" then wb_submitted := !wb_submitted + v
-      end)
-    (S.stats_report sys);
-  let latency = Latency.summarize lat in
-  let dequeue_latency = Latency.summarize dlat in
-  let gap =
-    match latency, dequeue_latency with
-    | Some i, Some r -> Some (Latency.gap ~intended:i ~recorded:r)
-    | _ -> None
-  in
+     like every other hardware counter). *)
+  let skip_dropped, wb_submitted = Shard.skip_counts sys in
+  let sum = Shard.summarize ~served:!served ~elapsed ~intended:lat ~dequeue:dlat in
   {
     offered = rate;
-    achieved =
-      (if elapsed > 0 then float_of_int !served *. 1000. /. float_of_int elapsed else 0.);
+    achieved = sum.Shard.achieved;
     served = !served;
     shed = !shed;
     n;
-    latency;
-    dequeue_latency;
-    gap;
+    latency = sum.Shard.latency;
+    dequeue_latency = sum.Shard.dequeue_latency;
+    gap = sum.Shard.gap;
     elapsed;
     epochs = !epochs;
     flushes = !flushes;
@@ -362,8 +308,8 @@ let run ?(params = Params.boom_default) cfg ~rate =
     attr_trimmed = (match attr with Some a -> Attr.trimmed a | None -> 0);
     attr_conserved = (match attr with Some a -> Attr.conserved a | None -> true);
     metrics = mx;
-    skip_dropped = !skip_dropped;
-    wb_submitted = !wb_submitted;
+    skip_dropped;
+    wb_submitted;
   }
 
 let sweep ?params ?pool cfg ~rates =

@@ -88,88 +88,70 @@ let gap_json (p : Engine.point) =
       ", \"co_gap\": {\"p50\": %.1f, \"p99\": %.1f, \"p999\": %.1f}"
       g.Latency.gap_p50 g.Latency.gap_p99 g.Latency.gap_p999
 
-let to_json (cfg : Engine.config) points =
-  let buf = Buffer.create 2048 in
+(* The latency, coordinated-omission gap and attribution fields every JSON
+   point carries. *)
+let point_json (p : Engine.point) =
+  let summary name = function Some s -> summary_json name s | None -> "" in
+  summary "latency" p.Engine.latency
+  ^ summary "dequeue_latency" p.Engine.dequeue_latency
+  ^ gap_json p ^ attribution_json p
+
+(* A JSON document: the config object (its common fields, then [extra]),
+   then one object per point. *)
+let document (cfg : Engine.config) ~extra point points =
+  let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
-  add "{\n";
   add
     (Printf.sprintf
-       "  \"config\": {\"structure\": \"%s\", \"mode\": \"%s\", \"strategy\": \"%s\", \
+       "{\n  \"config\": {\"structure\": \"%s\", \"mode\": \"%s\", \"strategy\": \"%s\", \
         \"arrival\": \"%s\", \"workload\": \"%s\", \"clients\": %d, \"requests\": %d, \
-        \"batch\": %d, \"depth\": %d, \"cores\": %d, \"key_range\": %d, \
-        \"update_pct\": %d, \"seed\": %d},\n"
+        \"batch\": %d, \"depth\": %d, \"cores\": %d, %s},\n  \"points\": [\n"
        (Ops.kind_name cfg.Engine.kind)
        (Pctx.mode_name cfg.Engine.mode)
        (Ds_bench.spec_name cfg.Engine.spec)
        (Arrival.process_name cfg.Engine.process)
        (Workload.name cfg.Engine.workload)
        cfg.Engine.clients cfg.Engine.requests cfg.Engine.batch cfg.Engine.depth
-       cfg.Engine.cores cfg.Engine.key_range cfg.Engine.update_pct cfg.Engine.seed);
-  add "  \"points\": [\n";
+       cfg.Engine.cores extra);
   List.iteri
-    (fun i (p : Engine.point) ->
+    (fun i p ->
       if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"offered\": %.3f, \"achieved\": %.3f, \"served\": %d, \"shed\": %d, \
-            \"shed_fraction\": %.4f, \"elapsed\": %d, \"epochs\": %d, \"flushes\": %d, \
-            \"deferred\": %d, \"passthrough\": %d, \"fences\": %d, \
-            \"skip_dropped\": %d, \"wb_submitted\": %d"
-           p.Engine.offered p.Engine.achieved p.Engine.served p.Engine.shed
-           (Engine.shed_fraction p) p.Engine.elapsed p.Engine.epochs p.Engine.flushes
-           p.Engine.deferred p.Engine.passthrough p.Engine.fences
-           p.Engine.skip_dropped p.Engine.wb_submitted);
-      (match p.Engine.latency with
-       | Some s -> add (summary_json "latency" s)
-       | None -> ());
-      (match p.Engine.dequeue_latency with
-       | Some s -> add (summary_json "dequeue_latency" s)
-       | None -> ());
-      add (gap_json p);
-      add (attribution_json p);
+      add (point p);
       add "}")
     points;
   add "\n  ]\n}\n";
   Buffer.contents buf
 
+let to_json (cfg : Engine.config) points =
+  document cfg
+    ~extra:
+      (Printf.sprintf "\"key_range\": %d, \"update_pct\": %d, \"seed\": %d"
+         cfg.Engine.key_range cfg.Engine.update_pct cfg.Engine.seed)
+    (fun (p : Engine.point) ->
+      Printf.sprintf
+        "    {\"offered\": %.3f, \"achieved\": %.3f, \"served\": %d, \"shed\": %d, \
+         \"shed_fraction\": %.4f, \"elapsed\": %d, \"epochs\": %d, \"flushes\": %d, \
+         \"deferred\": %d, \"passthrough\": %d, \"fences\": %d, \
+         \"skip_dropped\": %d, \"wb_submitted\": %d"
+        p.Engine.offered p.Engine.achieved p.Engine.served p.Engine.shed
+        (Engine.shed_fraction p) p.Engine.elapsed p.Engine.epochs p.Engine.flushes
+        p.Engine.deferred p.Engine.passthrough p.Engine.fences
+        p.Engine.skip_dropped p.Engine.wb_submitted
+      ^ point_json p)
+    points
+
 (* A telemetry dump is the sweep JSON plus, per point, the run's windowed
    metrics registry.  Everything is simulated-cycle keyed, so the document
    is byte-identical at any --jobs width. *)
 let telemetry_json (cfg : Engine.config) points =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add
-    (Printf.sprintf
-       "  \"config\": {\"structure\": \"%s\", \"mode\": \"%s\", \"strategy\": \"%s\", \
-        \"arrival\": \"%s\", \"workload\": \"%s\", \"clients\": %d, \"requests\": %d, \
-        \"batch\": %d, \"depth\": %d, \"cores\": %d, \"seed\": %d, \"window\": %d},\n"
-       (Ops.kind_name cfg.Engine.kind)
-       (Pctx.mode_name cfg.Engine.mode)
-       (Ds_bench.spec_name cfg.Engine.spec)
-       (Arrival.process_name cfg.Engine.process)
-       (Workload.name cfg.Engine.workload)
-       cfg.Engine.clients cfg.Engine.requests cfg.Engine.batch cfg.Engine.depth
-       cfg.Engine.cores cfg.Engine.seed cfg.Engine.window);
-  add "  \"points\": [\n";
-  List.iteri
-    (fun i (p : Engine.point) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf "    {\"offered\": %.3f, \"served\": %d, \"shed\": %d"
-           p.Engine.offered p.Engine.served p.Engine.shed);
-      (match p.Engine.latency with
-       | Some s -> add (summary_json "latency" s)
-       | None -> ());
-      (match p.Engine.dequeue_latency with
-       | Some s -> add (summary_json "dequeue_latency" s)
-       | None -> ());
-      add (gap_json p);
-      add (attribution_json p);
-      (match p.Engine.metrics with
-       | Some m -> add (", \"metrics\": " ^ Skipit_obs.Metrics.to_json m)
-       | None -> ());
-      add "}")
-    points;
-  add "\n  ]\n}\n";
-  Buffer.contents buf
+  document cfg
+    ~extra:(Printf.sprintf "\"seed\": %d, \"window\": %d" cfg.Engine.seed cfg.Engine.window)
+    (fun (p : Engine.point) ->
+      Printf.sprintf "    {\"offered\": %.3f, \"served\": %d, \"shed\": %d" p.Engine.offered
+        p.Engine.served p.Engine.shed
+      ^ point_json p
+      ^
+      match p.Engine.metrics with
+      | Some m -> ", \"metrics\": " ^ Skipit_obs.Metrics.to_json m
+      | None -> "")
+    points

@@ -10,27 +10,17 @@ let line_bytes = 64
 let flush_region_cycles params ~lines =
   let sys = S.create (Params.with_cores params 1) in
   let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:line_bytes (lines * line_bytes) in
-  let elapsed = ref 0 in
-  ignore
-    (T.run sys
-       [
-         {
-           T.core = 0;
-           body =
-             (fun () ->
-               for i = 0 to lines - 1 do
-                 T.store (base + (i * line_bytes)) i
-               done;
-               T.fence ();
-               let t0 = T.now () in
-               for i = 0 to lines - 1 do
-                 T.flush (base + (i * line_bytes))
-               done;
-               T.fence ();
-               elapsed := T.now () - t0);
-         };
-       ]);
-  !elapsed
+  T.run_task sys (fun () ->
+    for i = 0 to lines - 1 do
+      T.store (base + (i * line_bytes)) i
+    done;
+    T.fence ();
+    let t0 = T.now () in
+    for i = 0 to lines - 1 do
+      T.flush (base + (i * line_bytes))
+    done;
+    T.fence ();
+    T.now () - t0)
 
 (* Each ablation is a grid of independent per-config simulations: build the
    config list, run one job per config (on [pool] when given), zip results

@@ -90,6 +90,23 @@ let spec_uses_word_bit = function
 
 let compatible kind spec = not (Ops.uses_word_bits kind && spec_uses_word_bit spec)
 
+let prefill_keys ~key_range ~prefill =
+  if prefill = 0 then [||]
+  else begin
+    let step = max 1 (key_range / prefill) in
+    Array.init (key_range / step) (fun i -> 1 + (i * step))
+  end
+
+let prefill ?(keep = fun _ -> true) sys kind pctx ~key_range ~prefill ~seed =
+  T.run_task sys (fun () ->
+    let h = Ops.create_sized kind ~buckets:(max 16 (key_range / 4)) pctx (S.allocator sys) in
+    (* Shuffled: sorted insertion would degenerate the external BST into a
+       vine. *)
+    let keys = prefill_keys ~key_range ~prefill in
+    Rng.shuffle (Rng.create ~seed) keys;
+    Array.iter (fun k -> if keep k then ignore (h.Ops.insert pctx k)) keys;
+    h)
+
 let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
   if Ops.uses_word_bits kind && spec_uses_word_bit spec then nan
   else begin
@@ -99,31 +116,9 @@ let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
     let sys = S.create params in
     let strategy = realize spec sys in
     let pctx = Pctx.make strategy mode in
-    let alloc = S.allocator sys in
-    let handle = ref None in
-    let buckets = max 16 (w.key_range / 4) in
-    (* Build + prefill (every other key, giving [prefill] resident keys). *)
-    ignore
-      (T.run sys
-         [
-           {
-             T.core = 0;
-             body =
-               (fun () ->
-                 let h = Ops.create_sized kind ~buckets pctx alloc in
-                 (* Insert every (range/prefill)-th key in shuffled order:
-                    sorted insertion would degenerate the external BST into
-                    a vine. *)
-                 let step = max 1 (w.key_range / max 1 w.prefill) in
-                 let keys =
-                   Array.init (w.key_range / step) (fun i -> 1 + (i * step))
-                 in
-                 Rng.shuffle (Rng.create ~seed:w.seed) keys;
-                 Array.iter (fun k -> ignore (h.Ops.insert pctx k)) keys;
-                 handle := Some h);
-           };
-         ]);
-    let h = Option.get !handle in
+    let h =
+      prefill sys kind pctx ~key_range:w.key_range ~prefill:w.prefill ~seed:w.seed
+    in
     let ops_done = Array.make w.threads 0 in
     let distribution =
       if w.skew > 0. then Some (Skipit_sim.Distribution.zipf ~n:w.key_range ~theta:w.skew)

@@ -39,6 +39,25 @@ val spec_of_name : string -> strategy_spec option
 (** Inverse of {!spec_name}; accepts ["flit-hash"] (the default 2{^16}-slot
     table) and ["flit-hash/N"]. *)
 
+val prefill_keys : key_range:int -> prefill:int -> int array
+(** The prefilled key set, ascending: every [(key_range / prefill)]-th key
+    from 1; empty when [prefill = 0]. *)
+
+val prefill :
+  ?keep:(int -> bool) ->
+  Skipit_core.System.t ->
+  Skipit_pds.Set_ops.kind ->
+  Skipit_persist.Pctx.t ->
+  key_range:int ->
+  prefill:int ->
+  seed:int ->
+  Skipit_pds.Set_ops.handle
+(** Build the structure on core 0 of [sys] (sized for [key_range]) and
+    insert {!prefill_keys}, shuffled with [seed], through [pctx] — only
+    the keys satisfying [keep] (default: all).  The one build-and-prefill
+    rule shared by the closed-loop harness, the serving engine and every
+    fleet shard. *)
+
 type workload = {
   threads : int;  (** 2 in the paper's runs. *)
   key_range : int;

@@ -201,6 +201,75 @@ let test_shrink_and_reproducer_roundtrip () =
         "replay reproduces the exact violations" sp.Fleet.violations
         p'.Fleet.violations)
 
+(* A reproducer that cannot be read back faithfully must be rejected, never
+   replayed as some other configuration. *)
+let with_reproducer_lines edit f =
+  let path = Filename.temp_file "fleet_repro" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+    Fleet.write_reproducer path failing_cfg ~rate:16.;
+    let ic = open_in path in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    close_in ic;
+    let oc = open_out path in
+    List.iter (fun l -> if l <> "" then output_string oc (edit l ^ "\n")) lines;
+    close_out oc;
+    f path)
+
+let replace_key key value line =
+  match String.index_opt line '=' with
+  | Some i when String.sub line 0 i = key -> key ^ "=" ^ value
+  | _ -> line
+
+let expect_error what needle = function
+  | Ok _ -> Alcotest.failf "%s: reproducer accepted" what
+  | Error e ->
+    let contains hay needle =
+      let nh = String.length hay and nn = String.length needle in
+      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+      go 0
+    in
+    if not (contains e needle) then Alcotest.failf "%s: error %S lacks %S" what e needle
+
+let test_reproducer_rejects_bad_values () =
+  List.iter
+    (fun (key, value) ->
+      with_reproducer_lines (replace_key key value) (fun path ->
+        expect_error (key ^ "=" ^ value) key (Fleet.read_reproducer path)))
+    [
+      ("structure", "bogus");
+      ("strategy", "nonsense");
+      ("requests", "abc");
+      ("process", "gamma");
+      ("faults", "12:");
+      ("rate", "fast");
+      ("keys", "zipf:x");
+      ("drop_persists", "one");
+    ]
+
+let test_reproducer_missing_key () =
+  with_reproducer_lines
+    (fun l -> if String.length l > 5 && String.sub l 0 5 = "seed=" then "# dropped" else l)
+    (fun path -> expect_error "no seed" "missing field seed" (Fleet.read_reproducer path));
+  (* keys, churn and drop_persists are optional: older files lack them. *)
+  let optional l =
+    List.exists
+      (fun k -> String.length l > String.length k && String.sub l 0 (String.length k) = k)
+      [ "keys="; "churn="; "drop_persists=" ]
+  in
+  with_reproducer_lines
+    (fun l -> if optional l then "" else l)
+    (fun path ->
+      match Fleet.read_reproducer path with
+      | Error e -> Alcotest.fail e
+      | Ok (cfg, _) ->
+        Alcotest.(check bool) "optional keys default" true
+          (cfg = { failing_cfg with Fleet.drop_persists = None }))
+
+let test_reproducer_missing_file () =
+  match Fleet.read_reproducer "/nonexistent/fleet-repro.txt" with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error _ -> ()
+
 let test_fault_schedule_names () =
   List.iter
     (fun f ->
@@ -258,6 +327,10 @@ let tests =
         test_injected_durability_failure_is_caught;
       Alcotest.test_case "shrink + reproducer round-trip" `Quick
         test_shrink_and_reproducer_roundtrip;
+      Alcotest.test_case "reproducer rejects bad values" `Quick
+        test_reproducer_rejects_bad_values;
+      Alcotest.test_case "reproducer missing key" `Quick test_reproducer_missing_key;
+      Alcotest.test_case "reproducer missing file" `Quick test_reproducer_missing_file;
       Alcotest.test_case "fault schedule names round-trip" `Quick
         test_fault_schedule_names;
       Alcotest.test_case "config validation" `Quick test_validate;

@@ -583,6 +583,74 @@ let test_sweep_byte_identical_across_jobs () =
     (String.equal seq par);
   Alcotest.(check bool) "sweep output non-empty" true (String.length seq > 0)
 
+(* == Shard: the setup serve and fleet share ============================= *)
+
+module Shard = Skipit_serve.Shard
+module Ds_bench = Skipit_workload.Ds_bench
+
+let test_prefill_rule () =
+  Alcotest.(check (array int)) "prefill 0 is empty" [||]
+    (Ds_bench.prefill_keys ~key_range:1024 ~prefill:0);
+  Alcotest.(check (array int)) "every (range/prefill)-th key from 1" [| 1; 5; 9; 13 |]
+    (Ds_bench.prefill_keys ~key_range:16 ~prefill:4);
+  Alcotest.(check int) "prefill above the range keeps every key" 16
+    (Array.length (Ds_bench.prefill_keys ~key_range:16 ~prefill:64))
+
+let shard_cfg ~prefill =
+  {
+    Shard.kind = Skipit_pds.Set_ops.Hash_set;
+    mode = Pctx.Automatic;
+    spec = Ds_bench.Skipit;
+    process = Arrival.Poisson;
+    workload = Skipit_serve.Workload.default;
+    clients = 4;
+    requests = 50;
+    batch = 4;
+    depth = 8;
+    key_range = 64;
+    update_pct = 50;
+    prefill;
+    seed = 5;
+  }
+
+let test_shard_create_prefills () =
+  let params = Skipit_core.Config.tiny ~cores:1 () in
+  let snapshot (sh : Shard.t) = sh.Shard.handle.Skipit_pds.Set_ops.snapshot sh.Shard.sys in
+  Alcotest.(check (list int)) "prefill 0 builds an empty structure" []
+    (snapshot (Shard.create ~params (shard_cfg ~prefill:0)));
+  let keep k = k mod 3 = 0 in
+  Alcotest.(check (list int)) "keep filters the prefilled keys"
+    (List.filter keep (Array.to_list (Ds_bench.prefill_keys ~key_range:64 ~prefill:32)))
+    (snapshot (Shard.create ~keep ~params (shard_cfg ~prefill:32)))
+
+(* The typed flush-unit accessors count what the stats report prints. *)
+let test_skip_counts_match_report () =
+  let p = Engine.run { Engine.default with Engine.requests = 200; cores = 2 } ~rate:8. in
+  Alcotest.(check bool) "skip hardware elided writebacks" true (p.Engine.skip_dropped > 0);
+  let sh = Shard.create ~params:Skipit_cache.Params.boom_default (shard_cfg ~prefill:32) in
+  let pctx = Pctx.make sh.Shard.strategy Pctx.Automatic in
+  let churn () =
+    for k = 1 to 64 do
+      Shard.apply pctx sh.Shard.handle Arrival.Insert k;
+      Shard.apply pctx sh.Shard.handle Arrival.Delete k
+    done
+  in
+  ignore (Skipit_core.Thread.run sh.Shard.sys [ { Skipit_core.Thread.core = 0; body = churn } ]);
+  let sum suffix =
+    List.fold_left
+      (fun acc (k, v) ->
+        let n = String.length k and m = String.length suffix in
+        if String.length k > 3 && String.sub k 0 3 = "fu." && n >= m
+           && String.sub k (n - m) m = suffix
+        then acc + v
+        else acc)
+      0 (Skipit_core.System.stats_report sh.Shard.sys)
+  in
+  let dropped, submitted = Shard.skip_counts sh.Shard.sys in
+  Alcotest.(check int) "skip_dropped" (sum ".skip_dropped") dropped;
+  Alcotest.(check int) "submitted" (sum ".submitted") submitted;
+  Alcotest.(check bool) "flush traffic observed" true (submitted > 0)
+
 let tests =
   ( "serve",
     [
@@ -612,4 +680,8 @@ let tests =
         test_telemetry_leaves_simulation_untouched;
       Alcotest.test_case "sweep byte-identical at any width" `Slow
         test_sweep_byte_identical_across_jobs;
+      Alcotest.test_case "shared prefill rule" `Quick test_prefill_rule;
+      Alcotest.test_case "shard create prefills through keep" `Quick test_shard_create_prefills;
+      Alcotest.test_case "skip counters match the stats report" `Quick
+        test_skip_counts_match_report;
     ] )
