@@ -9,6 +9,8 @@ type t = private {
   ways : int;
   line_bytes : int;
   sets : int;  (** [size_bytes / (ways * line_bytes)], a power of two. *)
+  line_shift : int;  (** [log2 line_bytes]. *)
+  tag_shift : int;  (** [log2 (line_bytes * sets)]. *)
 }
 
 val v : size_bytes:int -> ways:int -> line_bytes:int -> t
@@ -25,7 +27,8 @@ val line_base : t -> int -> int
 (** Align an address down to its line. *)
 
 val index_of : t -> int -> int
-(** Set index of an address. *)
+(** Set index of an address.  Addresses are non-negative: the slicing
+    functions shift instead of dividing. *)
 
 val tag_of : t -> int -> int
 

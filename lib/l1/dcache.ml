@@ -34,6 +34,7 @@ type t = {
   data : int array;  (* line words, [slot id * wpl + word] *)
   wpl : int;  (* words per line *)
   mshrs : Resource.t;
+  mshr_comp : string Lazy.t;  (* trace/metrics component of [mshrs] *)
   wbu : Resource.t;
   port : Port.t;
   flush : Flush_unit.t;
@@ -43,11 +44,22 @@ type t = {
   last_change : Int_tbl.t;
   stats : Stats.Registry.t;
   (* Per-access counters resolved once at construction; the registry's
-     string lookup is off the load/store path. *)
+     string lookup is off the load/store path.  The four hit/miss counters
+     are registered eagerly (they always report); the handles bind on
+     their first bump. *)
   c_load_hits : Stats.Counter.t;
   c_store_hits : Stats.Counter.t;
   c_load_misses : Stats.Counter.t;
   c_store_misses : Stats.Counter.t;
+  evictions_dirty : Stats.Registry.handle;
+  evictions_clean : Stats.Registry.handle;
+  load_forwards : Stats.Registry.handle;
+  load_nacks : Stats.Registry.handle;
+  store_nacks : Stats.Registry.handle;
+  store_upgrades : Stats.Registry.handle;
+  cbo_invals : Stats.Registry.handle;
+  cbo_zeros : Stats.Registry.handle;
+  probes_handled : Stats.Registry.handle;
   (* Scratch completion time of the most recent [load_word]/[cas_word]:
      the hot API returns the payload unboxed and parks the timestamp here,
      so a hit performs zero minor-heap allocation. *)
@@ -113,7 +125,7 @@ let evict_slot t id ~now =
   let perm = line_perm t id in
   let t_free =
     if line_dirty t id then begin
-      Stats.Registry.incr t.stats "evictions_dirty";
+      Stats.Registry.bump t.evictions_dirty;
       l1_ev t ~at:t0 ~addr:vaddr Trace.Evict_dirty;
       let rid = Trace.req_start ~at:t0 ~cls:Trace.Cls_writeback ~core:t.core ~addr:vaddr in
       let t_buf = Resource.acquire_finish t.wbu ~now:t0 ~busy:(beats t) in
@@ -129,7 +141,7 @@ let evict_slot t id ~now =
       t_sent
     end
     else begin
-      Stats.Registry.incr t.stats "evictions_clean";
+      Stats.Registry.bump t.evictions_clean;
       l1_ev t ~at:t0 ~addr:vaddr Trace.Evict_clean;
       let shrink = Perm.shrink_for ~from:perm ~cap:Perm.Nothing in
       let saved = Attr.suspend () in
@@ -148,14 +160,13 @@ let evict_slot t id ~now =
 let refill t ~addr ~grow ~now =
   let addr = line_base t addr in
   let installed = ref Store.miss in
-  let mshr_comp = lazy (Printf.sprintf "l1.%d.mshr" t.core) in
   let _, _, finish =
     Resource.acquire_dyn_idx t.mshrs ~now (fun ~idx start ->
       if Trace.enabled () then
         Trace.emit ~at:start
-          (Trace.Resource { comp = Lazy.force mshr_comp; idx; op = Trace.Res_alloc });
+          (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_alloc });
       Attr.mark Attr.Mshr ~at:start;
-      if Metrics.enabled () then Metrics.alloc (Lazy.force mshr_comp) ~at:start;
+      if Metrics.enabled () then Metrics.alloc (Lazy.force t.mshr_comp) ~at:start;
       let id, t_slot =
         match find_line t addr with
         | id when id <> Store.miss ->
@@ -184,9 +195,9 @@ let refill t ~addr ~grow ~now =
       installed := id;
       if Trace.enabled () then
         Trace.emit ~at:grant.Port.done_at
-          (Trace.Resource { comp = Lazy.force mshr_comp; idx; op = Trace.Res_free });
+          (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_free });
       Attr.mark Attr.Mshr ~at:grant.Port.done_at;
-      if Metrics.enabled () then Metrics.free (Lazy.force mshr_comp) ~at:grant.Port.done_at;
+      if Metrics.enabled () then Metrics.free (Lazy.force t.mshr_comp) ~at:grant.Port.done_at;
       grant.Port.done_at)
   in
   assert (!installed <> Store.miss);
@@ -207,13 +218,13 @@ let rec load_word t ~addr ~now =
     match Flush_unit.load_conflict t.flush ~addr:base ~now with
     | Flush_unit.Load_forward tb ->
       (* §5.3: the FSHR's filled data buffer is forwarded to the load. *)
-      Stats.Registry.incr t.stats "load_forwards";
+      Stats.Registry.bump t.load_forwards;
       l1_ev t ~at:now ~addr Trace.Load_forward;
       t.done_at <- tb + t.p.Params.l1_load_to_use;
       Attr.mark Attr.Fshr ~at:t.done_at;
       Port.peek_word t.port addr
     | Flush_unit.Load_wait tw ->
-      Stats.Registry.incr t.stats "load_nacks";
+      Stats.Registry.bump t.load_nacks;
       l1_ev t ~at:now ~addr Trace.Load_nack;
       Attr.mark Attr.Fshr ~at:(tw + t.p.Params.nack_retry_delay);
       load_word t ~addr ~now:(tw + t.p.Params.nack_retry_delay)
@@ -240,7 +251,7 @@ let writable_line t ~addr ~now =
   let now =
     match Flush_unit.store_proceed_at t.flush ~addr:base ~now with
     | Some tw when tw > now ->
-      Stats.Registry.incr t.stats "store_nacks";
+      Stats.Registry.bump t.store_nacks;
       l1_ev t ~at:now ~addr Trace.Store_nack;
       Attr.mark Attr.Fshr ~at:tw;
       tw
@@ -255,7 +266,7 @@ let writable_line t ~addr ~now =
     id, now + t.p.Params.l1_store_commit
   | id when id <> Store.miss ->
     (* Branch → Trunk upgrade; data is re-granted (no AcquirePerm, §3.3). *)
-    Stats.Registry.incr t.stats "store_upgrades";
+    Stats.Registry.bump t.store_upgrades;
     l1_ev t ~at:now ~addr Trace.Store_upgrade;
     let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
     let id, t_done = refill t ~addr ~grow:Perm.B_to_T ~now in
@@ -340,7 +351,7 @@ let cbo t ~addr ~kind ~now =
     let send ~data ~now =
       (* The FSHR's beats are its own serialization; arbitrate them onto
          the shared C channel before the message travels. *)
-      let nbeats = if data = None then 1 else beats t in
+      let nbeats = if Option.is_none data then 1 else beats t in
       let sent = channel_c t ~addr:base ~finish:now ~beats:nbeats in
       Port.root_release t.port ~addr:base ~kind ~data ~now:sent
     in
@@ -370,13 +381,13 @@ let cbo t ~addr ~kind ~now =
 let cbo_inval t ~addr ~now =
   Attr.activate ~core:t.core;
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "cbo_invals";
+  Stats.Registry.bump t.cbo_invals;
   (* Wait out any pending writeback of the line (its FSHR owns the
      metadata, §5.4), then discard the local copy and tell the L2 to revoke
      the rest. *)
   let t0 =
     match Flush_unit.find_pending t.flush ~addr:base ~now with
-    | Some p -> max now p.Flush_unit.ack_at
+    | Some p -> Int.max now p.Flush_unit.ack_at
     | None -> now
   in
   let t0 = t0 + t.p.Params.l1_meta_access in
@@ -389,7 +400,7 @@ let cbo_inval t ~addr ~now =
 
 let cbo_zero t ~addr ~now =
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "cbo_zeros";
+  Stats.Registry.bump t.cbo_zeros;
   let id, t_done = writable_line t ~addr:base ~now in
   Array.fill t.data (id * t.wpl) t.wpl 0;
   set_dirty t id true;
@@ -404,7 +415,7 @@ let fence t ~now =
 
 let handle_probe t ~addr ~cap ~now =
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "probes_handled";
+  Stats.Registry.bump t.probes_handled;
   l1_ev t ~at:now ~addr:base Trace.Probe_handled;
   let t0 = Flush_unit.probe_block_until t.flush ~addr:base ~cap ~now in
   let meta = t.p.Params.l1_meta_access in
@@ -419,13 +430,13 @@ let handle_probe t ~addr ~cap ~now =
        | Perm.Nothing -> Store.invalidate t.store_arr id
        | Perm.Branch | Perm.Trunk ->
          set_perm t id cap;
-         if dirty_data <> None then begin
+         if Option.is_some dirty_data then begin
            set_dirty t id false;
            (* The dirty data now lives (only) in the L2: not persisted. *)
            set_skip t id false
          end);
       note_change t ~addr:base ~now:t0;
-      let wire = if dirty_data = None then 1 else beats t in
+      let wire = if Option.is_none dirty_data then 1 else beats t in
       let sent = channel_c t ~addr:base ~finish:(t0 + meta + wire) ~beats:wire in
       { Port.dirty_data; done_at = sent + t.p.Params.link_latency }
     end
@@ -487,6 +498,7 @@ let create p ~core ~port =
       data = Array.make (slots * wpl) 0;
       wpl;
       mshrs = Resource.create ~count:p.Params.l1_mshrs (Printf.sprintf "l1-mshr-%d" core);
+      mshr_comp = lazy (Printf.sprintf "l1.%d.mshr" core);
       wbu = Resource.create (Printf.sprintf "l1-wbu-%d" core);
       port;
       flush = Flush_unit.create p ~core;
@@ -497,6 +509,15 @@ let create p ~core ~port =
       c_store_hits = Stats.Registry.counter stats "store_hits";
       c_load_misses = Stats.Registry.counter stats "load_misses";
       c_store_misses = Stats.Registry.counter stats "store_misses";
+      evictions_dirty = Stats.Registry.handle stats "evictions_dirty";
+      evictions_clean = Stats.Registry.handle stats "evictions_clean";
+      load_forwards = Stats.Registry.handle stats "load_forwards";
+      load_nacks = Stats.Registry.handle stats "load_nacks";
+      store_nacks = Stats.Registry.handle stats "store_nacks";
+      store_upgrades = Stats.Registry.handle stats "store_upgrades";
+      cbo_invals = Stats.Registry.handle stats "cbo_invals";
+      cbo_zeros = Stats.Registry.handle stats "cbo_zeros";
+      probes_handled = Stats.Registry.handle stats "probes_handled";
       done_at = 0;
     }
   in

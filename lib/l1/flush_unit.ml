@@ -20,9 +20,9 @@ type submit_result =
   | Accepted of pending
 
 (* Live pendings sit in an intrusive doubly-linked list in submission
-   order (oldest first, matching the order conflict queries expect), so
-   retirement is an O(1) unlink driven by the event wheel instead of the
-   v1 [List.filter] rescan on every query. *)
+   order (oldest first, matching the order conflict queries expect).
+   Retirement walks it only once the clock reaches [min_ack], the earliest
+   outstanding ack. *)
 type pnode = {
   pend : pending;
   mutable pprev : pnode option;
@@ -38,16 +38,26 @@ type t = {
   admission : Admission.t option;  (* None when depth = 0 (no buffering) *)
   (* All requests whose ack is still outstanding, oldest first.  Doubles as
      the flush counter (§5.2) and the §5.3/§5.4 conflict-check structure;
-     the wheel retires each node when the clock passes its [ack_at]. *)
+     [prune] retires each node at the first query whose [now] reaches its
+     [ack_at]. *)
   mutable phead : pnode option;
   mutable ptail : pnode option;
   mutable pcount : int;
-  wheel : pnode Event_wheel.t;
+  mutable min_ack : int;  (* min [ack_at] over the list, [max_int] if empty *)
   book : Flush_queue.t;  (** Bookkeeping mirror of queued entries for tests. *)
   stats : Stats.Registry.t;
+  submitted : Stats.Registry.handle;
+  coalesced : Stats.Registry.handle;
+  fshr_allocs : Stats.Registry.handle;
+  wb_with_data : Stats.Registry.handle;
+  wb_without_data : Stats.Registry.handle;
+  fshr_busy_cycles : Stats.Registry.handle;
+  skip_dropped : Stats.Registry.handle;
 }
 
 let create p ~core =
+  let stats = Stats.Registry.create () in
+  let h = Stats.Registry.handle stats in
   {
     p;
     core;
@@ -59,16 +69,23 @@ let create p ~core =
     phead = None;
     ptail = None;
     pcount = 0;
-    wheel = Event_wheel.create ();
+    min_ack = max_int;
     book =
       Flush_queue.create
         ~name:(Printf.sprintf "fu.%d.q" core)
-        ~depth:(max 1 p.Params.flush_queue_depth) ();
-    stats = Stats.Registry.create ();
+        ~depth:(Int.max 1 p.Params.flush_queue_depth) ();
+    stats;
+    submitted = h "submitted";
+    coalesced = h "coalesced";
+    fshr_allocs = h "fshr_allocs";
+    wb_with_data = h "wb_with_data";
+    wb_without_data = h "wb_without_data";
+    fshr_busy_cycles = h "fshr_busy_cycles";
+    skip_dropped = h "skip_dropped";
   }
 
 let stats t = t.stats
-let note_skip_drop t = Stats.Registry.incr t.stats "skip_dropped"
+let note_skip_drop t = Stats.Registry.bump t.skip_dropped
 let skip_dropped t = Stats.Registry.get t.stats "skip_dropped"
 let submitted t = Stats.Registry.get t.stats "submitted"
 
@@ -79,7 +96,7 @@ let append_pending t pend =
    | None -> t.phead <- Some n);
   t.ptail <- Some n;
   t.pcount <- t.pcount + 1;
-  ignore (Event_wheel.insert t.wheel ~at:pend.ack_at n)
+  t.min_ack <- Int.min t.min_ack pend.ack_at
 
 let unlink_pending t n =
   (match n.pprev with
@@ -92,43 +109,70 @@ let unlink_pending t n =
   n.pnext <- None;
   t.pcount <- t.pcount - 1
 
-(* Allocation-free fold over the live pendings, oldest first. *)
-let fold_pendings t ~init f =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (f acc n.pend) n.pnext
-  in
-  go init t.phead
+(* Walks over the live pendings, oldest first.  Top-level recursions, so
+   a query allocates no closure. *)
+let rec first_at addr = function
+  | None -> None
+  | Some n -> if n.pend.entry.Flush_queue.addr = addr then Some n.pend else first_at addr n.pnext
 
-let exists_pending t f =
-  let rec go = function
-    | None -> false
-    | Some n -> f n.pend || go n.pnext
-  in
-  go t.phead
+let rec first_coalescible ~addr ~kind ~last_line_change ~now = function
+  | None -> None
+  | Some n ->
+    let p = n.pend in
+    if
+      p.entry.Flush_queue.addr = addr
+      && p.entry.Flush_queue.kind = kind
+      && p.alloc_at > now
+      && p.entry.Flush_queue.enq_at >= last_line_change
+    then Some p
+    else first_coalescible ~addr ~kind ~last_line_change ~now n.pnext
 
-let first_pending t f =
-  let rec go = function
-    | None -> None
-    | Some n -> if f n.pend then Some n.pend else go n.pnext
-  in
-  go t.phead
+let rec still_queued e ~now = function
+  | None -> false
+  | Some n -> (n.pend.entry == e && n.pend.alloc_at > now) || still_queued e ~now n.pnext
+
+let rec max_release_at addr ~now acc = function
+  | None -> acc
+  | Some n ->
+    let p = n.pend in
+    let acc =
+      if p.entry.Flush_queue.addr = addr && p.alloc_at <= now && p.release_at > now then
+        Int.max acc p.release_at
+      else acc
+    in
+    max_release_at addr ~now acc n.pnext
+
+let rec max_ack_at acc = function
+  | None -> acc
+  | Some n -> max_ack_at (Int.max acc n.pend.ack_at) n.pnext
+
+(* Unlink every pending whose ack is at or before [now], and recompute
+   the bound over the survivors. *)
+let rec retire t ~now min_ack = function
+  | None -> t.min_ack <- min_ack
+  | Some n ->
+    let next = n.pnext in
+    if n.pend.ack_at <= now then begin
+      unlink_pending t n;
+      retire t ~now min_ack next
+    end
+    else retire t ~now (Int.min min_ack n.pend.ack_at) next
+
+let rec drop_booked t ~now =
+  match Flush_queue.peek t.book with
+  | Some e when not (still_queued e ~now t.phead) ->
+    ignore (Flush_queue.dequeue t.book);
+    drop_booked t ~now
+  | Some _ | None -> ()
 
 (* Retire completed requests from the conflict structures. *)
 let prune t ~now =
-  Event_wheel.advance t.wheel ~now (fun n -> unlink_pending t n);
-  let rec drop_booked () =
-    match Flush_queue.peek t.book with
-    | Some e when not (exists_pending t (fun p -> p.entry == e && p.alloc_at > now)) ->
-      ignore (Flush_queue.dequeue t.book);
-      drop_booked ()
-    | Some _ | None -> ()
-  in
-  drop_booked ()
+  if now >= t.min_ack then retire t ~now max_int t.phead;
+  drop_booked t ~now
 
 let find_pending t ~addr ~now =
   prune t ~now;
-  first_pending t (fun p -> p.entry.Flush_queue.addr = addr)
+  first_at addr t.phead
 
 (* The §5.3 coalescing partner: a request of the same kind to the same
    line, still PENDING IN THE FLUSH QUEUE (not yet dequeued into an FSHR —
@@ -140,11 +184,7 @@ let find_pending t ~addr ~now =
    behaviour §5.2 describes. *)
 let find_coalescible t ~addr ~kind ~last_line_change ~now =
   prune t ~now;
-  first_pending t (fun p ->
-    p.entry.Flush_queue.addr = addr
-    && p.entry.Flush_queue.kind = kind
-    && p.alloc_at > now
-    && p.entry.Flush_queue.enq_at >= last_line_change)
+  first_coalescible ~addr ~kind ~last_line_change ~now t.phead
 
 (* Fig. 7 FSM states as trace events ([Invalid] is not a resident state). *)
 let trace_state = function
@@ -169,7 +209,7 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
     { Flush_queue.addr; kind; hit; dirty; enq_at; coalesced = 0 }
   in
   ignore (Flush_queue.enqueue t.book entry);
-  Stats.Registry.incr t.stats "fshr_allocs";
+  Stats.Registry.bump t.fshr_allocs;
   let tkind = Flush_queue.trace_kind kind in
   let fshr_ev ~at ~idx op =
     Trace.emit ~at (Trace.Fshr { core = t.core; idx; op; addr; kind = tkind })
@@ -217,7 +257,7 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
         (Fshr_fsm.path plan);
       release_time := !tm;
       let data = if Fshr_fsm.sends_data plan then line_data else None in
-      Stats.Registry.incr t.stats (if data = None then "wb_without_data" else "wb_with_data");
+      Stats.Registry.bump (if Option.is_none data then t.wb_without_data else t.wb_with_data);
       ack_time := send ~data ~now:!tm;
       if Trace.enabled () then fshr_ev ~at:!ack_time ~idx Trace.Fshr_free;
       if Metrics.enabled () then
@@ -236,7 +276,7 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
       ack_at = !ack_time;
     }
   in
-  Stats.Registry.add t.stats "fshr_busy_cycles" (!ack_time - fshr_alloc_at);
+  Stats.Registry.bump_by t.fshr_busy_cycles (!ack_time - fshr_alloc_at);
   (match t.admission with
    | Some a -> Admission.release a ~at:pending.alloc_at
    | None -> ());
@@ -244,11 +284,11 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
   Accepted pending
 
 let submit t ~addr ~kind ~hit ~dirty ~line_data ~last_line_change ~now ~apply_meta ~send =
-  Stats.Registry.incr t.stats "submitted";
+  Stats.Registry.bump t.submitted;
   if t.p.Params.coalescing then begin
     match find_coalescible t ~addr ~kind ~last_line_change ~now with
     | Some partner ->
-      Stats.Registry.incr t.stats "coalesced";
+      Stats.Registry.bump t.coalesced;
       Flush_queue.record_coalesce partner.entry;
       if Trace.enabled () then
         Trace.emit ~at:now
@@ -277,28 +317,25 @@ let load_conflict t ~addr ~now =
        superseded the buffered data — the load waits for the ack and takes
        the ordinary miss path. *)
     match p.buffer_ready_at with
-    | Some tb when max now tb < p.release_at -> Load_forward (max now tb)
-    | Some _ | None -> Load_wait (max now p.ack_at))
+    | Some tb when Int.max now tb < p.release_at -> Load_forward (Int.max now tb)
+    | Some _ | None -> Load_wait (Int.max now p.ack_at))
 
 let store_proceed_at t ~addr ~now =
   match find_pending t ~addr ~now with
   | None -> None
   | Some p -> (
     match p.entry.Flush_queue.kind with
-    | Message.Wb_flush -> Some (max now p.ack_at)
+    | Message.Wb_flush -> Some (Int.max now p.ack_at)
     | Message.Wb_clean -> (
       (* Clean: may proceed once the FSHR is allocated and, if the line was
          dirty, once the data buffer is filled (§5.3). *)
       match p.buffer_ready_at with
-      | Some tb -> Some (max now (max p.alloc_at tb))
-      | None -> Some (max now p.alloc_at)))
+      | Some tb -> Some (Int.max now (Int.max p.alloc_at tb))
+      | None -> Some (Int.max now p.alloc_at)))
 
 let block_until t ~addr ~now =
   prune t ~now;
-  fold_pendings t ~init:now (fun acc p ->
-    if p.entry.Flush_queue.addr = addr && p.alloc_at <= now && p.release_at > now then
-      max acc p.release_at
-    else acc)
+  max_release_at addr ~now now t.phead
 
 let probe_block_until t ~addr ~cap ~now =
   Flush_queue.probe_invalidate t.book ~addr ~cap;
@@ -310,7 +347,7 @@ let evict_block_until t ~addr ~now =
 
 let fence_ready_at t ~now =
   prune t ~now;
-  fold_pendings t ~init:now (fun acc p -> max acc p.ack_at)
+  max_ack_at now t.phead
 
 let outstanding t ~now =
   prune t ~now;
@@ -327,7 +364,7 @@ let crash t =
   t.phead <- None;
   t.ptail <- None;
   t.pcount <- 0;
-  Event_wheel.clear t.wheel;
+  t.min_ack <- max_int;
   let rec drain () =
     match Flush_queue.dequeue t.book with Some _ -> drain () | None -> ()
   in

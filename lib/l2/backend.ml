@@ -16,20 +16,20 @@ let crash = Port.Memside.crash
 
 let of_dram ?(name = "dram") ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0)
     dram =
-  Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun stats ->
+  Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
     {
       Port.Memside.read_line =
         (fun ~addr ~now ->
-          Port.Memside.note_wait stats (Dram.queue_wait dram ~now);
+          Port.Memside.note_wait waits (Dram.queue_wait dram ~now);
           let data, t = Dram.read_line dram ~addr ~now in
           data, t, false);
       write_line =
         (fun ~addr ~data ~now ->
-          Port.Memside.note_wait stats (Dram.queue_wait dram ~now);
+          Port.Memside.note_wait waits (Dram.queue_wait dram ~now);
           Dram.write_line dram ~addr ~data ~now);
       persist_line =
         (fun ~addr ~data ~now ->
-          Port.Memside.note_wait stats (Dram.queue_wait dram ~now);
+          Port.Memside.note_wait waits (Dram.queue_wait dram ~now);
           Dram.write_line dram ~addr ~data ~now);
       persist_if_dirty = (fun ~addr:_ ~now -> now);
       discard_line = (fun ~addr:_ -> ());

@@ -16,7 +16,7 @@ val create :
   beats_per_line:int ->
   ?max_inflight:int ->
   ?burst_beat_cost:int ->
-  (Skipit_sim.Stats.Registry.t -> Skipit_tilelink.Port.Memside.ops) ->
+  (Skipit_tilelink.Port.Memside.waits -> Skipit_tilelink.Port.Memside.ops) ->
   t
 
 val name : t -> string

@@ -17,6 +17,35 @@ type grant = Port.grant = {
   done_at : int;
 }
 
+(* The L2's event counters, one handle per key. *)
+type counters = {
+  probes : Stats.Registry.handle;
+  evictions : Stats.Registry.handle;
+  dram_writebacks : Stats.Registry.handle;
+  hits : Stats.Registry.handle;
+  misses : Stats.Registry.handle;
+  grants_dirty : Stats.Registry.handle;
+  grants_clean : Stats.Registry.handle;
+  root_releases : Stats.Registry.handle;
+  trivial_skips : Stats.Registry.handle;
+  root_invals : Stats.Registry.handle;
+}
+
+let counters reg =
+  let h = Stats.Registry.handle reg in
+  {
+    probes = h "probes";
+    evictions = h "evictions";
+    dram_writebacks = h "dram_writebacks";
+    hits = h "hits";
+    misses = h "misses";
+    grants_dirty = h "grants_dirty";
+    grants_clean = h "grants_clean";
+    root_releases = h "root_releases";
+    trivial_skips = h "trivial_skips";
+    root_invals = h "root_invals";
+  }
+
 (* One NUCA bank: a full slice of the inclusive LLC's control and data
    structures.  Lines are interleaved across banks by an XOR-fold of the
    line number (see [fold] below), and each bank's tag store runs on
@@ -35,6 +64,7 @@ type bank = {
   list_buffer : Admission.t;
   slices : Resource.Banked.t;  (* BankedStore data slices *)
   b_stats : Stats.Registry.t;  (* per-bank counters, exported when banked *)
+  b_ctr : counters;  (* handles on [b_stats]; the aggregate's when unbanked *)
   mshr_comp : string;  (* trace/metrics component for this bank's MSHRs *)
 }
 
@@ -59,6 +89,7 @@ type t = {
      probe handling never re-enters the directory walk. *)
   probe_buf : int array;
   stats : Stats.Registry.t;  (* aggregate across banks *)
+  ctr : counters;
 }
 
 let log2 n =
@@ -68,6 +99,8 @@ let log2 n =
 let create p ~backend =
   let n = p.Params.l2_banks in
   let g = p.Params.l2_geom in
+  let stats = Stats.Registry.create () in
+  let ctr = counters stats in
   let bank_geom =
     if n = 1 then g
     else
@@ -87,6 +120,7 @@ let create p ~backend =
     acq_stage = (if n > 1 then Attr.Bank_wait else Attr.L2);
     banks =
       Array.init n (fun i ->
+        let b_stats = Stats.Registry.create () in
         {
           b_idx = i;
           store = Store.create bank_geom;
@@ -97,13 +131,15 @@ let create p ~backend =
           slices =
             Resource.Banked.create ~banks:p.Params.l2_slices
               (if n = 1 then "l2-banks" else Printf.sprintf "l2.bank%d-slices" i);
-          b_stats = Stats.Registry.create ();
+          b_stats;
+          b_ctr = (if n = 1 then ctr else counters b_stats);
           mshr_comp = (if n = 1 then "l2.mshr" else Printf.sprintf "l2.bank.%d.mshr" i);
         });
     backend;
     ports = Array.make p.Params.n_cores None;
     probe_buf = Array.make p.Params.n_cores 0;
-    stats = Stats.Registry.create ();
+    stats;
+    ctr;
   }
 
 let stats t = t.stats
@@ -149,9 +185,9 @@ let decompress t b caddr =
 
 (* Aggregate counters keep their monolithic names (the golden pins);
    per-bank shadows are kept only when actually banked. *)
-let incr_stat t b name =
-  Stats.Registry.incr t.stats name;
-  if t.n_banks > 1 then Stats.Registry.incr b.b_stats name
+let incr_stat t b key =
+  Stats.Registry.bump (key t.ctr);
+  if t.n_banks > 1 then Stats.Registry.bump (key b.b_ctr)
 
 let l2_ev ~at ~addr op = if Trace.enabled () then Trace.emit ~at (Trace.L2 { op; addr })
 
@@ -177,7 +213,7 @@ let slice_access t b ~caddr ~now =
 let probe_one t b ~core ~addr ~cap ~now =
   match t.ports.(core) with
   | Some port ->
-    incr_stat t b "probes";
+    incr_stat t b (fun c -> c.probes);
     l2_ev ~at:now ~addr L2_probe;
     Port.probe port ~addr ~cap ~now:(now + t.p.Params.link_latency)
   | None -> invalid_arg (Printf.sprintf "Inclusive_cache: no client port for core %d" core)
@@ -208,12 +244,12 @@ let probe_all t b ~addr ~cap ~n ~now dir =
 let evict_victim t b id ~now =
   let vaddr = decompress t b (Store.slot_addr b.store id) in
   let dir = Store.payload b.store id in
-  incr_stat t b "evictions";
+  incr_stat t b (fun c -> c.evictions);
   l2_ev ~at:now ~addr:vaddr L2_evict;
   let n = Directory.owners_into dir Perm.Nothing ~exclude:(-1) t.probe_buf in
   let t_probed = probe_all t b ~addr:vaddr ~cap:Perm.Nothing ~n ~now dir in
   if dir.Directory.dirty then begin
-    incr_stat t b "dram_writebacks";
+    incr_stat t b (fun c -> c.dram_writebacks);
     l2_ev ~at:t_probed ~addr:vaddr L2_writeback;
     (* DRAM write proceeds off the critical path: keep its future-dated
        completion out of the attribution cursor. *)
@@ -246,7 +282,7 @@ let acquire t ~core ~addr ~grow ~now =
       let tm = start + t.p.Params.l2_tag_access in
       match Store.find b.store caddr with
       | id when id <> Store.miss ->
-        incr_stat t b "hits";
+        incr_stat t b (fun c -> c.hits);
         l2_ev ~at:start ~addr L2_hit;
         let dir = Store.payload b.store id in
         let n_probe =
@@ -268,7 +304,7 @@ let acquire t ~core ~addr ~grow ~now =
         Attr.mark Attr.L2 ~at:tm;
         mshr_free ~at:tm
       | _ ->
-        incr_stat t b "misses";
+        incr_stat t b (fun c -> c.misses);
         l2_ev ~at:start ~addr L2_miss;
         let victim = Store.victim b.store caddr in
         let t_evict =
@@ -285,14 +321,14 @@ let acquire t ~core ~addr ~grow ~now =
             ~dirty:dirty_below
         in
         Directory.set_owner dir core target;
-        let t_fill = max t_evict t_data in
+        let t_fill = Int.max t_evict t_data in
         Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
         result := (dirty_below, Array.copy data);
         Attr.mark Attr.L2 ~at:t_fill;
         mshr_free ~at:t_fill)
   in
   let l2_dirty, data = !result in
-  incr_stat t b (if l2_dirty then "grants_dirty" else "grants_clean");
+  incr_stat t b (if l2_dirty then fun c -> c.grants_dirty else fun c -> c.grants_clean);
   (* D-channel: serialization beats for the data plus travel. *)
   { perm = target; data; l2_dirty; done_at = finish + beats t + t.p.Params.link_latency }
 
@@ -352,7 +388,7 @@ let root_release t ~core ~addr ~kind ~data ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
-  incr_stat t b "root_releases";
+  incr_stat t b (fun c -> c.root_releases);
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_release;
   let finish =
@@ -390,7 +426,7 @@ let root_release t ~core ~addr ~kind ~data ~now =
         let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
         let tm =
           if dir.Directory.dirty || not t.p.Params.l2_trivial_skip then begin
-            incr_stat t b "dram_writebacks";
+            incr_stat t b (fun c -> c.dram_writebacks);
             l2_ev ~at:tm ~addr L2_writeback;
             let tb = slice_access t b ~caddr ~now:tm in
             let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
@@ -398,7 +434,7 @@ let root_release t ~core ~addr ~kind ~data ~now =
             td
           end
           else begin
-            incr_stat t b "trivial_skips";
+            incr_stat t b (fun c -> c.trivial_skips);
             l2_ev ~at:tm ~addr L2_trivial_skip;
             (* The L2 copy is clean, but a dirty copy may sit in a
                memory-side cache below: it must be pushed for the ack to
@@ -417,11 +453,11 @@ let root_release t ~core ~addr ~kind ~data ~now =
            straight through (defensive; cannot arise sequentially). *)
         match data with
         | Some d ->
-          incr_stat t b "dram_writebacks";
+          incr_stat t b (fun c -> c.dram_writebacks);
           l2_ev ~at:tm ~addr L2_writeback;
           Backend.persist_line t.backend ~addr ~data:d ~now:tm
         | None ->
-          incr_stat t b "trivial_skips";
+          incr_stat t b (fun c -> c.trivial_skips);
           l2_ev ~at:tm ~addr L2_trivial_skip;
           Backend.persist_if_dirty t.backend ~addr ~now:tm))
   in
@@ -431,7 +467,7 @@ let root_inval t ~core ~addr ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
-  incr_stat t b "root_invals";
+  incr_stat t b (fun c -> c.root_invals);
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_inval;
   let finish =

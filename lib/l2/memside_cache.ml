@@ -14,6 +14,11 @@ type t = {
   below : Backend.t;
   store : line Store.t;
   stats : Stats.Registry.t;
+  evictions : Stats.Registry.handle;
+  dram_writebacks : Stats.Registry.handle;
+  hits : Stats.Registry.handle;
+  misses : Stats.Registry.handle;
+  persist_writes : Stats.Registry.handle;
   mutable clock_hint : int;  (* monotone hint for LRU ordering *)
   mutable port : Backend.t option;  (* upstream (LLC-facing) memside port *)
 }
@@ -39,18 +44,18 @@ let bank_wait t ~addr ~now =
   let b =
     Resource.Banked.bank_of t.banks ~addr ~line_bytes:t.geom.Geometry.line_bytes
   in
-  max 0 (Resource.earliest_free b - (now + t.access_latency))
+  Int.max 0 (Resource.earliest_free b - (now + t.access_latency))
 
 (* Make room for [addr]: evict the victim (dirty → DRAM, off the critical
    path) and return the free slot. *)
 let free_slot t ~addr ~now =
   let victim = Store.victim t.store addr in
   if Store.is_valid t.store victim then begin
-    Stats.Registry.incr t.stats "evictions";
+    Stats.Registry.bump t.evictions;
     mem_ev t ~at:now ~addr:(Store.slot_addr t.store victim) Trace.Mem_evict;
     let vline = Store.payload t.store victim in
     if vline.dirty then begin
-      Stats.Registry.incr t.stats "dram_writebacks";
+      Stats.Registry.bump t.dram_writebacks;
       (* Off the critical path — shield the attribution cursor. *)
       let saved = Attr.suspend () in
       ignore
@@ -68,14 +73,14 @@ let read_line t ~addr ~now =
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
   match Store.find t.store addr with
   | id when id <> Store.miss ->
-    Stats.Registry.incr t.stats "hits";
+    Stats.Registry.bump t.hits;
     mem_ev t ~at:t0 ~addr Trace.Mem_hit;
     Store.touch t.store id ~now;
     let line = Store.payload t.store id in
     Attr.mark Attr.Dram ~at:t0;
     Array.copy line.data, t0, line.dirty
   | _ ->
-    Stats.Registry.incr t.stats "misses";
+    Stats.Registry.bump t.misses;
     mem_ev t ~at:t0 ~addr Trace.Mem_miss;
     let data, t_dram, _ = Backend.read_line t.below ~addr ~now:t0 in
     let id = free_slot t ~addr ~now:t0 in
@@ -100,7 +105,7 @@ let write_line t ~addr ~data ~now =
 let persist_line t ~addr ~data ~now =
   let addr = line_base t addr in
   touch_clock t now;
-  Stats.Registry.incr t.stats "persist_writes";
+  Stats.Registry.bump t.persist_writes;
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
   (* Update (or bypass) the cached copy, leaving it clean; durability comes
      from the write-through. *)
@@ -147,6 +152,8 @@ let crash t =
 
 let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_per_line
     ?(max_inflight = 0) ?(burst_beat_cost = 0) () =
+  let stats = Stats.Registry.create () in
+  let h = Stats.Registry.handle stats in
   let t =
     {
       name;
@@ -156,7 +163,12 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
       bank_busy;
       below;
       store = Store.create geom;
-      stats = Stats.Registry.create ();
+      stats;
+      evictions = h "evictions";
+      dram_writebacks = h "dram_writebacks";
+      hits = h "hits";
+      misses = h "misses";
+      persist_writes = h "persist_writes";
       clock_hint = 0;
       port = None;
     }
@@ -166,19 +178,19 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
      queueing we report. *)
   t.port <-
     Some
-      (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun stats ->
+      (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
          {
            Skipit_tilelink.Port.Memside.read_line =
              (fun ~addr ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                read_line t ~addr ~now);
            write_line =
              (fun ~addr ~data ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                write_line t ~addr ~data ~now);
            persist_line =
              (fun ~addr ~data ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                persist_line t ~addr ~data ~now);
            persist_if_dirty = (fun ~addr ~now -> persist_if_dirty t ~addr ~now);
            discard_line = (fun ~addr -> discard_line t ~addr);

@@ -2,8 +2,8 @@
 
     Models a flat physical address space holding 64-bit words.  Unwritten
     locations read as zero, as freshly-allocated DRAM does in the simulated
-    machine.  Addresses are byte addresses; accesses are word (8 B) or line
-    granular.  This is the value store shared by the DRAM model and by cache
+    machine.  Addresses are non-negative byte addresses; accesses are word
+    (8 B) or line granular.  This is the value store shared by the DRAM model and by cache
     data arrays. *)
 
 type t

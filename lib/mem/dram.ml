@@ -32,7 +32,7 @@ let line_bytes t = t.line_bytes
 
 (* How long a request arriving at [now] would queue for a free channel —
    deterministic lookahead for the memside port's stall accounting. *)
-let queue_wait t ~now = max 0 (Resource.earliest_free t.channels - now)
+let queue_wait t ~now = Int.max 0 (Resource.earliest_free t.channels - now)
 
 let read_line t ~addr ~now =
   t.reads <- t.reads + 1;

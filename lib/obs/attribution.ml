@@ -141,19 +141,16 @@ let close t f ~at =
 (* Domain-local, like [Trace.current]: pool jobs on different domains each
    carry their own attribution state, so output is byte-identical at any
    [--jobs] width. *)
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : t Sink.t = Sink.create ()
 
-let enabled () = Domain.DLS.get current <> None
+let enabled () = Option.is_some (Sink.get current)
 
 let start ?cores ?keep_records () =
   let t = create ?cores ?keep_records () in
-  Domain.DLS.set current (Some t);
+  Sink.set current (Some t);
   t
 
-let stop () =
-  let t = Domain.DLS.get current in
-  Domain.DLS.set current None;
-  t
+let stop () = Sink.take current
 
 let ensure_core t core =
   let n = Array.length t.per_core in
@@ -166,7 +163,7 @@ let ensure_core t core =
 (* Bind [f] as the frame for [core]'s in-flight request (or unbind with
    [None]); hierarchy work executed on that core then charges it. *)
 let bind ~core f =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t ->
     if core >= 0 then begin
@@ -178,20 +175,20 @@ let bind ~core f =
 (* Dcache entry points call this: instruction execution for [core] is
    beginning, so its frame (if any) becomes the active mark target. *)
 let activate ~core =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t ->
     t.active <- (if core >= 0 && core < Array.length t.per_core then t.per_core.(core) else None)
 
 let mark stage ~at =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t -> ( match t.active with None -> () | Some f -> mark_frame f stage ~at)
 
 (* Bracket background work (FSHR walks, writeback acks) whose completion
    times are in the future relative to the instruction being attributed. *)
 let suspend () =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> None
   | Some t ->
     let prev = t.active in
@@ -199,7 +196,7 @@ let suspend () =
     prev
 
 let restore prev =
-  match Domain.DLS.get current with None -> () | Some t -> t.active <- prev
+  match Sink.get current with None -> () | Some t -> t.active <- prev
 
 (* == Results ============================================================ *)
 

@@ -108,21 +108,18 @@ let histogram_observe t name ~at v =
 
 (* == The installed sink (domain-local, like Trace) ====================== *)
 
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : t Sink.t = Sink.create ()
 
-let enabled () = Domain.DLS.get current <> None
+let enabled () = Option.is_some (Sink.get current)
 
 let start ?window () =
   let t = create ?window () in
-  Domain.DLS.set current (Some t);
+  Sink.set current (Some t);
   t
 
-let stop () =
-  let t = Domain.DLS.get current in
-  Domain.DLS.set current None;
-  t
+let stop () = Sink.take current
 
-let with_current f = match Domain.DLS.get current with None -> () | Some t -> f t
+let with_current f = match Sink.get current with None -> () | Some t -> f t
 
 (* Ambient hooks used from the hierarchy: no-ops with no sink installed. *)
 let count name ~at = with_current (fun t -> counter_incr t name ~at)

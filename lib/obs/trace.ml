@@ -282,28 +282,25 @@ let fold t init f = List.fold_left f init (records t)
    engine installs and drains its own trace independently, so jobs running
    concurrently on pool domains never share a ring buffer.  On the main
    domain this behaves exactly like the previous single global sink. *)
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : t Sink.t = Sink.create ()
 
 let enabled () =
-  match Domain.DLS.get current with Some t -> not t.reqs_only | None -> false
+  match Sink.get current with Some t -> not t.reqs_only | None -> false
 
 let start ?capacity ?filter ?reqs_only () =
   let t = create ?capacity ?filter ?reqs_only () in
-  Domain.DLS.set current (Some t);
+  Sink.set current (Some t);
   t
 
-let stop () =
-  let t = Domain.DLS.get current in
-  Domain.DLS.set current None;
-  t
+let stop () = Sink.take current
 
 let emit ~at ev =
-  match Domain.DLS.get current with None -> () | Some t -> add t ~at ev
+  match Sink.get current with None -> () | Some t -> add t ~at ev
 
 (* Request spans: [req_start] hands out the matching id (or [-1] with no
    sink installed, in which case [req_end] is a no-op too). *)
 let req_start ~at ~cls ~core ~addr =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> -1
   | Some t ->
     let id = t.next_id in
@@ -316,7 +313,7 @@ let req_end ~at id = if id >= 0 then emit ~at (Req_end { id })
 let with_trace ?capacity ?filter f =
   let t = start ?capacity ?filter () in
   let finally () =
-    match Domain.DLS.get current with
+    match Sink.get current with
     | Some x when x == t -> ignore (stop ())
     | Some _ | None -> ()
   in

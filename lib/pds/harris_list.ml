@@ -40,7 +40,7 @@ let rec find t p key =
   let curr = ref (Ptr.addr_of (next_of t p !pred)) in
   let restart = ref false in
   let result = ref None in
-  while !result = None && not !restart do
+  while Option.is_none !result && not !restart do
     let succ_raw = ref (next_of t p !curr) in
     (* Snip a run of marked nodes after pred. *)
     while (not !restart) && Ptr.is_marked !succ_raw do

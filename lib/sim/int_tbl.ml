@@ -41,14 +41,14 @@ let grow t =
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
-  Array.iteri
-    (fun i k ->
-      if k <> empty_key then begin
-        let j = probe t.keys t.mask (slot t k) k in
-        t.keys.(j) <- k;
-        t.vals.(j) <- vals.(i)
-      end)
-    keys
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty_key then begin
+      let j = probe t.keys t.mask (slot t k) k in
+      t.keys.(j) <- k;
+      t.vals.(j) <- vals.(i)
+    end
+  done
 
 let replace t key v =
   if key < 0 then invalid_arg "Int_tbl.replace: negative key";
@@ -75,5 +75,10 @@ let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   t.len <- 0
 
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+
 let iter t f =
-  Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
+  for i = 0 to Array.length t.keys - 1 do
+    let k = t.keys.(i) in
+    if k <> empty_key then f k t.vals.(i)
+  done

@@ -20,4 +20,8 @@ val find_default : t -> int -> default:int -> int
 val mem : t -> int -> bool
 val length : t -> int
 val clear : t -> unit
+
+val copy : t -> t
+(** An independent table with the same bindings. *)
+
 val iter : t -> (int -> int -> unit) -> unit

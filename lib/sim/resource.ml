@@ -2,91 +2,82 @@ type t = {
   name : string;
   free_at : int array;  (* per-unit time at which the unit becomes idle *)
   mutable busy_cycles : int;
-  (* Cached argmin of [free_at], maintained across acquisitions so the hot
-     path avoids a per-acquire O(count) scan.  [cmin] is the *first* index
-     attaining the minimum (the same unit the naive scan picks) and
-     [csecond] the minimum over every other unit, both meaningful only when
-     [cvalid].  After an acquisition bumps [free_at.(cmin)] to [finish],
-     the cache survives iff [finish < csecond] — the updated unit is still
-     the unique earliest-free one.  Single-unit resources (writeback units,
-     channel wires) have [csecond = max_int] and therefore never rescan. *)
-  mutable cmin : int;
-  mutable csecond : int;
-  mutable cvalid : bool;
+  (* Every unit, ordered by [(free_at, index)], as a ring starting at
+     [head]: the head is the unit the naive scan picks (the lowest index
+     among the earliest free).  An acquisition takes the head and slides
+     it back in from the tail; its new finish time is almost always the
+     latest, so that costs O(1) instead of a rescan of every unit. *)
+  order : int array;
+  mutable head : int;
 }
 
 let create ?(count = 1) name =
   if count <= 0 then invalid_arg "Resource.create: count <= 0";
-  {
-    name;
-    free_at = Array.make count 0;
-    busy_cycles = 0;
-    cmin = 0;
-    csecond = (if count = 1 then max_int else 0);
-    cvalid = true;
-  }
+  { name; free_at = Array.make count 0; busy_cycles = 0; order = Array.init count Fun.id; head = 0 }
 
 let name t = t.name
 let count t = Array.length t.free_at
+let min_index t = t.order.(t.head)
 
-(* One pass: first index with the minimum value, plus the runner-up value.
-   Ties go to the lowest index, exactly as the naive scan broke them. *)
-let rescan t =
-  let arr = t.free_at in
-  let n = Array.length arr in
-  let best = ref 0 and best_v = ref arr.(0) and second_v = ref max_int in
-  for i = 1 to n - 1 do
-    let v = arr.(i) in
-    if v < !best_v then begin
-      second_v := !best_v;
-      best_v := v;
-      best := i
-    end
-    else if v < !second_v then second_v := v
-  done;
-  t.cmin <- !best;
-  t.csecond <- !second_v;
-  t.cvalid <- true
+(* Unit [a] sorts before unit [b]. *)
+let before t a b =
+  let fa = t.free_at.(a) and fb = t.free_at.(b) in
+  fa < fb || (fa = fb && a < b)
 
-let min_index t =
-  if not t.cvalid then rescan t;
-  t.cmin
+let next n j = if j = n - 1 then 0 else j + 1
+let prev n j = if j = 0 then n - 1 else j - 1
 
-(* [free_at.(cmin)] just rose to [finish]; keep or drop the cache. *)
-let bumped t ~finish = if finish >= t.csecond then t.cvalid <- false
-
-let acquire t ~now ~busy =
-  if busy < 0 then invalid_arg "Resource.acquire: negative busy";
-  let i = min_index t in
-  let start = max now t.free_at.(i) in
-  let finish = start + busy in
+(* Set unit [i]'s free time to [finish] and restore the order.  [i] is
+   the head unless a reentrant acquisition moved it; the ring positions
+   from the head to [i] shift back by one, the freed slot becomes the
+   tail, and [i] walks in from there. *)
+let place t i finish =
+  let ord = t.order in
+  let n = Array.length ord in
   t.free_at.(i) <- finish;
-  bumped t ~finish;
-  t.busy_cycles <- t.busy_cycles + busy;
-  finish - busy, finish
+  if n > 1 then begin
+    let p = ref t.head in
+    while ord.(!p) <> i do
+      p := next n !p
+    done;
+    while !p <> t.head do
+      ord.(!p) <- ord.(prev n !p);
+      p := prev n !p
+    done;
+    let tail = t.head in
+    t.head <- next n t.head;
+    let p = ref tail in
+    while !p <> t.head && before t i ord.(prev n !p) do
+      ord.(!p) <- ord.(prev n !p);
+      p := prev n !p
+    done;
+    ord.(!p) <- i
+  end
 
-(* Tuple-free variants for call sites that need only one end of the
-   occupancy interval: the per-access timing arithmetic runs once per
-   simulated memory operation, so the pair allocation is worth avoiding. *)
+(* Tuple-free: the per-access timing arithmetic needs only the finish. *)
 let acquire_finish t ~now ~busy =
   if busy < 0 then invalid_arg "Resource.acquire: negative busy";
   let i = min_index t in
-  let start = max now t.free_at.(i) in
-  let finish = start + busy in
-  t.free_at.(i) <- finish;
-  bumped t ~finish;
+  let finish = Int.max now t.free_at.(i) + busy in
+  place t i finish;
   t.busy_cycles <- t.busy_cycles + busy;
   finish
 
+let acquire t ~now ~busy =
+  let finish = acquire_finish t ~now ~busy in
+  finish - busy, finish
+
 let acquire_start t ~now ~busy = acquire_finish t ~now ~busy - busy
 
+(* The unit stays at the head while [f] runs, so an acquisition [f] makes
+   on the same resource picks it too, exactly as a scan of [free_at]
+   would. *)
 let acquire_dyn_idx t ~now f =
   let i = min_index t in
-  let start = max now t.free_at.(i) in
+  let start = Int.max now t.free_at.(i) in
   let finish = f ~idx:i start in
   if finish < start then invalid_arg "Resource.acquire_dyn: finish < start";
-  t.free_at.(i) <- finish;
-  bumped t ~finish;
+  place t i finish;
   t.busy_cycles <- t.busy_cycles + (finish - start);
   i, start, finish
 
@@ -95,8 +86,7 @@ let acquire_dyn t ~now f =
   start, finish
 
 let earliest_free t = t.free_at.(min_index t)
-
-let all_free_at t = Array.fold_left max 0 t.free_at
+let all_free_at t = Array.fold_left Int.max 0 t.free_at
 
 let busy_at t now =
   Array.fold_left (fun acc f -> if f > now then acc + 1 else acc) 0 t.free_at
@@ -105,10 +95,9 @@ let total_busy_cycles t = t.busy_cycles
 
 let reset t =
   Array.fill t.free_at 0 (Array.length t.free_at) 0;
+  Array.iteri (fun i _ -> t.order.(i) <- i) t.order;
   t.busy_cycles <- 0;
-  t.cmin <- 0;
-  t.csecond <- (if Array.length t.free_at = 1 then max_int else 0);
-  t.cvalid <- true
+  t.head <- 0
 
 module Banked = struct
   type bank = t

@@ -116,6 +116,25 @@ module Registry = struct
 
   let incr t name = Counter.incr (counter t name)
   let add t name k = Counter.add (counter t name) k
+
+  (* A handle caches its counter after the first bump.  Until then it
+     points at [unbound], which is never written: binding on first use
+     keeps a key that never fires out of [to_list]. *)
+  type handle = { reg : t; key : string; mutable c : Counter.t }
+
+  let unbound = Counter.create ()
+  let handle reg key = { reg; key; c = unbound }
+
+  let bind h = h.c <- counter h.reg h.key
+
+  let bump h =
+    if h.c == unbound then bind h;
+    Counter.incr h.c
+
+  let bump_by h k =
+    if h.c == unbound then bind h;
+    Counter.add h.c k
+
   let reset_all t = Hashtbl.iter (fun _ c -> Counter.reset c) t
 
   let to_list t =

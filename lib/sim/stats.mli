@@ -68,6 +68,17 @@ module Registry : sig
 
   val incr : t -> string -> unit
   val add : t -> string -> int -> unit
+
+  type handle
+  (** A pre-resolved counter for per-access paths: create it once, bump it
+      without hashing a string.  It binds to the registry's counter on its
+      first bump, so a key whose handle never fires stays out of
+      {!to_list}, exactly as with {!incr}. *)
+
+  val handle : t -> string -> handle
+  val bump : handle -> unit
+  val bump_by : handle -> int -> unit
+
   val reset_all : t -> unit
 
   val to_list : t -> (string * int) list

@@ -25,33 +25,18 @@ module Channels = struct
     }
 end
 
-(* Per-channel counter cache for the beat hot path.  The registry key
-   strings are built once at port creation, and each [Stats.Counter.t] is
-   bound on its first increment — never earlier, so a port that sees no
-   stalls reports no [*_stalls] key, exactly as with per-call
-   [Registry.add] lookups.  After binding, a beat costs two field reads
-   and an integer add: no string concat, no hashtable probe, no
-   allocation. *)
+(* Per-channel counters, bound on first bump: a port that sees no stalls
+   reports no [*_stalls] key. *)
 type chan_stats = {
-  beats_name : string;
-  stalls_name : string;
-  waits_name : string;
   tchan : Trace.chan;
-  mutable beats : Stats.Counter.t option;
-  mutable stalls : Stats.Counter.t option;
-  mutable waits : Stats.Counter.t option;
+  beats : Stats.Registry.handle;
+  stalls : Stats.Registry.handle;
+  waits : Stats.Registry.handle;
 }
 
-let chan_stats chan tchan =
-  {
-    beats_name = chan ^ "_beats";
-    stalls_name = chan ^ "_stalls";
-    waits_name = chan ^ "_wait_cycles";
-    tchan;
-    beats = None;
-    stalls = None;
-    waits = None;
-  }
+let chan_stats stats chan tchan =
+  let h suffix = Stats.Registry.handle stats (chan ^ suffix) in
+  { tchan; beats = h "_beats"; stalls = h "_stalls"; waits = h "_wait_cycles" }
 
 type t = {
   name : string;
@@ -62,8 +47,12 @@ type t = {
   cs_a : chan_stats;
   cs_c : chan_stats;
   cs_d : chan_stats;
-  mutable probes : Stats.Counter.t option;  (* b_probes, bound lazily *)
-  mutable probe_beats : Stats.Counter.t option;  (* b_beats, bound lazily *)
+  probes : Stats.Registry.handle;
+  probe_beats : Stats.Registry.handle;
+  acquires : Stats.Registry.handle;
+  releases : Stats.Registry.handle;
+  root_releases : Stats.Registry.handle;
+  root_invals : Stats.Registry.handle;
   mutable manager : manager option;
   mutable client : client option;
 }
@@ -72,17 +61,23 @@ let create ?channels ?(bank_channels = [||]) ?(line_bytes = 64) ~name () =
   let channels =
     match channels with Some c -> c | None -> Channels.create ~name
   in
+  let stats = Stats.Registry.create () in
+  let h = Stats.Registry.handle stats in
   {
     name;
     channels;
     bank_channels;
     line_bytes;
-    stats = Stats.Registry.create ();
-    cs_a = chan_stats "a" Trace.Ch_a;
-    cs_c = chan_stats "c" Trace.Ch_c;
-    cs_d = chan_stats "d" Trace.Ch_d;
-    probes = None;
-    probe_beats = None;
+    stats;
+    cs_a = chan_stats stats "a" Trace.Ch_a;
+    cs_c = chan_stats stats "c" Trace.Ch_c;
+    cs_d = chan_stats stats "d" Trace.Ch_d;
+    probes = h "b_probes";
+    probe_beats = h "b_beats";
+    acquires = h "acquires";
+    releases = h "releases";
+    root_releases = h "root_releases";
+    root_invals = h "root_invals";
     manager = None;
     client = None;
   }
@@ -134,29 +129,15 @@ let client_exn t =
    [now]; a sender that finds the channel busy queues (stall), exactly how
    structural hazards surface in hardware. *)
 let occupy t res cs ~now ~beats =
-  let start, finish = Resource.acquire res ~now ~busy:beats in
-  (match cs.beats with
-   | Some c -> Stats.Counter.add c beats
-   | None ->
-     let c = Stats.Registry.counter t.stats cs.beats_name in
-     cs.beats <- Some c;
-     Stats.Counter.add c beats);
+  let finish = Resource.acquire_finish res ~now ~busy:beats in
+  let start = finish - beats in
+  Stats.Registry.bump_by cs.beats beats;
   if Trace.enabled () then
     Trace.emit ~at:start
       (Trace.Channel { port = t.name; chan = cs.tchan; op = Trace.Beats beats });
   if start > now then begin
-    (match cs.stalls with
-     | Some c -> Stats.Counter.incr c
-     | None ->
-       let c = Stats.Registry.counter t.stats cs.stalls_name in
-       cs.stalls <- Some c;
-       Stats.Counter.incr c);
-    (match cs.waits with
-     | Some c -> Stats.Counter.add c (start - now)
-     | None ->
-       let c = Stats.Registry.counter t.stats cs.waits_name in
-       cs.waits <- Some c;
-       Stats.Counter.add c (start - now));
+    Stats.Registry.bump cs.stalls;
+    Stats.Registry.bump_by cs.waits (start - now);
     if Trace.enabled () then
       Trace.emit ~at:now
         (Trace.Channel { port = t.name; chan = cs.tchan; op = Trace.Stall (start - now) })
@@ -176,40 +157,30 @@ let trace_msg t ~op ~addr ~now =
   if Trace.enabled () then Trace.emit ~at:now (Trace.Message { port = t.name; op; addr })
 
 let acquire t ~addr ~grow ~now =
-  Stats.Registry.incr t.stats "acquires";
+  Stats.Registry.bump t.acquires;
   trace_msg t ~op:Trace.Msg_acquire ~addr ~now;
   (manager_exn t).acquire ~addr ~grow ~now
 
 let release t ~addr ~shrink ~data ~now =
-  Stats.Registry.incr t.stats "releases";
+  Stats.Registry.bump t.releases;
   trace_msg t ~op:Trace.Msg_release ~addr ~now;
   (manager_exn t).release ~addr ~shrink ~data ~now
 
 let root_release t ~addr ~kind ~data ~now =
-  Stats.Registry.incr t.stats "root_releases";
+  Stats.Registry.bump t.root_releases;
   trace_msg t ~op:Trace.Msg_root_release ~addr ~now;
   (manager_exn t).root_release ~addr ~kind ~data ~now
 
 let root_inval t ~addr ~now =
-  Stats.Registry.incr t.stats "root_invals";
+  Stats.Registry.bump t.root_invals;
   trace_msg t ~op:Trace.Msg_root_inval ~addr ~now;
   (manager_exn t).root_inval ~addr ~now
 
 let peek_word t addr = (manager_exn t).peek_word addr
 
 let probe t ~addr ~cap ~now =
-  (match t.probes with
-   | Some c -> Stats.Counter.incr c
-   | None ->
-     let c = Stats.Registry.counter t.stats "b_probes" in
-     t.probes <- Some c;
-     Stats.Counter.incr c);
-  (match t.probe_beats with
-   | Some c -> Stats.Counter.incr c
-   | None ->
-     let c = Stats.Registry.counter t.stats "b_beats" in
-     t.probe_beats <- Some c;
-     Stats.Counter.incr c);
+  Stats.Registry.bump t.probes;
+  Stats.Registry.bump t.probe_beats;
   if Trace.enabled () then begin
     Trace.emit ~at:now (Trace.Message { port = t.name; op = Trace.Msg_probe; addr });
     Trace.emit ~at:now (Trace.Channel { port = t.name; chan = Trace.Ch_b; op = Trace.Beats 1 })
@@ -227,6 +198,9 @@ module Memside = struct
     crash : unit -> unit;
   }
 
+  (* The agent's own queueing report, bound to the port's registry. *)
+  type waits = { stalls : Stats.Registry.handle; wait_cycles : Stats.Registry.handle }
+
   type t = {
     name : string;
     beats_per_line : int;
@@ -234,10 +208,19 @@ module Memside = struct
     txn : Resource.t option;  (* outstanding-transaction IDs, None = unlimited *)
     stats : Stats.Registry.t;
     ops : ops;
+    reads : Stats.Registry.handle;
+    read_beats : Stats.Registry.handle;
+    writes : Stats.Registry.handle;
+    write_beats : Stats.Registry.handle;
+    persists : Stats.Registry.handle;
+    persist_checks : Stats.Registry.handle;
+    txn_stalls : Stats.Registry.handle;
+    txn_wait_cycles : Stats.Registry.handle;
   }
 
   let create ~name ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0) mk =
     let stats = Stats.Registry.create () in
+    let h = Stats.Registry.handle stats in
     let txn =
       if max_inflight > 0 then
         Some (Resource.create ~count:max_inflight (name ^ "-txn"))
@@ -249,22 +232,30 @@ module Memside = struct
       burst_cost = beats_per_line * burst_beat_cost;
       txn;
       stats;
-      ops = mk stats;
+      ops = mk { stalls = h "stalls"; wait_cycles = h "wait_cycles" };
+      reads = h "reads";
+      read_beats = h "read_beats";
+      writes = h "writes";
+      write_beats = h "write_beats";
+      persists = h "persists";
+      persist_checks = h "persist_checks";
+      txn_stalls = h "txn_stalls";
+      txn_wait_cycles = h "txn_wait_cycles";
     }
 
   let name t = t.name
   let stats t = t.stats
 
-  let note_wait stats cycles =
+  let note_wait w cycles =
     if cycles > 0 then begin
-      Stats.Registry.incr stats "stalls";
-      Stats.Registry.add stats "wait_cycles" cycles
+      Stats.Registry.bump w.stalls;
+      Stats.Registry.bump_by w.wait_cycles cycles
     end
 
   let note_txn_wait t ~now ~start =
     if start > now then begin
-      Stats.Registry.incr t.stats "txn_stalls";
-      Stats.Registry.add t.stats "txn_wait_cycles" (start - now)
+      Stats.Registry.bump t.txn_stalls;
+      Stats.Registry.bump_by t.txn_wait_cycles (start - now)
     end
 
   let trace_op t ~op ~addr ~now =
@@ -273,22 +264,19 @@ module Memside = struct
   (* AXI-style transaction bracket for the line-moving operations: a burst
      holds one outstanding-transaction ID from issue to completion (a full
      ID table delays issue — txn_stalls/txn_wait_cycles), and its data
-     beats add [burst_cost] cycles to the completion time.  With the
-     defaults (unlimited IDs, free beats) this is the identity. *)
-  let burst_op t ~now f =
-    match t.txn with
-    | None -> f ~now + t.burst_cost
-    | Some txn ->
-      let start, finish =
-        Resource.acquire_dyn txn ~now (fun start ->
-            max start (f ~now:start + t.burst_cost))
-      in
-      note_txn_wait t ~now ~start;
-      finish
+     beats add [burst_cost] cycles to the completion time.  Without an ID
+     table the callers skip the bracket: with the defaults (unlimited IDs,
+     free beats) it is the identity. *)
+  let burst_op t txn ~now f =
+    let start, finish =
+      Resource.acquire_dyn txn ~now (fun start -> Int.max start (f ~now:start + t.burst_cost))
+    in
+    note_txn_wait t ~now ~start;
+    finish
 
   let read_line t ~addr ~now =
-    Stats.Registry.incr t.stats "reads";
-    Stats.Registry.add t.stats "read_beats" t.beats_per_line;
+    Stats.Registry.bump t.reads;
+    Stats.Registry.bump_by t.read_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_read ~addr ~now;
     match t.txn with
     | None ->
@@ -300,7 +288,7 @@ module Memside = struct
         Resource.acquire_dyn txn ~now (fun start ->
             let ((_, at, _) as r) = t.ops.read_line ~addr ~now:start in
             res := Some r;
-            max start (at + t.burst_cost))
+            Int.max start (at + t.burst_cost))
       in
       note_txn_wait t ~now ~start;
       (match !res with
@@ -308,19 +296,23 @@ module Memside = struct
        | None -> assert false)
 
   let write_line t ~addr ~data ~now =
-    Stats.Registry.incr t.stats "writes";
-    Stats.Registry.add t.stats "write_beats" t.beats_per_line;
+    Stats.Registry.bump t.writes;
+    Stats.Registry.bump_by t.write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_write ~addr ~now;
-    burst_op t ~now (fun ~now -> t.ops.write_line ~addr ~data ~now)
+    match t.txn with
+    | None -> t.ops.write_line ~addr ~data ~now + t.burst_cost
+    | Some txn -> burst_op t txn ~now (fun ~now -> t.ops.write_line ~addr ~data ~now)
 
   let persist_line t ~addr ~data ~now =
-    Stats.Registry.incr t.stats "persists";
-    Stats.Registry.add t.stats "write_beats" t.beats_per_line;
+    Stats.Registry.bump t.persists;
+    Stats.Registry.bump_by t.write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_persist ~addr ~now;
-    burst_op t ~now (fun ~now -> t.ops.persist_line ~addr ~data ~now)
+    match t.txn with
+    | None -> t.ops.persist_line ~addr ~data ~now + t.burst_cost
+    | Some txn -> burst_op t txn ~now (fun ~now -> t.ops.persist_line ~addr ~data ~now)
 
   let persist_if_dirty t ~addr ~now =
-    Stats.Registry.incr t.stats "persist_checks";
+    Stats.Registry.bump t.persist_checks;
     t.ops.persist_if_dirty ~addr ~now
 
   let discard_line t ~addr = t.ops.discard_line ~addr

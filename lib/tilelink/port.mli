@@ -155,14 +155,17 @@ module Memside : sig
 
   type t
 
+  type waits
+  (** The port's [stalls]/[wait_cycles] counters, handed to the agent. *)
+
   val create :
     name:string ->
     beats_per_line:int ->
     ?max_inflight:int ->
     ?burst_beat_cost:int ->
-    (Skipit_sim.Stats.Registry.t -> ops) ->
+    (waits -> ops) ->
     t
-  (** The agent's [ops] are built against the port's own counter registry so
+  (** The agent's [ops] are built against the port's own wait counters so
       the agent can report queueing with {!note_wait}.
 
       [max_inflight] (default 0 = unlimited) caps outstanding line
@@ -176,8 +179,8 @@ module Memside : sig
   val name : t -> string
   val stats : t -> Skipit_sim.Stats.Registry.t
 
-  val note_wait : Skipit_sim.Stats.Registry.t -> int -> unit
-  (** [note_wait stats cycles] records [cycles] of queueing delay (no-op for
+  val note_wait : waits -> int -> unit
+  (** [note_wait waits cycles] records [cycles] of queueing delay (no-op for
       [cycles <= 0]). *)
 
   val read_line : t -> addr:int -> now:int -> int array * int * bool

@@ -163,6 +163,56 @@ let test_l1_hit_zero_alloc () =
     (Printf.sprintf "0 minor words across 10k L1 hits (saw %.0f)" allocated)
     true (allocated < 64.)
 
+(* Words per operation on the miss and write-back paths, pinned at 72 and
+   197 on OCaml 5.1 with a little slack for other compiler versions.  The
+   per-access bookkeeping (counter handles, the unit order of [Resource],
+   [Int_tbl] DRAM words, flush-unit retirement) allocates nothing; what
+   remains is the request's own records, closures and line copies. *)
+let words_per_op n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_l1_miss_l2_hit_alloc () =
+  let sys, dc, _ = fresh () in
+  let lines = 256 in
+  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (lines * 64) in
+  (* Core 1 brings every line into the L2; core 0 then misses its L1 and
+     hits the L2 on each (256 lines fit its L1 without evictions). *)
+  let now = ref 0 in
+  for i = 0 to lines - 1 do
+    now := snd (Dcache.load (S.dcache sys 1) ~addr:(base + (i * 64)) ~now:!now)
+  done;
+  ignore (Dcache.load_word dc ~addr:base ~now:!now);
+  let words =
+    words_per_op (lines - 1) (fun i ->
+      ignore (Dcache.load_word dc ~addr:(base + (i * 64)) ~now:!now);
+      now := Dcache.done_at dc)
+  in
+  Alcotest.(check int) "every load hit the L2" lines
+    (Skipit_sim.Stats.Registry.get (Skipit_l2.Inclusive_cache.stats (S.l2 sys)) "hits");
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 76 minor words per L1-miss/L2-hit load (saw %.1f)" words)
+    true (words <= 76.)
+
+let test_store_clean_fence_alloc () =
+  let _, dc, a = fresh () in
+  let now = ref 0 in
+  let step i =
+    let t = Dcache.store dc ~addr:a ~value:i ~now:!now in
+    let r = Dcache.cbo dc ~addr:a ~kind:Message.Wb_clean ~now:t in
+    now := Dcache.fence dc ~now:r.Dcache.commit_at
+  in
+  for i = 1 to 10 do
+    step i
+  done;
+  let words = words_per_op 1000 step in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 208 minor words per store+clean+fence (saw %.1f)" words)
+    true (words <= 208.)
+
 let test_held_lines_inclusion () =
   let sys, dc, a = fresh () in
   ignore (Dcache.load dc ~addr:a ~now:0);
@@ -187,4 +237,6 @@ let tests =
       Alcotest.test_case "probe blocked by FSHR (§5.4.1)" `Quick test_probe_blocked_by_fshr;
       Alcotest.test_case "L1 hit allocates zero minor words" `Quick test_l1_hit_zero_alloc;
       Alcotest.test_case "held lines" `Quick test_held_lines_inclusion;
+      Alcotest.test_case "L1-miss/L2-hit load words pinned" `Quick test_l1_miss_l2_hit_alloc;
+      Alcotest.test_case "store+clean+fence words pinned" `Quick test_store_clean_fence_alloc;
     ] )

@@ -201,6 +201,97 @@ let test_skip_counter () =
   Alcotest.(check int) "skip drops" 2
     (Skipit_sim.Stats.Registry.get (FU.stats fu) "skip_dropped")
 
+(* Retirement.  A pending request leaves the conflict structures at the
+   first query whose [now] reaches its [ack_at] -- whatever order the
+   queries' clocks come in (a cross-core probe carries the prober's
+   clock). *)
+
+let accepted = function FU.Accepted p -> p | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce"
+
+let test_retires_once_at_ack () =
+  let fu = FU.create (params ()) ~core:0 in
+  let p = accepted (submit fu ~addr:0x40 ~now:0) in
+  Alcotest.(check int) "pending before its ack" 1 (FU.outstanding fu ~now:(p.FU.ack_at - 1));
+  Alcotest.(check int) "retired at its ack" 0 (FU.outstanding fu ~now:p.FU.ack_at);
+  Alcotest.(check int) "stays retired for an earlier clock" 0 (FU.outstanding fu ~now:0);
+  Alcotest.(check int) "fence no longer waits" 5 (FU.fence_ready_at fu ~now:5)
+
+let test_late_submit_retires () =
+  let fu = FU.create (params ()) ~core:0 in
+  ignore (FU.outstanding fu ~now:10_000);
+  let p = accepted (submit fu ~addr:0x40 ~now:10) in
+  Alcotest.(check bool) "ack behind the latest clock" true (p.FU.ack_at < 10_000);
+  Alcotest.(check int) "not retired before its ack" 1 (FU.outstanding fu ~now:(p.FU.ack_at - 1));
+  Alcotest.(check int) "retired once a query reaches it" 0 (FU.outstanding fu ~now:p.FU.ack_at)
+
+let test_distant_acks_retire () =
+  let fu = FU.create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
+  let ps = List.init 6 (fun i -> accepted (submit fu ~addr:(0x40 * (i + 1)) ~now:0)) in
+  let acks = List.map (fun p -> p.FU.ack_at) ps in
+  let first = List.fold_left min max_int acks and last = List.fold_left max 0 acks in
+  Alcotest.(check int) "all pending before the earliest ack" 6
+    (FU.outstanding fu ~now:(first - 1));
+  Alcotest.(check int) "earliest retires alone" 5 (FU.outstanding fu ~now:first);
+  Alcotest.(check int) "fence waits for the latest" last (FU.fence_ready_at fu ~now:first);
+  Alcotest.(check int) "all retire at the latest" 0 (FU.outstanding fu ~now:last)
+
+let test_crash_drops_pendings () =
+  let fu = FU.create (params ()) ~core:0 in
+  ignore (submit fu ~addr:0x40 ~now:0);
+  ignore (submit fu ~addr:0x80 ~now:0);
+  FU.crash fu;
+  Alcotest.(check int) "nothing pending after a crash" 0 (FU.outstanding fu ~now:0);
+  Alcotest.(check int) "fence free after a crash" 3 (FU.fence_ready_at fu ~now:3);
+  let p = accepted (submit fu ~addr:0x40 ~now:1) in
+  Alcotest.(check int) "a new request is pending" 1 (FU.outstanding fu ~now:(p.FU.ack_at - 1));
+  Alcotest.(check int) "and retires at its ack" 0 (FU.outstanding fu ~now:p.FU.ack_at)
+
+type fu_op = Submit of int * int (* line, now *) | Query of int
+
+(* [lines] and [span] bound the submitted lines and the query clocks: a
+   narrow span piles many acks onto few cycles, a wide one with more FSHRs
+   spreads them out so most queries retire nothing. *)
+let retirement_matches_filter ~name ~count ~n_fshrs ~depth ~lines ~span =
+  QCheck.Test.make ~name ~count
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function
+                | Submit (l, n) -> Printf.sprintf "S%d@%d" l n
+                | Query n -> Printf.sprintf "Q%d" n)
+              ops))
+       QCheck.Gen.(
+         list_size (int_range 1 60)
+           (frequency
+              [
+                (2, map2 (fun l n -> Submit (l, n)) (int_range 0 (lines - 1)) (int_range 0 span));
+                (3, map (fun n -> Query n) (int_range 0 (span + (span / 3))));
+              ])))
+  @@ fun ops ->
+  (* Without coalescing a submission runs no query of its own. *)
+  let fu = FU.create (params ~n_fshrs ~depth ~coalescing:false ()) ~core:0 in
+  let model = ref [] in
+  List.for_all
+    (function
+      | Submit (line, now) ->
+        let p = accepted (submit fu ~addr:(0x1000 + (line * 64)) ~now) in
+        model := p.FU.ack_at :: !model;
+        true
+      | Query now ->
+        model := List.filter (fun ack -> ack > now) !model;
+        FU.outstanding fu ~now = List.length !model
+        && FU.fence_ready_at fu ~now = List.fold_left max now !model)
+    ops
+
+let prop_retirement_matches_filter =
+  retirement_matches_filter ~name:"retirement matches filter model" ~count:300 ~n_fshrs:2
+    ~depth:4 ~lines:8 ~span:600
+
+let prop_retirement_matches_filter_wide =
+  retirement_matches_filter ~name:"wide retirement matches filter model"
+    ~count:200 ~n_fshrs:8 ~depth:16 ~lines:64 ~span:20_000
+
 let tests =
   ( "flush_unit",
     [
@@ -217,4 +308,10 @@ let tests =
       Alcotest.test_case "store rules" `Quick test_store_rules;
       Alcotest.test_case "probe/evict interlock" `Quick test_probe_interlock;
       Alcotest.test_case "skip counter" `Quick test_skip_counter;
+      Alcotest.test_case "pending retires once at its ack" `Quick test_retires_once_at_ack;
+      Alcotest.test_case "late submit behind clock retires" `Quick test_late_submit_retires;
+      Alcotest.test_case "distant acks retire when reached" `Quick test_distant_acks_retire;
+      Alcotest.test_case "crash drops pendings" `Quick test_crash_drops_pendings;
+      QCheck_alcotest.to_alcotest prop_retirement_matches_filter;
+      QCheck_alcotest.to_alcotest prop_retirement_matches_filter_wide;
     ] )

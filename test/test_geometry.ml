@@ -42,6 +42,23 @@ let prop_same_line_same_slice =
   Geometry.tag_of g base = Geometry.tag_of g (base + off)
   && Geometry.index_of g base = Geometry.index_of g (base + off)
 
+(* The slicing functions shift by precomputed amounts; over random valid
+   geometries and non-negative addresses they must equal the division
+   formulas they replace. *)
+let prop_shifts_match_division =
+  QCheck.Test.make ~name:"shifts equal the division formulas" ~count:1000
+    QCheck.(
+      quad (int_range 3 12) (int_range 1 16) (int_range 0 14)
+        (oneof [ int_range 0 0xFFFF_FFFF; int_range 0 max_int ]))
+  @@ fun (line_log, ways, sets_log, addr) ->
+  let line_bytes = 1 lsl line_log and sets = 1 lsl sets_log in
+  let g = Geometry.v ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes in
+  let tag = addr / line_bytes / sets and index = addr / line_bytes land (sets - 1) in
+  Geometry.tag_of g addr = tag
+  && Geometry.index_of g addr = index
+  && Geometry.offset_word g addr = addr land (line_bytes - 1) / 8
+  && Geometry.addr_of g ~tag ~index = ((tag * sets) + index) * line_bytes
+
 let tests =
   ( "geometry",
     [
@@ -50,4 +67,5 @@ let tests =
       Alcotest.test_case "invalid params rejected" `Quick test_invalid;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_same_line_same_slice;
+      QCheck_alcotest.to_alcotest prop_shifts_match_division;
     ] )

@@ -96,6 +96,98 @@ let test_dram_snapshot () =
   Alcotest.(check int) "snapshot immutable" 5 (Backing.read_word snap 0x40);
   Alcotest.(check int) "live view" 6 (Dram.peek_word d 0x40)
 
+(* [Backing] against a [Hashtbl] model: word and line reads and writes
+   over a small address range (so lines overlap words), snapshots that
+   must not see later writes, and a footprint that counts written zeros. *)
+type backing_op =
+  | Write_word of int * int
+  | Read_word of int
+  | Write_line of int * int array
+  | Read_line of int
+  | Snapshot
+
+let backing_op_gen =
+  let addr = QCheck.Gen.map (fun w -> w * 8) (QCheck.Gen.int_range 0 255) in
+  let value = QCheck.Gen.(frequency [ (1, return 0); (3, int_range (-5) 1000) ]) in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun a v -> Write_word (a, v)) addr value);
+        (3, map (fun a -> Read_word a) addr);
+        (2, map2 (fun a l -> Write_line (a, l)) addr (array_size (return 8) value));
+        (2, map (fun a -> Read_line a) addr);
+        (1, return Snapshot);
+      ])
+
+let print_backing_op = function
+  | Write_word (a, v) -> Printf.sprintf "W%#x=%d" a v
+  | Read_word a -> Printf.sprintf "R%#x" a
+  | Write_line (a, _) -> Printf.sprintf "WL%#x" a
+  | Read_line a -> Printf.sprintf "RL%#x" a
+  | Snapshot -> "S"
+
+let contents iter =
+  let acc = ref [] in
+  iter (fun a v -> acc := (a, v) :: !acc);
+  List.sort compare !acc
+
+let prop_backing_matches_model =
+  QCheck.Test.make ~name:"backing matches a hashtable model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map print_backing_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) backing_op_gen))
+  @@ fun ops ->
+  let b = Backing.create () in
+  let m = Hashtbl.create 16 in
+  let model_read a = Option.value (Hashtbl.find_opt m a) ~default:0 in
+  let line_base a = a land lnot 63 in
+  let snaps = ref [] in
+  let ok =
+    List.for_all
+      (function
+        | Write_word (a, v) ->
+          Backing.write_word b a v;
+          Hashtbl.replace m a v;
+          true
+        | Read_word a -> Backing.read_word b a = model_read a
+        | Write_line (a, line) ->
+          Backing.write_line b ~line_bytes:64 a line;
+          Array.iteri (fun i v -> Hashtbl.replace m (line_base a + (8 * i)) v) line;
+          true
+        | Read_line a ->
+          Backing.read_line b ~line_bytes:64 a
+          = Array.init 8 (fun i -> model_read (line_base a + (8 * i)))
+        | Snapshot ->
+          snaps := (Backing.copy b, Hashtbl.copy m) :: !snaps;
+          true)
+      ops
+  in
+  let same (b, m) =
+    Backing.footprint b = Hashtbl.length m
+    && contents (Backing.iter b) = contents (fun f -> Hashtbl.iter f m)
+  in
+  ok && same (b, m) && List.for_all same !snaps
+
+(* The DRAM read path allocates the line it returns (1 + 8 words) and the
+   (data, time) pair (3 words), nothing per word. *)
+let test_dram_read_line_alloc () =
+  let d =
+    Dram.create ~channels:2 ~read_latency:10 ~write_latency:10 ~occupancy:2 ~line_bytes:64
+  in
+  for i = 0 to 63 do
+    Dram.poke_word d (i * 8) i
+  done;
+  ignore (Dram.read_line d ~addr:0 ~now:0);
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Dram.read_line d ~addr:(i land 7 * 64) ~now:i)
+  done;
+  let per_read = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "12 minor words per read_line (saw %.2f)" per_read)
+    true (per_read <= 12.1)
+
 let tests =
   ( "mem",
     [
@@ -108,5 +200,7 @@ let tests =
       Alcotest.test_case "dram timing" `Quick test_dram_timing;
       Alcotest.test_case "dram parallel channels" `Quick test_dram_parallel_channels;
       Alcotest.test_case "dram snapshot" `Quick test_dram_snapshot;
+      Alcotest.test_case "dram read_line allocates one line" `Quick test_dram_read_line_alloc;
       QCheck_alcotest.to_alcotest prop_alloc_disjoint;
+      QCheck_alcotest.to_alcotest prop_backing_matches_model;
     ] )

@@ -88,6 +88,34 @@ let test_trace_sink_is_domain_local () =
     Alcotest.(check (list int)) "each job saw only its own events" [ 5; 10 ] lengths);
   Alcotest.(check bool) "main sink still off" false (Trace.enabled ())
 
+let test_sink_count_keeps_domains_apart () =
+  (* A sink installed on another domain lifts the global install count but
+     must still read as absent here; stopping it brings the count back. *)
+  let installed = Atomic.make false and release = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+      ignore (Trace.start ());
+      Atomic.set installed true;
+      while not (Atomic.get release) do
+        Domain.cpu_relax ()
+      done;
+      let on = Trace.enabled () in
+      ignore (Trace.stop ());
+      on)
+  in
+  while not (Atomic.get installed) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) "other domain's sink is not ours" false (Trace.enabled ());
+  Trace.emit ~at:0 (Trace.Meta { track = "t"; note = "n" });
+  Atomic.set release true;
+  Alcotest.(check bool) "other domain saw its own sink" true (Domain.join d);
+  let tr = Trace.start () in
+  Alcotest.(check bool) "own sink on" true (Trace.enabled ());
+  Alcotest.(check int) "nothing leaked into it" 0 (Trace.length tr);
+  ignore (Trace.stop ());
+  Alcotest.(check bool) "own sink off" false (Trace.enabled ())
+
 (* == Determinism of the experiment drivers ============================== *)
 
 let figure_output ?deque_cap name ~jobs =
@@ -176,6 +204,8 @@ let tests =
       Alcotest.test_case "nested map runs inline" `Quick test_nested_map_runs_inline;
       Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
       Alcotest.test_case "trace sink is domain-local" `Quick test_trace_sink_is_domain_local;
+      Alcotest.test_case "sink count keeps domains apart" `Quick
+        test_sink_count_keeps_domains_apart;
       Alcotest.test_case "figures byte-identical at any width" `Slow test_figures_deterministic;
       Alcotest.test_case "steal path byte-identical (deque_cap 1)" `Slow test_steal_path_deterministic;
       Alcotest.test_case "ablation byte-identical under pool" `Slow test_ablation_deterministic;

@@ -55,56 +55,125 @@ let test_banked_routing () =
   let bank4 = Resource.Banked.bank_of b ~addr:(4 * 64) ~line_bytes:64 in
   Alcotest.(check string) "wraps modulo banks" (Resource.name bank0) (Resource.name bank4)
 
-(* Naive reference model for the cached-argmin implementation: a plain
-   array of per-unit free times, scanned in full on every acquire with the
-   same first-lowest-index tie-break.  The cached version must agree on
-   every start/finish pair and on the derived queries after every step. *)
+(* Naive reference model: a plain array of per-unit free times, scanned
+   in full on every acquisition with the first-lowest-index tie-break.  A
+   dynamic acquisition picks its unit before running the callback and
+   writes the unit's finish after it, so a callback that re-enters the
+   resource sees the unit still free and picks it too. *)
 module Naive = struct
   type t = int array
 
   let create count : t = Array.make count 0
 
-  let acquire (t : t) ~now ~busy =
+  let acquire_dyn_idx (t : t) ~now f =
     let best = ref 0 in
     for i = 1 to Array.length t - 1 do
       if t.(i) < t.(!best) then best := i
     done;
-    let start = max now t.(!best) in
-    let finish = start + busy in
-    t.(!best) <- finish;
-    start, finish
+    let i = !best in
+    let start = max now t.(i) in
+    let finish = f ~idx:i start in
+    t.(i) <- finish;
+    i, start, finish
 
   let earliest_free (t : t) = Array.fold_left min t.(0) t
   let all_free_at (t : t) = Array.fold_left max t.(0) t
 
   let busy_at (t : t) at =
     Array.fold_left (fun acc f -> if f > at then acc + 1 else acc) 0 t
+
+  let reset (t : t) = Array.fill t 0 (Array.length t) 0
 end
+
+(* A script over either implementation.  [now] is drawn afresh for every
+   step, so it moves backwards as well as forwards. *)
+type step =
+  | Acquire of int * int  (* now, busy *)
+  | Dyn of int * int * (int * int) option  (* now, busy, reentrant (now, busy) *)
+  | Reset
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun now busy -> Acquire (now, busy)) (int_range 0 200) (int_range 0 40));
+        ( 3,
+          map3
+            (fun now busy inner -> Dyn (now, busy, inner))
+            (int_range 0 200) (int_range 0 40)
+            (opt (pair (int_range 0 200) (int_range 0 40))) );
+        (1, return Reset);
+      ])
+
+let print_step = function
+  | Acquire (n, b) -> Printf.sprintf "A(%d,%d)" n b
+  | Dyn (n, b, None) -> Printf.sprintf "D(%d,%d)" n b
+  | Dyn (n, b, Some (n', b')) -> Printf.sprintf "D(%d,%d,[%d,%d])" n b n' b'
+  | Reset -> "R"
+
+(* Run [steps], logging every picked unit, start, finish and the derived
+   queries after each step. *)
+let run_script ~acquire ~acquire_dyn_idx ~earliest_free ~all_free_at ~busy_at ~reset steps =
+  let log = ref [] in
+  let note l = log := l :: !log in
+  List.iter
+    (fun step ->
+      let now =
+        match step with
+        | Acquire (now, busy) ->
+          let s, f = acquire ~now ~busy in
+          note [ s; f ];
+          now
+        | Dyn (now, busy, inner) ->
+          let i, s, f =
+            acquire_dyn_idx ~now (fun ~idx:_ s ->
+              (match inner with
+               | Some (now', busy') ->
+                 let i', s', f' = acquire_dyn_idx ~now:now' (fun ~idx:_ s -> s + busy') in
+                 note [ i'; s'; f' ]
+               | None -> ());
+              s + busy)
+          in
+          note [ i; s; f ];
+          now
+        | Reset ->
+          reset ();
+          0
+      in
+      note [ earliest_free (); all_free_at (); busy_at now ])
+    steps;
+  List.rev !log
 
 let prop_matches_naive_scan =
   QCheck.Test.make ~name:"cached argmin agrees with naive scan" ~count:500
-    QCheck.(
-      pair (int_range 1 8)
-        (list_of_size (QCheck.Gen.int_range 1 60)
-           (pair (int_range 0 50) (int_range 0 25))))
-  @@ fun (count, reqs) ->
+    (QCheck.make
+       ~print:(fun (count, steps) ->
+         Printf.sprintf "count %d: %s" count (String.concat " " (List.map print_step steps)))
+       QCheck.Gen.(pair (int_range 1 64) (list_size (int_range 1 80) step_gen)))
+  @@ fun (count, steps) ->
   let r = Resource.create ~count "r" in
   let m = Naive.create count in
-  (* Requests arrive with non-decreasing [now], as in the simulator. *)
-  let _, ok =
-    List.fold_left
-      (fun (now, ok) (dt, busy) ->
-        let now = now + dt in
-        let s, f = Resource.acquire r ~now ~busy in
-        let s', f' = Naive.acquire m ~now ~busy in
-        ( now,
-          ok && s = s' && f = f'
-          && Resource.earliest_free r = Naive.earliest_free m
-          && Resource.all_free_at r = Naive.all_free_at m
-          && Resource.busy_at r now = Naive.busy_at m now ))
-      (0, true) reqs
+  let real =
+    run_script ~acquire:(Resource.acquire r) ~acquire_dyn_idx:(Resource.acquire_dyn_idx r)
+      ~earliest_free:(fun () -> Resource.earliest_free r)
+      ~all_free_at:(fun () -> Resource.all_free_at r)
+      ~busy_at:(Resource.busy_at r)
+      ~reset:(fun () -> Resource.reset r)
+      steps
   in
-  ok
+  let naive =
+    run_script
+      ~acquire:(fun ~now ~busy ->
+        let _, s, f = Naive.acquire_dyn_idx m ~now (fun ~idx:_ s -> s + busy) in
+        s, f)
+      ~acquire_dyn_idx:(Naive.acquire_dyn_idx m)
+      ~earliest_free:(fun () -> Naive.earliest_free m)
+      ~all_free_at:(fun () -> Naive.all_free_at m)
+      ~busy_at:(Naive.busy_at m)
+      ~reset:(fun () -> Naive.reset m)
+      steps
+  in
+  real = naive
 
 let prop_start_never_before_now =
   QCheck.Test.make ~name:"start >= now always" ~count:300

@@ -143,6 +143,34 @@ let test_registry () =
   Registry.reset_all r;
   Alcotest.(check int) "reset all" 0 (Registry.get r "hits")
 
+let test_handle_binds_on_first_bump () =
+  let r = Registry.create () in
+  let hits = Registry.handle r "hits" and nacks = Registry.handle r "nacks" in
+  Alcotest.(check (list (pair string int))) "unbumped handles stay out" [] (Registry.to_list r);
+  Registry.incr r "hits";
+  Registry.bump hits;
+  Registry.bump_by hits 3;
+  Alcotest.(check (list (pair string int))) "a bump shares the named counter"
+    [ "hits", 5 ] (Registry.to_list r);
+  Registry.reset_all r;
+  Registry.bump hits;
+  Alcotest.(check int) "bound across reset_all" 1 (Registry.get r "hits");
+  ignore nacks
+
+let test_handle_bump_zero_alloc () =
+  let r = Registry.create () in
+  let h = Registry.handle r "beats" in
+  Registry.bump h;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Registry.bump h;
+    Registry.bump_by h i
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 minor words across 20k bumps (saw %.0f)" allocated)
+    true (allocated < 64.)
+
 let tests =
   ( "stats",
     [
@@ -156,6 +184,8 @@ let tests =
       Alcotest.test_case "growth to 1000" `Quick test_growth;
       Alcotest.test_case "counter" `Quick test_counter;
       Alcotest.test_case "registry" `Quick test_registry;
+      Alcotest.test_case "handle binds on first bump" `Quick test_handle_binds_on_first_bump;
+      Alcotest.test_case "bound handle bump allocates 0" `Quick test_handle_bump_zero_alloc;
       QCheck_alcotest.to_alcotest prop_percentile_matches_reference;
       QCheck_alcotest.to_alcotest prop_median_bounded;
       QCheck_alcotest.to_alcotest prop_percentile_monotone;
