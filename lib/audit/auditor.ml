@@ -17,7 +17,7 @@ type t = {
 
 let create sys = { sys; tracked = Hashtbl.create 64; rev_failures = [] }
 
-let persist_count t addr = List.length (PL.persists_of (S.persist_log t.sys) ~addr)
+let persist_count t addr = PL.persist_count (S.persist_log t.sys) ~addr
 
 let dirty_lines t =
   let acc = Hashtbl.create 64 in

@@ -120,26 +120,40 @@ let apply_fault fault (s : Strategy.t) =
 (* ------------------------------------------------------------------ *)
 (* Deterministic op schedules and the sequential oracle.              *)
 
-type op = Insert of int | Delete of int | Contains of int | Enqueue of int | Dequeue
+type set_op = Insert of int | Delete of int | Contains of int
+type queue_op = Enqueue of int | Dequeue
+
+(* A structure's op schedule and, once the trial body has built it, its
+   handle.  Both are typed per structure, so a set op can never be
+   dispatched to a queue or the other way round. *)
+type target =
+  | Set_target of { kind : Ops.kind; set_ops : set_op array; mutable set : Ops.handle option }
+  | Queue_target of { queue_ops : queue_op array; mutable queue : MQ.t option }
 
 let set_key_range = 16
 
-let gen_ops spec =
+let gen_target spec =
   let rng = Rng.create ~seed:(spec.seed lxor (Hashtbl.hash (structure_name spec.structure) * 65599)) in
   match spec.structure with
-  | Set _ ->
-    Array.init spec.n_ops (fun _ ->
-      let key = 1 + Rng.int rng set_key_range in
-      let r = Rng.int rng 100 in
-      if r < 45 then Insert key else if r < 80 then Delete key else Contains key)
+  | Set kind ->
+    let set_ops =
+      Array.init spec.n_ops (fun _ ->
+        let key = 1 + Rng.int rng set_key_range in
+        let r = Rng.int rng 100 in
+        if r < 45 then Insert key else if r < 80 then Delete key else Contains key)
+    in
+    Set_target { kind; set_ops; set = None }
   | Queue ->
     let next_value = ref 0 in
-    Array.init spec.n_ops (fun _ ->
-      if Rng.int rng 100 < 60 then begin
-        incr next_value;
-        Enqueue !next_value
-      end
-      else Dequeue)
+    let queue_ops =
+      Array.init spec.n_ops (fun _ ->
+        if Rng.int rng 100 < 60 then begin
+          incr next_value;
+          Enqueue !next_value
+        end
+        else Dequeue)
+    in
+    Queue_target { queue_ops; queue = None }
 
 (* ------------------------------------------------------------------ *)
 (* One trial.                                                         *)
@@ -166,7 +180,7 @@ let set_model ops ~completed =
         match op with
         | Insert k -> Hashtbl.replace model k true
         | Delete k -> Hashtbl.replace model k false
-        | Contains _ | Enqueue _ | Dequeue -> ())
+        | Contains _ -> ())
     ops;
   model
 
@@ -177,8 +191,7 @@ let queue_model ops ~completed =
       if i < completed then
         match op with
         | Enqueue v -> q := !q @ [ v ]
-        | Dequeue -> (match !q with [] -> () | _ :: t -> q := t)
-        | Insert _ | Delete _ | Contains _ -> ())
+        | Dequeue -> (match !q with [] -> () | _ :: t -> q := t))
     ops;
   !q
 
@@ -188,17 +201,15 @@ let verify_set (h : Ops.handle) p sys ops ~completed =
   ignore (T.run_task sys (fun () -> h.Ops.repair p));
   let snap = h.Ops.snapshot sys in
   let model = set_model ops ~completed in
-  let pending = if completed < Array.length ops then Some ops.(completed) else None in
   let pending_key =
-    match pending with Some (Insert k) | Some (Delete k) -> Some k | _ -> None
+    if completed < Array.length ops then
+      match ops.(completed) with Insert k | Delete k -> Some k | Contains _ -> None
+    else None
   in
   let touched = Hashtbl.create 64 in
   Array.iteri
-    (fun i op ->
-      if i <= completed then
-        match op with
-        | Insert k | Delete k | Contains k -> Hashtbl.replace touched k ()
-        | Enqueue _ | Dequeue -> ())
+    (fun i (Insert k | Delete k | Contains k) ->
+      if i <= completed then Hashtbl.replace touched k ())
     ops;
   List.iter
     (fun k ->
@@ -224,7 +235,7 @@ let verify_queue q p sys ops ~completed =
     match pending with
     | Some (Enqueue v) -> [ base; base @ [ v ] ]
     | Some Dequeue -> [ base; (match base with [] -> [] | _ :: t -> t) ]
-    | _ -> [ base ]
+    | None -> [ base ]
   in
   if List.mem snap acceptable then []
   else
@@ -235,10 +246,22 @@ let verify_queue q p sys ops ~completed =
         (match pending with
          | Some (Enqueue v) -> Printf.sprintf " (or with pending enqueue %d)" v
          | Some Dequeue -> " (or with pending dequeue applied)"
-         | _ -> "");
+         | None -> "");
     ]
 
-let run_trial ?(audit_every = 400) ?l2_banks spec ~crash_at =
+(* Everything a trial mutates, in one record: the three stages below
+   ([build], [run], [finish]) touch nothing else, which is what lets a
+   crash trial run on a copy taken mid-run (see [copy]). *)
+type world = {
+  sys : S.t;
+  p : Pctx.t;  (* the realized strategy, counting its persist points *)
+  target : target;
+  auditor : Auditor.t;
+  persist_points : int ref;
+  mutable completed : int;
+}
+
+let build ?(audit_every = 400) ?l2_banks spec =
   let sys = build_system ?l2_banks spec in
   let strategy = apply_fault spec.fault (realize_strategy spec) in
   (* Crash boundaries count persist-point *calls*, not persist-log events:
@@ -260,96 +283,176 @@ let run_trial ?(audit_every = 400) ?l2_banks spec ~crash_at =
           incr persist_points);
     }
   in
-  let p = Pctx.make counted spec.mode in
-  let ops = gen_ops spec in
-  let completed = ref 0 in
-  let handle = ref None in
-  let body () =
-    (match spec.structure with
-     | Queue -> handle := Some (`Queue (MQ.create p (S.allocator sys)))
-     | Set k -> handle := Some (`Set (Ops.create_sized k ~buckets:4 p (S.allocator sys))));
-    Array.iter
-      (fun op ->
-        (match op, !handle with
-         | Insert k, Some (`Set h) -> ignore (h.Ops.insert p k)
-         | Delete k, Some (`Set h) -> ignore (h.Ops.delete p k)
-         | Contains k, Some (`Set h) -> ignore (h.Ops.contains p k)
-         | Enqueue v, Some (`Queue q) -> MQ.enqueue q p v
-         | Dequeue, Some (`Queue q) -> ignore (MQ.dequeue q p)
-         | _ -> assert false);
-        incr completed)
-      ops
-  in
   let auditor = Auditor.create sys in
   Auditor.attach auditor ~every:audit_every;
-  let stop =
-    match crash_at with
-    | None -> fun () -> false
-    | Some b -> fun () -> !persist_points >= b
-  in
-  let outcome = T.run_until sys ~stop [ { T.core = 0; body } ] in
-  let crashed = match outcome with `Stopped _ -> true | `Completed _ -> false in
+  {
+    sys;
+    p = Pctx.make counted spec.mode;
+    target = gen_target spec;
+    auditor;
+    persist_points;
+    completed = 0;
+  }
+
+let system w = w.sys
+let persist_points w = !(w.persist_points)
+
+let body w () =
+  let alloc = S.allocator w.sys in
+  let completed () = w.completed <- w.completed + 1 in
+  match w.target with
+  | Set_target t ->
+    let h = Ops.create_sized t.kind ~buckets:4 w.p alloc in
+    t.set <- Some h;
+    Array.iter
+      (fun op ->
+        (match op with
+         | Insert k -> ignore (h.Ops.insert w.p k)
+         | Delete k -> ignore (h.Ops.delete w.p k)
+         | Contains k -> ignore (h.Ops.contains w.p k));
+        completed ())
+      t.set_ops
+  | Queue_target t ->
+    let q = MQ.create w.p alloc in
+    t.queue <- Some q;
+    Array.iter
+      (fun op ->
+        (match op with Enqueue v -> MQ.enqueue q w.p v | Dequeue -> ignore (MQ.dequeue q w.p));
+        completed ())
+      t.queue_ops
+
+let run w ~stop =
+  match T.run_until w.sys ~stop [ { T.core = 0; body = body w } ] with
+  | `Stopped _ -> true
+  | `Completed _ -> false
+
+let finish w ~crashed =
   let violations = ref [] in
+  let add v = violations := v :: !violations in
   let note_invariants ~quiesced =
     List.iter
-      (fun v -> violations := Invariant.violation_to_string v :: !violations)
-      (Invariant.check_all ~quiesced sys)
+      (fun v -> add (Invariant.violation_to_string v))
+      (Invariant.check_all ~quiesced w.sys)
   in
   if crashed then begin
-    S.crash sys;
-    Auditor.note_crash auditor;
+    S.crash w.sys;
+    Auditor.note_crash w.auditor;
     (* Post-crash, pre-repair: the crash must leave the machinery clean. *)
     note_invariants ~quiesced:true;
-    (match !handle with
-     | None -> ()  (* crashed during construction: nothing was promised *)
-     | Some (`Set h) ->
-       List.iter (fun v -> violations := v :: !violations)
-         (verify_set h p sys ops ~completed:!completed)
-     | Some (`Queue q) ->
-       List.iter (fun v -> violations := v :: !violations)
-         (verify_queue q p sys ops ~completed:!completed))
+    match w.target with
+    | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
+      ()  (* crashed during construction: nothing was promised *)
+    | Set_target { set = Some h; set_ops; _ } ->
+      List.iter add (verify_set h w.p w.sys set_ops ~completed:w.completed)
+    | Queue_target { queue = Some q; queue_ops } ->
+      List.iter add (verify_queue q w.p w.sys queue_ops ~completed:w.completed)
   end
   else begin
     (* Uncrashed run: quiesced structural + conservation + oracle checks. *)
-    ignore (Auditor.observe auditor);
+    ignore (Auditor.observe w.auditor);
     note_invariants ~quiesced:true;
-    match !handle with
-    | Some (`Set h) ->
-      let snap = h.Ops.snapshot sys in
-      let model = set_model ops ~completed:!completed in
+    match w.target with
+    | Set_target { set = Some h; set_ops; _ } ->
+      let snap = h.Ops.snapshot w.sys in
+      let model = set_model set_ops ~completed:w.completed in
       Hashtbl.iter
         (fun k present ->
           if present <> List.mem k snap then
-            violations :=
-              Printf.sprintf "uncrashed run: key %d %s" k
-                (if present then "missing" else "present-but-deleted")
-              :: !violations)
+            add
+              (Printf.sprintf "uncrashed run: key %d %s" k
+                 (if present then "missing" else "present-but-deleted")))
         model
-    | Some (`Queue q) ->
-      let snap = MQ.to_list_unsafe q sys in
-      let want = queue_model ops ~completed:!completed in
+    | Queue_target { queue = Some q; queue_ops } ->
+      let snap = MQ.to_list_unsafe q w.sys in
+      let want = queue_model queue_ops ~completed:w.completed in
       if snap <> want then
-        violations :=
-          Printf.sprintf "uncrashed run: queue [%s], expected [%s]"
-            (String.concat "; " (List.map string_of_int snap))
-            (String.concat "; " (List.map string_of_int want))
-          :: !violations
-    | None -> violations := "uncrashed run never constructed the structure" :: !violations
+        add
+          (Printf.sprintf "uncrashed run: queue [%s], expected [%s]"
+             (String.concat "; " (List.map string_of_int snap))
+             (String.concat "; " (List.map string_of_int want)))
+    | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
+      add "uncrashed run never constructed the structure"
   end;
   List.iter
-    (fun v -> violations := ("audit: " ^ Invariant.violation_to_string v) :: !violations)
-    (Auditor.failures auditor);
+    (fun v -> add ("audit: " ^ Invariant.violation_to_string v))
+    (Auditor.failures w.auditor);
   {
-    persists = !persist_points;
+    persists = !(w.persist_points);
     crashed;
-    completed = !completed;
+    completed = w.completed;
     violations = List.rev !violations;
   }
+
+let run_trial ?audit_every ?l2_banks spec ~crash_at =
+  let w = build ?audit_every ?l2_banks spec in
+  let stop =
+    match crash_at with
+    | None -> fun () -> false
+    | Some b -> fun () -> !(w.persist_points) >= b
+  in
+  finish w ~crashed:(run w ~stop)
+
+(* ------------------------------------------------------------------ *)
+(* Forked crash trials.                                               *)
+
+(* A deep copy of a world paused between dispatches.  Marshalling with
+   [Closures] copies everything reachable as one graph, so the sharing
+   between [sys], the audit hook's closure, the structure handle and the
+   persist-point counter holds in the copy.  The image records code
+   pointers and is only valid in the process that made it.  No world
+   reaches a fiber continuation (the scheduler alone holds those), so
+   nothing in it is unmarshallable. *)
+let freeze (w : world) = Marshal.to_string w [ Marshal.Closures ]
+let thaw image : world = Marshal.from_string image 0
+let copy w = thaw (freeze w)
+
+(* One run of [spec] that never stops on its own.  At the first dispatch
+   where the persist-point count reaches each boundary of the ascending
+   list [bs], [at b image] gets an image of the world exactly as a replay
+   with [~crash_at:(Some b)] would stop it; [at] returning [true] ends the
+   run there.  A boundary first reached after the last dispatch is never
+   stopped at by a replay either: those come back with the uncrashed
+   trial of this run, which is what the replay reports for them. *)
+let fork_run ?l2_banks spec bs ~at =
+  let w = build ?l2_banks spec in
+  let pending = ref bs in
+  let rec reached image =
+    match !pending with
+    | b :: rest when !(w.persist_points) >= b ->
+      pending := rest;
+      let image = match image with Some i -> i | None -> freeze w in
+      at b image || reached (Some image)
+    | _ -> false
+  in
+  if run w ~stop:(fun () -> reached None) then []
+  else
+    match !pending with
+    | [] -> []
+    | unreached ->
+      let t = finish w ~crashed:false in
+      List.map (fun b -> b, t) unreached
+
+let crash_trials ?pool ?l2_banks spec bs =
+  let images = ref [] in
+  let unreached =
+    fork_run ?l2_banks spec bs ~at:(fun b image ->
+      images := (b, image) :: !images;
+      false)
+  in
+  Pool.run_chunked_opt ~chunk:1 pool
+    (fun (b, image) -> b, finish (thaw image) ~crashed:true)
+    (List.rev !images)
+  @ unreached
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver.                                                   *)
 
 type failure = { spec : spec; crash_at : int option; completed : int; violations : string list }
+
+let failure_at spec b (t : trial) =
+  match t.violations with
+  | [] -> None
+  | v -> Some { spec; crash_at = Some b; completed = t.completed; violations = v }
 
 type report = {
   spec : spec;
@@ -385,19 +488,8 @@ let run_spec ?pool ?(budget = 20) ?l2_banks spec =
     }
   | [] ->
     let bs = boundaries ~persists:full.persists ~budget ~seed:spec.seed in
-    let trials =
-      Pool.run_chunked_opt ~chunk:1 pool
-        (fun b -> b, run_trial ?l2_banks spec ~crash_at:(Some b))
-        bs
-    in
-    let failure =
-      List.find_map
-        (fun (b, (t : trial)) ->
-          match t.violations with
-          | [] -> None
-          | v -> Some { spec; crash_at = Some b; completed = t.completed; violations = v })
-        trials
-    in
+    let trials = crash_trials ?pool ?l2_banks spec bs in
+    let failure = List.find_map (fun (b, t) -> failure_at spec b t) trials in
     { spec; persists = full.persists; boundaries_tested = List.length bs; failure }
 
 let run_campaign ?pool ?budget ?l2_banks specs =
@@ -409,20 +501,20 @@ let run_campaign ?pool ?budget ?l2_banks specs =
 (* ------------------------------------------------------------------ *)
 (* Shrinking.                                                         *)
 
-(* Earliest failing boundary of [spec], scanning from 1 (capped). *)
+(* Earliest failing boundary of [spec], scanning from 1 (capped): one
+   forked run, finishing each copy as it is taken and stopping at the
+   first failure. *)
 let first_failing spec ~cap =
   let full = run_trial spec ~crash_at:None in
-  let limit = min full.persists cap in
-  let rec scan b =
-    if b > limit then None
-    else begin
-      let t = run_trial spec ~crash_at:(Some b) in
-      if t.violations <> [] then
-        Some { spec; crash_at = Some b; completed = t.completed; violations = t.violations }
-      else scan (b + 1)
-    end
+  let found = ref None in
+  let unreached =
+    fork_run spec (List.init (min full.persists cap) (fun i -> i + 1)) ~at:(fun b image ->
+      found := failure_at spec b (finish (thaw image) ~crashed:true);
+      Option.is_some !found)
   in
-  scan 1
+  match !found with
+  | Some _ as f -> f
+  | None -> List.find_map (fun (b, t) -> failure_at spec b t) unreached
 
 let shrink fail =
   match fail.crash_at with

@@ -71,7 +71,48 @@ val run_trial : ?audit_every:int -> ?l2_banks:int -> spec -> crash_at:int option
     many persist-point calls have returned), repair, audit, verify.
     [audit_every] (default 400) attaches the periodic {!Auditor};
     [l2_banks] (default 1) runs the trial on a banked NUCA L2, exercising
-    the crash/repair path across every bank. *)
+    the crash/repair path across every bank.  This is [build], [run] and
+    [finish] in sequence: the replay path (reproducers) and the oracle
+    that forked trials are tested against. *)
+
+(** {2 Trial stages}
+
+    A trial's whole mutable state — system, counted persistence context,
+    structure handle, {!Auditor}, op schedule, completed-op and
+    persist-point counts — is one [world]. *)
+
+type world
+
+val build : ?audit_every:int -> ?l2_banks:int -> spec -> world
+(** A fresh system with the spec's strategy, fault and auditor attached;
+    nothing has run yet. *)
+
+val run : world -> stop:(unit -> bool) -> bool
+(** Run the op schedule from its first op, checking [stop] before every
+    dispatch; [true] when [stop] fired (the world is paused mid-run, ready
+    to crash), [false] when the schedule completed.  A world runs once: a
+    paused one cannot be resumed. *)
+
+val finish : world -> crashed:bool -> trial
+(** [~crashed:true]: power-fail the system, audit it quiesced, repair and
+    check the completed prefix against the oracle.  [~crashed:false]:
+    quiesced audit and the uncrashed oracle.  Either way the auditor's
+    in-run failures are reported too. *)
+
+val system : world -> Skipit_core.System.t
+val persist_points : world -> int
+
+val copy : world -> world
+(** A deep copy sharing no mutable state with the original, valid in this
+    process only. *)
+
+val crash_trials : ?pool:Pool.t -> ?l2_banks:int -> spec -> int list -> (int * trial) list
+(** [crash_trials spec bs] is [List.map (fun b -> b, run_trial spec
+    ~crash_at:(Some b)) bs] for ascending [bs], computed from one run:
+    at the first dispatch where the persist-point count reaches [b], the
+    world is copied, and the copy is crashed and finished (fanned out
+    over [pool]).  A boundary no dispatch reaches gets the uncrashed
+    trial, as in a replay. *)
 
 type failure = { spec : spec; crash_at : int option; completed : int; violations : string list }
 
@@ -86,8 +127,8 @@ val run_spec : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec -> report
 (** Test one spec: an uncrashed run first (oracle + invariants at quiesce),
     then up to [budget] (default 20) crash boundaries — enumerated
     exhaustively when the run has that few persists, otherwise the first,
-    the last and RNG-sampled interior boundaries.  Crash trials fan out
-    over [pool]. *)
+    the last and RNG-sampled interior boundaries, all forked from one
+    more run ({!crash_trials}).  Crash trials fan out over [pool]. *)
 
 val run_campaign : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec list -> report list
 

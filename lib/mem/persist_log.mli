@@ -29,6 +29,10 @@ val events : t -> event list
 val persists_of : t -> addr:int -> event list
 (** Events for one line (any address within it, 64 B lines). *)
 
+val persist_count : t -> addr:int -> int
+(** [List.length (persists_of t ~addr)] in O(1): a per-line count kept as
+    events are recorded. *)
+
 (** Total answer to "did [a]'s line persist before [b]'s?" — a line that
     never persisted is reported explicitly instead of collapsing into
     [false] and relying on caller discipline. *)

@@ -119,20 +119,24 @@ module Registry = struct
 
   (* A handle caches its counter after the first bump.  Until then it
      points at [unbound], which is never written: binding on first use
-     keeps a key that never fires out of [to_list]. *)
-  type handle = { reg : t; key : string; mutable c : Counter.t }
+     keeps a key that never fires out of [to_list].  The [bound] flag,
+     not physical equality with [unbound], marks a bound handle, so a
+     marshalled copy of a handle still binds on its first bump. *)
+  type handle = { reg : t; key : string; mutable c : Counter.t; mutable bound : bool }
 
   let unbound = Counter.create ()
-  let handle reg key = { reg; key; c = unbound }
+  let handle reg key = { reg; key; c = unbound; bound = false }
 
-  let bind h = h.c <- counter h.reg h.key
+  let bind h =
+    h.c <- counter h.reg h.key;
+    h.bound <- true
 
   let bump h =
-    if h.c == unbound then bind h;
+    if not h.bound then bind h;
     Counter.incr h.c
 
   let bump_by h k =
-    if h.c == unbound then bind h;
+    if not h.bound then bind h;
     Counter.add h.c k
 
   let reset_all t = Hashtbl.iter (fun _ c -> Counter.reset c) t

@@ -181,6 +181,113 @@ let prop_crash_repair structure =
       | v -> QCheck.Test.fail_reportf "%s crash_at=%d: %s" (Campaign.spec_name spec) boundary
                (String.concat "; " v))
 
+(* ------------------------------------------------------------------ *)
+(* Forked crash trials against the replay oracle.                     *)
+
+let trial_to_string (t : Campaign.trial) =
+  Printf.sprintf "{persists=%d; crashed=%b; completed=%d; violations=[%s]}" t.Campaign.persists
+    t.Campaign.crashed t.Campaign.completed (String.concat "; " t.Campaign.violations)
+
+(* Every boundary's forked trial equals a replay with that crash point, as
+   a record, over random structures, modes, strategies (all four), faults
+   and schedules.  Boundaries are drawn from 1 .. persists + 2, so some
+   are reached only at completion or never. *)
+let prop_forked_equals_replay =
+  let gen =
+    QCheck.Gen.(
+      let* structure = oneofl Campaign.all_structures in
+      let* mode = oneofl Pctx.all_modes in
+      let* strategy = oneofl Campaign.all_strategies in
+      let* fault =
+        oneof
+          [
+            return Campaign.No_fault;
+            return Campaign.Drop_all_persists;
+            map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 30);
+          ]
+      in
+      let* seed = int_bound 10_000 in
+      let* n_ops = int_range 1 40 in
+      let* picks = list_size (int_range 1 5) (int_bound 1_000_000) in
+      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, picks))
+  in
+  QCheck.Test.make ~name:"forked crash trials equal replayed ones" ~count:40
+    (QCheck.make gen ~print:(fun (spec, picks) ->
+       Printf.sprintf "%s picks=[%s]" (Campaign.spec_name spec)
+         (String.concat ";" (List.map string_of_int picks))))
+    (fun (spec, picks) ->
+      QCheck.assume (Campaign.compatible spec);
+      let full = Campaign.run_trial spec ~crash_at:None in
+      let bs =
+        List.sort_uniq compare (List.map (fun x -> 1 + (x mod (full.Campaign.persists + 2))) picks)
+      in
+      let forked = Campaign.crash_trials spec bs in
+      if List.map fst forked <> bs then QCheck.Test.fail_report "boundaries out of order";
+      List.for_all
+        (fun (b, t) ->
+          let r = Campaign.run_trial spec ~crash_at:(Some b) in
+          r = t
+          || QCheck.Test.fail_reportf "crash_at=%d: forked %s, replayed %s" b (trial_to_string t)
+               (trial_to_string r))
+        forked)
+
+(* ms-queue/nvtraverse/plain, seed 21, 1 op: the fifth and last persist
+   point returns after the last dispatch, so no replay stops at it and the
+   trial is the uncrashed one.  Boundary 4 is reached mid-run. *)
+let test_boundary_reached_at_completion () =
+  let spec = quick_spec ~ops:1 Campaign.Queue Pctx.Nvtraverse Campaign.Plain in
+  let spec = { spec with Campaign.seed = 21 } in
+  let replay b = Campaign.run_trial spec ~crash_at:(Some b) in
+  Alcotest.(check int) "five persist points" 5
+    (Campaign.run_trial spec ~crash_at:None).Campaign.persists;
+  Alcotest.(check bool) "boundary 4 crashes" true (replay 4).Campaign.crashed;
+  Alcotest.(check bool) "boundary 5 is never stopped at" false (replay 5).Campaign.crashed;
+  List.iter
+    (fun (b, t) ->
+      Alcotest.(check string) (Printf.sprintf "boundary %d" b) (trial_to_string (replay b))
+        (trial_to_string t))
+    (Campaign.crash_trials spec [ 4; 5 ])
+
+(* A copy shares no mutable state with its original: poking the copy's
+   DRAM leaves the original's and a sibling copy's unchanged; the
+   original and the sibling then both crash as a replay does, and a copy
+   taken before the run completes, counters included, as a fresh world
+   does. *)
+let test_copied_world_is_independent () =
+  let spec = quick_spec ~ops:12 (Campaign.Set Ops.List_set) Pctx.Manual Campaign.Plain in
+  let b = 6 in
+  let w = Campaign.build spec in
+  let unrun = Campaign.copy w in
+  Alcotest.(check bool) "paused mid-run" true
+    (Campaign.run w ~stop:(fun () -> Campaign.persist_points w >= b));
+  let poked = Campaign.copy w and sibling = Campaign.copy w in
+  let addr =
+    match PL.events (S.persist_log (Campaign.system w)) with
+    | e :: _ -> e.PL.addr
+    | [] -> Alcotest.fail "no line persisted before the pause"
+  in
+  let before = S.persisted_word (Campaign.system w) addr in
+  S.poke_word (Campaign.system poked) addr (before + 1);
+  Alcotest.(check int) "copy poked" (before + 1) (S.persisted_word (Campaign.system poked) addr);
+  Alcotest.(check int) "original untouched" before (S.persisted_word (Campaign.system w) addr);
+  Alcotest.(check int) "sibling copy untouched" before
+    (S.persisted_word (Campaign.system sibling) addr);
+  let replay = trial_to_string (Campaign.run_trial spec ~crash_at:(Some b)) in
+  Alcotest.(check string) "original crashes as a replay" replay
+    (trial_to_string (Campaign.finish w ~crashed:true));
+  Alcotest.(check string) "sibling crashes as a replay" replay
+    (trial_to_string (Campaign.finish sibling ~crashed:true));
+  Alcotest.(check bool) "unrun copy runs to completion" false
+    (Campaign.run unrun ~stop:(fun () -> false));
+  let fresh = Campaign.build spec in
+  ignore (Campaign.run fresh ~stop:(fun () -> false));
+  Alcotest.(check (list (pair string int))) "unrun copy counts as a fresh run"
+    (S.stats_report (Campaign.system fresh))
+    (S.stats_report (Campaign.system unrun));
+  Alcotest.(check string) "unrun copy completes as an uncrashed run"
+    (trial_to_string (Campaign.finish fresh ~crashed:false))
+    (trial_to_string (Campaign.finish unrun ~crashed:false))
+
 let tests =
   ( "audit",
     [
@@ -189,6 +296,11 @@ let tests =
       Alcotest.test_case "crash mid-flush resets occupancy" `Quick test_crash_mid_flush;
       Alcotest.test_case "campaign clean on default config" `Slow test_campaign_clean;
       Alcotest.test_case "campaign catches seeded fault" `Slow test_campaign_catches_fault;
+      Alcotest.test_case "boundary reached only at completion" `Quick
+        test_boundary_reached_at_completion;
+      Alcotest.test_case "copied world shares no mutable state" `Quick
+        test_copied_world_is_independent;
+      QCheck_alcotest.to_alcotest prop_forked_equals_replay;
     ]
     @ List.map
         (fun s -> QCheck_alcotest.to_alcotest (prop_crash_repair s))

@@ -160,6 +160,19 @@ let test_persist_log_edges () =
   Alcotest.(check (option int)) "first unchanged" (Some 7)
     (PL.first_persist_time log 0x40)
 
+(* The O(1) per-line count agrees with the event list it summarises, on
+   every line touched and one never touched, and resets with the log. *)
+let prop_persist_count_matches_events =
+  QCheck.Test.make ~name:"persist log count matches per-line events" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 1023) small_nat))
+    (fun records ->
+      let log = PL.create () in
+      List.iter (fun (addr, time) -> PL.record log ~addr ~time) records;
+      let agrees addr = PL.persist_count log ~addr = List.length (PL.persists_of log ~addr) in
+      let ok = List.for_all (fun (addr, _) -> agrees addr) records && agrees 4096 in
+      PL.clear log;
+      ok && List.for_all (fun (addr, _) -> PL.persist_count log ~addr = 0) records)
+
 let tests =
   ( "semantics",
     [
@@ -176,4 +189,5 @@ let tests =
       Alcotest.test_case "fence is per-core" `Quick test_per_core_fence_scope;
       Alcotest.test_case "persist log api" `Quick test_persist_log_api;
       Alcotest.test_case "persist log edge cases" `Quick test_persist_log_edges;
+      QCheck_alcotest.to_alcotest prop_persist_count_matches_events;
     ] )
