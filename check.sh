@@ -12,6 +12,9 @@ fi
 
 dune build
 dune runtest
+# The host profiler's sampler (tools/hostprof) is C outside the OCaml
+# build graph's libraries; building its alias keeps it compiling.
+dune build @tools/hostprof/hostprof
 
 # Workload smoke: one skewed+churned serve run must conserve requests
 # (served + shed = offered, no leaked waiting-room slots).

@@ -399,9 +399,12 @@ let run_trial ?audit_every ?l2_banks spec ~crash_at =
    [Closures] copies everything reachable as one graph, so the sharing
    between [sys], the audit hook's closure, the structure handle and the
    persist-point counter holds in the copy.  The image records code
-   pointers and is only valid in the process that made it.  No world
-   reaches a fiber continuation (the scheduler alone holds those), so
-   nothing in it is unmarshallable. *)
+   pointers and is only valid in the process that made it.  [fork_run]
+   freezes from its stop predicate, which may now run on the task's own
+   stack (inline dispatch); that changes nothing here: no world reaches a
+   fiber continuation or the scheduler's context (the scheduler alone
+   holds those, in domain-local state), so nothing in it is
+   unmarshallable. *)
 let freeze (w : world) = Marshal.to_string w [ Marshal.Closures ]
 let thaw image : world = Marshal.from_string image 0
 let copy w = thaw (freeze w)

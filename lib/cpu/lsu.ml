@@ -29,55 +29,72 @@ let clock t = t.clock
 
 let advance_to t cycle = if cycle > t.clock then t.clock <- cycle
 
+let retire t = t.instructions <- t.instructions + 1
+
+let load t addr =
+  retire t;
+  let value = Dcache.load_word t.dcache ~addr ~now:t.clock in
+  t.clock <- Dcache.done_at t.dcache;
+  value
+
+let store t addr value =
+  retire t;
+  if t.async_stores then begin
+    (* §3.2: the store retires once the STQ holds it; it drains in the
+       background and only fences (or a full STQ) expose its latency —
+       so the drain's future-dated hierarchy marks are shielded from the
+       attribution cursor and the visible STQ-commit cost is charged to
+       the L1 stage instead. *)
+    let saved = Attr.suspend () in
+    let drain_at = Dcache.store t.dcache ~addr ~value ~now:t.clock in
+    Attr.restore saved;
+    let commit = Store_queue.insert t.stq ~now:t.clock ~drain_at in
+    t.clock <- commit + t.store_commit_cost;
+    Attr.activate ~core:(Dcache.core t.dcache);
+    Attr.mark Attr.L1_hit ~at:t.clock
+  end
+  else t.clock <- Dcache.store t.dcache ~addr ~value ~now:t.clock
+
+let cas t addr ~expected ~desired =
+  retire t;
+  let ok = Dcache.cas_word t.dcache ~addr ~expected ~desired ~now:t.clock in
+  t.clock <- Dcache.done_at t.dcache;
+  ok
+
 let exec t instr =
-  t.instructions <- t.instructions + 1;
   match instr with
-  | Instr.Load { addr } ->
-    let value = Dcache.load_word t.dcache ~addr ~now:t.clock in
-    t.clock <- Dcache.done_at t.dcache;
-    value
+  | Instr.Load { addr } -> load t addr
   | Instr.Store { addr; value } ->
-    if t.async_stores then begin
-      (* §3.2: the store retires once the STQ holds it; it drains in the
-         background and only fences (or a full STQ) expose its latency —
-         so the drain's future-dated hierarchy marks are shielded from the
-         attribution cursor and the visible STQ-commit cost is charged to
-         the L1 stage instead. *)
-      let saved = Attr.suspend () in
-      let drain_at = Dcache.store t.dcache ~addr ~value ~now:t.clock in
-      Attr.restore saved;
-      let commit = Store_queue.insert t.stq ~now:t.clock ~drain_at in
-      t.clock <- commit + t.store_commit_cost;
-      Attr.activate ~core:(Dcache.core t.dcache);
-      Attr.mark Attr.L1_hit ~at:t.clock
-    end
-    else t.clock <- Dcache.store t.dcache ~addr ~value ~now:t.clock;
+    store t addr value;
     0
-  | Instr.Cas { addr; expected; desired } ->
-    let ok = Dcache.cas_word t.dcache ~addr ~expected ~desired ~now:t.clock in
-    t.clock <- Dcache.done_at t.dcache;
-    if ok then 1 else 0
+  | Instr.Cas { addr; expected; desired } -> Bool.to_int (cas t addr ~expected ~desired)
   | Instr.Cbo_clean { addr } ->
+    retire t;
     let r = Dcache.cbo t.dcache ~addr ~kind:Message.Wb_clean ~now:t.clock in
     t.clock <- r.Dcache.commit_at;
     0
   | Instr.Cbo_flush { addr } ->
+    retire t;
     let r = Dcache.cbo t.dcache ~addr ~kind:Message.Wb_flush ~now:t.clock in
     t.clock <- r.Dcache.commit_at;
     0
   | Instr.Cbo_inval { addr } ->
+    retire t;
     t.clock <- Dcache.cbo_inval t.dcache ~addr ~now:t.clock;
     0
   | Instr.Cbo_zero { addr } ->
+    retire t;
     t.clock <- Dcache.cbo_zero t.dcache ~addr ~now:t.clock;
     0
   | Instr.Fence ->
+    retire t;
     let flushes_done = Dcache.fence t.dcache ~now:t.clock in
     let stores_done = Store_queue.drained_at t.stq ~now:t.clock in
     t.clock <- max flushes_done stores_done;
     Attr.mark Attr.Fence ~at:t.clock;
     0
   | Instr.Delay n ->
+    retire t;
     if n < 0 then invalid_arg "Lsu.exec: negative delay";
     t.clock <- t.clock + n;
     0

@@ -29,6 +29,12 @@ val exec : t -> Instr.t -> int
 (** Execute one instruction at the current clock; returns its value (loaded
     word, CAS success as 0/1, else 0) and advances the clock. *)
 
+val load : t -> int -> int
+val store : t -> int -> int -> unit
+val cas : t -> int -> expected:int -> desired:int -> bool
+(** {!exec} of a [Load], [Store] or [Cas], without building the
+    instruction. *)
+
 val instructions : t -> int
 (** Instructions executed so far. *)
 

@@ -3,6 +3,7 @@
 
 module S = Skipit_core.System
 module C = Skipit_core.Config
+module T = Skipit_core.Thread
 module Dcache = Skipit_l1.Dcache
 open Skipit_tilelink
 
@@ -163,6 +164,39 @@ let test_l1_hit_zero_alloc () =
     (Printf.sprintf "0 minor words across 10k L1 hits (saw %.0f)" allocated)
     true (allocated < 64.)
 
+(* The same pin through the scheduler: a task whose instruction is next in
+   timestamp order runs it in place, with no effect round trip.  Measured
+   inside a lone [run_task] and inside the earlier of two fibers (the other
+   sleeps far in the future, so every measured load is dispatched inline). *)
+let l1_hit_words a =
+  ignore (T.load a) (* fill *);
+  for _ = 1 to 100 do
+    ignore (T.load a)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (T.load a)
+  done;
+  Gc.minor_words () -. before
+
+let test_thread_l1_hit_zero_alloc () =
+  let sys, _, a = fresh () in
+  let lone = T.run_task sys (fun () -> l1_hit_words a) in
+  let sys, _, a = fresh () in
+  let earliest = ref nan in
+  ignore
+    (T.run sys
+       [
+         { T.core = 0; body = (fun () -> earliest := l1_hit_words a) };
+         { T.core = 1; body = (fun () -> T.delay 1_000_000_000; ignore (T.load a)) };
+       ]);
+  List.iter
+    (fun (where, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "0 minor words across 10k T.load hits %s (saw %.0f)" where words)
+        true (words < 64.))
+    [ "in run_task", lone; "as the earlier of two fibers", !earliest ]
+
 (* Words per operation on the miss and write-back paths, pinned at 72 and
    197 on OCaml 5.1 with a little slack for other compiler versions.  The
    per-access bookkeeping (counter handles, the unit order of [Resource],
@@ -236,6 +270,8 @@ let tests =
       Alcotest.test_case "probe handling" `Quick test_probe_handling;
       Alcotest.test_case "probe blocked by FSHR (§5.4.1)" `Quick test_probe_blocked_by_fshr;
       Alcotest.test_case "L1 hit allocates zero minor words" `Quick test_l1_hit_zero_alloc;
+      Alcotest.test_case "T.load L1 hit allocates zero minor words" `Quick
+        test_thread_l1_hit_zero_alloc;
       Alcotest.test_case "held lines" `Quick test_held_lines_inclusion;
       Alcotest.test_case "L1-miss/L2-hit load words pinned" `Quick test_l1_miss_l2_hit_alloc;
       Alcotest.test_case "store+clean+fence words pinned" `Quick test_store_clean_fence_alloc;
