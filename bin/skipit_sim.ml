@@ -53,6 +53,15 @@ let conv_of ~what ~of_name ~to_name =
         | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))),
       fun ppf v -> Format.pp_print_string ppf (to_name v) )
 
+(* An integer argument that must be at least 1. *)
+let pos_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))),
+      Format.pp_print_int )
+
 (* Report a bad command line and exit 2. *)
 let fail cmd msg =
   prerr_endline (cmd ^ ": " ^ msg);
@@ -362,7 +371,7 @@ let audit_cmd =
   let module Campaign = Skipit_audit.Campaign in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign RNG seed.") in
   let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~doc:"Operations per trial schedule.")
+    Arg.(value & opt pos_int 40 & info [ "ops" ] ~doc:"Operations per trial schedule.")
   in
   let budget =
     Arg.(value & opt int 20

@@ -10,6 +10,20 @@ if git diff --cached --name-only --diff-filter=d 2>/dev/null | grep -q "^_build/
   exit 1
 fi
 
+# Build mode: the default profile (dune-workspace) must compile lib/
+# without -opaque, so calls across modules can be inlined, and with dune's
+# dev warning set as errors (the root dune file's env stanza).
+args=$(dune rules lib/sim/.skipit_sim.objs/native/skipit_sim__Rng.cmx | sed 's/^ *//')
+if printf '%s\n' "$args" | grep -qxF -e -opaque; then
+  echo "check.sh: lib/ is compiled with -opaque (is dune-workspace missing?)" >&2
+  exit 1
+fi
+for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' -strict-sequence \
+  -strict-formats -short-paths -keep-locs -g; do
+  printf '%s\n' "$args" | grep -qxF -e "$flag" \
+    || { echo "check.sh: lib/ is compiled without $flag" >&2; exit 1; }
+done
+
 dune build
 dune runtest
 # The host profiler's sampler (tools/hostprof) is C outside the OCaml

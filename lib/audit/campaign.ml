@@ -570,7 +570,9 @@ let read_reproducer path =
   let* fault = Repro_file.parse r "fault" fault_of_name in
   let* seed = Repro_file.int r "seed" in
   let* n_ops = Repro_file.int r "ops" in
+  let* () = if n_ops < 1 then Error "ops must be at least 1" else Ok () in
   let* crash_at = Repro_file.int r "crash_at" in
+  let* () = if crash_at < 0 then Error "crash_at must be non-negative" else Ok () in
   Ok
     {
       spec = { structure; mode; strategy; fault; seed; n_ops };

@@ -139,7 +139,9 @@ val shrink : failure -> failure
 
 val write_reproducer : string -> failure -> unit
 val read_reproducer : string -> (failure, string) result
-(** Round-trip a failure as a small key=value file; replay the spec with
-    {!run_trial} [~crash_at:failure.crash_at]. *)
+(** Round-trip a failure as a small key=value file ([crash_at=0] stands
+    for [None]); replay the spec with {!run_trial}
+    [~crash_at:failure.crash_at].  [read_reproducer] returns [Error] for a
+    missing or unparsable field, [ops < 1] or [crash_at < 0]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -159,6 +159,104 @@ let test_campaign_catches_fault () =
          (t.Campaign.violations <> []))
 
 (* ------------------------------------------------------------------ *)
+(* Reproducer files: a written failure reads back as itself, and a file
+   that cannot be read back faithfully is rejected, never replayed as some
+   other run. *)
+
+(* Write [fail] as a reproducer, apply [edit] to each of its lines, and
+   read it back. *)
+let read_edited ?(edit = Fun.id) fail =
+  let path = Filename.temp_file "skipit-repro" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Campaign.write_reproducer path fail;
+  let lines = In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n' in
+  Out_channel.with_open_text path (fun oc ->
+    List.iter (fun l -> if l <> "" then output_string oc (edit l ^ "\n")) lines);
+  Campaign.read_reproducer path
+
+let sample_failure =
+  {
+    Campaign.spec = quick_spec (Campaign.Set Ops.Bst_set) Pctx.Manual Campaign.Plain;
+    crash_at = Some 3;
+    completed = 0;
+    violations = [];
+  }
+
+let test_reproducer_rejects_bad_values () =
+  List.iter
+    (fun (key, value) ->
+      Test_fleet.expect_error (key ^ "=" ^ value) key
+        (read_edited ~edit:(Test_fleet.replace_key key value) sample_failure))
+    [
+      ("ops", "-2");
+      ("ops", "0");
+      ("crash_at", "-4");
+      ("structure", "bogus");
+      ("mode", "eager");
+      ("strategy", "nonsense");
+      ("fault", "drop-nth-persist:0");
+      ("seed", "abc");
+    ]
+
+let gen_fault =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ Campaign.No_fault; Campaign.Drop_all_persists; Campaign.Drop_nth_persist 1 ];
+        map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 max_int);
+      ])
+
+let gen_failure =
+  QCheck.Gen.(
+    let* structure = oneofl Campaign.all_structures in
+    let* mode = oneofl Pctx.all_modes in
+    let* strategy = oneofl Campaign.all_strategies in
+    let* fault = gen_fault in
+    let* seed = int in
+    let* n_ops = oneof [ int_range 1 100; int_range 1 max_int ] in
+    let* crash_at = opt (int_range 1 max_int) in
+    return
+      {
+        Campaign.spec = { Campaign.structure; mode; strategy; fault; seed; n_ops };
+        crash_at;
+        completed = 0;
+        violations = [];
+      })
+
+let print_failure (f : Campaign.failure) =
+  Printf.sprintf "%s seed=%d ops=%d crash_at=%s" (Campaign.spec_name f.spec) f.spec.seed
+    f.spec.n_ops
+    (match f.crash_at with Some b -> string_of_int b | None -> "-")
+
+let prop_reproducer_round_trip =
+  QCheck.Test.make ~name:"reproducer round-trips spec and crash point" ~count:300
+    (QCheck.make gen_failure ~print:print_failure) (fun f ->
+      match read_edited f with
+      | Error e -> QCheck.Test.fail_reportf "read back failed: %s" e
+      | Ok f' ->
+        (f'.spec = f.spec && f'.crash_at = f.crash_at)
+        || QCheck.Test.fail_reportf "read back as %s" (print_failure f'))
+
+let prop_fault_name_round_trip =
+  QCheck.Test.make ~name:"fault names round-trip" ~count:100
+    (QCheck.make gen_fault ~print:Campaign.fault_name) (fun f ->
+      Campaign.fault_of_name (Campaign.fault_name f) = Some f)
+
+(* "?" starts no integer and no structure, mode, strategy or fault name. *)
+let prop_reproducer_rejects_garbage =
+  QCheck.Test.make ~name:"reproducer rejects a garbage field" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_failure
+           (oneofl [ "structure"; "mode"; "strategy"; "fault"; "seed"; "ops"; "crash_at" ])
+           (map (( ^ ) "?") (string_size ~gen:(char_range ' ' '~') (int_bound 12))))
+       ~print:(fun (f, key, v) -> Printf.sprintf "%s with %s=%s" (print_failure f) key v))
+    (fun (f, key, garbage) ->
+      Test_fleet.expect_error (key ^ "=" ^ garbage) key
+        (read_edited f ~edit:(Test_fleet.replace_key key garbage));
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Satellite: per-structure qcheck property — random ops, random crash
    point, repair ⇒ every durably-completed update is present and nothing
    phantom appears.  run_trial's oracle is exactly that check, so the
@@ -301,6 +399,11 @@ let tests =
       Alcotest.test_case "copied world shares no mutable state" `Quick
         test_copied_world_is_independent;
       QCheck_alcotest.to_alcotest prop_forked_equals_replay;
+      Alcotest.test_case "reproducer rejects bad values" `Quick
+        test_reproducer_rejects_bad_values;
+      QCheck_alcotest.to_alcotest prop_reproducer_round_trip;
+      QCheck_alcotest.to_alcotest prop_fault_name_round_trip;
+      QCheck_alcotest.to_alcotest prop_reproducer_rejects_garbage;
     ]
     @ List.map
         (fun s -> QCheck_alcotest.to_alcotest (prop_crash_repair s))
