@@ -133,14 +133,24 @@ let theta_string m =
     Printf.sprintf "%d.%s" whole (String.sub s 0 !len)
   end
 
+(* The whole part is range-checked before it is scaled, so a long digit
+   run can neither wrap [w * 1000] nor overflow [int_of_string]. *)
 let theta_of_string s =
   let digits t = t <> "" && String.for_all (fun c -> c >= '0' && c <= '9') t in
-  match String.split_on_char '.' s with
-  | [ w ] when digits w -> int_of_string_opt w |> Option.map (fun w -> w * 1000)
-  | [ w; f ] when digits w && digits f && String.length f <= 3 ->
-    let scale = match String.length f with 1 -> 100 | 2 -> 10 | _ -> 1 in
-    Some ((int_of_string w * 1000) + (int_of_string f * scale))
-  | _ -> None
+  let whole w =
+    match int_of_string_opt w with
+    | Some w when w <= max_theta_milli / 1000 -> Some (w * 1000)
+    | _ -> None
+  in
+  let m =
+    match String.split_on_char '.' s with
+    | [ w ] when digits w -> whole w
+    | [ w; f ] when digits w && digits f && String.length f <= 3 ->
+      let scale = match String.length f with 1 -> 100 | 2 -> 10 | _ -> 1 in
+      Option.map (fun w -> w + (int_of_string f * scale)) (whole w)
+    | _ -> None
+  in
+  Option.bind m (fun m -> if m <= max_theta_milli then Some m else None)
 
 let keys_name = function
   | Uniform -> "uniform"
@@ -154,10 +164,7 @@ let keys_of_name s =
     match String.index_opt s ':' with
     | Some i when String.sub s 0 i = "zipf" -> (
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match theta_of_string rest with
-      | Some m when m >= 0 && m <= max_theta_milli ->
-        Some (Zipf { theta_milli = m })
-      | _ -> None)
+      Option.map (fun m -> Zipf { theta_milli = m }) (theta_of_string rest))
     | _ -> None)
 
 let name t =
@@ -223,8 +230,9 @@ let mix_of_spec spec =
   match String.split_on_char ':' spec with
   | [ r; w ] -> (
     match int_of_string_opt r, int_of_string_opt w with
-    | Some r, Some w when r >= 0 && w >= 0 && r + w > 0 ->
-      (* update_pct = write share of the mix, rounded to nearest. *)
+    | Some r, Some w when r >= 0 && w >= 0 && r + w > 0 && max r w <= max_int / 200 ->
+      (* update_pct = write share of the mix, rounded to nearest; the
+         bound on the parts keeps [w * 100] and [r + w] from wrapping. *)
       Some (((w * 100) + ((r + w) / 2)) / (r + w))
     | _ -> None)
   | _ -> None

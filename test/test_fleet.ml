@@ -243,6 +243,7 @@ let test_reproducer_rejects_bad_values () =
       ("faults", "12:");
       ("rate", "fast");
       ("keys", "zipf:x");
+      ("keys", "zipf:99999999999999999999.5");
       ("drop_persists", "one");
     ]
 

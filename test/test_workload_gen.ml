@@ -221,7 +221,8 @@ let test_names_round_trip () =
     (fun s ->
       Alcotest.(check bool) (s ^ " rejected") true
         (Workload.keys_of_name s = None))
-    [ "zipf:4.001"; "zipf:-1"; "zipf:0.9999"; "zipf:"; "lru"; "zipfian:1" ];
+    [ "zipf:4.001"; "zipf:-1"; "zipf:0.9999"; "zipf:"; "lru"; "zipfian:1";
+      "zipf:9223372036854776"; "zipf:99999999999999999999.5" ];
   Alcotest.(check string) "churn shows in the workload name"
     "zipf:0.99+churn:4000"
     (Workload.name (zipf 990 ~churn:4000))
@@ -233,7 +234,129 @@ let test_mix_of_spec () =
         (Workload.mix_of_spec spec))
     [ ("80:20", Some 20); ("100:0", Some 0); ("0:100", Some 100);
       ("4:1", Some 20); ("1:2", Some 67); ("50:50", Some 50); ("0:0", None);
-      ("a:b", None); ("50", None); ("-1:2", None); ("1:2:3", None) ]
+      ("a:b", None); ("50", None); ("-1:2", None); ("1:2:3", None);
+      ("0:100000000000000000", None) ]
+
+(* == Parser fuzzing ===================================================== *)
+
+(* Every parser of user or reproducer input is total, and inverts its
+   printer.  The fuzz strings are either a keyword followed by digit runs
+   and separators, or a valid name with one digit run replaced by a long
+   one (past max_int, or just past a range check once scaled). *)
+module Fleet = Skipit_fleet.Fleet
+
+let digit_run lo hi =
+  QCheck.Gen.(string_size ~gen:(char_range '0' '9') (int_range lo hi))
+
+let any_nat = QCheck.Gen.(map (fun x -> x land max_int) int)
+
+(* At least one phase with a non-zero multiplier, as [valid_phases] needs. *)
+let phase_list =
+  QCheck.Gen.(
+    map2
+      (fun ph (l, m) -> (l, m) :: ph)
+      (list_size (int_range 0 3) (pair (int_range 1 100_000) (int_range 0 1_000_000)))
+      (pair (int_range 1 100_000) (int_range 1 1_000_000)))
+
+let phases_spec ph =
+  String.concat ","
+    (List.map (fun (l, m) -> Printf.sprintf "%d:%d.%03d" l (m / 1000) (m mod 1000)) ph)
+
+let gen_process =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [ return Arrival.Poisson;
+        map2 (fun on off -> Arrival.Bursty { on = on + 1; off }) any_nat any_nat ]
+  in
+  let phased = map2 (fun phases base -> Arrival.Phased { phases; base }) phase_list base in
+  (* Sorted, disjoint, non-empty windows from (gap, length) pairs. *)
+  let windows =
+    map
+      (fun gaps ->
+        List.fold_left
+          (fun (t, acc) (gap, len) -> (t + gap + len + 1, (t + gap, t + gap + len + 1) :: acc))
+          (0, []) gaps
+        |> snd |> List.rev)
+      (list_size (int_range 1 3) (pair (int_range 0 10_000) (int_range 0 10_000)))
+  in
+  oneof
+    [ base; phased;
+      map2 (fun windows base -> Arrival.Degraded { windows; base }) windows
+        (oneof [ base; phased ]) ]
+
+let gen_faults =
+  let open QCheck.Gen in
+  let kill = map2 (fun at shard -> { Fleet.at; shard }) any_nat (int_range 0 64) in
+  oneof
+    [ return Fleet.No_faults;
+      map (fun n -> Fleet.Seeded (n + 1)) (int_range 0 1_000_000);
+      map (fun fs -> Fleet.Kill fs) (list_size (int_range 1 4) kill) ]
+
+(* Replace the [k]-th maximal digit run of [s] (mod their count) by [run]. *)
+let replace_digit_run s k run =
+  let digit c = c >= '0' && c <= '9' in
+  let starts = ref [] in
+  String.iteri
+    (fun i c -> if digit c && (i = 0 || not (digit s.[i - 1])) then starts := i :: !starts)
+    s;
+  match List.rev !starts with
+  | [] -> s ^ ":" ^ run
+  | starts ->
+    let i = List.nth starts (k mod List.length starts) in
+    let j = ref i in
+    while !j < String.length s && digit s.[!j] do incr j done;
+    String.sub s 0 i ^ run ^ String.sub s !j (String.length s - !j)
+
+let gen_fuzz =
+  let open QCheck.Gen in
+  let keyword =
+    oneofl [ ""; "zipf:"; "uniform:"; "poisson:"; "bursty:"; "phases:"; "degraded:"; "rand:" ]
+  in
+  let sep = oneofl [ ":"; ","; "."; "-"; "x"; "/" ] in
+  let run = oneof [ digit_run 0 3; digit_run 15 25 ] in
+  let random =
+    map2
+      (fun kw (d, rest) -> kw ^ d ^ String.concat "" (List.map (fun (s, d) -> s ^ d) rest))
+      keyword
+      (pair run (list_size (int_range 0 3) (pair sep run)))
+  in
+  let valid_name =
+    oneof
+      [ map
+          (fun m -> Workload.keys_name (Workload.Zipf { theta_milli = m }))
+          (int_range 0 4000);
+        map phases_spec phase_list;
+        map Arrival.process_name gen_process;
+        map Fleet.fault_schedule_name gen_faults ]
+  in
+  oneof [ random; map3 replace_digit_run valid_name nat (digit_run 4 25) ]
+
+let prop_parsers_total_and_round_trip =
+  let gen =
+    QCheck.Gen.(
+      pair gen_fuzz
+        (pair
+           (pair (int_range 0 4000) (int_range 0 100))
+           (triple phase_list gen_process gen_faults)))
+  in
+  QCheck.Test.make ~name:"parsers are total and round-trip" ~count:2000
+    (QCheck.make ~print:(fun (s, _) -> Printf.sprintf "%S" s) gen)
+    (fun (s, ((theta_milli, update_pct), (phases, process, faults))) ->
+      ignore (Workload.keys_of_name s);
+      ignore (Arrival.process_of_name s);
+      ignore (Arrival.phases_of_spec s);
+      ignore (Fleet.fault_schedule_of_name s);
+      (match Workload.mix_of_spec s with
+       | Some u when u < 0 || u > 100 -> QCheck.Test.fail_reportf "mix %S -> %d" s u
+       | _ -> ());
+      let keys = Workload.Zipf { theta_milli } in
+      Workload.keys_of_name (Workload.keys_name keys) = Some keys
+      && Workload.mix_of_spec (Printf.sprintf "%d:%d" (100 - update_pct) update_pct)
+         = Some update_pct
+      && Arrival.phases_of_spec (phases_spec phases) = Some phases
+      && Arrival.process_of_name (Arrival.process_name process) = Some process
+      && Fleet.fault_schedule_of_name (Fleet.fault_schedule_name faults) = Some faults)
 
 (* == Diurnal phases ===================================================== *)
 
@@ -357,6 +480,7 @@ let tests =
       Alcotest.test_case "workload validation" `Quick test_validate;
       Alcotest.test_case "keys names round-trip" `Quick test_names_round_trip;
       Alcotest.test_case "mix spec parsing" `Quick test_mix_of_spec;
+      QCheck_alcotest.to_alcotest prop_parsers_total_and_round_trip;
       Alcotest.test_case "phase names round-trip" `Quick test_phase_names_round_trip;
       Alcotest.test_case "phase spec parsing" `Quick test_phases_of_spec;
       Alcotest.test_case "with_phases nesting" `Quick test_with_phases;
