@@ -33,15 +33,21 @@ let with_ppf f =
 let jobs_arg =
   Arg.(value & opt int 0
        & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for independent simulation jobs (0 = auto: \
-               one per core, capped at 8, or \\$SKIPIT_JOBS).  Results are \
-               reduced in submission order, so the output is byte-identical \
-               at any width.")
+         ~doc:"Domains for independent simulation jobs, the calling one \
+               included (0 = auto: one per core, capped at 8; larger values \
+               are capped at the core count).  Results are reduced in \
+               submission order, so the output is byte-identical at any \
+               width.")
 
 (* Resolve a --jobs value and hand [f] a pool (or [None] for width 1 —
-   everything then runs inline on the calling domain). *)
+   everything then runs inline on the calling domain).  The width never
+   exceeds the host's cores: every minor GC is a stop-the-world rendezvous
+   across all running domains, so more domains than cores only run slower,
+   and the output is the same at any width.  Call this before printing
+   anything: the helpers' spawn re-buffers [Format.std_formatter]. *)
 let with_jobs jobs f =
-  let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
+  let cores = max 1 (Domain.recommended_domain_count ()) in
+  let jobs = if jobs <= 0 then min 8 cores else min jobs cores in
   if jobs <= 1 then f None else Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
 (* A name-based argument converter: [of_name] parses, [to_name] prints. *)
@@ -227,10 +233,7 @@ let stats_cmd =
   let lines =
     Arg.(value & opt int 64 & info [ "lines" ] ~doc:"Cache lines to store+flush.")
   in
-  let run threads lines skip_it shared_bus l2_banks banked_bus trace_out trace_filter
-      _jobs =
-    (* --jobs is accepted for CLI uniformity; this command runs a single
-       simulation, which is one job. *)
+  let run threads lines skip_it shared_bus l2_banks banked_bus trace_out trace_filter =
     maybe_traced ~out:trace_out ~filter:trace_filter (fun () ->
       let topology = topology_of ~shared_bus ~banked_bus in
       let sys = S.create (C.platform ~cores:threads ~skip_it ~topology ~l2_banks ()) in
@@ -258,7 +261,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"Run a store+double-flush loop and dump all counters")
     Term.(const run $ threads $ lines $ skip_it_arg $ shared_bus_arg $ l2_banks_arg
-          $ banked_bus_arg $ trace_out_arg $ trace_filter_arg $ jobs_arg)
+          $ banked_bus_arg $ trace_out_arg $ trace_filter_arg)
 
 let sweep_cmd =
   let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"Simulated cores.") in
@@ -324,16 +327,14 @@ let run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats =
 
 let run_cmd =
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump all counters after the run.") in
-  let run file cores skip_it stats shared_bus l2_banks banked_bus trace_out trace_filter
-      _jobs =
-    (* --jobs accepted for uniformity; a trace program is a single job. *)
+  let run file cores skip_it stats shared_bus l2_banks banked_bus trace_out trace_filter =
     maybe_traced ~out:trace_out ~filter:trace_filter (fun () ->
       run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a text trace program (see examples/traces/)")
     Term.(const run $ program_arg $ cores_arg $ skip_it_arg $ stats $ shared_bus_arg
-          $ l2_banks_arg $ banked_bus_arg $ trace_out_arg $ trace_filter_arg $ jobs_arg)
+          $ l2_banks_arg $ banked_bus_arg $ trace_out_arg $ trace_filter_arg)
 
 let trace_cmd =
   let out =
@@ -346,8 +347,7 @@ let trace_cmd =
          & info [ "trace-capacity" ] ~docv:"N"
            ~doc:"Ring-buffer capacity in events; the oldest events are dropped beyond it.")
   in
-  let run file cores skip_it shared_bus l2_banks banked_bus out filter capacity _jobs =
-    (* --jobs accepted for uniformity; a traced run is a single job. *)
+  let run file cores skip_it shared_bus l2_banks banked_bus out filter capacity =
     run_traced ~capacity ~out ~filter (fun () ->
       run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats:false)
   in
@@ -356,7 +356,7 @@ let trace_cmd =
        ~doc:"Run a trace program with event tracing on: write a Perfetto \
              timeline and print per-class latency percentiles")
     Term.(const run $ program_arg $ cores_arg $ skip_it_arg $ shared_bus_arg
-          $ l2_banks_arg $ banked_bus_arg $ out $ trace_filter_arg $ capacity $ jobs_arg)
+          $ l2_banks_arg $ banked_bus_arg $ out $ trace_filter_arg $ capacity)
 
 let ablate_cmd =
   let run jobs =

@@ -442,7 +442,7 @@ let crash_trials ?pool ?l2_banks spec bs =
       images := (b, image) :: !images;
       false)
   in
-  Pool.run_chunked_opt ~chunk:1 pool
+  Pool.map pool
     (fun (b, image) -> b, finish (thaw image) ~crashed:true)
     (List.rev !images)
   @ unreached

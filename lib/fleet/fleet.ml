@@ -921,7 +921,7 @@ let run cfg ~rate =
         shards;
   }
 
-let sweep ?pool cfg ~rates = Pool.run_chunked_opt ~chunk:1 pool (fun rate -> run cfg ~rate) rates
+let sweep ?pool cfg ~rates = Pool.map pool (fun rate -> run cfg ~rate) rates
 
 (* ------------------------------------------------------------------ *)
 (* Reproducers (campaign-style key=value files) and shrinking.        *)

@@ -1,10 +1,9 @@
 (* End-to-end latency aggregation over a recorded trace.
 
    Matches [Req_start]/[Req_end] pairs by id into per-class duration
-   samples, and rebuilds occupancy-over-time step series for MSHR/FSHR-style
-   resources from their alloc/free events.  Ring-buffer wraparound (or a
-   track filter that removed one side of a pair) surfaces as unmatched
-   counts rather than silently skewing the histograms. *)
+   samples.  Ring-buffer wraparound (or a track filter that removed one
+   side of a pair) surfaces as unmatched counts rather than silently
+   skewing the histograms. *)
 
 module Sample = Skipit_sim.Stats.Sample
 
@@ -100,35 +99,3 @@ let pp ppf t =
     Format.fprintf ppf "unmatched: %d starts, %d ends (ring wraparound or filtered)@,"
       t.unmatched_starts t.unmatched_ends;
   Format.fprintf ppf "@]"
-
-(* == Occupancy-over-time =============================================== *)
-
-(* FSHR events live on per-unit tracks ("fu.0.fshr3"); fold them into their
-   component ("fu.0") alongside Resource alloc/free events whose [comp]
-   matches exactly. *)
-let occupancy_series trace ~comp =
-  let deltas =
-    Trace.fold trace [] (fun acc { Trace.at; ev } ->
-      match ev with
-      | Trace.Resource { comp = c; op; _ } when c = comp ->
-        (at, (match op with Trace.Res_alloc -> 1 | Trace.Res_free -> -1)) :: acc
-      | Trace.Fshr { core; op = Trace.Fshr_alloc; _ }
-        when Printf.sprintf "fu.%d" core = comp -> (at, 1) :: acc
-      | Trace.Fshr { core; op = Trace.Fshr_free; _ }
-        when Printf.sprintf "fu.%d" core = comp -> (at, -1) :: acc
-      | _ -> acc)
-  in
-  (* Emission order is not time order (the transaction-level model stamps
-     future cycles); sort by stamp, keeping emission order for ties so an
-     alloc precedes its own free. *)
-  let deltas = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev deltas) in
-  let _, rev =
-    List.fold_left
-      (fun (occ, acc) (at, d) ->
-        let occ = occ + d in
-        match acc with
-        | (t0, _) :: rest when t0 = at -> occ, (at, occ) :: rest
-        | _ -> occ, (at, occ) :: acc)
-      (0, []) deltas
-  in
-  List.rev rev

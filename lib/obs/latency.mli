@@ -1,4 +1,4 @@
-(** End-to-end latency histograms and occupancy series from a trace.
+(** End-to-end latency histograms from a trace.
 
     Pairs {!Trace.Req_start}/{!Trace.Req_end} events by id and aggregates
     the durations per request class.  Requests whose partner event was lost
@@ -44,9 +44,3 @@ val summaries : t -> (string * summary) list
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable latency table (one row per class plus overall). *)
-
-val occupancy_series : Trace.t -> comp:string -> (int * int) list
-(** Step series [(cycle, occupancy)] for a resource component: counts
-    {!Trace.Resource} alloc/free events whose [comp] matches, plus FSHR
-    alloc/free events when [comp] is a flush unit ([fu.<core>]).  Sorted by
-    cycle; at most one point per cycle (the last value wins). *)

@@ -1,304 +1,124 @@
-(* Work-stealing domain pool for independent simulation jobs.
-
-   The experiment drivers (figures, ablations, data-structure benches, the
-   serving sweeps, the crash campaign) are large grids of *independent*
-   simulations: every job builds its own [System.create], its own [Rng] and
-   its own stats, so no simulator state ever crosses a domain boundary.
-
-   Engine v2 (this file) replaces the v1 single mutex/condition [Queue]
-   with per-domain Chase–Lev deques and *chunked* submission:
-
-   - a [map] over n items is cut into index-range chunks (~4 chunks per
-     worker by default, override with [run_chunked ~chunk]), so the
-     per-job dispatch cost of v1 — one lock acquisition, one condition
-     signal and one closure allocation per job — is amortized over the
-     whole chunk;
-   - the submitting domain distributes the chunks round-robin into one
-     deque per worker *before* publishing the batch, so during a batch the
-     only synchronisation is each worker popping its own deque bottom and,
-     when it runs dry, CAS-stealing from a sibling's top;
-   - every item's result is written into its own slot of a result array,
-     and [map] returns slots in submission order — which is what keeps
-     every table, CSV and JSON artifact byte-identical to a sequential run
-     at any pool width, chunk size, and steal interleaving;
-   - workers park on a condition variable between batches (parked domains
-     cost nothing and cooperate instantly with the GC's stop-the-world
-     sections, which matters when the pool is wider than the host).
-
-   Determinism contract for jobs:
-   - a job must not read or write any state shared with another job (the
-     tracing sink is domain-local, so [Trace.with_trace] inside a job is
-     fine);
-   - a job's result must depend only on its inputs (own seed, own system);
-   - host-time measurements are allowed (they are reported, not reduced
-     into simulated results).
-
-   A pool of width 1 spawns no domains at all and runs jobs inline, so
-   [--jobs 1] is exactly the sequential driver it replaced. *)
-
-type job = unit -> unit
-
-(* A chunk is an index range [start, start+len) of the batch's item array,
-   encoded in one immediate int so the deques never box:
-   [start lsl 24 lor len].  24 bits of length and 38 of start comfortably
-   cover any experiment grid. *)
-let chunk_shift = 24
-let chunk_len_mask = (1 lsl chunk_shift) - 1
-let encode_chunk ~start ~len = (start lsl chunk_shift) lor len
-let chunk_start c = c lsr chunk_shift
-let chunk_len c = c land chunk_len_mask
+(* A parallel map for independent simulation jobs: the calling domain and
+   [width - 1] helper domains take item indices from one atomic counter.
+   See pool.mli for the determinism contract jobs keep. *)
 
 type batch = {
-  deques : int Ws_deque.t array;
-  run_chunk : int -> unit;  (* executes one encoded chunk's items *)
-  remaining : int Atomic.t;  (* chunks not yet fully executed *)
+  n : int;
+  run : int -> unit;  (* runs item [i] and fills its result slot *)
+  next : int Atomic.t;  (* the lowest unclaimed index *)
+  finished : int Atomic.t;  (* items fully run *)
 }
 
 type t = {
-  width : int;
+  helpers : int;
   lock : Mutex.t;
-  work_available : Condition.t;  (* workers: a new batch was published *)
-  batch_done : Condition.t;  (* submitter: the current batch drained *)
+  wake : Condition.t;  (* helpers: a batch was published, or stop *)
+  batch_done : Condition.t;  (* caller: the last item finished *)
   mutable epoch : int;  (* bumped at every publication *)
   mutable batch : batch option;
   mutable stopping : bool;
-  mutable domains : unit Domain.t list;
-  (* Test knob: cap the number of chunks seeded into each non-zero deque
-     (the rest pile into deque 0), forcing the steal path even for batches
-     small enough to otherwise split evenly. *)
-  deque_cap : int option;
 }
 
-(* Cap the default so a many-core host doesn't spawn dozens of domains for
-   a handful of jobs; explicit [~jobs] overrides the cap. *)
-let default_cap = 8
+(* Set on helpers for good, and on the caller while it works a batch: a
+   job that maps runs its inner map inline instead of publishing over the
+   batch it belongs to. *)
+let in_job : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let default_jobs () =
-  match Sys.getenv_opt "SKIPIT_JOBS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> 1)
-  | None -> min default_cap (Domain.recommended_domain_count ())
-
-(* A worker must never block on a nested [map] of its own pool: the inner
-   jobs would sit behind the very worker waiting for them.  Jobs submitted
-   from inside a worker run inline instead. *)
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-(* Drain [b] as worker [me]: own deque first (bottom end), then steal
-   sweeps over the siblings.  Returns when a full sweep finds every deque
-   empty — the batch may still be in flight on other workers, but there is
-   nothing left to take. *)
-let work_batch b ~me =
-  let n = Array.length b.deques in
-  let execute c =
-    b.run_chunk c;
-    if Atomic.fetch_and_add b.remaining (-1) = 1 then `Last else `More
-  in
-  let rec own () =
-    match Ws_deque.pop b.deques.(me) with
-    | Some c -> (match execute c with `Last -> `Last | `More -> own ())
-    | None -> sweep 1 false
-  and sweep i saw_retry =
-    if i >= n then if saw_retry then sweep 1 false else `More
-    else begin
-      let victim = (me + i) mod n in
-      if victim = me then sweep (i + 1) saw_retry
-      else
-        match Ws_deque.steal b.deques.(victim) with
-        | Ws_deque.Stolen c ->
-          (match execute c with `Last -> `Last | `More -> own ())
-        | Ws_deque.Empty -> sweep (i + 1) saw_retry
-        | Ws_deque.Retry -> sweep (i + 1) true
+(* Claim and run items until none is left.  Whoever finishes the last item
+   wakes the caller; the atomic increments of [finished] order every slot
+   write before the caller reads the slots. *)
+let work pool b =
+  let rec loop () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.run i;
+      if Atomic.fetch_and_add b.finished 1 = b.n - 1 then begin
+        Mutex.lock pool.lock;
+        Condition.broadcast pool.batch_done;
+        Mutex.unlock pool.lock
+      end;
+      loop ()
     end
   in
-  own ()
+  loop ()
 
-let rec worker_loop pool ~me ~seen_epoch =
+(* A helper parks between batches.  Waking late is harmless: a batch whose
+   indices are all claimed gives it nothing to do. *)
+let rec helper pool ~seen =
   Mutex.lock pool.lock;
-  while pool.epoch = seen_epoch && not pool.stopping do
-    Condition.wait pool.work_available pool.lock
+  while pool.epoch = seen && not pool.stopping do
+    Condition.wait pool.wake pool.lock
   done;
-  if pool.stopping then Mutex.unlock pool.lock
-  else begin
-    let epoch = pool.epoch in
-    let batch = pool.batch in
-    Mutex.unlock pool.lock;
-    (match batch with
-     | Some b -> (
-       match work_batch b ~me with
-       | `Last ->
-         (* Every chunk has fully executed; wake the submitter.  The
-            atomics' release sequence on [remaining] orders every other
-            worker's result writes before this signal. *)
-         Mutex.lock pool.lock;
-         Condition.broadcast pool.batch_done;
-         Mutex.unlock pool.lock
-       | `More -> ())
-     | None -> ());
-    worker_loop pool ~me ~seen_epoch:epoch
+  let stopping = pool.stopping and epoch = pool.epoch and batch = pool.batch in
+  Mutex.unlock pool.lock;
+  if not stopping then begin
+    Option.iter (work pool) batch;
+    helper pool ~seen:epoch
   end
 
-let create ?jobs ?deque_cap ?(oversubscribe = false) () =
-  let requested = match jobs with Some n -> n | None -> default_jobs () in
-  if requested < 1 then invalid_arg "Pool.create: jobs < 1";
-  (* [jobs] is a maximum: spawning more domains than the host has cores
-     never helps a CPU-bound pool and actively hurts — every minor GC is a
-     stop-the-world rendezvous across all running domains, so an
-     oversubscribed pool turns each collection into a context-switch storm
-     (measured 4-5x *slowdown* at --jobs 4 on a single-core host).  Output
-     is byte-identical at any width, so clamping is semantics-preserving.
-     Tests that need real multi-domain interleavings on any host (steal
-     determinism, sweep byte-equality) pass [~oversubscribe:true]. *)
-  let width =
-    if oversubscribe then requested
-    else min requested (max 1 (Domain.recommended_domain_count ()))
-  in
-  (match deque_cap with
-   | Some c when c < 0 -> invalid_arg "Pool.create: deque_cap < 0"
-   | Some _ | None -> ());
+let with_pool ~jobs f =
+  if jobs < 1 then invalid_arg "Pool.with_pool: jobs < 1";
   let pool =
     {
-      width;
+      helpers = jobs - 1;
       lock = Mutex.create ();
-      work_available = Condition.create ();
+      wake = Condition.create ();
       batch_done = Condition.create ();
       epoch = 0;
       batch = None;
       stopping = false;
-      domains = [];
-      deque_cap;
     }
   in
-  if width > 1 then
-    pool.domains <-
-      List.init width (fun me ->
-        Domain.spawn (fun () ->
-          Domain.DLS.set in_worker true;
-          worker_loop pool ~me ~seen_epoch:0));
-  pool
-
-let width t = t.width
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.stopping <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let with_pool ?jobs ?deque_cap ?oversubscribe f =
-  let pool = create ?jobs ?deque_cap ?oversubscribe () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-type 'b slot = Empty | Ok_r of 'b | Exn_r of exn * Printexc.raw_backtrace
-
-let run_inline f xs = List.map f xs
-
-(* ~4 chunks per worker amortizes dispatch while leaving the stealers
-   enough granularity to balance uneven job costs. *)
-let default_chunk ~width n = max 1 (n / (width * 4))
-
-(* Cut [0, n) into [chunk]-sized ranges and deal them round-robin into one
-   deque per worker.  With [deque_cap = Some c], workers 1..w-1 are seeded
-   at most [c] chunks each and every remaining chunk lands in deque 0 —
-   the forced-steal test configuration. *)
-let distribute pool ~n ~chunk =
-  let n_chunks = (n + chunk - 1) / chunk in
-  (* Which deque does chunk [i] land in? *)
-  let home =
-    match pool.deque_cap with
-    | None -> fun i -> i mod pool.width
-    | Some cap ->
-      let capped = min n_chunks (cap * (pool.width - 1)) in
-      fun i -> if i < capped then 1 + (i mod (pool.width - 1)) else 0
+  let domains =
+    List.init pool.helpers (fun _ ->
+      Domain.spawn (fun () ->
+        Domain.DLS.set in_job true;
+        helper pool ~seen:0))
   in
-  let counts = Array.make pool.width 0 in
-  for i = 0 to n_chunks - 1 do
-    let d = home i in
-    counts.(d) <- counts.(d) + 1
-  done;
-  let arrays = Array.map (fun c -> Array.make c 0) counts in
-  let filled = Array.make pool.width 0 in
-  (* Deal chunks in index order so each deque's array is sorted by start;
-     owners pop from the bottom (high indices) and thieves steal low ones,
-     but execution order never matters — results are slotted by index. *)
-  for i = 0 to n_chunks - 1 do
-    let start = i * chunk in
-    let len = min chunk (n - start) in
-    let d = home i in
-    arrays.(d).(filled.(d)) <- encode_chunk ~start ~len;
-    filled.(d) <- filled.(d) + 1
-  done;
-  let deques = Array.init pool.width (fun _ -> Ws_deque.create ()) in
-  Array.iteri (fun d arr -> Ws_deque.fill deques.(d) arr) arrays;
-  deques, n_chunks
+  let stop () =
+    Mutex.lock pool.lock;
+    pool.stopping <- true;
+    Condition.broadcast pool.wake;
+    Mutex.unlock pool.lock;
+    List.iter Domain.join domains
+  in
+  Fun.protect ~finally:stop (fun () -> f pool)
 
-(* Map [f] over [xs] on the pool in [chunk]-sized batches; results come
-   back in list order.  The first failing job (by submission order)
-   re-raises in the caller. *)
-let run_chunked ?chunk pool f xs =
-  if pool.width = 1 || Domain.DLS.get in_worker then run_inline f xs
-  else begin
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let chunk =
-        match chunk with
-        | Some c when c >= 1 -> c
-        | Some _ -> invalid_arg "Pool.run_chunked: chunk < 1"
-        | None -> default_chunk ~width:pool.width n
-      in
-      let results = Array.make n Empty in
-      let run_chunk c =
-        let start = chunk_start c and len = chunk_len c in
-        for i = start to start + len - 1 do
-          results.(i) <-
-            (try Ok_r (f items.(i))
-             with e -> Exn_r (e, Printexc.get_raw_backtrace ()))
-        done
-      in
-      let deques, n_chunks = distribute pool ~n ~chunk in
-      let batch = { deques; run_chunk; remaining = Atomic.make n_chunks } in
-      Mutex.lock pool.lock;
-      pool.batch <- Some batch;
-      pool.epoch <- pool.epoch + 1;
-      Condition.broadcast pool.work_available;
-      while Atomic.get batch.remaining > 0 do
-        Condition.wait pool.batch_done pool.lock
-      done;
-      pool.batch <- None;
-      Mutex.unlock pool.lock;
-      (* The final worker's broadcast ran under the mutex, and the atomic
-         decrements of [remaining] form a release chain across workers:
-         every result write is ordered before this read-back. *)
-      Array.to_list
-        (Array.map
-           (function
-             | Ok_r r -> r
-             | Exn_r (e, bt) -> Printexc.raise_with_backtrace e bt
-             | Empty -> assert false)
-           results)
-    end
-  end
+type 'b slot = Empty | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-let map pool f xs = run_chunked pool f xs
-
-(* Run a list of ready-made jobs, results in submission order.  Chunk 1:
-   ready-made thunks (campaign trials, serve sweeps) are coarse enough
-   that dispatch is already amortized, and fine-grained dealing gives the
-   stealers the most to balance. *)
-let run_jobs pool jobs = run_chunked ~chunk:1 pool (fun job -> job ()) jobs
-
-(* [map]/[run_chunked] with an optional pool: [None] is the sequential
-   engine. *)
-let map_opt pool f xs =
-  match pool with None -> run_inline f xs | Some p -> map p f xs
-
-let run_chunked_opt ?chunk pool f xs =
+let map pool f xs =
   match pool with
-  | None -> run_inline f xs
-  | Some p -> run_chunked ?chunk p f xs
+  | Some pool when pool.helpers > 0 && not (Domain.DLS.get in_job) ->
+    let items = Array.of_list xs in
+    let slots = Array.make (Array.length items) Empty in
+    let run i =
+      slots.(i) <-
+        (try Done (f items.(i)) with e -> Failed (e, Printexc.get_raw_backtrace ()))
+    in
+    let b =
+      { n = Array.length items; run; next = Atomic.make 0; finished = Atomic.make 0 }
+    in
+    Mutex.lock pool.lock;
+    pool.batch <- Some b;
+    pool.epoch <- pool.epoch + 1;
+    Condition.broadcast pool.wake;
+    Mutex.unlock pool.lock;
+    Domain.DLS.set in_job true;
+    work pool b;
+    Domain.DLS.set in_job false;
+    Mutex.lock pool.lock;
+    while Atomic.get b.finished < b.n do
+      Condition.wait pool.batch_done pool.lock
+    done;
+    pool.batch <- None;
+    Mutex.unlock pool.lock;
+    (* Slots are read in index order, so the first failure by submission
+       order is the one raised. *)
+    Array.to_list
+      (Array.map
+         (function
+           | Done r -> r
+           | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+           | Empty -> assert false)
+         slots)
+  | Some _ | None -> List.map f xs

@@ -1,4 +1,4 @@
-(** Work-stealing domain pool for independent simulation jobs.
+(** A parallel map for independent simulation jobs.
 
     The experiment drivers (figures, ablations, data-structure benches, the
     serving engine's load sweeps, the crash campaign) are grids of
@@ -6,15 +6,12 @@
     its own [Rng] and its own stats, so no simulator state crosses a domain
     boundary.
 
-    Engine v2: a {!map} over n items is cut into index-range chunks (about
-    four per worker by default, tunable via {!run_chunked}), the chunks are
-    dealt into one Chase–Lev deque per worker before the batch is
-    published, and workers pop their own deque then steal from siblings
-    when they run dry.  Every item's result lands in its own slot of a
-    result array and {!map} returns the slots in submission order — which
-    is what makes every table, CSV and JSON artifact byte-identical to a
-    sequential run regardless of pool width, chunk size, or steal
-    interleaving.
+    A pool of width N is the calling domain plus N−1 helper domains,
+    spawned once by {!with_pool}.  {!map} publishes its items, and the
+    caller and the helpers take item indices from one atomic counter until
+    none is left.  Every result lands in its own slot and {!map} returns
+    the slots in submission order, which is what makes every table, CSV
+    and JSON artifact byte-identical to a sequential run at any width.
 
     Determinism contract for jobs:
     - a job must not read or write any state shared with another job (the
@@ -22,63 +19,20 @@
       fine);
     - a job's result must depend only on its inputs (own seed, own system);
     - host-time measurements are allowed (they are reported, not reduced
-      into simulated results).
-
-    A pool of width 1 spawns no domains at all and runs jobs inline, so
-    [--jobs 1] is exactly the sequential driver it replaced.  Jobs submitted
-    from inside a worker also run inline (a worker must never block on a
-    nested {!map} of its own pool). *)
-
-type job = unit -> unit
+      into simulated results). *)
 
 type t
 
-val default_jobs : unit -> int
-(** The [--jobs 0] resolution: [$SKIPIT_JOBS] when set to a positive
-    integer, otherwise one per core capped at 8. *)
+val with_pool : jobs:int -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] spawns [jobs - 1] helper domains, runs [f], then
+    stops and joins the helpers (also when [f] raises).  The width is
+    exactly [jobs], which must be at least 1; width 1 spawns nothing.
+    Spawn the pool before printing: the first [Domain.spawn] re-buffers
+    [Format.std_formatter]. *)
 
-val create : ?jobs:int -> ?deque_cap:int -> ?oversubscribe:bool -> unit -> t
-(** [jobs] defaults to {!default_jobs}; must be at least 1.  [jobs] is a
-    {e maximum}: the pool clamps its width to the host's
-    [Domain.recommended_domain_count] — oversubscribing a CPU-bound pool
-    only multiplies GC stop-the-world rendezvous cost (a measured 4-5x
-    slowdown at [--jobs 4] on a single-core host), and the output is
-    byte-identical at any width so clamping never changes results.  Pass
-    [~oversubscribe:true] to force the requested width anyway (the steal
-    determinism and sweep byte-equality tests do, to get real multi-domain
-    interleavings on any host).  Width 1 spawns no domains.
-
-    [deque_cap] is a test knob: seed at most that many chunks into each
-    worker's deque and pile the rest into worker 0's, forcing the steal
-    path even on batches that would otherwise split evenly. *)
-
-val width : t -> int
-(** The effective width (after clamping). *)
-
-val shutdown : t -> unit
-(** Stop accepting work and join all worker domains. *)
-
-val with_pool : ?jobs:int -> ?deque_cap:int -> ?oversubscribe:bool -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exception). *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Map over the pool; results come back in list order.  The first failing
-    job (by submission order) re-raises in the caller.  Equivalent to
-    {!run_chunked} with the default chunk size. *)
-
-val run_chunked : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} with an explicit chunk size: items are dispatched to workers
-    [chunk] at a time, amortizing per-job dispatch cost over the chunk.
-    [chunk] defaults to [n / (4 * width)] (at least 1); pass [~chunk:1]
-    for maximal balancing of coarse, uneven jobs. *)
-
-val run_jobs : t -> (unit -> 'a) list -> 'a list
-(** Run ready-made thunks, results in submission order.  Dispatches with
-    [~chunk:1] — ready-made thunks are coarse enough that dispatch is
-    already amortized. *)
-
-val map_opt : t option -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} with an optional pool: [None] is the sequential engine. *)
-
-val run_chunked_opt : ?chunk:int -> t option -> ('a -> 'b) -> 'a list -> 'b list
-(** {!run_chunked} with an optional pool: [None] is the sequential engine. *)
+val map : t option -> ('a -> 'b) -> 'a list -> 'b list
+(** [map pool f xs] is [List.map f xs], run on the pool; results come back
+    in list order.  If jobs raise, the first failing job by submission
+    order re-raises in the caller with its backtrace.  [None], a width-1
+    pool and a [map] called from inside a job all run [List.map] on the
+    calling domain.  One domain at a time may call [map] on a pool. *)

@@ -313,4 +313,4 @@ let run ?(params = Params.boom_default) cfg ~rate =
   }
 
 let sweep ?params ?pool cfg ~rates =
-  Pool.run_chunked_opt ~chunk:1 pool (fun rate -> run ?params cfg ~rate) rates
+  Pool.map pool (fun rate -> run ?params cfg ~rate) rates

@@ -28,7 +28,7 @@ let flush_region_cycles params ~lines =
 
 let fshr_count ?(counts = [ 1; 2; 4; 8; 16 ]) ?pool () =
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun n ->
         let params = { Params.boom_default with Params.n_fshrs = n } in
         float_of_int (flush_region_cycles params ~lines:512))
@@ -38,7 +38,7 @@ let fshr_count ?(counts = [ 1; 2; 4; 8; 16 ]) ?pool () =
 
 let queue_depth ?(depths = [ 0; 1; 2; 4; 8; 16 ]) ?pool () =
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun d ->
         let params = { Params.boom_default with Params.flush_queue_depth = d } in
         float_of_int (flush_region_cycles params ~lines:64))
@@ -66,7 +66,7 @@ let skip_decomposition ?pool () =
         { base with Params.skip_it = true; l2_trivial_skip = true; coalescing = false } );
     ]
   in
-  let ys = Pool.run_chunked_opt ~chunk:1 pool (fun (_, params) -> redundant_cycles params) configs in
+  let ys = Pool.map pool (fun (_, params) -> redundant_cycles params) configs in
   List.map2 (fun (label, _) y -> Series.v label [ 4096., y ]) configs ys
 
 let data_array_width ?pool () =
@@ -76,7 +76,7 @@ let data_array_width ?pool () =
     List.concat_map (fun (_, wide) -> List.map (fun l -> wide, l) lines_list) widths
   in
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun (wide, lines) ->
         let params = { Params.boom_default with Params.wide_data_array = wide } in
         float_of_int (flush_region_cycles params ~lines))
@@ -99,7 +99,7 @@ let data_array_width ?pool () =
 let coalescing ?pool () =
   let configs = [ "coalescing-on", true; "coalescing-off", false ] in
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun (_, coalescing) ->
         redundant_cycles { Params.boom_default with Params.coalescing })
       configs
@@ -130,7 +130,7 @@ let hierarchy_depth ?pool () =
              fun () -> redundant_cycles { base with Params.skip_it = true } );
          ])
   in
-  let ys = Pool.run_chunked_opt ~chunk:1 pool (fun (_, _, job) -> job ()) jobs in
+  let ys = Pool.map pool (fun (_, _, job) -> job ()) jobs in
   List.map2 (fun (label, x, _) y -> Series.v label [ x, y ]) jobs ys
 
 (* Contended vs non-contended writebacks (Fig. 9 is non-contended): all
@@ -168,7 +168,7 @@ let skew ?pool () =
          [ label ^ "/plain", skew, Ds_bench.Plain; label ^ "/skip-it", skew, Ds_bench.Skipit ])
   in
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun (_, skew, spec) ->
         Ds_bench.throughput ~kind:Skipit_pds.Set_ops.Hash_set
           ~mode:Skipit_persist.Pctx.Automatic ~spec

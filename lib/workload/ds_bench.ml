@@ -178,7 +178,7 @@ let update_sweep ?params ?pool ~kind ~mode ~updates w =
       default_specs
   in
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun (spec, pct) ->
         throughput ?params ~kind ~mode ~spec { w with update_pct = pct })
       cells
@@ -193,7 +193,7 @@ let update_sweep ?params ?pool ~kind ~mode ~updates w =
 
 let flit_table_sweep ?params ?pool ~kind ~mode ~slots w =
   let ys =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun n -> throughput ?params ~kind ~mode ~spec:(Flit_hash n) w)
       slots
   in

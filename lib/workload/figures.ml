@@ -175,7 +175,7 @@ let fig14 ?(quick = false) ?pool ?params ppf =
       kinds
   in
   let values =
-    Pool.run_chunked_opt ~chunk:1 pool
+    Pool.map pool
       (fun (kind, mode, spec) ->
         Ds_bench.throughput ~kind ~mode ~spec (workload_for kind w0))
       cells

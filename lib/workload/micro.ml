@@ -89,9 +89,7 @@ type 'r prepared = {
 
 let run_prepared ?pool preps =
   let jobs = List.concat_map (fun p -> p.jobs) preps in
-  (* Each job is a whole simulation: dispatch is already amortized, so
-     chunk 1 gives the stealers the most to balance. *)
-  let ys = Pool.run_chunked_opt ~chunk:1 pool (fun job -> job ()) jobs in
+  let ys = Pool.map pool (fun job -> job ()) jobs in
   let rec split preps ys =
     match preps with
     | [] -> []

@@ -2,10 +2,10 @@
    line-number interleave must be purely a timing change.  Banked and
    monolithic configurations are observationally equivalent on random
    schedules, the monolithic goldens stay bit-identical at l2_banks=1,
-   figure output stays byte-identical at any pool width (including the
-   all-steals path) when the platform is banked, per-bank counters surface
-   in the stats report, the invariant checker sums cleanly across banks,
-   and the crash campaign survives crash/repair on a banked hierarchy. *)
+   figure output stays byte-identical at any pool width when the platform
+   is banked, per-bank counters surface in the stats report, the invariant
+   checker sums cleanly across banks, and the crash campaign survives
+   crash/repair on a banked hierarchy. *)
 
 module S = Skipit_core.System
 module C = Skipit_core.Config
@@ -20,7 +20,7 @@ module Rng = Skipit_sim.Rng
 
 (* == Monolithic goldens: banks=1 is the paper's L2, bit-identical ======= *)
 
-let trace name = Printf.sprintf "../../../examples/traces/%s.trace" name
+let trace = Example_trace.path
 
 let test_golden_cycles_at_one_bank () =
   List.iter
@@ -112,27 +112,24 @@ let render f =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let figure_output ?deque_cap ~params name ~jobs =
+let figure_output ~params name ~jobs =
   match Figures.by_name name with
   | None -> Alcotest.failf "unknown figure %s" name
   | Some f ->
-    if jobs = 1 then render (fun ppf -> f ~quick:true ~params ppf)
-    else
-      Pool.with_pool ~oversubscribe:true ?deque_cap ~jobs (fun pool ->
-          render (fun ppf -> f ~quick:true ~pool ~params ppf))
+    Pool.with_pool ~jobs (fun pool ->
+      render (fun ppf -> f ~quick:true ~pool ~params ppf))
 
-let test_banked_steal_path_deterministic () =
-  (* fig9 on the 4-banked platform: byte-identical output at --jobs 1 and
-     at widths 2/8 with every worker deque capped at one chunk, so nearly
-     all work migrates between domains by stealing. *)
+let test_banked_deterministic () =
+  (* fig9 on the 4-banked platform: byte-identical output at widths 1, 2
+     and 8, whichever domain ran which job. *)
   let params = C.platform ~l2_banks:4 () in
   let seq = figure_output ~params "fig9" ~jobs:1 in
   Alcotest.(check bool) "banked fig9 non-empty" true (String.length seq > 0);
   List.iter
     (fun jobs ->
-      let par = figure_output ~params ~deque_cap:1 "fig9" ~jobs in
+      let par = figure_output ~params "fig9" ~jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "banked fig9 --jobs 1 vs steals --jobs %d" jobs)
+        (Printf.sprintf "banked fig9 --jobs 1 vs --jobs %d" jobs)
         true (String.equal seq par))
     [ 2; 8 ]
 
@@ -209,8 +206,7 @@ let tests =
       Alcotest.test_case "goldens at l2_banks=1" `Quick
         test_golden_cycles_at_one_bank;
       QCheck_alcotest.to_alcotest prop_banked_equivalent;
-      Alcotest.test_case "steal-path determinism, banks=4" `Quick
-        test_banked_steal_path_deterministic;
+      Alcotest.test_case "any-width determinism, banks=4" `Quick test_banked_deterministic;
       Alcotest.test_case "per-bank stats + invariants" `Quick
         test_per_bank_stats_and_invariants;
       Alcotest.test_case "crash campaign, banks=4" `Quick

@@ -141,16 +141,12 @@ let test_replication_reduces_shed () =
 
 let test_sweep_deterministic_under_faults () =
   (* The whole point list — achieved, latencies, failovers, recovery —
-     must be identical serial vs an oversubscribed pool, under an active
-     fault schedule. *)
+     must be identical serial vs a width-8 pool, under an active fault
+     schedule. *)
   let cfg = { quick_cfg with Fleet.clients = 2048; faults = Fleet.Seeded 2 } in
   let rates = [ 8.; 16. ] in
   let serial = Fleet.sweep cfg ~rates in
-  let pool = Pool.create ~jobs:8 ~oversubscribe:true () in
-  let parallel =
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Fleet.sweep ~pool cfg ~rates)
-  in
+  let parallel = Pool.with_pool ~jobs:8 (fun pool -> Fleet.sweep ~pool cfg ~rates) in
   Alcotest.(check bool) "sweep identical at any width" true (serial = parallel);
   (* and a re-run from scratch is bit-identical too *)
   Alcotest.(check bool) "re-run identical" true (serial = Fleet.sweep cfg ~rates)

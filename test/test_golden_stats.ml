@@ -8,7 +8,7 @@ module S = Skipit_core.System
 module C = Skipit_core.Config
 module TP = Skipit_workload.Trace_program
 
-let trace name = Printf.sprintf "../../../examples/traces/%s.trace" name
+let trace = Example_trace.path
 
 let run_trace ?(topology = `Crossbar) ~skip_it name =
   match TP.load_file (trace name) with

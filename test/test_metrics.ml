@@ -105,7 +105,7 @@ let test_exports_byte_identical_across_jobs () =
            points)
   in
   let seq = output None in
-  let par = Pool.with_pool ~oversubscribe:true ~jobs:4 (fun pool -> output (Some pool)) in
+  let par = Pool.with_pool ~jobs:4 (fun pool -> output (Some pool)) in
   Alcotest.(check bool) "telemetry exports --jobs 1 vs --jobs 4 byte-identical" true
     (String.equal seq par);
   Alcotest.(check bool) "exports non-empty" true (String.length seq > 0)

@@ -71,20 +71,9 @@ let test_latency_matching () =
     Alcotest.(check int) "summary count" 3 s.Latency.count;
     Alcotest.(check (float 1e-9)) "summary max" 100. s.Latency.max
 
-let test_occupancy_series () =
-  let t = Trace.create () in
-  let res at idx op = Trace.add t ~at (Trace.Resource { comp = "l2.mshr"; idx; op }) in
-  res 10 0 Trace.Res_alloc;
-  res 12 1 Trace.Res_alloc;
-  res 20 0 Trace.Res_free;
-  res 30 1 Trace.Res_free;
-  Alcotest.(check (list (pair int int)))
-    "step series" [ 10, 1; 12, 2; 20, 1; 30, 0 ]
-    (Latency.occupancy_series t ~comp:"l2.mshr")
-
 (* == Whole-system runs ================================================= *)
 
-let trace name = Printf.sprintf "../../../examples/traces/%s.trace" name
+let trace = Example_trace.path
 
 let run_traced ?(skip_it = true) name =
   match TP.load_file (trace name) with
@@ -227,7 +216,6 @@ let tests =
       Alcotest.test_case "track filter" `Quick test_filter;
       Alcotest.test_case "disabled sink is inert" `Quick test_disabled_is_inert;
       Alcotest.test_case "latency start/end matching" `Quick test_latency_matching;
-      Alcotest.test_case "occupancy series" `Quick test_occupancy_series;
       Alcotest.test_case "golden cycles with tracing on" `Quick test_golden_cycles_traced;
       Alcotest.test_case "event fingerprint" `Quick test_event_fingerprint;
       Alcotest.test_case "perfetto export structure" `Quick test_perfetto_structure;

@@ -578,7 +578,7 @@ let test_sweep_byte_identical_across_jobs () =
     ^ Report.to_json cfg points
   in
   let seq = output None in
-  let par = Pool.with_pool ~oversubscribe:true ~jobs:4 (fun pool -> output (Some pool)) in
+  let par = Pool.with_pool ~jobs:4 (fun pool -> output (Some pool)) in
   Alcotest.(check bool) "serve sweep --jobs 1 vs --jobs 4 byte-identical" true
     (String.equal seq par);
   Alcotest.(check bool) "sweep output non-empty" true (String.length seq > 0)

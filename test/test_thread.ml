@@ -237,9 +237,10 @@ let test_runs_on_two_domains () =
       let sequential = counter_run ~fibers () in
       let first = barrier () and last = barrier () in
       let results =
-        Skipit_par.Pool.with_pool ~oversubscribe:true ~jobs:2 (fun pool ->
-          Skipit_par.Pool.run_jobs pool
-            (List.init 2 (fun _ () -> counter_run ~first ~last ~fibers ())))
+        Skipit_par.Pool.with_pool ~jobs:2 (fun pool ->
+          Skipit_par.Pool.map (Some pool)
+            (fun () -> counter_run ~first ~last ~fibers ())
+            [ (); () ])
       in
       List.iter
         (fun r ->

@@ -94,9 +94,7 @@ let test_example_traces_parse () =
       match TP.load_file path with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: %s" path e)
-    [ "../../../examples/traces/producer_consumer.trace";
-      "../../../examples/traces/redundant_flush.trace";
-      "../../../examples/traces/fig5_semantics.trace" ]
+    (List.map Example_trace.path [ "producer_consumer"; "redundant_flush"; "fig5_semantics" ])
 
 let tests =
   ( "trace",
