@@ -12,7 +12,8 @@ fi
 
 # Build mode: the default profile (dune-workspace) must compile lib/
 # without -opaque, so calls across modules can be inlined, and with dune's
-# dev warning set as errors (the root dune file's env stanza).
+# dev warning set as errors (the root dune file's env stanza), and C
+# stubs with warnings as errors.
 args=$(dune rules lib/sim/.skipit_sim.objs/native/skipit_sim__Rng.cmx | sed 's/^ *//')
 if printf '%s\n' "$args" | grep -qxF -e -opaque; then
   echo "check.sh: lib/ is compiled with -opaque (is dune-workspace missing?)" >&2
@@ -23,6 +24,9 @@ for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' -strict-sequence \
   printf '%s\n' "$args" | grep -qxF -e "$flag" \
     || { echo "check.sh: lib/ is compiled without $flag" >&2; exit 1; }
 done
+# The same env stanza makes C stub warnings errors.
+dune rules lib/sim/rng_stubs.o | sed 's/^ *//' | grep -qxF -e -Werror \
+  || { echo "check.sh: lib/sim/rng_stubs.c is compiled without -Werror" >&2; exit 1; }
 
 dune build
 dune runtest

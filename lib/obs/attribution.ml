@@ -143,7 +143,7 @@ let close t f ~at =
    [--jobs] width. *)
 let current : t Sink.t = Sink.create ()
 
-let enabled () = Option.is_some (Sink.get current)
+let[@inline] enabled () = Option.is_some (Sink.get current)
 
 let start ?cores ?keep_records () =
   let t = create ?cores ?keep_records () in
@@ -174,20 +174,20 @@ let bind ~core f =
 
 (* Dcache entry points call this: instruction execution for [core] is
    beginning, so its frame (if any) becomes the active mark target. *)
-let activate ~core =
+let[@inline] activate ~core =
   match Sink.get current with
   | None -> ()
   | Some t ->
     t.active <- (if core >= 0 && core < Array.length t.per_core then t.per_core.(core) else None)
 
-let mark stage ~at =
+let[@inline] mark stage ~at =
   match Sink.get current with
   | None -> ()
   | Some t -> ( match t.active with None -> () | Some f -> mark_frame f stage ~at)
 
 (* Bracket background work (FSHR walks, writeback acks) whose completion
    times are in the future relative to the instruction being attributed. *)
-let suspend () =
+let[@inline] suspend () =
   match Sink.get current with
   | None -> None
   | Some t ->
@@ -195,7 +195,7 @@ let suspend () =
     t.active <- None;
     prev
 
-let restore prev =
+let[@inline] restore prev =
   match Sink.get current with None -> () | Some t -> t.active <- prev
 
 (* == Results ============================================================ *)

@@ -110,7 +110,7 @@ let histogram_observe t name ~at v =
 
 let current : t Sink.t = Sink.create ()
 
-let enabled () = Option.is_some (Sink.get current)
+let[@inline] enabled () = Option.is_some (Sink.get current)
 
 let start ?window () =
   let t = create ?window () in
@@ -119,7 +119,7 @@ let start ?window () =
 
 let stop () = Sink.take current
 
-let with_current f = match Sink.get current with None -> () | Some t -> f t
+let[@inline] with_current f = match Sink.get current with None -> () | Some t -> f t
 
 (* Ambient hooks used from the hierarchy: no-ops with no sink installed. *)
 let count name ~at = with_current (fun t -> counter_incr t name ~at)

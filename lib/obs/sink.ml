@@ -3,7 +3,7 @@ type 'a t = { key : 'a option Domain.DLS.key; installed : int Atomic.t }
 let create () = { key = Domain.DLS.new_key (fun () -> None); installed = Atomic.make 0 }
 
 (* With nothing installed on any domain, one atomic read answers. *)
-let get s = if Atomic.get s.installed = 0 then None else Domain.DLS.get s.key
+let[@inline] get s = if Atomic.get s.installed = 0 then None else Domain.DLS.get s.key
 
 let set s v =
   (match Domain.DLS.get s.key, v with

@@ -284,7 +284,7 @@ let fold t init f = List.fold_left f init (records t)
    domain this behaves exactly like the previous single global sink. *)
 let current : t Sink.t = Sink.create ()
 
-let enabled () =
+let[@inline] enabled () =
   match Sink.get current with Some t -> not t.reqs_only | None -> false
 
 let start ?capacity ?filter ?reqs_only () =
@@ -294,7 +294,7 @@ let start ?capacity ?filter ?reqs_only () =
 
 let stop () = Sink.take current
 
-let emit ~at ev =
+let[@inline] emit ~at ev =
   match Sink.get current with None -> () | Some t -> add t ~at ev
 
 (* Request spans: [req_start] hands out the matching id (or [-1] with no

@@ -44,23 +44,21 @@ let chance_threshold p =
   else if p > 0. then int_of_float (Float.ceil (p *. two_53))
   else 0 (* p <= 0 or NaN: [chance] never succeeds *)
 
-(* The splitmix64 step of [next_int64], run on a local state so the loop
-   boxes nothing; [t.state] is written back once. *)
+(* The scan runs in C (rng_stubs.c): the same splitmix64 draws, several
+   at a time.  It returns [n] and leaves the state to us: [n + 1] draws
+   were consumed on a hit, [n] otherwise ([limit], or [0] when
+   [limit <= 0]), and [consumed] steps of [golden_gamma] are one
+   multiplication modulo 2^64. *)
+external scan : (int64[@unboxed]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "skipit_rng_first_below_byte" "skipit_rng_first_below"
+[@@noalloc]
+
 let first_below t ~threshold ~limit =
-  let s = ref t.state in
-  let n = ref 0 in
-  let hit = ref false in
-  while (not !hit) && !n < limit do
-    s := Int64.add !s golden_gamma;
-    let z = !s in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    if Int64.to_int (Int64.shift_right_logical z 11) < threshold then hit := true
-    else incr n
-  done;
-  t.state <- !s;
-  !n
+  let n = scan t.state threshold limit in
+  let consumed = if n < limit then n + 1 else n in
+  if consumed > 0 then
+    t.state <- Int64.add t.state (Int64.mul (Int64.of_int consumed) golden_gamma);
+  n
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

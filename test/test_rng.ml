@@ -148,6 +148,117 @@ let prop_first_below_matches_chance =
       triple small_int (float_range (-7.) 0.4) (int_range 0 20_000))
   @@ fun (seed, e, limit) -> agrees ~seed (10. ** e) limit
 
+(* The two scan kernels behind [first_below] (lib/sim/rng_stubs.c), bound
+   on their exported symbols.  Each maps a state, threshold and limit to
+   [first_below]'s count and leaves the state to the caller. *)
+external scan_scalar :
+  (int64[@unboxed]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "skipit_rng_first_below_scalar_byte" "skipit_rng_first_below_scalar"
+[@@noalloc]
+
+external scan_avx512 :
+  (int64[@unboxed]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "skipit_rng_first_below_avx512_byte" "skipit_rng_first_below_avx512"
+[@@noalloc]
+
+external avx512_usable : unit -> bool = "skipit_rng_avx512_usable" [@@noalloc]
+
+let gamma = 0x9E3779B97F4A7C15L
+
+(* splitmix64's output for the state after its increment. *)
+let mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* [chance p] with [p = threshold * 2^-53] is exactly [top53 < threshold]
+   ([chance_threshold] inverts this scaling), and [p <= 0] / [p >= 1]
+   exactly when [threshold <= 0] / [threshold >= 2^53]. *)
+let p_of_threshold threshold = ldexp (float_of_int threshold) (-53)
+
+(* The kernel returns [chance_loop]'s count from [Rng.create ~seed]'s state
+   ([Int64.of_int seed]), and the state [first_below] writes back from it,
+   [s0 + consumed * gamma], continues exactly where the oracle's does. *)
+let check_kernel scan ~seed ~threshold ~limit =
+  let s0 = Int64.of_int seed in
+  let n = scan s0 threshold limit in
+  let oracle = Skipit_sim.Rng.create ~seed in
+  let m = chance_loop oracle (p_of_threshold threshold) limit in
+  let label = Printf.sprintf "seed %d threshold %d limit %d" seed threshold limit in
+  Alcotest.(check int) (label ^ ": count") m n;
+  let consumed = if n < limit then n + 1 else n in
+  let state = Int64.add s0 (Int64.mul (Int64.of_int consumed) gamma) in
+  Alcotest.(check int64) (label ^ ": state after")
+    (Skipit_sim.Rng.next_int64 oracle)
+    (mix (Int64.add state gamma))
+
+(* The first seed from 0 whose first [k + 1] draws satisfy [ok]. *)
+let rec seed_where k ok seed =
+  let rng = Skipit_sim.Rng.create ~seed in
+  let d = Array.init (k + 1) (fun _ -> Skipit_sim.Rng.next_int64 rng) in
+  if ok d then (seed, d.(k)) else seed_where k ok (seed + 1)
+
+let top53 z = Int64.to_int (Int64.shift_right_logical z 11)
+
+(* For each index k, a seed whose draw k is below all earlier draws: with
+   threshold [top53 d_k + 1] the first hit is draw k, with [top53 d_k] it
+   is later.  Up to k = 15 the draw's low 11 bits are also zero, so it
+   sits exactly on the kernels' 64-bit bound [threshold << 11].  Indices
+   0-7 are the AVX-512 kernel's lanes, 8-15 its second block; limits that
+   are not multiples of 8 or 4 put hits in each kernel's scalar tail. *)
+let test_kernel_each_position scan () =
+  let last = 28 in
+  for k = 0 to last do
+    let ok d =
+      let dk = top53 d.(k) in
+      (k > 15 || Int64.logand d.(k) 0x7FFL = 0L)
+      && Array.for_all (fun z -> top53 z > dk) (Array.sub d 0 k)
+    in
+    let seed, z = seed_where k ok 0 in
+    let dk = top53 z in
+    List.iter
+      (fun limit ->
+        if limit > k then begin
+          check_kernel scan ~seed ~threshold:(dk + 1) ~limit;
+          Alcotest.(check int) "first hit" k (scan (Int64.of_int seed) (dk + 1) limit);
+          check_kernel scan ~seed ~threshold:dk ~limit
+        end)
+      [ k + 1; k + 2; 8; 16; 21; 24; last + 1 ]
+  done
+
+(* Limits of 0 and below draw nothing and leave the state untouched. *)
+let test_kernel_edges scan () =
+  let two_53 = 1 lsl 53 in
+  List.iter
+    (fun threshold ->
+      List.iter
+        (fun limit ->
+          for seed = 0 to 7 do
+            check_kernel scan ~seed ~threshold ~limit
+          done)
+        [ min_int; -9; -1; 0; 1; 3; 7; 8; 9; 100 ])
+    [ min_int; -1; 0; 1; two_53 - 1; two_53; two_53 + 1; max_int ]
+
+let test_kernel_long_walk scan () =
+  (* p = 1e-7 over 3e6 draws: some seeds hit late, some run to the limit. *)
+  let threshold = Skipit_sim.Rng.chance_threshold 1e-7 in
+  let limit = 3_000_000 in
+  let hits = ref 0 in
+  for seed = 0 to 5 do
+    check_kernel scan ~seed ~threshold ~limit;
+    if scan (Int64.of_int seed) threshold limit < limit then incr hits
+  done;
+  Alcotest.(check bool) "both outcomes" true (!hits > 0 && !hits < 6)
+
+(* On a CPU without AVX-512F/DQ the wide kernel cannot run: say so and
+   report the case as skipped, never as passed. *)
+let wide test () =
+  if avx512_usable () then test scan_avx512 ()
+  else begin
+    print_endline "AVX-512F/DQ not available on this CPU: AVX-512 kernel not tested";
+    Alcotest.skip ()
+  end
+
 let tests =
   ( "rng",
     [
@@ -156,6 +267,18 @@ let tests =
         test_first_below_boundaries;
       Alcotest.test_case "first_below limit cutoff" `Quick test_first_below_limit;
       QCheck_alcotest.to_alcotest prop_first_below_matches_chance;
+      Alcotest.test_case "scalar kernel: first hit at each position" `Quick
+        (test_kernel_each_position scan_scalar);
+      Alcotest.test_case "scalar kernel: threshold and limit edges" `Quick
+        (test_kernel_edges scan_scalar);
+      Alcotest.test_case "scalar kernel: long walk" `Quick
+        (test_kernel_long_walk scan_scalar);
+      Alcotest.test_case "avx512 kernel: first hit at each position" `Quick
+        (wide test_kernel_each_position);
+      Alcotest.test_case "avx512 kernel: threshold and limit edges" `Quick
+        (wide test_kernel_edges);
+      Alcotest.test_case "avx512 kernel: long walk" `Quick
+        (wide test_kernel_long_walk);
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
       Alcotest.test_case "copy preserves state" `Quick test_copy_preserves;
