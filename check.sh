@@ -28,6 +28,13 @@ done
 dune rules lib/sim/rng_stubs.o | sed 's/^ *//' | grep -qxF -e -Werror \
   || { echo "check.sh: lib/sim/rng_stubs.c is compiled without -Werror" >&2; exit 1; }
 
+# One fork path: crash trials copy worlds with the typed copy_into, so
+# Marshal stays out of lib/ (tests may still use it as the oracle).
+if grep -rnw Marshal lib/; then
+  echo "check.sh: Marshal appears under lib/; copy worlds with copy_into" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 # The host profiler's sampler (tools/hostprof) is C outside the OCaml

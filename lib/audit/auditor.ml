@@ -11,7 +11,7 @@ type t = {
   (* line base -> persist-event count for that line at the last observation
      that saw it dirty.  A line leaving the set must either have persisted
      since (count grew) or match NVMM word-for-word (discarded). *)
-  tracked : (int, int) Hashtbl.t;
+  mutable tracked : (int, int) Hashtbl.t;
   mutable rev_failures : Invariant.violation list;
 }
 
@@ -51,9 +51,10 @@ let conservation_step t =
   let now_dirty = dirty_lines t in
   let out = ref [] in
   (* Lines that left the dirty set: demand a persist or an NVMM match. *)
-  Hashtbl.iter
+  Hashtbl.filter_map_inplace
     (fun addr seen_count ->
-      if not (Hashtbl.mem now_dirty addr) then begin
+      if Hashtbl.mem now_dirty addr then Some seen_count
+      else begin
         if persist_count t addr <= seen_count && not (matches_nvmm t addr) then
           out :=
             {
@@ -65,9 +66,9 @@ let conservation_step t =
                    differs from NVMM";
             }
             :: !out;
-        Hashtbl.remove t.tracked addr
+        None
       end)
-    (Hashtbl.copy t.tracked);
+    t.tracked;
   (* (Re)track everything currently dirty at the current persist count. *)
   Hashtbl.iter (fun addr () -> Hashtbl.replace t.tracked addr (persist_count t addr)) now_dirty;
   List.rev !out
@@ -80,4 +81,10 @@ let observe t =
 let attach t ~every = S.set_audit_hook t.sys ~every (fun _ -> ignore (observe t))
 let detach t = S.clear_audit_hook t.sys
 let note_crash t = Hashtbl.reset t.tracked
+
+(* [Hashtbl.copy] keeps the bucket layout, so the copy iterates, and
+   reports violations, in [src]'s order. *)
+let copy_into ~src ~dst =
+  dst.tracked <- Hashtbl.copy src.tracked;
+  dst.rev_failures <- src.rev_failures
 let failures t = List.rev t.rev_failures

@@ -34,5 +34,10 @@ val note_crash : t -> unit
     vanished, so the tracked set is discarded (the durability oracle, not
     conservation, judges crash-induced loss). *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Give [dst] [src]'s tracked dirty lines and recorded failures.  Each
+    auditor keeps watching its own system: copy the systems with
+    {!Skipit_core.System.copy_into}. *)
+
 val failures : t -> Invariant.violation list
 (** All violations recorded so far, oldest first. *)

@@ -100,14 +100,15 @@ let realize_strategy spec =
 
 (* The seeded-fault wrapper: silently elide required store-side writebacks.
    Exactly the bug class FliT frames — one missing flush breaking durable
-   linearizability — and what the campaign must demonstrably catch. *)
-let apply_fault fault (s : Strategy.t) =
+   linearizability — and what the campaign must demonstrably catch.
+   [calls] counts the store-side persist calls for [Drop_nth_persist]; it
+   is the world's, so a copied world copies it. *)
+let apply_fault fault ~calls (s : Strategy.t) =
   match fault with
   | No_fault -> s
   | Drop_all_persists ->
     { s with name = s.name ^ "+" ^ fault_name fault; persist_store = (fun _ -> ()) }
   | Drop_nth_persist n ->
-    let calls = ref 0 in
     {
       s with
       name = s.name ^ "+" ^ fault_name fault;
@@ -251,19 +252,25 @@ let verify_queue q p sys ops ~completed =
 
 (* Everything a trial mutates, in one record: the three stages below
    ([build], [run], [finish]) touch nothing else, which is what lets a
-   crash trial run on a copy taken mid-run (see [copy]). *)
+   crash trial run on a copy taken mid-run (see [copy_into]).  The build
+   arguments come first, so a copy can be built like its original. *)
 type world = {
+  spec : spec;
+  audit_every : int;
+  l2_banks : int option;
   sys : S.t;
   p : Pctx.t;  (* the realized strategy, counting its persist points *)
   target : target;
   auditor : Auditor.t;
   persist_points : int ref;
+  fault_calls : int ref;  (* store-side persist calls, for [Drop_nth_persist] *)
   mutable completed : int;
 }
 
 let build ?(audit_every = 400) ?l2_banks spec =
   let sys = build_system ?l2_banks spec in
-  let strategy = apply_fault spec.fault (realize_strategy spec) in
+  let fault_calls = ref 0 in
+  let strategy = apply_fault spec.fault ~calls:fault_calls (realize_strategy spec) in
   (* Crash boundaries count persist-point *calls*, not persist-log events:
      a fault that elides the writeback must not also elide the boundary
      that would expose it.  The counter increments after the call returns,
@@ -286,11 +293,15 @@ let build ?(audit_every = 400) ?l2_banks spec =
   let auditor = Auditor.create sys in
   Auditor.attach auditor ~every:audit_every;
   {
+    spec;
+    audit_every;
+    l2_banks;
     sys;
     p = Pctx.make counted spec.mode;
     target = gen_target spec;
     auditor;
     persist_points;
+    fault_calls;
     completed = 0;
   }
 
@@ -395,39 +406,55 @@ let run_trial ?audit_every ?l2_banks spec ~crash_at =
 (* ------------------------------------------------------------------ *)
 (* Forked crash trials.                                               *)
 
-(* A deep copy of a world paused between dispatches.  Marshalling with
-   [Closures] copies everything reachable as one graph, so the sharing
-   between [sys], the audit hook's closure, the structure handle and the
-   persist-point counter holds in the copy.  The image records code
-   pointers and is only valid in the process that made it.  [fork_run]
-   freezes from its stop predicate, which may now run on the task's own
-   stack (inline dispatch); that changes nothing here: no world reaches a
-   fiber continuation or the scheduler's context (the scheduler alone
-   holds those, in domain-local state), so nothing in it is
-   unmarshallable. *)
-let freeze (w : world) = Marshal.to_string w [ Marshal.Closures ]
-let thaw image : world = Marshal.from_string image 0
-let copy w = thaw (freeze w)
+(* Make [dst], a world built with [src]'s arguments, a faithful copy of
+   [src] paused between dispatches.  Every component is copied in place
+   by its own [copy_into], so [dst]'s closures stay wired to [dst]'s
+   components; the structure handle is the one piece rebuilt, on [dst]'s
+   allocator.  Whatever [dst] held before, a finished trial included, is
+   overwritten. *)
+let copy_into ~src ~dst =
+  if
+    (dst.spec != src.spec && dst.spec <> src.spec)
+    || dst.audit_every <> src.audit_every || dst.l2_banks <> src.l2_banks
+  then invalid_arg "Campaign.copy_into: worlds built from different arguments";
+  S.copy_into ~src:src.sys ~dst:dst.sys;
+  Auditor.copy_into ~src:src.auditor ~dst:dst.auditor;
+  dst.persist_points := !(src.persist_points);
+  dst.fault_calls := !(src.fault_calls);
+  dst.completed <- src.completed;
+  let alloc = S.allocator dst.sys in
+  match src.target, dst.target with
+  | Set_target s, Set_target d -> d.set <- Option.map (fun h -> Ops.rebind h alloc) s.set
+  | Queue_target s, Queue_target d -> d.queue <- Option.map (fun q -> MQ.rebind q alloc) s.queue
+  | (Set_target _ | Queue_target _), _ -> assert false (* same spec *)
 
-(* One run of [spec] that never stops on its own.  At the first dispatch
-   where the persist-point count reaches each boundary of the ascending
-   list [bs], [at b image] gets an image of the world exactly as a replay
-   with [~crash_at:(Some b)] would stop it; [at] returning [true] ends the
-   run there.  A boundary first reached after the last dispatch is never
-   stopped at by a replay either: those come back with the uncrashed
-   trial of this run, which is what the replay reports for them. *)
+let copy w =
+  let twin = build ~audit_every:w.audit_every ?l2_banks:w.l2_banks w.spec in
+  copy_into ~src:w ~dst:twin;
+  twin
+
+(* One run of [spec] that never stops on its own, beside one twin world.
+   At the first dispatch where the persist-point count reaches each
+   boundary of the ascending list [bs], the run is copied into the twin
+   and the twin is crashed and finished right there, exactly as a replay
+   with [~crash_at:(Some b)] would stop and finish; [at b trial] returning
+   [true] ends the run.  A boundary first reached after the last dispatch
+   is never stopped at by a replay either: those come back with the
+   uncrashed trial of this run, which is what the replay reports for
+   them. *)
 let fork_run ?l2_banks spec bs ~at =
   let w = build ?l2_banks spec in
+  let twin = build ?l2_banks spec in
   let pending = ref bs in
-  let rec reached image =
+  let rec reached () =
     match !pending with
     | b :: rest when !(w.persist_points) >= b ->
       pending := rest;
-      let image = match image with Some i -> i | None -> freeze w in
-      at b image || reached (Some image)
+      copy_into ~src:w ~dst:twin;
+      at b (finish twin ~crashed:true) || reached ()
     | _ -> false
   in
-  if run w ~stop:(fun () -> reached None) then []
+  if run w ~stop:reached then []
   else
     match !pending with
     | [] -> []
@@ -435,17 +462,14 @@ let fork_run ?l2_banks spec bs ~at =
       let t = finish w ~crashed:false in
       List.map (fun b -> b, t) unreached
 
-let crash_trials ?pool ?l2_banks spec bs =
-  let images = ref [] in
+let crash_trials ?l2_banks spec bs =
+  let trials = ref [] in
   let unreached =
-    fork_run ?l2_banks spec bs ~at:(fun b image ->
-      images := (b, image) :: !images;
+    fork_run ?l2_banks spec bs ~at:(fun b t ->
+      trials := (b, t) :: !trials;
       false)
   in
-  Pool.map pool
-    (fun (b, image) -> b, finish (thaw image) ~crashed:true)
-    (List.rev !images)
-  @ unreached
+  List.rev_append !trials unreached
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver.                                                   *)
@@ -478,7 +502,7 @@ let boundaries ~persists ~budget ~seed =
     List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) picks [])
   end
 
-let run_spec ?pool ?(budget = 20) ?l2_banks spec =
+let run_spec ?(budget = 20) ?l2_banks spec =
   let full = run_trial ?l2_banks spec ~crash_at:None in
   match full.violations with
   | _ :: _ ->
@@ -491,28 +515,25 @@ let run_spec ?pool ?(budget = 20) ?l2_banks spec =
     }
   | [] ->
     let bs = boundaries ~persists:full.persists ~budget ~seed:spec.seed in
-    let trials = crash_trials ?pool ?l2_banks spec bs in
+    let trials = crash_trials ?l2_banks spec bs in
     let failure = List.find_map (fun (b, t) -> failure_at spec b t) trials in
     { spec; persists = full.persists; boundaries_tested = List.length bs; failure }
 
+(* Specs are independent jobs: each builds its own two worlds. *)
 let run_campaign ?pool ?budget ?l2_banks specs =
-  (* Parallelism lives inside each spec (its crash boundaries fan out over
-     the pool); specs run in sequence so reports stay in submission order
-     with bounded memory. *)
-  List.map (fun spec -> run_spec ?pool ?budget ?l2_banks spec) specs
+  Pool.map pool (fun spec -> run_spec ?budget ?l2_banks spec) specs
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking.                                                         *)
 
 (* Earliest failing boundary of [spec], scanning from 1 (capped): one
-   forked run, finishing each copy as it is taken and stopping at the
-   first failure. *)
+   forked run, stopping at the first failure. *)
 let first_failing spec ~cap =
   let full = run_trial spec ~crash_at:None in
   let found = ref None in
   let unreached =
-    fork_run spec (List.init (min full.persists cap) (fun i -> i + 1)) ~at:(fun b image ->
-      found := failure_at spec b (finish (thaw image) ~crashed:true);
+    fork_run spec (List.init (min full.persists cap) (fun i -> i + 1)) ~at:(fun b t ->
+      found := failure_at spec b t;
       Option.is_some !found)
   in
   match !found with

@@ -102,17 +102,23 @@ val finish : world -> crashed:bool -> trial
 val system : world -> Skipit_core.System.t
 val persist_points : world -> int
 
-val copy : world -> world
-(** A deep copy sharing no mutable state with the original, valid in this
-    process only. *)
+val copy_into : src:world -> dst:world -> unit
+(** Make [dst] a faithful copy of [src], overwriting whatever [dst] held
+    (a finished trial included).  [dst] must have been built with [src]'s
+    arguments; it keeps its own components and the closures wiring them,
+    so the two share no mutable state afterwards.  [src] must be paused
+    between dispatches (or not yet run). *)
 
-val crash_trials : ?pool:Pool.t -> ?l2_banks:int -> spec -> int list -> (int * trial) list
+val copy : world -> world
+(** A fresh world built with [w]'s arguments, then {!copy_into}. *)
+
+val crash_trials : ?l2_banks:int -> spec -> int list -> (int * trial) list
 (** [crash_trials spec bs] is [List.map (fun b -> b, run_trial spec
-    ~crash_at:(Some b)) bs] for ascending [bs], computed from one run:
-    at the first dispatch where the persist-point count reaches [b], the
-    world is copied, and the copy is crashed and finished (fanned out
-    over [pool]).  A boundary no dispatch reaches gets the uncrashed
-    trial, as in a replay. *)
+    ~crash_at:(Some b)) bs] for ascending [bs], computed from one run
+    beside one twin world: at the first dispatch where the persist-point
+    count reaches [b], the run is copied into the twin ({!copy_into}), and
+    the twin is crashed and finished there.  A boundary no dispatch
+    reaches gets the uncrashed trial, as in a replay. *)
 
 type failure = { spec : spec; crash_at : int option; completed : int; violations : string list }
 
@@ -123,14 +129,16 @@ type report = {
   failure : failure option;  (** First failing crash point, if any. *)
 }
 
-val run_spec : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec -> report
+val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
 (** Test one spec: an uncrashed run first (oracle + invariants at quiesce),
     then up to [budget] (default 20) crash boundaries — enumerated
     exhaustively when the run has that few persists, otherwise the first,
     the last and RNG-sampled interior boundaries, all forked from one
-    more run ({!crash_trials}).  Crash trials fan out over [pool]. *)
+    more run ({!crash_trials}). *)
 
 val run_campaign : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec list -> report list
+(** {!run_spec} for every spec, the specs fanned out over [pool]; reports
+    come back in submission order. *)
 
 val shrink : failure -> failure
 (** Minimise a failing crash point: truncate the schedule to the in-flight

@@ -120,3 +120,19 @@ let count_valid t =
 let invalidate_all t =
   Bytes.fill t.valid 0 (Bytes.length t.valid) '\000';
   Array.fill t.payload 0 (Array.length t.payload) None
+
+let copy_into ~payload ~src ~dst =
+  if Array.length dst.tags <> Array.length src.tags || dst.ways <> src.ways then
+    invalid_arg "Store.copy_into: geometries differ";
+  (match src.policy, dst.policy with
+   | Lru, Lru -> ()
+   | Random a, Random b -> Skipit_sim.Rng.copy_into ~src:a ~dst:b
+   | (Lru | Random _), _ -> invalid_arg "Store.copy_into: policies differ");
+  Skipit_sim.Ints.copy_into ~src:src.tags ~dst:dst.tags;
+  Skipit_sim.Ints.copy_into ~src:src.last_use ~dst:dst.last_use;
+  Bytes.blit src.valid 0 dst.valid 0 (Bytes.length src.valid);
+  for id = 0 to Array.length src.payload - 1 do
+    let cur = Array.unsafe_get dst.payload id in
+    let cell = payload (Array.unsafe_get src.payload id) cur in
+    if cell != cur then dst.payload.(id) <- cell
+  done

@@ -65,3 +65,11 @@ val count_valid : 'a t -> int
 val invalidate_all : 'a t -> unit
 (** Drop every line — used to simulate a crash (volatile caches lose
     contents, §2.5). *)
+
+val copy_into : payload:('a option -> 'a option -> 'a option) -> src:'a t -> dst:'a t -> unit
+(** Make [dst] hold what [src] holds: tags, valid bits, LRU stamps and, for
+    [Random], the generator's state.  Slot by slot, [payload s d] is
+    [dst]'s new payload cell given [src]'s cell [s] and [dst]'s current
+    cell [d] ([None] for an invalid slot): an immutable payload can return
+    [s] itself, a mutable one copies into [d]'s payload and returns [d],
+    or returns a fresh copy.  The geometries and policies must match. *)

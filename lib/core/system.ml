@@ -183,6 +183,32 @@ let peek_word t addr =
 let poke_word t addr value = Dram.poke_word t.dram addr value
 let persisted_word t addr = Dram.peek_word t.dram addr
 
+(* Every component is copied once, here: the wiring between them (ports,
+   memside ports, the DRAM's log) belongs to the system, not to either
+   end.  The audit hook is [dst]'s own; only its schedule is copied. *)
+let copy_into ~src ~dst =
+  Array.iter2 (fun src dst -> Dcache.copy_into ~src ~dst) src.dcaches dst.dcaches;
+  Array.iter2 (fun src dst -> Lsu.copy_into ~src ~dst) src.lsus dst.lsus;
+  Array.iter2 (fun src dst -> Port.copy_into ~src ~dst) src.ports dst.ports;
+  List.iter2
+    (fun src dst -> Skipit_l2.Backend.copy_into ~src ~dst)
+    src.memside_ports dst.memside_ports;
+  L2.copy_into ~src:src.l2 ~dst:dst.l2;
+  (match src.l3, dst.l3 with
+   | Some src, Some dst -> Memside.copy_into ~src ~dst
+   | None, None -> ()
+   | (Some _ | None), _ -> assert false (* equal parameters *));
+  Dram.copy_into ~src:src.dram ~dst:dst.dram;
+  Allocator.copy_into ~src:src.allocator ~dst:dst.allocator;
+  Skipit_mem.Persist_log.copy_into ~src:src.persist_log ~dst:dst.persist_log;
+  match src.audit, dst.audit with
+  | None, _ -> dst.audit <- None
+  | Some a, Some b ->
+    if b.every <> a.every then invalid_arg "System.copy_into: audit periods differ";
+    b.next_due <- a.next_due;
+    b.in_hook <- a.in_hook
+  | Some _, None -> invalid_arg "System.copy_into: no audit hook to copy into"
+
 let crash t =
   Array.iter Dcache.crash t.dcaches;
   L2.crash t.l2;

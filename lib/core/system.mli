@@ -76,6 +76,16 @@ val crash : t -> unit
     ListBuffer, DRAM channels — is reset to empty, so re-running a
     workload on the same system inherits no phantom occupancy. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] a faithful copy of [src], overwriting whatever [dst] held:
+    every cache, LSU, port, memside port, the DRAM contents, allocator
+    and persist log.  Typed and in place: [dst]'s components and the
+    closures wiring them stay [dst]'s own, so the two systems share no
+    mutable state afterwards.  [dst] must come from the same parameters.
+    An audit hook is not copied, only its schedule: [dst] must have its
+    own hook installed with the same period when [src] has one (and
+    loses it when [src] has none). *)
+
 val set_audit_hook : t -> every:int -> (t -> unit) -> unit
 (** Install a periodic audit hook: [hook] fires after any instruction that
     advances the maximum core clock at least [every] cycles past the last

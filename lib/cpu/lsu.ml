@@ -105,3 +105,10 @@ let pending_writebacks t =
   Flush_unit.outstanding (Dcache.flush_unit t.dcache) ~now:t.clock
 
 let pending_stores t = Store_queue.occupancy t.stq ~now:t.clock
+
+(* The data cache is the system's to copy, like every other component the
+   LSU only points at. *)
+let copy_into ~src ~dst =
+  Store_queue.copy_into ~src:src.stq ~dst:dst.stq;
+  dst.clock <- src.clock;
+  dst.instructions <- src.instructions

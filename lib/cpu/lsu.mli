@@ -44,3 +44,8 @@ val pending_writebacks : t -> int
 val pending_stores : t -> int
 (** Stores still draining from the STQ (0 when [Params.async_stores] is
     off). *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Give [dst] [src]'s clock, retired-instruction count and store queue.
+    The data cache it issues to is not copied ({!Skipit_l1.Dcache.copy_into}
+    does that). *)

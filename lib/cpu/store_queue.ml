@@ -38,3 +38,8 @@ let drained_at t ~now =
 let occupancy t ~now =
   prune t ~now;
   Queue.length t.q
+
+let copy_into ~src ~dst =
+  if dst.entries <> src.entries then invalid_arg "Store_queue.copy_into: capacities differ";
+  Queue.clear dst.q;
+  Queue.iter (fun d -> Queue.add d dst.q) src.q

@@ -26,3 +26,7 @@ val occupancy : t -> now:int -> int
 (** Entries still draining at [now]. *)
 
 val capacity : t -> int
+
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] hold [src]'s draining entries; the capacities must
+    match. *)

@@ -45,7 +45,7 @@ type t = {
   stats : Stats.Registry.t;
   (* Per-access counters resolved once at construction; the registry's
      string lookup is off the load/store path.  The four hit/miss counters
-     are registered eagerly (they always report); the handles bind on
+     are registered eagerly (they always report); the handles report from
      their first bump. *)
   c_load_hits : Stats.Counter.t;
   c_store_hits : Stats.Counter.t;
@@ -526,3 +526,16 @@ let create p ~core ~port =
   Port.connect_client port
     { Port.probe = (fun ~addr ~cap ~now -> handle_probe t ~addr ~cap ~now) };
   t
+
+(* The port is wired between this cache and the L2; whoever owns the
+   wiring (the system) copies it. *)
+let copy_into ~src ~dst =
+  Store.copy_into ~payload:(fun cell _ -> cell) ~src:src.store_arr ~dst:dst.store_arr;
+  Bytes.blit src.meta 0 dst.meta 0 (Bytes.length src.meta);
+  Ints.copy_into ~src:src.data ~dst:dst.data;
+  Resource.copy_into ~src:src.mshrs ~dst:dst.mshrs;
+  Resource.copy_into ~src:src.wbu ~dst:dst.wbu;
+  Flush_unit.copy_into ~src:src.flush ~dst:dst.flush;
+  Int_tbl.copy_into ~src:src.last_change ~dst:dst.last_change;
+  Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats;
+  dst.done_at <- src.done_at

@@ -123,3 +123,10 @@ val crash : t -> unit
 (** Volatile contents vanish, and so do all in-flight requests: MSHR, WBU
     and flush-unit occupancy are reset so a subsequent run on the same
     system starts with empty machinery (no leaked units). *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] equal to [src], overwriting what [dst] held: lines,
+    metadata, MSHR/WBU occupancy, the flush unit, last-change stamps,
+    counters and [done_at].  The port is not copied: it belongs to the
+    wiring, whose owner copies it.  Both caches must come from the same
+    parameters. *)

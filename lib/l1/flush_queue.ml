@@ -67,3 +67,17 @@ let find_coalescible t ~addr ~kind =
 let record_coalesce entry = entry.coalesced <- entry.coalesced + 1
 
 let to_list t = List.of_seq (Queue.to_seq t.q)
+
+let copy_entry e =
+  {
+    addr = e.addr;
+    kind = e.kind;
+    hit = e.hit;
+    dirty = e.dirty;
+    enq_at = e.enq_at;
+    coalesced = e.coalesced;
+  }
+
+let copy_into ~entry ~src ~dst =
+  Queue.clear dst.q;
+  Queue.iter (fun e -> Queue.add (entry e) dst.q) src.q

@@ -62,3 +62,12 @@ val record_coalesce : entry -> unit
 
 val to_list : t -> entry list
 (** Head first. *)
+
+val copy_entry : entry -> entry
+(** A fresh entry with the same fields. *)
+
+val copy_into : entry:(entry -> entry) -> src:t -> dst:t -> unit
+(** Make [dst] queue [entry e] for each entry [e] of [src], in order,
+    dropping what [dst] held.  [entry] lets an owner that shares entries
+    with another structure point both at one copy; {!copy_entry} is the
+    plain deep copy.  [dst] keeps its name and depth. *)

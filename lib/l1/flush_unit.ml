@@ -22,11 +22,13 @@ type submit_result =
 (* Live pendings sit in an intrusive doubly-linked list in submission
    order (oldest first, matching the order conflict queries expect).
    Retirement walks it only once the clock reaches [min_ack], the earliest
-   outstanding ack. *)
+   outstanding ack.  Every link to a node is its one [self] cell, so the
+   list's shape depends only on its members, never on its history. *)
 type pnode = {
   pend : pending;
   mutable pprev : pnode option;
   mutable pnext : pnode option;
+  mutable self : pnode option;  (* [Some] this node *)
 }
 
 type t = {
@@ -90,11 +92,13 @@ let skip_dropped t = Stats.Registry.get t.stats "skip_dropped"
 let submitted t = Stats.Registry.get t.stats "submitted"
 
 let append_pending t pend =
-  let n = { pend; pprev = t.ptail; pnext = None } in
+  let n = { pend; pprev = t.ptail; pnext = None; self = None } in
+  let cell = Some n in
+  n.self <- cell;
   (match t.ptail with
-   | Some tail -> tail.pnext <- Some n
-   | None -> t.phead <- Some n);
-  t.ptail <- Some n;
+   | Some tail -> tail.pnext <- cell
+   | None -> t.phead <- cell);
+  t.ptail <- cell;
   t.pcount <- t.pcount + 1;
   t.min_ack <- Int.min t.min_ack pend.ack_at
 
@@ -371,3 +375,34 @@ let crash t =
   drain ();
   Resource.reset t.fshrs;
   match t.admission with Some a -> Admission.reset a | None -> ()
+
+(* Each queued entry is shared by its pending and by [book]: copy it once
+   and point both at the copy. *)
+let copy_into ~src ~dst =
+  Resource.copy_into ~src:src.fshrs ~dst:dst.fshrs;
+  (match src.admission, dst.admission with
+   | Some a, Some b -> Admission.copy_into ~src:a ~dst:b
+   | None, None -> ()
+   | (Some _ | None), _ -> invalid_arg "Flush_unit.copy_into: queue depths differ");
+  let copies = ref [] in
+  let entry e =
+    match List.assq_opt e !copies with
+    | Some e' -> e'
+    | None ->
+      let e' = Flush_queue.copy_entry e in
+      copies := (e, e') :: !copies;
+      e'
+  in
+  dst.phead <- None;
+  dst.ptail <- None;
+  dst.pcount <- 0;
+  let rec walk = function
+    | None -> ()
+    | Some n ->
+      append_pending dst { n.pend with entry = entry n.pend.entry };
+      walk n.pnext
+  in
+  walk src.phead;
+  dst.min_ack <- src.min_ack;
+  Flush_queue.copy_into ~entry ~src:src.book ~dst:dst.book;
+  Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats

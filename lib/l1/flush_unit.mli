@@ -106,6 +106,13 @@ val crash : t -> unit
     queue admissions and booked entries, so a subsequent run on the same
     system starts from empty flush machinery. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst]'s flush machinery equal to [src]'s, overwriting what [dst]
+    held: FSHR occupancy, queue admissions, pending requests, the booked
+    queue and the counters.  An entry that is both pending and booked is
+    copied once and shared by the two, as in [src].  Both units must come
+    from the same parameters. *)
+
 val note_skip_drop : t -> unit
 (** Record a Skip-It fast drop (the request never reached the queue). *)
 

@@ -13,6 +13,7 @@ let persist_if_dirty = Port.Memside.persist_if_dirty
 let discard_line = Port.Memside.discard_line
 let peek_word = Port.Memside.peek_word
 let crash = Port.Memside.crash
+let copy_into = Port.Memside.copy_into
 
 let of_dram ?(name = "dram") ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0)
     dram =

@@ -32,6 +32,9 @@ val discard_line : t -> addr:int -> unit
 val peek_word : t -> int -> int
 val crash : t -> unit
 
+val copy_into : src:t -> dst:t -> unit
+(** {!Skipit_tilelink.Port.Memside.copy_into}. *)
+
 val of_dram :
   ?name:string ->
   beats_per_line:int ->

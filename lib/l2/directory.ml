@@ -48,3 +48,12 @@ let check_invariants t =
       Error
         (Printf.sprintf "Trunk owner %d coexists with other owners [%s]" core
            (String.concat "; " (List.map string_of_int others)))
+
+let copy t = { dirty = t.dirty; data = Array.copy t.data; owners = Array.copy t.owners }
+
+let copy_into ~src ~dst =
+  dst.dirty <- src.dirty;
+  Skipit_sim.Ints.copy_into ~src:src.data ~dst:dst.data;
+  for i = 0 to Array.length src.owners - 1 do
+    dst.owners.(i) <- src.owners.(i)
+  done

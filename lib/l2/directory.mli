@@ -15,6 +15,13 @@ type t = {
 
 val create : n_cores:int -> data:int array -> dirty:bool -> t
 
+val copy : t -> t
+(** An independent entry with the same state. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src]'s state; the line and core counts must
+    match. *)
+
 val owner_perm : t -> int -> Perm.t
 val set_owner : t -> int -> Perm.t -> unit
 

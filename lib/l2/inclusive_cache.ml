@@ -580,3 +580,25 @@ let connect_client t ~core port =
       root_inval = (fun ~addr ~now -> root_inval t ~core ~addr ~now);
       peek_word = (fun addr -> peek_word t addr);
     }
+
+let copy_dir cell into =
+  match cell, into with
+  | None, _ -> None
+  | Some src, Some dst ->
+    Directory.copy_into ~src ~dst;
+    into
+  | Some d, None -> Some (Directory.copy d)
+
+(* The backend and the client ports are wiring; the system copies them. *)
+let copy_into ~src ~dst =
+  if dst.n_banks <> src.n_banks then invalid_arg "Inclusive_cache.copy_into: bank counts differ";
+  Array.iter2
+    (fun s d ->
+      Store.copy_into ~payload:copy_dir ~src:s.store ~dst:d.store;
+      Resource.copy_into ~src:s.mshrs ~dst:d.mshrs;
+      Admission.copy_into ~src:s.list_buffer ~dst:d.list_buffer;
+      Resource.Banked.copy_into ~src:s.slices ~dst:d.slices;
+      Stats.Registry.copy_into ~src:s.b_stats ~dst:d.b_stats)
+    src.banks dst.banks;
+  Ints.copy_into ~src:src.probe_buf ~dst:dst.probe_buf;
+  Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats

@@ -121,6 +121,13 @@ val list_buffer_occupants : t -> int
 val crash : t -> unit
 (** Drop all (volatile) contents. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] equal to [src], overwriting what [dst] held: every bank's
+    lines and directory entries, MSHR, ListBuffer and slice occupancy,
+    and the counters.  The backend and client ports are wiring and stay
+    as they are (their owner copies them).  Both caches must come from
+    the same parameters. *)
+
 val stats : t -> Skipit_sim.Stats.Registry.t
 (** Aggregate counters across banks: ["hits"], ["misses"], ["probes"],
     ["evictions"], ["dram_writebacks"], ["trivial_skips"],

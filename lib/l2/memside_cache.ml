@@ -200,3 +200,19 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
   t
 
 let backend t = Option.get t.port
+
+let copy_line cell into =
+  match cell, into with
+  | None, _ -> None
+  | Some src, Some dst ->
+    dst.dirty <- src.dirty;
+    Ints.copy_into ~src:src.data ~dst:dst.data;
+    into
+  | Some l, None -> Some { dirty = l.dirty; data = Array.copy l.data }
+
+(* Both memside ports, above and below, are the system's to copy. *)
+let copy_into ~src ~dst =
+  Resource.Banked.copy_into ~src:src.banks ~dst:dst.banks;
+  Store.copy_into ~payload:copy_line ~src:src.store ~dst:dst.store;
+  Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats;
+  dst.clock_hint <- src.clock_hint

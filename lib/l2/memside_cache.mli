@@ -46,6 +46,11 @@ val dirty : t -> int -> bool
 val iter_lines : t -> (int -> dirty:bool -> data:int array -> unit) -> unit
 (** Visit every resident line (audit layer). *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst]'s lines, bank occupancy and counters equal to [src]'s.  The
+    memside ports above and below are not copied: their owner does
+    that. *)
+
 val stats : t -> Skipit_sim.Stats.Registry.t
 (** ["hits"], ["misses"], ["evictions"], ["dram_writebacks"],
     ["persist_writes"]. *)

@@ -15,3 +15,7 @@ let alloc_line t ~line_bytes = alloc t ~align:line_bytes line_bytes
 
 let used t = t.cursor - t.base
 let next t = t.cursor
+
+let copy_into ~src ~dst =
+  if dst.base <> src.base then invalid_arg "Allocator.copy_into: bases differ";
+  dst.cursor <- src.cursor

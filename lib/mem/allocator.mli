@@ -26,3 +26,7 @@ val used : t -> int
 
 val next : t -> int
 (** The next address that would be returned (before alignment). *)
+
+val copy_into : src:t -> dst:t -> unit
+(** [dst] continues allocating where [src] would; the bases must
+    match. *)

@@ -42,5 +42,6 @@ let write_line t ~line_bytes addr data =
   done
 
 let copy = Tbl.copy
+let copy_into = Tbl.copy_into
 let iter t f = Tbl.iter t f
 let footprint = Tbl.length

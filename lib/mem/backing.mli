@@ -29,6 +29,9 @@ val write_line : t -> line_bytes:int -> int -> int array -> unit
 val copy : t -> t
 (** Deep copy — used to snapshot the persistence domain in crash tests. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] hold exactly [src]'s words. *)
+
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f addr word] for every word ever written (including
     explicit zero writes). *)

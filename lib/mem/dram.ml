@@ -77,3 +77,10 @@ let channels t = t.channels
 let crash t = Resource.reset t.channels
 
 let attach_log t log = t.log <- Some log
+
+(* The attached log is the system's to copy. *)
+let copy_into ~src ~dst =
+  Backing.copy_into ~src:src.backing ~dst:dst.backing;
+  Resource.copy_into ~src:src.channels ~dst:dst.channels;
+  dst.reads <- src.reads;
+  dst.writes <- src.writes

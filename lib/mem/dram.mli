@@ -58,5 +58,10 @@ val crash : t -> unit
 (** Power failure: contents and counters survive (NVMM), in-flight channel
     occupancy is dropped. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst]'s contents, channel occupancy and counters equal to
+    [src]'s.  The attached log is not copied ({!Persist_log.copy_into}
+    does that). *)
+
 val attach_log : t -> Persist_log.t -> unit
 (** Record every durable line write into the log (at most one log). *)

@@ -50,3 +50,9 @@ let clear t =
   Int_tbl.clear t.counts
 
 let length t = List.length t.rev_events
+
+(* Events are immutable: the copy shares them. *)
+let copy_into ~src ~dst =
+  dst.rev_events <- src.rev_events;
+  dst.next_seq <- src.next_seq;
+  Int_tbl.copy_into ~src:src.counts ~dst:dst.counts

@@ -50,5 +50,8 @@ val first_persist_time : t -> int -> int option
 val last_persist_time : t -> int -> int option
 (** Completion cycle of the line's most recent persist, if any. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] record exactly [src]'s events. *)
+
 val clear : t -> unit
 val length : t -> int

@@ -236,3 +236,5 @@ let elements_unsafe t system =
     end
   in
   walk t.s_node false [] |> List.sort compare
+
+let rebind t alloc = { t with alloc }

@@ -153,3 +153,5 @@ let to_list_unsafe t system =
     end
   in
   walk (Ptr.addr_of (strip (S.peek_word system (next_field ~stride:t.stride t.head)))) []
+
+let rebind t alloc = { t with alloc }

@@ -14,6 +14,11 @@ type t
 val create : Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> t
 (** Build head/tail sentinels. *)
 
+val rebind : t -> Skipit_mem.Allocator.t -> t
+(** The same structure, allocating its future nodes from the given
+    allocator: the handle for a copy of the simulated memory it lives in
+    (whose allocator continues where this one would). *)
+
 val insert : t -> Skipit_persist.Pctx.t -> int -> bool
 (** [false] if the key was already present. *)
 

@@ -19,3 +19,5 @@ let elements_unsafe t system =
   Array.to_list t.buckets
   |> List.concat_map (fun b -> Harris_list.to_list_unsafe b system)
   |> List.sort compare
+
+let rebind t alloc = { buckets = Array.map (fun b -> Harris_list.rebind b alloc) t.buckets }

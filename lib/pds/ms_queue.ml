@@ -121,3 +121,5 @@ let to_list_unsafe t system =
     else walk next (strip (S.peek_word system (fvalue ~stride:t.stride next)) :: acc)
   in
   walk head []
+
+let rebind t alloc = { t with alloc }

@@ -19,6 +19,11 @@ type t
 
 val create : Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> t
 
+val rebind : t -> Skipit_mem.Allocator.t -> t
+(** The same structure, allocating its future nodes from the given
+    allocator: the handle for a copy of the simulated memory it lives in
+    (whose allocator continues where this one would). *)
+
 val enqueue : t -> Skipit_persist.Pctx.t -> int -> unit
 val dequeue : t -> Skipit_persist.Pctx.t -> int option
 

@@ -15,6 +15,9 @@ val uses_word_bits : kind -> bool
 
 val compatible : kind -> Skipit_persist.Strategy.t -> bool
 
+type structure
+(** The structure a handle operates on. *)
+
 type handle = {
   name : string;
   insert : Skipit_persist.Pctx.t -> int -> bool;
@@ -24,6 +27,7 @@ type handle = {
       (** Post-crash recovery: complete interrupted operations durably. *)
   snapshot : Skipit_core.System.t -> int list;
       (** Untimed sorted key snapshot (tests). *)
+  structure : structure;  (** What the closures above operate on. *)
 }
 
 val create : kind -> Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> handle
@@ -31,3 +35,8 @@ val create : kind -> Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> handle
     buckets; adjust with {!create_sized}. *)
 
 val create_sized : kind -> buckets:int -> Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> handle
+
+val rebind : handle -> Skipit_mem.Allocator.t -> handle
+(** The same structure behind fresh closures that allocate from the given
+    allocator: the handle for a copy of the simulated memory the structure
+    lives in. *)

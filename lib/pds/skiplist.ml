@@ -240,3 +240,5 @@ let elements_unsafe t system =
     end
   in
   walk (Ptr.addr_of (strip (S.peek_word system (fnext ~stride:t.stride t.head 0)))) []
+
+let rebind t alloc = { t with alloc }

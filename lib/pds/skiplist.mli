@@ -15,6 +15,11 @@ val max_level : int
 (** Tower height cap (12). *)
 
 val create : Skipit_persist.Pctx.t -> Skipit_mem.Allocator.t -> t
+val rebind : t -> Skipit_mem.Allocator.t -> t
+(** The same structure, allocating its future nodes from the given
+    allocator: the handle for a copy of the simulated memory it lives in
+    (whose allocator continues where this one would). *)
+
 val insert : t -> Skipit_persist.Pctx.t -> int -> bool
 val delete : t -> Skipit_persist.Pctx.t -> int -> bool
 val contains : t -> Skipit_persist.Pctx.t -> int -> bool

@@ -39,3 +39,10 @@ let reset t =
   Queue.clear t.departures;
   t.admitted <- 0;
   t.released <- 0
+
+let copy_into ~src ~dst =
+  if dst.capacity <> src.capacity then invalid_arg "Admission.copy_into: capacities differ";
+  Queue.clear dst.departures;
+  Queue.iter (fun d -> Queue.add d dst.departures) src.departures;
+  dst.admitted <- src.admitted;
+  dst.released <- src.released

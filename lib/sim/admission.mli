@@ -38,3 +38,7 @@ val occupants : t -> int
 val reset : t -> unit
 (** Forget all admissions and recorded departures (power failure: in-flight
     requests vanish and must not back-pressure the next run). *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] equal to [src]: the same admissions, releases and recorded
+    departures.  The capacities must match. *)

@@ -77,6 +77,18 @@ let clear t =
 
 let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
 
+let copy_into ~src ~dst =
+  if Array.length dst.keys = Array.length src.keys then begin
+    Ints.copy_into ~src:src.keys ~dst:dst.keys;
+    Ints.copy_into ~src:src.vals ~dst:dst.vals
+  end
+  else begin
+    dst.keys <- Array.copy src.keys;
+    dst.vals <- Array.copy src.vals
+  end;
+  dst.mask <- src.mask;
+  dst.len <- src.len
+
 let iter t f =
   for i = 0 to Array.length t.keys - 1 do
     let k = t.keys.(i) in

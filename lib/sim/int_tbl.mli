@@ -24,4 +24,9 @@ val clear : t -> unit
 val copy : t -> t
 (** An independent table with the same bindings. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] equal to [src], slots and capacity included, overwriting
+    whatever [dst] held.  Reuses [dst]'s arrays when the capacities
+    match. *)
+
 val iter : t -> (int -> int -> unit) -> unit

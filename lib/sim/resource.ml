@@ -93,6 +93,14 @@ let busy_at t now =
 
 let total_busy_cycles t = t.busy_cycles
 
+let copy_into ~src ~dst =
+  if Array.length dst.free_at <> Array.length src.free_at then
+    invalid_arg "Resource.copy_into: unit counts differ";
+  Ints.copy_into ~src:src.free_at ~dst:dst.free_at;
+  Ints.copy_into ~src:src.order ~dst:dst.order;
+  dst.busy_cycles <- src.busy_cycles;
+  dst.head <- src.head
+
 let reset t =
   Array.fill t.free_at 0 (Array.length t.free_at) 0;
   Array.iteri (fun i _ -> t.order.(i) <- i) t.order;
@@ -114,4 +122,5 @@ module Banked = struct
     acquire (bank_of t ~addr ~line_bytes) ~now ~busy
 
   let reset t = Array.iter reset t.banks
+  let copy_into ~src ~dst = Array.iter2 (fun src dst -> copy_into ~src ~dst) src.banks dst.banks
 end

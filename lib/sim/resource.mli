@@ -57,6 +57,10 @@ val total_busy_cycles : t -> int
 
 val reset : t -> unit
 
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst]'s occupancy equal to [src]'s.  The two must have the same
+    unit count; [dst] keeps its name. *)
+
 module Banked : sig
   type bank = t
   type t
@@ -70,4 +74,7 @@ module Banked : sig
 
   val bank_of : t -> addr:int -> line_bytes:int -> bank
   val reset : t -> unit
+
+  val copy_into : src:t -> dst:t -> unit
+  (** {!Resource.copy_into} bank by bank; the bank counts must match. *)
 end

@@ -16,6 +16,7 @@ let split t =
   { state = seed64 }
 
 let copy t = { state = t.state }
+let copy_into ~src ~dst = dst.state <- src.state
 
 let int t bound =
   assert (bound > 0);

@@ -19,6 +19,9 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing it. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** [dst] continues exactly where [src] would. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

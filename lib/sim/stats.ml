@@ -91,9 +91,11 @@ module Sample = struct
 end
 
 module Counter = struct
-  type t = { mutable n : int }
+  (* [reported] is the registry's business: whether {!Registry.to_list}
+     shows the counter.  A standalone counter is always reported. *)
+  type t = { mutable n : int; mutable reported : bool }
 
-  let create () = { n = 0 }
+  let create () = { n = 0; reported = true }
   let incr t = t.n <- t.n + 1
   let add t k = t.n <- t.n + k
   let get t = t.n
@@ -101,51 +103,88 @@ module Counter = struct
 end
 
 module Registry = struct
-  type t = (string, Counter.t) Hashtbl.t
+  (* Entries newest first.  A component's registry holds at most a few
+     dozen keys, fixed when the component is built, so a name lookup is a
+     short scan; and the list is the registry's whole state, which makes
+     [copy_into] a pairwise walk. *)
+  type t = { mutable entries : (string * Counter.t) list }
 
-  let create () : t = Hashtbl.create 32
+  let create () = { entries = [] }
+
+  let rec find name = function
+    | [] -> None
+    | (k, c) :: rest -> if String.equal k name then Some c else find name rest
+
+  let register t name ~reported =
+    let c = { Counter.n = 0; reported } in
+    t.entries <- (name, c) :: t.entries;
+    c
 
   let counter t name =
-    match Hashtbl.find_opt t name with
-    | Some c -> c
-    | None ->
-      let c = Counter.create () in
-      Hashtbl.add t name c;
+    match find name t.entries with
+    | Some c ->
+      c.Counter.reported <- true;
       c
+    | None -> register t name ~reported:true
 
-  let get t name =
-    match Hashtbl.find_opt t name with Some c -> Counter.get c | None -> 0
-
+  let get t name = match find name t.entries with Some c -> Counter.get c | None -> 0
   let incr t name = Counter.incr (counter t name)
   let add t name k = Counter.add (counter t name) k
 
-  (* A handle caches its counter after the first bump.  Until then it
-     points at [unbound], which is never written: binding on first use
-     keeps a key that never fires out of [to_list].  The [bound] flag,
-     not physical equality with [unbound], marks a bound handle, so a
-     marshalled copy of a handle still binds on its first bump. *)
-  type handle = { reg : t; key : string; mutable c : Counter.t; mutable bound : bool }
+  (* A handle is its counter, registered unreported at creation: the first
+     bump reports it, so a key whose handle never fires stays out of
+     [to_list], exactly as with [incr]. *)
+  type handle = Counter.t
 
-  let unbound = Counter.create ()
-  let handle reg key = { reg; key; c = unbound; bound = false }
+  let handle t name =
+    match find name t.entries with Some c -> c | None -> register t name ~reported:false
 
-  let bind h =
-    h.c <- counter h.reg h.key;
-    h.bound <- true
+  let bump (h : handle) =
+    h.n <- h.n + 1;
+    h.reported <- true
 
-  let bump h =
-    if not h.bound then bind h;
-    Counter.incr h.c
+  let bump_by (h : handle) k =
+    h.n <- h.n + k;
+    h.reported <- true
 
-  let bump_by h k =
-    if not h.bound then bind h;
-    Counter.add h.c k
-
-  let reset_all t = Hashtbl.iter (fun _ c -> Counter.reset c) t
+  let reset_all t = List.iter (fun (_, c) -> Counter.reset c) t.entries
 
   let to_list t =
-    Hashtbl.fold (fun name c acc -> (name, Counter.get c) :: acc) t []
+    List.filter_map
+      (fun (name, c) -> if c.Counter.reported then Some (name, Counter.get c) else None)
+      t.entries
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let rec same_keys a b =
+    match a, b with
+    | [], [] -> true
+    | (ka, _) :: a, (kb, _) :: b -> (ka == kb || String.equal ka kb) && same_keys a b
+    | _ -> false
+
+  let rec copy_counts a b =
+    match a, b with
+    | (_, (ca : Counter.t)) :: a, (_, (cb : Counter.t)) :: b ->
+      cb.n <- ca.n;
+      cb.reported <- ca.reported;
+      copy_counts a b
+    | _ -> ()
+
+  (* Two registries built by the same code have the same keys in the same
+     order: copy the counts pairwise.  Otherwise give [dst] [src]'s keys,
+     keeping [dst]'s counter for every key it shares with [src] (its
+     handles point there). *)
+  let copy_into ~src ~dst =
+    if not (same_keys src.entries dst.entries) then begin
+      let old = dst.entries in
+      dst.entries <-
+        List.map
+          (fun (name, _) ->
+            match find name old with
+            | Some c -> name, c
+            | None -> name, { Counter.n = 0; reported = false })
+          src.entries
+    end;
+    copy_counts src.entries dst.entries
 
   let pp ppf t =
     Format.fprintf ppf "@[<v>";

@@ -71,9 +71,9 @@ module Registry : sig
 
   type handle
   (** A pre-resolved counter for per-access paths: create it once, bump it
-      without hashing a string.  It binds to the registry's counter on its
-      first bump, so a key whose handle never fires stays out of
-      {!to_list}, exactly as with {!incr}. *)
+      without hashing a string.  Creating a handle registers its counter
+      unreported; its first bump reports it, so a key whose handle never
+      fires stays out of {!to_list}, exactly as with {!incr}. *)
 
   val handle : t -> string -> handle
   val bump : handle -> unit
@@ -82,7 +82,12 @@ module Registry : sig
   val reset_all : t -> unit
 
   val to_list : t -> (string * int) list
-  (** All counters sorted by name. *)
+  (** All reported counters sorted by name. *)
+
+  val copy_into : src:t -> dst:t -> unit
+  (** Make [dst] equal to [src], overwriting whatever [dst] held: the same
+      keys in the same order, counts and reported flags.  [dst]'s counter
+      for a key both share stays the one its handles bump. *)
 
   val pp : Format.formatter -> t -> unit
 end

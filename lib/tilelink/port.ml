@@ -23,6 +23,11 @@ module Channels = struct
       c = Resource.create (name ^ "-c");
       d = Resource.create (name ^ "-d");
     }
+
+  let copy_into ~src ~dst =
+    Resource.copy_into ~src:src.a ~dst:dst.a;
+    Resource.copy_into ~src:src.c ~dst:dst.c;
+    Resource.copy_into ~src:src.d ~dst:dst.d
 end
 
 (* Per-channel counters, bound on first bump: a port that sees no stalls
@@ -106,6 +111,15 @@ let chans_for t ~addr =
     done;
     t.bank_channels.(!h)
   end
+
+(* Wires shared with other ports are copied once per port that shares
+   them: the copies agree, so that is only repeated work. *)
+let copy_into ~src ~dst =
+  Channels.copy_into ~src:src.channels ~dst:dst.channels;
+  Array.iter2
+    (fun src dst -> Channels.copy_into ~src ~dst)
+    src.bank_channels dst.bank_channels;
+  Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats
 
 let connect_manager t m =
   if t.manager <> None then invalid_arg ("Port." ^ t.name ^ ": manager already connected");
@@ -321,4 +335,11 @@ module Memside = struct
   let crash t =
     (match t.txn with Some r -> Resource.reset r | None -> ());
     t.ops.crash ()
+
+  let copy_into ~src ~dst =
+    (match src.txn, dst.txn with
+     | Some a, Some b -> Resource.copy_into ~src:a ~dst:b
+     | None, None -> ()
+     | (Some _ | None), _ -> invalid_arg "Port.Memside.copy_into: transaction tables differ");
+    Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats
 end

@@ -56,6 +56,9 @@ module Channels : sig
   type t
 
   val create : name:string -> t
+
+  val copy_into : src:t -> dst:t -> unit
+  (** Give [dst]'s A, C and D wires [src]'s occupancy. *)
 end
 
 type t
@@ -77,6 +80,11 @@ val create :
 val name : t -> string
 val stats : t -> Skipit_sim.Stats.Registry.t
 val channels : t -> Channels.t
+
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst]'s wires and counters equal to [src]'s.  The connected
+    agents are wiring, not state: they stay as they are.  The two ports
+    must have the same wiring shape. *)
 
 val connect_manager : t -> manager -> unit
 (** Bind the manager side.  Raises [Invalid_argument] on a second bind. *)
@@ -190,4 +198,8 @@ module Memside : sig
   val discard_line : t -> addr:int -> unit
   val peek_word : t -> int -> int
   val crash : t -> unit
+
+  val copy_into : src:t -> dst:t -> unit
+  (** Make [dst]'s transaction-ID occupancy and counters equal to [src]'s;
+      the agent behind the port is copied by its owner. *)
 end

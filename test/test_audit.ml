@@ -329,6 +329,71 @@ let prop_forked_equals_replay =
                (trial_to_string r))
         forked)
 
+(* A typed copy reproduces the world it copies: at random boundaries of a
+   run, after [copy_into], the live world and its twin marshal (closures
+   included) to the same bytes.  Byte equality covers every reachable
+   field, the sharing between blocks (a flush-queue entry that is both
+   pending and booked) and the bucket order of every hash table.  From
+   the second boundary on, the twin has already been crashed and
+   finished once, which is how the campaign reuses it; the completed run
+   is copied and compared last. *)
+let prop_typed_copy_is_faithful =
+  let gen =
+    QCheck.Gen.(
+      let* structure = oneofl Campaign.all_structures in
+      let* mode = oneofl Pctx.all_modes in
+      let* strategy = oneofl Campaign.all_strategies in
+      let* fault =
+        oneof
+          [
+            return Campaign.No_fault;
+            return Campaign.Drop_all_persists;
+            map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 30);
+          ]
+      in
+      let* l2_banks = oneofl [ 1; 4 ] in
+      let* seed = int_bound 10_000 in
+      let* n_ops = int_range 1 40 in
+      let* picks = list_size (int_range 2 5) (int_bound 1_000_000) in
+      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, l2_banks, picks))
+  in
+  QCheck.Test.make ~name:"typed copy marshals like the world it copies" ~count:60
+    (QCheck.make gen ~print:(fun (spec, l2_banks, picks) ->
+       Printf.sprintf "%s l2_banks=%d picks=[%s]" (Campaign.spec_name spec) l2_banks
+         (String.concat ";" (List.map string_of_int picks))))
+    (fun (spec, l2_banks, picks) ->
+      QCheck.assume (Campaign.compatible spec);
+      let full = Campaign.run_trial ~l2_banks spec ~crash_at:None in
+      let bs =
+        List.sort_uniq compare (List.map (fun x -> 1 + (x mod (full.Campaign.persists + 1))) picks)
+      in
+      let w = Campaign.build ~l2_banks spec and twin = Campaign.build ~l2_banks spec in
+      let image x = Marshal.to_string x [ Marshal.Closures ] in
+      let check what =
+        Campaign.copy_into ~src:w ~dst:twin;
+        let a = image w and b = image twin in
+        if a <> b then begin
+          let n = min (String.length a) (String.length b) in
+          let i = ref 0 in
+          while !i < n && a.[!i] = b.[!i] do incr i done;
+          QCheck.Test.fail_reportf "%s: images differ (%d vs %d bytes, first at byte %d)" what
+            (String.length a) (String.length b) !i
+        end;
+        ignore (Campaign.finish twin ~crashed:true)
+      in
+      let pending = ref bs in
+      let rec stop () =
+        match !pending with
+        | b :: rest when Campaign.persist_points w >= b ->
+          pending := rest;
+          check (Printf.sprintf "boundary %d" b);
+          stop ()
+        | _ -> false
+      in
+      ignore (Campaign.run w ~stop);
+      check "completed run";
+      true)
+
 (* ms-queue/nvtraverse/plain, seed 21, 1 op: the fifth and last persist
    point returns after the last dispatch, so no replay stops at it and the
    trial is the uncrashed one.  Boundary 4 is reached mid-run. *)
@@ -399,6 +464,7 @@ let tests =
       Alcotest.test_case "copied world shares no mutable state" `Quick
         test_copied_world_is_independent;
       QCheck_alcotest.to_alcotest prop_forked_equals_replay;
+      QCheck_alcotest.to_alcotest prop_typed_copy_is_faithful;
       Alcotest.test_case "reproducer rejects bad values" `Quick
         test_reproducer_rejects_bad_values;
       QCheck_alcotest.to_alcotest prop_reproducer_round_trip;

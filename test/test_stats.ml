@@ -157,6 +157,32 @@ let test_handle_binds_on_first_bump () =
   Alcotest.(check int) "bound across reset_all" 1 (Registry.get r "hits");
   ignore nacks
 
+(* [copy_into] makes the target report what the source reports, keeps the
+   target's handles live, and rebuilds a target whose keys differ so that
+   it marshals like the source (same keys, same table layout). *)
+let test_registry_copy_into () =
+  let make () =
+    let r = Registry.create () in
+    r, Registry.handle r "hits", Registry.handle r "nacks"
+  in
+  let src, hits, _ = make () and dst, dst_hits, dst_nacks = make () in
+  Registry.bump_by hits 4;
+  Registry.bump dst_nacks;
+  Registry.copy_into ~src ~dst;
+  Alcotest.(check (list (pair string int))) "same report" [ "hits", 4 ] (Registry.to_list dst);
+  Registry.bump dst_hits;
+  Alcotest.(check int) "handle still bumps the copy" 5 (Registry.get dst "hits");
+  Alcotest.(check int) "source untouched" 4 (Registry.get src "hits");
+  Registry.incr src "evictions";
+  Registry.incr dst "probes";
+  Registry.copy_into ~src ~dst;
+  Alcotest.(check (list (pair string int))) "differing keys rebuilt"
+    (Registry.to_list src) (Registry.to_list dst);
+  Alcotest.(check string) "same layout"
+    (Marshal.to_string src []) (Marshal.to_string dst []);
+  Registry.bump dst_hits;
+  Alcotest.(check int) "handle survives a rebuild" 5 (Registry.get dst "hits")
+
 let test_handle_bump_zero_alloc () =
   let r = Registry.create () in
   let h = Registry.handle r "beats" in
@@ -186,6 +212,7 @@ let tests =
       Alcotest.test_case "registry" `Quick test_registry;
       Alcotest.test_case "handle binds on first bump" `Quick test_handle_binds_on_first_bump;
       Alcotest.test_case "bound handle bump allocates 0" `Quick test_handle_bump_zero_alloc;
+      Alcotest.test_case "registry copy_into" `Quick test_registry_copy_into;
       QCheck_alcotest.to_alcotest prop_percentile_matches_reference;
       QCheck_alcotest.to_alcotest prop_median_bounded;
       QCheck_alcotest.to_alcotest prop_percentile_monotone;

@@ -191,6 +191,42 @@ let prop_random_workloads =
   random_ops ~tiny:true ~skip_it ~ops:300 ~seed ();
   true
 
+(* [copy_into] with every optional component present: an L3, random L1
+   replacement (its generator is state too), a shared bus and two cores.
+   The target first runs a different workload; after the copy it
+   marshals like its source, and the two run one continuation to the
+   same counters and the same image again. *)
+let test_copy_into_every_component () =
+  let params =
+    {
+      (Skipit_cache.Params.with_l3 (C.tiny ~cores:2 ())) with
+      Skipit_cache.Params.l1_replacement = `Random;
+      topology = `Shared_bus;
+    }
+  in
+  let src = S.create params and dst = S.create params in
+  let work sys ~seed n =
+    let rng = Rng.create ~seed in
+    for _ = 1 to n do
+      let core = Rng.int rng 2 and addr = 0x1_0000 + (8 * Rng.int rng 512) in
+      match Rng.int rng 4 with
+      | 0 -> S.store sys ~core addr (1 + Rng.int rng 1000)
+      | 1 -> ignore (S.load sys ~core addr)
+      | 2 -> S.clean sys ~core addr
+      | _ -> S.flush sys ~core addr
+    done
+  in
+  work src ~seed:1 400;
+  work dst ~seed:2 300;
+  S.copy_into ~src ~dst;
+  let image sys = Marshal.to_string sys [ Marshal.Closures ] in
+  Alcotest.(check bool) "the copy marshals like its source" true (image src = image dst);
+  work src ~seed:3 200;
+  work dst ~seed:3 200;
+  Alcotest.(check (list (pair string int))) "one continuation, same counters"
+    (S.stats_report src) (S.stats_report dst);
+  Alcotest.(check bool) "and the same image" true (image src = image dst)
+
 let tests =
   ( "system",
     [
@@ -209,4 +245,5 @@ let tests =
       Alcotest.test_case "random ops (tiny)" `Quick test_random_tiny;
       Alcotest.test_case "random ops (skip-it)" `Quick test_random_skipit;
       QCheck_alcotest.to_alcotest prop_random_workloads;
+      Alcotest.test_case "copy_into every component" `Quick test_copy_into_every_component;
     ] )
