@@ -267,7 +267,7 @@ type world = {
   mutable completed : int;
 }
 
-let build ?(audit_every = 400) ?l2_banks spec =
+let build_world ~audited ?(audit_every = 400) ?l2_banks spec =
   let sys = build_system ?l2_banks spec in
   let fault_calls = ref 0 in
   let strategy = apply_fault spec.fault ~calls:fault_calls (realize_strategy spec) in
@@ -291,7 +291,7 @@ let build ?(audit_every = 400) ?l2_banks spec =
     }
   in
   let auditor = Auditor.create sys in
-  Auditor.attach auditor ~every:audit_every;
+  if audited then Auditor.attach auditor ~every:audit_every;
   {
     spec;
     audit_every;
@@ -304,6 +304,8 @@ let build ?(audit_every = 400) ?l2_banks spec =
     fault_calls;
     completed = 0;
   }
+
+let build ?audit_every ?l2_banks spec = build_world ~audited:true ?audit_every ?l2_banks spec
 
 let system w = w.sys
 let persist_points w = !(w.persist_points)
@@ -403,6 +405,24 @@ let run_trial ?audit_every ?l2_banks spec ~crash_at =
   in
   finish w ~crashed:(run w ~stop)
 
+(* The persist-point total of [spec]'s uncrashed run, from a pass with
+   no auditor and no [finish]: the auditor only observes, so the audited
+   run makes the same calls.  [with_persists] checks that it did. *)
+let count_persists ?l2_banks spec =
+  let w = build_world ~audited:false ?l2_banks spec in
+  ignore (run w ~stop:(fun () -> false));
+  !(w.persist_points)
+
+let with_persists ~persists (t : trial) =
+  if t.persists = persists then t
+  else
+    let v =
+      Invariant.make ~rule:"persist-count"
+        (Printf.sprintf "the audited run made %d persist-point calls, the counting pass %d"
+           t.persists persists)
+    in
+    { t with violations = t.violations @ [ Invariant.violation_to_string v ] }
+
 (* ------------------------------------------------------------------ *)
 (* Forked crash trials.                                               *)
 
@@ -438,10 +458,10 @@ let copy w =
    boundary of the ascending list [bs], the run is copied into the twin
    and the twin is crashed and finished right there, exactly as a replay
    with [~crash_at:(Some b)] would stop and finish; [at b trial] returning
-   [true] ends the run.  A boundary first reached after the last dispatch
-   is never stopped at by a replay either: those come back with the
-   uncrashed trial of this run, which is what the replay reports for
-   them. *)
+   [true] ends the run, and the result is [None].  Once the run completes
+   it is finished uncrashed in place: the result is that trial and the
+   boundaries first reached after the last dispatch.  A replay never
+   stops at those either, so their trial is the uncrashed one. *)
 let fork_run ?l2_banks spec bs ~at =
   let w = build ?l2_banks spec in
   let twin = build ?l2_banks spec in
@@ -454,22 +474,21 @@ let fork_run ?l2_banks spec bs ~at =
       at b (finish twin ~crashed:true) || reached ()
     | _ -> false
   in
-  if run w ~stop:reached then []
-  else
-    match !pending with
-    | [] -> []
-    | unreached ->
-      let t = finish w ~crashed:false in
-      List.map (fun b -> b, t) unreached
+  if run w ~stop:reached then None else Some (finish w ~crashed:false, !pending)
 
-let crash_trials ?l2_banks spec bs =
+(* Every boundary's trial and the uncrashed one, from one forked run. *)
+let forked_trials ?l2_banks spec bs =
   let trials = ref [] in
-  let unreached =
+  match
     fork_run ?l2_banks spec bs ~at:(fun b t ->
       trials := (b, t) :: !trials;
       false)
-  in
-  List.rev_append !trials unreached
+  with
+  | Some (uncrashed, unreached) ->
+    List.rev_append !trials (List.map (fun b -> b, uncrashed) unreached), uncrashed
+  | None -> assert false (* [at] never ends the run *)
+
+let crash_trials ?l2_banks spec bs = fst (forked_trials ?l2_banks spec bs)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver.                                                   *)
@@ -502,24 +521,26 @@ let boundaries ~persists ~budget ~seed =
     List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) picks [])
   end
 
+(* The counting pass sizes the boundaries; one forked run then yields the
+   crash trials and, at its end, the uncrashed trial, whose failure takes
+   precedence as if it had run first. *)
 let run_spec ?(budget = 20) ?l2_banks spec =
-  let full = run_trial ?l2_banks spec ~crash_at:None in
-  match full.violations with
-  | _ :: _ ->
+  let persists = count_persists ?l2_banks spec in
+  let bs = boundaries ~persists ~budget ~seed:spec.seed in
+  let trials, uncrashed = forked_trials ?l2_banks spec bs in
+  match (with_persists ~persists uncrashed).violations with
+  | _ :: _ as violations ->
     {
       spec;
-      persists = full.persists;
+      persists;
       boundaries_tested = 0;
-      failure =
-        Some { spec; crash_at = None; completed = full.completed; violations = full.violations };
+      failure = Some { spec; crash_at = None; completed = uncrashed.completed; violations };
     }
   | [] ->
-    let bs = boundaries ~persists:full.persists ~budget ~seed:spec.seed in
-    let trials = crash_trials ?l2_banks spec bs in
     let failure = List.find_map (fun (b, t) -> failure_at spec b t) trials in
-    { spec; persists = full.persists; boundaries_tested = List.length bs; failure }
+    { spec; persists; boundaries_tested = List.length bs; failure }
 
-(* Specs are independent jobs: each builds its own two worlds. *)
+(* Specs are independent jobs: each builds its own three worlds. *)
 let run_campaign ?pool ?budget ?l2_banks specs =
   Pool.map pool (fun spec -> run_spec ?budget ?l2_banks spec) specs
 
@@ -529,16 +550,17 @@ let run_campaign ?pool ?budget ?l2_banks specs =
 (* Earliest failing boundary of [spec], scanning from 1 (capped): one
    forked run, stopping at the first failure. *)
 let first_failing spec ~cap =
-  let full = run_trial spec ~crash_at:None in
+  let persists = count_persists spec in
   let found = ref None in
-  let unreached =
-    fork_run spec (List.init (min full.persists cap) (fun i -> i + 1)) ~at:(fun b t ->
+  match
+    fork_run spec (List.init (min persists cap) (fun i -> i + 1)) ~at:(fun b t ->
       found := failure_at spec b t;
       Option.is_some !found)
-  in
-  match !found with
-  | Some _ as f -> f
-  | None -> List.find_map (fun (b, t) -> failure_at spec b t) unreached
+  with
+  | None -> !found
+  | Some (uncrashed, unreached) ->
+    let t = with_persists ~persists uncrashed in
+    List.find_map (fun b -> failure_at spec b t) unreached
 
 let shrink fail =
   match fail.crash_at with

@@ -130,11 +130,14 @@ type report = {
 }
 
 val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
-(** Test one spec: an uncrashed run first (oracle + invariants at quiesce),
-    then up to [budget] (default 20) crash boundaries — enumerated
-    exhaustively when the run has that few persists, otherwise the first,
-    the last and RNG-sampled interior boundaries, all forked from one
-    more run ({!crash_trials}). *)
+(** Test one spec: up to [budget] (default 20) crash boundaries —
+    enumerated exhaustively when the run has that few persists, otherwise
+    the first, the last and RNG-sampled interior boundaries — and the
+    uncrashed run (oracle + invariants at quiesce).  The persist total
+    that sizes the boundaries comes from a pass without the auditor; the
+    crash trials are forked from one audited run ({!crash_trials}), which
+    is then finished uncrashed.  An uncrashed failure is reported first,
+    with [crash_at = None] and no boundaries tested. *)
 
 val run_campaign : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec list -> report list
 (** {!run_spec} for every spec, the specs fanned out over [pool]; reports

@@ -23,8 +23,14 @@ let make ~rule ?addr detail = { rule; addr; detail }
 
 (* ------------------------------------------------------------------ *)
 
+(* One check costs a walk over the cached lines: every L1 slot is read in
+   place, with one directory lookup per line, and every word comparison
+   reads its two sides directly — no snapshot records, no per-word lookup
+   through the hierarchy. *)
 type ctx = {
   sys : S.t;
+  l2 : L2.t;
+  dram : Dram.t;
   words : int;  (* words per line *)
   mutable out : violation list;  (* collected in reverse *)
 }
@@ -34,122 +40,129 @@ let fail ctx ?addr rule fmt =
 
 let words_per_line sys = Params.line_bytes (S.params sys) / 8
 
-(* Word-granular compare of a cached line against a reference read
-   function; returns the first differing word offset. *)
-let first_diff ctx ~base ~data read_ref =
-  let rec scan w =
-    if w >= ctx.words then None
-    else begin
-      let reference = read_ref (base + (w * 8)) in
-      if data.(w) <> reference then Some (w, data.(w), reference) else scan (w + 1)
-    end
-  in
-  scan 0
+(* A line's reference copy: the words of a cache level ([Some data]) or
+   NVMM ([None]). *)
+let ref_word ctx ref_ ~base w =
+  match ref_ with Some data -> data.(w) | None -> Dram.peek_word ctx.dram (base + (w * 8))
+
+(* First word offset where an L1 slot's line, or a line's words, differ
+   from the reference copy; -1 if none does. *)
+let rec diff_slot ctx dc id ref_ ~base w =
+  if w >= ctx.words then -1
+  else if Dcache.slot_word dc id w <> ref_word ctx ref_ ~base w then w
+  else diff_slot ctx dc id ref_ ~base (w + 1)
+
+let rec diff_data ctx data ref_ ~base w =
+  if w >= ctx.words then -1
+  else if data.(w) <> ref_word ctx ref_ ~base w then w
+  else diff_data ctx data ref_ ~base (w + 1)
+
+(* What the L2 reads from below for [base]'s line: the L3's copy if it
+   holds one, else NVMM. *)
+let below_l2 ctx base =
+  match S.l3 ctx.sys with None -> None | Some l3 -> Memside.find_data l3 base
 
 (* Every L1 copy present in the L2 directory with matching permissions
    (§3.4 inclusion), at most one Trunk/dirty copy, skip-bit safety and the
-   durability strengthening, and clean-copy value agreement with the L2. *)
+   durability strengthening, and clean-copy value agreement with the L2.
+   Slots are visited in descending id order per core. *)
+let check_l1_line ctx ~core dc id =
+  let n = S.n_cores ctx.sys in
+  let addr = Dcache.slot_addr dc id in
+  let perm = Dcache.slot_perm dc id in
+  let dir = L2.find_dir ctx.l2 addr in
+  (* Inclusion + directory agreement. *)
+  (match dir with
+   | None ->
+     fail ctx ~addr "inclusion" "held by core %d (%s) but absent from L2" core
+       (Perm.to_string perm)
+   | Some d ->
+     let dperm = Directory.owner_perm d core in
+     if not (Perm.equal dperm perm) then
+       fail ctx ~addr "inclusion" "core %d holds %s but directory says %s" core
+         (Perm.to_string perm) (Perm.to_string dperm));
+  (* Single writer / dirty requires Trunk. *)
+  if Perm.equal perm Perm.Trunk then
+    for other = 0 to n - 1 do
+      if other <> core && Dcache.find_slot (S.dcache ctx.sys other) addr >= 0 then
+        fail ctx ~addr "single-writer" "Trunk on core %d but core %d holds a copy" core other
+    done;
+  let dirty = Dcache.slot_dirty dc id in
+  if dirty && not (Perm.equal perm Perm.Trunk) then
+    fail ctx ~addr "single-writer" "dirty without Trunk on core %d" core;
+  if not dirty then begin
+    if Dcache.slot_skip dc id then begin
+      (* §6.2 safety: valid ∧ ¬dirty ∧ skip ⇒ L2 copy not dirty. *)
+      (match dir with
+       | Some d when d.Directory.dirty ->
+         fail ctx ~addr "skip-safety" "skip set on core %d but L2 copy is dirty" core
+       | Some _ | None -> ());
+      (* Strengthening: the skip bit claims "already persisted", so the
+         clean copy must equal the persistence domain. *)
+      let w = diff_slot ctx dc id None ~base:addr 0 in
+      if w >= 0 then
+        fail ctx ~addr "skip-durability"
+          "skip set on core %d but word %d differs from NVMM (%#x vs %#x)" core w
+          (Dcache.slot_word dc id w)
+          (ref_word ctx None ~base:addr w)
+    end;
+    (* Clean copies agree with the L2 directory data (or, for a line the
+       L2 lacks, with what the L2 reads from below). *)
+    let ref_ = match dir with Some d -> Some d.Directory.data | None -> below_l2 ctx addr in
+    let w = diff_slot ctx dc id ref_ ~base:addr 0 in
+    if w >= 0 then
+      fail ctx ~addr "value-coherence" "clean L1 copy on core %d: word %d is %#x but L2 has %#x"
+        core w (Dcache.slot_word dc id w) (ref_word ctx ref_ ~base:addr w)
+  end
+
 let check_l1_lines ctx =
-  let sys = ctx.sys in
-  let l2 = S.l2 sys in
-  let n = S.n_cores sys in
-  for core = 0 to n - 1 do
-    let dc = S.dcache sys core in
-    List.iter
-      (fun (addr, perm) ->
-        (* Inclusion + directory agreement. *)
-        if not (L2.present l2 addr) then
-          fail ctx ~addr "inclusion" "held by core %d (%s) but absent from L2" core
-            (Perm.to_string perm)
-        else begin
-          let dperm = L2.owner_perm l2 ~core ~addr in
-          if not (Perm.equal dperm perm) then
-            fail ctx ~addr "inclusion" "core %d holds %s but directory says %s" core
-              (Perm.to_string perm) (Perm.to_string dperm)
-        end;
-        match Dcache.line_state dc addr with
-        | None -> ()
-        | Some line ->
-          (* Single writer / dirty requires Trunk. *)
-          if Perm.equal line.Dcache.perm Perm.Trunk then
-            for other = 0 to n - 1 do
-              if other <> core && Dcache.line_state (S.dcache sys other) addr <> None then
-                fail ctx ~addr "single-writer" "Trunk on core %d but core %d holds a copy"
-                  core other
-            done;
-          if line.Dcache.dirty && not (Perm.equal line.Dcache.perm Perm.Trunk) then
-            fail ctx ~addr "single-writer" "dirty without Trunk on core %d" core;
-          if not line.Dcache.dirty then begin
-            if line.Dcache.skip then begin
-              (* §6.2 safety: valid ∧ ¬dirty ∧ skip ⇒ L2 copy not dirty. *)
-              if L2.dir_dirty l2 addr then
-                fail ctx ~addr "skip-safety" "skip set on core %d but L2 copy is dirty" core;
-              (* Strengthening: the skip bit claims "already persisted", so
-                 the clean copy must equal the persistence domain. *)
-              match first_diff ctx ~base:addr ~data:line.Dcache.data (S.persisted_word sys) with
-              | Some (w, got, want) ->
-                fail ctx ~addr "skip-durability"
-                  "skip set on core %d but word %d differs from NVMM (%#x vs %#x)" core w
-                  got want
-              | None -> ()
-            end;
-            (* Clean copies agree with the L2 directory data. *)
-            match
-              first_diff ctx ~base:addr ~data:line.Dcache.data (L2.peek_word l2)
-            with
-            | Some (w, got, want) ->
-              fail ctx ~addr "value-coherence"
-                "clean L1 copy on core %d: word %d is %#x but L2 has %#x" core w got want
-            | None -> ()
-          end)
-      (Dcache.held_lines dc)
+  for core = 0 to S.n_cores ctx.sys - 1 do
+    let dc = S.dcache ctx.sys core in
+    for id = Dcache.slots dc - 1 downto 0 do
+      if Dcache.slot_valid dc id then check_l1_line ctx ~core dc id
+    done
   done
 
 (* A clean L2 line agrees with the level below it; a clean L3 line agrees
    with DRAM.  Catches an elided-but-needed writeback the moment metadata
    claims cleanliness. *)
 let check_lower_levels ctx =
-  let sys = ctx.sys in
-  let l2 = S.l2 sys in
-  let backend = L2.backend l2 in
-  L2.iter_lines l2 (fun addr dir ->
-    if not dir.Directory.dirty then
-      match
-        first_diff ctx ~base:addr ~data:dir.Directory.data
-          (Skipit_l2.Backend.peek_word backend)
-      with
-      | Some (w, got, want) ->
+  L2.iter_lines ctx.l2 (fun addr dir ->
+    if not dir.Directory.dirty then begin
+      let data = dir.Directory.data and below = below_l2 ctx addr in
+      let w = diff_data ctx data below ~base:addr 0 in
+      if w >= 0 then
         fail ctx ~addr "value-coherence" "clean L2 line: word %d is %#x but below has %#x" w
-          got want
-      | None -> ());
-  match S.l3 sys with
+          data.(w) (ref_word ctx below ~base:addr w)
+    end);
+  match S.l3 ctx.sys with
   | None -> ()
   | Some l3 ->
     Memside.iter_lines l3 (fun addr ~dirty ~data ->
-      if not dirty then
-        match first_diff ctx ~base:addr ~data (S.persisted_word sys) with
-        | Some (w, got, want) ->
-          fail ctx ~addr "value-coherence" "clean L3 line: word %d is %#x but NVMM has %#x"
-            w got want
-        | None -> ())
+      if not dirty then begin
+        let w = diff_data ctx data None ~base:addr 0 in
+        if w >= 0 then
+          fail ctx ~addr "value-coherence" "clean L3 line: word %d is %#x but NVMM has %#x" w
+            data.(w) (ref_word ctx None ~base:addr w)
+      end)
 
 (* §4 observability: the log is an ordered record — sequence numbers dense
    and ascending from zero, times non-negative. *)
 let check_persist_log ctx =
   let log = S.persist_log ctx.sys in
   let expected = ref 0 in
-  List.iter
-    (fun (e : PL.event) ->
-      if e.PL.seq <> !expected then
-        fail ctx ~addr:e.PL.addr "persist-log" "sequence %d where %d expected" e.PL.seq
-          !expected;
-      if e.PL.time < 0 then
-        fail ctx ~addr:e.PL.addr "persist-log" "negative persist time %d (seq %d)" e.PL.time
-          e.PL.seq;
-      expected := e.PL.seq + 1)
-    (PL.events log);
-  if PL.length log <> !expected then
-    fail ctx "persist-log" "length %d but %d events enumerated" (PL.length log) !expected
+  let n = PL.length log in
+  for i = 0 to n - 1 do
+    let seq = PL.seq_at log i in
+    if seq <> !expected then
+      fail ctx ~addr:(PL.addr_at log i) "persist-log" "sequence %d where %d expected" seq
+        !expected;
+    if PL.time_at log i < 0 then
+      fail ctx ~addr:(PL.addr_at log i) "persist-log" "negative persist time %d (seq %d)"
+        (PL.time_at log i) seq;
+    expected := seq + 1
+  done;
+  if n <> !expected then fail ctx "persist-log" "length %d but %d events enumerated" n !expected
 
 (* Occupancy conservation at quiesce: past every resource's busy horizon no
    FSHR pendings, flush-queue admissions or ListBuffer admissions remain.
@@ -183,7 +196,7 @@ let check_conservation ctx =
   if lb <> 0 then fail ctx "conservation" "L2 ListBuffer: %d admission(s) never released" lb
 
 let check_all ?(quiesced = false) sys =
-  let ctx = { sys; words = words_per_line sys; out = [] } in
+  let ctx = { sys; l2 = S.l2 sys; dram = S.dram sys; words = words_per_line sys; out = [] } in
   check_l1_lines ctx;
   check_lower_levels ctx;
   check_persist_log ctx;

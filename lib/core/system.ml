@@ -128,7 +128,14 @@ let dram t = t.dram
 let persist_log t = t.persist_log
 let allocator t = t.allocator
 
-let max_clock t = Array.fold_left (fun acc l -> max acc (Lsu.clock l)) 0 t.lsus
+(* Runs on every dispatch while an audit hook is attached: an int loop,
+   not a fold with the polymorphic [max]. *)
+let max_clock t =
+  let m = ref 0 in
+  for core = 0 to Array.length t.lsus - 1 do
+    m := Int.max !m (Lsu.clock (Array.unsafe_get t.lsus core))
+  done;
+  !m
 
 let set_audit_hook t ~every hook =
   if every <= 0 then invalid_arg "System.set_audit_hook: every must be positive";
@@ -166,19 +173,18 @@ let zero t ~core addr = ignore (exec t ~core (Instr.Cbo_zero { addr }))
 let fence t ~core = ignore (exec t ~core Instr.Fence)
 let clock t ~core = Lsu.clock t.lsus.(core)
 
-let peek_word t addr =
-  (* At most one core holds the line dirty; its copy is the architectural
-     value.  Otherwise every cached copy agrees with the L2. *)
-  let from_l1 =
-    Array.fold_left
-      (fun acc dc ->
-        match acc, Dcache.line_state dc addr with
-        | Some _, _ -> acc
-        | None, Some line when line.Dcache.dirty -> Some (Dcache.peek_word dc addr)
-        | None, (Some _ | None) -> None)
-      None t.dcaches
-  in
-  match from_l1 with Some v -> v | None -> L2.peek_word t.l2 addr
+(* At most one core holds the line dirty; its copy is the architectural
+   value.  Otherwise every cached copy agrees with the L2. *)
+let rec peek_from t addr core =
+  if core >= Array.length t.dcaches then L2.peek_word t.l2 addr
+  else begin
+    let dc = t.dcaches.(core) in
+    let id = Dcache.find_slot dc addr in
+    if id >= 0 && Dcache.slot_dirty dc id then Dcache.peek_word dc addr
+    else peek_from t addr (core + 1)
+  end
+
+let peek_word t addr = peek_from t addr 0
 
 let poke_word t addr value = Dram.poke_word t.dram addr value
 let persisted_word t addr = Dram.peek_word t.dram addr

@@ -348,7 +348,8 @@ let run cfg ~rate =
    | Error e -> invalid_arg ("Fleet.run: " ^ e));
   if rate <= 0. then invalid_arg "Fleet.run: rate must be positive";
   let ring = Ring.create ~shards:cfg.shards ~vnodes:cfg.vnodes ~seed:cfg.seed in
-  let route key = Ring.replicas ring ~key ~k:cfg.replicas in
+  let replica_sets = Ring.replica_table ring ~key_range:cfg.key_range ~k:cfg.replicas in
+  let route key = Ring.route replica_sets ~key in
   let primary key = match route key with p :: _ -> p | [] -> 0 in
   let group = cfg.batch > 1 in
   let pre = Ds_bench.prefill_keys ~key_range:cfg.key_range ~prefill:cfg.prefill in

@@ -82,3 +82,12 @@ let replicas t ~key ~k =
   end
 
 let owner t ~key = match replicas t ~key ~k:1 with s :: _ -> s | [] -> assert false
+
+type replica_table = { ring : t; k : int; sets : int list array  (* by key *) }
+
+let replica_table t ~key_range ~k =
+  { ring = t; k; sets = Array.init (max 0 (key_range + 1)) (fun key -> replicas t ~key ~k) }
+
+let route r ~key =
+  if key >= 0 && key < Array.length r.sets then Array.unsafe_get r.sets key
+  else replicas r.ring ~key ~k:r.k

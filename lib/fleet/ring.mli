@@ -25,3 +25,18 @@ val replicas : t -> key:int -> k:int -> int list
 
 val owner : t -> key:int -> int
 (** [List.hd (replicas t ~key ~k:1)]. *)
+
+(** {2 Precomputed replica sets}
+
+    A fleet routes every request through {!replicas}, two or three times
+    per request: a table built once per run answers the in-range keys
+    with one array read. *)
+
+type replica_table
+
+val replica_table : t -> key_range:int -> k:int -> replica_table
+(** [replicas t ~key ~k] for every key in [0 .. key_range]. *)
+
+val route : replica_table -> key:int -> int list
+(** [replicas t ~key ~k] for the table's ring and [k]: read from the
+    table in range, computed outside it. *)

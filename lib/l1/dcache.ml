@@ -465,6 +465,15 @@ let held_lines t =
   Store.iter_valid t.store_arr (fun addr id -> acc := (addr, line_perm t id) :: !acc);
   !acc
 
+let slots t = Store.slots t.store_arr
+let slot_valid t id = Store.is_valid t.store_arr id
+let slot_addr t id = Store.slot_addr t.store_arr id
+let find_slot = find_line
+let slot_perm = line_perm
+let slot_dirty = line_dirty
+let slot_skip = line_skip
+let slot_word t id off = t.data.((id * t.wpl) + off)
+
 let mshrs t = t.mshrs
 let wbu t = t.wbu
 

@@ -109,6 +109,30 @@ val line_state : t -> int -> line option
 val held_lines : t -> (int * Perm.t) list
 (** All (line address, permission) pairs — for inclusion checking. *)
 
+(** {2 Slot view}
+
+    Read-only access to the live line state by tag-store slot id, for
+    audits that visit every cached line: no snapshot records, no copies.
+    {!held_lines} lists the valid slots in descending id order. *)
+
+val slots : t -> int
+(** Slot count; ids range over [0 .. slots t - 1]. *)
+
+val slot_valid : t -> int -> bool
+
+val find_slot : t -> int -> int
+(** Slot id holding [addr]'s line, or [-1]. *)
+
+val slot_addr : t -> int -> int
+(** Line base address of a valid slot. *)
+
+val slot_perm : t -> int -> Perm.t
+val slot_dirty : t -> int -> bool
+val slot_skip : t -> int -> bool
+
+val slot_word : t -> int -> int -> int
+(** [slot_word t id w]: word [w] of the line in slot [id]. *)
+
 val flush_unit : t -> Flush_unit.t
 val port : t -> Port.t
 val stats : t -> Skipit_sim.Stats.Registry.t

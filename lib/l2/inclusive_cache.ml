@@ -516,6 +516,12 @@ let peek_word t addr =
     dir.Directory.data.(Geometry.offset_word t.p.Params.l2_geom addr)
   | _ -> Backend.peek_word t.backend addr
 
+let find_dir t addr =
+  let a = line t addr in
+  let b = bank_for t a in
+  let id = Store.find b.store (compress t a) in
+  if id = Store.miss then None else Some (Store.payload b.store id)
+
 let check_inclusion t ~l1_lines =
   let violation = ref None in
   for core = 0 to t.p.Params.n_cores - 1 do

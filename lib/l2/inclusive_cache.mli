@@ -99,6 +99,10 @@ val owner_perm : t -> core:int -> addr:int -> Perm.t
 val peek_word : t -> int -> int
 (** Functional read: L2 copy if present, else DRAM. *)
 
+val find_dir : t -> int -> Directory.t option
+(** The directory entry (owners, dirty bit, data) of [addr]'s line, if
+    resident: one lookup, for audits that read it whole.  Read-only. *)
+
 val check_inclusion : t -> l1_lines:(int -> (int * Perm.t) list) -> (unit, string) result
 (** Verify that every line any L1 claims to hold is present in L2 with
     directory bits matching ([l1_lines core] lists that L1's

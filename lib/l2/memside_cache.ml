@@ -141,6 +141,11 @@ let dirty t addr =
   | id when id <> Store.miss -> (Store.payload t.store id).dirty
   | _ -> false
 
+let find_data t addr =
+  match Store.find t.store (line_base t addr) with
+  | id when id <> Store.miss -> Some (Store.payload t.store id).data
+  | _ -> None
+
 let iter_lines t f =
   Store.iter_valid t.store (fun addr id ->
     let line = Store.payload t.store id in

@@ -43,6 +43,10 @@ val backend : t -> Backend.t
 val present : t -> int -> bool
 val dirty : t -> int -> bool
 
+val find_data : t -> int -> int array option
+(** The cached words of [addr]'s line, if resident (audit layer;
+    read-only). *)
+
 val iter_lines : t -> (int -> dirty:bool -> data:int array -> unit) -> unit
 (** Visit every resident line (audit layer). *)
 

@@ -23,8 +23,17 @@ val create : unit -> t
 val record : t -> addr:int -> time:int -> unit
 (** Called by the DRAM model on each durable line write. *)
 
+val length : t -> int
+(** Events recorded so far, in O(1). *)
+
+val addr_at : t -> int -> int
+val time_at : t -> int -> int
+val seq_at : t -> int -> int
+(** Fields of the [i]-th event in sequence order, [0 <= i < length t]:
+    an allocation-free walk over the log. *)
+
 val events : t -> event list
-(** Chronological (sequence) order. *)
+(** Chronological (sequence) order; built from the log on each call. *)
 
 val persists_of : t -> addr:int -> event list
 (** Events for one line (any address within it, 64 B lines). *)
@@ -54,4 +63,3 @@ val copy_into : src:t -> dst:t -> unit
 (** Make [dst] record exactly [src]'s events. *)
 
 val clear : t -> unit
-val length : t -> int

@@ -13,6 +13,7 @@ type t = {
   mutable keys : int array;  (* [min_int] = empty *)
   mutable vals : int array;
   mutable mask : int;  (* capacity - 1, capacity a power of two *)
+  mutable shift : int;  (* 63 - log2 capacity: keeps the product's top bits *)
   mutable len : int;
 }
 
@@ -22,14 +23,23 @@ let capacity_for hint =
   let rec up c = if c >= hint * 2 && c >= 16 then c else up (c * 2) in
   up 16
 
+let shift_for cap =
+  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
+  Sys.int_size - log2 cap 0
+
 let create ?(size_hint = 64) () =
   let cap = capacity_for size_hint in
-  { keys = Array.make cap empty_key; vals = Array.make cap 0; mask = cap - 1; len = 0 }
+  {
+    keys = Array.make cap empty_key;
+    vals = Array.make cap 0;
+    mask = cap - 1;
+    shift = shift_for cap;
+    len = 0;
+  }
 
 let length t = t.len
 
-(* Fibonacci hashing spreads consecutive line bases across the table. *)
-let slot t key = key * 0x2545F4914F6CDD1D land t.mask
+let slot t key = (key * 0x2545F4914F6CDD1D) lsr t.shift
 
 let rec probe keys mask i key =
   let k = keys.(i) in
@@ -41,6 +51,7 @@ let grow t =
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
+  t.shift <- shift_for cap;
   for i = 0 to Array.length keys - 1 do
     let k = keys.(i) in
     if k <> empty_key then begin
@@ -71,6 +82,10 @@ let mem t key =
   let i = probe t.keys t.mask (slot t key) key in
   t.keys.(i) <> empty_key
 
+let probe_length t key =
+  let home = slot t key in
+  ((probe t.keys t.mask home key - home) land t.mask) + 1
+
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   t.len <- 0
@@ -87,6 +102,7 @@ let copy_into ~src ~dst =
     dst.vals <- Array.copy src.vals
   end;
   dst.mask <- src.mask;
+  dst.shift <- src.shift;
   dst.len <- src.len
 
 let iter t f =

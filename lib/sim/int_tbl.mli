@@ -18,6 +18,12 @@ val find_default : t -> int -> default:int -> int
     [default] when unbound. *)
 
 val mem : t -> int -> bool
+
+val probe_length : t -> int -> int
+(** Slots a lookup of the key examines, its home slot included: 1 when
+    the key (or an empty slot) sits at home.  For tests of the hash's
+    spread. *)
+
 val length : t -> int
 val clear : t -> unit
 

@@ -17,6 +17,8 @@ module Campaign = Skipit_audit.Campaign
 module Pctx = Skipit_persist.Pctx
 module Strategy = Skipit_persist.Strategy
 module Ops = Skipit_pds.Set_ops
+module L2 = Skipit_l2.Inclusive_cache
+module Directory = Skipit_l2.Directory
 
 let no_violations what vs =
   if vs <> [] then
@@ -100,6 +102,246 @@ let test_crash_mid_flush () =
       (i + 1)
       (S.persisted_word sys (base + (i * 64)))
   done
+
+(* A check's cost does not grow with the persist log: on a quiesced
+   system holding the same lines, [check_all] allocates as many minor
+   words after 2,000 persist events as after 10.  Each round stores and
+   cleans the same ten lines, so every round leaves the caches as the
+   first did and adds ten events. *)
+let test_check_cost_flat_in_log () =
+  let sys = S.create (C.tiny ~cores:1 ()) in
+  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (10 * 64) in
+  let round () =
+    let body () =
+      for i = 0 to 9 do
+        T.store (base + (i * 64)) (i + 1);
+        T.clean (base + (i * 64))
+      done;
+      T.fence ()
+    in
+    ignore (T.run sys [ { T.core = 0; body } ])
+  in
+  let words () =
+    let before = Gc.minor_words () in
+    let vs = Invariant.check_all ~quiesced:true sys in
+    let after = Gc.minor_words () in
+    no_violations "quiesced" vs;
+    after -. before
+  in
+  round ();
+  Alcotest.(check int) "10 events" 10 (PL.length (S.persist_log sys));
+  let short = words () in
+  for _ = 2 to 200 do
+    round ()
+  done;
+  Alcotest.(check int) "2000 events" 2000 (PL.length (S.persist_log sys));
+  Alcotest.(check (float 0.)) "minor words at 2000 events = at 10" short (words ())
+
+(* ------------------------------------------------------------------ *)
+(* The audit against its previous implementation (Audit_oracle).      *)
+
+let violations_text vs = String.concat " | " (List.map Invariant.violation_to_string vs)
+
+let same_violations what got want =
+  if got <> want then
+    QCheck.Test.fail_reportf "%s:\n  got    [%s]\n  oracle [%s]" what (violations_text got)
+      (violations_text want)
+
+(* Every line cached clean in an L1 or the L2, as the old views list it. *)
+let clean_lines sys =
+  let acc = ref [] in
+  for core = 0 to S.n_cores sys - 1 do
+    let dc = S.dcache sys core in
+    List.iter
+      (fun (addr, _) ->
+        match Dcache.line_state dc addr with
+        | Some l when not l.Dcache.dirty -> acc := addr :: !acc
+        | Some _ | None -> ())
+      (Dcache.held_lines dc)
+  done;
+  L2.iter_lines (S.l2 sys) (fun addr dir -> if not dir.Directory.dirty then acc := addr :: !acc);
+  List.sort_uniq compare !acc
+
+(* Make NVMM disagree with clean cached lines, one word each: with one
+   third each, no line, about one in five, or every one. *)
+let poke_clean_lines rng sys =
+  let p = [| 0.; 0.2; 1. |].(Random.State.int rng 3) in
+  List.iter
+    (fun line ->
+      if Random.State.float rng 1. < p then begin
+        let a = line + (8 * Random.State.int rng 8) in
+        S.poke_word sys a (S.persisted_word sys a + 1 + Random.State.int rng 5)
+      end)
+    (clean_lines sys)
+
+(* At random boundaries of a campaign run, the run is copied into a twin
+   and the twin audited by [check_all] (both modes) and by a stateful
+   [Auditor] beside the oracle's: as copied, after NVMM words under clean
+   lines are poked (the persist log sometimes cleared, so lines that left
+   the dirty set must match NVMM), and after a crash.  The violation
+   lists must be equal, strings and order. *)
+let prop_audit_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* structure = oneofl Campaign.all_structures in
+      let* mode = oneofl Pctx.all_modes in
+      let* strategy = oneofl Campaign.all_strategies in
+      let* fault =
+        oneof
+          [
+            return Campaign.No_fault;
+            return Campaign.Drop_all_persists;
+            map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 30);
+          ]
+      in
+      let* l2_banks = oneofl [ 1; 4 ] in
+      let* seed = int_bound 10_000 in
+      let* n_ops = int_range 1 30 in
+      let* picks = list_size (int_range 1 4) (int_bound 1_000_000) in
+      let* span = int_range 1 12 in
+      let* salt = int_bound 1_000_000 in
+      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, l2_banks, (picks, span), salt))
+  in
+  QCheck.Test.make ~name:"audit matches its oracle on campaign worlds" ~count:100
+    (QCheck.make gen ~print:(fun (spec, l2_banks, (picks, span), salt) ->
+       Printf.sprintf "%s l2_banks=%d picks=[%s] span=%d salt=%d" (Campaign.spec_name spec)
+         l2_banks
+         (String.concat ";" (List.map string_of_int picks))
+         span salt))
+    (fun (spec, l2_banks, (picks, span), salt) ->
+      QCheck.assume (Campaign.compatible spec);
+      let full = Campaign.run_trial ~l2_banks spec ~crash_at:None in
+      (* The random picks, and a span of consecutive boundaries after the
+         first: a line dirty at one boundary and clean at the next is what
+         the conservation step judges. *)
+      let bs = List.map (fun x -> 1 + (x mod (full.Campaign.persists + 1))) picks in
+      let bs = List.sort_uniq compare (bs @ List.init span (fun i -> List.hd bs + i + 1)) in
+      let w = Campaign.build ~l2_banks spec and twin = Campaign.build ~l2_banks spec in
+      let sys = Campaign.system twin in
+      let auditor = Auditor.create sys and oracle = Audit_oracle.create sys in
+      let rng = Random.State.make [| salt |] in
+      let compare_checks what =
+        List.iter
+          (fun quiesced ->
+            same_violations
+              (Printf.sprintf "%s, check_all ~quiesced:%b" what quiesced)
+              (Invariant.check_all ~quiesced sys)
+              (Audit_oracle.check_all ~quiesced sys))
+          [ false; true ]
+      in
+      let check what =
+        Campaign.copy_into ~src:w ~dst:twin;
+        compare_checks what;
+        poke_clean_lines rng sys;
+        if Random.State.bool rng then PL.clear (S.persist_log sys);
+        compare_checks (what ^ ", poked");
+        same_violations (what ^ ", observe") (Auditor.observe auditor)
+          (Audit_oracle.observe oracle);
+        S.crash sys;
+        compare_checks (what ^ ", crashed")
+      in
+      let pending = ref bs in
+      let rec stop () =
+        match !pending with
+        | b :: rest when Campaign.persist_points w >= b ->
+          pending := rest;
+          check (Printf.sprintf "boundary %d" b);
+          stop ()
+        | _ -> false
+      in
+      ignore (Campaign.run w ~stop);
+      check "completed run";
+      true)
+
+(* The same comparison on a hierarchy with a memory-side L3, which no
+   campaign world has: random loads, stores, cleans and flushes from two
+   cores over 256 lines (twice the tiny L2), audited between bursts, then
+   again with NVMM poked under clean L1, L2 and L3 lines. *)
+let prop_audit_matches_oracle_l3 =
+  QCheck.Test.make ~name:"audit matches its oracle with an L3" ~count:20
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
+    (fun (salt, bursts) ->
+      let sys = S.create (Params.with_l3 (C.tiny ~cores:2 ())) in
+      let lines = 256 in
+      let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (lines * 64) in
+      let rng = Random.State.make [| salt |] in
+      let auditor = Auditor.create sys and oracle = Audit_oracle.create sys in
+      let audit what =
+        List.iter
+          (fun quiesced ->
+            same_violations
+              (Printf.sprintf "%s, check_all ~quiesced:%b" what quiesced)
+              (Invariant.check_all ~quiesced sys)
+              (Audit_oracle.check_all ~quiesced sys))
+          [ false; true ];
+        same_violations (what ^ ", observe") (Auditor.observe auditor)
+          (Audit_oracle.observe oracle)
+      in
+      let l3_clean () =
+        let acc = ref [] in
+        Option.iter
+          (fun l3 ->
+            Skipit_l2.Memside_cache.iter_lines l3 (fun addr ~dirty ~data:_ ->
+              if not dirty then acc := addr :: !acc))
+          (S.l3 sys);
+        !acc
+      in
+      for burst = 1 to bursts do
+        let ops =
+          List.init 40 (fun _ ->
+            Random.State.int rng 4, base + (64 * Random.State.int rng lines) + (8 * Random.State.int rng 8))
+        in
+        let body () =
+          List.iter
+            (fun (op, a) ->
+              match op with
+              | 0 -> ignore (T.load a)
+              | 1 -> T.store a (Random.State.bits rng)
+              | 2 -> T.clean a
+              | _ -> T.flush a)
+            ops;
+          if Random.State.bool rng then T.fence ()
+        in
+        ignore (T.run sys [ { T.core = Random.State.int rng 2; body } ]);
+        audit (Printf.sprintf "burst %d" burst);
+        if Random.State.bool rng then begin
+          poke_clean_lines rng sys;
+          List.iter
+            (fun line -> if Random.State.bool rng then S.poke_word sys line (S.persisted_word sys line + 1))
+            (l3_clean ());
+          if Random.State.bool rng then PL.clear (S.persist_log sys);
+          audit (Printf.sprintf "burst %d, poked" burst)
+        end
+      done;
+      true)
+
+(* The oracle comparison is not vacuous: NVMM poked under a clean
+   skip-bit L1 line, its clean L2 copy and a line that left the dirty set
+   without a persist event fires skip-durability, value-coherence and
+   dirty-conservation, identically in both implementations. *)
+let test_poked_nvmm_fires () =
+  let sys = S.create { (C.tiny ~cores:2 ()) with Params.skip_it = true } in
+  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (4 * 64) in
+  let auditor = Auditor.create sys and oracle = Audit_oracle.create sys in
+  let observe what =
+    let got = Auditor.observe auditor and want = Audit_oracle.observe oracle in
+    if got <> want then
+      Alcotest.failf "%s: got [%s], oracle [%s]" what (violations_text got) (violations_text want);
+    got
+  in
+  ignore (T.run sys [ { T.core = 0; body = (fun () -> T.store base 5; T.store (base + 64) 6) } ]);
+  no_violations "dirty" (observe "dirty");
+  ignore (T.run sys [ { T.core = 0; body = (fun () -> T.clean base; T.clean (base + 64); T.fence ()) } ]);
+  PL.clear (S.persist_log sys);
+  S.poke_word sys (base + 8) 77;
+  let vs = observe "poked" in
+  let rules = List.sort_uniq compare (List.map (fun v -> v.Invariant.rule) vs) in
+  Alcotest.(check (list string)) "rules fired"
+    [ "dirty-conservation"; "skip-durability"; "value-coherence" ]
+    rules;
+  Alcotest.(check (list string)) "check_all equals the oracle"
+    (List.map Invariant.violation_to_string (Audit_oracle.check_all ~quiesced:true sys))
+    (List.map Invariant.violation_to_string (Invariant.check_all ~quiesced:true sys))
 
 (* ------------------------------------------------------------------ *)
 
@@ -457,6 +699,10 @@ let tests =
       Alcotest.test_case "healthy system audits clean" `Quick test_healthy_audit;
       Alcotest.test_case "auditor dirty-line conservation" `Quick test_auditor_conservation;
       Alcotest.test_case "crash mid-flush resets occupancy" `Quick test_crash_mid_flush;
+      Alcotest.test_case "check cost flat in the persist log" `Quick test_check_cost_flat_in_log;
+      Alcotest.test_case "poked NVMM fires the value rules" `Quick test_poked_nvmm_fires;
+      QCheck_alcotest.to_alcotest prop_audit_matches_oracle;
+      QCheck_alcotest.to_alcotest prop_audit_matches_oracle_l3;
       Alcotest.test_case "campaign clean on default config" `Slow test_campaign_clean;
       Alcotest.test_case "campaign catches seeded fault" `Slow test_campaign_catches_fault;
       Alcotest.test_case "boundary reached only at completion" `Quick

@@ -53,6 +53,25 @@ let test_ring_balance () =
         (c > ideal / 3 && c < ideal * 3))
     counts
 
+(* The fleet's per-run table answers every key as [Ring.replicas] does:
+   the keys it holds and, by the fallback, keys on either side of it. *)
+let prop_replica_table =
+  QCheck.Test.make ~name:"ring: replica table equals Ring.replicas" ~count:40
+    QCheck.(
+      quad (int_range 1 9) (int_range 1 32) (int_range 0 10) (pair (int_range 0 300) small_nat))
+    (fun (shards, vnodes, k, (key_range, seed)) ->
+      let t = Ring.create ~shards ~vnodes ~seed in
+      let table = Ring.replica_table t ~key_range ~k in
+      let rec check key =
+        key > key_range + 8
+        || (Ring.route table ~key = Ring.replicas t ~key ~k
+            || QCheck.Test.fail_reportf "key %d: table [%s], ring [%s]" key
+                 (String.concat ";" (List.map string_of_int (Ring.route table ~key)))
+                 (String.concat ";" (List.map string_of_int (Ring.replicas t ~key ~k))))
+           && check (key + 1)
+      in
+      check (-8))
+
 (* == Healthy and crashing runs ========================================= *)
 
 let quick_cfg =
@@ -311,6 +330,7 @@ let tests =
       Alcotest.test_case "ring: replica sets well-formed + deterministic" `Quick
         test_ring_properties;
       Alcotest.test_case "ring: vnode ownership balance" `Quick test_ring_balance;
+      QCheck_alcotest.to_alcotest prop_replica_table;
       Alcotest.test_case "healthy run verifies" `Quick test_healthy_run;
       Alcotest.test_case "mid-run kill: failover + repair + oracle" `Quick
         test_kill_run_passes_oracle;

@@ -50,6 +50,26 @@ let test_iter () =
     sum_v := !sum_v + v);
   Alcotest.(check (pair int int)) "iter visits every binding" (6, 60) (!sum_k, !sum_v)
 
+(* The hash spreads the keys the simulator uses: 4k consecutive line
+   bases, and 4k consecutive word addresses, each average at most two
+   probed slots per lookup.  A hash keeping the low bits of the product
+   sends multiples of 64 to 1/64 of the home slots. *)
+let test_probe_length () =
+  List.iter
+    (fun (what, stride) ->
+      let t = Int_tbl.create () in
+      let n = 4096 in
+      for i = 0 to n - 1 do
+        Int_tbl.replace t (i * stride) i
+      done;
+      let total = ref 0 in
+      for i = 0 to n - 1 do
+        total := !total + Int_tbl.probe_length t (i * stride)
+      done;
+      let mean = float_of_int !total /. float_of_int n in
+      if mean > 2. then Alcotest.failf "%s: mean probe length %.2f > 2" what mean)
+    [ "line bases", 64; "word addresses", 8 ]
+
 (* Model-based property: after any sequence of replaces, every lookup agrees
    with a reference Hashtbl.  Keys cluster mod 257 to force probe chains. *)
 let prop_matches_hashtbl =
@@ -86,5 +106,6 @@ let tests =
       Alcotest.test_case "clear" `Quick test_clear;
       Alcotest.test_case "negative key rejected" `Quick test_negative_key_rejected;
       Alcotest.test_case "iter" `Quick test_iter;
+      Alcotest.test_case "mean probe length of address keys" `Quick test_probe_length;
       QCheck_alcotest.to_alcotest prop_matches_hashtbl;
     ] )

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Flat profile from sampler.c's output: samples per function, heaviest first.
 
-    python3 tools/hostprof/symbolize.py hostprof.out [--top N]
+    python3 tools/hostprof/symbolize.py hostprof.out [--top N] [--by module]
+
+`--by module` sums the samples per OCaml module (`Skipit_l1.Dcache`,
+`Stdlib.Hashtbl`, ...) instead, with the OCaml runtime, the GC, libc and
+every other symbol that is not OCaml code in one `runtime` row and the
+repository's C stubs (`skipit_*`) in a `C stubs` row.
 
 Each PC is mapped through the recorded /proc/self/maps to its object file
 and looked up in that object's `nm -n` symbol table (dynamic symbols for
@@ -28,10 +33,19 @@ def pretty(name):
     return m.group(1).replace("__", ".") if m and "__" in name else name
 
 
+def module_of(name):
+    """The OCaml module a symbol belongs to, or a row for code outside OCaml."""
+    if name.startswith("caml") and "__" in name:
+        return pretty(name).rsplit(".", 1)[0]
+    return "C stubs" if name.startswith("skipit_") else "runtime"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=40)
+    ap.add_argument("--by", choices=("function", "module"), default="function",
+                    help="one row per function (default) or per OCaml module")
     args = ap.parse_args()
     maps, pcs = [], []
     with open(args.profile) as f:
@@ -53,6 +67,9 @@ def main():
             tables[where[3]] = symbols(where[3])
         addrs, names = tables[where[3]]
         i = bisect.bisect_right(addrs, pc - where[2]) - 1
+        if args.by == "module":
+            counts[module_of(names[i]) if i >= 0 else "runtime"] += 1
+            continue
         obj = where[3].rsplit("/", 1)[-1]
         counts[f"{pretty(names[i]) if i >= 0 else '?'}  [{obj}]"] += 1
     total = max(1, len(pcs))
