@@ -74,14 +74,12 @@ let touch t id ~now = t.last_use.(id) <- now
    the strictly smallest stamp. *)
 let victim t addr =
   let base = Geometry.index_of t.geom addr * t.ways in
-  let rec find_invalid i =
-    if i >= t.ways then miss
-    else if not (is_valid t (base + i)) then base + i
-    else find_invalid (i + 1)
-  in
-  match find_invalid 0 with
-  | id when id <> miss -> id
-  | _ -> (
+  let i = ref 0 in
+  while !i < t.ways && is_valid t (base + !i) do
+    incr i
+  done;
+  if !i < t.ways then base + !i
+  else (
     match t.policy with
     | Lru ->
       let best = ref base in

@@ -90,7 +90,7 @@ let exec t instr =
     retire t;
     let flushes_done = Dcache.fence t.dcache ~now:t.clock in
     let stores_done = Store_queue.drained_at t.stq ~now:t.clock in
-    t.clock <- max flushes_done stores_done;
+    t.clock <- Int.max flushes_done stores_done;
     Attr.mark Attr.Fence ~at:t.clock;
     0
   | Instr.Delay n ->

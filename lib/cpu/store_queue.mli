@@ -6,8 +6,9 @@
     the core sees are a full queue (capacity 32 in SonicBOOM) and fences,
     which must wait for the queue to drain.
 
-    Values are completion cycles computed by the data cache; the queue
-    itself is pure bookkeeping over them. *)
+    Values are completion cycles (non-negative) computed by the data cache;
+    the queue itself is pure bookkeeping over them, in a ring of
+    [entries] slots with O(1) operations. *)
 
 type t
 

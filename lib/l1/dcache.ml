@@ -64,6 +64,10 @@ type t = {
      the hot API returns the payload unboxed and parks the timestamp here,
      so a hit performs zero minor-heap allocation. *)
   mutable done_at : int;
+  (* Scratch cycle parked by [refill] (grant arrival) and [writable_line]
+     (write may retire) for their caller; their result is the slot id, so
+     neither returns a pair. *)
+  mutable line_at : int;
 }
 
 let core t = t.core
@@ -95,7 +99,6 @@ let set_skip t id b =
 let word t id off = Array.unsafe_get t.data ((id * t.wpl) + off)
 let set_word t id off v = Array.unsafe_set t.data ((id * t.wpl) + off) v
 let copy_line t id = Array.sub t.data (id * t.wpl) t.wpl
-let blit_line t id src = Array.blit src 0 t.data (id * t.wpl) t.wpl
 
 (* Serialize [beats] of an outgoing/incoming message on a shared channel
    whose serialization time is already part of [finish]: contention-free
@@ -103,7 +106,7 @@ let blit_line t id src = Array.blit src 0 t.data (id * t.wpl) t.wpl
 let channel_c t ~addr ~finish ~beats = Port.send_c t.port ~addr ~finish ~beats
 let channel_d t ~addr ~finish ~beats = Port.recv_d t.port ~addr ~finish ~beats
 
-let l1_ev t ~at ~addr op =
+let[@inline] l1_ev t ~at ~addr op =
   if Trace.enabled () then Trace.emit ~at (Trace.L1 { core = t.core; op; addr })
 
 let note_change t ~addr ~now = Int_tbl.replace t.last_change (line_base t addr) now
@@ -134,8 +137,7 @@ let evict_slot t id ~now =
       (* The L2-side ack is off the critical path: its future-dated L2/DRAM
          completion times must not advance the attribution cursor. *)
       let saved = Attr.suspend () in
-      ignore
-        (Port.release t.port ~addr:vaddr ~shrink ~data:(Some (copy_line t id)) ~now:t_sent);
+      ignore (Port.release t.port ~addr:vaddr ~shrink ~data:t.data ~off:(id * t.wpl) ~now:t_sent);
       Attr.restore saved;
       Trace.req_end ~at:t_sent rid;
       t_sent
@@ -145,7 +147,7 @@ let evict_slot t id ~now =
       l1_ev t ~at:t0 ~addr:vaddr Trace.Evict_clean;
       let shrink = Perm.shrink_for ~from:perm ~cap:Perm.Nothing in
       let saved = Attr.suspend () in
-      ignore (Port.release t.port ~addr:vaddr ~shrink ~data:None ~now:t0);
+      ignore (Port.release t.port ~addr:vaddr ~shrink ~data:Port.no_data ~off:0 ~now:t0);
       Attr.restore saved;
       t0 + 1
     end
@@ -154,54 +156,44 @@ let evict_slot t id ~now =
   t_free
 
 (* Fetch a line at [target] permission through an MSHR: pick and evict a
-   victim, Acquire from the L2, install with the skip bit from the grant
-   flavour (GrantData vs GrantDataDirty, §6.1).  Returns the slot id and
-   the grant completion time. *)
+   victim, Acquire from the L2 (which writes the line straight into the
+   slot's storage), install with the skip bit from the grant flavour
+   (GrantData vs GrantDataDirty, §6.1).  The MSHR is picked on entry and
+   held until the grant lands.  Returns the slot id and parks the grant
+   completion time in [line_at]. *)
 let refill t ~addr ~grow ~now =
   let addr = line_base t addr in
-  let installed = ref Store.miss in
-  let _, _, finish =
-    Resource.acquire_dyn_idx t.mshrs ~now (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start
-          (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark Attr.Mshr ~at:start;
-      if Metrics.enabled () then Metrics.alloc (Lazy.force t.mshr_comp) ~at:start;
-      let id, t_slot =
-        match find_line t addr with
-        | id when id <> Store.miss ->
-          (* Upgrade in place (Branch → Trunk); no victim needed. *)
-          id, start
-        | _ ->
-          let victim = Store.victim t.store_arr addr in
-          let t_free =
-            if Store.is_valid t.store_arr victim then evict_slot t victim ~now:start
-            else start
-          in
-          victim, t_free
-      in
-      Attr.mark Attr.Mshr ~at:t_slot;
-      let t_sent = Port.send_a t.port ~addr ~now:t_slot in
-      let grant = Port.acquire t.port ~addr ~grow ~now:t_sent in
-      (* Grant data shares the D channel with every other response into
-         this core. *)
-      let grant =
-        { grant with Port.done_at = channel_d t ~addr ~finish:grant.Port.done_at ~beats:(beats t) }
-      in
-      Store.fill t.store_arr id ~addr ~payload:() ~now:grant.Port.done_at;
-      set_meta t id
-        (bits_of_perm grant.Port.perm lor (if grant.Port.l2_dirty then 0 else skip_bit));
-      blit_line t id grant.Port.data;
-      installed := id;
-      if Trace.enabled () then
-        Trace.emit ~at:grant.Port.done_at
-          (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_free });
-      Attr.mark Attr.Mshr ~at:grant.Port.done_at;
-      if Metrics.enabled () then Metrics.free (Lazy.force t.mshr_comp) ~at:grant.Port.done_at;
-      grant.Port.done_at)
+  let idx = Resource.min_index t.mshrs in
+  let start = Int.max now (Resource.earliest_free t.mshrs) in
+  if Trace.enabled () then
+    Trace.emit ~at:start
+      (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_alloc });
+  Attr.mark Attr.Mshr ~at:start;
+  if Metrics.enabled () then Metrics.alloc (Lazy.force t.mshr_comp) ~at:start;
+  (* Upgrade in place (Branch → Trunk) needs no victim. *)
+  let present = find_line t addr in
+  let id = if present <> Store.miss then present else Store.victim t.store_arr addr in
+  let t_slot =
+    if present = Store.miss && Store.is_valid t.store_arr id then evict_slot t id ~now:start
+    else start
   in
-  assert (!installed <> Store.miss);
-  !installed, finish
+  Attr.mark Attr.Mshr ~at:t_slot;
+  let t_sent = Port.send_a t.port ~addr ~now:t_slot in
+  let r = Port.acquire t.port ~addr ~grow ~now:t_sent ~into:t.data ~off:(id * t.wpl) in
+  (* Grant data shares the D channel with every other response into
+     this core. *)
+  let done_at = channel_d t ~addr ~finish:(Port.Reply.at r) ~beats:(beats t) in
+  Store.fill t.store_arr id ~addr ~payload:() ~now:done_at;
+  set_meta t id
+    (bits_of_perm (Perm.grow_to grow) lor (if Port.Reply.flag r then 0 else skip_bit));
+  if Trace.enabled () then
+    Trace.emit ~at:done_at
+      (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_free });
+  Attr.mark Attr.Mshr ~at:done_at;
+  if Metrics.enabled () then Metrics.free (Lazy.force t.mshr_comp) ~at:done_at;
+  Resource.hold t.mshrs ~idx ~start ~finish:done_at;
+  t.line_at <- done_at;
+  id
 
 let rec load_word t ~addr ~now =
   Attr.activate ~core:t.core;
@@ -232,7 +224,8 @@ let rec load_word t ~addr ~now =
       Stats.Counter.incr t.c_load_misses;
       l1_ev t ~at:now ~addr Trace.Load_miss;
       let rid = Trace.req_start ~at:now ~cls:Trace.Cls_load_miss ~core:t.core ~addr in
-      let id, t_done = refill t ~addr ~grow:Perm.N_to_B ~now in
+      let id = refill t ~addr ~grow:Perm.N_to_B ~now in
+      let t_done = t.line_at in
       Trace.req_end ~at:t_done rid;
       t.done_at <- t_done + t.p.Params.l1_load_to_use;
       Attr.mark Attr.L1_hit ~at:t.done_at;
@@ -243,8 +236,8 @@ let load t ~addr ~now =
   v, t.done_at
 
 (* Obtain a Trunk copy for a write-type access, honouring the §5.3 pending-
-   writeback conditions; returns the slot id and the cycle the write may
-   retire. *)
+   writeback conditions; returns the slot id and parks the cycle the write
+   may retire in [line_at]. *)
 let writable_line t ~addr ~now =
   Attr.activate ~core:t.core;
   let base = line_base t addr in
@@ -263,27 +256,33 @@ let writable_line t ~addr ~now =
     l1_ev t ~at:now ~addr Trace.Store_hit;
     Store.touch t.store_arr id ~now;
     Attr.mark Attr.L1_hit ~at:(now + t.p.Params.l1_store_commit);
-    id, now + t.p.Params.l1_store_commit
+    t.line_at <- now + t.p.Params.l1_store_commit;
+    id
   | id when id <> Store.miss ->
     (* Branch → Trunk upgrade; data is re-granted (no AcquirePerm, §3.3). *)
     Stats.Registry.bump t.store_upgrades;
     l1_ev t ~at:now ~addr Trace.Store_upgrade;
     let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
-    let id, t_done = refill t ~addr ~grow:Perm.B_to_T ~now in
+    let id = refill t ~addr ~grow:Perm.B_to_T ~now in
+    let t_done = t.line_at in
     Trace.req_end ~at:t_done rid;
     Attr.mark Attr.L1_hit ~at:(t_done + t.p.Params.l1_store_commit);
-    id, t_done + t.p.Params.l1_store_commit
+    t.line_at <- t_done + t.p.Params.l1_store_commit;
+    id
   | _ ->
     Stats.Counter.incr t.c_store_misses;
     l1_ev t ~at:now ~addr Trace.Store_miss;
     let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
-    let id, t_done = refill t ~addr ~grow:Perm.N_to_T ~now in
+    let id = refill t ~addr ~grow:Perm.N_to_T ~now in
+    let t_done = t.line_at in
     Trace.req_end ~at:t_done rid;
     Attr.mark Attr.L1_hit ~at:(t_done + t.p.Params.l1_store_commit);
-    id, t_done + t.p.Params.l1_store_commit
+    t.line_at <- t_done + t.p.Params.l1_store_commit;
+    id
 
 let store t ~addr ~value ~now =
-  let id, t_done = writable_line t ~addr ~now in
+  let id = writable_line t ~addr ~now in
+  let t_done = t.line_at in
   set_word t id (word_off t addr) value;
   set_dirty t id true;
   (* The architectural state change happens in program order at issue; the
@@ -293,8 +292,8 @@ let store t ~addr ~value ~now =
   t_done
 
 let cas_word t ~addr ~expected ~desired ~now =
-  let id, t_done = writable_line t ~addr ~now in
-  t.done_at <- t_done + t.p.Params.cas_extra;
+  let id = writable_line t ~addr ~now in
+  t.done_at <- t.line_at + t.p.Params.cas_extra;
   let off = word_off t addr in
   if word t id off = expected then begin
     set_word t id off desired;
@@ -313,6 +312,27 @@ type cbo_result = {
   ack_at : int;
   dropped : [ `Skip_bit | `Coalesced | `Executed ];
 }
+
+(* The flush unit's way back into this cache while an FSHR walks: closed
+   functions, so a CBO builds no closure.  The dirty line goes to the L2
+   straight from the slot's storage. *)
+let cbo_sink =
+  {
+    Flush_unit.apply_meta =
+      (fun t ~slot effect ->
+        match effect with
+        | Fshr_fsm.Invalidate_line -> Store.invalidate t.store_arr slot
+        | Fshr_fsm.Clear_dirty -> set_dirty t slot false
+        | Fshr_fsm.No_meta_change -> ());
+    send =
+      (fun t ~slot ~addr ~kind ~with_data ~now ->
+        (* The FSHR's beats are its own serialization; arbitrate them onto
+           the shared C channel before the message travels. *)
+        let sent = channel_c t ~addr ~finish:now ~beats:(if with_data then beats t else 1) in
+        if with_data then
+          Port.root_release t.port ~addr ~kind ~data:t.data ~off:(slot * t.wpl) ~now:sent
+        else Port.root_release t.port ~addr ~kind ~data:Port.no_data ~off:0 ~now:sent);
+  }
 
 let cbo t ~addr ~kind ~now =
   Attr.activate ~core:t.core;
@@ -339,25 +359,9 @@ let cbo t ~addr ~kind ~now =
     { commit_at = t_access; ack_at = t_access; dropped = `Skip_bit }
   end
   else begin
-    let line_data = if hit && dirty then Some (copy_line t id) else None in
-    let apply_meta effect =
-      if hit then begin
-        match effect with
-        | Fshr_fsm.Invalidate_line -> Store.invalidate t.store_arr id
-        | Fshr_fsm.Clear_dirty -> set_dirty t id false
-        | Fshr_fsm.No_meta_change -> ()
-      end
-    in
-    let send ~data ~now =
-      (* The FSHR's beats are its own serialization; arbitrate them onto
-         the shared C channel before the message travels. *)
-      let nbeats = if Option.is_none data then 1 else beats t in
-      let sent = channel_c t ~addr:base ~finish:now ~beats:nbeats in
-      Port.root_release t.port ~addr:base ~kind ~data ~now:sent
-    in
     let result =
-      Flush_unit.submit t.flush ~addr:base ~kind ~hit ~dirty ~line_data
-        ~last_line_change:(last_change t ~addr:base) ~now:t_access ~apply_meta ~send
+      Flush_unit.submit t.flush cbo_sink t ~addr:base ~kind ~hit ~dirty ~slot:id
+        ~last_line_change:(last_change t ~addr:base) ~now:t_access
     in
     (* A completed CBO.CLEAN leaves the line persisted: its skip bit may be
        set (§6.2 — L2 wrote the data through to DRAM and cleared its dirty
@@ -401,7 +405,8 @@ let cbo_inval t ~addr ~now =
 let cbo_zero t ~addr ~now =
   let base = line_base t addr in
   Stats.Registry.bump t.cbo_zeros;
-  let id, t_done = writable_line t ~addr:base ~now in
+  let id = writable_line t ~addr:base ~now in
+  let t_done = t.line_at in
   Array.fill t.data (id * t.wpl) t.wpl 0;
   set_dirty t id true;
   note_change t ~addr:base ~now:t_done;
@@ -413,7 +418,7 @@ let fence t ~now =
   Attr.mark Attr.Fence ~at:t_done;
   t_done
 
-let handle_probe t ~addr ~cap ~now =
+let handle_probe t ~addr ~cap ~now ~into ~off =
   let base = line_base t addr in
   Stats.Registry.bump t.probes_handled;
   l1_ev t ~at:now ~addr:base Trace.Probe_handled;
@@ -422,26 +427,24 @@ let handle_probe t ~addr ~cap ~now =
   match find_line t base with
   | id when id <> Store.miss ->
     if Perm.compare (line_perm t id) cap > 0 then begin
-      let dirty_data =
-        if line_dirty t id && Perm.compare cap Perm.Trunk < 0 then Some (copy_line t id)
-        else None
-      in
+      let dirty = line_dirty t id && Perm.compare cap Perm.Trunk < 0 in
+      if dirty then Array.blit t.data (id * t.wpl) into off t.wpl;
       (match cap with
        | Perm.Nothing -> Store.invalidate t.store_arr id
        | Perm.Branch | Perm.Trunk ->
          set_perm t id cap;
-         if Option.is_some dirty_data then begin
+         if dirty then begin
            set_dirty t id false;
            (* The dirty data now lives (only) in the L2: not persisted. *)
            set_skip t id false
          end);
       note_change t ~addr:base ~now:t0;
-      let wire = if Option.is_none dirty_data then 1 else beats t in
+      let wire = if dirty then beats t else 1 in
       let sent = channel_c t ~addr:base ~finish:(t0 + meta + wire) ~beats:wire in
-      { Port.dirty_data; done_at = sent + t.p.Params.link_latency }
+      Port.Reply.v ~at:(sent + t.p.Params.link_latency) ~flag:dirty
     end
-    else { Port.dirty_data = None; done_at = t0 + meta + 1 + t.p.Params.link_latency }
-  | _ -> { Port.dirty_data = None; done_at = t0 + meta + 1 + t.p.Params.link_latency }
+    else Port.Reply.v ~at:(t0 + meta + 1 + t.p.Params.link_latency) ~flag:false
+  | _ -> Port.Reply.v ~at:(t0 + meta + 1 + t.p.Params.link_latency) ~flag:false
 
 let peek_word t addr =
   match find_line t addr with
@@ -528,12 +531,13 @@ let create p ~core ~port =
       cbo_zeros = Stats.Registry.handle stats "cbo_zeros";
       probes_handled = Stats.Registry.handle stats "probes_handled";
       done_at = 0;
+      line_at = 0;
     }
   in
   (* The cache is the client agent of its port: B-channel probes from the
      manager arrive here. *)
   Port.connect_client port
-    { Port.probe = (fun ~addr ~cap ~now -> handle_probe t ~addr ~cap ~now) };
+    { Port.probe = (fun ~addr ~cap ~now ~into ~off -> handle_probe t ~addr ~cap ~now ~into ~off) };
   t
 
 (* The port is wired between this cache and the L2; whoever owns the
@@ -547,4 +551,5 @@ let copy_into ~src ~dst =
   Flush_unit.copy_into ~src:src.flush ~dst:dst.flush;
   Int_tbl.copy_into ~src:src.last_change ~dst:dst.last_change;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats;
-  dst.done_at <- src.done_at
+  dst.done_at <- src.done_at;
+  dst.line_at <- src.line_at

@@ -95,10 +95,13 @@ val fence : t -> now:int -> int
 (** FENCE RW,RW extended per §5.3: commits only once the flush counter
     reaches zero; returns completion time. *)
 
-val handle_probe : t -> addr:int -> cap:Perm.t -> now:int -> Port.probe_result
+val handle_probe :
+  t -> addr:int -> cap:Perm.t -> now:int -> into:int array -> off:int -> Port.Reply.t
 (** Channel-B probe from the L2: blocks on [flush_rdy] (§5.4.1), downgrades
-    the line, hands back dirty data.  Reached through the port's client
-    binding in normal operation; exposed for direct-drive tests. *)
+    the line, hands back dirty data by writing it into [into] from word
+    [off].  The reply is the ProbeAck's arrival at the L2, flagged when
+    data was handed back.  Reached through the port's client binding in
+    normal operation; exposed for direct-drive tests. *)
 
 val peek_word : t -> int -> int
 (** Functional read through this cache (falls back to L2/DRAM). *)

@@ -40,20 +40,30 @@ let enqueue t entry =
   end
 
 let dequeue t = Queue.take_opt t.q
-let peek t = Queue.peek_opt t.q
 
+let first t =
+  if Queue.is_empty t.q then invalid_arg "Flush_queue.first: empty queue";
+  Queue.peek t.q
+
+let drop_first t =
+  if Queue.is_empty t.q then invalid_arg "Flush_queue.drop_first: empty queue";
+  ignore (Queue.take t.q : entry)
+
+(* Every probe and eviction lands here; an empty queue (the usual case)
+   skips building the iteration closure. *)
 let probe_invalidate t ~addr ~cap =
-  Queue.iter
-    (fun e ->
-      if e.addr = addr then begin
-        (match cap with
-         | Perm.Nothing ->
-           e.hit <- false;
-           e.dirty <- false
-         | Perm.Branch -> e.dirty <- false
-         | Perm.Trunk -> ())
-      end)
-    t.q
+  if not (Queue.is_empty t.q) then
+    Queue.iter
+      (fun e ->
+        if e.addr = addr then begin
+          match cap with
+          | Perm.Nothing ->
+            e.hit <- false;
+            e.dirty <- false
+          | Perm.Branch -> e.dirty <- false
+          | Perm.Trunk -> ()
+        end)
+      t.q
 
 let evict_invalidate t ~addr = probe_invalidate t ~addr ~cap:Perm.Nothing
 

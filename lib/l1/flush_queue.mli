@@ -42,7 +42,13 @@ val enqueue : t -> entry -> bool
 val dequeue : t -> entry option
 (** FIFO head, for FSHR allocation. *)
 
-val peek : t -> entry option
+val first : t -> entry
+(** The oldest entry, without removing it and without an option.  Raises
+    [Invalid_argument] on an empty queue. *)
+
+val drop_first : t -> unit
+(** Remove the oldest entry.  Raises [Invalid_argument] on an empty
+    queue. *)
 
 val probe_invalidate : t -> addr:int -> cap:Perm.t -> unit
 (** §5.4.1 [probe_invalidate] signal: a coherence probe capping the line to

@@ -163,11 +163,13 @@ let rec retire t ~now min_ack = function
     else retire t ~now (Int.min min_ack n.pend.ack_at) next
 
 let rec drop_booked t ~now =
-  match Flush_queue.peek t.book with
-  | Some e when not (still_queued e ~now t.phead) ->
-    ignore (Flush_queue.dequeue t.book);
+  if
+    (not (Flush_queue.is_empty t.book))
+    && not (still_queued (Flush_queue.first t.book) ~now t.phead)
+  then begin
+    Flush_queue.drop_first t.book;
     drop_booked t ~now
-  | Some _ | None -> ()
+  end
 
 (* Retire completed requests from the conflict structures. *)
 let prune t ~now =
@@ -199,8 +201,15 @@ let trace_state = function
   | Fshr_fsm.Root_release_ack -> Some Trace.Fs_release_ack
   | Fshr_fsm.Invalid -> None
 
-let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
-  assert (Option.is_some line_data = (hit && dirty));
+type 'c sink = {
+  apply_meta : 'c -> slot:int -> Fshr_fsm.meta_effect -> unit;
+  send : 'c -> slot:int -> addr:int -> kind:Message.wb_kind -> with_data:bool -> now:int -> int;
+}
+
+let fshr_ev t ~at ~idx ~addr ~tkind op =
+  Trace.emit ~at (Trace.Fshr { core = t.core; idx; op; addr; kind = tkind })
+
+let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   let depth = t.p.Params.flush_queue_depth in
   (* A full queue nacks the LSU, which retries — modelled as the stall
      until the oldest buffered request is dequeued into an FSHR. *)
@@ -208,86 +217,84 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
     match t.admission with Some a -> Admission.admit a ~now | None -> now
   in
   Attr.mark Attr.Flushq_wait ~at:enq_at;
-  let plan = { Fshr_fsm.hit; dirty; kind } in
+  let plan = Fshr_fsm.plan ~hit ~dirty ~kind in
   let entry =
     { Flush_queue.addr; kind; hit; dirty; enq_at; coalesced = 0 }
   in
   ignore (Flush_queue.enqueue t.book entry);
   Stats.Registry.bump t.fshr_allocs;
   let tkind = Flush_queue.trace_kind kind in
-  let fshr_ev ~at ~idx op =
-    Trace.emit ~at (Trace.Fshr { core = t.core; idx; op; addr; kind = tkind })
-  in
-  (* FSHR allocation and the Fig. 7 walk.  The FSHR is occupied from
-     dequeue until the RootReleaseAck returns (root_release_ack state). *)
-  let buffer_ready = ref None in
-  let meta_write = ref None in
-  let release_time = ref 0 in
-  let ack_time = ref 0 in
-  (* The FSHR walk (and the root-release it sends) drains in the background
+  (* FSHR allocation and the Fig. 7 walk.  The FSHR is picked at dequeue
+     and held until the RootReleaseAck returns (root_release_ack state).
+     The walk (and the root-release it sends) drains in the background
      after the CBO commits at [enq_at]; its future-dated completion times
      must not advance the attribution cursor of the issuing request. *)
   let saved_frame = Attr.suspend () in
-  let _, fshr_alloc_at, _ =
-    Resource.acquire_dyn_idx t.fshrs ~now:enq_at (fun ~idx alloc_at ->
-      if Metrics.enabled () then begin
-        Metrics.alloc (Printf.sprintf "fu.%d.fshr" t.core) ~at:alloc_at;
-        Metrics.count (Printf.sprintf "fu.%d.dequeues" t.core) ~at:alloc_at
-      end;
-      if Trace.enabled () then begin
-        Trace.emit ~at:alloc_at
-          (Trace.Flushq
-             { name = Flush_queue.name t.book; op = Trace.Q_dequeue; addr; kind = tkind });
-        fshr_ev ~at:alloc_at ~idx Trace.Fshr_alloc
-      end;
-      let meta_cycles = t.p.Params.l1_meta_access in
-      let fill_cycles = Params.fill_buffer_cycles t.p in
-      let data_beats = Params.data_beats t.p in
-      let tm = ref alloc_at in
-      List.iter
-        (fun state ->
-          (match state with
-           | Fshr_fsm.Meta_write ->
-             meta_write := Some (!tm + meta_cycles);
-             apply_meta (Fshr_fsm.meta_effect plan)
-           | Fshr_fsm.Fill_buffer -> buffer_ready := Some (!tm + fill_cycles)
-           | Fshr_fsm.Invalid | Fshr_fsm.Root_release_data | Fshr_fsm.Root_release
-           | Fshr_fsm.Root_release_ack -> ());
-          (if Trace.enabled () then
-             match trace_state state with
-             | Some s -> fshr_ev ~at:!tm ~idx (Trace.Fshr_step s)
-             | None -> ());
-          tm := !tm + Fshr_fsm.state_cycles state ~meta_cycles ~fill_cycles ~data_beats)
-        (Fshr_fsm.path plan);
-      release_time := !tm;
-      let data = if Fshr_fsm.sends_data plan then line_data else None in
-      Stats.Registry.bump (if Option.is_none data then t.wb_without_data else t.wb_with_data);
-      ack_time := send ~data ~now:!tm;
-      if Trace.enabled () then fshr_ev ~at:!ack_time ~idx Trace.Fshr_free;
-      if Metrics.enabled () then
-        Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:!ack_time;
-      !ack_time)
-  in
+  let idx = Resource.min_index t.fshrs in
+  let alloc_at = Int.max enq_at (Resource.earliest_free t.fshrs) in
+  if Metrics.enabled () then begin
+    Metrics.alloc (Printf.sprintf "fu.%d.fshr" t.core) ~at:alloc_at;
+    Metrics.count (Printf.sprintf "fu.%d.dequeues" t.core) ~at:alloc_at
+  end;
+  if Trace.enabled () then begin
+    Trace.emit ~at:alloc_at
+      (Trace.Flushq
+         { name = Flush_queue.name t.book; op = Trace.Q_dequeue; addr; kind = tkind });
+    fshr_ev t ~at:alloc_at ~idx ~addr ~tkind Trace.Fshr_alloc
+  end;
+  let meta_cycles = t.p.Params.l1_meta_access in
+  let fill_cycles = Params.fill_buffer_cycles t.p in
+  let data_beats = Params.data_beats t.p in
+  let meta_write = ref None in
+  let buffer_ready = ref None in
+  let tm = ref alloc_at in
+  let state = ref (Fshr_fsm.first_state plan) in
+  let walking = ref true in
+  while !walking do
+    let st = !state in
+    (match st with
+     | Fshr_fsm.Meta_write ->
+       meta_write := Some (!tm + meta_cycles);
+       sink.apply_meta c ~slot (Fshr_fsm.meta_effect plan)
+     | Fshr_fsm.Fill_buffer -> buffer_ready := Some (!tm + fill_cycles)
+     | Fshr_fsm.Invalid | Fshr_fsm.Root_release_data | Fshr_fsm.Root_release
+     | Fshr_fsm.Root_release_ack -> ());
+    (if Trace.enabled () then
+       match trace_state st with
+       | Some s -> fshr_ev t ~at:!tm ~idx ~addr ~tkind (Trace.Fshr_step s)
+       | None -> ());
+    tm := !tm + Fshr_fsm.state_cycles st ~meta_cycles ~fill_cycles ~data_beats;
+    match st with
+    | Fshr_fsm.Root_release_ack -> walking := false
+    | _ -> state := Fshr_fsm.next plan st
+  done;
+  let release_at = !tm in
+  let with_data = Fshr_fsm.sends_data plan in
+  Stats.Registry.bump (if with_data then t.wb_with_data else t.wb_without_data);
+  let ack_at = sink.send c ~slot ~addr ~kind ~with_data ~now:release_at in
+  if Trace.enabled () then fshr_ev t ~at:ack_at ~idx ~addr ~tkind Trace.Fshr_free;
+  if Metrics.enabled () then Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:ack_at;
+  Resource.hold t.fshrs ~idx ~start:alloc_at ~finish:ack_at;
   Attr.restore saved_frame;
   let pending =
     {
       entry;
-      commit_at = (if depth = 0 then !ack_time else enq_at);
-      alloc_at = fshr_alloc_at;
+      commit_at = (if depth = 0 then ack_at else enq_at);
+      alloc_at;
       meta_write_at = !meta_write;
       buffer_ready_at = !buffer_ready;
-      release_at = !release_time;
-      ack_at = !ack_time;
+      release_at;
+      ack_at;
     }
   in
-  Stats.Registry.bump_by t.fshr_busy_cycles (!ack_time - fshr_alloc_at);
+  Stats.Registry.bump_by t.fshr_busy_cycles (ack_at - alloc_at);
   (match t.admission with
-   | Some a -> Admission.release a ~at:pending.alloc_at
+   | Some a -> Admission.release a ~at:alloc_at
    | None -> ());
   append_pending t pending;
   Accepted pending
 
-let submit t ~addr ~kind ~hit ~dirty ~line_data ~last_line_change ~now ~apply_meta ~send =
+let submit t sink c ~addr ~kind ~hit ~dirty ~slot ~last_line_change ~now =
   Stats.Registry.bump t.submitted;
   if t.p.Params.coalescing then begin
     match find_coalescible t ~addr ~kind ~last_line_change ~now with
@@ -304,9 +311,9 @@ let submit t ~addr ~kind ~hit ~dirty ~line_data ~last_line_change ~now ~apply_me
                kind = Flush_queue.trace_kind kind;
              });
       Coalesced { commit_at = now; ack_at = partner.ack_at }
-    | None -> submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send
+    | None -> submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now
   end
-  else submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send
+  else submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now
 
 type load_conflict = Load_no_conflict | Load_forward of int | Load_wait of int
 

@@ -41,25 +41,37 @@ type t
 
 val create : Params.t -> core:int -> t
 
+(** How the flush unit reaches its data cache while it walks an FSHR: a
+    record of closed functions taking the cache as ['c], so a submission
+    allocates no closure.  [slot] is the cache's handle on the line (passed
+    through {!submit} untouched).  [apply_meta] applies the Fig. 7 metadata
+    effect; [send] performs the RootRelease against the L2 — carrying the
+    line, read from the cache's storage at the slot, iff [with_data] — and
+    returns the ack arrival time. *)
+type 'c sink = {
+  apply_meta : 'c -> slot:int -> Fshr_fsm.meta_effect -> unit;
+  send : 'c -> slot:int -> addr:int -> kind:Message.wb_kind -> with_data:bool -> now:int -> int;
+}
+
 val submit :
   t ->
+  'c sink ->
+  'c ->
   addr:int ->
   kind:Message.wb_kind ->
   hit:bool ->
   dirty:bool ->
-  line_data:int array option ->
+  slot:int ->
   last_line_change:int ->
   now:int ->
-  apply_meta:(Fshr_fsm.meta_effect -> unit) ->
-  send:(data:int array option -> now:int -> int) ->
   submit_result
-(** [submit] a CBO.X that reached the data cache at [now] with the given
-    metadata snapshot.  [line_data] must be [Some] iff [hit && dirty] (the
-    dirty line captured for the data buffer).  [last_line_change] is the
+(** [submit t sink c] a CBO.X that reached the data cache [c] at [now]
+    with the given metadata snapshot.  The dirty line ([hit && dirty]) is
+    not captured: [sink.send] reads it from the cache when the FSHR
+    releases it, which happens within this call.  [last_line_change] is the
     last cycle the line's state was mutated — coalescing is legal only with
-    entries enqueued after that (§5.3).  [apply_meta] applies the Fig. 7
-    metadata effect; [send ~data ~now] performs the RootRelease against the
-    L2 and returns the ack arrival time. *)
+    entries enqueued after that (§5.3).  The FSHR walk builds no path and
+    allocates only the request's pending record. *)
 
 val find_pending : t -> addr:int -> now:int -> pending option
 (** The in-flight request for this line, if any (queue or FSHR). *)

@@ -22,6 +22,16 @@ let equal_state (a : state) (b : state) = a = b
 
 type plan = { hit : bool; dirty : bool; kind : Message.wb_kind }
 
+(* The eight plans, built once. *)
+let plans =
+  Array.init 8 (fun i ->
+    { hit = i land 4 <> 0; dirty = i land 2 <> 0;
+      kind = (if i land 1 <> 0 then Message.Wb_flush else Message.Wb_clean) })
+
+let plan ~hit ~dirty ~kind =
+  plans.((Bool.to_int hit lsl 2) lor (Bool.to_int dirty lsl 1)
+         lor (match kind with Message.Wb_flush -> 1 | Message.Wb_clean -> 0))
+
 type meta_effect = No_meta_change | Invalidate_line | Clear_dirty
 
 let meta_effect plan =

@@ -32,6 +32,10 @@ val equal_state : state -> state -> bool
 
 type plan = { hit : bool; dirty : bool; kind : Message.wb_kind }
 
+val plan : hit:bool -> dirty:bool -> kind:Message.wb_kind -> plan
+(** The plan with these fields, shared: one value per combination, built
+    once, so taking it allocates nothing. *)
+
 type meta_effect =
   | No_meta_change
   | Invalidate_line  (** CBO.FLUSH on a hit. *)

@@ -20,10 +20,9 @@ let of_dram ?(name = "dram") ~beats_per_line ?(max_inflight = 0) ?(burst_beat_co
   Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
     {
       Port.Memside.read_line =
-        (fun ~addr ~now ->
+        (fun ~addr ~now ~into ->
           Port.Memside.note_wait waits (Dram.queue_wait dram ~now);
-          let data, t = Dram.read_line dram ~addr ~now in
-          data, t, false);
+          Port.Reply.v ~at:(Dram.read_line dram ~addr ~now ~into) ~flag:false);
       write_line =
         (fun ~addr ~data ~now ->
           Port.Memside.note_wait waits (Dram.queue_wait dram ~now);

@@ -22,8 +22,9 @@ val create :
 val name : t -> string
 val stats : t -> Skipit_sim.Stats.Registry.t
 
-val read_line : t -> addr:int -> now:int -> int array * int * bool
-(** [(data, available_at, dirty_below)]. *)
+val read_line : t -> addr:int -> now:int -> into:int array -> Skipit_tilelink.Port.Reply.t
+(** Reads the line into [into]; replies [available_at], flagged
+    [dirty_below]. *)
 
 val write_line : t -> addr:int -> data:int array -> now:int -> int
 val persist_line : t -> addr:int -> data:int array -> now:int -> int

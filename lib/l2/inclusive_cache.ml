@@ -5,18 +5,6 @@ module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 module Metrics = Skipit_obs.Metrics
 
-type probe_result = Port.probe_result = {
-  dirty_data : int array option;
-  done_at : int;
-}
-
-type grant = Port.grant = {
-  perm : Perm.t;
-  data : int array;
-  l2_dirty : bool;
-  done_at : int;
-}
-
 (* The L2's event counters, one handle per key. *)
 type counters = {
   probes : Stats.Registry.handle;
@@ -189,7 +177,7 @@ let incr_stat t b key =
   Stats.Registry.bump (key t.ctr);
   if t.n_banks > 1 then Stats.Registry.bump (key b.b_ctr)
 
-let l2_ev ~at ~addr op = if Trace.enabled () then Trace.emit ~at (Trace.L2 { op; addr })
+let[@inline] l2_ev ~at ~addr op = if Trace.enabled () then Trace.emit ~at (Trace.L2 { op; addr })
 
 (* Within a NUCA bank the data-array slice is picked by the same XOR-fold
    of the compressed line number, so strided patterns the bank hash just
@@ -201,21 +189,20 @@ let slice_access t b ~caddr ~now =
     if t.slice_mask = 0 then caddr
     else fold ~shift:t.slice_shift ~mask:t.slice_mask (caddr / t.lb) * t.lb
   in
-  let _, finish =
-    Resource.Banked.acquire b.slices ~addr ~line_bytes:t.lb ~now
-      ~busy:t.p.Params.l2_slice_busy
-  in
-  finish
+  Resource.Banked.acquire_finish b.slices ~addr ~line_bytes:t.lb ~now
+    ~busy:t.p.Params.l2_slice_busy
 
 (* Probe one client.  The client agent behind the port accounts for its own
    processing and the C-channel serialization; we add the outgoing B-channel
-   travel here and trust [done_at] to be the ProbeAck arrival at the L2. *)
-let probe_one t b ~core ~addr ~cap ~now =
+   travel here and trust the reply to be the ProbeAck arrival at the L2.
+   Dirty data handed back lands in the directory's line. *)
+let probe_one t b ~core ~addr ~cap ~now dir =
   match t.ports.(core) with
   | Some port ->
     incr_stat t b (fun c -> c.probes);
     l2_ev ~at:now ~addr L2_probe;
-    Port.probe port ~addr ~cap ~now:(now + t.p.Params.link_latency)
+    Port.probe port ~addr ~cap ~now:(now + t.p.Params.link_latency) ~into:dir.Directory.data
+      ~off:0
   | None -> invalid_arg (Printf.sprintf "Inclusive_cache: no client port for core %d" core)
 
 (* Probe the first [n] cores of [t.probe_buf] in parallel, capping each to
@@ -226,17 +213,26 @@ let probe_all t b ~addr ~cap ~n ~now dir =
   for i = 0 to n - 1 do
     let core = t.probe_buf.(i) in
     let prev = Directory.owner_perm dir core in
-    let r = probe_one t b ~core ~addr ~cap ~now in
-    (match r.dirty_data with
-     | Some d ->
-       Array.blit d 0 dir.Directory.data 0 (Array.length d);
-       dir.Directory.dirty <- true
-     | None -> ());
+    let r = probe_one t b ~core ~addr ~cap ~now dir in
+    if Port.Reply.flag r then dir.Directory.dirty <- true;
     let next = if Perm.compare prev cap > 0 then cap else prev in
     Directory.set_owner dir core next;
-    if r.done_at > !t_done then t_done := r.done_at
+    if Port.Reply.at r > !t_done then t_done := Port.Reply.at r
   done;
   !t_done
+
+(* The Trunk owner of [dir], if any and other than [core], into
+   [t.probe_buf]; returns how many to probe (0 or 1). *)
+let foreign_trunk_into t dir ~core =
+  let i = ref 0 in
+  while !i < t.p.Params.n_cores && not (Perm.equal (Directory.owner_perm dir !i) Perm.Trunk) do
+    incr i
+  done;
+  if !i < t.p.Params.n_cores && !i <> core then begin
+    t.probe_buf.(0) <- !i;
+    1
+  end
+  else 0
 
 (* Evict a valid L2 victim: revoke every L1 copy (inclusion), then push dirty
    data to DRAM.  The DRAM write proceeds off the critical path; the returned
@@ -260,208 +256,199 @@ let evict_victim t b id ~now =
   Store.invalidate b.store id;
   t_probed
 
-let acquire t ~core ~addr ~grow ~now =
+(* An MSHR is picked when a transaction reaches its bank and held until
+   the transaction's finish is known (Resource pick/hold); these mark the
+   two ends. *)
+let mshr_alloc t b ~idx ~at =
+  if Trace.enabled () then
+    Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
+  Attr.mark t.acq_stage ~at;
+  if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at
+
+let mshr_free b ~idx ~at =
+  if Trace.enabled () then
+    Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
+  if Metrics.enabled () then Metrics.free b.mshr_comp ~at
+
+(* Close an acquire: free and hold its MSHR, count the grant flavour and
+   reply with the D-channel serialization beats for the data plus
+   travel. *)
+let grant t b ~idx ~start ~finish ~dirty =
+  mshr_free b ~idx ~at:finish;
+  Resource.hold b.mshrs ~idx ~start ~finish;
+  incr_stat t b (if dirty then fun c -> c.grants_dirty else fun c -> c.grants_clean);
+  Port.Reply.v ~at:(finish + beats t + t.p.Params.link_latency) ~flag:dirty
+
+let acquire t ~core ~addr ~grow ~now ~into ~off =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
   let arrive = now + t.p.Params.link_latency in
   let target = Perm.grow_to grow in
-  let result = ref (false, [||]) in
-  let _, _, finish =
-    Resource.acquire_dyn_idx b.mshrs ~now:arrive (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark t.acq_stage ~at:start;
-      if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at:start;
-      let mshr_free ~at =
-        if Trace.enabled () then
-          Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
-        if Metrics.enabled () then Metrics.free b.mshr_comp ~at;
-        at
-      in
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        incr_stat t b (fun c -> c.hits);
-        l2_ev ~at:start ~addr L2_hit;
-        let dir = Store.payload b.store id in
-        let n_probe =
-          match target with
-          | Perm.Trunk -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
-          | Perm.Branch | Perm.Nothing ->
-            (match Directory.trunk_owner dir with
-             | Some c when c <> core ->
-               t.probe_buf.(0) <- c;
-               1
-             | Some _ | None -> 0)
-        in
-        let cap = match target with Perm.Trunk -> Perm.Nothing | _ -> Perm.Branch in
-        let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
-        let tm = slice_access t b ~caddr ~now:tm in
-        Directory.set_owner dir core target;
-        Store.touch b.store id ~now:tm;
-        result := (dir.Directory.dirty, Array.copy dir.Directory.data);
-        Attr.mark Attr.L2 ~at:tm;
-        mshr_free ~at:tm
-      | _ ->
-        incr_stat t b (fun c -> c.misses);
-        l2_ev ~at:start ~addr L2_miss;
-        let victim = Store.victim b.store caddr in
-        let t_evict =
-          if Store.is_valid b.store victim then evict_victim t b victim ~now:tm else tm
-        in
-        Attr.mark Attr.L2 ~at:t_evict;
-        let data, t_data, dirty_below = Backend.read_line t.backend ~addr ~now:tm in
-        (* A dirty memory-side copy means the line is not persisted: the
-           L2 copy inherits the dirty bit so grants carry GrantDataDirty
-           and a later RootRelease pushes it to DRAM (§6.2 one level
-           deeper). *)
-        let dir =
-          Directory.create ~n_cores:t.p.Params.n_cores ~data:(Array.copy data)
-            ~dirty:dirty_below
-        in
-        Directory.set_owner dir core target;
-        let t_fill = Int.max t_evict t_data in
-        Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
-        result := (dirty_below, Array.copy data);
-        Attr.mark Attr.L2 ~at:t_fill;
-        mshr_free ~at:t_fill)
-  in
-  let l2_dirty, data = !result in
-  incr_stat t b (if l2_dirty then fun c -> c.grants_dirty else fun c -> c.grants_clean);
-  (* D-channel: serialization beats for the data plus travel. *)
-  { perm = target; data; l2_dirty; done_at = finish + beats t + t.p.Params.link_latency }
+  let idx = Resource.min_index b.mshrs in
+  let start = Int.max arrive (Resource.earliest_free b.mshrs) in
+  mshr_alloc t b ~idx ~at:start;
+  let tm = start + t.p.Params.l2_tag_access in
+  match Store.find b.store caddr with
+  | id when id <> Store.miss ->
+    incr_stat t b (fun c -> c.hits);
+    l2_ev ~at:start ~addr L2_hit;
+    let dir = Store.payload b.store id in
+    let n_probe =
+      match target with
+      | Perm.Trunk -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
+      | Perm.Branch | Perm.Nothing -> foreign_trunk_into t dir ~core
+    in
+    let cap = match target with Perm.Trunk -> Perm.Nothing | _ -> Perm.Branch in
+    let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
+    let tm = slice_access t b ~caddr ~now:tm in
+    Directory.set_owner dir core target;
+    Store.touch b.store id ~now:tm;
+    Array.blit dir.Directory.data 0 into off (Array.length dir.Directory.data);
+    Attr.mark Attr.L2 ~at:tm;
+    grant t b ~idx ~start ~finish:tm ~dirty:dir.Directory.dirty
+  | _ ->
+    incr_stat t b (fun c -> c.misses);
+    l2_ev ~at:start ~addr L2_miss;
+    let victim = Store.victim b.store caddr in
+    let t_evict =
+      if Store.is_valid b.store victim then evict_victim t b victim ~now:tm else tm
+    in
+    Attr.mark Attr.L2 ~at:t_evict;
+    (* The fill's directory line outlives the acquire: the read below
+       lands in it, and the grant copies it once into the client. *)
+    let data = Array.make (t.lb lsr 3) 0 in
+    let r = Backend.read_line t.backend ~addr ~now:tm ~into:data in
+    (* A dirty memory-side copy means the line is not persisted: the
+       L2 copy inherits the dirty bit so grants carry GrantDataDirty
+       and a later RootRelease pushes it to DRAM (§6.2 one level
+       deeper). *)
+    let dirty_below = Port.Reply.flag r in
+    let dir = Directory.create ~n_cores:t.p.Params.n_cores ~data ~dirty:dirty_below in
+    Directory.set_owner dir core target;
+    let t_fill = Int.max t_evict (Port.Reply.at r) in
+    Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
+    Array.blit data 0 into off (Array.length data);
+    Attr.mark Attr.L2 ~at:t_fill;
+    grant t b ~idx ~start ~finish:t_fill ~dirty:dirty_below
 
 (* Channel-C requests pass through the owning bank's ListBuffer before one
    of its MSHRs; the buffer's admission stall models SinkC back-pressure
-   (§3.4). *)
-let sink_c t b ~arrive f =
+   (§3.4).  [sink_c_open] admits the request and marks the picked MSHR's
+   allocation, returning the cycle it starts; [sink_c_close] frees and
+   holds that MSHR to [finish] and records the ListBuffer departure. *)
+let sink_c_open t b ~idx ~arrive =
   let admitted = Admission.admit b.list_buffer ~now:arrive in
-  let _, start, finish =
-    Resource.acquire_dyn_idx b.mshrs ~now:admitted (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark t.acq_stage ~at:start;
-      if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at:start;
-      let fin = f start in
-      if Trace.enabled () then
-        Trace.emit ~at:fin (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
-      Attr.mark Attr.L2 ~at:fin;
-      if Metrics.enabled () then Metrics.free b.mshr_comp ~at:fin;
-      fin)
-  in
-  Admission.release b.list_buffer ~at:start;
-  finish
+  let start = Int.max admitted (Resource.earliest_free b.mshrs) in
+  mshr_alloc t b ~idx ~at:start;
+  start
 
-let release t ~core ~addr ~shrink ~data ~now =
+let sink_c_close t b ~idx ~start ~finish =
+  mshr_free b ~idx ~at:finish;
+  Attr.mark Attr.L2 ~at:finish;
+  Resource.hold b.mshrs ~idx ~start ~finish;
+  Admission.release b.list_buffer ~at:start;
+  finish + t.p.Params.link_latency
+
+(* Take a line carried by a channel-C message into the directory: the
+   data-array write occupies a slice.  Returns when it is written. *)
+let merge_line t b ~caddr ~dir ~data ~off ~now =
+  let tb = slice_access t b ~caddr ~now in
+  Array.blit data off dir.Directory.data 0 (Array.length dir.Directory.data);
+  dir.Directory.dirty <- true;
+  tb
+
+let release t ~core ~addr ~shrink ~data ~off ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_release;
-  let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        let tm =
-          match data with
-          | Some d ->
-            let tb = slice_access t b ~caddr ~now:tm in
-            Array.blit d 0 dir.Directory.data 0 (Array.length d);
-            dir.Directory.dirty <- true;
-            tb
-          | None -> tm
-        in
-        Directory.set_owner dir core (Perm.shrink_to shrink);
-        Store.touch b.store id ~now:tm;
-        tm
-      | _ ->
-        (* Inclusion guarantees the line is present whenever a client can
-           release it; reaching this is a coherence bug. *)
-        invalid_arg (Printf.sprintf "Inclusive_cache.release: %#x not present" addr))
-  in
-  finish + t.p.Params.link_latency
+  let idx = Resource.min_index b.mshrs in
+  let start = sink_c_open t b ~idx ~arrive in
+  let tm = start + t.p.Params.l2_tag_access in
+  match Store.find b.store caddr with
+  | id when id <> Store.miss ->
+    let dir = Store.payload b.store id in
+    let tm =
+      if Port.carries_data data then merge_line t b ~caddr ~dir ~data ~off ~now:tm else tm
+    in
+    Directory.set_owner dir core (Perm.shrink_to shrink);
+    Store.touch b.store id ~now:tm;
+    sink_c_close t b ~idx ~start ~finish:tm
+  | _ ->
+    (* Inclusion guarantees the line is present whenever a client can
+       release it; reaching this is a coherence bug. *)
+    invalid_arg (Printf.sprintf "Inclusive_cache.release: %#x not present" addr)
 
-let root_release t ~core ~addr ~kind ~data ~now =
+let root_release t ~core ~addr ~kind ~data ~off ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
   incr_stat t b (fun c -> c.root_releases);
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_release;
+  let idx = Resource.min_index b.mshrs in
+  let start = sink_c_open t b ~idx ~arrive in
+  let tm = start + t.p.Params.l2_tag_access in
   let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        (* The RootRelease doubles as the requester's own permission report:
-           a flush implies it invalidated its copy, a clean keeps it. *)
-        (match kind with
-         | Message.Wb_flush -> Directory.set_owner dir core Perm.Nothing
-         | Message.Wb_clean -> ());
-        let tm =
-          match data with
-          | Some d ->
-            let tb = slice_access t b ~caddr ~now:tm in
-            Array.blit d 0 dir.Directory.data 0 (Array.length d);
-            dir.Directory.dirty <- true;
-            tb
-          | None -> tm
-        in
-        let n_probe, cap =
-          match kind with
-          | Message.Wb_flush ->
-            Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf, Perm.Nothing
-          | Message.Wb_clean ->
-            ( (match Directory.trunk_owner dir with
-               | Some c when c <> core ->
-                 t.probe_buf.(0) <- c;
-                 1
-               | Some _ | None -> 0),
-              Perm.Branch )
-        in
-        let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
-        let tm =
-          if dir.Directory.dirty || not t.p.Params.l2_trivial_skip then begin
-            incr_stat t b (fun c -> c.dram_writebacks);
-            l2_ev ~at:tm ~addr L2_writeback;
-            let tb = slice_access t b ~caddr ~now:tm in
-            let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
-            dir.Directory.dirty <- false;
-            td
-          end
-          else begin
-            incr_stat t b (fun c -> c.trivial_skips);
-            l2_ev ~at:tm ~addr L2_trivial_skip;
-            (* The L2 copy is clean, but a dirty copy may sit in a
-               memory-side cache below: it must be pushed for the ack to
-               mean "persisted". *)
-            Backend.persist_if_dirty t.backend ~addr ~now:tm
-          end
-        in
-        (match kind with
-         | Message.Wb_flush -> Store.invalidate b.store id
-         | Message.Wb_clean -> Store.touch b.store id ~now:tm);
-        tm
-      | _ -> (
-        (* Not present in L2: by inclusion no L1 holds it either, so there is
-           nothing to write back above — but a memory-side cache may still
-           hold it dirty, and data carried by the request is pushed
-           straight through (defensive; cannot arise sequentially). *)
-        match data with
-        | Some d ->
+    match Store.find b.store caddr with
+    | id when id <> Store.miss ->
+      let dir = Store.payload b.store id in
+      (* The RootRelease doubles as the requester's own permission report:
+         a flush implies it invalidated its copy, a clean keeps it. *)
+      (match kind with
+       | Message.Wb_flush -> Directory.set_owner dir core Perm.Nothing
+       | Message.Wb_clean -> ());
+      let tm =
+        if Port.carries_data data then merge_line t b ~caddr ~dir ~data ~off ~now:tm else tm
+      in
+      let n_probe =
+        match kind with
+        | Message.Wb_flush -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
+        | Message.Wb_clean -> foreign_trunk_into t dir ~core
+      in
+      let cap = match kind with Message.Wb_flush -> Perm.Nothing | Message.Wb_clean -> Perm.Branch in
+      let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
+      let tm =
+        if dir.Directory.dirty || not t.p.Params.l2_trivial_skip then begin
           incr_stat t b (fun c -> c.dram_writebacks);
           l2_ev ~at:tm ~addr L2_writeback;
-          Backend.persist_line t.backend ~addr ~data:d ~now:tm
-        | None ->
+          let tb = slice_access t b ~caddr ~now:tm in
+          let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
+          dir.Directory.dirty <- false;
+          td
+        end
+        else begin
           incr_stat t b (fun c -> c.trivial_skips);
           l2_ev ~at:tm ~addr L2_trivial_skip;
-          Backend.persist_if_dirty t.backend ~addr ~now:tm))
+          (* The L2 copy is clean, but a dirty copy may sit in a
+             memory-side cache below: it must be pushed for the ack to
+             mean "persisted". *)
+          Backend.persist_if_dirty t.backend ~addr ~now:tm
+        end
+      in
+      (match kind with
+       | Message.Wb_flush -> Store.invalidate b.store id
+       | Message.Wb_clean -> Store.touch b.store id ~now:tm);
+      tm
+    | _ ->
+      (* Not present in L2: by inclusion no L1 holds it either, so there is
+         nothing to write back above — but a memory-side cache may still
+         hold it dirty, and data carried by the request is pushed
+         straight through (defensive; cannot arise sequentially). *)
+      if Port.carries_data data then begin
+        incr_stat t b (fun c -> c.dram_writebacks);
+        l2_ev ~at:tm ~addr L2_writeback;
+        Backend.persist_line t.backend ~addr ~data:(Array.sub data off (t.lb lsr 3)) ~now:tm
+      end
+      else begin
+        incr_stat t b (fun c -> c.trivial_skips);
+        l2_ev ~at:tm ~addr L2_trivial_skip;
+        Backend.persist_if_dirty t.backend ~addr ~now:tm
+      end
   in
-  finish + t.p.Params.link_latency
+  sink_c_close t b ~idx ~start ~finish
 
 let root_inval t ~core ~addr ~now =
   let addr = line t addr in
@@ -470,25 +457,26 @@ let root_inval t ~core ~addr ~now =
   incr_stat t b (fun c -> c.root_invals);
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_inval;
+  let idx = Resource.min_index b.mshrs in
+  let start = sink_c_open t b ~idx ~arrive in
+  let tm = start + t.p.Params.l2_tag_access in
   let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        Directory.set_owner dir core Perm.Nothing;
-        let n = Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf in
-        (* Probe and revoke; any dirty data handed back is discarded with
-           the line (CBO.INVAL forfeits unwritten data by definition). *)
-        let tm = probe_all t b ~addr ~cap:Perm.Nothing ~n ~now:tm dir in
-        Store.invalidate b.store id;
-        Backend.discard_line t.backend ~addr;
-        tm
-      | _ ->
-        Backend.discard_line t.backend ~addr;
-        tm)
+    match Store.find b.store caddr with
+    | id when id <> Store.miss ->
+      let dir = Store.payload b.store id in
+      Directory.set_owner dir core Perm.Nothing;
+      let n = Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf in
+      (* Probe and revoke; any dirty data handed back is discarded with
+         the line (CBO.INVAL forfeits unwritten data by definition). *)
+      let tm = probe_all t b ~addr ~cap:Perm.Nothing ~n ~now:tm dir in
+      Store.invalidate b.store id;
+      Backend.discard_line t.backend ~addr;
+      tm
+    | _ ->
+      Backend.discard_line t.backend ~addr;
+      tm
   in
-  finish + t.p.Params.link_latency
+  sink_c_close t b ~idx ~start ~finish
 
 (* Cold lookup shared by the functional/audit read paths. *)
 let find_slot t addr =
@@ -580,9 +568,12 @@ let connect_client t ~core port =
   t.ports.(core) <- Some port;
   Port.connect_manager port
     {
-      Port.acquire = (fun ~addr ~grow ~now -> acquire t ~core ~addr ~grow ~now);
-      release = (fun ~addr ~shrink ~data ~now -> release t ~core ~addr ~shrink ~data ~now);
-      root_release = (fun ~addr ~kind ~data ~now -> root_release t ~core ~addr ~kind ~data ~now);
+      Port.acquire =
+        (fun ~addr ~grow ~now ~into ~off -> acquire t ~core ~addr ~grow ~now ~into ~off);
+      release =
+        (fun ~addr ~shrink ~data ~off ~now -> release t ~core ~addr ~shrink ~data ~off ~now);
+      root_release =
+        (fun ~addr ~kind ~data ~off ~now -> root_release t ~core ~addr ~kind ~data ~off ~now);
       root_inval = (fun ~addr ~now -> root_inval t ~core ~addr ~now);
       peek_word = (fun addr -> peek_word t addr);
     }

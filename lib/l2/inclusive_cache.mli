@@ -31,24 +31,6 @@
 open Skipit_tilelink
 open Skipit_cache
 
-type probe_result = Port.probe_result = {
-  dirty_data : int array option;
-      (** Data handed back on channel C iff the client held the line dirty. *)
-  done_at : int;  (** Cycle the ProbeAck arrives back at the L2. *)
-}
-(** Re-export of {!Skipit_tilelink.Port.probe_result} so existing users can
-    keep referring to the fields through this module. *)
-
-type grant = Port.grant = {
-  perm : Perm.t;  (** Permission granted (always the requested level). *)
-  data : int array;  (** Line contents. *)
-  l2_dirty : bool;
-      (** [true] ⇒ the response is {e GrantDataDirty}: the block is not
-          persisted and the L1 must clear its skip bit (§6.1). *)
-  done_at : int;  (** Cycle the Grant(Data) finishes arriving at the L1. *)
-}
-(** Re-export of {!Skipit_tilelink.Port.grant}. *)
-
 type t
 
 val create : Params.t -> backend:Backend.t -> t
@@ -71,18 +53,34 @@ val client_port : t -> core:int -> Port.t option
 val backend : t -> Backend.t
 (** The memory-side port this cache was created over. *)
 
-val acquire : t -> core:int -> addr:int -> grow:Perm.grow -> now:int -> grant
+val acquire :
+  t ->
+  core:int ->
+  addr:int ->
+  grow:Perm.grow ->
+  now:int ->
+  into:int array ->
+  off:int ->
+  Port.Reply.t
 (** Channel-A AcquireBlock.  May recursively probe other owners and/or evict
-    an L2 victim (probing its owners and writing dirty data back to DRAM). *)
+    an L2 victim (probing its owners and writing dirty data back to DRAM).
+    The granted line (at the requested permission) is copied once into
+    [into] from word [off]: from the directory on a hit, from the line just
+    read below on a miss.  The reply is the cycle the Grant(Data) finishes
+    arriving at the L1, flagged when it is GrantDataDirty.  Allocates only
+    the directory entry of a fill. *)
 
-val release : t -> core:int -> addr:int -> shrink:Perm.shrink -> data:int array option -> now:int -> int
+val release :
+  t -> core:int -> addr:int -> shrink:Perm.shrink -> data:int array -> off:int -> now:int -> int
 (** Channel-C voluntary Release(Data) from an L1 writeback unit; returns the
-    ReleaseAck arrival time. *)
+    ReleaseAck arrival time.  A data-bearing release ({!Port.carries_data})
+    has the line in [data] from word [off]. *)
 
 val root_release :
-  t -> core:int -> addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int
+  t -> core:int -> addr:int -> kind:Message.wb_kind -> data:int array -> off:int -> now:int -> int
 (** The paper's new channel-C message (§5.1/§5.5); returns the
-    RootReleaseAck arrival time, by which the line is persisted. *)
+    RootReleaseAck arrival time, by which the line is persisted.  [data]
+    and [off] as for {!release}. *)
 
 val root_inval : t -> core:int -> addr:int -> now:int -> int
 (** CBO.INVAL (CMO spec): revoke and {e discard} every cached copy of the

@@ -1,5 +1,6 @@
 open Skipit_sim
 open Skipit_cache
+module Port = Skipit_tilelink.Port
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 
@@ -26,17 +27,14 @@ type t = {
 let stats t = t.stats
 let line_base t addr = Geometry.line_base t.geom addr
 
-let mem_ev t ~at ~addr op =
+let[@inline] mem_ev t ~at ~addr op =
   if Trace.enabled () then Trace.emit ~at (Trace.Mem { name = t.name; op; addr })
 
 let touch_clock t now = if now > t.clock_hint then t.clock_hint <- now
 
 let bank t ~addr ~now =
-  let _, finish =
-    Resource.Banked.acquire t.banks ~addr ~line_bytes:t.geom.Geometry.line_bytes ~now
-      ~busy:t.bank_busy
-  in
-  finish
+  Resource.Banked.acquire_finish t.banks ~addr ~line_bytes:t.geom.Geometry.line_bytes ~now
+    ~busy:t.bank_busy
 
 (* Queueing a request arriving at [now] would suffer on its bank —
    lookahead for the upstream port's stall accounting. *)
@@ -67,7 +65,7 @@ let free_slot t ~addr ~now =
   end;
   victim
 
-let read_line t ~addr ~now =
+let read_line t ~addr ~now ~into =
   let addr = line_base t addr in
   touch_clock t now;
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
@@ -78,14 +76,18 @@ let read_line t ~addr ~now =
     Store.touch t.store id ~now;
     let line = Store.payload t.store id in
     Attr.mark Attr.Dram ~at:t0;
-    Array.copy line.data, t0, line.dirty
+    Array.blit line.data 0 into 0 (Array.length line.data);
+    Port.Reply.v ~at:t0 ~flag:line.dirty
   | _ ->
     Stats.Registry.bump t.misses;
     mem_ev t ~at:t0 ~addr Trace.Mem_miss;
-    let data, t_dram, _ = Backend.read_line t.below ~addr ~now:t0 in
+    (* The fill's line outlives the read: DRAM reads straight into it. *)
+    let data = Array.make (Geometry.words_per_line t.geom) 0 in
+    let r = Backend.read_line t.below ~addr ~now:t0 ~into:data in
     let id = free_slot t ~addr ~now:t0 in
-    Store.fill t.store id ~addr ~payload:{ dirty = false; data = Array.copy data } ~now;
-    Array.copy data, t_dram, false
+    Store.fill t.store id ~addr ~payload:{ dirty = false; data } ~now;
+    Array.blit data 0 into 0 (Array.length data);
+    Port.Reply.v ~at:(Port.Reply.at r) ~flag:false
 
 let write_line t ~addr ~data ~now =
   let addr = line_base t addr in
@@ -186,9 +188,9 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
       (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
          {
            Skipit_tilelink.Port.Memside.read_line =
-             (fun ~addr ~now ->
+             (fun ~addr ~now ~into ->
                Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
-               read_line t ~addr ~now);
+               read_line t ~addr ~now ~into);
            write_line =
              (fun ~addr ~data ~now ->
                Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);

@@ -4,7 +4,8 @@
     locations read as zero, as freshly-allocated DRAM does in the simulated
     machine.  Addresses are non-negative byte addresses; accesses are word
     (8 B) or line granular.  This is the value store shared by the DRAM model and by cache
-    data arrays. *)
+    data arrays.  Words are kept in 64 B chunks, so a line read or write
+    probes the index once, not once per word. *)
 
 type t
 
@@ -21,7 +22,12 @@ val write_word : t -> int -> int -> unit
 
 val read_line : t -> line_bytes:int -> int -> int array
 (** [read_line t ~line_bytes addr] reads the [line_bytes/8] words of the line
-    containing [addr] (aligned down). *)
+    containing [addr] (aligned down) into a fresh array. *)
+
+val read_line_into : t -> line_bytes:int -> int -> int array -> unit
+(** [read_line_into t ~line_bytes addr dst] is {!read_line} into the first
+    [line_bytes/8] words of [dst], allocating nothing.  A 64 B line costs
+    one table probe. *)
 
 val write_line : t -> line_bytes:int -> int -> int array -> unit
 (** Inverse of {!read_line}; the array length must be [line_bytes/8]. *)

@@ -34,14 +34,14 @@ let line_bytes t = t.line_bytes
    deterministic lookahead for the memside port's stall accounting. *)
 let queue_wait t ~now = Int.max 0 (Resource.earliest_free t.channels - now)
 
-let read_line t ~addr ~now =
+let read_line t ~addr ~now ~into =
   t.reads <- t.reads + 1;
   let start = Resource.acquire_start t.channels ~now ~busy:t.occupancy in
   if Trace.enabled () then Trace.emit ~at:start (Trace.Dram { op = Trace.Dram_read; addr });
   if Metrics.enabled () then Metrics.count "dram.reads" ~at:start;
   Attr.mark Attr.Dram ~at:(start + t.read_latency);
-  let data = Backing.read_line t.backing ~line_bytes:t.line_bytes addr in
-  data, start + t.read_latency
+  Backing.read_line_into t.backing ~line_bytes:t.line_bytes addr into;
+  start + t.read_latency
 
 let write_line t ~addr ~data ~now =
   t.writes <- t.writes + 1;

@@ -23,9 +23,11 @@ val queue_wait : t -> now:int -> int
     when one is idle) — lookahead for port-level stall accounting; does not
     acquire anything. *)
 
-val read_line : t -> addr:int -> now:int -> int array * int
-(** [read_line t ~addr ~now] returns the line and the cycle at which the data
-    is available to the requester-side of the memory controller. *)
+val read_line : t -> addr:int -> now:int -> into:int array -> int
+(** [read_line t ~addr ~now ~into] reads the line into the first
+    [line_bytes/8] words of [into] and returns the cycle at which the data
+    is available to the requester side of the memory controller.  It
+    allocates nothing. *)
 
 val write_line : t -> addr:int -> data:int array -> now:int -> int
 (** Returns the cycle at which the write is durable (acknowledged). *)

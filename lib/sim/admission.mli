@@ -20,7 +20,9 @@ val capacity : t -> int
 
 val admit : t -> now:int -> int
 (** Entry time: [now], or the departure time of the request [capacity]
-    positions earlier if the room is still full then. *)
+    positions earlier if the room is still full then.  Raises
+    [Invalid_argument] when that departure has not been recorded (see
+    {!peek_entry}). *)
 
 val peek_entry : t -> now:int -> int
 (** What {!admit} would return, without admitting.  When the room is full
@@ -30,7 +32,10 @@ val peek_entry : t -> now:int -> int
     instant the request arrived". *)
 
 val release : t -> at:int -> unit
-(** Record (in FIFO order) that the oldest occupant left at [at]. *)
+(** Record (in FIFO order) that the oldest occupant left at [at].  The
+    departures not yet consumed by an admission live in a ring of
+    [capacity] slots; a release that would hold more raises
+    [Invalid_argument] (it releases an occupant never admitted). *)
 
 val occupants : t -> int
 (** Requests admitted but not yet released. *)

@@ -69,21 +69,13 @@ let acquire t ~now ~busy =
 
 let acquire_start t ~now ~busy = acquire_finish t ~now ~busy - busy
 
-(* The unit stays at the head while [f] runs, so an acquisition [f] makes
-   on the same resource picks it too, exactly as a scan of [free_at]
-   would. *)
-let acquire_dyn_idx t ~now f =
-  let i = min_index t in
-  let start = Int.max now t.free_at.(i) in
-  let finish = f ~idx:i start in
-  if finish < start then invalid_arg "Resource.acquire_dyn: finish < start";
-  place t i finish;
-  t.busy_cycles <- t.busy_cycles + (finish - start);
-  i, start, finish
-
-let acquire_dyn t ~now f =
-  let _, start, finish = acquire_dyn_idx t ~now (fun ~idx:_ start -> f start) in
-  start, finish
+(* Pick/hold: the unit stays at the head until [hold] commits it, so an
+   acquisition made in between on the same resource picks it too, exactly
+   as a scan of [free_at] would. *)
+let hold t ~idx ~start ~finish =
+  if finish < start then invalid_arg "Resource.hold: finish < start";
+  place t idx finish;
+  t.busy_cycles <- t.busy_cycles + (finish - start)
 
 let earliest_free t = t.free_at.(min_index t)
 let all_free_at t = Array.fold_left Int.max 0 t.free_at
@@ -120,6 +112,9 @@ module Banked = struct
 
   let acquire t ~addr ~line_bytes ~now ~busy =
     acquire (bank_of t ~addr ~line_bytes) ~now ~busy
+
+  let acquire_finish t ~addr ~line_bytes ~now ~busy =
+    acquire_finish (bank_of t ~addr ~line_bytes) ~now ~busy
 
   let reset t = Array.iter reset t.banks
   let copy_into ~src ~dst = Array.iter2 (fun src dst -> copy_into ~src ~dst) src.banks dst.banks

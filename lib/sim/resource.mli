@@ -29,18 +29,24 @@ val acquire_finish : t -> now:int -> busy:int -> int
 val acquire_start : t -> now:int -> busy:int -> int
 (** {!acquire} returning only [start]. *)
 
-val acquire_dyn : t -> now:int -> (int -> int) -> int * int
-(** [acquire_dyn t ~now f] picks the earliest-free unit; the occupancy is
-    computed from the actual start time: [start = max now unit_free],
-    [finish = f start].  Used for structures held for the whole lifetime of a
-    transaction whose duration depends on downstream contention (MSHRs).
-    [f start] must be [>= start]. *)
+(** {2 Pick/hold}
 
-val acquire_dyn_idx : t -> now:int -> (idx:int -> int -> int) -> int * int * int
-(** Like {!acquire_dyn} but also exposes which unit was picked: the callback
-    receives [~idx] (0-based unit index) and the result is
-    [(idx, start, finish)].  Lets observability layers attribute occupancy to
-    individual MSHRs/FSHRs. *)
+    A structure held for a whole transaction whose duration depends on
+    downstream contention (an MSHR, an FSHR, a transaction ID) is taken in
+    two steps: {!min_index} picks the unit the naive scan would (the lowest
+    index among the earliest free), the transaction runs from
+    [start = max now (earliest_free t)], and {!hold} commits the unit's
+    occupancy once the finish is known.  Nothing is allocated.  The picked
+    unit stays free until [hold], so an acquisition made in between on the
+    same resource takes the same unit, as it would in a scan. *)
+
+val min_index : t -> int
+(** The unit the next acquisition takes (0-based). *)
+
+val hold : t -> idx:int -> start:int -> finish:int -> unit
+(** [hold t ~idx ~start ~finish] marks unit [idx] busy until [finish] and
+    bills [finish - start] busy cycles.  Raises [Invalid_argument] when
+    [finish < start]. *)
 
 val earliest_free : t -> int
 (** Next time at which at least one unit is free (without acquiring). *)
@@ -71,6 +77,9 @@ module Banked : sig
 
   val acquire : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int * int
   (** Route to bank [(addr / line_bytes) mod banks] and acquire it. *)
+
+  val acquire_finish : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int
+  (** {!acquire} returning only [finish] (no pair). *)
 
   val bank_of : t -> addr:int -> line_bytes:int -> bank
   val reset : t -> unit

@@ -1,18 +1,31 @@
 open Skipit_sim
 module Trace = Skipit_obs.Trace
 
-type grant = { perm : Perm.t; data : int array; l2_dirty : bool; done_at : int }
-type probe_result = { dirty_data : int array option; done_at : int }
+(* A completion time and one flag in one immediate int: bit 0 is the
+   flag, the rest the time. *)
+module Reply = struct
+  type t = int
+
+  let v ~at ~flag = (at lsl 1) lor Bool.to_int flag
+  let at r = r asr 1
+  let flag r = r land 1 = 1
+end
+
+let no_data = [||]
+let carries_data data = Array.length data > 0
 
 type manager = {
-  acquire : addr:int -> grow:Perm.grow -> now:int -> grant;
-  release : addr:int -> shrink:Perm.shrink -> data:int array option -> now:int -> int;
-  root_release : addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int;
+  acquire : addr:int -> grow:Perm.grow -> now:int -> into:int array -> off:int -> Reply.t;
+  release : addr:int -> shrink:Perm.shrink -> data:int array -> off:int -> now:int -> int;
+  root_release :
+    addr:int -> kind:Message.wb_kind -> data:int array -> off:int -> now:int -> int;
   root_inval : addr:int -> now:int -> int;
   peek_word : int -> int;
 }
 
-type client = { probe : addr:int -> cap:Perm.t -> now:int -> probe_result }
+type client = {
+  probe : addr:int -> cap:Perm.t -> now:int -> into:int array -> off:int -> Reply.t;
+}
 
 module Channels = struct
   type t = { a : Resource.t; c : Resource.t; d : Resource.t }
@@ -167,23 +180,23 @@ let send_c t ~addr ~finish ~beats =
 let recv_d t ~addr ~finish ~beats =
   occupy t (chans_for t ~addr).Channels.d t.cs_d ~now:(finish - beats) ~beats
 
-let trace_msg t ~op ~addr ~now =
+let[@inline] trace_msg t ~op ~addr ~now =
   if Trace.enabled () then Trace.emit ~at:now (Trace.Message { port = t.name; op; addr })
 
-let acquire t ~addr ~grow ~now =
+let acquire t ~addr ~grow ~now ~into ~off =
   Stats.Registry.bump t.acquires;
   trace_msg t ~op:Trace.Msg_acquire ~addr ~now;
-  (manager_exn t).acquire ~addr ~grow ~now
+  (manager_exn t).acquire ~addr ~grow ~now ~into ~off
 
-let release t ~addr ~shrink ~data ~now =
+let release t ~addr ~shrink ~data ~off ~now =
   Stats.Registry.bump t.releases;
   trace_msg t ~op:Trace.Msg_release ~addr ~now;
-  (manager_exn t).release ~addr ~shrink ~data ~now
+  (manager_exn t).release ~addr ~shrink ~data ~off ~now
 
-let root_release t ~addr ~kind ~data ~now =
+let root_release t ~addr ~kind ~data ~off ~now =
   Stats.Registry.bump t.root_releases;
   trace_msg t ~op:Trace.Msg_root_release ~addr ~now;
-  (manager_exn t).root_release ~addr ~kind ~data ~now
+  (manager_exn t).root_release ~addr ~kind ~data ~off ~now
 
 let root_inval t ~addr ~now =
   Stats.Registry.bump t.root_invals;
@@ -192,18 +205,18 @@ let root_inval t ~addr ~now =
 
 let peek_word t addr = (manager_exn t).peek_word addr
 
-let probe t ~addr ~cap ~now =
+let probe t ~addr ~cap ~now ~into ~off =
   Stats.Registry.bump t.probes;
   Stats.Registry.bump t.probe_beats;
   if Trace.enabled () then begin
     Trace.emit ~at:now (Trace.Message { port = t.name; op = Trace.Msg_probe; addr });
     Trace.emit ~at:now (Trace.Channel { port = t.name; chan = Trace.Ch_b; op = Trace.Beats 1 })
   end;
-  (client_exn t).probe ~addr ~cap ~now
+  (client_exn t).probe ~addr ~cap ~now ~into ~off
 
 module Memside = struct
   type ops = {
-    read_line : addr:int -> now:int -> int array * int * bool;
+    read_line : addr:int -> now:int -> into:int array -> Reply.t;
     write_line : addr:int -> data:int array -> now:int -> int;
     persist_line : addr:int -> data:int array -> now:int -> int;
     persist_if_dirty : addr:int -> now:int -> int;
@@ -272,7 +285,7 @@ module Memside = struct
       Stats.Registry.bump_by t.txn_wait_cycles (start - now)
     end
 
-  let trace_op t ~op ~addr ~now =
+  let[@inline] trace_op t ~op ~addr ~now =
     if Trace.enabled () then Trace.emit ~at:now (Trace.Mem { name = t.name; op; addr })
 
   (* AXI-style transaction bracket for the line-moving operations: a burst
@@ -280,34 +293,29 @@ module Memside = struct
      ID table delays issue — txn_stalls/txn_wait_cycles), and its data
      beats add [burst_cost] cycles to the completion time.  Without an ID
      table the callers skip the bracket: with the defaults (unlimited IDs,
-     free beats) it is the identity. *)
-  let burst_op t txn ~now f =
-    let start, finish =
-      Resource.acquire_dyn txn ~now (fun start -> Int.max start (f ~now:start + t.burst_cost))
-    in
+     free beats) it is the identity.  The ID is picked before the agent
+     runs at [burst_start] and held to [burst_end]'s finish. *)
+  let burst_start txn ~now = Int.max now (Resource.earliest_free txn)
+
+  let burst_end t txn ~idx ~now ~start ~at =
+    let finish = Int.max start (at + t.burst_cost) in
+    Resource.hold txn ~idx ~start ~finish;
     note_txn_wait t ~now ~start;
     finish
 
-  let read_line t ~addr ~now =
+  let read_line t ~addr ~now ~into =
     Stats.Registry.bump t.reads;
     Stats.Registry.bump_by t.read_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_read ~addr ~now;
     match t.txn with
     | None ->
-      let data, at, dirty = t.ops.read_line ~addr ~now in
-      (data, at + t.burst_cost, dirty)
+      let r = t.ops.read_line ~addr ~now ~into in
+      Reply.v ~at:(Reply.at r + t.burst_cost) ~flag:(Reply.flag r)
     | Some txn ->
-      let res = ref None in
-      let start, finish =
-        Resource.acquire_dyn txn ~now (fun start ->
-            let ((_, at, _) as r) = t.ops.read_line ~addr ~now:start in
-            res := Some r;
-            Int.max start (at + t.burst_cost))
-      in
-      note_txn_wait t ~now ~start;
-      (match !res with
-       | Some (data, _, dirty) -> (data, finish, dirty)
-       | None -> assert false)
+      let idx = Resource.min_index txn in
+      let start = burst_start txn ~now in
+      let r = t.ops.read_line ~addr ~now:start ~into in
+      Reply.v ~at:(burst_end t txn ~idx ~now ~start ~at:(Reply.at r)) ~flag:(Reply.flag r)
 
   let write_line t ~addr ~data ~now =
     Stats.Registry.bump t.writes;
@@ -315,7 +323,10 @@ module Memside = struct
     trace_op t ~op:Trace.Mem_write ~addr ~now;
     match t.txn with
     | None -> t.ops.write_line ~addr ~data ~now + t.burst_cost
-    | Some txn -> burst_op t txn ~now (fun ~now -> t.ops.write_line ~addr ~data ~now)
+    | Some txn ->
+      let idx = Resource.min_index txn in
+      let start = burst_start txn ~now in
+      burst_end t txn ~idx ~now ~start ~at:(t.ops.write_line ~addr ~data ~now:start)
 
   let persist_line t ~addr ~data ~now =
     Stats.Registry.bump t.persists;
@@ -323,7 +334,10 @@ module Memside = struct
     trace_op t ~op:Trace.Mem_persist ~addr ~now;
     match t.txn with
     | None -> t.ops.persist_line ~addr ~data ~now + t.burst_cost
-    | Some txn -> burst_op t txn ~now (fun ~now -> t.ops.persist_line ~addr ~data ~now)
+    | Some txn ->
+      let idx = Resource.min_index txn in
+      let start = burst_start txn ~now in
+      burst_end t txn ~idx ~now ~start ~at:(t.ops.persist_line ~addr ~data ~now:start)
 
   let persist_if_dirty t ~addr ~now =
     Stats.Registry.bump t.persist_checks;

@@ -21,34 +21,51 @@
     {!Channels.t} through every port, so all cores contend for the same
     wires. *)
 
-type grant = {
-  perm : Perm.t;  (** Permission granted (always the requested level). *)
-  data : int array;  (** Line contents. *)
-  l2_dirty : bool;
-      (** [true] ⇒ the response is {e GrantDataDirty}: the block is not
-          persisted and the L1 must clear its skip bit (§6.1). *)
-  done_at : int;  (** Cycle the Grant(Data) finishes arriving at the L1. *)
-}
+(** A completion time with one flag, packed in an immediate int so a reply
+    allocates nothing.  A grant's flag is {e GrantDataDirty}: the block is
+    not persisted and the L1 must clear its skip bit (§6.1).  A memory-side
+    read's flag is [dirty_below] (see {!Memside}). *)
+module Reply : sig
+  type t = private int
 
-type probe_result = {
-  dirty_data : int array option;
-      (** Data handed back on channel C iff the client held the line dirty. *)
-  done_at : int;  (** Cycle the ProbeAck arrives back at the manager. *)
-}
+  val v : at:int -> flag:bool -> t
+  val at : t -> int
+  val flag : t -> bool
+end
+
+
+val no_data : int array
+(** The [~data] of a Release or RootRelease that carries no line. *)
+
+val carries_data : int array -> bool
+(** [false] exactly for {!no_data} (any empty array). *)
 
 (** What a manager must implement to serve a client port.  All operations
     take [now] = the cycle the message leaves the client and return
-    completion times that include link traversal and downstream contention. *)
+    completion times that include link traversal and downstream contention.
+
+    Line data moves without copies between levels: a grant writes the line
+    (at the requested permission, always) into the client's storage
+    [into] from word [off], and its reply is the cycle the Grant(Data)
+    finishes arriving at the client, flagged when it is GrantDataDirty; a
+    data-bearing release hands the manager the client's storage [data] with
+    the line at word [off], which the manager copies before it returns. *)
 type manager = {
-  acquire : addr:int -> grow:Perm.grow -> now:int -> grant;
-  release : addr:int -> shrink:Perm.shrink -> data:int array option -> now:int -> int;
-  root_release : addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int;
+  acquire : addr:int -> grow:Perm.grow -> now:int -> into:int array -> off:int -> Reply.t;
+  release : addr:int -> shrink:Perm.shrink -> data:int array -> off:int -> now:int -> int;
+  root_release :
+    addr:int -> kind:Message.wb_kind -> data:int array -> off:int -> now:int -> int;
   root_inval : addr:int -> now:int -> int;
   peek_word : int -> int;  (** Functional read, costs no simulated time. *)
 }
 
 (** What a client must implement to accept B-channel traffic. *)
-type client = { probe : addr:int -> cap:Perm.t -> now:int -> probe_result }
+type client = {
+  probe : addr:int -> cap:Perm.t -> now:int -> into:int array -> off:int -> Reply.t;
+      (** The reply is the cycle the ProbeAck arrives back at the manager,
+          flagged when the client held the line dirty: the data it hands
+          back on channel C is then written into [into] from word [off]. *)
+}
 
 (** The physical wire sets of one link.  Create one per port for a crossbar,
     or share one across ports for a bus. *)
@@ -113,16 +130,21 @@ val recv_d : t -> addr:int -> finish:int -> beats:int -> int
 (** {2 Client-side requests} — forwarded to the connected manager.
     Raise [Invalid_argument] when no manager is connected. *)
 
-val acquire : t -> addr:int -> grow:Perm.grow -> now:int -> grant
-val release : t -> addr:int -> shrink:Perm.shrink -> data:int array option -> now:int -> int
+val acquire :
+  t -> addr:int -> grow:Perm.grow -> now:int -> into:int array -> off:int -> Reply.t
+
+val release :
+  t -> addr:int -> shrink:Perm.shrink -> data:int array -> off:int -> now:int -> int
+
 val root_release :
-  t -> addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int
+  t -> addr:int -> kind:Message.wb_kind -> data:int array -> off:int -> now:int -> int
+
 val root_inval : t -> addr:int -> now:int -> int
 val peek_word : t -> int -> int
 
 (** {2 Manager-side requests} *)
 
-val probe : t -> addr:int -> cap:Perm.t -> now:int -> probe_result
+val probe : t -> addr:int -> cap:Perm.t -> now:int -> into:int array -> off:int -> Reply.t
 (** B-channel Probe to the connected client.  Raises [Invalid_argument] when
     no client is connected. *)
 
@@ -136,7 +158,9 @@ val probe : t -> addr:int -> cap:Perm.t -> now:int -> probe_result
 module Memside : sig
   (** Semantics the cache above relies on:
 
-      - [read_line] returns the freshest copy and whether that copy is
+      - [read_line] writes the freshest copy into the receiver's [into]
+        (its first line-size words) and replies when it is available,
+        flagged when that copy is
         {e dirty with respect to the persistence domain} (a dirty memory-side
         copy means the line is not yet durable — the grant flavour and hence
         the skip bit must reflect it, §6);
@@ -151,8 +175,8 @@ module Memside : sig
         (CBO.INVAL);
       - [crash] loses all volatile state. *)
   type ops = {
-    read_line : addr:int -> now:int -> int array * int * bool;
-        (** [(data, available_at, dirty_below)]. *)
+    read_line : addr:int -> now:int -> into:int array -> Reply.t;
+        (** [available_at], flagged [dirty_below]. *)
     write_line : addr:int -> data:int array -> now:int -> int;
     persist_line : addr:int -> data:int array -> now:int -> int;
     persist_if_dirty : addr:int -> now:int -> int;
@@ -191,7 +215,7 @@ module Memside : sig
   (** [note_wait waits cycles] records [cycles] of queueing delay (no-op for
       [cycles <= 0]). *)
 
-  val read_line : t -> addr:int -> now:int -> int array * int * bool
+  val read_line : t -> addr:int -> now:int -> into:int array -> Reply.t
   val write_line : t -> addr:int -> data:int array -> now:int -> int
   val persist_line : t -> addr:int -> data:int array -> now:int -> int
   val persist_if_dirty : t -> addr:int -> now:int -> int

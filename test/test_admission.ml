@@ -43,6 +43,85 @@ let test_capacity_guard () =
     (Invalid_argument "Admission.create: capacity must be positive") (fun () ->
       ignore (A.create ~capacity:0))
 
+let test_release_past_capacity () =
+  let a = A.create ~capacity:2 in
+  A.release a ~at:1;
+  A.release a ~at:2;
+  Alcotest.check_raises "third departure without an admission"
+    (Invalid_argument "Admission.release: more departures than capacity") (fun () ->
+      A.release a ~at:3)
+
+(* The ring against the [Queue] implementation it replaced
+   ([Ring_models.Admission]).  A release is issued only while someone is
+   inside (a well-formed producer); an admission into a full room with no
+   recorded departure must raise in both, and ends the script. *)
+type adm_op = Admit of int | Peek of int | Release of int | Occupants | Reset | Copy
+
+let print_adm_op = function
+  | Admit n -> Printf.sprintf "A%d" n
+  | Peek n -> Printf.sprintf "P%d" n
+  | Release n -> Printf.sprintf "R%d" n
+  | Occupants -> "O"
+  | Reset -> "X"
+  | Copy -> "C"
+
+let adm_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun n -> Admit n) (int_range 0 200));
+        (3, map (fun n -> Peek n) (int_range 0 200));
+        (5, map (fun n -> Release n) (int_range 0 300));
+        (1, return Occupants);
+        (1, return Reset);
+        (1, return Copy);
+      ])
+
+let prop_ring_matches_queue =
+  QCheck.Test.make ~name:"ring matches its Queue model" ~count:500
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         Printf.sprintf "capacity %d: %s" c (String.concat " " (List.map print_adm_op ops)))
+       QCheck.Gen.(pair (int_range 1 6) (list_size (int_range 1 120) adm_op_gen)))
+  @@ fun (capacity, ops) ->
+  let module M = Ring_models.Admission in
+  let r = ref (A.create ~capacity) and m = ref (M.create ~capacity) in
+  let raises f = match f () with _ -> false | exception _ -> true in
+  let rec go = function
+    | [] -> A.occupants !r = M.occupants !m && A.peek_entry !r ~now:0 = M.peek_entry !m ~now:0
+    | op :: rest -> (
+      match op with
+      | Admit now -> (
+        match M.admit !m ~now with
+        | e -> A.admit !r ~now = e && go rest
+        | exception _ -> raises (fun () -> A.admit !r ~now))
+      | Peek now -> A.peek_entry !r ~now = M.peek_entry !m ~now && go rest
+      | Release at ->
+        if M.occupants !m > 0 then begin
+          M.release !m ~at;
+          A.release !r ~at
+        end;
+        go rest
+      | Occupants -> A.occupants !r = M.occupants !m && go rest
+      | Reset ->
+        A.reset !r;
+        M.reset !m;
+        go rest
+      | Copy ->
+        (* Into a room with a history of its own, which must not show. *)
+        let r' = A.create ~capacity and m' = M.create ~capacity in
+        ignore (A.admit r' ~now:7);
+        A.release r' ~at:9;
+        ignore (M.admit m' ~now:7);
+        M.release m' ~at:9;
+        A.copy_into ~src:!r ~dst:r';
+        M.copy_into ~src:!m ~dst:m';
+        r := r';
+        m := m';
+        go rest)
+  in
+  go ops
+
 let prop_admission_never_early =
   QCheck.Test.make ~name:"admission time >= arrival" ~count:300
     QCheck.(pair (int_range 1 4) (list_of_size (QCheck.Gen.int_range 1 40) (int_range 0 50)))
@@ -97,4 +176,6 @@ let tests =
       Alcotest.test_case "capacity guard" `Quick test_capacity_guard;
       Alcotest.test_case "L2 ListBuffer back-pressure" `Quick test_l2_list_buffer_backpressure;
       QCheck_alcotest.to_alcotest prop_admission_never_early;
+      Alcotest.test_case "release past capacity raises" `Quick test_release_past_capacity;
+      QCheck_alcotest.to_alcotest prop_ring_matches_queue;
     ] )

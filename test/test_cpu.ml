@@ -75,6 +75,55 @@ let test_store_queue_basics () =
   Alcotest.(check int) "drained later" 200 (SQ.drained_at q ~now:200);
   Alcotest.(check int) "pruned" 0 (SQ.occupancy q ~now:200)
 
+(* The ring against the [Queue] implementation it replaced
+   ([Ring_models.Store_queue]): times are non-negative cycles, [now] moves
+   both ways, small capacities keep the queue full often, and a copy lands
+   in a queue with a history of its own. *)
+type sq_op = Insert of int * int | Drained of int | Occupancy of int | Copy
+
+let print_sq_op = function
+  | Insert (n, d) -> Printf.sprintf "I(%d,%d)" n d
+  | Drained n -> Printf.sprintf "D%d" n
+  | Occupancy n -> Printf.sprintf "O%d" n
+  | Copy -> "C"
+
+let sq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun n d -> Insert (n, d)) (int_range 0 200) (int_range 0 300));
+        (2, map (fun n -> Drained n) (int_range 0 200));
+        (2, map (fun n -> Occupancy n) (int_range 0 200));
+        (1, return Copy);
+      ])
+
+let prop_store_queue_ring_matches_queue =
+  QCheck.Test.make ~name:"store queue ring matches its Queue model" ~count:500
+    (QCheck.make
+       ~print:(fun (e, ops) ->
+         Printf.sprintf "entries %d: %s" e (String.concat " " (List.map print_sq_op ops)))
+       QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 1 120) sq_op_gen)))
+  @@ fun (entries, ops) ->
+  let module M = Ring_models.Store_queue in
+  let r = ref (SQ.create ~entries) and m = ref (M.create ~entries) in
+  List.for_all
+    (fun op ->
+      match op with
+      | Insert (now, drain_at) -> SQ.insert !r ~now ~drain_at = M.insert !m ~now ~drain_at
+      | Drained now -> SQ.drained_at !r ~now = M.drained_at !m ~now
+      | Occupancy now -> SQ.occupancy !r ~now = M.occupancy !m ~now
+      | Copy ->
+        let r' = SQ.create ~entries and m' = M.create ~entries in
+        ignore (SQ.insert r' ~now:3 ~drain_at:400);
+        ignore (M.insert m' ~now:3 ~drain_at:400);
+        SQ.copy_into ~src:!r ~dst:r';
+        M.copy_into ~src:!m ~dst:m';
+        r := r';
+        m := m';
+        true)
+    ops
+  && SQ.drained_at !r ~now:0 = M.drained_at !m ~now:0
+
 let test_async_store_hides_miss () =
   let sys = S.create (C.platform ~cores:1 ()) in
   let lsu = S.lsu sys 0 in
@@ -111,6 +160,7 @@ let tests =
       Alcotest.test_case "advance_to monotone" `Quick test_advance_to;
       Alcotest.test_case "negative delay rejected" `Quick test_delay_negative_rejected;
       Alcotest.test_case "store queue basics" `Quick test_store_queue_basics;
+      QCheck_alcotest.to_alcotest prop_store_queue_ring_matches_queue;
       Alcotest.test_case "async store hides miss (§3.2)" `Quick test_async_store_hides_miss;
       Alcotest.test_case "sync-store ablation blocks" `Quick test_sync_store_blocks;
     ] )

@@ -7,12 +7,17 @@ let params ?(n_fshrs = 2) ?(depth = 2) ?(coalescing = true) () =
 
 let ack_after = 50
 
+(* The cache side of a submission: the metadata callback rides as the
+   context, every release is acked [ack_after] cycles after it leaves. *)
+let sink =
+  {
+    FU.apply_meta = (fun on_meta ~slot:_ effect -> on_meta effect);
+    send = (fun _ ~slot:_ ~addr:_ ~kind:_ ~with_data:_ ~now -> now + ack_after);
+  }
+
 let submit ?(kind = Message.Wb_clean) ?(hit = true) ?(dirty = true) ?(last_change = min_int)
     ?(on_meta = fun _ -> ()) fu ~addr ~now =
-  let line_data = if hit && dirty then Some (Array.make 8 0) else None in
-  FU.submit fu ~addr ~kind ~hit ~dirty ~line_data ~last_line_change:last_change ~now
-    ~apply_meta:on_meta
-    ~send:(fun ~data:_ ~now -> now + ack_after)
+  FU.submit fu sink on_meta ~addr ~kind ~hit ~dirty ~slot:0 ~last_line_change:last_change ~now
 
 
 (* Coalescing applies to requests still waiting in the queue (§5.3); pin a

@@ -27,21 +27,27 @@ let fresh () =
   let sys = S.create (C.platform ~cores:2 ()) in
   sys, S.l2 sys, Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64
 
+(* Acquire into a fresh line buffer; the reply and the granted words. *)
+let acquire l2 ~core ~addr ~grow ~now =
+  let line = Array.make 8 (-1) in
+  let r = L2.acquire l2 ~core ~addr ~grow ~now ~into:line ~off:0 in
+  r, line
+
 let test_acquire_grants () =
   let _, l2, a = fresh () in
-  let g = L2.acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_B ~now:0 in
-  Alcotest.(check bool) "branch granted" true (Perm.equal g.L2.perm Perm.Branch);
-  Alcotest.(check bool) "fresh line clean (GrantData)" false g.L2.l2_dirty;
+  let g, line = acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_B ~now:0 in
+  Alcotest.(check (array int)) "fresh line granted" (Array.make 8 0) line;
+  Alcotest.(check bool) "fresh line clean (GrantData)" false (Port.Reply.flag g);
   Alcotest.(check bool) "present after" true (L2.present l2 a);
   Alcotest.(check bool) "directory updated" true
     (Perm.equal (L2.owner_perm l2 ~core:0 ~addr:a) Perm.Branch);
-  Alcotest.(check bool) "time advanced" true (g.L2.done_at > 0)
+  Alcotest.(check bool) "time advanced" true (Port.Reply.at g > 0)
 
 let test_release_data_dirties () =
   let _, l2, a = fresh () in
-  ignore (L2.acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
+  ignore (acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
   let data = Array.init 8 (fun i -> i + 1) in
-  let t = L2.release l2 ~core:0 ~addr:a ~shrink:Perm.T_to_N ~data:(Some data) ~now:100 in
+  let t = L2.release l2 ~core:0 ~addr:a ~shrink:Perm.T_to_N ~data ~off:0 ~now:100 in
   Alcotest.(check bool) "ack later" true (t > 100);
   Alcotest.(check bool) "line dirty in L2" true (L2.dir_dirty l2 a);
   Alcotest.(check bool) "owner dropped" true
@@ -50,10 +56,10 @@ let test_release_data_dirties () =
 
 let test_root_release_clean_writes_dram () =
   let sys, l2, a = fresh () in
-  ignore (L2.acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
+  ignore (acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
   let data = Array.init 8 (fun i -> 10 + i) in
   let t =
-    L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_clean ~data:(Some data) ~now:50
+    L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_clean ~data ~off:0 ~now:50
   in
   Alcotest.(check bool) "acked" true (t > 50);
   Alcotest.(check int) "persisted" 10 (Dram.peek_word (S.dram sys) a);
@@ -62,9 +68,9 @@ let test_root_release_clean_writes_dram () =
 
 let test_root_release_flush_invalidates () =
   let sys, l2, a = fresh () in
-  ignore (L2.acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
+  ignore (acquire l2 ~core:0 ~addr:a ~grow:Perm.N_to_T ~now:0);
   let data = Array.init 8 (fun i -> 20 + i) in
-  ignore (L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_flush ~data:(Some data) ~now:50);
+  ignore (L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_flush ~data ~off:0 ~now:50);
   Alcotest.(check int) "persisted" 20 (Dram.peek_word (S.dram sys) a);
   Alcotest.(check bool) "L2 copy gone (flush)" false (L2.present l2 a)
 
@@ -74,7 +80,7 @@ let test_trivial_skip () =
   let sys, l2, a = fresh () in
   ignore (S.load sys ~core:0 a) (* clean everywhere *);
   let writes_before = Dram.writes (S.dram sys) in
-  ignore (L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_clean ~data:None ~now:1000);
+  ignore (L2.root_release l2 ~core:0 ~addr:a ~kind:Message.Wb_clean ~data:Port.no_data ~off:0 ~now:1000);
   Alcotest.(check int) "no DRAM write" writes_before (Dram.writes (S.dram sys));
   Alcotest.(check bool) "counted as trivial skip" true
     (Skipit_sim.Stats.Registry.get (L2.stats l2) "trivial_skips" >= 1)
@@ -82,7 +88,7 @@ let test_trivial_skip () =
 let test_root_release_miss_acks () =
   let _, l2, a = fresh () in
   (* Nothing cached anywhere: the ack still comes (§5.2). *)
-  let t = L2.root_release l2 ~core:1 ~addr:a ~kind:Message.Wb_flush ~data:None ~now:10 in
+  let t = L2.root_release l2 ~core:1 ~addr:a ~kind:Message.Wb_flush ~data:Port.no_data ~off:0 ~now:10 in
   Alcotest.(check bool) "ack" true (t > 10)
 
 let test_root_release_probes_other_owner () =
@@ -90,7 +96,7 @@ let test_root_release_probes_other_owner () =
      probe core 0 and push its data to DRAM (§5.5). *)
   let sys, l2, a = fresh () in
   S.store sys ~core:0 a 77;
-  ignore (L2.root_release l2 ~core:1 ~addr:a ~kind:Message.Wb_flush ~data:None ~now:5000);
+  ignore (L2.root_release l2 ~core:1 ~addr:a ~kind:Message.Wb_flush ~data:Port.no_data ~off:0 ~now:5000);
   Alcotest.(check int) "probed dirty data persisted" 77 (Dram.peek_word (S.dram sys) a);
   Alcotest.(check bool) "probe happened" true
     (Skipit_sim.Stats.Registry.get (L2.stats l2) "probes" >= 1);
@@ -100,9 +106,9 @@ let test_root_release_probes_other_owner () =
 let test_acquire_probes_trunk_owner () =
   let sys, l2, a = fresh () in
   S.store sys ~core:0 a 9 (* core 0: Trunk, dirty *);
-  let g = L2.acquire l2 ~core:1 ~addr:a ~grow:Perm.N_to_B ~now:5000 in
-  Alcotest.(check bool) "grant carries the dirty data" true (g.L2.data.(0) = 9);
-  Alcotest.(check bool) "GrantDataDirty flavour" true g.L2.l2_dirty;
+  let g, line = acquire l2 ~core:1 ~addr:a ~grow:Perm.N_to_B ~now:5000 in
+  Alcotest.(check bool) "grant carries the dirty data" true (line.(0) = 9);
+  Alcotest.(check bool) "GrantDataDirty flavour" true (Port.Reply.flag g);
   Alcotest.(check bool) "former owner downgraded" true
     (Perm.equal (L2.owner_perm l2 ~core:0 ~addr:a) Perm.Branch)
 

@@ -17,15 +17,21 @@ let make_l3 ?(geom = Geometry.v ~size_bytes:4096 ~ways:4 ~line_bytes:64) () =
   ( Memside.create ~geom ~access_latency:10 ~banks:2 ~bank_busy:2 ~below ~beats_per_line:4 (),
     dram )
 
+(* A line read through the memside port: (data, available_at, dirty_below). *)
+let read_line b ~addr ~now =
+  let data = Array.make 8 (-1) in
+  let r = Skipit_l2.Backend.read_line b ~addr ~now ~into:data in
+  data, Skipit_tilelink.Port.Reply.at r, Skipit_tilelink.Port.Reply.flag r
+
 let test_read_caches () =
   let l3, dram = make_l3 () in
   let b = Memside.backend l3 in
   Dram.poke_word dram 0x40 9;
-  let data, t1, dirty = Skipit_l2.Backend.read_line b ~addr:0x40 ~now:0 in
+  let data, t1, dirty = read_line b ~addr:0x40 ~now:0 in
   Alcotest.(check int) "value from DRAM" 9 data.(0);
   Alcotest.(check bool) "clean" false dirty;
   Alcotest.(check bool) "first read slow" true (t1 > 10);
-  let _, t2, _ = Skipit_l2.Backend.read_line b ~addr:0x40 ~now:1000 in
+  let _, t2, _ = read_line b ~addr:0x40 ~now:1000 in
   Alcotest.(check bool) "second read hits L3" true (t2 - 1000 < t1);
   Alcotest.(check int) "hit counted" 1 (Skipit_sim.Stats.Registry.get (Memside.stats l3) "hits")
 
@@ -37,7 +43,7 @@ let test_writeback_lodges_dirty () =
   Alcotest.(check bool) "dirty in L3" true (Memside.dirty l3 0x40);
   Alcotest.(check int) "not yet in DRAM" 0 (Dram.peek_word dram 0x40);
   (* A read now reports dirty-below. *)
-  let v, _, dirty = Skipit_l2.Backend.read_line b ~addr:0x40 ~now:10 in
+  let v, _, dirty = read_line b ~addr:0x40 ~now:10 in
   Alcotest.(check bool) "dirty reported" true dirty;
   Alcotest.(check int) "freshest data" 5 v.(0)
 
@@ -72,7 +78,7 @@ let test_eviction_writes_back () =
     (Skipit_sim.Stats.Registry.get (Memside.stats l3) "evictions" >= 2);
   (* Every value must be recoverable (from L3 or DRAM). *)
   for i = 0 to 5 do
-    let v, _, _ = Skipit_l2.Backend.read_line b ~addr:(i * stride) ~now:1000 in
+    let v, _, _ = read_line b ~addr:(i * stride) ~now:1000 in
     Alcotest.(check int) "value survives eviction" (i + 1) v.(0)
   done;
   Alcotest.(check bool) "dirty evictions reached DRAM" true (Dram.writes dram >= 2)

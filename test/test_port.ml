@@ -34,10 +34,9 @@ let test_beat_and_stall_counters () =
 let dummy_manager done_at =
   {
     Port.acquire =
-      (fun ~addr:_ ~grow:_ ~now:_ ->
-        { Port.perm = Perm.Trunk; data = [||]; l2_dirty = false; done_at });
-    release = (fun ~addr:_ ~shrink:_ ~data:_ ~now -> now + 1);
-    root_release = (fun ~addr:_ ~kind:_ ~data:_ ~now -> now + 2);
+      (fun ~addr:_ ~grow:_ ~now:_ ~into:_ ~off:_ -> Port.Reply.v ~at:done_at ~flag:false);
+    release = (fun ~addr:_ ~shrink:_ ~data:_ ~off:_ ~now -> now + 1);
+    root_release = (fun ~addr:_ ~kind:_ ~data:_ ~off:_ ~now -> now + 2);
     root_inval = (fun ~addr:_ ~now -> now + 3);
     peek_word = (fun _ -> 42);
   }
@@ -45,11 +44,12 @@ let dummy_manager done_at =
 let test_manager_forwarding () =
   let p = Port.create ~name:"t" () in
   Port.connect_manager p (dummy_manager 99);
-  let g = Port.acquire p ~addr:0x40 ~grow:Perm.N_to_T ~now:0 in
-  Alcotest.(check int) "grant forwarded" 99 g.Port.done_at;
-  Alcotest.(check int) "release forwarded" 6 (Port.release p ~addr:0 ~shrink:Perm.T_to_N ~data:None ~now:5);
+  let g = Port.acquire p ~addr:0x40 ~grow:Perm.N_to_T ~now:0 ~into:[||] ~off:0 in
+  Alcotest.(check int) "grant forwarded" 99 (Port.Reply.at g);
+  Alcotest.(check int) "release forwarded" 6
+    (Port.release p ~addr:0 ~shrink:Perm.T_to_N ~data:Port.no_data ~off:0 ~now:5);
   Alcotest.(check int) "root_release forwarded" 7
-    (Port.root_release p ~addr:0 ~kind:Message.Wb_flush ~data:None ~now:5);
+    (Port.root_release p ~addr:0 ~kind:Message.Wb_flush ~data:Port.no_data ~off:0 ~now:5);
   Alcotest.(check int) "root_inval forwarded" 8 (Port.root_inval p ~addr:0 ~now:5);
   Alcotest.(check int) "peek forwarded" 42 (Port.peek_word p 0);
   Alcotest.(check int) "acquires counted" 1 (get p "acquires");
@@ -60,18 +60,26 @@ let test_manager_forwarding () =
 let test_client_probe () =
   let p = Port.create ~name:"t" () in
   Port.connect_client p
-    { Port.probe = (fun ~addr:_ ~cap:_ ~now -> { Port.dirty_data = None; done_at = now + 7 }) };
-  let r = Port.probe p ~addr:0x40 ~cap:Perm.Nothing ~now:3 in
-  Alcotest.(check int) "probe forwarded" 10 r.Port.done_at;
+    {
+      Port.probe =
+        (fun ~addr:_ ~cap:_ ~now ~into ~off ->
+          into.(off) <- 5;
+          Port.Reply.v ~at:(now + 7) ~flag:true);
+    };
+  let line = Array.make 8 0 in
+  let r = Port.probe p ~addr:0x40 ~cap:Perm.Nothing ~now:3 ~into:line ~off:0 in
+  Alcotest.(check int) "probe forwarded" 10 (Port.Reply.at r);
+  Alcotest.(check bool) "data flag forwarded" true (Port.Reply.flag r);
+  Alcotest.(check int) "data lands in the manager's line" 5 line.(0);
   Alcotest.(check int) "b_probes counted" 1 (get p "b_probes");
   Alcotest.(check int) "b_beats counted" 1 (get p "b_beats")
 
 let test_unconnected_raises () =
   let p = Port.create ~name:"t" () in
   Alcotest.check_raises "no manager" (Invalid_argument "Port.t: no manager connected")
-    (fun () -> ignore (Port.acquire p ~addr:0 ~grow:Perm.N_to_B ~now:0));
+    (fun () -> ignore (Port.acquire p ~addr:0 ~grow:Perm.N_to_B ~now:0 ~into:[||] ~off:0));
   Alcotest.check_raises "no client" (Invalid_argument "Port.t: no client connected")
-    (fun () -> ignore (Port.probe p ~addr:0 ~cap:Perm.Nothing ~now:0))
+    (fun () -> ignore (Port.probe p ~addr:0 ~cap:Perm.Nothing ~now:0 ~into:[||] ~off:0))
 
 let test_double_connect_raises () =
   let p = Port.create ~name:"t" () in
@@ -79,7 +87,7 @@ let test_double_connect_raises () =
   Alcotest.check_raises "manager rebind" (Invalid_argument "Port.t: manager already connected")
     (fun () -> Port.connect_manager p (dummy_manager 0));
   let client =
-    { Port.probe = (fun ~addr:_ ~cap:_ ~now -> { Port.dirty_data = None; done_at = now }) }
+    { Port.probe = (fun ~addr:_ ~cap:_ ~now ~into:_ ~off:_ -> Port.Reply.v ~at:now ~flag:false) }
   in
   Port.connect_client p client;
   Alcotest.check_raises "client rebind" (Invalid_argument "Port.t: client already connected")
@@ -106,9 +114,10 @@ let test_memside_counters () =
     Port.Memside.create ~name:"mem" ~beats_per_line:4 (fun stats ->
       {
         Port.Memside.read_line =
-          (fun ~addr:_ ~now ->
+          (fun ~addr:_ ~now ~into ->
             Port.Memside.note_wait stats 3;
-            Array.make 8 0, now + 10, false);
+            Array.fill into 0 8 7;
+            Port.Reply.v ~at:(now + 10) ~flag:false);
         write_line = (fun ~addr:_ ~data:_ ~now -> now + 5);
         persist_line = (fun ~addr:_ ~data:_ ~now -> now + 6);
         persist_if_dirty = (fun ~addr:_ ~now -> now);
@@ -118,9 +127,11 @@ let test_memside_counters () =
       })
   in
   let get name = Registry.get (Port.Memside.stats m) name in
-  let _, t, dirty = Port.Memside.read_line m ~addr:0x40 ~now:0 in
-  Alcotest.(check int) "read timed" 10 t;
-  Alcotest.(check bool) "clean" false dirty;
+  let line = Array.make 8 0 in
+  let r = Port.Memside.read_line m ~addr:0x40 ~now:0 ~into:line in
+  Alcotest.(check int) "read timed" 10 (Port.Reply.at r);
+  Alcotest.(check bool) "clean" false (Port.Reply.flag r);
+  Alcotest.(check int) "read into the receiver" 7 line.(7);
   ignore (Port.Memside.write_line m ~addr:0x40 ~data:[||] ~now:0);
   ignore (Port.Memside.persist_line m ~addr:0x40 ~data:[||] ~now:0);
   ignore (Port.Memside.persist_if_dirty m ~addr:0x40 ~now:0);

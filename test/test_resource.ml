@@ -27,12 +27,21 @@ let test_all_free_at () =
   Alcotest.(check int) "busy at t=5" 2 (Resource.busy_at r 5);
   Alcotest.(check int) "busy at t=15" 1 (Resource.busy_at r 15)
 
-let test_acquire_dyn () =
+let test_pick_hold () =
   let r = Resource.create "r" in
-  let s, f = Resource.acquire_dyn r ~now:3 (fun start -> start + 7) in
-  Alcotest.(check (pair int int)) "dyn occupancy" (3, 10) (s, f);
-  let s2, _ = Resource.acquire_dyn r ~now:0 (fun start -> start) in
-  Alcotest.(check int) "queued behind dyn" 10 s2
+  let i = Resource.min_index r in
+  let s = Int.max 3 (Resource.earliest_free r) in
+  Resource.hold r ~idx:i ~start:s ~finish:(s + 7);
+  Alcotest.(check (pair int int)) "held from start to finish" (3, 10) (s, Resource.earliest_free r);
+  Alcotest.(check int) "billed finish - start" 7 (Resource.total_busy_cycles r);
+  let s2, _ = Resource.acquire r ~now:0 ~busy:0 in
+  Alcotest.(check int) "queued behind the hold" 10 s2;
+  Alcotest.check_raises "finish before start"
+    (Invalid_argument "Resource.hold: finish < start") (fun () ->
+      Resource.hold r ~idx:0 ~start:5 ~finish:4);
+  let r = Resource.create ~count:2 "r" in
+  Resource.hold r ~idx:(Resource.min_index r) ~start:0 ~finish:20;
+  Alcotest.(check int) "next pick is the other unit" 1 (Resource.min_index r)
 
 let test_utilization () =
   let r = Resource.create "r" in
@@ -56,25 +65,28 @@ let test_banked_routing () =
   Alcotest.(check string) "wraps modulo banks" (Resource.name bank0) (Resource.name bank4)
 
 (* Naive reference model: a plain array of per-unit free times, scanned
-   in full on every acquisition with the first-lowest-index tie-break.  A
-   dynamic acquisition picks its unit before running the callback and
-   writes the unit's finish after it, so a callback that re-enters the
-   resource sees the unit still free and picks it too. *)
+   in full on every pick with the first-lowest-index tie-break.  A held
+   unit's finish is written only at [hold], so an acquisition between a
+   pick and its hold sees the unit still free and picks it too. *)
 module Naive = struct
   type t = int array
 
   let create count : t = Array.make count 0
 
-  let acquire_dyn_idx (t : t) ~now f =
+  let pick (t : t) =
     let best = ref 0 in
     for i = 1 to Array.length t - 1 do
       if t.(i) < t.(!best) then best := i
     done;
-    let i = !best in
+    !best
+
+  let hold (t : t) ~idx ~start:_ ~finish = t.(idx) <- finish
+
+  let acquire (t : t) ~now ~busy =
+    let i = pick t in
     let start = max now t.(i) in
-    let finish = f ~idx:i start in
-    t.(i) <- finish;
-    i, start, finish
+    hold t ~idx:i ~start ~finish:(start + busy);
+    start, start + busy
 
   let earliest_free (t : t) = Array.fold_left min t.(0) t
   let all_free_at (t : t) = Array.fold_left max t.(0) t
@@ -89,7 +101,9 @@ end
    step, so it moves backwards as well as forwards. *)
 type step =
   | Acquire of int * int  (* now, busy *)
-  | Dyn of int * int * (int * int) option  (* now, busy, reentrant (now, busy) *)
+  | Dyn of int * int * (int * int) option
+      (* pick/hold: now, busy, and an acquisition (now, busy) made between
+         the pick and the hold *)
   | Reset
 
 let step_gen =
@@ -113,7 +127,7 @@ let print_step = function
 
 (* Run [steps], logging every picked unit, start, finish and the derived
    queries after each step. *)
-let run_script ~acquire ~acquire_dyn_idx ~earliest_free ~all_free_at ~busy_at ~reset steps =
+let run_script ~acquire ~pick ~hold ~earliest_free ~all_free_at ~busy_at ~reset steps =
   let log = ref [] in
   let note l = log := l :: !log in
   List.iter
@@ -125,16 +139,18 @@ let run_script ~acquire ~acquire_dyn_idx ~earliest_free ~all_free_at ~busy_at ~r
           note [ s; f ];
           now
         | Dyn (now, busy, inner) ->
-          let i, s, f =
-            acquire_dyn_idx ~now (fun ~idx:_ s ->
-              (match inner with
-               | Some (now', busy') ->
-                 let i', s', f' = acquire_dyn_idx ~now:now' (fun ~idx:_ s -> s + busy') in
-                 note [ i'; s'; f' ]
-               | None -> ());
-              s + busy)
-          in
-          note [ i; s; f ];
+          let i = pick () in
+          let s = max now (earliest_free ()) in
+          (match inner with
+           | Some (now', busy') ->
+             (* Reentrant: picked and held while the outer unit is open. *)
+             let i' = pick () in
+             let s' = max now' (earliest_free ()) in
+             hold ~idx:i' ~start:s' ~finish:(s' + busy');
+             note [ i'; s'; s' + busy' ]
+           | None -> ());
+          hold ~idx:i ~start:s ~finish:(s + busy);
+          note [ i; s; s + busy ];
           now
         | Reset ->
           reset ();
@@ -154,7 +170,9 @@ let prop_matches_naive_scan =
   let r = Resource.create ~count "r" in
   let m = Naive.create count in
   let real =
-    run_script ~acquire:(Resource.acquire r) ~acquire_dyn_idx:(Resource.acquire_dyn_idx r)
+    run_script ~acquire:(Resource.acquire r)
+      ~pick:(fun () -> Resource.min_index r)
+      ~hold:(Resource.hold r)
       ~earliest_free:(fun () -> Resource.earliest_free r)
       ~all_free_at:(fun () -> Resource.all_free_at r)
       ~busy_at:(Resource.busy_at r)
@@ -162,11 +180,9 @@ let prop_matches_naive_scan =
       steps
   in
   let naive =
-    run_script
-      ~acquire:(fun ~now ~busy ->
-        let _, s, f = Naive.acquire_dyn_idx m ~now (fun ~idx:_ s -> s + busy) in
-        s, f)
-      ~acquire_dyn_idx:(Naive.acquire_dyn_idx m)
+    run_script ~acquire:(Naive.acquire m)
+      ~pick:(fun () -> Naive.pick m)
+      ~hold:(Naive.hold m)
       ~earliest_free:(fun () -> Naive.earliest_free m)
       ~all_free_at:(fun () -> Naive.all_free_at m)
       ~busy_at:(Naive.busy_at m)
@@ -193,7 +209,7 @@ let tests =
       Alcotest.test_case "parallel units" `Quick test_parallel_units;
       Alcotest.test_case "idle time not billed" `Quick test_idle_time_not_billed;
       Alcotest.test_case "all_free_at/busy_at" `Quick test_all_free_at;
-      Alcotest.test_case "acquire_dyn" `Quick test_acquire_dyn;
+      Alcotest.test_case "pick/hold" `Quick test_pick_hold;
       Alcotest.test_case "utilization accounting" `Quick test_utilization;
       Alcotest.test_case "banked routing" `Quick test_banked_routing;
       QCheck_alcotest.to_alcotest prop_start_never_before_now;
