@@ -14,10 +14,12 @@
 
 module S = Skipit_core.System
 module C = Skipit_core.Config
-module T = Skipit_core.Thread
 module Trace = Skipit_obs.Trace
 module Latency = Skipit_obs.Latency
 module Trace_program = Skipit_workload.Trace_program
+module Micro = Skipit_workload.Micro
+module Series = Skipit_workload.Series
+module Message = Skipit_tilelink.Message
 module Engine = Skipit_serve.Engine
 module Workload = Skipit_serve.Workload
 module Fleet = Skipit_fleet.Fleet
@@ -88,64 +90,21 @@ let run_trace_workload trace ~skip_it =
   in
   { name; cycles; checksums; latency; attribution = []; stats = S.stats_report sys }
 
-(* The Fig. 9-style scaling point: 8 threads, each store+flush+flush over a
-   private region — the workload whose behaviour Skip It changes most. *)
-let run_scaling_workload ~skip_it =
-  let threads = 8 and lines = 64 in
-  let sys = S.create (C.platform ~cores:threads ~skip_it ()) in
-  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (lines * 64) in
-  let per = lines / threads in
-  let task core =
-    {
-      T.core;
-      body =
-        (fun () ->
-          for i = core * per to ((core + 1) * per) - 1 do
-            T.store (base + (i * 64)) i;
-            T.flush (base + (i * 64));
-            T.flush (base + (i * 64))
-          done;
-          T.fence ());
-    }
-  in
-  let name = "store_double_flush_8t" ^ suffix skip_it in
-  let cycles, latency = with_latency name (fun () -> T.run sys (List.init threads task)) in
-  { name; cycles; checksums = [||]; latency; attribution = []; stats = S.stats_report sys }
-
 (* The banked-NUCA scaling row: the Fig. 9 32 KiB flush point at
-   l2_banks = 4, 1 vs 8 threads.  As in the figure, the measured window
-   covers the flush phase only (setup stores and the population fence are
-   outside it).  "speedup_milli" pins the near-linear scaling the banked
-   L2 buys; a bench/gates rule bounds it. *)
+   l2_banks = 4, 1 vs 8 threads, measured by Fig. 9's own kernel (the
+   window covers the flush phase only; setup stores and the population
+   fence are outside it).  "speedup_milli" pins the near-linear scaling the
+   banked L2 buys; a bench/gates rule bounds it. *)
 let run_banked_scaling_workload () =
   let params = C.Params.with_l2_banks C.default 4 in
-  let size = 32768 and line = 64 in
   let measure threads =
-    let params = C.Params.with_cores params threads in
-    let sys = S.create params in
-    let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:line size in
-    let per = size / line / threads in
-    let starts = Array.make threads max_int and ends = Array.make threads 0 in
-    let task core =
-      {
-        T.core;
-        body =
-          (fun () ->
-            let lo = base + (core * per * line) in
-            for i = 0 to per - 1 do
-              T.store (lo + (i * line)) (i + 1)
-            done;
-            T.fence ();
-            starts.(core) <- T.now ();
-            for i = 0 to per - 1 do
-              T.flush (lo + (i * line))
-            done;
-            T.fence ();
-            ends.(core) <- T.now ());
-      }
-    in
-    ignore (T.run sys (List.init threads task));
-    Array.fold_left max 0 ends - Array.fold_left min max_int starts
+    match
+      (Micro.writeback_sweep ~params ~kind:Message.Wb_flush ~threads ~sizes:[ 32768 ]
+         ~repeats:1 ())
+        .Series.points
+    with
+    | [ p ] -> int_of_float p.Series.y
+    | _ -> fail "fig9_32k_flush_l2b4: expected one sweep point"
   in
   let c1 = measure 1 and c8 = measure 8 in
   {
@@ -237,10 +196,8 @@ let workloads =
   List.concat_map
     (fun trace ->
       List.map (fun skip_it () -> run_trace_workload trace ~skip_it) [ false; true ])
-    [ "producer_consumer"; "redundant_flush"; "fig5_semantics" ]
+    [ "producer_consumer"; "redundant_flush"; "fig5_semantics"; "store_double_flush_8t" ]
   @ [
-      (fun () -> run_scaling_workload ~skip_it:false);
-      (fun () -> run_scaling_workload ~skip_it:true);
       run_banked_scaling_workload;
       run_fleet_workload;
     ]

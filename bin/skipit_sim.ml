@@ -1,8 +1,8 @@
-(* Command-line harness: regenerate any evaluation figure of the paper, dump
-   system statistics, or run a free-form writeback microbenchmark. *)
+(* Command-line harness: regenerate the paper's evaluation figures and
+   ablations, run trace programs, and drive the crash audit, the serving
+   engine and the sharded fleet. *)
 
 module Figures = Skipit_workload.Figures
-module Micro = Skipit_workload.Micro
 module Pool = Skipit_par.Pool
 module S = Skipit_core.System
 module C = Skipit_core.Config
@@ -98,7 +98,7 @@ let topology_of ~shared_bus ~banked_bus =
   if banked_bus then `Banked_bus else if shared_bus then `Shared_bus else `Crossbar
 
 (* ------------------------------------------------------------------ *)
-(* Tracing plumbing shared by the stats/run/trace commands.           *)
+(* Event tracing for the run command.                                 *)
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -112,6 +112,12 @@ let trace_filter_arg =
          ~doc:"Comma-separated component-track prefixes to record, e.g. \
                'l1,fu.0,port'.  Default: every component.")
 
+let trace_capacity_arg =
+  Arg.(value & opt pos_int (1 lsl 20)
+       & info [ "trace-capacity" ] ~docv:"N"
+         ~doc:"Ring-buffer capacity in events for --trace-out; the oldest \
+               events are dropped beyond it.")
+
 let parse_filter = function
   | None -> None
   | Some s -> (
@@ -122,26 +128,27 @@ let parse_filter = function
     in
     match parts with [] -> None | l -> Some l)
 
-(* Trace [f], then export the Perfetto JSON and print the latency table.
-   The ring-buffer accounting prints as a stats-style group so overflow is
-   visible in `stats`-flavoured output, not just the export warning. *)
-let run_traced ?capacity ~out ~filter f =
-  let tr = Trace.start ?capacity ?filter:(parse_filter filter) () in
-  Fun.protect ~finally:(fun () -> ignore (Trace.stop ())) f;
-  Perfetto.write_file out tr;
-  with_ppf (fun ppf -> Latency.pp ppf (Latency.of_trace tr));
-  Printf.printf "\n[trace]\n  %-26s %d\n  %-26s %d\n  %-26s %d\n" "events"
-    (Trace.length tr) "capacity" (Trace.capacity tr) "dropped" (Trace.dropped tr);
-  if Trace.dropped tr > 0 then
-    Printf.printf
-      "trace: %d event(s) dropped after the ring filled; narrow --trace-filter or \
-       raise --trace-capacity\n"
-      (Trace.dropped tr);
-  Printf.printf "trace: wrote %s (%d events, %d tracks)\n" out (Trace.length tr)
-    (List.length (Perfetto.tracks tr))
-
-let maybe_traced ~out ~filter f =
-  match out with None -> f () | Some out -> run_traced ~out ~filter f
+(* Run [f]; with [out], trace it, then export the Perfetto JSON and print
+   the latency table.  The ring-buffer accounting prints as a stats-style
+   group so overflow is visible in the output, not just the export
+   warning. *)
+let maybe_traced ~capacity ~out ~filter f =
+  match out with
+  | None -> f ()
+  | Some out ->
+    let tr = Trace.start ~capacity ?filter:(parse_filter filter) () in
+    Fun.protect ~finally:(fun () -> ignore (Trace.stop ())) f;
+    Perfetto.write_file out tr;
+    with_ppf (fun ppf -> Latency.pp ppf (Latency.of_trace tr));
+    Printf.printf "\n[trace]\n  %-26s %d\n  %-26s %d\n  %-26s %d\n" "events"
+      (Trace.length tr) "capacity" (Trace.capacity tr) "dropped" (Trace.dropped tr);
+    if Trace.dropped tr > 0 then
+      Printf.printf
+        "trace: %d event(s) dropped after the ring filled; narrow --trace-filter or \
+         raise --trace-capacity\n"
+        (Trace.dropped tr);
+    Printf.printf "trace: wrote %s (%d events, %d tracks)\n" out (Trace.length tr)
+      (List.length (Perfetto.tracks tr))
 
 (* Order names with digit runs compared numerically, so the per-bank groups
    read "l2.bank.2" before "l2.bank.10". *)
@@ -226,73 +233,7 @@ let figure_cmd =
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's evaluation figures")
     Term.(const run $ figure $ quick $ jobs_arg $ cores $ l2_banks_arg $ banked_bus_arg)
 
-let stats_cmd =
-  let threads =
-    Arg.(value & opt int 2 & info [ "threads" ] ~doc:"Simulated cores.")
-  in
-  let lines =
-    Arg.(value & opt int 64 & info [ "lines" ] ~doc:"Cache lines to store+flush.")
-  in
-  let run threads lines skip_it shared_bus l2_banks banked_bus trace_out trace_filter =
-    maybe_traced ~out:trace_out ~filter:trace_filter (fun () ->
-      let topology = topology_of ~shared_bus ~banked_bus in
-      let sys = S.create (C.platform ~cores:threads ~skip_it ~topology ~l2_banks ()) in
-      S.emit_trace_meta sys;
-      let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (lines * 64) in
-      let module T = Skipit_core.Thread in
-      let per = max 1 (lines / threads) in
-      let task core =
-        {
-          T.core;
-          body =
-            (fun () ->
-              for i = core * per to min lines ((core + 1) * per) - 1 do
-                T.store (base + (i * 64)) i;
-                T.flush (base + (i * 64));
-                T.flush (base + (i * 64))
-              done;
-              T.fence ());
-        }
-      in
-      let cycles = T.run sys (List.init threads task) in
-      Printf.printf "elapsed: %d cycles\n" cycles;
-      print_grouped_stats (S.stats_report sys))
-  in
-  Cmd.v
-    (Cmd.info "stats" ~doc:"Run a store+double-flush loop and dump all counters")
-    Term.(const run $ threads $ lines $ skip_it_arg $ shared_bus_arg $ l2_banks_arg
-          $ banked_bus_arg $ trace_out_arg $ trace_filter_arg)
-
-let sweep_cmd =
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"Simulated cores.") in
-  let clean =
-    Arg.(value & flag & info [ "clean" ] ~doc:"Use CBO.CLEAN instead of CBO.FLUSH.")
-  in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
-  let contended =
-    Arg.(value & flag & info [ "contended" ] ~doc:"All threads write back the same region.")
-  in
-  let run threads clean csv contended jobs =
-    let kind = if clean then Skipit_tilelink.Message.Wb_clean else Skipit_tilelink.Message.Wb_flush in
-    let prep =
-      if contended then
-        Micro.prep_contended_sweep ~kind ~threads ~sizes:Micro.sizes_default ~repeats:3 ()
-      else Micro.prep_writeback_sweep ~kind ~threads ~sizes:Micro.sizes_default ~repeats:3 ()
-    in
-    let series =
-      with_jobs jobs (fun pool ->
-        match Micro.run_prepared ?pool [ prep ] with [ s ] -> s | _ -> assert false)
-    in
-    with_ppf (fun ppf ->
-      if csv then Skipit_workload.Series.pp_csv ppf [ series ]
-      else Skipit_workload.Series.pp_table ~x_name:"bytes" ppf [ series ])
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Writeback-size latency sweep (Fig. 9 style)")
-    Term.(const run $ threads $ clean $ csv $ contended $ jobs_arg)
-
-(* Shared by the run/trace commands: load a trace program and settle the
-   core count. *)
+(* Load a trace program and settle the core count. *)
 let load_program file cores =
   match Skipit_workload.Trace_program.load_file file with
   | Error e ->
@@ -315,48 +256,28 @@ let cores_arg =
   Arg.(value & opt (some int) None
        & info [ "cores" ] ~doc:"Simulated cores (default: enough for the trace).")
 
-let run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats =
-  let program, cores = load_program file cores in
-  let topology = topology_of ~shared_bus ~banked_bus in
-  let sys = S.create (C.platform ~cores ~skip_it ~topology ~l2_banks ()) in
-  S.emit_trace_meta sys;
-  let cycles, checksums = Skipit_workload.Trace_program.run sys program in
-  Printf.printf "elapsed: %d cycles\n" cycles;
-  Array.iteri (fun i c -> Printf.printf "core %d load-checksum: %#x\n" i c) checksums;
-  if stats then print_grouped_stats (S.stats_report sys)
-
 let run_cmd =
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump all counters after the run.") in
-  let run file cores skip_it stats shared_bus l2_banks banked_bus trace_out trace_filter =
-    maybe_traced ~out:trace_out ~filter:trace_filter (fun () ->
-      run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats)
+  let run file cores skip_it stats shared_bus l2_banks banked_bus trace_out trace_filter
+      capacity =
+    let program, cores = load_program file cores in
+    maybe_traced ~capacity ~out:trace_out ~filter:trace_filter (fun () ->
+      let topology = topology_of ~shared_bus ~banked_bus in
+      let sys = S.create (C.platform ~cores ~skip_it ~topology ~l2_banks ()) in
+      S.emit_trace_meta sys;
+      let cycles, checksums = Skipit_workload.Trace_program.run sys program in
+      Printf.printf "elapsed: %d cycles\n" cycles;
+      Array.iteri (fun i c -> Printf.printf "core %d load-checksum: %#x\n" i c) checksums;
+      if stats then print_grouped_stats (S.stats_report sys))
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run a text trace program (see examples/traces/)")
+    (Cmd.info "run"
+       ~doc:"Run a text trace program (see examples/traces/); with --stats dump \
+             every counter, with --trace-out write a Perfetto timeline and \
+             print per-class latency percentiles")
     Term.(const run $ program_arg $ cores_arg $ skip_it_arg $ stats $ shared_bus_arg
-          $ l2_banks_arg $ banked_bus_arg $ trace_out_arg $ trace_filter_arg)
-
-let trace_cmd =
-  let out =
-    Arg.(value & opt string "trace.json"
-         & info [ "trace-out" ] ~docv:"FILE"
-           ~doc:"Output file for the Chrome trace-event JSON (open in ui.perfetto.dev).")
-  in
-  let capacity =
-    Arg.(value & opt int (1 lsl 20)
-         & info [ "trace-capacity" ] ~docv:"N"
-           ~doc:"Ring-buffer capacity in events; the oldest events are dropped beyond it.")
-  in
-  let run file cores skip_it shared_bus l2_banks banked_bus out filter capacity =
-    run_traced ~capacity ~out ~filter (fun () ->
-      run_program ~file ~cores ~skip_it ~shared_bus ~l2_banks ~banked_bus ~stats:false)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a trace program with event tracing on: write a Perfetto \
-             timeline and print per-class latency percentiles")
-    Term.(const run $ program_arg $ cores_arg $ skip_it_arg $ shared_bus_arg
-          $ l2_banks_arg $ banked_bus_arg $ out $ trace_filter_arg $ capacity)
+          $ l2_banks_arg $ banked_bus_arg $ trace_out_arg $ trace_filter_arg
+          $ trace_capacity_arg)
 
 let ablate_cmd =
   let run jobs =
@@ -995,6 +916,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
-            figure_cmd; stats_cmd; sweep_cmd; ablate_cmd; run_cmd; trace_cmd; audit_cmd;
-            serve_cmd; fleet_cmd;
+            figure_cmd; ablate_cmd; run_cmd; audit_cmd; serve_cmd; fleet_cmd;
           ]))

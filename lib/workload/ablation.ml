@@ -1,26 +1,17 @@
 module Params = Skipit_cache.Params
-module S = Skipit_core.System
-module T = Skipit_core.Thread
 module Pool = Skipit_par.Pool
 open Skipit_tilelink
 
 let line_bytes = 64
 
-(* Store+flush [lines] lines, one fence; fresh single-core system. *)
+(* Fig. 9's window at one size on one core: store [lines] lines and
+   fence, then the cycles to flush them all and fence again. *)
 let flush_region_cycles params ~lines =
-  let sys = S.create (Params.with_cores params 1) in
-  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:line_bytes (lines * line_bytes) in
-  T.run_task sys (fun () ->
-    for i = 0 to lines - 1 do
-      T.store (base + (i * line_bytes)) i
-    done;
-    T.fence ();
-    let t0 = T.now () in
-    for i = 0 to lines - 1 do
-      T.flush (base + (i * line_bytes))
-    done;
-    T.fence ();
-    T.now () - t0)
+  let series =
+    Micro.writeback_sweep ~params ~kind:Message.Wb_flush ~threads:1
+      ~sizes:[ lines * line_bytes ] ~repeats:1 ()
+  in
+  match series.Series.points with [ p ] -> p.Series.y | _ -> nan
 
 (* Each ablation is a grid of independent per-config simulations: build the
    config list, run one job per config (on [pool] when given), zip results
@@ -31,7 +22,7 @@ let fshr_count ?(counts = [ 1; 2; 4; 8; 16 ]) ?pool () =
     Pool.map pool
       (fun n ->
         let params = { Params.boom_default with Params.n_fshrs = n } in
-        float_of_int (flush_region_cycles params ~lines:512))
+        flush_region_cycles params ~lines:512)
       counts
   in
   Series.v "32KiB flush" (List.map2 (fun n y -> float_of_int n, y) counts ys)
@@ -41,7 +32,7 @@ let queue_depth ?(depths = [ 0; 1; 2; 4; 8; 16 ]) ?pool () =
     Pool.map pool
       (fun d ->
         let params = { Params.boom_default with Params.flush_queue_depth = d } in
-        float_of_int (flush_region_cycles params ~lines:64))
+        flush_region_cycles params ~lines:64)
       depths
   in
   Series.v "64-line store+flush burst" (List.map2 (fun d y -> float_of_int d, y) depths ys)
@@ -79,7 +70,7 @@ let data_array_width ?pool () =
     Pool.map pool
       (fun (wide, lines) ->
         let params = { Params.boom_default with Params.wide_data_array = wide } in
-        float_of_int (flush_region_cycles params ~lines))
+        flush_region_cycles params ~lines)
       cells
   in
   let tbl = List.combine cells ys in
@@ -110,18 +101,11 @@ let coalescing ?pool () =
    latencies — measure how the Fig. 13 redundant-writeback workload and the
    single-line latency respond to a memory-side L3. *)
 let hierarchy_depth ?pool () =
-  let single params =
-    let series =
-      Micro.writeback_sweep ~params ~kind:Message.Wb_flush ~threads:1 ~sizes:[ 64 ]
-        ~repeats:1 ()
-    in
-    match series.Series.points with [ p ] -> p.Series.y | _ -> nan
-  in
   let jobs =
     [ "l2-only", Params.boom_default; "with-l3", Params.with_l3 Params.boom_default ]
     |> List.concat_map (fun (label, base) ->
          [
-           (label ^ "/single-flush", 64., fun () -> single base);
+           (label ^ "/single-flush", 64., fun () -> flush_region_cycles base ~lines:1);
            ( label ^ "/naive",
              4096.,
              fun () -> redundant_cycles { base with Params.skip_it = false } );

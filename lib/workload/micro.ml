@@ -258,8 +258,5 @@ let writeback_sweep ?params ~kind ~threads ~sizes ~repeats () =
 let write_wb_read ?params ~kind ~threads ~sizes ~repeats () =
   run_one (prep_write_wb_read ?params ~kind ~threads ~sizes ~repeats ())
 
-let contended_sweep ?params ~kind ~threads ~sizes ~repeats () =
-  run_one (prep_contended_sweep ?params ~kind ~threads ~sizes ~repeats ())
-
 let redundant ?params ~kind ~skip_it ~threads ~redundant ~sizes ~repeats () =
   run_one (prep_redundant ?params ~kind ~skip_it ~threads ~redundant ~sizes ~repeats ())

@@ -45,6 +45,10 @@ val prep_write_wb_read :
 val prep_contended_sweep :
   ?params:Skipit_cache.Params.t -> kind:Message.wb_kind -> threads:int ->
   sizes:int list -> repeats:int -> unit -> Series.t prepared
+(** The contended counterpart of Fig. 9 (the paper measures non-contended
+    lines): every thread writes back the {e same} region, so the writebacks
+    race through cross-core probes and the §5.4.1 interlocks.  One thread
+    dirties the region; all threads then write it back and fence. *)
 
 val prep_redundant :
   ?params:Skipit_cache.Params.t -> kind:Message.wb_kind -> skip_it:bool ->
@@ -79,19 +83,6 @@ val write_wb_read :
 (** Fig. 10: per share — write every line, issue the writeback 10×, fence,
     then re-read every line; elapsed covers the whole sequence.  CBO.CLEAN
     re-reads hit; CBO.FLUSH re-reads refetch (≈2× total latency). *)
-
-val contended_sweep :
-  ?params:Skipit_cache.Params.t ->
-  kind:Message.wb_kind ->
-  threads:int ->
-  sizes:int list ->
-  repeats:int ->
-  unit ->
-  Series.t
-(** The contended counterpart of Fig. 9 (the paper measures non-contended
-    lines): every thread writes back the {e same} region, so the writebacks
-    race through cross-core probes and the §5.4.1 interlocks.  One thread
-    dirties the region; all threads then write it back and fence. *)
 
 val redundant :
   ?params:Skipit_cache.Params.t ->

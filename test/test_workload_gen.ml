@@ -242,8 +242,10 @@ let test_mix_of_spec () =
 (* Every parser of user or reproducer input is total, and inverts its
    printer.  The fuzz strings are either a keyword followed by digit runs
    and separators, or a valid name with one digit run replaced by a long
-   one (past max_int, or just past a range check once scaled). *)
+   one (past max_int, or just past a range check once scaled), or lines of
+   trace-program tokens. *)
 module Fleet = Skipit_fleet.Fleet
+module Trace_program = Skipit_workload.Trace_program
 
 let digit_run lo hi =
   QCheck.Gen.(string_size ~gen:(char_range '0' '9') (int_range lo hi))
@@ -330,7 +332,32 @@ let gen_fuzz =
         map Arrival.process_name gen_process;
         map Fleet.fault_schedule_name gen_faults ]
   in
-  oneof [ random; map3 replace_digit_run valid_name nat (digit_run 4 25) ]
+  (* Keywords and operands in any order, so the trace parser sees core
+     sections, nested and stepped repeat blocks and negative or overlong
+     numbers, not only a first-line error. *)
+  let trace =
+    let number =
+      oneof
+        [ map string_of_int (int_range (-8) 300);
+          map (Printf.sprintf "%#x") (int_range 0 0x20000);
+          digit_run 15 25 ]
+    in
+    let word =
+      oneofl
+        [ "core"; "repeat"; "step"; "end"; "ld"; "sd"; "cas"; "cbo.clean"; "cbo.flush";
+          "cbo.inval"; "cbo.zero"; "fence"; "delay"; "#"; "x" ]
+    in
+    let line =
+      map (String.concat " ")
+        (frequency
+           [ 3, map2 List.cons word (list_size (int_range 0 3) number);
+             1, list_size (int_range 0 4) (frequency [ 3, word; 2, number ]) ])
+    in
+    map2 ( ^ )
+      (oneofl [ ""; "core 0\n" ])
+      (map (String.concat "\n") (list_size (int_range 0 12) line))
+  in
+  oneof [ random; map3 replace_digit_run valid_name nat (digit_run 4 25); trace ]
 
 let prop_parsers_total_and_round_trip =
   let gen =
@@ -347,6 +374,7 @@ let prop_parsers_total_and_round_trip =
       ignore (Arrival.process_of_name s);
       ignore (Arrival.phases_of_spec s);
       ignore (Fleet.fault_schedule_of_name s);
+      ignore (Trace_program.parse s);
       (match Workload.mix_of_spec s with
        | Some u when u < 0 || u > 100 -> QCheck.Test.fail_reportf "mix %S -> %d" s u
        | _ -> ());
