@@ -295,10 +295,11 @@ let audit_cmd =
     Arg.(value & opt pos_int 40 & info [ "ops" ] ~doc:"Operations per trial schedule.")
   in
   let budget =
-    Arg.(value & opt int 20
+    Arg.(value & opt pos_int 20
          & info [ "budget" ] ~docv:"N"
            ~doc:"Crash boundaries tested per spec (exhaustive when the run \
-                 has at most N persist events, else first + last + sampled).")
+                 has at most N persist events, else first + last + sampled; \
+                 N = 1 tests the first only).")
   in
   let csv_list ~name ~of_name arg_name doc =
     Arg.(value
@@ -314,8 +315,11 @@ let audit_cmd =
       "Comma-separated persistence modes (default: all three)."
   in
   let strategies =
-    csv_list ~name:Campaign.strategy_name ~of_name:Campaign.strategy_of_name "strategies"
-      "Comma-separated strategies (default: plain,skip-it)."
+    csv_list ~name:Ds_bench.spec_name ~of_name:Ds_bench.spec_of_name "strategies"
+      "Comma-separated persist strategies, named as for serve and fleet \
+       --strategy: plain, skip-it, flit-adjacent, flit-hash[/N], \
+       link-and-persist (not on bst).  baseline never persists and is \
+       rejected (default: plain,skip-it)."
   in
   let fault =
     Arg.(value
@@ -356,25 +360,10 @@ let audit_cmd =
     match repro with
     | Some file -> replay ~l2_banks file
     | None ->
-      let structures = Option.value structures ~default:Campaign.all_structures in
-      let modes = Option.value modes ~default:Pctx.all_modes in
-      let strategies =
-        Option.value strategies ~default:[ Campaign.Plain; Campaign.Skipit ]
-      in
       let specs =
-        List.concat_map
-          (fun structure ->
-            List.concat_map
-              (fun mode ->
-                List.filter_map
-                  (fun strategy ->
-                    let s =
-                      { Campaign.structure; mode; strategy; fault; seed; n_ops = ops }
-                    in
-                    if Campaign.compatible s then Some s else None)
-                  strategies)
-              modes)
-          structures
+        match Campaign.grid ?structures ?modes ?strategies ~seed ~n_ops:ops ~fault () with
+        | Ok specs -> specs
+        | Error e -> fail "audit" e
       in
       Printf.printf "audit campaign: %d spec(s), seed %d, %d op(s), boundary budget %d\n%!"
         (List.length specs) seed ops budget;

@@ -35,6 +35,13 @@ if grep -rnw Marshal lib/; then
   exit 1
 fi
 
+# One strategy vocabulary: persist strategies are named in Ds_bench alone,
+# which serve, fleet, the figures and the crash campaign all read.
+if grep -rln -- '-> "link-and-persist"' lib/ | grep -vx lib/workload/ds_bench.ml; then
+  echo "check.sh: a strategy name table outside lib/workload/ds_bench.ml; use Ds_bench.spec_name" >&2
+  exit 1
+fi
+
 # No polymorphic max/min/compare in the simulator core: on ints they cost
 # a compare_val call (and a closure as a fold argument) where Int.max is
 # one instruction.  Comments, definitions and qualified names pass.

@@ -9,6 +9,7 @@ module MQ = Skipit_pds.Ms_queue
 module PL = Skipit_mem.Persist_log
 module Rng = Skipit_sim.Rng
 module Pool = Skipit_par.Pool
+module Ds_bench = Skipit_workload.Ds_bench
 
 (* ------------------------------------------------------------------ *)
 (* Campaign dimensions.                                               *)
@@ -20,19 +21,6 @@ let structure_name = function Queue -> "ms-queue" | Set k -> Ops.kind_name k
 
 let structure_of_name name =
   List.find_opt (fun s -> structure_name s = name) all_structures
-
-type strategy_spec = Plain | Skipit | Flit_adjacent | Link_and_persist
-
-let all_strategies = [ Plain; Skipit; Flit_adjacent; Link_and_persist ]
-
-let strategy_name = function
-  | Plain -> "plain"
-  | Skipit -> "skip-it"
-  | Flit_adjacent -> "flit-adjacent"
-  | Link_and_persist -> "link-and-persist"
-
-let strategy_of_name name =
-  List.find_opt (fun s -> strategy_name s = name) all_strategies
 
 type fault = No_fault | Drop_nth_persist of int | Drop_all_persists
 
@@ -56,7 +44,7 @@ let fault_of_name = function
 type spec = {
   structure : structure;
   mode : Pctx.mode;
-  strategy : strategy_spec;
+  strategy : Ds_bench.strategy_spec;
   fault : fault;
   seed : int;
   n_ops : int;
@@ -64,39 +52,40 @@ type spec = {
 
 let spec_name s =
   Printf.sprintf "%s/%s/%s%s seed=%d ops=%d" (structure_name s.structure)
-    (Pctx.mode_name s.mode) (strategy_name s.strategy)
+    (Pctx.mode_name s.mode) (Ds_bench.spec_name s.strategy)
     (match s.fault with No_fault -> "" | f -> "+" ^ fault_name f)
     s.seed s.n_ops
 
-let uses_word_bits = function Queue -> false | Set k -> Ops.uses_word_bits k
-
 let compatible s =
-  not (uses_word_bits s.structure && s.strategy = Link_and_persist)
+  match s.strategy, s.structure with
+  | Ds_bench.Baseline, _ -> false (* it never persists: no crash can be survived *)
+  | _, Queue -> true
+  | strategy, Set kind -> Ds_bench.compatible kind strategy
 
-let default_specs ~seed ~n_ops ~fault =
-  List.concat_map
-    (fun structure ->
-      List.concat_map
-        (fun mode ->
-          List.filter_map
-            (fun strategy ->
-              let s = { structure; mode; strategy; fault; seed; n_ops } in
-              if compatible s then Some s else None)
-            [ Plain; Skipit ])
-        Pctx.all_modes)
-    all_structures
+let grid ?(structures = all_structures) ?(modes = Pctx.all_modes)
+    ?(strategies = Ds_bench.[ Plain; Skipit ]) ~seed ~n_ops ~fault () =
+  let spec structure mode strategy = { structure; mode; strategy; fault; seed; n_ops } in
+  let specs =
+    List.concat_map
+      (fun structure ->
+        List.concat_map
+          (fun mode -> List.filter compatible (List.map (spec structure mode) strategies))
+          modes)
+      structures
+  in
+  match List.find_opt (fun st -> not (List.exists (fun s -> s.strategy = st) specs)) strategies with
+  | None -> Ok specs
+  | Some st ->
+    Error
+      (Printf.sprintf
+         "strategy %s cannot be crash-tested on any requested structure (baseline \
+          never persists; link-and-persist clashes with the BST's word bits)"
+         (Ds_bench.spec_name st))
+
+let default_specs ~seed ~n_ops ~fault = Result.get_ok (grid ~seed ~n_ops ~fault ())
 
 (* ------------------------------------------------------------------ *)
-(* Strategy realization and fault injection.                          *)
-
-let wants_skip_it_hw = function Skipit -> true | Plain | Flit_adjacent | Link_and_persist -> false
-
-let realize_strategy spec =
-  match spec.strategy with
-  | Plain -> Strategy.plain ()
-  | Skipit -> Strategy.skipit_hw ()
-  | Flit_adjacent -> Strategy.flit_adjacent ()
-  | Link_and_persist -> Strategy.link_and_persist ()
+(* Fault injection.                                                   *)
 
 (* The seeded-fault wrapper: silently elide required store-side writebacks.
    Exactly the bug class FliT frames — one missing flush breaking durable
@@ -168,7 +157,11 @@ type trial = {
 
 let build_system ?(l2_banks = 1) spec =
   let params =
-    { (C.tiny ~cores:1 ()) with Params.skip_it = wants_skip_it_hw spec.strategy; l2_banks }
+    {
+      (C.tiny ~cores:1 ()) with
+      Params.skip_it = Ds_bench.wants_skip_it_hw spec.strategy;
+      l2_banks;
+    }
   in
   S.create params
 
@@ -270,7 +263,7 @@ type world = {
 let build_world ~audited ?(audit_every = 400) ?l2_banks spec =
   let sys = build_system ?l2_banks spec in
   let fault_calls = ref 0 in
-  let strategy = apply_fault spec.fault ~calls:fault_calls (realize_strategy spec) in
+  let strategy = apply_fault spec.fault ~calls:fault_calls (Ds_bench.realize spec.strategy sys) in
   (* Crash boundaries count persist-point *calls*, not persist-log events:
      a fault that elides the writeback must not also elide the boundary
      that would expose it.  The counter increments after the call returns,
@@ -507,9 +500,11 @@ type report = {
   failure : failure option;
 }
 
+(* First, last, then sampled: a budget of 0 or 1 takes a prefix of that
+   order, so a run never tests more boundaries than its budget. *)
 let boundaries ~persists ~budget ~seed =
-  if persists <= 0 then []
-  else if persists <= budget then List.init persists (fun i -> i + 1)
+  if persists <= budget then List.init (Int.max 0 persists) (fun i -> i + 1)
+  else if budget <= 1 then List.init (Int.max 0 budget) (fun i -> i + 1)
   else begin
     let rng = Rng.create ~seed:(seed lxor 0x5EED) in
     let picks = Hashtbl.create budget in
@@ -597,7 +592,7 @@ let write_reproducer path (fail : failure) =
     [
       ("structure", structure_name fail.spec.structure);
       ("mode", Pctx.mode_name fail.spec.mode);
-      ("strategy", strategy_name fail.spec.strategy);
+      ("strategy", Ds_bench.spec_name fail.spec.strategy);
       ("fault", fault_name fail.spec.fault);
       ("seed", string_of_int fail.spec.seed);
       ("ops", string_of_int fail.spec.n_ops);
@@ -609,16 +604,24 @@ let read_reproducer path =
   let* r = Repro_file.read path in
   let* structure = Repro_file.parse r "structure" structure_of_name in
   let* mode = Repro_file.parse r "mode" Pctx.mode_of_name in
-  let* strategy = Repro_file.parse r "strategy" strategy_of_name in
+  let* strategy = Repro_file.parse r "strategy" Ds_bench.spec_of_name in
   let* fault = Repro_file.parse r "fault" fault_of_name in
   let* seed = Repro_file.int r "seed" in
   let* n_ops = Repro_file.int r "ops" in
   let* () = if n_ops < 1 then Error "ops must be at least 1" else Ok () in
   let* crash_at = Repro_file.int r "crash_at" in
   let* () = if crash_at < 0 then Error "crash_at must be non-negative" else Ok () in
+  let spec = { structure; mode; strategy; fault; seed; n_ops } in
+  let* () =
+    if compatible spec then Ok ()
+    else
+      Error
+        (Printf.sprintf "strategy %s cannot be crash-tested on %s" (Ds_bench.spec_name strategy)
+           (structure_name structure))
+  in
   Ok
     {
-      spec = { structure; mode; strategy; fault; seed; n_ops };
+      spec;
       crash_at = (if crash_at > 0 then Some crash_at else None);
       completed = 0;
       violations = [];

@@ -20,18 +20,13 @@
 
 module Pool = Skipit_par.Pool
 module Pctx = Skipit_persist.Pctx
+module Ds_bench = Skipit_workload.Ds_bench
 
 type structure = Queue | Set of Skipit_pds.Set_ops.kind
 
 val all_structures : structure list
 val structure_name : structure -> string
 val structure_of_name : string -> structure option
-
-type strategy_spec = Plain | Skipit | Flit_adjacent | Link_and_persist
-
-val all_strategies : strategy_spec list
-val strategy_name : strategy_spec -> string
-val strategy_of_name : string -> strategy_spec option
 
 (** Seeded faults for validating the campaign itself: a test-only strategy
     wrapper that elides required writebacks.  The campaign must catch the
@@ -41,10 +36,15 @@ type fault = No_fault | Drop_nth_persist of int | Drop_all_persists
 val fault_name : fault -> string
 val fault_of_name : string -> fault option
 
+val apply_fault : fault -> calls:int ref -> Skipit_persist.Strategy.t -> Skipit_persist.Strategy.t
+(** The strategy with the fault applied ([No_fault]: unchanged).  [calls]
+    counts the store-side persist calls [Drop_nth_persist] numbers. *)
+
 type spec = {
   structure : structure;
   mode : Pctx.mode;
-  strategy : strategy_spec;
+  strategy : Ds_bench.strategy_spec;
+      (** Named and realized as serve, fleet and Figs. 14–16 do. *)
   fault : fault;
   seed : int;
   n_ops : int;
@@ -53,10 +53,24 @@ type spec = {
 val spec_name : spec -> string
 
 val compatible : spec -> bool
-(** Link-and-Persist is excluded for the BST (word-bit clash, §7.4). *)
+(** [false] for the non-persistent [Baseline] and where
+    {!Ds_bench.compatible} says no (Link-and-Persist on the BST, §7.4). *)
+
+val grid :
+  ?structures:structure list ->
+  ?modes:Pctx.mode list ->
+  ?strategies:Ds_bench.strategy_spec list ->
+  seed:int ->
+  n_ops:int ->
+  fault:fault ->
+  unit ->
+  (spec list, string) result
+(** Every compatible structure × mode × strategy spec, in that nesting
+    order (defaults: all structures, all modes, [Plain; Skipit]).
+    [Error] names a strategy that fits none of the structures. *)
 
 val default_specs : seed:int -> n_ops:int -> fault:fault -> spec list
-(** All 5 structures × 3 modes × (Plain, Skipit), compatibility-filtered. *)
+(** The default {!grid}: all 5 structures × 3 modes × (Plain, Skipit). *)
 
 type trial = {
   persists : int;  (** Persist-point calls made when the run ended. *)
@@ -129,10 +143,14 @@ type report = {
   failure : failure option;  (** First failing crash point, if any. *)
 }
 
+val boundaries : persists:int -> budget:int -> seed:int -> int list
+(** The ascending crash boundaries a run with [persists] persist points
+    tests: all of them when there are at most [budget], else the first,
+    the last and seeded samples, [min persists budget] in all (budget 1:
+    the first only). *)
+
 val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
-(** Test one spec: up to [budget] (default 20) crash boundaries —
-    enumerated exhaustively when the run has that few persists, otherwise
-    the first, the last and RNG-sampled interior boundaries — and the
+(** Test one spec: its {!boundaries} (budget default 20) and the
     uncrashed run (oracle + invariants at quiesce).  The persist total
     that sizes the boundaries comes from a pass without the auditor; the
     crash trials are forked from one audited run ({!crash_trials}), which
@@ -153,6 +171,7 @@ val read_reproducer : string -> (failure, string) result
 (** Round-trip a failure as a small key=value file ([crash_at=0] stands
     for [None]); replay the spec with {!run_trial}
     [~crash_at:failure.crash_at].  [read_reproducer] returns [Error] for a
-    missing or unparsable field, [ops < 1] or [crash_at < 0]. *)
+    missing or unparsable field, [ops < 1], [crash_at < 0] or a spec that
+    is not {!compatible}. *)
 
 val pp_report : Format.formatter -> report -> unit

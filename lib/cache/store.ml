@@ -5,16 +5,18 @@
    the L1-hit path — and a tag scan chased a pointer per way.  v2 keys
    everything by an integer slot id ([set * ways + way]) into flat
    parallel tables: tags and LRU stamps in [int array]s, valid bits in a
-   [Bytes.t], payloads in one ['a option array].  Lookups return the slot
-   id (-1 for a miss), so the hit path allocates nothing, and a set's tags
-   sit in 8|ways| contiguous bytes of one array.
+   [Bytes.t], payloads unboxed in one ['a array] (an invalid slot holds
+   the store's [empty] value; validity is the valid byte's alone).
+   Lookups return the slot id (-1 for a miss), so the hit path allocates
+   nothing, and a set's tags sit in 8|ways| contiguous bytes of one
+   array.
 
    Levels that want pure SoA line storage (the L1 keeps per-line metadata
    in a packed byte table and line words in one flat array) instantiate
    ['a = unit] and index their own tables by the same slot id; levels with
    richer payloads (L2 directory entries, memory-side lines) store them in
-   the payload table, paying one small allocation per *fill* — never per
-   lookup. *)
+   the payload table; a fill stores the caller's value and allocates
+   nothing itself. *)
 
 type policy = Lru | Random of Skipit_sim.Rng.t
 
@@ -25,12 +27,13 @@ type 'a t = {
   tags : int array;  (* by slot id *)
   valid : Bytes.t;  (* 0/1 by slot id *)
   last_use : int array;  (* by slot id *)
-  payload : 'a option array;  (* [Some] iff valid *)
+  payload : 'a array;  (* [empty] where invalid *)
+  empty : 'a;
 }
 
 let miss = -1
 
-let create ?(policy = Lru) geom =
+let create ?(policy = Lru) geom ~empty =
   let slots = geom.Geometry.sets * geom.Geometry.ways in
   {
     geom;
@@ -39,7 +42,8 @@ let create ?(policy = Lru) geom =
     tags = Array.make slots 0;
     valid = Bytes.make slots '\000';
     last_use = Array.make slots 0;
-    payload = Array.make slots None;
+    payload = Array.make slots empty;
+    empty;
   }
 
 let geometry t = t.geom
@@ -63,9 +67,8 @@ let find t addr =
   scan_ways t base tag 0
 
 let payload t id =
-  match t.payload.(id) with
-  | Some p -> p
-  | None -> invalid_arg "Store.payload: invalid slot"
+  if Bytes.get t.valid id <> '\000' then Array.unsafe_get t.payload id
+  else invalid_arg "Store.payload: invalid slot"
 
 let touch t id ~now = t.last_use.(id) <- now
 
@@ -92,12 +95,12 @@ let victim t addr =
 let fill t id ~addr ~payload ~now =
   t.tags.(id) <- Geometry.tag_of t.geom addr;
   Bytes.unsafe_set t.valid id '\001';
-  t.payload.(id) <- Some payload;
+  t.payload.(id) <- payload;
   t.last_use.(id) <- now
 
 let invalidate t id =
   Bytes.unsafe_set t.valid id '\000';
-  t.payload.(id) <- None
+  t.payload.(id) <- t.empty
 
 let slot_addr t id =
   if not (is_valid t id) then invalid_arg "Store.slot_addr: invalid slot";
@@ -117,20 +120,25 @@ let count_valid t =
 
 let invalidate_all t =
   Bytes.fill t.valid 0 (Bytes.length t.valid) '\000';
-  Array.fill t.payload 0 (Array.length t.payload) None
+  Array.fill t.payload 0 (Array.length t.payload) t.empty
 
-let copy_into ~payload ~src ~dst =
+let copy_into ~copy ~over ~src ~dst =
   if Array.length dst.tags <> Array.length src.tags || dst.ways <> src.ways then
     invalid_arg "Store.copy_into: geometries differ";
   (match src.policy, dst.policy with
    | Lru, Lru -> ()
    | Random a, Random b -> Skipit_sim.Rng.copy_into ~src:a ~dst:b
    | (Lru | Random _), _ -> invalid_arg "Store.copy_into: policies differ");
-  Skipit_sim.Ints.copy_into ~src:src.tags ~dst:dst.tags;
-  Skipit_sim.Ints.copy_into ~src:src.last_use ~dst:dst.last_use;
-  Bytes.blit src.valid 0 dst.valid 0 (Bytes.length src.valid);
+  (* Payloads first: [over] or [copy] depends on [dst]'s old valid bits. *)
   for id = 0 to Array.length src.payload - 1 do
     let cur = Array.unsafe_get dst.payload id in
-    let cell = payload (Array.unsafe_get src.payload id) cur in
+    let cell =
+      if not (is_valid src id) then dst.empty
+      else if is_valid dst id then over (Array.unsafe_get src.payload id) cur
+      else copy (Array.unsafe_get src.payload id)
+    in
     if cell != cur then dst.payload.(id) <- cell
-  done
+  done;
+  Skipit_sim.Ints.copy_into ~src:src.tags ~dst:dst.tags;
+  Skipit_sim.Ints.copy_into ~src:src.last_use ~dst:dst.last_use;
+  Bytes.blit src.valid 0 dst.valid 0 (Bytes.length src.valid)

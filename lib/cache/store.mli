@@ -8,9 +8,11 @@
     present.
 
     The per-line payload type ['a] carries whatever metadata a level wants
-    in the store itself (directory bits, line records); a level keeping its
-    line state in its own struct-of-arrays tables instantiates ['a = unit]
-    and indexes those tables by the same slot id (see {!slots}).
+    in the store itself (directory bits, line records), unboxed: an invalid
+    slot holds the store's [empty] value, so a fill allocates nothing.  A
+    level keeping its line state in its own struct-of-arrays tables
+    instantiates ['a = unit] and indexes those tables by the same slot id
+    (see {!slots}).
 
     Replacement picks the lowest-numbered invalid way first; among valid
     ways the policy chooses: [Lru] (the default — deterministic and easiest
@@ -22,7 +24,10 @@ type policy = Lru | Random of Skipit_sim.Rng.t
 
 type 'a t
 
-val create : ?policy:policy -> Geometry.t -> 'a t
+val create : ?policy:policy -> Geometry.t -> empty:'a -> 'a t
+(** [empty] fills every invalid slot's payload cell; it is never returned
+    by {!payload} nor passed to {!copy_into}'s callbacks. *)
+
 val geometry : 'a t -> Geometry.t
 
 val slots : 'a t -> int
@@ -66,10 +71,10 @@ val invalidate_all : 'a t -> unit
 (** Drop every line — used to simulate a crash (volatile caches lose
     contents, §2.5). *)
 
-val copy_into : payload:('a option -> 'a option -> 'a option) -> src:'a t -> dst:'a t -> unit
+val copy_into : copy:('a -> 'a) -> over:('a -> 'a -> 'a) -> src:'a t -> dst:'a t -> unit
 (** Make [dst] hold what [src] holds: tags, valid bits, LRU stamps and, for
-    [Random], the generator's state.  Slot by slot, [payload s d] is
-    [dst]'s new payload cell given [src]'s cell [s] and [dst]'s current
-    cell [d] ([None] for an invalid slot): an immutable payload can return
-    [s] itself, a mutable one copies into [d]'s payload and returns [d],
-    or returns a fresh copy.  The geometries and policies must match. *)
+    [Random], the generator's state.  For each slot valid in [src] holding
+    [s], [dst]'s new payload is [over s d] when [dst]'s slot was valid too,
+    holding [d], else [copy s]: an immutable payload can return [s] from
+    both, a mutable one copies into [d] and returns it, and [copy] returns
+    a fresh copy.  The geometries and policies must match. *)

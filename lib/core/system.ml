@@ -26,7 +26,7 @@ type t = {
   dcaches : Dcache.t array;
   lsus : Lsu.t array;
   ports : Port.t array;  (* client port per core, L1 side <-> L2 side *)
-  memside_ports : Skipit_l2.Backend.t list;  (* every boundary below the L2 *)
+  memside_ports : Port.Memside.t list;  (* every boundary below the L2 *)
   l2 : L2.t;
   l3 : Memside.t option;
   dram : Dram.t;
@@ -197,7 +197,7 @@ let copy_into ~src ~dst =
   Array.iter2 (fun src dst -> Lsu.copy_into ~src ~dst) src.lsus dst.lsus;
   Array.iter2 (fun src dst -> Port.copy_into ~src ~dst) src.ports dst.ports;
   List.iter2
-    (fun src dst -> Skipit_l2.Backend.copy_into ~src ~dst)
+    (fun src dst -> Port.Memside.copy_into ~src ~dst)
     src.memside_ports dst.memside_ports;
   L2.copy_into ~src:src.l2 ~dst:dst.l2;
   (match src.l3, dst.l3 with
@@ -276,7 +276,7 @@ let emit_trace_meta t =
       t.dcaches;
     Array.iter (fun p -> meta ("port." ^ Port.name p) "TileLink client port") t.ports;
     List.iter
-      (fun b -> meta ("port." ^ Skipit_l2.Backend.name b) "memside port")
+      (fun b -> meta ("port." ^ Port.Memside.name b) "memside port")
       t.memside_ports;
     meta "l2" "shared inclusive L2";
     if L2.n_banks t.l2 = 1 then meta "l2.mshr" "L2 MSHRs"
@@ -308,7 +308,7 @@ let stats_report t =
   (* Per-port beat/stall/occupancy counters at every hierarchy boundary. *)
   Array.iter (fun p -> push ("port." ^ Port.name p) (Port.stats p)) t.ports;
   List.iter
-    (fun b -> push ("port." ^ Skipit_l2.Backend.name b) (Skipit_l2.Backend.stats b))
+    (fun b -> push ("port." ^ Port.Memside.name b) (Port.Memside.stats b))
     t.memside_ports;
   acc := ("dram.reads", Dram.reads t.dram) :: ("dram.writes", Dram.writes t.dram) :: !acc;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc

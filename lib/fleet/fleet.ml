@@ -17,6 +17,7 @@ module Batcher = Skipit_serve.Batcher
 module Shard = Skipit_serve.Shard
 module Invariant = Skipit_audit.Invariant
 module Repro_file = Skipit_audit.Repro_file
+module Campaign = Skipit_audit.Campaign
 
 (* ------------------------------------------------------------------ *)
 (* Fault schedules.                                                   *)
@@ -323,9 +324,6 @@ let cycles sys f =
   T.run_task sys f;
   S.max_clock sys - c0
 
-let drop_persists_fault (s : Strategy.t) =
-  { s with name = s.name ^ "+drop-persists"; persist_store = (fun _ -> ()) }
-
 let realize_faults cfg ~rate =
   let fs =
     match cfg.faults with
@@ -367,7 +365,11 @@ let run cfg ~rate =
         ~shuffle_seed:(cfg.seed + sid) (shard_config cfg)
     in
     T.run_task sys clean.Strategy.fence;
-    let strat = if cfg.drop_persists = Some sid then drop_persists_fault clean else clean in
+    let strat =
+      if cfg.drop_persists = Some sid then
+        Campaign.(apply_fault Drop_all_persists ~calls:(ref 0) clean)
+      else clean
+    in
     {
       sid;
       sys;

@@ -497,7 +497,7 @@ let create p ~core ~port =
       | `Lru -> Store.Lru
       | `Random -> Store.Random (Skipit_sim.Rng.create ~seed:(0xCAFE + core))
     in
-    Store.create ~policy p.Params.l1_geom
+    Store.create ~policy p.Params.l1_geom ~empty:()
   in
   let slots = Store.slots store_arr in
   let wpl = Geometry.words_per_line p.Params.l1_geom in
@@ -543,7 +543,7 @@ let create p ~core ~port =
 (* The port is wired between this cache and the L2; whoever owns the
    wiring (the system) copies it. *)
 let copy_into ~src ~dst =
-  Store.copy_into ~payload:(fun cell _ -> cell) ~src:src.store_arr ~dst:dst.store_arr;
+  Store.copy_into ~copy:Fun.id ~over:(fun s _ -> s) ~src:src.store_arr ~dst:dst.store_arr;
   Bytes.blit src.meta 0 dst.meta 0 (Bytes.length src.meta);
   Ints.copy_into ~src:src.data ~dst:dst.data;
   Resource.copy_into ~src:src.mshrs ~dst:dst.mshrs;

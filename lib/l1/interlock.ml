@@ -61,8 +61,3 @@ let check_deadlock_free t =
   | true, _ -> Ok () (* FSHR completion is always enabled. *)
   | false, true -> Ok () (* intrusion_may_proceed is true. *)
   | false, false -> Ok () (* try_dequeue is enabled. *)
-
-let copy_into ~src ~dst =
-  dst.probe_rdy <- src.probe_rdy;
-  dst.wb_rdy <- src.wb_rdy;
-  dst.flush_rdy <- src.flush_rdy

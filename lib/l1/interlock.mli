@@ -58,6 +58,3 @@ val end_intrusion : t -> agent -> unit
 val check_deadlock_free : t -> (unit, string) result
 (** Structural check: some enabled transition always exists (an FSHR can
     complete, an intrusion can proceed, or the queue can dequeue). *)
-
-val copy_into : src:t -> dst:t -> unit
-(** Set [dst]'s three signals to [src]'s. *)

@@ -1,20 +1,6 @@
 module Dram = Skipit_mem.Dram
 open Skipit_tilelink
 
-type t = Port.Memside.t
-
-let create = Port.Memside.create
-let name = Port.Memside.name
-let stats = Port.Memside.stats
-let read_line = Port.Memside.read_line
-let write_line = Port.Memside.write_line
-let persist_line = Port.Memside.persist_line
-let persist_if_dirty = Port.Memside.persist_if_dirty
-let discard_line = Port.Memside.discard_line
-let peek_word = Port.Memside.peek_word
-let crash = Port.Memside.crash
-let copy_into = Port.Memside.copy_into
-
 let of_dram ?(name = "dram") ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0)
     dram =
   Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->

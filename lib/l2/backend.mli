@@ -9,40 +9,13 @@
     occupancy-wait cycles at the boundary; the operation semantics the L2
     relies on are documented in {!Skipit_tilelink.Port.Memside.ops}. *)
 
-type t = Skipit_tilelink.Port.Memside.t
-
-val create :
-  name:string ->
-  beats_per_line:int ->
-  ?max_inflight:int ->
-  ?burst_beat_cost:int ->
-  (Skipit_tilelink.Port.Memside.waits -> Skipit_tilelink.Port.Memside.ops) ->
-  t
-
-val name : t -> string
-val stats : t -> Skipit_sim.Stats.Registry.t
-
-val read_line : t -> addr:int -> now:int -> into:int array -> Skipit_tilelink.Port.Reply.t
-(** Reads the line into [into]; replies [available_at], flagged
-    [dirty_below]. *)
-
-val write_line : t -> addr:int -> data:int array -> now:int -> int
-val persist_line : t -> addr:int -> data:int array -> now:int -> int
-val persist_if_dirty : t -> addr:int -> now:int -> int
-val discard_line : t -> addr:int -> unit
-val peek_word : t -> int -> int
-val crash : t -> unit
-
-val copy_into : src:t -> dst:t -> unit
-(** {!Skipit_tilelink.Port.Memside.copy_into}. *)
-
 val of_dram :
   ?name:string ->
   beats_per_line:int ->
   ?max_inflight:int ->
   ?burst_beat_cost:int ->
   Skipit_mem.Dram.t ->
-  t
+  Skipit_tilelink.Port.Memside.t
 (** DRAM is the persistence domain itself: [write_line] = [persist_line],
     [persist_if_dirty] and [discard_line] are no-ops, nothing is volatile.
     Channel-queueing inside the DRAM controller is reported as the port's

@@ -67,7 +67,7 @@ type t = {
      the owning bank's MSHR/ListBuffer is a bank conflict when banked. *)
   acq_stage : Attr.stage;
   banks : bank array;
-  backend : Backend.t;
+  backend : Port.Memside.t;
   (* One manager port per client core; B-channel probes route through the
      port to whatever client agent is connected on the other side. *)
   ports : Port.t option array;
@@ -111,7 +111,8 @@ let create p ~backend =
         let b_stats = Stats.Registry.create () in
         {
           b_idx = i;
-          store = Store.create bank_geom;
+          store =
+            Store.create bank_geom ~empty:(Directory.create ~n_cores:0 ~data:[||] ~dirty:false);
           mshrs =
             Resource.create ~count:p.Params.l2_mshrs
               (if n = 1 then "l2-mshrs" else Printf.sprintf "l2.bank%d-mshrs" i);
@@ -250,7 +251,7 @@ let evict_victim t b id ~now =
     (* DRAM write proceeds off the critical path: keep its future-dated
        completion out of the attribution cursor. *)
     let saved = Attr.suspend () in
-    ignore (Backend.write_line t.backend ~addr:vaddr ~data:dir.Directory.data ~now:t_probed);
+    ignore (Port.Memside.write_line t.backend ~addr:vaddr ~data:dir.Directory.data ~now:t_probed);
     Attr.restore saved
   end;
   Store.invalidate b.store id;
@@ -318,7 +319,7 @@ let acquire t ~core ~addr ~grow ~now ~into ~off =
     (* The fill's directory line outlives the acquire: the read below
        lands in it, and the grant copies it once into the client. *)
     let data = Array.make (t.lb lsr 3) 0 in
-    let r = Backend.read_line t.backend ~addr ~now:tm ~into:data in
+    let r = Port.Memside.read_line t.backend ~addr ~now:tm ~into:data in
     (* A dirty memory-side copy means the line is not persisted: the
        L2 copy inherits the dirty bit so grants carry GrantDataDirty
        and a later RootRelease pushes it to DRAM (§6.2 one level
@@ -415,7 +416,7 @@ let root_release t ~core ~addr ~kind ~data ~off ~now =
           incr_stat t b (fun c -> c.dram_writebacks);
           l2_ev ~at:tm ~addr L2_writeback;
           let tb = slice_access t b ~caddr ~now:tm in
-          let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
+          let td = Port.Memside.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
           dir.Directory.dirty <- false;
           td
         end
@@ -425,7 +426,7 @@ let root_release t ~core ~addr ~kind ~data ~off ~now =
           (* The L2 copy is clean, but a dirty copy may sit in a
              memory-side cache below: it must be pushed for the ack to
              mean "persisted". *)
-          Backend.persist_if_dirty t.backend ~addr ~now:tm
+          Port.Memside.persist_if_dirty t.backend ~addr ~now:tm
         end
       in
       (match kind with
@@ -440,12 +441,12 @@ let root_release t ~core ~addr ~kind ~data ~off ~now =
       if Port.carries_data data then begin
         incr_stat t b (fun c -> c.dram_writebacks);
         l2_ev ~at:tm ~addr L2_writeback;
-        Backend.persist_line t.backend ~addr ~data:(Array.sub data off (t.lb lsr 3)) ~now:tm
+        Port.Memside.persist_line t.backend ~addr ~data:(Array.sub data off (t.lb lsr 3)) ~now:tm
       end
       else begin
         incr_stat t b (fun c -> c.trivial_skips);
         l2_ev ~at:tm ~addr L2_trivial_skip;
-        Backend.persist_if_dirty t.backend ~addr ~now:tm
+        Port.Memside.persist_if_dirty t.backend ~addr ~now:tm
       end
   in
   sink_c_close t b ~idx ~start ~finish
@@ -470,10 +471,10 @@ let root_inval t ~core ~addr ~now =
          the line (CBO.INVAL forfeits unwritten data by definition). *)
       let tm = probe_all t b ~addr ~cap:Perm.Nothing ~n ~now:tm dir in
       Store.invalidate b.store id;
-      Backend.discard_line t.backend ~addr;
+      Port.Memside.discard_line t.backend ~addr;
       tm
     | _ ->
-      Backend.discard_line t.backend ~addr;
+      Port.Memside.discard_line t.backend ~addr;
       tm
   in
   sink_c_close t b ~idx ~start ~finish
@@ -502,7 +503,7 @@ let peek_word t addr =
   | b, id when id <> Store.miss ->
     let dir = Store.payload b.store id in
     dir.Directory.data.(Geometry.offset_word t.p.Params.l2_geom addr)
-  | _ -> Backend.peek_word t.backend addr
+  | _ -> Port.Memside.peek_word t.backend addr
 
 let find_dir t addr =
   let a = line t addr in
@@ -554,7 +555,7 @@ let crash t =
       Resource.Banked.reset b.slices;
       Admission.reset b.list_buffer)
     t.banks;
-  Backend.crash t.backend
+  Port.Memside.crash t.backend
 
 (* Bind this cache as the manager agent of [port] for client [core]: the
    client's A/C-channel requests arrive here, and our B-channel probes for
@@ -578,20 +579,16 @@ let connect_client t ~core port =
       peek_word = (fun addr -> peek_word t addr);
     }
 
-let copy_dir cell into =
-  match cell, into with
-  | None, _ -> None
-  | Some src, Some dst ->
-    Directory.copy_into ~src ~dst;
-    into
-  | Some d, None -> Some (Directory.copy d)
+let copy_dir_over src dst =
+  Directory.copy_into ~src ~dst;
+  dst
 
 (* The backend and the client ports are wiring; the system copies them. *)
 let copy_into ~src ~dst =
   if dst.n_banks <> src.n_banks then invalid_arg "Inclusive_cache.copy_into: bank counts differ";
   Array.iter2
     (fun s d ->
-      Store.copy_into ~payload:copy_dir ~src:s.store ~dst:d.store;
+      Store.copy_into ~copy:Directory.copy ~over:copy_dir_over ~src:s.store ~dst:d.store;
       Resource.copy_into ~src:s.mshrs ~dst:d.mshrs;
       Admission.copy_into ~src:s.list_buffer ~dst:d.list_buffer;
       Resource.Banked.copy_into ~src:s.slices ~dst:d.slices;

@@ -33,7 +33,7 @@ open Skipit_cache
 
 type t
 
-val create : Params.t -> backend:Backend.t -> t
+val create : Params.t -> backend:Skipit_tilelink.Port.Memside.t -> t
 (** [backend] is DRAM itself ({!Backend.of_dram}) or a memory-side L3
     ({!Memside_cache.backend}).  [Params.l2_banks] splits the cache into
     that many address-interleaved NUCA banks (line address mod banks),
@@ -50,7 +50,7 @@ val connect_client : t -> core:int -> Port.t -> unit
 val client_port : t -> core:int -> Port.t option
 (** The port registered by {!connect_client}, if any. *)
 
-val backend : t -> Backend.t
+val backend : t -> Skipit_tilelink.Port.Memside.t
 (** The memory-side port this cache was created over. *)
 
 val acquire :

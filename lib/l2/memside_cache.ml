@@ -12,7 +12,7 @@ type t = {
   access_latency : int;
   banks : Resource.Banked.t;
   bank_busy : int;
-  below : Backend.t;
+  below : Port.Memside.t;
   store : line Store.t;
   stats : Stats.Registry.t;
   evictions : Stats.Registry.handle;
@@ -21,7 +21,7 @@ type t = {
   misses : Stats.Registry.handle;
   persist_writes : Stats.Registry.handle;
   mutable clock_hint : int;  (* monotone hint for LRU ordering *)
-  mutable port : Backend.t option;  (* upstream (LLC-facing) memside port *)
+  mutable port : Port.Memside.t option;  (* upstream (LLC-facing) memside port *)
 }
 
 let stats t = t.stats
@@ -57,7 +57,7 @@ let free_slot t ~addr ~now =
       (* Off the critical path — shield the attribution cursor. *)
       let saved = Attr.suspend () in
       ignore
-        (Backend.write_line t.below ~addr:(Store.slot_addr t.store victim) ~data:vline.data
+        (Port.Memside.write_line t.below ~addr:(Store.slot_addr t.store victim) ~data:vline.data
            ~now);
       Attr.restore saved
     end;
@@ -83,7 +83,7 @@ let read_line t ~addr ~now ~into =
     mem_ev t ~at:t0 ~addr Trace.Mem_miss;
     (* The fill's line outlives the read: DRAM reads straight into it. *)
     let data = Array.make (Geometry.words_per_line t.geom) 0 in
-    let r = Backend.read_line t.below ~addr ~now:t0 ~into:data in
+    let r = Port.Memside.read_line t.below ~addr ~now:t0 ~into:data in
     let id = free_slot t ~addr ~now:t0 in
     Store.fill t.store id ~addr ~payload:{ dirty = false; data } ~now;
     Array.blit data 0 into 0 (Array.length data);
@@ -117,7 +117,7 @@ let persist_line t ~addr ~data ~now =
      Array.blit data 0 line.data 0 (Array.length data);
      line.dirty <- false
    | _ -> ());
-  Backend.persist_line t.below ~addr ~data ~now:t0
+  Port.Memside.persist_line t.below ~addr ~data ~now:t0
 
 let persist_if_dirty t ~addr ~now =
   let addr = line_base t addr in
@@ -134,7 +134,7 @@ let discard_line t ~addr =
 let peek_word t addr =
   match Store.find t.store (line_base t addr) with
   | id when id <> Store.miss -> (Store.payload t.store id).data.(Geometry.offset_word t.geom addr)
-  | _ -> Backend.peek_word t.below addr
+  | _ -> Port.Memside.peek_word t.below addr
 
 let present t addr = Store.find t.store (line_base t addr) <> Store.miss
 
@@ -169,7 +169,7 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
       banks = Resource.Banked.create ~banks (name ^ "-banks");
       bank_busy;
       below;
-      store = Store.create geom;
+      store = Store.create geom ~empty:{ dirty = false; data = [||] };
       stats;
       evictions = h "evictions";
       dram_writebacks = h "dram_writebacks";
@@ -185,7 +185,7 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
      queueing we report. *)
   t.port <-
     Some
-      (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
+      (Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
          {
            Skipit_tilelink.Port.Memside.read_line =
              (fun ~addr ~now ~into ->
@@ -208,18 +208,16 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
 
 let backend t = Option.get t.port
 
-let copy_line cell into =
-  match cell, into with
-  | None, _ -> None
-  | Some src, Some dst ->
-    dst.dirty <- src.dirty;
-    Ints.copy_into ~src:src.data ~dst:dst.data;
-    into
-  | Some l, None -> Some { dirty = l.dirty; data = Array.copy l.data }
+let copy_line l = { dirty = l.dirty; data = Array.copy l.data }
+
+let copy_line_over src dst =
+  dst.dirty <- src.dirty;
+  Ints.copy_into ~src:src.data ~dst:dst.data;
+  dst
 
 (* Both memside ports, above and below, are the system's to copy. *)
 let copy_into ~src ~dst =
   Resource.Banked.copy_into ~src:src.banks ~dst:dst.banks;
-  Store.copy_into ~payload:copy_line ~src:src.store ~dst:dst.store;
+  Store.copy_into ~copy:copy_line ~over:copy_line_over ~src:src.store ~dst:dst.store;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats;
   dst.clock_hint <- src.clock_hint

@@ -10,7 +10,7 @@
     - durability writes (the RootRelease path) write {e through} to DRAM
       and leave the L3 copy clean, so the persistence semantics of §4 are
       unchanged — only the depth/latency of the path grows;
-    - a dirty L3 copy makes {!Backend.read_line} report [dirty_below],
+    - a dirty L3 copy makes {!Skipit_tilelink.Port.Memside.read_line} report [dirty_below],
       keeping the skip-bit invariant (§6.2) intact one level further down. *)
 
 open Skipit_cache
@@ -23,7 +23,7 @@ val create :
   access_latency:int ->
   banks:int ->
   bank_busy:int ->
-  below:Backend.t ->
+  below:Skipit_tilelink.Port.Memside.t ->
   beats_per_line:int ->
   ?max_inflight:int ->
   ?burst_beat_cost:int ->
@@ -36,7 +36,7 @@ val create :
     {!backend}; [max_inflight] / [burst_beat_cost] configure that port's
     AXI burst model (defaults timing-neutral). *)
 
-val backend : t -> Backend.t
+val backend : t -> Skipit_tilelink.Port.Memside.t
 (** The upstream memside port handed to the L2 (one per cache, stable
     across calls). *)
 

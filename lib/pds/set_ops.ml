@@ -14,9 +14,6 @@ let uses_word_bits = function
   | Bst_set -> true
   | List_set | Hash_set | Skiplist_set -> false
 
-let compatible kind strategy =
-  not (uses_word_bits kind && strategy.Skipit_persist.Strategy.uses_word_bit)
-
 type structure =
   | List of Harris_list.t
   | Hash of Hash_table.t

@@ -13,8 +13,6 @@ val uses_word_bits : kind -> bool
 (** The BST owns spare pointer-word bits, which excludes Link-and-Persist
     (§7.4). *)
 
-val compatible : kind -> Skipit_persist.Strategy.t -> bool
-
 type structure
 (** The structure a handle operates on. *)
 

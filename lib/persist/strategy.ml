@@ -3,7 +3,6 @@ module Thread = Skipit_core.Thread
 type t = {
   name : string;
   field_stride : int;
-  uses_word_bit : bool;
   read : int -> int;
   write : int -> int -> unit;
   cas : int -> expected:int -> desired:int -> bool;
@@ -18,7 +17,6 @@ let plain () =
   {
     name = "plain";
     field_stride = 8;
-    uses_word_bit = false;
     read = Thread.load;
     write = Thread.store;
     cas = Thread.cas;
@@ -33,7 +31,6 @@ let none () =
   {
     name = "none";
     field_stride = 8;
-    uses_word_bit = false;
     read = Thread.load;
     write = Thread.store;
     cas = Thread.cas;
@@ -79,7 +76,6 @@ module Flit = struct
     {
       name;
       field_stride;
-      uses_word_bit = false;
       read = Thread.load;
       write;
       cas;
@@ -138,7 +134,6 @@ let link_and_persist () =
   {
     name = "link-and-persist";
     field_stride = 8;
-    uses_word_bit = true;
     read;
     write;
     cas;

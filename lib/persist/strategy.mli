@@ -26,10 +26,6 @@ type t = {
   field_stride : int;
       (** Bytes between logical fields in node layouts — 16 for FliT
           adjacent (value word + counter word), 8 otherwise. *)
-  uses_word_bit : bool;
-      (** Occupies a bit inside the data word (Link-and-Persist); such
-          strategies are incompatible with data structures that use spare
-          word bits for their own logic. *)
   read : int -> int;  (** Load a shared word (masking any strategy mark). *)
   write : int -> int -> unit;  (** Store a shared word + bookkeeping. *)
   cas : int -> expected:int -> desired:int -> bool;

@@ -84,11 +84,11 @@ let default_workload =
     skew = 0.;
   }
 
-let spec_uses_word_bit = function
-  | Link_and_persist -> true
-  | Plain | Flit_adjacent | Flit_hash _ | Skipit | Baseline -> false
-
-let compatible kind spec = not (Ops.uses_word_bits kind && spec_uses_word_bit spec)
+(* The one word-bit rule: Link-and-Persist marks a bit inside the data
+   word, which clashes with a structure that owns spare word bits. *)
+let compatible kind = function
+  | Link_and_persist -> not (Ops.uses_word_bits kind)
+  | Plain | Flit_adjacent | Flit_hash _ | Skipit | Baseline -> true
 
 let prefill_keys ~key_range ~prefill =
   if prefill = 0 then [||]
@@ -108,7 +108,7 @@ let prefill ?(keep = fun _ -> true) sys kind pctx ~key_range ~prefill ~seed =
     h)
 
 let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
-  if Ops.uses_word_bits kind && spec_uses_word_bit spec then nan
+  if not (compatible kind spec) then nan
   else begin
     let params =
       Params.with_skip_it (Params.with_cores params w.threads) (wants_skip_it_hw spec)

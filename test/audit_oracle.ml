@@ -15,6 +15,7 @@ module Dram = Skipit_mem.Dram
 module PL = Skipit_mem.Persist_log
 module Resource = Skipit_sim.Resource
 module Perm = Skipit_tilelink.Perm
+module Port = Skipit_tilelink.Port
 module Invariant = Skipit_audit.Invariant
 
 (* ------------------------------------------------------------------ *)
@@ -113,7 +114,7 @@ let check_lower_levels ctx =
     if not dir.Directory.dirty then
       match
         first_diff ctx ~base:addr ~data:dir.Directory.data
-          (Skipit_l2.Backend.peek_word backend)
+          (Port.Memside.peek_word backend)
       with
       | Some (w, got, want) ->
         fail ctx ~addr "value-coherence" "clean L2 line: word %d is %#x but below has %#x" w

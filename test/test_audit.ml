@@ -14,6 +14,7 @@ module PL = Skipit_mem.Persist_log
 module Invariant = Skipit_audit.Invariant
 module Auditor = Skipit_audit.Auditor
 module Campaign = Skipit_audit.Campaign
+module Ds_bench = Skipit_workload.Ds_bench
 module Pctx = Skipit_persist.Pctx
 module Strategy = Skipit_persist.Strategy
 module Ops = Skipit_pds.Set_ops
@@ -24,6 +25,9 @@ let no_violations what vs =
   if vs <> [] then
     Alcotest.failf "%s: %d violation(s), first: %s" what (List.length vs)
       (Invariant.violation_to_string (List.hd vs))
+
+(* The strategies the campaign-world properties draw from. *)
+let strategies = Ds_bench.[ Plain; Skipit; Flit_adjacent; Link_and_persist ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -185,7 +189,7 @@ let prop_audit_matches_oracle =
     QCheck.Gen.(
       let* structure = oneofl Campaign.all_structures in
       let* mode = oneofl Pctx.all_modes in
-      let* strategy = oneofl Campaign.all_strategies in
+      let* strategy = oneofl strategies in
       let* fault =
         oneof
           [
@@ -353,9 +357,9 @@ let test_campaign_clean () =
      full matrix. *)
   let specs =
     [
-      quick_spec Campaign.Queue Pctx.Manual Campaign.Skipit;
-      quick_spec (Campaign.Set Ops.List_set) Pctx.Nvtraverse Campaign.Plain;
-      quick_spec (Campaign.Set Ops.Hash_set) Pctx.Automatic Campaign.Plain;
+      quick_spec Campaign.Queue Pctx.Manual Ds_bench.Skipit;
+      quick_spec (Campaign.Set Ops.List_set) Pctx.Nvtraverse Ds_bench.Plain;
+      quick_spec (Campaign.Set Ops.Hash_set) Pctx.Automatic Ds_bench.Plain;
     ]
   in
   List.iter
@@ -374,7 +378,7 @@ let test_campaign_catches_fault () =
      the failure must shrink and round-trip through a reproducer file. *)
   let spec =
     quick_spec ~fault:Campaign.Drop_all_persists ~ops:12 (Campaign.Set Ops.List_set)
-      Pctx.Manual Campaign.Plain
+      Pctx.Manual Ds_bench.Plain
   in
   let r = Campaign.run_spec ~budget:8 spec in
   match r.Campaign.failure with
@@ -418,7 +422,7 @@ let read_edited ?(edit = Fun.id) fail =
 
 let sample_failure =
   {
-    Campaign.spec = quick_spec (Campaign.Set Ops.Bst_set) Pctx.Manual Campaign.Plain;
+    Campaign.spec = quick_spec (Campaign.Set Ops.Bst_set) Pctx.Manual Ds_bench.Plain;
     crash_at = Some 3;
     completed = 0;
     violations = [];
@@ -436,6 +440,8 @@ let test_reproducer_rejects_bad_values () =
       ("structure", "bogus");
       ("mode", "eager");
       ("strategy", "nonsense");
+      ("strategy", "baseline");
+      ("strategy", "link-and-persist");
       ("fault", "drop-nth-persist:0");
       ("seed", "abc");
     ]
@@ -448,18 +454,29 @@ let gen_fault =
         map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 max_int);
       ])
 
+(* Any catalogue strategy the campaign accepts, FliT tables of any size
+   included, on a structure it fits. *)
 let gen_failure =
   QCheck.Gen.(
-    let* structure = oneofl Campaign.all_structures in
     let* mode = oneofl Pctx.all_modes in
-    let* strategy = oneofl Campaign.all_strategies in
+    let* strategy =
+      oneof
+        [
+          oneofl (List.filter (( <> ) Ds_bench.Baseline) Ds_bench.default_specs);
+          map (fun n -> Ds_bench.Flit_hash n) (int_range 1 max_int);
+        ]
+    in
     let* fault = gen_fault in
     let* seed = int in
     let* n_ops = oneof [ int_range 1 100; int_range 1 max_int ] in
     let* crash_at = opt (int_range 1 max_int) in
+    let spec structure = { Campaign.structure; mode; strategy; fault; seed; n_ops } in
+    let* structure =
+      oneofl (List.filter (fun st -> Campaign.compatible (spec st)) Campaign.all_structures)
+    in
     return
       {
-        Campaign.spec = { Campaign.structure; mode; strategy; fault; seed; n_ops };
+        Campaign.spec = spec structure;
         crash_at;
         completed = 0;
         violations = [];
@@ -478,6 +495,18 @@ let prop_reproducer_round_trip =
       | Ok f' ->
         (f'.spec = f.spec && f'.crash_at = f.crash_at)
         || QCheck.Test.fail_reportf "read back as %s" (print_failure f'))
+
+let prop_boundaries_within_budget =
+  QCheck.Test.make ~name:"boundaries: min persists budget, first and last first" ~count:500
+    QCheck.(triple (int_bound 300) (int_bound 40) small_int)
+    (fun (persists, budget, seed) ->
+      let bs = Campaign.boundaries ~persists ~budget ~seed in
+      let last = List.fold_left (fun _ b -> b) 0 bs in
+      List.length bs = Int.min persists budget
+      && List.sort_uniq compare bs = bs
+      && List.for_all (fun b -> b >= 1 && b <= persists) bs
+      && (bs = [] || List.hd bs = 1)
+      && (budget < 2 || last = persists))
 
 let prop_fault_name_round_trip =
   QCheck.Test.make ~name:"fault names round-trip" ~count:100
@@ -512,7 +541,7 @@ let prop_crash_repair structure =
     (fun (seed, mode_ix, boundary) ->
       let mode = List.nth Pctx.all_modes mode_ix in
       let spec =
-        { Campaign.structure; mode; strategy = Campaign.Skipit; fault = Campaign.No_fault;
+        { Campaign.structure; mode; strategy = Ds_bench.Skipit; fault = Campaign.No_fault;
           seed; n_ops = 8 }
       in
       let t = Campaign.run_trial spec ~crash_at:(Some boundary) in
@@ -537,7 +566,7 @@ let prop_forked_equals_replay =
     QCheck.Gen.(
       let* structure = oneofl Campaign.all_structures in
       let* mode = oneofl Pctx.all_modes in
-      let* strategy = oneofl Campaign.all_strategies in
+      let* strategy = oneofl strategies in
       let* fault =
         oneof
           [
@@ -584,7 +613,7 @@ let prop_typed_copy_is_faithful =
     QCheck.Gen.(
       let* structure = oneofl Campaign.all_structures in
       let* mode = oneofl Pctx.all_modes in
-      let* strategy = oneofl Campaign.all_strategies in
+      let* strategy = oneofl strategies in
       let* fault =
         oneof
           [
@@ -640,7 +669,7 @@ let prop_typed_copy_is_faithful =
    point returns after the last dispatch, so no replay stops at it and the
    trial is the uncrashed one.  Boundary 4 is reached mid-run. *)
 let test_boundary_reached_at_completion () =
-  let spec = quick_spec ~ops:1 Campaign.Queue Pctx.Nvtraverse Campaign.Plain in
+  let spec = quick_spec ~ops:1 Campaign.Queue Pctx.Nvtraverse Ds_bench.Plain in
   let spec = { spec with Campaign.seed = 21 } in
   let replay b = Campaign.run_trial spec ~crash_at:(Some b) in
   Alcotest.(check int) "five persist points" 5
@@ -659,7 +688,7 @@ let test_boundary_reached_at_completion () =
    taken before the run completes, counters included, as a fresh world
    does. *)
 let test_copied_world_is_independent () =
-  let spec = quick_spec ~ops:12 (Campaign.Set Ops.List_set) Pctx.Manual Campaign.Plain in
+  let spec = quick_spec ~ops:12 (Campaign.Set Ops.List_set) Pctx.Manual Ds_bench.Plain in
   let b = 6 in
   let w = Campaign.build spec in
   let unrun = Campaign.copy w in
@@ -714,6 +743,7 @@ let tests =
       Alcotest.test_case "reproducer rejects bad values" `Quick
         test_reproducer_rejects_bad_values;
       QCheck_alcotest.to_alcotest prop_reproducer_round_trip;
+      QCheck_alcotest.to_alcotest prop_boundaries_within_budget;
       QCheck_alcotest.to_alcotest prop_fault_name_round_trip;
       QCheck_alcotest.to_alcotest prop_reproducer_rejects_garbage;
     ]

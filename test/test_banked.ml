@@ -183,7 +183,7 @@ let test_banked_campaign_smoke () =
     {
       Campaign.structure = Campaign.Queue;
       mode = Pctx.Manual;
-      strategy = Campaign.Skipit;
+      strategy = Skipit_workload.Ds_bench.Skipit;
       fault = Campaign.No_fault;
       seed = 11;
       n_ops = 10;

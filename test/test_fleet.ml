@@ -9,6 +9,8 @@ module Fleet = Skipit_fleet.Fleet
 module Ring = Skipit_fleet.Ring
 module Arrival = Skipit_serve.Arrival
 module Pool = Skipit_par.Pool
+module Ds_bench = Skipit_workload.Ds_bench
+module Workload = Skipit_serve.Workload
 
 (* == Ring ============================================================== *)
 
@@ -286,6 +288,57 @@ let test_reproducer_missing_file () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* Any config, written whole and read back, is itself: every key of the
+   file, the optional keys, churn and drop_persists present or absent,
+   phased and degraded arrival processes, kill lists and rand:N. *)
+let gen_repro =
+  let open QCheck.Gen in
+  let* n = array_repeat 18 int in
+  let* kind = oneofl Skipit_pds.Set_ops.all_kinds in
+  let* mode = oneofl Skipit_persist.Pctx.all_modes in
+  let* spec =
+    oneof
+      [ oneofl Ds_bench.default_specs; map (fun n -> Ds_bench.Flit_hash n) (int_range 1 max_int) ]
+  in
+  let* process = Test_workload_gen.gen_process in
+  let* keys =
+    oneof
+      [
+        return Workload.Uniform;
+        map (fun m -> Workload.Zipf { theta_milli = m }) (int_range 0 4000);
+      ]
+  in
+  let* churn = opt int in
+  let* faults = Test_workload_gen.gen_faults in
+  let* drop_persists = opt int in
+  let* rate = float_range 0.001 1000. in
+  return
+    ( {
+        Fleet.shards = n.(0); replicas = n.(1); vnodes = n.(2); kind; mode; spec; process;
+        workload = { Workload.keys; churn }; clients = n.(3); requests = n.(4); depth = n.(5);
+        batch = n.(6); linger = n.(7); retry_max = n.(8); backoff = n.(9);
+        backoff_cap = n.(10); timeout = n.(11); fanout_pct = n.(12); fanout = n.(13);
+        key_range = n.(14); update_pct = n.(15); prefill = n.(16); seed = n.(17); faults;
+        drop_persists;
+      },
+      rate )
+
+let prop_reproducer_round_trip =
+  QCheck.Test.make ~name:"reproducer file round-trips every field" ~count:200
+    (QCheck.make gen_repro ~print:(fun (cfg, rate) ->
+       Printf.sprintf "%s %s %s rate=%h" (Ds_bench.spec_name cfg.Fleet.spec)
+         (Arrival.process_name cfg.Fleet.process)
+         (Fleet.fault_schedule_name cfg.Fleet.faults) rate))
+    (fun (cfg, rate) ->
+      let path = Filename.temp_file "fleet_repro" ".txt" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Fleet.write_reproducer path cfg ~rate;
+      match Fleet.read_reproducer path with
+      | Error e -> QCheck.Test.fail_reportf "read back failed: %s" e
+      | Ok (cfg', rate') ->
+        (cfg' = cfg && Int64.equal (Int64.bits_of_float rate') (Int64.bits_of_float rate))
+        || QCheck.Test.fail_reportf "read back as a different config")
+
 let test_fault_schedule_names () =
   List.iter
     (fun f ->
@@ -348,6 +401,7 @@ let tests =
         test_reproducer_rejects_bad_values;
       Alcotest.test_case "reproducer missing key" `Quick test_reproducer_missing_key;
       Alcotest.test_case "reproducer missing file" `Quick test_reproducer_missing_file;
+      QCheck_alcotest.to_alcotest prop_reproducer_round_trip;
       Alcotest.test_case "fault schedule names round-trip" `Quick
         test_fault_schedule_names;
       Alcotest.test_case "config validation" `Quick test_validate;

@@ -8,6 +8,7 @@ module Params = Skipit_cache.Params
 module Memside = Skipit_l2.Memside_cache
 module Geometry = Skipit_cache.Geometry
 module Dram = Skipit_mem.Dram
+module Port = Skipit_tilelink.Port
 
 let make_l3 ?(geom = Geometry.v ~size_bytes:4096 ~ways:4 ~line_bytes:64) () =
   let dram =
@@ -20,8 +21,8 @@ let make_l3 ?(geom = Geometry.v ~size_bytes:4096 ~ways:4 ~line_bytes:64) () =
 (* A line read through the memside port: (data, available_at, dirty_below). *)
 let read_line b ~addr ~now =
   let data = Array.make 8 (-1) in
-  let r = Skipit_l2.Backend.read_line b ~addr ~now ~into:data in
-  data, Skipit_tilelink.Port.Reply.at r, Skipit_tilelink.Port.Reply.flag r
+  let r = Port.Memside.read_line b ~addr ~now ~into:data in
+  data, Port.Reply.at r, Port.Reply.flag r
 
 let test_read_caches () =
   let l3, dram = make_l3 () in
@@ -39,7 +40,7 @@ let test_writeback_lodges_dirty () =
   let l3, dram = make_l3 () in
   let b = Memside.backend l3 in
   let data = Array.make 8 5 in
-  ignore (Skipit_l2.Backend.write_line b ~addr:0x40 ~data ~now:0);
+  ignore (Port.Memside.write_line b ~addr:0x40 ~data ~now:0);
   Alcotest.(check bool) "dirty in L3" true (Memside.dirty l3 0x40);
   Alcotest.(check int) "not yet in DRAM" 0 (Dram.peek_word dram 0x40);
   (* A read now reports dirty-below. *)
@@ -50,19 +51,19 @@ let test_writeback_lodges_dirty () =
 let test_persist_writes_through () =
   let l3, dram = make_l3 () in
   let b = Memside.backend l3 in
-  ignore (Skipit_l2.Backend.write_line b ~addr:0x40 ~data:(Array.make 8 5) ~now:0);
-  ignore (Skipit_l2.Backend.persist_line b ~addr:0x40 ~data:(Array.make 8 6) ~now:10);
+  ignore (Port.Memside.write_line b ~addr:0x40 ~data:(Array.make 8 5) ~now:0);
+  ignore (Port.Memside.persist_line b ~addr:0x40 ~data:(Array.make 8 6) ~now:10);
   Alcotest.(check int) "durable" 6 (Dram.peek_word dram 0x40);
   Alcotest.(check bool) "L3 copy clean after" false (Memside.dirty l3 0x40)
 
 let test_persist_if_dirty () =
   let l3, dram = make_l3 () in
   let b = Memside.backend l3 in
-  ignore (Skipit_l2.Backend.write_line b ~addr:0x40 ~data:(Array.make 8 7) ~now:0);
-  ignore (Skipit_l2.Backend.persist_if_dirty b ~addr:0x40 ~now:5);
+  ignore (Port.Memside.write_line b ~addr:0x40 ~data:(Array.make 8 7) ~now:0);
+  ignore (Port.Memside.persist_if_dirty b ~addr:0x40 ~now:5);
   Alcotest.(check int) "pushed" 7 (Dram.peek_word dram 0x40);
   (* Clean or absent lines are no-ops. *)
-  let t = Skipit_l2.Backend.persist_if_dirty b ~addr:0x80 ~now:5 in
+  let t = Port.Memside.persist_if_dirty b ~addr:0x80 ~now:5 in
   Alcotest.(check int) "absent = free" 5 t
 
 let test_eviction_writes_back () =
@@ -72,7 +73,7 @@ let test_eviction_writes_back () =
   let b = Memside.backend l3 in
   let stride = geom.Geometry.sets * 64 in
   for i = 0 to 5 do
-    ignore (Skipit_l2.Backend.write_line b ~addr:(i * stride) ~data:(Array.make 8 (i + 1)) ~now:(i * 10))
+    ignore (Port.Memside.write_line b ~addr:(i * stride) ~data:(Array.make 8 (i + 1)) ~now:(i * 10))
   done;
   Alcotest.(check bool) "evictions happened" true
     (Skipit_sim.Stats.Registry.get (Memside.stats l3) "evictions" >= 2);

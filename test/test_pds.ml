@@ -7,6 +7,7 @@ module C = Skipit_core.Config
 module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
 module Ops = Skipit_pds.Set_ops
+module Ds_bench = Skipit_workload.Ds_bench
 module Rng = Skipit_sim.Rng
 
 let run_task sys body = ignore (T.run sys [ { T.core = 0; body } ])
@@ -114,9 +115,9 @@ let durability ~kind () =
 
 let test_bst_rejects_lap () =
   Alcotest.(check bool) "BST x LaP incompatible" false
-    (Ops.compatible Ops.Bst_set (Strategy.link_and_persist ()));
+    (Ds_bench.compatible Ops.Bst_set Ds_bench.Link_and_persist);
   Alcotest.(check bool) "list x LaP fine" true
-    (Ops.compatible Ops.List_set (Strategy.link_and_persist ()))
+    (Ds_bench.compatible Ops.List_set Ds_bench.Link_and_persist)
 
 let test_skiplist_height_bounded () =
   Alcotest.(check bool) "max level sane" true
@@ -133,13 +134,13 @@ let test_key_range_guard () =
      with Invalid_argument _ -> ()))
 
 let strategies_for kind =
-  List.filter
-    (fun (_, mk) -> Ops.compatible kind (mk ()))
+  List.filter_map
+    (fun (name, spec, mk) -> if Ds_bench.compatible kind spec then Some (name, mk) else None)
     [
-      "plain", Strategy.plain;
-      "flit-adjacent", Strategy.flit_adjacent;
-      "link-and-persist", Strategy.link_and_persist;
-      "skipit", Strategy.skipit_hw;
+      "plain", Ds_bench.Plain, Strategy.plain;
+      "flit-adjacent", Ds_bench.Flit_adjacent, Strategy.flit_adjacent;
+      "link-and-persist", Ds_bench.Link_and_persist, Strategy.link_and_persist;
+      "skipit", Ds_bench.Skipit, Strategy.skipit_hw;
     ]
 
 let tests =

@@ -350,7 +350,6 @@ let probe log =
   {
     Strategy.name = "probe";
     field_stride = 8;
-    uses_word_bit = false;
     read = (fun _ -> 0);
     write = (fun addr _ -> log := ("op", addr) :: !log);
     cas =

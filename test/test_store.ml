@@ -7,7 +7,7 @@ let tiny = Geometry.v ~size_bytes:(4 * 2 * 64) ~ways:2 ~line_bytes:64
 let addr_for ~set ~tag = Geometry.addr_of tiny ~tag ~index:set
 
 let test_miss_then_hit () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:1 ~tag:5 in
   Alcotest.(check bool) "initially miss" true (Store.find s a = Store.miss);
   let id = Store.victim s a in
@@ -18,7 +18,7 @@ let test_miss_then_hit () =
   Alcotest.(check int) "slot addr" a (Store.slot_addr s id)
 
 let test_lru_victim () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:0 ~tag:1 and b = addr_for ~set:0 ~tag:2 in
   Store.fill s (Store.victim s a) ~addr:a ~payload:"a" ~now:0;
   Store.fill s (Store.victim s b) ~addr:b ~payload:"b" ~now:1;
@@ -29,7 +29,7 @@ let test_lru_victim () =
   Alcotest.(check int) "victim is LRU (b)" b (Store.slot_addr s victim)
 
 let test_invalid_way_preferred () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:2 ~tag:1 in
   Store.fill s (Store.victim s a) ~addr:a ~payload:"a" ~now:0;
   let b = addr_for ~set:2 ~tag:2 in
@@ -37,7 +37,7 @@ let test_invalid_way_preferred () =
   Alcotest.(check bool) "free way chosen before eviction" false (Store.is_valid s v)
 
 let test_invalidate () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:3 ~tag:7 in
   Store.fill s (Store.victim s a) ~addr:a ~payload:"a" ~now:0;
   Store.invalidate s (Store.find s a);
@@ -45,7 +45,7 @@ let test_invalidate () =
   Alcotest.(check int) "count" 0 (Store.count_valid s)
 
 let test_iter_and_invalidate_all () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let addrs = List.init 6 (fun i -> addr_for ~set:(i mod 4) ~tag:(10 + i)) in
   List.iter (fun a -> Store.fill s (Store.victim s a) ~addr:a ~payload:"p" ~now:0) addrs;
   Alcotest.(check int) "count" 6 (Store.count_valid s);
@@ -58,14 +58,14 @@ let test_iter_and_invalidate_all () =
 
 let test_tag_aliasing () =
   (* Same index, different tags must not alias. *)
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:1 ~tag:1 and b = addr_for ~set:1 ~tag:2 in
   Store.fill s (Store.victim s a) ~addr:a ~payload:"a" ~now:0;
   Alcotest.(check bool) "b still misses" true (Store.find s b = Store.miss)
 
 let test_random_replacement () =
   let rng = Skipit_sim.Rng.create ~seed:9 in
-  let s = Store.create ~policy:(Store.Random rng) tiny in
+  let s = Store.create ~policy:(Store.Random rng) tiny ~empty:"" in
   let a = addr_for ~set:0 ~tag:1 and b = addr_for ~set:0 ~tag:2 in
   Store.fill s (Store.victim s a) ~addr:a ~payload:"a" ~now:0;
   Store.fill s (Store.victim s b) ~addr:b ~payload:"b" ~now:1;
@@ -78,7 +78,7 @@ let test_random_replacement () =
   Alcotest.(check bool) "both ways eventually chosen" true (Hashtbl.length seen = 2)
 
 let test_payload_of_invalid_raises () =
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:"" in
   let a = addr_for ~set:0 ~tag:1 in
   let id = Store.victim s a in
   Alcotest.check_raises "payload of invalid slot" (Invalid_argument "Store.payload: invalid slot")
@@ -88,7 +88,7 @@ let prop_fill_find =
   QCheck.Test.make ~name:"fill then find returns the slot" ~count:300
     QCheck.(int_range 0 0xFFFF)
   @@ fun line_no ->
-  let s = Store.create tiny in
+  let s = Store.create tiny ~empty:(-1) in
   let addr = line_no * 64 in
   let id = Store.victim s addr in
   Store.fill s id ~addr ~payload:line_no ~now:0;
