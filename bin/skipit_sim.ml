@@ -68,6 +68,15 @@ let pos_int =
         | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))),
       Format.pp_print_int )
 
+(* A count that must be a power of two, at least 1. *)
+let pow2_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n land (n - 1) = 0 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected a power of two >= 1, got %S" s))),
+      Format.pp_print_int )
+
 (* Report a bad command line and exit 2. *)
 let fail cmd msg =
   prerr_endline (cmd ^ ": " ^ msg);
@@ -77,7 +86,7 @@ let fail cmd msg =
 (* Hierarchy shape shared by the simulation commands.                 *)
 
 let l2_banks_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt pow2_int 1
        & info [ "l2-banks" ] ~docv:"N"
          ~doc:"Address-interleaved NUCA L2 banks, each with its own MSHRs, \
                directory and request queue (power of two; 1 = the paper's \
@@ -208,7 +217,7 @@ let figure_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Fewer repetitions and sweep points.")
   in
   let cores =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some pos_int) None
          & info [ "cores" ] ~docv:"N"
            ~doc:"Scale the platform to N cores; the thread sweeps then extend \
                  in powers of two up to N (default: the paper's platform).")
@@ -253,7 +262,7 @@ let program_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Trace program file.")
 
 let cores_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some pos_int) None
        & info [ "cores" ] ~doc:"Simulated cores (default: enough for the trace).")
 
 let run_cmd =

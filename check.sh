@@ -24,9 +24,11 @@ for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' -strict-sequence \
   printf '%s\n' "$args" | grep -qxF -e "$flag" \
     || { echo "check.sh: lib/ is compiled without $flag" >&2; exit 1; }
 done
-# The same env stanza makes C stub warnings errors.
-dune rules lib/sim/rng_stubs.o | sed 's/^ *//' | grep -qxF -e -Werror \
-  || { echo "check.sh: lib/sim/rng_stubs.c is compiled without -Werror" >&2; exit 1; }
+# The same env stanza makes C stub warnings errors, for every stub in lib/.
+for stub in $(find lib -name '*.c' | sort); do
+  dune rules "${stub%.c}.o" | sed 's/^ *//' | grep -qxF -e -Werror \
+    || { echo "check.sh: $stub is compiled without -Werror" >&2; exit 1; }
+done
 
 # One fork path: crash trials copy worlds with the typed copy_into, so
 # Marshal stays out of lib/ (tests may still use it as the oracle).

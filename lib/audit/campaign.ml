@@ -513,7 +513,7 @@ let boundaries ~persists ~budget ~seed =
     while Hashtbl.length picks < budget do
       Hashtbl.replace picks (1 + Rng.int rng persists) ()
     done;
-    List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) picks [])
+    List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) picks [])
   end
 
 (* The counting pass sizes the boundaries; one forked run then yields the
@@ -548,7 +548,7 @@ let first_failing spec ~cap =
   let persists = count_persists spec in
   let found = ref None in
   match
-    fork_run spec (List.init (min persists cap) (fun i -> i + 1)) ~at:(fun b t ->
+    fork_run spec (List.init (Int.min persists cap) (fun i -> i + 1)) ~at:(fun b t ->
       found := failure_at spec b t;
       Option.is_some !found)
   with
@@ -563,7 +563,7 @@ let shrink fail =
   | Some _ ->
     let cap = 64 in
     (* Ops after the in-flight one never ran; drop them outright. *)
-    let start_ops = min fail.spec.n_ops (fail.completed + 1) in
+    let start_ops = Int.min fail.spec.n_ops (fail.completed + 1) in
     let current = ref { fail with spec = { fail.spec with n_ops = start_ops } } in
     (match first_failing !current.spec ~cap with
      | Some f -> current := f

@@ -172,7 +172,7 @@ let check_conservation ctx =
   let sys = ctx.sys in
   let l2 = S.l2 sys in
   let horizon = ref (S.max_clock sys) in
-  let widen r = horizon := max !horizon (Resource.all_free_at r) in
+  let widen r = horizon := Int.max !horizon (Resource.all_free_at r) in
   for core = 0 to S.n_cores sys - 1 do
     let dc = S.dcache sys core in
     widen (Dcache.mshrs dc);

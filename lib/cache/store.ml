@@ -5,35 +5,31 @@
    the L1-hit path — and a tag scan chased a pointer per way.  v2 keys
    everything by an integer slot id ([set * ways + way]) into flat
    parallel tables: tags and LRU stamps in [int array]s, valid bits in a
-   [Bytes.t], payloads unboxed in one ['a array] (an invalid slot holds
-   the store's [empty] value; validity is the valid byte's alone).
-   Lookups return the slot id (-1 for a miss), so the hit path allocates
-   nothing, and a set's tags sit in 8|ways| contiguous bytes of one
-   array.
+   [Bytes.t].  Lookups return the slot id (-1 for a miss), so the hit
+   path allocates nothing, and a set's tags sit in 8|ways| contiguous
+   bytes of one array.
 
-   Levels that want pure SoA line storage (the L1 keeps per-line metadata
-   in a packed byte table and line words in one flat array) instantiate
-   ['a = unit] and index their own tables by the same slot id; levels with
-   richer payloads (L2 directory entries, memory-side lines) store them in
-   the payload table; a fill stores the caller's value and allocates
-   nothing itself. *)
+   The store holds tags only.  Each level keeps its line state in its own
+   tables indexed by the same slot id: the L1 a packed metadata byte and
+   one flat word array, the L2 and L3 one line record per slot, made on
+   the slot's first fill and reused by every later one.  Nothing here
+   stores a pointer, so a fill or invalidate never calls [caml_modify],
+   and a copy is three blits. *)
 
 type policy = Lru | Random of Skipit_sim.Rng.t
 
-type 'a t = {
+type t = {
   geom : Geometry.t;
   policy : policy;
   ways : int;
   tags : int array;  (* by slot id *)
   valid : Bytes.t;  (* 0/1 by slot id *)
   last_use : int array;  (* by slot id *)
-  payload : 'a array;  (* [empty] where invalid *)
-  empty : 'a;
 }
 
 let miss = -1
 
-let create ?(policy = Lru) geom ~empty =
+let create ?(policy = Lru) geom =
   let slots = geom.Geometry.sets * geom.Geometry.ways in
   {
     geom;
@@ -42,8 +38,6 @@ let create ?(policy = Lru) geom ~empty =
     tags = Array.make slots 0;
     valid = Bytes.make slots '\000';
     last_use = Array.make slots 0;
-    payload = Array.make slots empty;
-    empty;
   }
 
 let geometry t = t.geom
@@ -65,10 +59,6 @@ let find t addr =
   let base = Geometry.index_of t.geom addr * t.ways in
   let tag = Geometry.tag_of t.geom addr in
   scan_ways t base tag 0
-
-let payload t id =
-  if Bytes.get t.valid id <> '\000' then Array.unsafe_get t.payload id
-  else invalid_arg "Store.payload: invalid slot"
 
 let touch t id ~now = t.last_use.(id) <- now
 
@@ -92,23 +82,32 @@ let victim t addr =
       !best
     | Random rng -> base + Skipit_sim.Rng.int rng t.ways)
 
-let fill t id ~addr ~payload ~now =
+let fill t id ~addr ~now =
   t.tags.(id) <- Geometry.tag_of t.geom addr;
   Bytes.unsafe_set t.valid id '\001';
-  t.payload.(id) <- payload;
   t.last_use.(id) <- now
 
-let invalidate t id =
-  Bytes.unsafe_set t.valid id '\000';
-  t.payload.(id) <- t.empty
+let invalidate t id = Bytes.unsafe_set t.valid id '\000'
 
 let slot_addr t id =
   if not (is_valid t id) then invalid_arg "Store.slot_addr: invalid slot";
   Geometry.addr_of t.geom ~tag:t.tags.(id) ~index:(id / t.ways)
 
+(* The audit walks every cached line this way at each check, mostly over
+   a sparse store (2 valid slots in 128 on average in the crash
+   campaign), so eight valid bytes that are all zero are skipped with one
+   load. *)
 let iter_valid t f =
-  for id = 0 to Array.length t.tags - 1 do
-    if is_valid t id then f (slot_addr t id) id
+  let n = Bytes.length t.valid in
+  let id = ref 0 in
+  while !id < n do
+    let i = !id in
+    if i + 8 <= n && Bytes.get_int64_ne t.valid i = 0L then id := i + 8
+    else begin
+      if is_valid t i then
+        f (Geometry.addr_of t.geom ~tag:(Array.unsafe_get t.tags i) ~index:(i / t.ways)) i;
+      id := i + 1
+    end
   done
 
 let count_valid t =
@@ -118,27 +117,17 @@ let count_valid t =
   done;
   !n
 
-let invalidate_all t =
-  Bytes.fill t.valid 0 (Bytes.length t.valid) '\000';
-  Array.fill t.payload 0 (Array.length t.payload) t.empty
+let invalidate_all t = Bytes.fill t.valid 0 (Bytes.length t.valid) '\000'
 
-let copy_into ~copy ~over ~src ~dst =
+(* Invalid slots' stale tags and stamps are copied too, so a copy is
+   identical to its source slot for slot. *)
+let copy_into ~src ~dst =
   if Array.length dst.tags <> Array.length src.tags || dst.ways <> src.ways then
     invalid_arg "Store.copy_into: geometries differ";
   (match src.policy, dst.policy with
    | Lru, Lru -> ()
    | Random a, Random b -> Skipit_sim.Rng.copy_into ~src:a ~dst:b
    | (Lru | Random _), _ -> invalid_arg "Store.copy_into: policies differ");
-  (* Payloads first: [over] or [copy] depends on [dst]'s old valid bits. *)
-  for id = 0 to Array.length src.payload - 1 do
-    let cur = Array.unsafe_get dst.payload id in
-    let cell =
-      if not (is_valid src id) then dst.empty
-      else if is_valid dst id then over (Array.unsafe_get src.payload id) cur
-      else copy (Array.unsafe_get src.payload id)
-    in
-    if cell != cur then dst.payload.(id) <- cell
-  done;
   Skipit_sim.Ints.copy_into ~src:src.tags ~dst:dst.tags;
   Skipit_sim.Ints.copy_into ~src:src.last_use ~dst:dst.last_use;
   Bytes.blit src.valid 0 dst.valid 0 (Bytes.length src.valid)

@@ -70,13 +70,11 @@ let exec t instr =
   | Instr.Cas { addr; expected; desired } -> Bool.to_int (cas t addr ~expected ~desired)
   | Instr.Cbo_clean { addr } ->
     retire t;
-    let r = Dcache.cbo t.dcache ~addr ~kind:Message.Wb_clean ~now:t.clock in
-    t.clock <- r.Dcache.commit_at;
+    t.clock <- Dcache.cbo t.dcache ~addr ~kind:Message.Wb_clean ~now:t.clock;
     0
   | Instr.Cbo_flush { addr } ->
     retire t;
-    let r = Dcache.cbo t.dcache ~addr ~kind:Message.Wb_flush ~now:t.clock in
-    t.clock <- r.Dcache.commit_at;
+    t.clock <- Dcache.cbo t.dcache ~addr ~kind:Message.Wb_flush ~now:t.clock;
     0
   | Instr.Cbo_inval { addr } ->
     retire t;

@@ -29,7 +29,7 @@ let bits_of_perm = function Perm.Nothing -> 0 | Perm.Branch -> 1 | Perm.Trunk ->
 type t = {
   p : Params.t;
   core : int;
-  store_arr : unit Store.t;
+  store_arr : Store.t;
   meta : Bytes.t;  (* packed metadata byte, by slot id *)
   data : int array;  (* line words, [slot id * wpl + word] *)
   wpl : int;  (* words per line *)
@@ -60,9 +60,10 @@ type t = {
   cbo_invals : Stats.Registry.handle;
   cbo_zeros : Stats.Registry.handle;
   probes_handled : Stats.Registry.handle;
-  (* Scratch completion time of the most recent [load_word]/[cas_word]:
-     the hot API returns the payload unboxed and parks the timestamp here,
-     so a hit performs zero minor-heap allocation. *)
+  (* Scratch completion time of the most recent [load_word]/[cas_word]
+     (or the ack of the most recent [cbo]): the hot API returns the payload
+     unboxed and parks the timestamp here, so a hit performs zero
+     minor-heap allocation. *)
   mutable done_at : int;
   (* Scratch cycle parked by [refill] (grant arrival) and [writable_line]
      (write may retire) for their caller; their result is the slot id, so
@@ -123,7 +124,7 @@ let find_line t addr = Store.find t.store_arr (line_base t addr)
    proceeds off the critical path). *)
 let evict_slot t id ~now =
   let vaddr = Store.slot_addr t.store_arr id in
-  let t0 = Flush_unit.evict_block_until t.flush ~addr:vaddr ~now in
+  let t0 = Flush_unit.block_until t.flush ~addr:vaddr ~now in
   note_change t ~addr:vaddr ~now:t0;
   let perm = line_perm t id in
   let t_free =
@@ -183,7 +184,7 @@ let refill t ~addr ~grow ~now =
   (* Grant data shares the D channel with every other response into
      this core. *)
   let done_at = channel_d t ~addr ~finish:(Port.Reply.at r) ~beats:(beats t) in
-  Store.fill t.store_arr id ~addr ~payload:() ~now:done_at;
+  Store.fill t.store_arr id ~addr ~now:done_at;
   set_meta t id
     (bits_of_perm (Perm.grow_to grow) lor (if Port.Reply.flag r then 0 else skip_bit));
   if Trace.enabled () then
@@ -242,13 +243,14 @@ let writable_line t ~addr ~now =
   Attr.activate ~core:t.core;
   let base = line_base t addr in
   let now =
-    match Flush_unit.store_proceed_at t.flush ~addr:base ~now with
-    | Some tw when tw > now ->
+    let tw = Flush_unit.store_proceed_at t.flush ~addr:base ~now in
+    if tw > now then begin
       Stats.Registry.bump t.store_nacks;
       l1_ev t ~at:now ~addr Trace.Store_nack;
       Attr.mark Attr.Fshr ~at:tw;
       tw
-    | Some _ | None -> now
+    end
+    else now
   in
   match find_line t addr with
   | id when id <> Store.miss && Perm.includes (line_perm t id) Perm.Trunk ->
@@ -307,12 +309,6 @@ let cas t ~addr ~expected ~desired ~now =
   let ok = cas_word t ~addr ~expected ~desired ~now in
   ok, t.done_at
 
-type cbo_result = {
-  commit_at : int;
-  ack_at : int;
-  dropped : [ `Skip_bit | `Coalesced | `Executed ];
-}
-
 (* The flush unit's way back into this cache while an FSHR walks: closed
    functions, so a CBO builds no closure.  The dirty line goes to the L2
    straight from the slot's storage. *)
@@ -356,30 +352,28 @@ let cbo t ~addr ~kind ~now =
     l1_ev t ~at:t_access ~addr:base Trace.Skip_drop;
     Trace.req_end ~at:t_access rid;
     Attr.mark Attr.L1_hit ~at:t_access;
-    { commit_at = t_access; ack_at = t_access; dropped = `Skip_bit }
+    t.done_at <- t_access;
+    t_access
   end
   else begin
-    let result =
+    let commit_at =
       Flush_unit.submit t.flush cbo_sink t ~addr:base ~kind ~hit ~dirty ~slot:id
         ~last_line_change:(last_change t ~addr:base) ~now:t_access
     in
+    let ack_at = Flush_unit.ack_at t.flush in
+    let coalesced = Flush_unit.last_coalesced t.flush in
     (* A completed CBO.CLEAN leaves the line persisted: its skip bit may be
        set (§6.2 — L2 wrote the data through to DRAM and cleared its dirty
        bit). *)
-    (match result, kind with
-     | Flush_unit.Accepted _, Message.Wb_clean when hit ->
+    (match kind with
+     | Message.Wb_clean when hit && not coalesced ->
        if Perm.compare (line_perm t id) Perm.Nothing > 0 then set_skip t id true
-     | (Flush_unit.Accepted _ | Flush_unit.Coalesced _), _ -> ());
-    match result with
-    | Flush_unit.Coalesced { commit_at; ack_at } ->
-      l1_ev t ~at:commit_at ~addr:base Trace.Cbo_coalesced;
-      Trace.req_end ~at:ack_at rid;
-      Attr.mark Attr.Flushq_wait ~at:commit_at;
-      { commit_at; ack_at; dropped = `Coalesced }
-    | Flush_unit.Accepted p ->
-      Trace.req_end ~at:p.Flush_unit.ack_at rid;
-      Attr.mark Attr.Flushq_wait ~at:p.Flush_unit.commit_at;
-      { commit_at = p.Flush_unit.commit_at; ack_at = p.Flush_unit.ack_at; dropped = `Executed }
+     | Message.Wb_clean | Message.Wb_flush -> ());
+    if coalesced then l1_ev t ~at:commit_at ~addr:base Trace.Cbo_coalesced;
+    Trace.req_end ~at:ack_at rid;
+    Attr.mark Attr.Flushq_wait ~at:commit_at;
+    t.done_at <- ack_at;
+    commit_at
   end
 
 let cbo_inval t ~addr ~now =
@@ -389,12 +383,7 @@ let cbo_inval t ~addr ~now =
   (* Wait out any pending writeback of the line (its FSHR owns the
      metadata, §5.4), then discard the local copy and tell the L2 to revoke
      the rest. *)
-  let t0 =
-    match Flush_unit.find_pending t.flush ~addr:base ~now with
-    | Some p -> Int.max now p.Flush_unit.ack_at
-    | None -> now
-  in
-  let t0 = t0 + t.p.Params.l1_meta_access in
+  let t0 = Flush_unit.line_ack_at t.flush ~addr:base ~now + t.p.Params.l1_meta_access in
   Attr.mark Attr.Fshr ~at:t0;
   (match find_line t base with
    | id when id <> Store.miss -> Store.invalidate t.store_arr id
@@ -422,13 +411,13 @@ let handle_probe t ~addr ~cap ~now ~into ~off =
   let base = line_base t addr in
   Stats.Registry.bump t.probes_handled;
   l1_ev t ~at:now ~addr:base Trace.Probe_handled;
-  let t0 = Flush_unit.probe_block_until t.flush ~addr:base ~cap ~now in
+  let t0 = Flush_unit.block_until t.flush ~addr:base ~now in
   let meta = t.p.Params.l1_meta_access in
   match find_line t base with
   | id when id <> Store.miss ->
     if Perm.compare (line_perm t id) cap > 0 then begin
       let dirty = line_dirty t id && Perm.compare cap Perm.Trunk < 0 in
-      if dirty then Array.blit t.data (id * t.wpl) into off t.wpl;
+      if dirty then Ints.blit t.data (id * t.wpl) into off t.wpl;
       (match cap with
        | Perm.Nothing -> Store.invalidate t.store_arr id
        | Perm.Branch | Perm.Trunk ->
@@ -497,7 +486,7 @@ let create p ~core ~port =
       | `Lru -> Store.Lru
       | `Random -> Store.Random (Skipit_sim.Rng.create ~seed:(0xCAFE + core))
     in
-    Store.create ~policy p.Params.l1_geom ~empty:()
+    Store.create ~policy p.Params.l1_geom
   in
   let slots = Store.slots store_arr in
   let wpl = Geometry.words_per_line p.Params.l1_geom in
@@ -543,7 +532,7 @@ let create p ~core ~port =
 (* The port is wired between this cache and the L2; whoever owns the
    wiring (the system) copies it. *)
 let copy_into ~src ~dst =
-  Store.copy_into ~copy:Fun.id ~over:(fun s _ -> s) ~src:src.store_arr ~dst:dst.store_arr;
+  Store.copy_into ~src:src.store_arr ~dst:dst.store_arr;
   Bytes.blit src.meta 0 dst.meta 0 (Bytes.length src.meta);
   Ints.copy_into ~src:src.data ~dst:dst.data;
   Resource.copy_into ~src:src.mshrs ~dst:dst.mshrs;

@@ -69,17 +69,16 @@ val cas_word : t -> addr:int -> expected:int -> desired:int -> now:int -> bool
 
 val done_at : t -> int
 (** Completion cycle of the most recent {!load_word}/{!cas_word} on this
-    cache.  Only meaningful immediately after one of those calls (the
-    simulator is single-threaded per system, so there is no race). *)
+    cache, or the persist cycle of the most recent {!cbo}.  Only meaningful
+    immediately after one of those calls (the simulator is single-threaded
+    per system, so there is no race). *)
 
-type cbo_result = {
-  commit_at : int;  (** When the instruction leaves the STQ (committable). *)
-  ack_at : int;  (** When the writeback is persisted (RootReleaseAck). *)
-  dropped : [ `Skip_bit | `Coalesced | `Executed ];
-}
-
-val cbo : t -> addr:int -> kind:Message.wb_kind -> now:int -> cbo_result
-(** CBO.CLEAN / CBO.FLUSH. *)
+val cbo : t -> addr:int -> kind:Message.wb_kind -> now:int -> int
+(** CBO.CLEAN / CBO.FLUSH: the cycle the instruction leaves the STQ
+    (committable).  The cycle the writeback is persisted (RootReleaseAck;
+    the commit cycle itself for a Skip-It fast drop) is parked in
+    {!done_at}.  Whether it was dropped or merged shows in the flush unit's
+    [skip_dropped] and [coalesced] counters. *)
 
 val cbo_inval : t -> addr:int -> now:int -> int
 (** CBO.INVAL (CMO spec): discard every cached copy of the line — local L1,

@@ -6,47 +6,67 @@ module Attr = Skipit_obs.Attribution
 module Metrics = Skipit_obs.Metrics
 
 type pending = {
-  entry : Flush_queue.entry;
+  addr : int;
+  kind : Message.wb_kind;
+  enq_at : int;
   commit_at : int;
   alloc_at : int;
-  meta_write_at : int option;
   buffer_ready_at : int option;
   release_at : int;
   ack_at : int;
 }
 
-type submit_result =
-  | Coalesced of { commit_at : int; ack_at : int }
-  | Accepted of pending
+(* The pending table: one row of [stride] ints per live request, rows in
+   submission order (oldest first, the order the conflict queries expect)
+   at the front of [tbl].  Retirement compacts the survivors forward and
+   runs only once the clock reaches [min_ack], the earliest outstanding
+   ack.  A row's [f_serial] names its request for the queue book below. *)
+let f_addr = 0
+let f_kind = 1  (* 0 clean, 1 flush *)
+let f_enq = 2
+let f_alloc = 3
+let f_buf = 4  (* data buffer filled, or [no_buffer] *)
+let f_release = 5
+let f_ack = 6
+let f_serial = 7
+let stride = 8
+let no_buffer = min_int
+let initial_rows = 4
 
-(* Live pendings sit in an intrusive doubly-linked list in submission
-   order (oldest first, matching the order conflict queries expect).
-   Retirement walks it only once the clock reaches [min_ack], the earliest
-   outstanding ack.  Every link to a node is its one [self] cell, so the
-   list's shape depends only on its members, never on its history. *)
-type pnode = {
-  pend : pending;
-  mutable pprev : pnode option;
-  mutable pnext : pnode option;
-  mutable self : pnode option;  (* [Some] this node *)
-}
+let kind_code = function Message.Wb_clean -> 0 | Message.Wb_flush -> 1
+let kind_of_code c = if c = 0 then Message.Wb_clean else Message.Wb_flush
+
+let trace_kind = function
+  | Message.Wb_clean -> Trace.Clean
+  | Message.Wb_flush -> Trace.Flush
 
 type t = {
   p : Params.t;
   core : int;
+  qname : string;  (* the queue's trace track, "fu.<core>.q" *)
   fshrs : Resource.t;
   (* Queue-slot back-pressure (§5.2): a request may enqueue only once the
      request [flush_queue_depth] positions earlier was dequeued. *)
   admission : Admission.t option;  (* None when depth = 0 (no buffering) *)
-  (* All requests whose ack is still outstanding, oldest first.  Doubles as
+  (* All requests whose ack is still outstanding, [len] rows.  Doubles as
      the flush counter (§5.2) and the §5.3/§5.4 conflict-check structure;
-     [prune] retires each node at the first query whose [now] reaches its
-     [ack_at]. *)
-  mutable phead : pnode option;
-  mutable ptail : pnode option;
-  mutable pcount : int;
-  mutable min_ack : int;  (* min [ack_at] over the list, [max_int] if empty *)
-  book : Flush_queue.t;  (** Bookkeeping mirror of queued entries for tests. *)
+     [prune] retires each row at the first query whose [now] reaches its
+     ack. *)
+  mutable tbl : int array;
+  mutable len : int;
+  mutable min_ack : int;  (* min ack over the rows, [max_int] if none *)
+  mutable serial : int;  (* serial of the next fresh request *)
+  (* The queue book: serials of the requests the bounded flush queue
+     recorded (its trace events and [.enqueues] count), a ring of
+     [max 1 depth] slots.  A request is recorded only if the ring has
+     room, and leaves it, oldest first, at the first query after it left
+     the queue. *)
+  book : int array;
+  mutable book_head : int;
+  mutable book_len : int;
+  (* The most recent submit's ack, and whether it merged. *)
+  mutable last_ack : int;
+  mutable last_coalesced : bool;
   stats : Stats.Registry.t;
   submitted : Stats.Registry.handle;
   coalesced : Stats.Registry.handle;
@@ -63,19 +83,21 @@ let create p ~core =
   {
     p;
     core;
+    qname = Printf.sprintf "fu.%d.q" core;
     fshrs = Resource.create ~count:p.Params.n_fshrs (Printf.sprintf "fshr-%d" core);
     admission =
       (if p.Params.flush_queue_depth > 0 then
          Some (Admission.create ~capacity:p.Params.flush_queue_depth)
        else None);
-    phead = None;
-    ptail = None;
-    pcount = 0;
+    tbl = Array.make (initial_rows * stride) 0;
+    len = 0;
     min_ack = max_int;
-    book =
-      Flush_queue.create
-        ~name:(Printf.sprintf "fu.%d.q" core)
-        ~depth:(Int.max 1 p.Params.flush_queue_depth) ();
+    serial = 0;
+    book = Array.make (Int.max 1 p.Params.flush_queue_depth) 0;
+    book_head = 0;
+    book_len = 0;
+    last_ack = 0;
+    last_coalesced = false;
     stats;
     submitted = h "submitted";
     coalesced = h "coalesced";
@@ -90,95 +112,80 @@ let stats t = t.stats
 let note_skip_drop t = Stats.Registry.bump t.skip_dropped
 let skip_dropped t = Stats.Registry.get t.stats "skip_dropped"
 let submitted t = Stats.Registry.get t.stats "submitted"
+let ack_at t = t.last_ack
+let last_coalesced t = t.last_coalesced
 
-let append_pending t pend =
-  let n = { pend; pprev = t.ptail; pnext = None; self = None } in
-  let cell = Some n in
-  n.self <- cell;
-  (match t.ptail with
-   | Some tail -> tail.pnext <- cell
-   | None -> t.phead <- cell);
-  t.ptail <- cell;
-  t.pcount <- t.pcount + 1;
-  t.min_ack <- Int.min t.min_ack pend.ack_at
+let[@inline] get t i f = Array.unsafe_get t.tbl ((i * stride) + f)
 
-let unlink_pending t n =
-  (match n.pprev with
-   | Some p -> p.pnext <- n.pnext
-   | None -> t.phead <- n.pnext);
-  (match n.pnext with
-   | Some nx -> nx.pprev <- n.pprev
-   | None -> t.ptail <- n.pprev);
-  n.pprev <- None;
-  n.pnext <- None;
-  t.pcount <- t.pcount - 1
+let append t ~addr ~kind ~enq_at ~alloc_at ~buf ~release_at ~ack_at ~serial =
+  if (t.len + 1) * stride > Array.length t.tbl then begin
+    let bigger = Array.make (2 * Array.length t.tbl) 0 in
+    Ints.blit t.tbl 0 bigger 0 (t.len * stride);
+    t.tbl <- bigger
+  end;
+  let r = t.len * stride in
+  let a = t.tbl in
+  a.(r + f_addr) <- addr;
+  a.(r + f_kind) <- kind_code kind;
+  a.(r + f_enq) <- enq_at;
+  a.(r + f_alloc) <- alloc_at;
+  a.(r + f_buf) <- buf;
+  a.(r + f_release) <- release_at;
+  a.(r + f_ack) <- ack_at;
+  a.(r + f_serial) <- serial;
+  t.len <- t.len + 1;
+  t.min_ack <- Int.min t.min_ack ack_at
 
-(* Walks over the live pendings, oldest first.  Top-level recursions, so
-   a query allocates no closure. *)
-let rec first_at addr = function
-  | None -> None
-  | Some n -> if n.pend.entry.Flush_queue.addr = addr then Some n.pend else first_at addr n.pnext
-
-let rec first_coalescible ~addr ~kind ~last_line_change ~now = function
-  | None -> None
-  | Some n ->
-    let p = n.pend in
-    if
-      p.entry.Flush_queue.addr = addr
-      && p.entry.Flush_queue.kind = kind
-      && p.alloc_at > now
-      && p.entry.Flush_queue.enq_at >= last_line_change
-    then Some p
-    else first_coalescible ~addr ~kind ~last_line_change ~now n.pnext
-
-let rec still_queued e ~now = function
-  | None -> false
-  | Some n -> (n.pend.entry == e && n.pend.alloc_at > now) || still_queued e ~now n.pnext
-
-let rec max_release_at addr ~now acc = function
-  | None -> acc
-  | Some n ->
-    let p = n.pend in
-    let acc =
-      if p.entry.Flush_queue.addr = addr && p.alloc_at <= now && p.release_at > now then
-        Int.max acc p.release_at
-      else acc
-    in
-    max_release_at addr ~now acc n.pnext
-
-let rec max_ack_at acc = function
-  | None -> acc
-  | Some n -> max_ack_at (Int.max acc n.pend.ack_at) n.pnext
-
-(* Unlink every pending whose ack is at or before [now], and recompute
-   the bound over the survivors. *)
-let rec retire t ~now min_ack = function
-  | None -> t.min_ack <- min_ack
-  | Some n ->
-    let next = n.pnext in
-    if n.pend.ack_at <= now then begin
-      unlink_pending t n;
-      retire t ~now min_ack next
+(* Drop every row whose ack is at or before [now], moving the survivors
+   forward in order, and recompute the bound over them. *)
+let retire t ~now =
+  let kept = ref 0 and min_ack = ref max_int in
+  for i = 0 to t.len - 1 do
+    let ack = get t i f_ack in
+    if ack > now then begin
+      if !kept <> i then Ints.blit t.tbl (i * stride) t.tbl (!kept * stride) stride;
+      incr kept;
+      min_ack := Int.min !min_ack ack
     end
-    else retire t ~now (Int.min min_ack n.pend.ack_at) next
+  done;
+  t.len <- !kept;
+  t.min_ack <- !min_ack
+
+(* The first row (oldest) for [addr], or -1. *)
+let first_at t addr =
+  let i = ref 0 in
+  while !i < t.len && get t !i f_addr <> addr do
+    incr i
+  done;
+  if !i < t.len then !i else -1
+
+let still_queued t serial ~now =
+  let found = ref false in
+  for i = 0 to t.len - 1 do
+    if get t i f_serial = serial && get t i f_alloc > now then found := true
+  done;
+  !found
+
+let book_add t serial =
+  let cap = Array.length t.book in
+  if t.book_len < cap then begin
+    t.book.((t.book_head + t.book_len) mod cap) <- serial;
+    t.book_len <- t.book_len + 1;
+    true
+  end
+  else false
 
 let rec drop_booked t ~now =
-  if
-    (not (Flush_queue.is_empty t.book))
-    && not (still_queued (Flush_queue.first t.book) ~now t.phead)
-  then begin
-    Flush_queue.drop_first t.book;
+  if t.book_len > 0 && not (still_queued t t.book.(t.book_head) ~now) then begin
+    t.book_head <- (t.book_head + 1) mod Array.length t.book;
+    t.book_len <- t.book_len - 1;
     drop_booked t ~now
   end
 
 (* Retire completed requests from the conflict structures. *)
 let prune t ~now =
-  if now >= t.min_ack then retire t ~now max_int t.phead;
+  if now >= t.min_ack then retire t ~now;
   drop_booked t ~now
-
-let find_pending t ~addr ~now =
-  prune t ~now;
-  first_at addr t.phead
 
 (* The §5.3 coalescing partner: a request of the same kind to the same
    line, still PENDING IN THE FLUSH QUEUE (not yet dequeued into an FSHR —
@@ -187,10 +194,22 @@ let find_pending t ~addr ~now =
    coalescing self-regulating: when the FSHRs keep up, requests leave the
    queue immediately and nothing merges; when they back up, same-line
    requests pile onto the queued entry — exactly the burst-absorbing
-   behaviour §5.2 describes. *)
+   behaviour §5.2 describes.  Returns the partner's row, or -1. *)
 let find_coalescible t ~addr ~kind ~last_line_change ~now =
   prune t ~now;
-  first_coalescible ~addr ~kind ~last_line_change ~now t.phead
+  let k = kind_code kind in
+  let i = ref 0 in
+  while
+    !i < t.len
+    && not
+         (get t !i f_addr = addr
+          && get t !i f_kind = k
+          && get t !i f_alloc > now
+          && get t !i f_enq >= last_line_change)
+  do
+    incr i
+  done;
+  if !i < t.len then !i else -1
 
 (* Fig. 7 FSM states as trace events ([Invalid] is not a resident state). *)
 let trace_state = function
@@ -218,12 +237,16 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   in
   Attr.mark Attr.Flushq_wait ~at:enq_at;
   let plan = Fshr_fsm.plan ~hit ~dirty ~kind in
-  let entry =
-    { Flush_queue.addr; kind; hit; dirty; enq_at; coalesced = 0 }
-  in
-  ignore (Flush_queue.enqueue t.book entry);
+  let serial = t.serial in
+  t.serial <- serial + 1;
+  let tkind = trace_kind kind in
+  if book_add t serial then begin
+    if Trace.enabled () then
+      Trace.emit ~at:enq_at
+        (Trace.Flushq { name = t.qname; op = Trace.Q_enqueue; addr; kind = tkind });
+    if Metrics.enabled () then Metrics.count (t.qname ^ ".enqueues") ~at:enq_at
+  end;
   Stats.Registry.bump t.fshr_allocs;
-  let tkind = Flush_queue.trace_kind kind in
   (* FSHR allocation and the Fig. 7 walk.  The FSHR is picked at dequeue
      and held until the RootReleaseAck returns (root_release_ack state).
      The walk (and the root-release it sends) drains in the background
@@ -238,25 +261,21 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   end;
   if Trace.enabled () then begin
     Trace.emit ~at:alloc_at
-      (Trace.Flushq
-         { name = Flush_queue.name t.book; op = Trace.Q_dequeue; addr; kind = tkind });
+      (Trace.Flushq { name = t.qname; op = Trace.Q_dequeue; addr; kind = tkind });
     fshr_ev t ~at:alloc_at ~idx ~addr ~tkind Trace.Fshr_alloc
   end;
   let meta_cycles = t.p.Params.l1_meta_access in
   let fill_cycles = Params.fill_buffer_cycles t.p in
   let data_beats = Params.data_beats t.p in
-  let meta_write = ref None in
-  let buffer_ready = ref None in
+  let buffer_ready = ref no_buffer in
   let tm = ref alloc_at in
   let state = ref (Fshr_fsm.first_state plan) in
   let walking = ref true in
   while !walking do
     let st = !state in
     (match st with
-     | Fshr_fsm.Meta_write ->
-       meta_write := Some (!tm + meta_cycles);
-       sink.apply_meta c ~slot (Fshr_fsm.meta_effect plan)
-     | Fshr_fsm.Fill_buffer -> buffer_ready := Some (!tm + fill_cycles)
+     | Fshr_fsm.Meta_write -> sink.apply_meta c ~slot (Fshr_fsm.meta_effect plan)
+     | Fshr_fsm.Fill_buffer -> buffer_ready := !tm + fill_cycles
      | Fshr_fsm.Invalid | Fshr_fsm.Root_release_data | Fshr_fsm.Root_release
      | Fshr_fsm.Root_release_ack -> ());
     (if Trace.enabled () then
@@ -276,93 +295,101 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   if Metrics.enabled () then Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:ack_at;
   Resource.hold t.fshrs ~idx ~start:alloc_at ~finish:ack_at;
   Attr.restore saved_frame;
-  let pending =
-    {
-      entry;
-      commit_at = (if depth = 0 then ack_at else enq_at);
-      alloc_at;
-      meta_write_at = !meta_write;
-      buffer_ready_at = !buffer_ready;
-      release_at;
-      ack_at;
-    }
-  in
   Stats.Registry.bump_by t.fshr_busy_cycles (ack_at - alloc_at);
   (match t.admission with
    | Some a -> Admission.release a ~at:alloc_at
    | None -> ());
-  append_pending t pending;
-  Accepted pending
+  append t ~addr ~kind ~enq_at ~alloc_at ~buf:!buffer_ready ~release_at ~ack_at ~serial;
+  t.last_ack <- ack_at;
+  if depth = 0 then ack_at else enq_at
 
 let submit t sink c ~addr ~kind ~hit ~dirty ~slot ~last_line_change ~now =
   Stats.Registry.bump t.submitted;
-  if t.p.Params.coalescing then begin
-    match find_coalescible t ~addr ~kind ~last_line_change ~now with
-    | Some partner ->
-      Stats.Registry.bump t.coalesced;
-      Flush_queue.record_coalesce partner.entry;
-      if Trace.enabled () then
-        Trace.emit ~at:now
-          (Trace.Flushq
-             {
-               name = Flush_queue.name t.book;
-               op = Trace.Q_coalesce;
-               addr;
-               kind = Flush_queue.trace_kind kind;
-             });
-      Coalesced { commit_at = now; ack_at = partner.ack_at }
-    | None -> submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now
+  let partner =
+    if t.p.Params.coalescing then find_coalescible t ~addr ~kind ~last_line_change ~now
+    else -1
+  in
+  t.last_coalesced <- partner >= 0;
+  if partner >= 0 then begin
+    Stats.Registry.bump t.coalesced;
+    if Trace.enabled () then
+      Trace.emit ~at:now
+        (Trace.Flushq { name = t.qname; op = Trace.Q_coalesce; addr; kind = trace_kind kind });
+    t.last_ack <- get t partner f_ack;
+    now
   end
   else submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now
 
 type load_conflict = Load_no_conflict | Load_forward of int | Load_wait of int
 
 let load_conflict t ~addr ~now =
-  match find_pending t ~addr ~now with
-  | None -> Load_no_conflict
-  | Some p -> (
+  prune t ~now;
+  match first_at t addr with
+  | -1 -> Load_no_conflict
+  | i ->
     (* Forwarding from the FSHR's data buffer is only sound while
        [flush_rdy] is still low (before the release): probes are interlocked
        out then (§5.4.1), so the buffer provably holds the line's current
        data.  Once the release has gone out, a remote store may already have
        superseded the buffered data — the load waits for the ack and takes
        the ordinary miss path. *)
-    match p.buffer_ready_at with
-    | Some tb when Int.max now tb < p.release_at -> Load_forward (Int.max now tb)
-    | Some _ | None -> Load_wait (Int.max now p.ack_at))
+    let tb = get t i f_buf in
+    if tb <> no_buffer && Int.max now tb < get t i f_release then Load_forward (Int.max now tb)
+    else Load_wait (Int.max now (get t i f_ack))
 
 let store_proceed_at t ~addr ~now =
-  match find_pending t ~addr ~now with
-  | None -> None
-  | Some p -> (
-    match p.entry.Flush_queue.kind with
-    | Message.Wb_flush -> Some (Int.max now p.ack_at)
-    | Message.Wb_clean -> (
+  prune t ~now;
+  match first_at t addr with
+  | -1 -> now
+  | i ->
+    if get t i f_kind = kind_code Message.Wb_flush then Int.max now (get t i f_ack)
+    else begin
       (* Clean: may proceed once the FSHR is allocated and, if the line was
          dirty, once the data buffer is filled (§5.3). *)
-      match p.buffer_ready_at with
-      | Some tb -> Some (Int.max now (Int.max p.alloc_at tb))
-      | None -> Some (Int.max now p.alloc_at)))
+      let tb = get t i f_buf in
+      let alloc = get t i f_alloc in
+      Int.max now (if tb <> no_buffer then Int.max alloc tb else alloc)
+    end
+
+let line_ack_at t ~addr ~now =
+  prune t ~now;
+  match first_at t addr with -1 -> now | i -> Int.max now (get t i f_ack)
 
 let block_until t ~addr ~now =
   prune t ~now;
-  max_release_at addr ~now now t.phead
-
-let probe_block_until t ~addr ~cap ~now =
-  Flush_queue.probe_invalidate t.book ~addr ~cap;
-  block_until t ~addr ~now
-
-let evict_block_until t ~addr ~now =
-  Flush_queue.evict_invalidate t.book ~addr;
-  block_until t ~addr ~now
+  let until = ref now in
+  for i = 0 to t.len - 1 do
+    if get t i f_addr = addr && get t i f_alloc <= now && get t i f_release > now then
+      until := Int.max !until (get t i f_release)
+  done;
+  !until
 
 let fence_ready_at t ~now =
   prune t ~now;
-  max_ack_at now t.phead
+  let ready = ref now in
+  for i = 0 to t.len - 1 do
+    ready := Int.max !ready (get t i f_ack)
+  done;
+  !ready
 
 let outstanding t ~now =
   prune t ~now;
-  t.pcount
+  t.len
+
+let pendings t =
+  let depth = t.p.Params.flush_queue_depth in
+  List.init t.len (fun i ->
+    let tb = get t i f_buf and ack_at = get t i f_ack and enq_at = get t i f_enq in
+    {
+      addr = get t i f_addr;
+      kind = kind_of_code (get t i f_kind);
+      enq_at;
+      commit_at = (if depth = 0 then ack_at else enq_at);
+      alloc_at = get t i f_alloc;
+      buffer_ready_at = (if tb = no_buffer then None else Some tb);
+      release_at = get t i f_release;
+      ack_at;
+    })
 
 let fshrs t = t.fshrs
 let queue_occupants t = match t.admission with Some a -> Admission.occupants a | None -> 0
@@ -371,45 +398,30 @@ let crash t =
   (* Power failure: in-flight writebacks vanish.  Every conflict/occupancy
      structure must come back empty, or the next run on this system would
      inherit phantom back-pressure (leaked FSHR units, stale queue-departure
-     times, booked entries that never drain). *)
-  t.phead <- None;
-  t.ptail <- None;
-  t.pcount <- 0;
+     times, booked requests that never drain). *)
+  t.len <- 0;
   t.min_ack <- max_int;
-  let rec drain () =
-    match Flush_queue.dequeue t.book with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  t.book_head <- 0;
+  t.book_len <- 0;
   Resource.reset t.fshrs;
   match t.admission with Some a -> Admission.reset a | None -> ()
 
-(* Each queued entry is shared by its pending and by [book]: copy it once
-   and point both at the copy. *)
+(* The whole table, stale rows included, so a copy is identical to its
+   source slot for slot; [dst]'s table is reused while the sizes match. *)
 let copy_into ~src ~dst =
   Resource.copy_into ~src:src.fshrs ~dst:dst.fshrs;
   (match src.admission, dst.admission with
    | Some a, Some b -> Admission.copy_into ~src:a ~dst:b
    | None, None -> ()
    | (Some _ | None), _ -> invalid_arg "Flush_unit.copy_into: queue depths differ");
-  let copies = ref [] in
-  let entry e =
-    match List.assq_opt e !copies with
-    | Some e' -> e'
-    | None ->
-      let e' = Flush_queue.copy_entry e in
-      copies := (e, e') :: !copies;
-      e'
-  in
-  dst.phead <- None;
-  dst.ptail <- None;
-  dst.pcount <- 0;
-  let rec walk = function
-    | None -> ()
-    | Some n ->
-      append_pending dst { n.pend with entry = entry n.pend.entry };
-      walk n.pnext
-  in
-  walk src.phead;
+  if Array.length dst.tbl = Array.length src.tbl then Ints.copy_into ~src:src.tbl ~dst:dst.tbl
+  else dst.tbl <- Array.copy src.tbl;
+  dst.len <- src.len;
   dst.min_ack <- src.min_ack;
-  Flush_queue.copy_into ~entry ~src:src.book ~dst:dst.book;
+  dst.serial <- src.serial;
+  Ints.copy_into ~src:src.book ~dst:dst.book;
+  dst.book_head <- src.book_head;
+  dst.book_len <- src.book_len;
+  dst.last_ack <- src.last_ack;
+  dst.last_coalesced <- src.last_coalesced;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats

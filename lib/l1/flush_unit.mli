@@ -8,34 +8,15 @@
 
     The timing model is transactional: a submitted request's whole schedule
     (commit, FSHR allocation, buffer fill, release, ack) is computed at
-    submit time from current resource occupancy; the resulting {!pending}
-    record then answers the §5.3 interaction queries (may a dependent load
-    forward? when may a dependent store proceed? when must a probe wait for
-    [flush_rdy]?) and the fence query backed by the flush counter. *)
+    submit time from current resource occupancy and kept as one row of a
+    table of ints (live requests in submission order); the rows then answer
+    the §5.3 interaction queries (may a dependent load forward? when may a
+    dependent store proceed? when must a probe wait for [flush_rdy]?) and
+    the fence query backed by the flush counter.  Submitting and querying
+    allocate nothing once the table has grown to the live request count. *)
 
 open Skipit_tilelink
 open Skipit_cache
-
-type pending = {
-  entry : Flush_queue.entry;
-      (** Bookkeeping snapshot (mutable hit/dirty for §5.4 invalidations). *)
-  commit_at : int;  (** When the instruction is committable (buffered). *)
-  alloc_at : int;  (** FSHR allocation (dequeue) time. *)
-  meta_write_at : int option;
-      (** [Some t] iff the request rewrites the line metadata, at [t] — the
-          point after which its line state has changed (bounds coalescing,
-          §5.3). *)
-  buffer_ready_at : int option;  (** [Some t] iff the data buffer is filled, at [t]. *)
-  release_at : int;  (** RootRelease sent; [flush_rdy] raised hereafter. *)
-  ack_at : int;  (** RootReleaseAck received; FSHR freed. *)
-}
-
-type submit_result =
-  | Coalesced of { commit_at : int; ack_at : int }
-      (** Merged with a pending request of the same kind to the same line
-          (§5.3); the instruction commits immediately and its completion
-          rides on the pending writeback. *)
-  | Accepted of pending
 
 type t
 
@@ -64,17 +45,23 @@ val submit :
   slot:int ->
   last_line_change:int ->
   now:int ->
-  submit_result
+  int
 (** [submit t sink c] a CBO.X that reached the data cache [c] at [now]
-    with the given metadata snapshot.  The dirty line ([hit && dirty]) is
-    not captured: [sink.send] reads it from the cache when the FSHR
-    releases it, which happens within this call.  [last_line_change] is the
-    last cycle the line's state was mutated — coalescing is legal only with
-    entries enqueued after that (§5.3).  The FSHR walk builds no path and
-    allocates only the request's pending record. *)
+    with the given metadata snapshot, and return the cycle the instruction
+    commits; the writeback's ack is parked in {!ack_at}.  The dirty line
+    ([hit && dirty]) is not captured: [sink.send] reads it from the cache
+    when the FSHR releases it, which happens within this call.
+    [last_line_change] is the last cycle the line's state was mutated —
+    coalescing is legal only with requests enqueued after that (§5.3); a
+    merged request ({!last_coalesced}) commits at [now] and rides on its
+    partner's ack.  Builds no record, option or list node. *)
 
-val find_pending : t -> addr:int -> now:int -> pending option
-(** The in-flight request for this line, if any (queue or FSHR). *)
+val ack_at : t -> int
+(** The RootReleaseAck cycle of the most recent {!submit}'s writeback (its
+    partner's when it merged), by which the line is persisted. *)
+
+val last_coalesced : t -> bool
+(** Whether the most recent {!submit} merged with a queued request. *)
 
 (** §5.3 load rule for an L1 miss on a line with a pending writeback. *)
 type load_conflict =
@@ -84,20 +71,23 @@ type load_conflict =
 
 val load_conflict : t -> addr:int -> now:int -> load_conflict
 
-val store_proceed_at : t -> addr:int -> now:int -> int option
-(** §5.3 store rule: [Some t] when a pending writeback forces the store to
-    wait until [t] ([t = now] if the clean-with-filled-buffer conditions
-    already hold); [None] when there is no pending writeback on the line. *)
+val store_proceed_at : t -> addr:int -> now:int -> int
+(** §5.3 store rule: the earliest cycle, [now] or later, a store to the
+    line may proceed — [now] unless a pending writeback forces it to
+    wait. *)
 
-val probe_block_until : t -> addr:int -> cap:Perm.t -> now:int -> int
-(** §5.4.1: the earliest time a coherence probe of [addr] may proceed —
+val line_ack_at : t -> addr:int -> now:int -> int
+(** The ack of the line's oldest pending writeback, or [now] if it is
+    later or there is none. *)
+
+val block_until : t -> addr:int -> now:int -> int
+(** The §5.4 interlock: the earliest time a coherence probe of [addr]
+    (§5.4.1) or an MSHR-driven eviction of it (§5.4.2) may proceed —
     [now] unless an FSHR holds the line with [flush_rdy] low (allocated but
-    not yet past the release), in which case the probe waits for
-    [release_at].  Also applies [probe_invalidate] to queued entries. *)
-
-val evict_block_until : t -> addr:int -> now:int -> int
-(** §5.4.2: same interlock for MSHR-driven evictions ([wb_rdy]/[flush_rdy]);
-    invalidates queued entries for the line. *)
+    not yet past the release), in which case it waits for the release.
+    The hardware also downgrades queued requests' metadata snapshots
+    ([probe_invalidate]); that has no timing effect here, because each
+    request's FSHR plan is fixed at submit. *)
 
 val fence_ready_at : t -> now:int -> int
 (** Flush counter (§5.2/§5.3): earliest time with no pending writebacks —
@@ -105,6 +95,22 @@ val fence_ready_at : t -> now:int -> int
 
 val outstanding : t -> now:int -> int
 (** Pending writebacks (the flush counter's value) at [now]. *)
+
+(** A record view of one live request, built on demand (tests). *)
+type pending = {
+  addr : int;  (** Line base address. *)
+  kind : Message.wb_kind;
+  enq_at : int;  (** Admitted to the flush queue. *)
+  commit_at : int;  (** When the instruction is committable (buffered). *)
+  alloc_at : int;  (** FSHR allocation (dequeue) time. *)
+  buffer_ready_at : int option;  (** [Some t] iff the data buffer is filled, at [t]. *)
+  release_at : int;  (** RootRelease sent; [flush_rdy] raised hereafter. *)
+  ack_at : int;  (** RootReleaseAck received; FSHR freed. *)
+}
+
+val pendings : t -> pending list
+(** The live requests, oldest first, as the last query left them (one
+    whose ack has passed stays until a query at or after it). *)
 
 val fshrs : t -> Skipit_sim.Resource.t
 (** The FSHR occupancy tracker (audit/conservation checks). *)
@@ -115,15 +121,14 @@ val queue_occupants : t -> int
 
 val crash : t -> unit
 (** Power failure: drop every pending request and reset FSHR occupancy,
-    queue admissions and booked entries, so a subsequent run on the same
+    queue admissions and the queue book, so a subsequent run on the same
     system starts from empty flush machinery. *)
 
 val copy_into : src:t -> dst:t -> unit
 (** Make [dst]'s flush machinery equal to [src]'s, overwriting what [dst]
-    held: FSHR occupancy, queue admissions, pending requests, the booked
-    queue and the counters.  An entry that is both pending and booked is
-    copied once and shared by the two, as in [src].  Both units must come
-    from the same parameters. *)
+    held: FSHR occupancy, queue admissions, the pending table (its stale
+    rows included), the queue book, the parked results and the counters.
+    Both units must come from the same parameters. *)
 
 val note_skip_drop : t -> unit
 (** Record a Skip-It fast drop (the request never reached the queue). *)

@@ -2,7 +2,15 @@ open Skipit_tilelink
 
 type t = { mutable dirty : bool; data : int array; owners : Perm.t array }
 
-let create ~n_cores ~data ~dirty = { dirty; data; owners = Array.make n_cores Perm.Nothing }
+let make ~n_cores ~words =
+  { dirty = false; data = Array.make words 0; owners = Array.make n_cores Perm.Nothing }
+
+(* [Perm.t] is immediate, so these stores need no write barrier. *)
+let reset t =
+  t.dirty <- false;
+  for i = 0 to Array.length t.owners - 1 do
+    t.owners.(i) <- Perm.Nothing
+  done
 
 let owner_perm t core = t.owners.(core)
 let set_owner t core perm = t.owners.(core) <- perm
@@ -48,8 +56,6 @@ let check_invariants t =
       Error
         (Printf.sprintf "Trunk owner %d coexists with other owners [%s]" core
            (String.concat "; " (List.map string_of_int others)))
-
-let copy t = { dirty = t.dirty; data = Array.copy t.data; owners = Array.copy t.owners }
 
 let copy_into ~src ~dst =
   dst.dirty <- src.dirty;

@@ -13,10 +13,13 @@ type t = {
   owners : Perm.t array;  (** Per-client permission (full map). *)
 }
 
-val create : n_cores:int -> data:int array -> dirty:bool -> t
+val make : n_cores:int -> words:int -> t
+(** Fresh storage for one line: clean, no owners, [words] zero words.  A
+    cache makes one per slot, on the slot's first fill, and reuses it. *)
 
-val copy : t -> t
-(** An independent entry with the same state. *)
+val reset : t -> unit
+(** Start a new line in this storage: clean, no owners.  The words are the
+    filler's to overwrite. *)
 
 val copy_into : src:t -> dst:t -> unit
 (** Overwrite [dst] with [src]'s state; the line and core counts must

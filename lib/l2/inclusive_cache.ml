@@ -44,7 +44,12 @@ let counters reg =
    the unbanked cache. *)
 type bank = {
   b_idx : int;
-  store : Directory.t Store.t;  (* compressed-address tag store *)
+  store : Store.t;  (* compressed-address tag store *)
+  (* Line storage by slot id: each slot's directory entry and words, made
+     on its first fill and reset in place by every later one, so a fill
+     allocates nothing once the slot has been used.  The cache's [no_line]
+     marks a slot never filled. *)
+  lines : Directory.t array;
   mshrs : Resource.t;
   (* The ListBuffer (§3.4): channel-C requests that cannot get an MSHR wait
      here; when it is full the sender stalls until the oldest waiter is
@@ -71,6 +76,7 @@ type t = {
   (* One manager port per client core; B-channel probes route through the
      port to whatever client agent is connected on the other side. *)
   ports : Port.t option array;
+  no_line : Directory.t;  (* in [lines] where a slot was never filled *)
   (* Reusable scratch for [Directory.owners_into]: the probe fan-out paths
      fill this instead of allocating an owner list per request.  Safe to
      share because a system's requests are processed one at a time and
@@ -96,6 +102,7 @@ let create p ~backend =
         ~size_bytes:(g.Geometry.size_bytes / n)
         ~ways:g.Geometry.ways ~line_bytes:g.Geometry.line_bytes
   in
+  let no_line = Directory.make ~n_cores:0 ~words:0 in
   {
     p;
     n_banks = n;
@@ -109,10 +116,11 @@ let create p ~backend =
     banks =
       Array.init n (fun i ->
         let b_stats = Stats.Registry.create () in
+        let store = Store.create bank_geom in
         {
           b_idx = i;
-          store =
-            Store.create bank_geom ~empty:(Directory.create ~n_cores:0 ~data:[||] ~dirty:false);
+          store;
+          lines = Array.make (Store.slots store) no_line;
           mshrs =
             Resource.create ~count:p.Params.l2_mshrs
               (if n = 1 then "l2-mshrs" else Printf.sprintf "l2.bank%d-mshrs" i);
@@ -126,6 +134,7 @@ let create p ~backend =
         });
     backend;
     ports = Array.make p.Params.n_cores None;
+    no_line;
     probe_buf = Array.make p.Params.n_cores 0;
     stats;
     ctr;
@@ -139,6 +148,23 @@ let bank_stats t = Array.map (fun b -> b.b_stats) t.banks
 let mshr_files t = Array.map (fun b -> b.mshrs) t.banks
 
 let line t addr = Geometry.line_base t.p.Params.l2_geom addr
+
+let make_line t = Directory.make ~n_cores:t.p.Params.n_cores ~words:(t.lb lsr 3)
+
+(* The storage of slot [id] for a new line: the slot's own, reset, or made
+   on its first fill. *)
+let fill_line t b id =
+  let d = Array.unsafe_get b.lines id in
+  if d != t.no_line then begin
+    Directory.reset d;
+    d
+  end
+  else begin
+    let d = make_line t in
+    b.lines.(id) <- d;
+    d
+  end
+
 let beats t = Params.data_beats t.p
 
 (* Line-address interleaving and the compressed per-bank address space.
@@ -207,7 +233,7 @@ let probe_one t b ~core ~addr ~cap ~now dir =
   | None -> invalid_arg (Printf.sprintf "Inclusive_cache: no client port for core %d" core)
 
 (* Probe the first [n] cores of [t.probe_buf] in parallel, capping each to
-   [cap]; merge any dirty data into the directory payload.  Returns the
+   [cap]; merge any dirty data into the directory's line.  Returns the
    time the last ProbeAck lands. *)
 let probe_all t b ~addr ~cap ~n ~now dir =
   let t_done = ref now in
@@ -240,7 +266,7 @@ let foreign_trunk_into t dir ~core =
    time is when the slot is vacated. *)
 let evict_victim t b id ~now =
   let vaddr = decompress t b (Store.slot_addr b.store id) in
-  let dir = Store.payload b.store id in
+  let dir = b.lines.(id) in
   incr_stat t b (fun c -> c.evictions);
   l2_ev ~at:now ~addr:vaddr L2_evict;
   let n = Directory.owners_into dir Perm.Nothing ~exclude:(-1) t.probe_buf in
@@ -294,7 +320,7 @@ let acquire t ~core ~addr ~grow ~now ~into ~off =
   | id when id <> Store.miss ->
     incr_stat t b (fun c -> c.hits);
     l2_ev ~at:start ~addr L2_hit;
-    let dir = Store.payload b.store id in
+    let dir = b.lines.(id) in
     let n_probe =
       match target with
       | Perm.Trunk -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
@@ -305,7 +331,7 @@ let acquire t ~core ~addr ~grow ~now ~into ~off =
     let tm = slice_access t b ~caddr ~now:tm in
     Directory.set_owner dir core target;
     Store.touch b.store id ~now:tm;
-    Array.blit dir.Directory.data 0 into off (Array.length dir.Directory.data);
+    Ints.blit dir.Directory.data 0 into off (Array.length dir.Directory.data);
     Attr.mark Attr.L2 ~at:tm;
     grant t b ~idx ~start ~finish:tm ~dirty:dir.Directory.dirty
   | _ ->
@@ -316,20 +342,21 @@ let acquire t ~core ~addr ~grow ~now ~into ~off =
       if Store.is_valid b.store victim then evict_victim t b victim ~now:tm else tm
     in
     Attr.mark Attr.L2 ~at:t_evict;
-    (* The fill's directory line outlives the acquire: the read below
-       lands in it, and the grant copies it once into the client. *)
-    let data = Array.make (t.lb lsr 3) 0 in
+    (* The read lands straight in the victim slot's storage (the evicted
+       line has left it), and the grant copies it once into the client. *)
+    let dir = fill_line t b victim in
+    let data = dir.Directory.data in
     let r = Port.Memside.read_line t.backend ~addr ~now:tm ~into:data in
     (* A dirty memory-side copy means the line is not persisted: the
        L2 copy inherits the dirty bit so grants carry GrantDataDirty
        and a later RootRelease pushes it to DRAM (§6.2 one level
        deeper). *)
     let dirty_below = Port.Reply.flag r in
-    let dir = Directory.create ~n_cores:t.p.Params.n_cores ~data ~dirty:dirty_below in
+    dir.Directory.dirty <- dirty_below;
     Directory.set_owner dir core target;
     let t_fill = Int.max t_evict (Port.Reply.at r) in
-    Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
-    Array.blit data 0 into off (Array.length data);
+    Store.fill b.store victim ~addr:caddr ~now:t_fill;
+    Ints.blit data 0 into off (Array.length data);
     Attr.mark Attr.L2 ~at:t_fill;
     grant t b ~idx ~start ~finish:t_fill ~dirty:dirty_below
 
@@ -355,7 +382,7 @@ let sink_c_close t b ~idx ~start ~finish =
    data-array write occupies a slice.  Returns when it is written. *)
 let merge_line t b ~caddr ~dir ~data ~off ~now =
   let tb = slice_access t b ~caddr ~now in
-  Array.blit data off dir.Directory.data 0 (Array.length dir.Directory.data);
+  Ints.blit data off dir.Directory.data 0 (Array.length dir.Directory.data);
   dir.Directory.dirty <- true;
   tb
 
@@ -370,7 +397,7 @@ let release t ~core ~addr ~shrink ~data ~off ~now =
   let tm = start + t.p.Params.l2_tag_access in
   match Store.find b.store caddr with
   | id when id <> Store.miss ->
-    let dir = Store.payload b.store id in
+    let dir = b.lines.(id) in
     let tm =
       if Port.carries_data data then merge_line t b ~caddr ~dir ~data ~off ~now:tm else tm
     in
@@ -395,7 +422,7 @@ let root_release t ~core ~addr ~kind ~data ~off ~now =
   let finish =
     match Store.find b.store caddr with
     | id when id <> Store.miss ->
-      let dir = Store.payload b.store id in
+      let dir = b.lines.(id) in
       (* The RootRelease doubles as the requester's own permission report:
          a flush implies it invalidated its copy, a clean keeps it. *)
       (match kind with
@@ -464,7 +491,7 @@ let root_inval t ~core ~addr ~now =
   let finish =
     match Store.find b.store caddr with
     | id when id <> Store.miss ->
-      let dir = Store.payload b.store id in
+      let dir = b.lines.(id) in
       Directory.set_owner dir core Perm.Nothing;
       let n = Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf in
       (* Probe and revoke; any dirty data handed back is discarded with
@@ -486,7 +513,7 @@ let find_slot t addr =
 
 let dir_dirty t addr =
   match find_slot t (line t addr) with
-  | b, id when id <> Store.miss -> (Store.payload b.store id).Directory.dirty
+  | b, id when id <> Store.miss -> (b.lines.(id)).Directory.dirty
   | _ -> false
 
 let present t addr =
@@ -495,21 +522,20 @@ let present t addr =
 
 let owner_perm t ~core ~addr =
   match find_slot t (line t addr) with
-  | b, id when id <> Store.miss -> Directory.owner_perm (Store.payload b.store id) core
+  | b, id when id <> Store.miss -> Directory.owner_perm (b.lines.(id)) core
   | _ -> Perm.Nothing
 
 let peek_word t addr =
   match find_slot t (line t addr) with
   | b, id when id <> Store.miss ->
-    let dir = Store.payload b.store id in
-    dir.Directory.data.(Geometry.offset_word t.p.Params.l2_geom addr)
+    b.lines.(id).Directory.data.(Geometry.offset_word t.p.Params.l2_geom addr)
   | _ -> Port.Memside.peek_word t.backend addr
 
 let find_dir t addr =
   let a = line t addr in
   let b = bank_for t a in
   let id = Store.find b.store (compress t a) in
-  if id = Store.miss then None else Some (Store.payload b.store id)
+  if id = Store.miss then None else Some (b.lines.(id))
 
 let check_inclusion t ~l1_lines =
   let violation = ref None in
@@ -522,7 +548,7 @@ let check_inclusion t ~l1_lines =
             violation :=
               Some (Printf.sprintf "core %d holds %#x but L2 does not" core addr)
           | b, id ->
-            let dir = Store.payload b.store id in
+            let dir = b.lines.(id) in
             if not (Perm.equal (Directory.owner_perm dir core) perm) then
               violation :=
                 Some
@@ -538,7 +564,7 @@ let iter_lines t f =
   Array.iter
     (fun b ->
       Store.iter_valid b.store (fun caddr id ->
-        f (decompress t b caddr) (Store.payload b.store id)))
+        f (decompress t b caddr) (b.lines.(id))))
     t.banks
 
 let list_buffer_occupants t =
@@ -579,20 +605,34 @@ let connect_client t ~core port =
       peek_word = (fun addr -> peek_word t addr);
     }
 
-let copy_dir_over src dst =
-  Directory.copy_into ~src ~dst;
-  dst
+(* Every slot's storage is copied, an invalid slot's stale line included,
+   so the copy is identical to its source slot for slot: [dst] makes
+   storage where [src] has some and drops it where [src] has none. *)
+let copy_lines ~src ~dst sb db =
+  for id = 0 to Array.length sb.lines - 1 do
+    let s = Array.unsafe_get sb.lines id and d = Array.unsafe_get db.lines id in
+    if s == src.no_line then begin
+      if d != dst.no_line then db.lines.(id) <- dst.no_line
+    end
+    else if d != dst.no_line then Directory.copy_into ~src:s ~dst:d
+    else begin
+      let d = make_line dst in
+      Directory.copy_into ~src:s ~dst:d;
+      db.lines.(id) <- d
+    end
+  done
 
 (* The backend and the client ports are wiring; the system copies them. *)
 let copy_into ~src ~dst =
   if dst.n_banks <> src.n_banks then invalid_arg "Inclusive_cache.copy_into: bank counts differ";
-  Array.iter2
-    (fun s d ->
-      Store.copy_into ~copy:Directory.copy ~over:copy_dir_over ~src:s.store ~dst:d.store;
-      Resource.copy_into ~src:s.mshrs ~dst:d.mshrs;
-      Admission.copy_into ~src:s.list_buffer ~dst:d.list_buffer;
-      Resource.Banked.copy_into ~src:s.slices ~dst:d.slices;
-      Stats.Registry.copy_into ~src:s.b_stats ~dst:d.b_stats)
-    src.banks dst.banks;
+  for i = 0 to src.n_banks - 1 do
+    let s = src.banks.(i) and d = dst.banks.(i) in
+    Store.copy_into ~src:s.store ~dst:d.store;
+    copy_lines ~src ~dst s d;
+    Resource.copy_into ~src:s.mshrs ~dst:d.mshrs;
+    Admission.copy_into ~src:s.list_buffer ~dst:d.list_buffer;
+    Resource.Banked.copy_into ~src:s.slices ~dst:d.slices;
+    Stats.Registry.copy_into ~src:s.b_stats ~dst:d.b_stats
+  done;
   Ints.copy_into ~src:src.probe_buf ~dst:dst.probe_buf;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats

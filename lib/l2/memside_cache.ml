@@ -13,7 +13,11 @@ type t = {
   banks : Resource.Banked.t;
   bank_busy : int;
   below : Port.Memside.t;
-  store : line Store.t;
+  store : Store.t;
+  (* Line storage by slot id, made on the slot's first fill and reused by
+     every later one; [no_line] marks a slot never filled. *)
+  lines : line array;
+  no_line : line;
   stats : Stats.Registry.t;
   evictions : Stats.Registry.handle;
   dram_writebacks : Stats.Registry.handle;
@@ -26,6 +30,22 @@ type t = {
 
 let stats t = t.stats
 let line_base t addr = Geometry.line_base t.geom addr
+let make_line t = { dirty = false; data = Array.make (Geometry.words_per_line t.geom) 0 }
+
+(* The storage of slot [id] for a new line: the slot's own or, on its
+   first fill, made. *)
+let fill_line t id ~dirty =
+  let l = Array.unsafe_get t.lines id in
+  let l =
+    if l != t.no_line then l
+    else begin
+      let l = make_line t in
+      t.lines.(id) <- l;
+      l
+    end
+  in
+  l.dirty <- dirty;
+  l
 
 let[@inline] mem_ev t ~at ~addr op =
   if Trace.enabled () then Trace.emit ~at (Trace.Mem { name = t.name; op; addr })
@@ -51,7 +71,7 @@ let free_slot t ~addr ~now =
   if Store.is_valid t.store victim then begin
     Stats.Registry.bump t.evictions;
     mem_ev t ~at:now ~addr:(Store.slot_addr t.store victim) Trace.Mem_evict;
-    let vline = Store.payload t.store victim in
+    let vline = t.lines.(victim) in
     if vline.dirty then begin
       Stats.Registry.bump t.dram_writebacks;
       (* Off the critical path — shield the attribution cursor. *)
@@ -74,19 +94,21 @@ let read_line t ~addr ~now ~into =
     Stats.Registry.bump t.hits;
     mem_ev t ~at:t0 ~addr Trace.Mem_hit;
     Store.touch t.store id ~now;
-    let line = Store.payload t.store id in
+    let line = t.lines.(id) in
     Attr.mark Attr.Dram ~at:t0;
-    Array.blit line.data 0 into 0 (Array.length line.data);
+    Ints.blit line.data 0 into 0 (Array.length line.data);
     Port.Reply.v ~at:t0 ~flag:line.dirty
   | _ ->
     Stats.Registry.bump t.misses;
     mem_ev t ~at:t0 ~addr Trace.Mem_miss;
-    (* The fill's line outlives the read: DRAM reads straight into it. *)
-    let data = Array.make (Geometry.words_per_line t.geom) 0 in
-    let r = Port.Memside.read_line t.below ~addr ~now:t0 ~into:data in
+    (* DRAM reads into the requester's buffer before the victim leaves
+       (the victim's writeback queues behind the read); the line is then
+       copied into the slot it vacated. *)
+    let r = Port.Memside.read_line t.below ~addr ~now:t0 ~into in
     let id = free_slot t ~addr ~now:t0 in
-    Store.fill t.store id ~addr ~payload:{ dirty = false; data } ~now;
-    Array.blit data 0 into 0 (Array.length data);
+    let line = fill_line t id ~dirty:false in
+    Store.fill t.store id ~addr ~now;
+    Ints.blit into 0 line.data 0 (Array.length line.data);
     Port.Reply.v ~at:(Port.Reply.at r) ~flag:false
 
 let write_line t ~addr ~data ~now =
@@ -95,13 +117,15 @@ let write_line t ~addr ~data ~now =
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
   (match Store.find t.store addr with
    | id when id <> Store.miss ->
-     let line = Store.payload t.store id in
-     Array.blit data 0 line.data 0 (Array.length data);
+     let line = t.lines.(id) in
+     Ints.blit data 0 line.data 0 (Array.length data);
      line.dirty <- true;
      Store.touch t.store id ~now
    | _ ->
      let id = free_slot t ~addr ~now:t0 in
-     Store.fill t.store id ~addr ~payload:{ dirty = true; data = Array.copy data } ~now);
+     let line = fill_line t id ~dirty:true in
+     Ints.blit data 0 line.data 0 (Array.length data);
+     Store.fill t.store id ~addr ~now);
   t0
 
 let persist_line t ~addr ~data ~now =
@@ -113,8 +137,8 @@ let persist_line t ~addr ~data ~now =
      from the write-through. *)
   (match Store.find t.store addr with
    | id when id <> Store.miss ->
-     let line = Store.payload t.store id in
-     Array.blit data 0 line.data 0 (Array.length data);
+     let line = t.lines.(id) in
+     Ints.blit data 0 line.data 0 (Array.length data);
      line.dirty <- false
    | _ -> ());
   Port.Memside.persist_line t.below ~addr ~data ~now:t0
@@ -122,8 +146,8 @@ let persist_line t ~addr ~data ~now =
 let persist_if_dirty t ~addr ~now =
   let addr = line_base t addr in
   match Store.find t.store addr with
-  | id when id <> Store.miss && (Store.payload t.store id).dirty ->
-    persist_line t ~addr ~data:(Store.payload t.store id).data ~now
+  | id when id <> Store.miss && t.lines.(id).dirty ->
+    persist_line t ~addr ~data:t.lines.(id).data ~now
   | _ -> now
 
 let discard_line t ~addr =
@@ -133,24 +157,24 @@ let discard_line t ~addr =
 
 let peek_word t addr =
   match Store.find t.store (line_base t addr) with
-  | id when id <> Store.miss -> (Store.payload t.store id).data.(Geometry.offset_word t.geom addr)
+  | id when id <> Store.miss -> t.lines.(id).data.(Geometry.offset_word t.geom addr)
   | _ -> Port.Memside.peek_word t.below addr
 
 let present t addr = Store.find t.store (line_base t addr) <> Store.miss
 
 let dirty t addr =
   match Store.find t.store (line_base t addr) with
-  | id when id <> Store.miss -> (Store.payload t.store id).dirty
+  | id when id <> Store.miss -> t.lines.(id).dirty
   | _ -> false
 
 let find_data t addr =
   match Store.find t.store (line_base t addr) with
-  | id when id <> Store.miss -> Some (Store.payload t.store id).data
+  | id when id <> Store.miss -> Some t.lines.(id).data
   | _ -> None
 
 let iter_lines t f =
   Store.iter_valid t.store (fun addr id ->
-    let line = Store.payload t.store id in
+    let line = t.lines.(id) in
     f addr ~dirty:line.dirty ~data:line.data)
 
 let crash t =
@@ -161,6 +185,8 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
     ?(max_inflight = 0) ?(burst_beat_cost = 0) () =
   let stats = Stats.Registry.create () in
   let h = Stats.Registry.handle stats in
+  let store = Store.create geom in
+  let no_line = { dirty = false; data = [||] } in
   let t =
     {
       name;
@@ -169,7 +195,9 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
       banks = Resource.Banked.create ~banks (name ^ "-banks");
       bank_busy;
       below;
-      store = Store.create geom ~empty:{ dirty = false; data = [||] };
+      store;
+      lines = Array.make (Store.slots store) no_line;
+      no_line;
       stats;
       evictions = h "evictions";
       dram_writebacks = h "dram_writebacks";
@@ -208,16 +236,33 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
 
 let backend t = Option.get t.port
 
-let copy_line l = { dirty = l.dirty; data = Array.copy l.data }
-
-let copy_line_over src dst =
-  dst.dirty <- src.dirty;
-  Ints.copy_into ~src:src.data ~dst:dst.data;
-  dst
+(* Every slot's storage is copied, an invalid slot's stale line included,
+   so the copy is identical to its source slot for slot: [dst] makes
+   storage where [src] has some and drops it where [src] has none. *)
+let copy_lines ~src ~dst =
+  for id = 0 to Array.length src.lines - 1 do
+    let s = Array.unsafe_get src.lines id and d = Array.unsafe_get dst.lines id in
+    if s == src.no_line then begin
+      if d != dst.no_line then dst.lines.(id) <- dst.no_line
+    end
+    else begin
+      let d =
+        if d != dst.no_line then d
+        else begin
+          let d = make_line dst in
+          dst.lines.(id) <- d;
+          d
+        end
+      in
+      d.dirty <- s.dirty;
+      Ints.copy_into ~src:s.data ~dst:d.data
+    end
+  done
 
 (* Both memside ports, above and below, are the system's to copy. *)
 let copy_into ~src ~dst =
   Resource.Banked.copy_into ~src:src.banks ~dst:dst.banks;
-  Store.copy_into ~copy:copy_line ~over:copy_line_over ~src:src.store ~dst:dst.store;
+  Store.copy_into ~src:src.store ~dst:dst.store;
+  copy_lines ~src ~dst;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats;
   dst.clock_hint <- src.clock_hint

@@ -5,6 +5,7 @@
    [w] has been written (zeros included), which is what [footprint] and
    [iter] report; unwritten words of a chunk hold zero. *)
 module Tbl = Skipit_sim.Int_tbl
+module Ints = Skipit_sim.Ints
 
 type t = {
   chunks : Tbl.t;  (* chunk base -> index into the pool *)
@@ -44,9 +45,9 @@ let find t base = Tbl.find_default t.chunks base ~default:(-1)
 let grow t =
   let cap = 2 * Array.length t.written in
   let words = Array.make (cap * chunk_words) 0 in
-  Array.blit t.words 0 words 0 (t.n_chunks * chunk_words);
+  Ints.blit t.words 0 words 0 (t.n_chunks * chunk_words);
   let written = Array.make cap 0 in
-  Array.blit t.written 0 written 0 t.n_chunks;
+  Ints.blit t.written 0 written 0 t.n_chunks;
   t.words <- words;
   t.written <- written
 
@@ -98,7 +99,7 @@ let read_line_into t ~line_bytes addr dst =
     let k = Int.min (chunk_words - w) (n - !i) in
     let c = find t (chunk_base a) in
     if c < 0 then Array.fill dst !i k 0
-    else Array.blit t.words ((c * chunk_words) + w) dst !i k;
+    else Ints.blit t.words ((c * chunk_words) + w) dst !i k;
     i := !i + k
   done
 
@@ -118,7 +119,7 @@ let write_line t ~line_bytes addr data =
     let w = word_in_chunk a in
     let k = Int.min (chunk_words - w) (n - !i) in
     let c = find_or_add t (chunk_base a) in
-    Array.blit data !i t.words ((c * chunk_words) + w) k;
+    Ints.blit data !i t.words ((c * chunk_words) + w) k;
     mark t c ~w ~n:k;
     i := !i + k
   done
@@ -135,8 +136,8 @@ let copy t =
 let copy_into ~src ~dst =
   Tbl.copy_into ~src:src.chunks ~dst:dst.chunks;
   if Array.length dst.written = Array.length src.written then begin
-    Skipit_sim.Ints.copy_into ~src:src.words ~dst:dst.words;
-    Skipit_sim.Ints.copy_into ~src:src.written ~dst:dst.written
+    Ints.copy_into ~src:src.words ~dst:dst.words;
+    Ints.copy_into ~src:src.written ~dst:dst.written
   end
   else begin
     dst.words <- Array.copy src.words;

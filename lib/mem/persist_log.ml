@@ -32,7 +32,7 @@ let count_line t base = Int_tbl.find_default t.counts base ~default:0
 
 let grown a =
   let b = Array.make (2 * Array.length a) 0 in
-  Array.blit a 0 b 0 (Array.length a);
+  Ints.blit a 0 b 0 (Array.length a);
   b
 
 let record t ~addr ~time =

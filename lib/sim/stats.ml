@@ -1,4 +1,71 @@
 module Sample = struct
+  (* Sorting for the order statistics, specialised to floats: a 3-way
+     (Dutch flag) quicksort around a median-of-three pivot, recursing into
+     the smaller part and tail-calling on the larger, with insertion sort below
+     [cutoff] elements.  Every comparison is an unboxed float compare,
+     where [Array.stable_sort Float.compare] runs generic merge code and
+     calls the comparison closure.  Without NaN or -0 the float order is
+     total and equal floats are identical, so the result is the stable
+     sort's. *)
+  let cutoff = 16
+
+  let insertion (a : float array) lo hi =
+    for i = lo + 1 to hi do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= lo && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
+
+  let swap (a : float array) i j =
+    let x = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j x
+
+  let median3 (x : float) y z =
+    if x < y then (if y < z then y else if x < z then z else x)
+    else if x < z then x
+    else if y < z then z
+    else y
+
+  let rec quicksort (a : float array) lo hi =
+    if hi - lo < cutoff then insertion a lo hi
+    else begin
+      let p =
+        median3 (Array.unsafe_get a lo)
+          (Array.unsafe_get a (lo + ((hi - lo) / 2)))
+          (Array.unsafe_get a hi)
+      in
+      (* [lo, lt) < p, [lt, i) = p, (gt, hi] > p *)
+      let lt = ref lo and i = ref lo and gt = ref hi in
+      while !i <= !gt do
+        let x = Array.unsafe_get a !i in
+        if x < p then begin
+          swap a !lt !i;
+          incr lt;
+          incr i
+        end
+        else if x > p then begin
+          swap a !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      if !lt - lo < hi - !gt then begin
+        quicksort a lo (!lt - 1);
+        quicksort a (!gt + 1) hi
+      end
+      else begin
+        quicksort a (!gt + 1) hi;
+        quicksort a lo (!lt - 1)
+      end
+    end
+
+  let sort a = quicksort a 0 (Array.length a - 1)
+
   type t = {
     mutable data : float array;
     mutable len : int;
@@ -50,9 +117,7 @@ module Sample = struct
     | Some arr -> arr
     | None ->
       let arr = Array.sub t.data 0 t.len in
-      (* Merge sort beats [Array.sort]'s heap sort on large samples; the
-         sorted array is the same, as samples are never NaN or -0. *)
-      Array.stable_sort Float.compare arr;
+      sort arr;
       t.sorted_cache <- Some arr;
       arr
 

@@ -41,6 +41,11 @@ module Sample : sig
 
   val values : t -> float array
   (** Snapshot of all observations in insertion order. *)
+
+  val sort : float array -> unit
+  (** The in-place ascending sort behind {!median} and {!percentile}.  On
+      arrays without NaN or [-0.] (samples have neither) it leaves what
+      [Array.stable_sort Float.compare] would. *)
 end
 
 module Counter : sig

@@ -15,9 +15,21 @@ let sink =
     send = (fun _ ~slot:_ ~addr:_ ~kind:_ ~with_data:_ ~now -> now + ack_after);
   }
 
+(* A submission's outcome: the new request's row, viewed as a record,
+   or the merge's commit and (partner's) ack. *)
+type outcome = Accepted of FU.pending | Coalesced of { commit_at : int; ack_at : int }
+
 let submit ?(kind = Message.Wb_clean) ?(hit = true) ?(dirty = true) ?(last_change = min_int)
     ?(on_meta = fun _ -> ()) fu ~addr ~now =
-  FU.submit fu sink on_meta ~addr ~kind ~hit ~dirty ~slot:0 ~last_line_change:last_change ~now
+  let commit_at =
+    FU.submit fu sink on_meta ~addr ~kind ~hit ~dirty ~slot:0 ~last_line_change:last_change ~now
+  in
+  if FU.last_coalesced fu then Coalesced { commit_at; ack_at = FU.ack_at fu }
+  else begin
+    let p = List.nth (FU.pendings fu) (List.length (FU.pendings fu) - 1) in
+    assert (p.FU.commit_at = commit_at && p.FU.ack_at = FU.ack_at fu);
+    Accepted p
+  end
 
 
 (* Coalescing applies to requests still waiting in the queue (§5.3); pin a
@@ -25,26 +37,26 @@ let submit ?(kind = Message.Wb_clean) ?(hit = true) ?(dirty = true) ?(last_chang
 let with_queued_partner fu ~addr ~now =
   ignore (submit fu ~addr:0xF000 ~now:(now - 1));
   match submit fu ~addr ~now with
-  | FU.Accepted p ->
+  | Accepted p ->
     assert (p.FU.alloc_at > now);
     p
-  | FU.Coalesced _ -> Alcotest.fail "partner cannot coalesce"
+  | Coalesced _ -> Alcotest.fail "partner cannot coalesce"
 
 let test_commit_is_early () =
   let fu = FU.create (params ()) ~core:0 in
   match submit fu ~addr:0x40 ~now:10 with
-  | FU.Accepted p ->
+  | Accepted p ->
     Alcotest.(check int) "commits at enqueue" 10 p.FU.commit_at;
     Alcotest.(check bool) "ack much later" true (p.FU.ack_at >= 10 + ack_after);
     Alcotest.(check bool) "release before ack" true (p.FU.release_at < p.FU.ack_at)
-  | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce"
+  | Coalesced _ -> Alcotest.fail "unexpected coalesce"
 
 let test_depth_zero_synchronous () =
   let fu = FU.create (params ~depth:0 ()) ~core:0 in
   match submit fu ~addr:0x40 ~now:10 with
-  | FU.Accepted p ->
+  | Accepted p ->
     Alcotest.(check int) "no queue => commit at completion" p.FU.ack_at p.FU.commit_at
-  | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce"
+  | Coalesced _ -> Alcotest.fail "unexpected coalesce"
 
 let test_fshr_parallelism () =
   (* 2 FSHRs: two writebacks overlap, the third queues behind the first. *)
@@ -53,8 +65,8 @@ let test_fshr_parallelism () =
     List.map
       (fun addr ->
         match submit fu ~addr ~now:0 with
-        | FU.Accepted p -> p.FU.ack_at
-        | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce")
+        | Accepted p -> p.FU.ack_at
+        | Coalesced _ -> Alcotest.fail "unexpected coalesce")
       [ 0x40; 0x80; 0xc0 ]
   in
   match acks with
@@ -70,8 +82,8 @@ let test_queue_backpressure () =
     List.map
       (fun addr ->
         match submit fu ~addr ~now:0 with
-        | FU.Accepted p -> p.FU.commit_at
-        | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce")
+        | Accepted p -> p.FU.commit_at
+        | Coalesced _ -> Alcotest.fail "unexpected coalesce")
       [ 0x40; 0x80; 0xc0 ]
   in
   match commits with
@@ -85,13 +97,13 @@ let test_coalescing () =
   let fu = FU.create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
   let first = with_queued_partner fu ~addr:0x40 ~now:1 in
   (match submit fu ~addr:0x40 ~now:5 with
-   | FU.Coalesced { ack_at; _ } ->
+   | Coalesced { ack_at; _ } ->
      Alcotest.(check int) "rides the queued writeback" first.FU.ack_at ack_at
-   | FU.Accepted _ -> Alcotest.fail "expected coalesce");
+   | Accepted _ -> Alcotest.fail "expected coalesce");
   (* Different kind never coalesces. *)
   (match submit fu ~kind:Message.Wb_flush ~addr:0x40 ~now:6 with
-   | FU.Accepted _ -> ()
-   | FU.Coalesced _ -> Alcotest.fail "kinds must not merge");
+   | Accepted _ -> ()
+   | Coalesced _ -> Alcotest.fail "kinds must not merge");
   Alcotest.(check int) "stats" 1 (Skipit_sim.Stats.Registry.get (FU.stats fu) "coalesced")
 
 let test_coalescing_blocked_by_line_change () =
@@ -99,33 +111,33 @@ let test_coalescing_blocked_by_line_change () =
   ignore (with_queued_partner fu ~addr:0x40 ~now:1);
   (* A store at t=3 changed the line: the t=5 request must not merge. *)
   match submit fu ~addr:0x40 ~now:5 ~last_change:3 with
-  | FU.Accepted _ -> ()
-  | FU.Coalesced _ -> Alcotest.fail "state changed between the two CBO.X"
+  | Accepted _ -> ()
+  | Coalesced _ -> Alcotest.fail "state changed between the two CBO.X"
 
 let test_coalescing_disabled () =
   let fu = FU.create (params ~coalescing:false ~n_fshrs:1 ~depth:8 ()) ~core:0 in
   ignore (with_queued_partner fu ~addr:0x40 ~now:1);
   match submit fu ~addr:0x40 ~now:5 with
-  | FU.Accepted _ -> ()
-  | FU.Coalesced _ -> Alcotest.fail "coalescing disabled"
+  | Accepted _ -> ()
+  | Coalesced _ -> Alcotest.fail "coalescing disabled"
 
 let test_no_coalescing_once_allocated () =
   (* Once the partner holds an FSHR its metadata write is a state change of
      its own: later requests must not merge (§5.3 reading). *)
   let fu = FU.create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
   (match submit fu ~addr:0x40 ~now:0 with
-   | FU.Accepted p -> assert (p.FU.alloc_at = 0)
-   | FU.Coalesced _ -> assert false);
+   | Accepted p -> assert (p.FU.alloc_at = 0)
+   | Coalesced _ -> assert false);
   match submit fu ~addr:0x40 ~now:5 with
-  | FU.Accepted _ -> ()
-  | FU.Coalesced _ -> Alcotest.fail "partner already left the queue"
+  | Accepted _ -> ()
+  | Coalesced _ -> Alcotest.fail "partner already left the queue"
 
 let test_fence_waits_for_all () =
   let fu = FU.create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
   let acks =
     List.filter_map
       (fun addr ->
-        match submit fu ~addr ~now:0 with FU.Accepted p -> Some p.FU.ack_at | _ -> None)
+        match submit fu ~addr ~now:0 with Accepted p -> Some p.FU.ack_at | _ -> None)
       [ 0x40; 0x80; 0xc0; 0x100 ]
   in
   let latest = List.fold_left max 0 acks in
@@ -138,7 +150,7 @@ let test_fence_waits_for_all () =
 let test_load_conflict_forwarding () =
   let fu = FU.create (params ()) ~core:0 in
   let p =
-    match submit fu ~addr:0x40 ~now:0 with FU.Accepted p -> p | _ -> assert false
+    match submit fu ~addr:0x40 ~now:0 with Accepted p -> p | _ -> assert false
   in
   (* Dirty request: buffer gets filled; loads forward from it (§5.3). *)
   (match FU.load_conflict fu ~addr:0x40 ~now:1 with
@@ -149,7 +161,7 @@ let test_load_conflict_forwarding () =
   (* Clean-line request: no data buffer; loads must wait for completion. *)
   let p2 =
     match submit fu ~addr:0x80 ~dirty:false ~now:0 with
-    | FU.Accepted p -> p
+    | Accepted p -> p
     | _ -> assert false
   in
   (match FU.load_conflict fu ~addr:0x80 ~now:1 with
@@ -164,39 +176,35 @@ let test_store_rules () =
   (* Pending flush: stores wait for the ack. *)
   let pf =
     match submit fu ~kind:Message.Wb_flush ~addr:0x40 ~now:0 with
-    | FU.Accepted p -> p
+    | Accepted p -> p
     | _ -> assert false
   in
-  (match FU.store_proceed_at fu ~addr:0x40 ~now:1 with
-   | Some t -> Alcotest.(check int) "flush blocks stores until ack" pf.FU.ack_at t
-   | None -> Alcotest.fail "expected conflict");
+  Alcotest.(check int) "flush blocks stores until ack" pf.FU.ack_at
+    (FU.store_proceed_at fu ~addr:0x40 ~now:1);
   (* Pending clean with filled buffer: stores proceed once filled. *)
   let pc =
     match submit fu ~kind:Message.Wb_clean ~addr:0x80 ~now:0 with
-    | FU.Accepted p -> p
+    | Accepted p -> p
     | _ -> assert false
   in
-  (match FU.store_proceed_at fu ~addr:0x80 ~now:1 with
-   | Some t ->
-     Alcotest.(check bool) "clean releases stores early" true (t < pc.FU.ack_at);
-     Alcotest.(check bool) "but not before the buffer fill" true
-       (t >= Option.get pc.FU.buffer_ready_at || t = 1)
-   | None -> Alcotest.fail "expected conflict");
-  Alcotest.(check bool) "unrelated line free" true
-    (FU.store_proceed_at fu ~addr:0x200 ~now:1 = None)
+  let t = FU.store_proceed_at fu ~addr:0x80 ~now:1 in
+  Alcotest.(check bool) "clean releases stores early" true (t < pc.FU.ack_at);
+  Alcotest.(check bool) "but not before the buffer fill" true
+    (t >= Option.get pc.FU.buffer_ready_at && t >= pc.FU.alloc_at);
+  Alcotest.(check int) "unrelated line free" 1 (FU.store_proceed_at fu ~addr:0x200 ~now:1)
 
 let test_probe_interlock () =
   (* §5.4.1: while an FSHR holds the line (flush_rdy low), probes wait for
      release_at. *)
   let fu = FU.create (params ()) ~core:0 in
   let p =
-    match submit fu ~addr:0x40 ~now:0 with FU.Accepted p -> p | _ -> assert false
+    match submit fu ~addr:0x40 ~now:0 with Accepted p -> p | _ -> assert false
   in
-  let t = FU.probe_block_until fu ~addr:0x40 ~cap:Perm.Nothing ~now:(p.FU.alloc_at + 1) in
+  let t = FU.block_until fu ~addr:0x40 ~now:(p.FU.alloc_at + 1) in
   Alcotest.(check int) "probe waits for release" p.FU.release_at t;
-  let t2 = FU.probe_block_until fu ~addr:0x40 ~cap:Perm.Nothing ~now:(p.FU.release_at + 1) in
+  let t2 = FU.block_until fu ~addr:0x40 ~now:(p.FU.release_at + 1) in
   Alcotest.(check int) "after release probes flow" (p.FU.release_at + 1) t2;
-  let t3 = FU.evict_block_until fu ~addr:0x40 ~now:(p.FU.alloc_at + 1) in
+  let t3 = FU.block_until fu ~addr:0x40 ~now:(p.FU.alloc_at + 1) in
   Alcotest.(check int) "evictions obey the same interlock" p.FU.release_at t3
 
 let test_skip_counter () =
@@ -211,7 +219,7 @@ let test_skip_counter () =
    queries' clocks come in (a cross-core probe carries the prober's
    clock). *)
 
-let accepted = function FU.Accepted p -> p | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce"
+let accepted = function Accepted p -> p | Coalesced _ -> Alcotest.fail "unexpected coalesce"
 
 let test_retires_once_at_ack () =
   let fu = FU.create (params ()) ~core:0 in
@@ -297,6 +305,233 @@ let prop_retirement_matches_filter_wide =
   retirement_matches_filter ~name:"wide retirement matches filter model"
     ~count:200 ~n_fshrs:8 ~depth:16 ~lines:64 ~span:20_000
 
+
+(* The submit path builds no record, option or list node: once the table
+   has room for the live requests, submitting, merging and the int
+   queries allocate nothing. *)
+let test_submit_allocates_nothing () =
+  List.iter
+    (fun coalescing ->
+      let fu = FU.create (params ~coalescing ~n_fshrs:2 ~depth:8 ()) ~core:0 in
+      let now = ref 0 in
+      let step i =
+        let addr = 0x40 * (1 + (i land 3)) in
+        let kind = if i land 4 = 0 then Message.Wb_clean else Message.Wb_flush in
+        let c =
+          FU.submit fu sink ignore ~addr ~kind ~hit:true ~dirty:(i land 1 = 0) ~slot:0
+            ~last_line_change:min_int ~now:!now
+        in
+        let c = Int.max c (FU.store_proceed_at fu ~addr ~now:c) in
+        let c = Int.max c (FU.line_ack_at fu ~addr:0x40 ~now:c) in
+        ignore (FU.block_until fu ~addr ~now:c + FU.outstanding fu ~now:c);
+        now := if i mod 7 = 6 then FU.fence_ready_at fu ~now:c else c + 1
+      in
+      for i = 1 to 100 do
+        step i
+      done;
+      let before = Gc.minor_words () in
+      for i = 1 to 1000 do
+        step i
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "0 minor words across 1000 submits, coalescing %b (saw %.0f)" coalescing
+           words)
+        true (words = 0.))
+    [ false; true ]
+
+(* Differential oracle: the pre-table unit (linked list of pending
+   records plus a queue book, kept in [Flush_unit_oracle]) and the live
+   one run the same random sequence of submissions, §5.3/§5.4 queries,
+   crashes and copies; every answer, every row of the pending table, the
+   metadata effects, the trace events and the counters must agree. *)
+module O = Flush_unit_oracle
+
+type diff_op =
+  | D_submit of { line : int; flush : bool; hit : bool; dirty : bool; now : int; lc : int }
+  | D_query of { q : int; line : int; now : int }
+  | D_crash
+  | D_copy
+
+let diff_op_to_string = function
+  | D_submit { line; flush; hit; dirty; now; lc } ->
+    Printf.sprintf "S(l%d,%s,%b,%b,@%d,lc%d)" line (if flush then "F" else "C") hit dirty now lc
+  | D_query { q; line; now } -> Printf.sprintf "Q%d(l%d,@%d)" q line now
+  | D_crash -> "crash"
+  | D_copy -> "copy"
+
+let diff_addr line = 0x4000 + (line * 64)
+
+(* Acks depend on the line and the release cycle, so rows differ. *)
+let diff_ack ~addr ~now = now + 20 + (addr lsr 6 mod 5 * 7)
+
+let diff_caps = [| Perm.Nothing; Perm.Branch; Perm.Trunk |]
+
+(* Run [ops] on one implementation, given as its operations; returns the
+   observation log, newest first. *)
+let diff_run ~make ~submit ~query ~rows ~crash ~copy ~stats ops =
+  let log = ref [] in
+  let note xs = log := xs :: !log in
+  let live = ref (make ()) and twin = ref (make ()) in
+  (* The twin has a history of its own, which a copy must overwrite. *)
+  ignore (submit !twin ~addr:(diff_addr 9) ~flush:true ~hit:true ~dirty:true ~now:3 ~lc:min_int);
+  List.iter
+    (fun op ->
+      (match op with
+       | D_submit { line; flush; hit; dirty; now; lc } ->
+         note (submit !live ~addr:(diff_addr line) ~flush ~hit ~dirty ~now ~lc)
+       | D_query { q; line; now } -> note (query !live ~q ~addr:(diff_addr line) ~now)
+       | D_crash -> crash !live
+       | D_copy ->
+         copy ~src:!live ~dst:!twin;
+         let l = !live in
+         live := !twin;
+         twin := l);
+      note (rows !live))
+    ops;
+  note (stats !live);
+  !log
+
+let oracle_run ~p ops =
+  let effects = ref [] in
+  let sink =
+    {
+      O.apply_meta = (fun () ~slot:_ e -> effects := Hashtbl.hash e :: !effects);
+      send = (fun () ~slot:_ ~addr ~kind:_ ~with_data:_ ~now -> diff_ack ~addr ~now);
+    }
+  in
+  let log =
+    diff_run ops
+      ~make:(fun () -> O.create p ~core:0)
+      ~submit:(fun u ~addr ~flush ~hit ~dirty ~now ~lc ->
+        let kind = if flush then Message.Wb_flush else Message.Wb_clean in
+        match O.submit u sink () ~addr ~kind ~hit ~dirty ~slot:0 ~last_line_change:lc ~now with
+        | O.Accepted pd -> [ pd.O.commit_at; pd.O.ack_at; 0 ]
+        | O.Coalesced { commit_at; ack_at } -> [ commit_at; ack_at; 1 ])
+      ~query:(fun u ~q ~addr ~now ->
+        match q with
+        | 0 -> (
+          match O.load_conflict u ~addr ~now with
+          | O.Load_no_conflict -> [ 0 ]
+          | O.Load_forward t -> [ 1; t ]
+          | O.Load_wait t -> [ 2; t ])
+        | 1 -> [ Option.value (O.store_proceed_at u ~addr ~now) ~default:now ]
+        | 2 -> [ O.probe_block_until u ~addr ~cap:diff_caps.(now mod 3) ~now ]
+        | 3 -> [ O.evict_block_until u ~addr ~now ]
+        | 4 -> [ O.fence_ready_at u ~now ]
+        | 5 -> [ O.outstanding u ~now; O.queue_occupants u ]
+        | _ -> (
+          match O.find_pending u ~addr ~now with
+          | Some pd -> [ Int.max now pd.O.ack_at ]
+          | None -> [ now ]))
+      ~rows:(fun u ->
+        let rec walk acc = function
+          | None -> List.rev acc
+          | Some n ->
+            let pd = n.O.pend in
+            walk
+              (pd.O.ack_at :: pd.O.release_at
+               :: Option.value pd.O.buffer_ready_at ~default:(-1)
+               :: pd.O.alloc_at :: pd.O.commit_at :: pd.O.entry.O.Flush_queue.enq_at
+               :: pd.O.entry.O.Flush_queue.addr :: acc)
+              n.O.pnext
+        in
+        walk [] u.O.phead)
+      ~crash:O.crash
+      ~copy:(fun ~src ~dst -> O.copy_into ~src ~dst)
+      ~stats:(fun u -> List.map snd (Skipit_sim.Stats.Registry.to_list (O.stats u)))
+  in
+  log, !effects
+
+let live_run ~p ops =
+  let effects = ref [] in
+  let sink =
+    {
+      FU.apply_meta = (fun () ~slot:_ e -> effects := Hashtbl.hash e :: !effects);
+      send = (fun () ~slot:_ ~addr ~kind:_ ~with_data:_ ~now -> diff_ack ~addr ~now);
+    }
+  in
+  let log =
+    diff_run ops
+      ~make:(fun () -> FU.create p ~core:0)
+      ~submit:(fun u ~addr ~flush ~hit ~dirty ~now ~lc ->
+        let kind = if flush then Message.Wb_flush else Message.Wb_clean in
+        let commit_at =
+          FU.submit u sink () ~addr ~kind ~hit ~dirty ~slot:0 ~last_line_change:lc ~now
+        in
+        [ commit_at; FU.ack_at u; Bool.to_int (FU.last_coalesced u) ])
+      ~query:(fun u ~q ~addr ~now ->
+        match q with
+        | 0 -> (
+          match FU.load_conflict u ~addr ~now with
+          | FU.Load_no_conflict -> [ 0 ]
+          | FU.Load_forward t -> [ 1; t ]
+          | FU.Load_wait t -> [ 2; t ])
+        | 1 -> [ FU.store_proceed_at u ~addr ~now ]
+        | 2 | 3 -> [ FU.block_until u ~addr ~now ]
+        | 4 -> [ FU.fence_ready_at u ~now ]
+        | 5 -> [ FU.outstanding u ~now; FU.queue_occupants u ]
+        | _ -> [ FU.line_ack_at u ~addr ~now ])
+      ~rows:(fun u ->
+        List.concat_map
+          (fun pd ->
+            [
+              pd.FU.addr; pd.FU.enq_at; pd.FU.commit_at; pd.FU.alloc_at;
+              Option.value pd.FU.buffer_ready_at ~default:(-1); pd.FU.release_at; pd.FU.ack_at;
+            ])
+          (FU.pendings u))
+      ~crash:FU.crash
+      ~copy:(fun ~src ~dst -> FU.copy_into ~src ~dst)
+      ~stats:(fun u -> List.map snd (Skipit_sim.Stats.Registry.to_list (FU.stats u)))
+  in
+  log, !effects
+
+let prop_matches_oracle =
+  let span = 400 in
+  let gen =
+    QCheck.Gen.(
+      let* n_fshrs = oneofl [ 1; 2; 4 ] in
+      let* depth = oneofl [ 0; 1; 8 ] in
+      let* coalescing = bool in
+      let op =
+        frequency
+          [
+            ( 5,
+              let* line = int_bound 5 and* flush = bool and* hit = bool and* dirty = bool in
+              let* now = int_bound span in
+              let* lc = oneof [ return min_int; int_bound span ] in
+              return (D_submit { line; flush; hit; dirty; now; lc }) );
+            ( 5,
+              let* q = int_bound 6 and* line = int_bound 5 and* now = int_bound (span + 100) in
+              return (D_query { q; line; now }) );
+            (1, return D_crash);
+            (1, return D_copy);
+          ]
+      in
+      let* ops = list_size (int_range 1 80) op in
+      return ((n_fshrs, depth, coalescing), ops))
+  in
+  QCheck.Test.make ~name:"pending table matches the list-based oracle" ~count:400
+    (QCheck.make gen ~print:(fun ((n_fshrs, depth, coalescing), ops) ->
+       Printf.sprintf "fshrs=%d depth=%d coalescing=%b: %s" n_fshrs depth coalescing
+         (String.concat " " (List.map diff_op_to_string ops))))
+  @@ fun ((n_fshrs, depth, coalescing), ops) ->
+  let p = params ~n_fshrs ~depth ~coalescing () in
+  let (want, want_fx), want_tr = Skipit_obs.Trace.with_trace (fun () -> oracle_run ~p ops) in
+  let (got, got_fx), got_tr = Skipit_obs.Trace.with_trace (fun () -> live_run ~p ops) in
+  let events tr =
+    List.map
+      (fun r ->
+        ( r.Skipit_obs.Trace.at,
+          Skipit_obs.Trace.event_name r.Skipit_obs.Trace.ev,
+          Skipit_obs.Trace.event_args r.Skipit_obs.Trace.ev ))
+      (Skipit_obs.Trace.records tr)
+  in
+  if want <> got then QCheck.Test.fail_report "answers, rows or counters differ";
+  if want_fx <> got_fx then QCheck.Test.fail_report "metadata effects differ";
+  if events want_tr <> events got_tr then QCheck.Test.fail_report "trace events differ";
+  true
+
 let tests =
   ( "flush_unit",
     [
@@ -319,4 +554,6 @@ let tests =
       Alcotest.test_case "crash drops pendings" `Quick test_crash_drops_pendings;
       QCheck_alcotest.to_alcotest prop_retirement_matches_filter;
       QCheck_alcotest.to_alcotest prop_retirement_matches_filter_wide;
+      Alcotest.test_case "submit allocates nothing" `Quick test_submit_allocates_nothing;
+      QCheck_alcotest.to_alcotest prop_matches_oracle;
     ] )

@@ -9,7 +9,7 @@ module Dram = Skipit_mem.Dram
 open Skipit_tilelink
 
 let test_directory_owners () =
-  let dir = Directory.create ~n_cores:4 ~data:(Array.make 8 0) ~dirty:false in
+  let dir = Directory.make ~n_cores:4 ~words:8 in
   Alcotest.(check bool) "no owners" false (Directory.has_owners dir);
   Directory.set_owner dir 1 Perm.Branch;
   Directory.set_owner dir 3 Perm.Branch;

@@ -197,6 +197,30 @@ let test_handle_bump_zero_alloc () =
     (Printf.sprintf "0 minor words across 20k bumps (saw %.0f)" allocated)
     true (allocated < 64.)
 
+(* The float sort behind the percentiles equals the stdlib's stable sort
+   on samples: duplicates, negatives and infinities, never NaN or -0.
+   Lengths straddle the insertion-sort cutoff. *)
+let prop_sort_matches_stdlib =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map float_of_int (int_range (-20) 20));
+          (3, float_range (-1e6) 1e6);
+          (1, oneofl [ Float.infinity; Float.neg_infinity; Float.max_float; -.Float.max_float ]);
+        ])
+  in
+  let gen = QCheck.Gen.(array_size (oneof [ int_bound 40; int_bound 3000 ]) value) in
+  QCheck.Test.make ~name:"float sort matches the stdlib sort" ~count:300
+    (QCheck.make gen ~print:QCheck.Print.(array float))
+  @@ fun a ->
+  let a = Array.map (fun x -> if x = 0. then 0. else x) a in
+  let want = Array.copy a in
+  Array.stable_sort Float.compare want;
+  let got = Array.copy a in
+  Sample.sort got;
+  Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) want got
+
 let tests =
   ( "stats",
     [
@@ -216,4 +240,5 @@ let tests =
       QCheck_alcotest.to_alcotest prop_percentile_matches_reference;
       QCheck_alcotest.to_alcotest prop_median_bounded;
       QCheck_alcotest.to_alcotest prop_percentile_monotone;
+      QCheck_alcotest.to_alcotest prop_sort_matches_stdlib;
     ] )

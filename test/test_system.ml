@@ -196,26 +196,26 @@ let prop_random_workloads =
    The target first runs a different workload; after the copy it
    marshals like its source, and the two run one continuation to the
    same counters and the same image again. *)
+let every_component =
+  {
+    (Skipit_cache.Params.with_l3 (C.tiny ~cores:2 ())) with
+    Skipit_cache.Params.l1_replacement = `Random;
+    topology = `Shared_bus;
+  }
+
+let work sys ~seed n =
+  let rng = Rng.create ~seed in
+  for _ = 1 to n do
+    let core = Rng.int rng 2 and addr = 0x1_0000 + (8 * Rng.int rng 512) in
+    match Rng.int rng 4 with
+    | 0 -> S.store sys ~core addr (1 + Rng.int rng 1000)
+    | 1 -> ignore (S.load sys ~core addr)
+    | 2 -> S.clean sys ~core addr
+    | _ -> S.flush sys ~core addr
+  done
+
 let test_copy_into_every_component () =
-  let params =
-    {
-      (Skipit_cache.Params.with_l3 (C.tiny ~cores:2 ())) with
-      Skipit_cache.Params.l1_replacement = `Random;
-      topology = `Shared_bus;
-    }
-  in
-  let src = S.create params and dst = S.create params in
-  let work sys ~seed n =
-    let rng = Rng.create ~seed in
-    for _ = 1 to n do
-      let core = Rng.int rng 2 and addr = 0x1_0000 + (8 * Rng.int rng 512) in
-      match Rng.int rng 4 with
-      | 0 -> S.store sys ~core addr (1 + Rng.int rng 1000)
-      | 1 -> ignore (S.load sys ~core addr)
-      | 2 -> S.clean sys ~core addr
-      | _ -> S.flush sys ~core addr
-    done
-  in
+  let src = S.create every_component and dst = S.create every_component in
   work src ~seed:1 400;
   work dst ~seed:2 300;
   S.copy_into ~src ~dst;
@@ -227,10 +227,30 @@ let test_copy_into_every_component () =
     (S.stats_report src) (S.stats_report dst);
   Alcotest.(check bool) "and the same image" true (image src = image dst)
 
+(* The crash campaign copies a run into its twin at every boundary, and
+   the twin has run on from the previous copy: once the twin holds
+   storage for every line the run does, a copy is blits alone. *)
+let test_warm_copy_into_allocates_nothing () =
+  let src = S.create every_component and dst = S.create every_component in
+  work src ~seed:1 400;
+  S.copy_into ~src ~dst;
+  work src ~seed:3 200;
+  work dst ~seed:3 200;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    S.copy_into ~src ~dst
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 minor words across 10 warm copies (saw %.0f)" words)
+    true (words = 0.)
+
 let tests =
   ( "system",
     [
       Alcotest.test_case "store/load roundtrip" `Quick test_store_load_roundtrip;
+      Alcotest.test_case "warm copy_into allocates nothing" `Quick
+        test_warm_copy_into_allocates_nothing;
       Alcotest.test_case "cross-core coherence" `Quick test_cross_core_coherence;
       Alcotest.test_case "cas" `Quick test_cas;
       Alcotest.test_case "flush persists+invalidates" `Quick test_flush_persists_and_invalidates;

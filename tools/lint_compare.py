@@ -6,7 +6,7 @@
 A bare `max`, `min` or `compare` in OCaml code is Stdlib's polymorphic
 version: on ints it goes through `compare_val` instead of one machine
 compare, and as a fold argument it is a closure call per element.  This
-scans the .ml files of lib/{sim,cache,tilelink,l1,l2,mem,cpu,core}, with
+scans the .ml files of lib/{sim,cache,tilelink,l1,l2,mem,cpu,core,audit}, with
 comments, strings and character literals blanked, and reports every bare
 use.  Qualified names (`Int.max`, `Perm.compare`, `Stdlib.min` on floats),
 labels (`~compare`), longer identifiers (`max_int`) and definitions
@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-DIRS = ["sim", "cache", "tilelink", "l1", "l2", "mem", "cpu", "core"]
+DIRS = ["sim", "cache", "tilelink", "l1", "l2", "mem", "cpu", "core", "audit"]
 BARE = re.compile(r"(?<![\w.'~?])(max|min|compare)(?![\w'])")
 DEFINITION = re.compile(r"\b(let|and)(\s+rec)?\s*$")
 CHAR = re.compile(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'")
