@@ -49,6 +49,20 @@ fi
 # one instruction.  Comments, definitions and qualified names pass.
 python3 tools/lint_compare.py
 
+# No dead exports: every val in a lib/ interface is named by some file
+# other than its own module's .ml/.mli (a word match, so a name that
+# something else also uses passes).  Delete an export nobody uses.
+dead=$(for mli in $(find lib -name '*.mli' | sort); do
+  for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
+    grep -rlw --include='*.ml' --include='*.mli' -e "$v" lib bin bench perfbench tools test examples \
+      | grep -qvx -e "$mli" -e "${mli%i}" || echo "  $mli: $v"
+  done
+done)
+if [ -n "$dead" ]; then
+  printf 'check.sh: exports named by no other file:\n%s\n' "$dead" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 # The host profiler's sampler (tools/hostprof) is C outside the OCaml

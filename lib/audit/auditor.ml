@@ -96,7 +96,6 @@ let observe t =
   fresh
 
 let attach t ~every = S.set_audit_hook t.sys ~every (fun _ -> ignore (observe t))
-let detach t = S.clear_audit_hook t.sys
 let note_crash t = Tbl.reset t.tracked
 
 (* [Tbl.copy] keeps the bucket layout, so the copy iterates, and reports

@@ -27,8 +27,6 @@ val attach : t -> every:int -> unit
 (** Install {!observe} as the system's periodic audit hook, firing every
     [every] simulated cycles.  Violations accumulate in {!failures}. *)
 
-val detach : t -> unit
-
 val note_crash : t -> unit
 (** Tell the auditor a power failure happened: dirty lines legitimately
     vanished, so the tracked set is discarded (the durability oracle, not

@@ -31,7 +31,6 @@ type violation = {
   detail : string;  (** Human-readable description. *)
 }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val make : rule:string -> ?addr:int -> string -> violation

@@ -30,8 +30,6 @@ type t = {
   dram_read_latency : int;
   dram_write_latency : int;
   dram_occupancy : int;
-  mem_max_inflight : int;
-  mem_burst_beat_cost : int;
   fence_base_cost : int;
   cas_extra : int;
   nack_retry_delay : int;
@@ -79,11 +77,6 @@ let boom_default =
     dram_read_latency = 60;
     dram_write_latency = 55;
     dram_occupancy = 2;
-    (* AXI-style memory-side transaction model: 0 = unlimited in-flight
-       transactions and free burst beats (the pre-burst-model behaviour,
-       timing-neutral). *)
-    mem_max_inflight = 0;
-    mem_burst_beat_cost = 0;
     fence_base_cost = 5;
     cas_extra = 4;
     nack_retry_delay = 4;
@@ -100,11 +93,7 @@ let boom_default =
 
 let with_cores t n = { t with n_cores = n }
 let with_skip_it t b = { t with skip_it = b }
-let with_topology t topology = { t with topology }
 let with_l2_banks t n = { t with l2_banks = n }
-
-let with_mem_burst t ~max_inflight ~beat_cost =
-  { t with mem_max_inflight = max_inflight; mem_burst_beat_cost = beat_cost }
 
 let with_l3 t =
   {
@@ -142,8 +131,6 @@ let validate t =
   else if not (is_pow2 t.l2_banks) then err "l2_banks must be a power of two"
   else if t.l2_banks > t.l2_geom.Geometry.sets then
     err "l2_banks must not exceed L2 set count"
-  else if t.mem_max_inflight < 0 || t.mem_burst_beat_cost < 0 then
-    err "memory burst parameters must be non-negative"
   else
     match t.l3 with
     | Some l3 when l3.l3_geom.Geometry.line_bytes <> line_bytes t ->

@@ -55,13 +55,6 @@ type t = {
   dram_read_latency : int;
   dram_write_latency : int;
   dram_occupancy : int;  (** Channel occupancy per line transfer. *)
-  mem_max_inflight : int;
-      (** AXI-style cap on outstanding memory-side transactions per
-          channel-set (read/write IDs in flight); 0 = unlimited (the
-          pre-burst-model behaviour). *)
-  mem_burst_beat_cost : int;
-      (** Extra cycles per data beat of a memory-side burst (a line moves
-          as [data_beats] beats); 0 = free beats (timing-neutral). *)
   (* Core *)
   fence_base_cost : int;
   cas_extra : int;  (** Extra cycles an AMO/CAS pays over a plain store hit. *)
@@ -106,14 +99,8 @@ val boom_default : t
 val with_cores : t -> int -> t
 val with_skip_it : t -> bool -> t
 
-val with_topology : t -> [ `Crossbar | `Shared_bus | `Banked_bus ] -> t
-(** Select the client↔LLC interconnect shape. *)
-
 val with_l2_banks : t -> int -> t
 (** Set the NUCA bank count (power of two ≤ L2 sets). *)
-
-val with_mem_burst : t -> max_inflight:int -> beat_cost:int -> t
-(** Configure the memory-side AXI burst model. *)
 
 val with_l3 : t -> t
 (** Add a 4 MiB 16-way memory-side L3 (the deeper-hierarchy experiment). *)

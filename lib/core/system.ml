@@ -48,27 +48,22 @@ let create params =
   let beats = Params.data_beats params in
   (* Memory side of the L2: either DRAM directly behind one counted port, or
      an L3 whose own downstream port fronts DRAM — every boundary counted. *)
-  let max_inflight = params.Params.mem_max_inflight in
-  let burst_beat_cost = params.Params.mem_burst_beat_cost in
   let l3, backend, memside_ports =
     match params.Params.l3 with
     | Some cfg ->
       let dram_port =
-        Skipit_l2.Backend.of_dram ~name:"l3.dram" ~beats_per_line:beats ~max_inflight
-          ~burst_beat_cost dram
+        Skipit_l2.Backend.of_dram ~name:"l3.dram" ~beats_per_line:beats dram
       in
       let m =
         Memside.create ~name:"l2.l3" ~geom:cfg.Params.l3_geom
           ~access_latency:cfg.Params.l3_latency ~banks:cfg.Params.l3_banks
-          ~bank_busy:cfg.Params.l3_bank_busy ~below:dram_port ~beats_per_line:beats
-          ~max_inflight ~burst_beat_cost ()
+          ~bank_busy:cfg.Params.l3_bank_busy ~below:dram_port ~beats_per_line:beats ()
       in
       let b = Memside.backend m in
       Some m, b, [ b; dram_port ]
     | None ->
       let b =
-        Skipit_l2.Backend.of_dram ~name:"l2.mem" ~beats_per_line:beats ~max_inflight
-          ~burst_beat_cost dram
+        Skipit_l2.Backend.of_dram ~name:"l2.mem" ~beats_per_line:beats dram
       in
       None, b, [ b ]
   in
@@ -140,8 +135,6 @@ let max_clock t =
 let set_audit_hook t ~every hook =
   if every <= 0 then invalid_arg "System.set_audit_hook: every must be positive";
   t.audit <- Some { every; next_due = max_clock t + every; in_hook = false; hook = (fun () -> hook t) }
-
-let clear_audit_hook t = t.audit <- None
 
 let maybe_audit t =
   match t.audit with

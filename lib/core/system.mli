@@ -94,8 +94,6 @@ val set_audit_hook : t -> every:int -> (t -> unit) -> unit
     enabling it never changes cycle counts.  Off by default; at most one
     hook is installed (a second call replaces the first). *)
 
-val clear_audit_hook : t -> unit
-
 val maybe_audit : t -> unit
 (** Fire the installed audit hook if its period has elapsed (no-op
     otherwise, and when no hook is installed).  Called automatically by

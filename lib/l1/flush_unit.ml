@@ -20,7 +20,7 @@ type pending = {
    submission order (oldest first, the order the conflict queries expect)
    at the front of [tbl].  Retirement compacts the survivors forward and
    runs only once the clock reaches [min_ack], the earliest outstanding
-   ack.  A row's [f_serial] names its request for the queue book below. *)
+   ack. *)
 let f_addr = 0
 let f_kind = 1  (* 0 clean, 1 flush *)
 let f_enq = 2
@@ -28,8 +28,7 @@ let f_alloc = 3
 let f_buf = 4  (* data buffer filled, or [no_buffer] *)
 let f_release = 5
 let f_ack = 6
-let f_serial = 7
-let stride = 8
+let stride = 7
 let no_buffer = min_int
 let initial_rows = 4
 
@@ -55,15 +54,6 @@ type t = {
   mutable tbl : int array;
   mutable len : int;
   mutable min_ack : int;  (* min ack over the rows, [max_int] if none *)
-  mutable serial : int;  (* serial of the next fresh request *)
-  (* The queue book: serials of the requests the bounded flush queue
-     recorded (its trace events and [.enqueues] count), a ring of
-     [max 1 depth] slots.  A request is recorded only if the ring has
-     room, and leaves it, oldest first, at the first query after it left
-     the queue. *)
-  book : int array;
-  mutable book_head : int;
-  mutable book_len : int;
   (* The most recent submit's ack, and whether it merged. *)
   mutable last_ack : int;
   mutable last_coalesced : bool;
@@ -92,10 +82,6 @@ let create p ~core =
     tbl = Array.make (initial_rows * stride) 0;
     len = 0;
     min_ack = max_int;
-    serial = 0;
-    book = Array.make (Int.max 1 p.Params.flush_queue_depth) 0;
-    book_head = 0;
-    book_len = 0;
     last_ack = 0;
     last_coalesced = false;
     stats;
@@ -117,7 +103,7 @@ let last_coalesced t = t.last_coalesced
 
 let[@inline] get t i f = Array.unsafe_get t.tbl ((i * stride) + f)
 
-let append t ~addr ~kind ~enq_at ~alloc_at ~buf ~release_at ~ack_at ~serial =
+let append t ~addr ~kind ~enq_at ~alloc_at ~buf ~release_at ~ack_at =
   if (t.len + 1) * stride > Array.length t.tbl then begin
     let bigger = Array.make (2 * Array.length t.tbl) 0 in
     Ints.blit t.tbl 0 bigger 0 (t.len * stride);
@@ -132,7 +118,6 @@ let append t ~addr ~kind ~enq_at ~alloc_at ~buf ~release_at ~ack_at ~serial =
   a.(r + f_buf) <- buf;
   a.(r + f_release) <- release_at;
   a.(r + f_ack) <- ack_at;
-  a.(r + f_serial) <- serial;
   t.len <- t.len + 1;
   t.min_ack <- Int.min t.min_ack ack_at
 
@@ -159,33 +144,8 @@ let first_at t addr =
   done;
   if !i < t.len then !i else -1
 
-let still_queued t serial ~now =
-  let found = ref false in
-  for i = 0 to t.len - 1 do
-    if get t i f_serial = serial && get t i f_alloc > now then found := true
-  done;
-  !found
-
-let book_add t serial =
-  let cap = Array.length t.book in
-  if t.book_len < cap then begin
-    t.book.((t.book_head + t.book_len) mod cap) <- serial;
-    t.book_len <- t.book_len + 1;
-    true
-  end
-  else false
-
-let rec drop_booked t ~now =
-  if t.book_len > 0 && not (still_queued t t.book.(t.book_head) ~now) then begin
-    t.book_head <- (t.book_head + 1) mod Array.length t.book;
-    t.book_len <- t.book_len - 1;
-    drop_booked t ~now
-  end
-
 (* Retire completed requests from the conflict structures. *)
-let prune t ~now =
-  if now >= t.min_ack then retire t ~now;
-  drop_booked t ~now
+let prune t ~now = if now >= t.min_ack then retire t ~now
 
 (* The §5.3 coalescing partner: a request of the same kind to the same
    line, still PENDING IN THE FLUSH QUEUE (not yet dequeued into an FSHR —
@@ -237,15 +197,11 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   in
   Attr.mark Attr.Flushq_wait ~at:enq_at;
   let plan = Fshr_fsm.plan ~hit ~dirty ~kind in
-  let serial = t.serial in
-  t.serial <- serial + 1;
   let tkind = trace_kind kind in
-  if book_add t serial then begin
-    if Trace.enabled () then
-      Trace.emit ~at:enq_at
-        (Trace.Flushq { name = t.qname; op = Trace.Q_enqueue; addr; kind = tkind });
-    if Metrics.enabled () then Metrics.count (t.qname ^ ".enqueues") ~at:enq_at
-  end;
+  if Trace.enabled () then
+    Trace.emit ~at:enq_at
+      (Trace.Flushq { name = t.qname; op = Trace.Q_enqueue; addr; kind = tkind });
+  if Metrics.enabled () then Metrics.count (t.qname ^ ".enqueues") ~at:enq_at;
   Stats.Registry.bump t.fshr_allocs;
   (* FSHR allocation and the Fig. 7 walk.  The FSHR is picked at dequeue
      and held until the RootReleaseAck returns (root_release_ack state).
@@ -299,7 +255,7 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   (match t.admission with
    | Some a -> Admission.release a ~at:alloc_at
    | None -> ());
-  append t ~addr ~kind ~enq_at ~alloc_at ~buf:!buffer_ready ~release_at ~ack_at ~serial;
+  append t ~addr ~kind ~enq_at ~alloc_at ~buf:!buffer_ready ~release_at ~ack_at;
   t.last_ack <- ack_at;
   if depth = 0 then ack_at else enq_at
 
@@ -398,11 +354,9 @@ let crash t =
   (* Power failure: in-flight writebacks vanish.  Every conflict/occupancy
      structure must come back empty, or the next run on this system would
      inherit phantom back-pressure (leaked FSHR units, stale queue-departure
-     times, booked requests that never drain). *)
+     times). *)
   t.len <- 0;
   t.min_ack <- max_int;
-  t.book_head <- 0;
-  t.book_len <- 0;
   Resource.reset t.fshrs;
   match t.admission with Some a -> Admission.reset a | None -> ()
 
@@ -418,10 +372,6 @@ let copy_into ~src ~dst =
   else dst.tbl <- Array.copy src.tbl;
   dst.len <- src.len;
   dst.min_ack <- src.min_ack;
-  dst.serial <- src.serial;
-  Ints.copy_into ~src:src.book ~dst:dst.book;
-  dst.book_head <- src.book_head;
-  dst.book_len <- src.book_len;
   dst.last_ack <- src.last_ack;
   dst.last_coalesced <- src.last_coalesced;
   Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats

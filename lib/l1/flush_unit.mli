@@ -120,14 +120,14 @@ val queue_occupants : t -> int
     (0 when the queue has no buffering). *)
 
 val crash : t -> unit
-(** Power failure: drop every pending request and reset FSHR occupancy,
-    queue admissions and the queue book, so a subsequent run on the same
-    system starts from empty flush machinery. *)
+(** Power failure: drop every pending request and reset FSHR occupancy
+    and queue admissions, so a subsequent run on the same system starts
+    from empty flush machinery. *)
 
 val copy_into : src:t -> dst:t -> unit
 (** Make [dst]'s flush machinery equal to [src]'s, overwriting what [dst]
     held: FSHR occupancy, queue admissions, the pending table (its stale
-    rows included), the queue book, the parked results and the counters.
+    rows included), the parked results and the counters.
     Both units must come from the same parameters. *)
 
 val note_skip_drop : t -> unit

@@ -1,9 +1,8 @@
 module Dram = Skipit_mem.Dram
 open Skipit_tilelink
 
-let of_dram ?(name = "dram") ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0)
-    dram =
-  Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
+let of_dram ?(name = "dram") ~beats_per_line dram =
+  Port.Memside.create ~name ~beats_per_line (fun waits ->
     {
       Port.Memside.read_line =
         (fun ~addr ~now ~into ->

@@ -12,13 +12,9 @@
 val of_dram :
   ?name:string ->
   beats_per_line:int ->
-  ?max_inflight:int ->
-  ?burst_beat_cost:int ->
   Skipit_mem.Dram.t ->
   Skipit_tilelink.Port.Memside.t
 (** DRAM is the persistence domain itself: [write_line] = [persist_line],
     [persist_if_dirty] and [discard_line] are no-ops, nothing is volatile.
     Channel-queueing inside the DRAM controller is reported as the port's
-    stall/wait counters.  [max_inflight] / [burst_beat_cost] configure the
-    AXI-style outstanding-transaction/burst model of
-    {!Skipit_tilelink.Port.Memside.create} (defaults timing-neutral). *)
+    stall/wait counters. *)

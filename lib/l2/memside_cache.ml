@@ -181,8 +181,7 @@ let crash t =
   Store.invalidate_all t.store;
   Resource.Banked.reset t.banks
 
-let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_per_line
-    ?(max_inflight = 0) ?(burst_beat_cost = 0) () =
+let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_per_line () =
   let stats = Stats.Registry.create () in
   let h = Stats.Registry.handle stats in
   let store = Store.create geom in
@@ -213,7 +212,7 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
      queueing we report. *)
   t.port <-
     Some
-      (Port.Memside.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
+      (Port.Memside.create ~name ~beats_per_line (fun waits ->
          {
            Skipit_tilelink.Port.Memside.read_line =
              (fun ~addr ~now ~into ->

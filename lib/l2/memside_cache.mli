@@ -25,16 +25,13 @@ val create :
   bank_busy:int ->
   below:Skipit_tilelink.Port.Memside.t ->
   beats_per_line:int ->
-  ?max_inflight:int ->
-  ?burst_beat_cost:int ->
   unit ->
   t
 (** [below] is the next agent towards the persistence domain — usually
     {!Backend.of_dram} — reached through its own counted port, so the
     L3↔DRAM boundary is observable like every other.  [beats_per_line]
     sizes the beat counters of the upstream port this cache exposes via
-    {!backend}; [max_inflight] / [burst_beat_cost] configure that port's
-    AXI burst model (defaults timing-neutral). *)
+    {!backend}. *)
 
 val backend : t -> Skipit_tilelink.Port.Memside.t
 (** The upstream memside port handed to the L2 (one per cache, stable

@@ -9,9 +9,6 @@
 
 type t
 
-val word_bytes : int
-(** 8. *)
-
 val create : unit -> t
 
 val read_word : t -> int -> int

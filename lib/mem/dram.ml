@@ -64,11 +64,6 @@ let backing t = t.backing
 let reads t = t.reads
 let writes t = t.writes
 
-let reset_timing t =
-  Resource.reset t.channels;
-  t.reads <- 0;
-  t.writes <- 0
-
 let channels t = t.channels
 
 (* Power failure: contents survive (this IS the persistence domain), but

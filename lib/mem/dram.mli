@@ -50,9 +50,6 @@ val reads : t -> int
 val writes : t -> int
 (** Access counters for utilisation accounting. *)
 
-val reset_timing : t -> unit
-(** Clear channel occupancy and counters, keep contents. *)
-
 val channels : t -> Skipit_sim.Resource.t
 (** Channel occupancy tracker (audit/conservation checks). *)
 

@@ -21,8 +21,6 @@ type stage =
   | Other  (** residual cycles no hook claimed *)
 
 val all_stages : stage list
-val n_stages : int
-val stage_index : stage -> int
 val stage_name : stage -> string
 
 type frame

@@ -46,8 +46,6 @@ val sample : string -> at:int -> int -> unit
 
 (** {1 Deterministic views} *)
 
-val sorted_names : t -> string list
-
 val counter_series : t -> string -> (int * int) list
 (** Sorted [(window, count)] pairs for a counter. *)
 

@@ -90,7 +90,8 @@ let emit_counters buf counters =
         points)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) counters)
 
-let to_buffer ?(counters = []) buf trace =
+let to_string ?(counters = []) trace =
+  let buf = Buffer.create 65536 in
   let entries = entries trace in
   let tracks = List.sort_uniq String.compare (List.map (fun e -> e.track) entries) in
   let tid_of = Hashtbl.create 16 in
@@ -127,14 +128,8 @@ let to_buffer ?(counters = []) buf trace =
       end)
     entries;
   emit_counters buf counters;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"}\n"
-
-let to_string ?counters trace =
-  let buf = Buffer.create 65536 in
-  to_buffer ?counters buf trace;
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"}\n";
   Buffer.contents buf
-
-let write_channel ?counters oc trace = output_string oc (to_string ?counters trace)
 
 (* Ring wraparound means the export is silently missing the oldest events;
    say so on stderr instead of letting a truncated trace pass for a full
@@ -149,4 +144,4 @@ let warn_dropped trace =
 let write_file ?counters path trace =
   warn_dropped trace;
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel ?counters oc trace)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string ?counters trace))

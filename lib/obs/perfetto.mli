@@ -15,8 +15,6 @@ val tracks : Trace.t -> string list
     produces. *)
 
 val to_string : ?counters:(string * (int * int) list) list -> Trace.t -> string
-val to_buffer : ?counters:(string * (int * int) list) list -> Buffer.t -> Trace.t -> unit
-val write_channel : ?counters:(string * (int * int) list) list -> out_channel -> Trace.t -> unit
 
 val write_file : ?counters:(string * (int * int) list) list -> string -> Trace.t -> unit
 (** Also warns on stderr when the ring buffer wrapped during recording

@@ -113,11 +113,9 @@ type record = { at : int; ev : event }
 
 type t
 
-val default_capacity : int
-(** 65536 records. *)
-
 val create : ?capacity:int -> ?filter:string list -> ?reqs_only:bool -> unit -> t
-(** A detached buffer (not installed as the sink).  [filter] is a list of
+(** A detached buffer (not installed as the sink) of [capacity] records
+    (default 65536).  [filter] is a list of
     track prefixes to keep; empty keeps everything.  With [reqs_only],
     only {!req_start}/{!req_end} spans are recorded once installed:
     {!enabled} reports [false], so detail emission sites skip event

@@ -13,9 +13,6 @@
     (its CAS-based edge manipulation owns the word's spare bits), not a
     physical bit clash. *)
 
-val mark_bit : int
-val tag_bit : int
-
 val addr_of : int -> int
 (** Strip both bits. *)
 

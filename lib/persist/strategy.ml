@@ -145,12 +145,3 @@ let link_and_persist () =
        marks set for readers across the whole epoch. *)
     deferrable = false;
   }
-
-let all_persistent ~table_base ~table_slots () =
-  [
-    plain ();
-    flit_adjacent ();
-    flit_hash ~table_base ~table_slots;
-    link_and_persist ();
-    skipit_hw ();
-  ]

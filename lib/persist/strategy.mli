@@ -63,8 +63,3 @@ val link_and_persist : unit -> t
 val lap_mask : int
 (** The in-word mark bit used by {!link_and_persist} (bit 62) — exposed so
     recovery procedures and tests can strip it from persisted images. *)
-
-val all_persistent :
-  table_base:int -> table_slots:int -> unit -> t list
-(** [plain; flit_adjacent; flit_hash; link_and_persist; skipit_hw] — the five
-    compared series of Figs 14/15. *)

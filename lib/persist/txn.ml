@@ -96,7 +96,3 @@ let recover t =
     T.fence ();
     `Replayed count
   end
-
-let status_persisted t sys =
-  if Skipit_core.System.persisted_word sys (status_addr t) = committed_flag then `Committed
-  else `Idle

@@ -43,6 +43,3 @@ val execute_steps : t -> (txn -> unit) -> steps:int -> unit
 val recover : t -> [ `Replayed of int | `Nothing ]
 (** After a crash: if the persisted log is marked COMMITTED, replay its
     entries durably and retire it, returning the entry count. *)
-
-val status_persisted : t -> Skipit_core.System.t -> [ `Idle | `Committed ]
-(** Untimed view of the persisted commit flag (tests). *)

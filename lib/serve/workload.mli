@@ -36,9 +36,6 @@ val default : t
 val default_zipf_theta_milli : int
 (** 990 (θ = 0.99), the FliT evaluation standard. *)
 
-val max_zipf_range : int
-(** Largest [key_range] accepted for Zipf keys (CDF table bound). *)
-
 val keys_name : keys -> string
 val keys_of_name : string -> keys option
 (** ["uniform"], ["zipf"] (θ = 0.99), or ["zipf:THETA"] with [THETA] a

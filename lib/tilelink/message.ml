@@ -1,73 +1,1 @@
-type line_data = int array
-
 type wb_kind = Wb_clean | Wb_flush
-
-let pp_wb_kind ppf k =
-  Format.pp_print_string ppf (match k with Wb_clean -> "CLEAN" | Wb_flush -> "FLUSH")
-
-type chan_a = Acquire_block of { addr : int; grow : Perm.grow }
-type chan_b = Probe of { addr : int; cap : Perm.t }
-
-type chan_c =
-  | Probe_ack of { addr : int; shrink : Perm.shrink }
-  | Probe_ack_data of { addr : int; shrink : Perm.shrink; data : line_data }
-  | Release of { addr : int; shrink : Perm.shrink }
-  | Release_data of { addr : int; shrink : Perm.shrink; data : line_data }
-  | Root_release of { addr : int; kind : wb_kind; data : line_data option }
-  | Root_inval of { addr : int }
-
-type chan_d =
-  | Grant_data of { addr : int; perm : Perm.t; dirty : bool; data : line_data }
-  | Release_ack of { addr : int }
-  | Root_release_ack of { addr : int }
-
-type chan_e = Grant_ack of { addr : int }
-
-let beats ~bus_bytes ~line_bytes ~has_data =
-  if has_data then begin
-    assert (bus_bytes > 0 && line_bytes mod bus_bytes = 0);
-    line_bytes / bus_bytes
-  end
-  else 1
-
-let chan_c_addr = function
-  | Probe_ack { addr; _ }
-  | Probe_ack_data { addr; _ }
-  | Release { addr; _ }
-  | Release_data { addr; _ }
-  | Root_release { addr; _ } -> addr
-  | Root_inval { addr } -> addr
-
-let chan_c_has_data = function
-  | Probe_ack _ | Release _ -> false
-  | Probe_ack_data _ | Release_data _ -> true
-  | Root_release { data; _ } -> Option.is_some data
-  | Root_inval _ -> false
-
-let pp_chan_a ppf (Acquire_block { addr; grow }) =
-  Format.fprintf ppf "Acquire(%#x, %a)" addr Perm.pp_grow grow
-
-let pp_chan_b ppf (Probe { addr; cap }) =
-  Format.fprintf ppf "Probe(%#x, cap=%a)" addr Perm.pp cap
-
-let pp_chan_c ppf = function
-  | Probe_ack { addr; shrink } ->
-    Format.fprintf ppf "ProbeAck(%#x, %a)" addr Perm.pp_shrink shrink
-  | Probe_ack_data { addr; shrink; _ } ->
-    Format.fprintf ppf "ProbeAckData(%#x, %a)" addr Perm.pp_shrink shrink
-  | Release { addr; shrink } ->
-    Format.fprintf ppf "Release(%#x, %a)" addr Perm.pp_shrink shrink
-  | Release_data { addr; shrink; _ } ->
-    Format.fprintf ppf "ReleaseData(%#x, %a)" addr Perm.pp_shrink shrink
-  | Root_release { addr; kind; data } ->
-    Format.fprintf ppf "RootRelease%a(%#x%s)" pp_wb_kind kind addr
-      (if Option.is_some data then ", +data" else "")
-  | Root_inval { addr } -> Format.fprintf ppf "RootInval(%#x)" addr
-
-let pp_chan_d ppf = function
-  | Grant_data { addr; perm; dirty; _ } ->
-    Format.fprintf ppf "GrantData%s(%#x, %a)" (if dirty then "Dirty" else "") addr Perm.pp perm
-  | Release_ack { addr } -> Format.fprintf ppf "ReleaseAck(%#x)" addr
-  | Root_release_ack { addr } -> Format.fprintf ppf "RootReleaseAck(%#x)" addr
-
-let pp_chan_e ppf (Grant_ack { addr }) = Format.fprintf ppf "GrantAck(%#x)" addr

@@ -1,69 +1,12 @@
-(** TileLink-C message vocabulary, including the paper's extensions (§5.1, §6).
+(** The RootRelease parameter of the paper's TileLink-C extension (§5.1).
 
-    The five channels of an agent-to-agent link carry:
-
-    - {b A} (client→manager): [Acquire_block] — request a copy / an upgrade;
-    - {b B} (manager→client): [Probe] — demand a downgrade;
-    - {b C} (client→manager): [Probe_ack]/[Probe_ack_data], [Release]/
-      [Release_data], and the paper's new [Root_release] (encoded on real
-      hardware as a ProbeAck with param FLUSH/CLEAN to avoid widening the
-      opcode bitvector);
-    - {b D} (manager→client): [Grant_data] (with the paper's dirty variant
-      {e GrantDataDirty}, §6), [Release_ack], and the new [Root_release_ack]
-      (encoded as ReleaseAck with param ROOT);
-    - {b E} (client→manager): [Grant_ack].
-
-    This module is purely the message vocabulary plus the beat-cost model;
-    routing is performed by the caches. *)
-
-type line_data = int array
-(** The payload of one cache line, as [words_per_line] 64-bit words. *)
+    A CBO.X reaches the L2 as a RootRelease on channel C, encoded on real
+    hardware as a ProbeAck with param FLUSH or CLEAN (so the opcode
+    bitvector does not widen), and is answered by a RootReleaseAck on
+    channel D.  The hierarchy models the channels as {!Port}'s typed
+    operations and traces them as [Trace.Msg_*] events; line beats come
+    from [Params.data_beats].  This module names which writeback the
+    RootRelease performs. *)
 
 (** Which writeback instruction a RootRelease performs. *)
 type wb_kind = Wb_clean | Wb_flush
-
-val pp_wb_kind : Format.formatter -> wb_kind -> unit
-
-(** Channel A. *)
-type chan_a = Acquire_block of { addr : int; grow : Perm.grow }
-
-(** Channel B. *)
-type chan_b = Probe of { addr : int; cap : Perm.t }
-
-(** Channel C. *)
-type chan_c =
-  | Probe_ack of { addr : int; shrink : Perm.shrink }
-  | Probe_ack_data of { addr : int; shrink : Perm.shrink; data : line_data }
-  | Release of { addr : int; shrink : Perm.shrink }
-  | Release_data of { addr : int; shrink : Perm.shrink; data : line_data }
-  | Root_release of { addr : int; kind : wb_kind; data : line_data option }
-  | Root_inval of { addr : int }
-      (** CBO.INVAL support (CMO spec): demand that every cached copy of the
-          line be discarded {e without} writeback.  Encoded like
-          [Root_release] as a ProbeAck with an INVAL parameter. *)
-
-(** Channel D. *)
-type chan_d =
-  | Grant_data of { addr : int; perm : Perm.t; dirty : bool; data : line_data }
-      (** [dirty = true] is the paper's {e GrantDataDirty}: the granted block
-          is not persisted, so the receiving L1 must clear its skip bit. *)
-  | Release_ack of { addr : int }
-  | Root_release_ack of { addr : int }
-
-(** Channel E. *)
-type chan_e = Grant_ack of { addr : int }
-
-val beats : bus_bytes:int -> line_bytes:int -> has_data:bool -> int
-(** Cycles needed to transfer a message over a link whose data bus is
-    [bus_bytes] wide: data-bearing messages take [line_bytes / bus_bytes]
-    beats (4 for the SonicBOOM's 16 B bus and 64 B lines, §5.2 state
-    {e root_release_data}), header-only messages take 1. *)
-
-val chan_c_addr : chan_c -> int
-val chan_c_has_data : chan_c -> bool
-
-val pp_chan_a : Format.formatter -> chan_a -> unit
-val pp_chan_b : Format.formatter -> chan_b -> unit
-val pp_chan_c : Format.formatter -> chan_c -> unit
-val pp_chan_d : Format.formatter -> chan_d -> unit
-val pp_chan_e : Format.formatter -> chan_e -> unit

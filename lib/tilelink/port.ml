@@ -231,8 +231,6 @@ module Memside = struct
   type t = {
     name : string;
     beats_per_line : int;
-    burst_cost : int;  (* extra cycles per line transfer, beats × beat cost *)
-    txn : Resource.t option;  (* outstanding-transaction IDs, None = unlimited *)
     stats : Stats.Registry.t;
     ops : ops;
     reads : Stats.Registry.handle;
@@ -241,23 +239,14 @@ module Memside = struct
     write_beats : Stats.Registry.handle;
     persists : Stats.Registry.handle;
     persist_checks : Stats.Registry.handle;
-    txn_stalls : Stats.Registry.handle;
-    txn_wait_cycles : Stats.Registry.handle;
   }
 
-  let create ~name ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0) mk =
+  let create ~name ~beats_per_line mk =
     let stats = Stats.Registry.create () in
     let h = Stats.Registry.handle stats in
-    let txn =
-      if max_inflight > 0 then
-        Some (Resource.create ~count:max_inflight (name ^ "-txn"))
-      else None
-    in
     {
       name;
       beats_per_line;
-      burst_cost = beats_per_line * burst_beat_cost;
-      txn;
       stats;
       ops = mk { stalls = h "stalls"; wait_cycles = h "wait_cycles" };
       reads = h "reads";
@@ -266,8 +255,6 @@ module Memside = struct
       write_beats = h "write_beats";
       persists = h "persists";
       persist_checks = h "persist_checks";
-      txn_stalls = h "txn_stalls";
-      txn_wait_cycles = h "txn_wait_cycles";
     }
 
   let name t = t.name
@@ -279,65 +266,26 @@ module Memside = struct
       Stats.Registry.bump_by w.wait_cycles cycles
     end
 
-  let note_txn_wait t ~now ~start =
-    if start > now then begin
-      Stats.Registry.bump t.txn_stalls;
-      Stats.Registry.bump_by t.txn_wait_cycles (start - now)
-    end
-
   let[@inline] trace_op t ~op ~addr ~now =
     if Trace.enabled () then Trace.emit ~at:now (Trace.Mem { name = t.name; op; addr })
-
-  (* AXI-style transaction bracket for the line-moving operations: a burst
-     holds one outstanding-transaction ID from issue to completion (a full
-     ID table delays issue — txn_stalls/txn_wait_cycles), and its data
-     beats add [burst_cost] cycles to the completion time.  Without an ID
-     table the callers skip the bracket: with the defaults (unlimited IDs,
-     free beats) it is the identity.  The ID is picked before the agent
-     runs at [burst_start] and held to [burst_end]'s finish. *)
-  let burst_start txn ~now = Int.max now (Resource.earliest_free txn)
-
-  let burst_end t txn ~idx ~now ~start ~at =
-    let finish = Int.max start (at + t.burst_cost) in
-    Resource.hold txn ~idx ~start ~finish;
-    note_txn_wait t ~now ~start;
-    finish
 
   let read_line t ~addr ~now ~into =
     Stats.Registry.bump t.reads;
     Stats.Registry.bump_by t.read_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_read ~addr ~now;
-    match t.txn with
-    | None ->
-      let r = t.ops.read_line ~addr ~now ~into in
-      Reply.v ~at:(Reply.at r + t.burst_cost) ~flag:(Reply.flag r)
-    | Some txn ->
-      let idx = Resource.min_index txn in
-      let start = burst_start txn ~now in
-      let r = t.ops.read_line ~addr ~now:start ~into in
-      Reply.v ~at:(burst_end t txn ~idx ~now ~start ~at:(Reply.at r)) ~flag:(Reply.flag r)
+    t.ops.read_line ~addr ~now ~into
 
   let write_line t ~addr ~data ~now =
     Stats.Registry.bump t.writes;
     Stats.Registry.bump_by t.write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_write ~addr ~now;
-    match t.txn with
-    | None -> t.ops.write_line ~addr ~data ~now + t.burst_cost
-    | Some txn ->
-      let idx = Resource.min_index txn in
-      let start = burst_start txn ~now in
-      burst_end t txn ~idx ~now ~start ~at:(t.ops.write_line ~addr ~data ~now:start)
+    t.ops.write_line ~addr ~data ~now
 
   let persist_line t ~addr ~data ~now =
     Stats.Registry.bump t.persists;
     Stats.Registry.bump_by t.write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_persist ~addr ~now;
-    match t.txn with
-    | None -> t.ops.persist_line ~addr ~data ~now + t.burst_cost
-    | Some txn ->
-      let idx = Resource.min_index txn in
-      let start = burst_start txn ~now in
-      burst_end t txn ~idx ~now ~start ~at:(t.ops.persist_line ~addr ~data ~now:start)
+    t.ops.persist_line ~addr ~data ~now
 
   let persist_if_dirty t ~addr ~now =
     Stats.Registry.bump t.persist_checks;
@@ -346,14 +294,6 @@ module Memside = struct
   let discard_line t ~addr = t.ops.discard_line ~addr
   let peek_word t addr = t.ops.peek_word addr
 
-  let crash t =
-    (match t.txn with Some r -> Resource.reset r | None -> ());
-    t.ops.crash ()
-
-  let copy_into ~src ~dst =
-    (match src.txn, dst.txn with
-     | Some a, Some b -> Resource.copy_into ~src:a ~dst:b
-     | None, None -> ()
-     | (Some _ | None), _ -> invalid_arg "Port.Memside.copy_into: transaction tables differ");
-    Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats
+  let crash t = t.ops.crash ()
+  let copy_into ~src ~dst = Stats.Registry.copy_into ~src:src.stats ~dst:dst.stats
 end

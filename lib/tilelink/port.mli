@@ -190,23 +190,9 @@ module Memside : sig
   type waits
   (** The port's [stalls]/[wait_cycles] counters, handed to the agent. *)
 
-  val create :
-    name:string ->
-    beats_per_line:int ->
-    ?max_inflight:int ->
-    ?burst_beat_cost:int ->
-    (waits -> ops) ->
-    t
+  val create : name:string -> beats_per_line:int -> (waits -> ops) -> t
   (** The agent's [ops] are built against the port's own wait counters so
-      the agent can report queueing with {!note_wait}.
-
-      [max_inflight] (default 0 = unlimited) caps outstanding line
-      transactions AXI-style: a burst holds one transaction ID from issue
-      to completion, and a full ID table delays issue — recorded as
-      [txn_stalls] / [txn_wait_cycles].  [burst_beat_cost] (default 0 =
-      free) adds [beats_per_line × cost] cycles to every line burst's
-      completion.  Both apply to [read_line] / [write_line] /
-      [persist_line]; the defaults are timing-neutral. *)
+      the agent can report queueing with {!note_wait}. *)
 
   val name : t -> string
   val stats : t -> Skipit_sim.Stats.Registry.t
@@ -224,6 +210,6 @@ module Memside : sig
   val crash : t -> unit
 
   val copy_into : src:t -> dst:t -> unit
-  (** Make [dst]'s transaction-ID occupancy and counters equal to [src]'s;
-      the agent behind the port is copied by its owner. *)
+  (** Make [dst]'s counters equal to [src]'s; the agent behind the port is
+      copied by its owner. *)
 end

@@ -60,6 +60,7 @@ let skip_decomposition ?pool () =
   let ys = Pool.map pool (fun (_, params) -> redundant_cycles params) configs in
   List.map2 (fun (label, _) y -> Series.v label [ 4096., y ]) configs ys
 
+(* Flush sweep with the widened vs narrow L1 data array. *)
 let data_array_width ?pool () =
   let widths = [ "wide-1cycle", true; "narrow-8cycle", false ] in
   let lines_list = [ 1; 64; 512 ] in

@@ -27,16 +27,9 @@ val skip_decomposition : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
 (** Redundant-writeback latency (Fig. 13 workload, 4 KiB) for the three
     configurations. *)
 
-val data_array_width : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
-(** Flush sweep with the widened vs narrow L1 data array. *)
-
 val coalescing : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
 (** The Fig. 13 naive workload with flush-queue coalescing on vs off — with
     it on, the backed-up queue merges most redundant requests itself. *)
-
-val hierarchy_depth : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
-(** §7.4's closing hypothesis: single-flush latency and the Fig. 13
-    redundant-writeback workload with and without a memory-side L3. *)
 
 val contention : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
 (** Contended (same region) vs disjoint per-thread writebacks at 4 KiB. *)

@@ -11,18 +11,9 @@
     order, so the printed output is byte-identical at any pool width.
 
     [params] overrides the simulated platform (core count, [l2_banks],
-    topology, burst model, ...); figures that sweep thread counts (Fig 9)
+    topology, L3, ...); figures that sweep thread counts (Fig 9)
     extend the sweep in powers of two up to [n_cores].  The data-structure
     figures (14-16) run on their own fixed platforms and ignore it. *)
-
-val scalar_7_2 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** §7.2 headline numbers: single-line CBO.X median/σ and the full-32 KiB
-    flush, 1 thread. *)
 
 val fig9 :
   ?quick:bool ->
@@ -31,31 +22,6 @@ val fig9 :
   Format.formatter ->
   unit
 (** CBO.X latency vs writeback size for 1/2/4/8 threads. *)
-
-val fig10 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Write – writeback ×10 – fence – read: CBO.CLEAN vs CBO.FLUSH, 1 and 8
-    threads. *)
-
-val fig11 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Cross-architecture writeback latency, 1 thread. *)
-
-val fig12 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Cross-architecture writeback latency, 8 threads. *)
 
 val fig13 :
   ?quick:bool ->
@@ -82,14 +48,6 @@ val fig15 :
   unit
 (** Throughput vs update percentage. *)
 
-val fig16 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** BST (10 k keys) sensitivity to the FliT hash-table size. *)
-
 val all :
   ?quick:bool ->
   ?pool:Skipit_par.Pool.t ->
@@ -105,6 +63,11 @@ val by_name :
   Format.formatter ->
   unit)
   option
-(** Lookup "fig9" … "fig16", "scalar", "all". *)
+(** Lookup by {!names}: "scalar" (§7.2 headline numbers: single-line CBO.X
+    median/σ and the full-32 KiB flush, 1 thread), "fig9" … "fig16" (Fig. 10:
+    write – writeback ×10 – fence – read, CBO.CLEAN vs CBO.FLUSH, 1 and 8
+    threads; Figs 11/12: cross-architecture writeback latency at 1 and 8
+    threads; Fig. 16: BST (10 k keys) sensitivity to the FliT hash-table
+    size), "all". *)
 
 val names : string list

@@ -14,9 +14,10 @@ let line_bytes = 64
 let wb kind addr =
   match kind with Message.Wb_clean -> T.clean addr | Message.Wb_flush -> T.flush addr
 
-(* Carve a [size]-byte region into per-thread shares of whole lines.  With
-   fewer lines than threads, only the first [lines] threads work. *)
-let shares ~size ~threads =
+(* Carve a [size]-byte region into per-thread shares of whole lines, as
+   [(first line, line count)] per task.  With fewer lines than threads,
+   only the first [lines] threads work. *)
+let shares ~threads ~size =
   let lines = size / line_bytes in
   let per = max 1 (lines / threads) in
   List.init threads (fun i ->
@@ -25,10 +26,14 @@ let shares ~size ~threads =
     first, max 0 count)
   |> List.filter (fun (_, count) -> count > 0)
 
-(* Run one measured configuration: [setup] then [measure] per thread; the
+(* The contended split: every thread gets the whole region. *)
+let whole ~threads ~size = List.init threads (fun _ -> 0, size / line_bytes)
+
+(* Run one measured configuration: task [core] gets the [core]th of
+   [regions ~threads ~size] and runs [setup], a fence, then [measure]; the
    reported elapsed time is (latest measure end) − (earliest measure
    start). *)
-let run_once params ~threads ~size ~offset ~setup ~measure =
+let run_once params ~threads ~size ~offset ~regions ~setup ~measure =
   let params = Params.with_cores params threads in
   let sys = S.create params in
   let base =
@@ -37,14 +42,14 @@ let run_once params ~threads ~size ~offset ~setup ~measure =
   let starts = Array.make threads max_int in
   let ends = Array.make threads 0 in
   let tasks =
-    shares ~size ~threads
+    regions ~threads ~size
     |> List.mapi (fun core (first, count) ->
          {
            T.core;
            body =
              (fun () ->
                let lo = base + (first * line_bytes) in
-               setup ~lo ~count;
+               setup ~core ~lo ~count;
                T.fence ();
                starts.(core) <- T.now ();
                measure ~lo ~count;
@@ -60,6 +65,15 @@ let dirty_lines ~lo ~count =
   for i = 0 to count - 1 do
     T.store (lo + (i * line_bytes)) (i + 1)
   done
+
+let no_setup ~core:_ ~lo:_ ~count:_ = ()
+
+(* Write back every line once, then fence. *)
+let write_back kind ~lo ~count =
+  for i = 0 to count - 1 do
+    wb kind (lo + (i * line_bytes))
+  done;
+  T.fence ()
 
 (* Shift the region by a different line offset each repetition so set
    mapping varies, mimicking the paper's run-to-run variance. *)
@@ -109,15 +123,15 @@ let run_prepared ?pool preps =
 (* One job per sweep point; the median over repetitions runs inside the
    job (repetitions of one point share nothing either, but the point is
    the natural unit the tables are built from). *)
-let prep_sweep ?(params = Params.boom_default) ~label ~threads ~sizes ~repeats ~setup
-    ~measure () =
+let prep_sweep ?(params = Params.boom_default) ~regions ~label ~threads ~sizes ~repeats
+    ~setup ~measure () =
   {
     jobs =
       List.map
         (fun size () ->
           let sample =
             median_over ~repeats (fun ~offset ->
-              run_once params ~threads ~size ~offset ~setup ~measure)
+              run_once params ~threads ~size ~offset ~regions ~setup ~measure)
           in
           Sample.median sample)
         sizes;
@@ -132,13 +146,9 @@ let prep_single_line ?(params = Params.boom_default) ~kind ~repeats () =
     jobs =
       List.init repeats (fun r () ->
         float_of_int
-          (run_once params ~threads:1 ~size:line_bytes ~offset:(rep_offset r)
-             ~setup:dirty_lines
-             ~measure:(fun ~lo ~count ->
-               for i = 0 to count - 1 do
-                 wb kind (lo + (i * line_bytes))
-               done;
-               T.fence ())));
+          (run_once params ~threads:1 ~size:line_bytes ~offset:(rep_offset r) ~regions:shares
+             ~setup:(fun ~core:_ -> dirty_lines)
+             ~measure:(write_back kind)));
     reduce =
       (fun ys ->
         let sample = Sample.create () in
@@ -147,21 +157,16 @@ let prep_single_line ?(params = Params.boom_default) ~kind ~repeats () =
   }
 
 let prep_writeback_sweep ?params ~kind ~threads ~sizes ~repeats () =
-  prep_sweep ?params
+  prep_sweep ?params ~regions:shares
     ~label:(Printf.sprintf "cbo.%s/%dT" (match kind with Message.Wb_clean -> "clean" | Message.Wb_flush -> "flush") threads)
-    ~threads ~sizes ~repeats ~setup:dirty_lines
-    ~measure:(fun ~lo ~count ->
-      for i = 0 to count - 1 do
-        wb kind (lo + (i * line_bytes))
-      done;
-      T.fence ())
-    ()
+    ~threads ~sizes ~repeats
+    ~setup:(fun ~core:_ -> dirty_lines)
+    ~measure:(write_back kind) ()
 
 let prep_write_wb_read ?params ~kind ~threads ~sizes ~repeats () =
-  prep_sweep ?params
+  prep_sweep ?params ~regions:shares
     ~label:(Printf.sprintf "%s/%dT" (match kind with Message.Wb_clean -> "clean" | Message.Wb_flush -> "flush") threads)
-    ~threads ~sizes ~repeats
-    ~setup:(fun ~lo:_ ~count:_ -> ())
+    ~threads ~sizes ~repeats ~setup:no_setup
     ~measure:(fun ~lo ~count ->
       dirty_lines ~lo ~count;
       for _pass = 1 to 10 do
@@ -175,60 +180,20 @@ let prep_write_wb_read ?params ~kind ~threads ~sizes ~repeats () =
       done)
     ()
 
-(* All threads write back the same region (contended). *)
-let contended_once params ~kind ~threads ~size ~offset =
-  let params = Params.with_cores params threads in
-  let sys = S.create params in
-  let base =
-    Skipit_mem.Allocator.alloc (S.allocator sys) ~align:line_bytes (size + offset)
-    + offset
-  in
-  let lines = size / line_bytes in
-  let starts = Array.make threads max_int in
-  let ends = Array.make threads 0 in
-  let task core =
-    {
-      T.core;
-      body =
-        (fun () ->
-          if core = 0 then dirty_lines ~lo:base ~count:lines;
-          T.fence ();
-          starts.(core) <- T.now ();
-          for i = 0 to lines - 1 do
-            wb kind (base + (i * line_bytes))
-          done;
-          T.fence ();
-          ends.(core) <- T.now ());
-    }
-  in
-  ignore (T.run sys (List.init threads task));
-  Array.fold_left max 0 ends - Array.fold_left min max_int starts
-
-let prep_contended_sweep ?(params = Params.boom_default) ~kind ~threads ~sizes ~repeats () =
-  {
-    jobs =
-      List.map
-        (fun size () ->
-          let sample =
-            median_over ~repeats (fun ~offset ->
-              contended_once params ~kind ~threads ~size ~offset)
-          in
-          Sample.median sample)
-        sizes;
-    reduce =
-      (fun ys ->
-        Series.v
-          (Printf.sprintf "contended/%dT" threads)
-          (List.map2 (fun s y -> float_of_int s, y) sizes ys));
-  }
+(* All threads write back the same region (contended); core 0 dirties it. *)
+let prep_contended_sweep ?params ~kind ~threads ~sizes ~repeats () =
+  prep_sweep ?params ~regions:whole
+    ~label:(Printf.sprintf "contended/%dT" threads)
+    ~threads ~sizes ~repeats
+    ~setup:(fun ~core ~lo ~count -> if core = 0 then dirty_lines ~lo ~count)
+    ~measure:(write_back kind) ()
 
 let prep_redundant ?(params = Params.boom_default) ~kind ~skip_it ~threads ~redundant
     ~sizes ~repeats () =
   let params = Params.with_skip_it params skip_it in
-  prep_sweep ~params
+  prep_sweep ~params ~regions:shares
     ~label:(Printf.sprintf "%s/%dT" (if skip_it then "skip-it" else "naive") threads)
-    ~threads ~sizes ~repeats
-    ~setup:(fun ~lo:_ ~count:_ -> ())
+    ~threads ~sizes ~repeats ~setup:no_setup
     ~measure:(fun ~lo ~count ->
       (* The paper's exact per-line burst: a store, one writeback, then the
          redundant writebacks back-to-back to the same line.  Early

@@ -1,7 +1,8 @@
 (* The flush unit as it was before its pending table: live pendings in an
    intrusive doubly-linked list of records, and a [Stdlib.Queue] "book"
    mirroring the queued entries.  Kept verbatim (apart from this header,
-   the inlined queue module and a [Fshr_fsm] alias) as the differential
+   the inlined queue module, a [Fshr_fsm] alias, and [enqueue] tracing and
+   counting every entry it is given, full book or not) as the differential
    oracle of [test_flush_unit]: on the same sequence of submissions, queries,
    crashes and copies, the live unit must answer, trace and count what
    this one does. *)
@@ -37,14 +38,14 @@ module Flush_queue = struct
     | Message.Wb_flush -> Trace.Flush
 
   let enqueue t entry =
+    if Trace.enabled () then
+      Trace.emit ~at:entry.enq_at
+        (Trace.Flushq
+           { name = t.name; op = Trace.Q_enqueue; addr = entry.addr; kind = trace_kind entry.kind });
+    if Metrics.enabled () then Metrics.count (t.name ^ ".enqueues") ~at:entry.enq_at;
     if is_full t then false
     else begin
       Queue.add entry t.q;
-      if Trace.enabled () then
-        Trace.emit ~at:entry.enq_at
-          (Trace.Flushq
-             { name = t.name; op = Trace.Q_enqueue; addr = entry.addr; kind = trace_kind entry.kind });
-      if Metrics.enabled () then Metrics.count (t.name ^ ".enqueues") ~at:entry.enq_at;
       true
     end
 

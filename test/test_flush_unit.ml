@@ -202,6 +202,13 @@ let test_probe_interlock () =
   in
   let t = FU.block_until fu ~addr:0x40 ~now:(p.FU.alloc_at + 1) in
   Alcotest.(check int) "probe waits for release" p.FU.release_at t;
+  (* The same-cycle race: a probe or eviction arriving in the FSHR's
+     allocation cycle loses to the in-flight FSHR and waits for its
+     release. *)
+  Alcotest.(check int) "same-cycle probe: the FSHR wins" p.FU.release_at
+    (FU.block_until fu ~addr:0x40 ~now:p.FU.alloc_at);
+  Alcotest.(check int) "at the release they flow" p.FU.release_at
+    (FU.block_until fu ~addr:0x40 ~now:p.FU.release_at);
   let t2 = FU.block_until fu ~addr:0x40 ~now:(p.FU.release_at + 1) in
   Alcotest.(check int) "after release probes flow" (p.FU.release_at + 1) t2;
   let t3 = FU.block_until fu ~addr:0x40 ~now:(p.FU.alloc_at + 1) in

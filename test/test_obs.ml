@@ -84,20 +84,33 @@ let run_traced ?(skip_it = true) name =
     let (cycles, _), tr = Trace.with_trace (fun () -> TP.run sys program) in
     cycles, tr
 
+let queue_events tr op =
+  let n = ref 0 in
+  Trace.iter tr (fun r ->
+    match r.Trace.ev with Trace.Flushq { op = o; _ } when o = op -> incr n | _ -> ());
+  !n
+
 (* The golden cycle counts must hold with tracing ENABLED: recording events
-   may not perturb simulated time. *)
+   may not perturb simulated time.  Every request the flush queue dequeues
+   was enqueued, so the trace has as many enqueue events as dequeues. *)
 let test_golden_cycles_traced () =
   List.iter
     (fun (name, golden) ->
       List.iter
         (fun skip_it ->
           let cycles, tr = run_traced ~skip_it name in
-          Alcotest.(check int)
-            (Printf.sprintf "%s skip_it=%b (traced)" name skip_it)
-            golden cycles;
-          Alcotest.(check bool) (name ^ " produced events") true (Trace.length tr > 0))
+          let what = Printf.sprintf "%s skip_it=%b (traced)" name skip_it in
+          Alcotest.(check int) what golden cycles;
+          Alcotest.(check bool) (name ^ " produced events") true (Trace.length tr > 0);
+          Alcotest.(check int) (what ^ ": enqueues = dequeues")
+            (queue_events tr Trace.Q_dequeue) (queue_events tr Trace.Q_enqueue))
         [ false; true ])
-    [ "producer_consumer", 915; "redundant_flush", 1120; "fig5_semantics", 127 ]
+    [
+      "producer_consumer", 915;
+      "redundant_flush", 1120;
+      "fig5_semantics", 127;
+      "store_double_flush_8t", 305;
+    ]
 
 (* Aggregate event counts by top-level component.  The fixed program is
    deterministic, so this fingerprint only moves when emission points are
