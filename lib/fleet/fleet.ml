@@ -277,7 +277,7 @@ type member = {
   m_req : int;
   mutable m_waits : int;
   mutable m_committed : int;
-  mutable m_ack : int;  (* max commit finish over replicas: the linearization stamp *)
+  mutable m_ack : int;  (* max commit finish over replicas: the client ack *)
 }
 
 type shard = {
@@ -308,12 +308,10 @@ type status = Pending | Served | Shed
 type req_state = {
   idx : int;
   mutable status : status;
-  mutable ack : int;
-  mutable lin : int;  (* last replica commit time: the model-order stamp *)
+  mutable stamp : int;  (* when a write last executed on its replicas: the oracle's order *)
   mutable svc_start : int;
   mutable attempts : int;
   mutable touched : bool;
-  mutable is_partial : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -323,6 +321,27 @@ let cycles sys f =
   let c0 = S.max_clock sys in
   T.run_task sys f;
   S.max_clock sys - c0
+
+(* Simulated cycles one recovery step (a shard's repair, or the replay of
+   its hint log) may take.  At the default key range a step takes under
+   10^5 cycles; a structure left inconsistent by a crash can send a
+   traversal round a loop that never ends, which past this bound ends the
+   run with a [fleet-hang] violation instead. *)
+let recovery_bound = 10_000_000
+
+exception Hung of string
+
+(* [cycles] under [recovery_bound]; [doing] names the operation in
+   progress for the violation. *)
+let bounded s ~doing f =
+  let c0 = S.max_clock s.sys in
+  let stop () = S.max_clock s.sys - c0 > recovery_bound in
+  match T.run_until s.sys ~stop [ { T.core = 0; body = f } ] with
+  | `Completed c -> c - c0
+  | `Stopped _ ->
+    raise
+      (Hung
+         (Printf.sprintf "shard %d: %s ran past %d cycles" s.sid !doing recovery_bound))
 
 let realize_faults cfg ~rate =
   let fs =
@@ -398,8 +417,7 @@ let run cfg ~rate =
   let n = Array.length sched in
   let reqs =
     Array.init n (fun idx ->
-      { idx; status = Pending; ack = 0; lin = 0; svc_start = -1; attempts = 0;
-        touched = false; is_partial = false })
+      { idx; status = Pending; stamp = 0; svc_start = -1; attempts = 0; touched = false })
   in
   (* Which reads fan out into multi-gets: drawn once, in schedule order, so
      a retry sees the same classification. *)
@@ -422,6 +440,7 @@ let run cfg ~rate =
   let failovers = ref 0 and crashes = ref 0 and repairs = ref 0 in
   let recovery_cycles = ref 0 and retries = ref 0 and hints_total = ref 0 in
   let checkpoints = ref 0 in
+  let executions = ref 0 in
   let dispatching = ref 0 in
   let t_end = ref 0 in
   let violations = ref [] in
@@ -473,10 +492,8 @@ let run cfg ~rate =
     s.busy_cycles <- s.busy_cycles + d;
     d
   in
-  let resolve_served r ~ack ~lin ~key =
+  let resolve_served r ~ack ~key =
     r.status <- Served;
-    r.ack <- ack;
-    r.lin <- lin;
     incr served;
     bump_end ack;
     let arrival = sched.(r.idx).Arrival.arrival in
@@ -487,7 +504,6 @@ let run cfg ~rate =
   in
   let resolve_shed r ~at =
     r.status <- Shed;
-    r.ack <- at;
     incr shed;
     bump_end at
   in
@@ -496,7 +512,7 @@ let run cfg ~rate =
     if r.status = Pending then begin
       let key = sched.(m.m_req).Arrival.key in
       if m.m_committed > 0 then
-        resolve_served r ~ack:m.m_ack ~lin:m.m_ack ~key
+        resolve_served r ~ack:m.m_ack ~key
       else
         (* Waits reach 0 without a commit only through a crash, which
            resolves the request itself. *)
@@ -578,8 +594,7 @@ let run cfg ~rate =
             if m.m_committed > 0 then
               (* durable on other replicas; the client ack rides the
                  replication timeout instead of the dead shard's commit *)
-              resolve_served r ~ack:(max m.m_ack (f.at + cfg.timeout)) ~lin:m.m_ack
-                ~key:req.Arrival.key
+              resolve_served r ~ack:(max m.m_ack (f.at + cfg.timeout)) ~key:req.Arrival.key
             else retry_or_shed r ~at:(f.at + cfg.timeout)
         end)
       lost;
@@ -592,7 +607,7 @@ let run cfg ~rate =
     incr repairs;
     shard_violations s;
     let d =
-      cycles s.sys (fun () ->
+      bounded s ~doing:(ref "repair") (fun () ->
         ignore (s.h.Ops.repair (Batcher.pctx s.b) : int);
         Batcher.commit s.b)
     in
@@ -609,10 +624,16 @@ let run cfg ~rate =
   let readmit_shard s ~at =
     if not (Queue.is_empty s.hints) then begin
       let count = Queue.length s.hints in
+      let doing = ref "" in
       let d =
-        cycles s.sys (fun () ->
+        bounded s ~doing (fun () ->
           let pctx = Batcher.pctx s.b in
-          Queue.iter (fun (op, key) -> Shard.apply pctx s.h op key) s.hints;
+          Queue.iter
+            (fun (op, key) ->
+              doing := Printf.sprintf "replaying hint %s %d" (Arrival.op_name op) key;
+              Shard.apply pctx s.h op key)
+            s.hints;
+          doing := "committing the replayed hints";
           Batcher.commit s.b)
       in
       Queue.clear s.hints;
@@ -702,6 +723,8 @@ let run cfg ~rate =
       else begin
         if s0.sid <> primary key then incr failovers;
         r.touched <- true;
+        r.stamp <- !executions;
+        incr executions;
         let m = { m_req = r.idx; m_waits = List.length live; m_committed = 0; m_ack = 0 } in
         List.iter
           (fun s ->
@@ -719,7 +742,7 @@ let run cfg ~rate =
   let dispatch_read r ~at =
     let key = sched.(r.idx).Arrival.key in
     match read_key r key ~at with
-    | `Served fin -> resolve_served r ~ack:fin ~lin:fin ~key
+    | `Served fin -> resolve_served r ~ack:fin ~key
     | `Full t_eff -> resolve_shed r ~at:t_eff
     | `Down t_eff -> retry_or_shed r ~at:t_eff
   in
@@ -739,11 +762,8 @@ let run cfg ~rate =
     done;
     if !best_ack < 0 then resolve_shed r ~at
     else begin
-      if !missing > 0 then begin
-        r.is_partial <- true;
-        incr partial
-      end;
-      resolve_served r ~ack:!best_ack ~lin:!best_ack ~key:base
+      if !missing > 0 then incr partial;
+      resolve_served r ~ack:!best_ack ~key:base
     end
   in
   let dispatch idx ~at =
@@ -778,106 +798,117 @@ let run cfg ~rate =
       drain_releases t
   in
   (* ---------------- main loop ---------------- *)
-  for idx = 0 to n - 1 do
-    let at = sched.(idx).Arrival.arrival in
-    advance at;
-    dispatch idx ~at;
-    incr issued
-  done;
-  (* Quiesce: drain every remaining fault and retry, close every epoch,
-     then force still-down shards through detection/re-admission so the
-     whole fleet is live (and hint logs are empty) for verification. *)
-  advance max_int;
-  Array.iter
-    (fun s ->
-      match s.phase with
-      | Dead ->
-        let at = max !t_end s.busy_until in
-        detect s ~at;
-        readmit_shard s ~at:s.readmit
-      | Repairing -> readmit_shard s ~at:(max s.readmit !t_end)
-      | Live -> ())
-    shards;
-  advance max_int;
-  drain_releases max_int;
-  checkpoint ~at:!t_end "quiesce";
-  let hung = !issued - !served - !shed in
-  if hung <> 0 then
-    violation
-      (Invariant.make ~rule:"fleet-hang"
-         (Printf.sprintf "%d request(s) neither served nor shed at quiesce" hung));
-  let leaked = Array.fold_left (fun acc s -> acc + s.occ) 0 shards in
-  if leaked <> 0 then
-    violation
-      (Invariant.make ~rule:"fleet-leak"
-         (Printf.sprintf "%d waiting-room slot(s) still held at quiesce" leaked));
-  (* Structural invariants on every (now quiesced, repaired) shard. *)
-  Array.iter shard_violations shards;
-  (* ---------------- durable-linearizability oracle ----------------
-     Replay acked writes in linearization order over the prefilled model;
-     every replica of every key must agree, except keys written by a
-     touched-but-shed request (lost mid-crash: "either way" amnesty). *)
-  let model = Hashtbl.create 256 in
-  Array.iter (fun k -> Hashtbl.replace model k true) pre;
-  let writes =
-    Array.to_list reqs
-    |> List.filter_map (fun r ->
-         let req = sched.(r.idx) in
-         match req.Arrival.op with
-         | Arrival.Insert | Arrival.Delete when r.status = Served ->
-           Some (r.lin, r.idx, req.Arrival.op, req.Arrival.key)
-         | _ -> None)
-    |> List.sort compare
-  in
-  List.iter
-    (fun (_, _, op, key) ->
-      Hashtbl.replace model key (op = Arrival.Insert))
-    writes;
-  let amnesty = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-      let req = sched.(r.idx) in
-      match req.Arrival.op with
-      | (Arrival.Insert | Arrival.Delete) when r.touched && r.status = Shed ->
-        Hashtbl.replace amnesty req.Arrival.key ()
-      | _ -> ())
-    reqs;
-  let snaps =
-    Array.map
+  let serve_all () =
+    for idx = 0 to n - 1 do
+      let at = sched.(idx).Arrival.arrival in
+      advance at;
+      dispatch idx ~at;
+      incr issued
+    done;
+    (* Quiesce: drain every remaining fault and retry, close every epoch,
+       then force still-down shards through detection/re-admission so the
+       whole fleet is live (and hint logs are empty) for verification. *)
+    advance max_int;
+    Array.iter
       (fun s ->
-        let tbl = Hashtbl.create 256 in
-        List.iter
-          (fun k ->
-            Hashtbl.replace tbl k ();
-            if k < 1 || k > cfg.key_range then
-              violation
-                (Invariant.make ~rule:"fleet-durability"
-                   (Printf.sprintf "shard %d holds out-of-range key %d" s.sid k))
-            else if not (List.mem s.sid (route k)) then
-              violation
-                (Invariant.make ~rule:"fleet-durability"
-                   (Printf.sprintf "shard %d holds key %d it does not replicate" s.sid k)))
-          (s.h.Ops.snapshot s.sys);
-        tbl)
-      shards
+        match s.phase with
+        | Dead ->
+          let at = max !t_end s.busy_until in
+          detect s ~at;
+          readmit_shard s ~at:s.readmit
+        | Repairing -> readmit_shard s ~at:(max s.readmit !t_end)
+        | Live -> ())
+      shards;
+    advance max_int;
+    drain_releases max_int
   in
-  for key = 1 to cfg.key_range do
-    if not (Hashtbl.mem amnesty key) then begin
-      let expected = Hashtbl.find_opt model key = Some true in
-      List.iter
-        (fun sid ->
-          let actual = Hashtbl.mem snaps.(sid) key in
-          if actual <> expected then
-            violation
-              (Invariant.make ~rule:"fleet-durability" ~addr:key
-                 (Printf.sprintf
-                    "key %d %s on shard %d but the acked-prefix model says %s" key
-                    (if actual then "present" else "missing")
-                    sid
-                    (if expected then "present" else "absent"))))
-        (route key)
-    end
-  done;
+  (* ---------------- verification ---------------- *)
+  let verify ~leaked =
+    checkpoint ~at:!t_end "quiesce";
+    let hung = !issued - !served - !shed in
+    if hung <> 0 then
+      violation
+        (Invariant.make ~rule:"fleet-hang"
+           (Printf.sprintf "%d request(s) neither served nor shed at quiesce" hung));
+    if leaked <> 0 then
+      violation
+        (Invariant.make ~rule:"fleet-leak"
+           (Printf.sprintf "%d waiting-room slot(s) still held at quiesce" leaked));
+    (* Structural invariants on every (now quiesced, repaired) shard. *)
+    Array.iter shard_violations shards;
+    (* ---------------- durable-linearizability oracle ----------------
+       Replay acked writes in execution order over the prefilled model: every
+       live replica applies a write when it is dispatched, and a hint log
+       replays in the same order.  Every replica of every key must agree,
+       except keys written by a touched-but-shed request (lost mid-crash:
+       "either way" amnesty). *)
+    let model = Hashtbl.create 256 in
+    Array.iter (fun k -> Hashtbl.replace model k true) pre;
+    let writes =
+      Array.to_list reqs
+      |> List.filter_map (fun r ->
+           let req = sched.(r.idx) in
+           match req.Arrival.op with
+           | Arrival.Insert | Arrival.Delete when r.status = Served ->
+             Some (r.stamp, req.Arrival.op, req.Arrival.key)
+           | _ -> None)
+      |> List.sort compare
+    in
+    List.iter
+      (fun (_, op, key) ->
+        Hashtbl.replace model key (op = Arrival.Insert))
+      writes;
+    let amnesty = Hashtbl.create 64 in
+    Array.iter
+      (fun r ->
+        let req = sched.(r.idx) in
+        match req.Arrival.op with
+        | (Arrival.Insert | Arrival.Delete) when r.touched && r.status = Shed ->
+          Hashtbl.replace amnesty req.Arrival.key ()
+        | _ -> ())
+      reqs;
+    let snaps =
+      Array.map
+        (fun s ->
+          let tbl = Hashtbl.create 256 in
+          List.iter
+            (fun k ->
+              Hashtbl.replace tbl k ();
+              if k < 1 || k > cfg.key_range then
+                violation
+                  (Invariant.make ~rule:"fleet-durability"
+                     (Printf.sprintf "shard %d holds out-of-range key %d" s.sid k))
+              else if not (List.mem s.sid (route k)) then
+                violation
+                  (Invariant.make ~rule:"fleet-durability"
+                     (Printf.sprintf "shard %d holds key %d it does not replicate" s.sid k)))
+            (s.h.Ops.snapshot s.sys);
+          tbl)
+        shards
+    in
+    for key = 1 to cfg.key_range do
+      if not (Hashtbl.mem amnesty key) then begin
+        let expected = Hashtbl.find_opt model key = Some true in
+        List.iter
+          (fun sid ->
+            let actual = Hashtbl.mem snaps.(sid) key in
+            if actual <> expected then
+              violation
+                (Invariant.make ~rule:"fleet-durability" ~addr:key
+                   (Printf.sprintf
+                      "key %d %s on shard %d but the acked-prefix model says %s" key
+                      (if actual then "present" else "missing")
+                      sid
+                      (if expected then "present" else "absent"))))
+          (route key)
+      end
+    done
+  in
+  let hang = match serve_all () with () -> None | exception Hung what -> Some what in
+  let leaked = Array.fold_left (fun acc s -> acc + s.occ) 0 shards in
+  (match hang with
+   | None -> verify ~leaked
+   | Some what -> violation (Invariant.make ~rule:"fleet-hang" what));
   let violations =
     let base = List.rev !violations in
     if !n_violations > 64 then
@@ -1007,35 +1038,10 @@ let read_reproducer path =
 
 let shrink cfg ~rate =
   let fails c = let p = run c ~rate in (p, p.violations <> []) in
-  let p0, failing = fails cfg in
-  if not failing then (cfg, p0)
-  else begin
-    (* Greedy: halve the schedule while the failure survives, then walk
-       back up by quarters to the smallest failing count found. *)
-    let best = ref (cfg, p0) in
-    let continue = ref true in
-    while !continue do
-      let c, _ = !best in
-      let next = { c with requests = c.requests / 2 } in
-      if next.requests < 1 then continue := false
-      else
-        let p, f = fails next in
-        if f then best := (next, p) else continue := false
-    done;
-    let c, _ = !best in
-    let lo = ref c.requests and hi = ref (min cfg.requests (c.requests * 2)) in
-    (* smallest failing request count in (lo, hi]: lo already fails *)
-    while !hi - !lo > max 1 (!lo / 8) do
-      let mid = (!lo + !hi) / 2 in
-      let next = { c with requests = mid } in
-      let p, f = fails next in
-      if f && mid < (fst !best).requests then begin
-        best := (next, p);
-        hi := mid
-      end
-      else if f then hi := mid
-      else lo := mid
-    done;
-    ignore !lo;
-    !best
-  end
+  (* Greedy: halve the schedule while the failure survives. *)
+  let rec halve (c, p) =
+    let next = { c with requests = c.requests / 2 } in
+    if next.requests < 1 then (c, p)
+    else match fails next with p', true -> halve (next, p') | _ -> (c, p)
+  in
+  match fails cfg with p0, true -> halve (cfg, p0) | p0, false -> (cfg, p0)

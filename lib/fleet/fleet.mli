@@ -25,13 +25,16 @@
       request is shed, never parked (graceful degradation, no hangs);
     - a detected shard is repaired through the PR-4 audit path (post-crash
       {!Skipit_audit.Invariant} sweep, then the structure's [repair]),
-      replays its hint log, and only then re-admits traffic;
+      replays its hint log, and only then re-admits traffic; a repair or
+      a replay that runs past a fixed bound of simulated cycles ends the
+      run with a [fleet-hang] violation naming the shard and the operation;
     - [served + shed + in_flight = issued] is asserted at every fleet
       checkpoint (crash, detection, re-admission, quiesce) and reported as
       {!Skipit_audit.Invariant.violation} records;
     - at quiesce, durable linearizability is verified fleet-wide against
-      the completed-prefix oracle: acked writes applied in ack order must
-      match every live replica's snapshot, with the campaign's "either
+      the completed-prefix oracle: acked writes applied in the order they
+      last executed on their replicas must match every live replica's
+      snapshot, with the campaign's "either
       way" amnesty for writes lost mid-crash (touched but never acked). *)
 
 module Arrival = Skipit_serve.Arrival
@@ -142,6 +145,6 @@ val read_reproducer : string -> (config * float, string) result
     absent (they take their {!default}). *)
 
 val shrink : config -> rate:float -> config * point
-(** Greedily shrink [requests] while the run still reports violations;
-    returns the smallest failing config and its point (the input config's
-    point if it does not fail at all). *)
+(** Halve [requests] while the run still reports violations; returns the
+    last failing config and its point (the input config's point if it does
+    not fail at all). *)

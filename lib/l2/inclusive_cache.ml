@@ -36,7 +36,7 @@ let counters reg =
 
 (* One NUCA bank: a full slice of the inclusive LLC's control and data
    structures.  Lines are interleaved across banks by an XOR-fold of the
-   line number (see [fold] below), and each bank's tag store runs on
+   line number (see [fold_hash] below), and each bank's tag store runs on
    {e compressed} addresses — the bank bits are folded out of the line
    number — so that
    per-bank set indexing and tags partition the monolithic store exactly:
@@ -168,23 +168,12 @@ let fill_line t b id =
 let beats t = Params.data_beats t.p
 
 (* Line-address interleaving and the compressed per-bank address space.
-   The bank index XOR-folds the whole line number in [bank_shift]-wide
-   chunks: plain low-bit interleaving leaves power-of-two-strided access
-   patterns (e.g. one contiguous region per core) hammering one bank in
-   lockstep, while folding the upper bits in decorrelates them — the usual
-   NUCA bank hash.  [compress] shifts the low bank-field out of the line
-   number; [decompress] recovers it from the bank index and the fold of the
-   surviving upper bits (fold(line) = low xor fold(high), so
+   The bank index is {!Port.bank_fold} of the whole line number in
+   [bank_shift]-wide chunks.  [compress] shifts the low bank-field out of
+   the line number; [decompress] recovers it from the bank index and the
+   fold of the surviving upper bits (fold(line) = low xor fold(high), so
    low = b_idx xor fold(high)) — with one bank all three are the identity. *)
-let fold ~shift ~mask line =
-  let h = ref 0 and x = ref line in
-  while !x <> 0 do
-    h := !h lxor (!x land mask);
-    x := !x lsr shift
-  done;
-  !h
-
-let fold_hash t line = fold ~shift:t.bank_shift ~mask:(t.n_banks - 1) line
+let fold_hash t line = Port.bank_fold ~shift:t.bank_shift ~mask:(t.n_banks - 1) line
 
 let bank_of t addr = if t.n_banks = 1 then 0 else fold_hash t (addr / t.lb)
 let bank_for t addr = t.banks.(bank_of t addr)
@@ -214,7 +203,7 @@ let[@inline] l2_ev ~at ~addr op = if Trace.enabled () then Trace.emit ~at (Trace
 let slice_access t b ~caddr ~now =
   let addr =
     if t.slice_mask = 0 then caddr
-    else fold ~shift:t.slice_shift ~mask:t.slice_mask (caddr / t.lb) * t.lb
+    else Port.bank_fold ~shift:t.slice_shift ~mask:t.slice_mask (caddr / t.lb) * t.lb
   in
   Resource.Banked.acquire_finish b.slices ~addr ~line_bytes:t.lb ~now
     ~busy:t.p.Params.l2_slice_busy

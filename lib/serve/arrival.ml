@@ -266,45 +266,6 @@ let rec walk process rng p t budget =
 
 let next_arrival process rng ~p ~from = walk process rng p from (trial_cap + 1)
 
-(* One client session: its own Rng split, its own clock, its own request
-   counter.  [p] is the per-cycle arrival probability during an active
-   phase. *)
-type session = {
-  id : int;
-  rng : Rng.t;
-  p : float;
-  mutable clock : int;
-  mutable count : int;
-}
-
-let advance process s =
-  s.clock <- next_arrival process s.rng ~p:s.p ~from:(s.clock + 1)
-
-let aggregate_threshold = 256
-
-(* Fleet-scale populations: walking one Bernoulli stream per session costs
-   O(clients^2 / rate) trials just to prime the merge.  Above the
-   threshold we sample the *aggregate* process instead — one merged
-   Bernoulli stream at the full offered rate, with the owning client drawn
-   uniformly per arrival.  For a thinned Bernoulli/Poisson process the two
-   formulations have identical law (and bursty phases are global — every
-   session shares the same on/off alignment — so the on-phase boost
-   composes the same way); the concrete draws differ from the per-session
-   merge, so schedules are comparable only within one regime.  Still a
-   pure function of the configuration. *)
-let schedule_aggregate ~process ~draw ~p ~clients ~requests ~seed =
-  let rng = Rng.create ~seed in
-  let counts = Array.make clients 0 in
-  let clock = ref (-1) in
-  Array.init requests (fun _ ->
-    let t = next_arrival process rng ~p ~from:(!clock + 1) in
-    clock := t;
-    let client = Rng.int rng clients in
-    let op, key = draw rng ~at:t in
-    let seq = counts.(client) in
-    counts.(client) <- seq + 1;
-    { arrival = t; client; seq; op; key })
-
 (* Reject malformed process nestings before any rng state is consumed.
    Phases sit strictly between degraded windows and the poisson/bursty
    base; neither wrapper nests with itself. *)
@@ -324,6 +285,14 @@ let rec validate_process = function
      | Degraded _ -> invalid_arg "Arrival.schedule: degraded process cannot nest"
      | _ -> validate_process base)
 
+(* One Bernoulli stream at the full offered rate, with the owning client
+   drawn uniformly per arrival.  Thinning a Bernoulli stream uniformly
+   gives each client its own stream of rate [rate / clients]; bursty and
+   diurnal phases are global, so every client shares their alignment and
+   the on-phase boost applies once.  The walk costs O(requests / p) trials
+   whatever the population.  Compared with one independent stream per
+   client, at most one request arrives per cycle, a difference of order
+   p^2 per cycle. *)
 let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~seed () =
   if rate <= 0. then invalid_arg "Arrival.schedule: rate must be positive";
   if clients <= 0 then invalid_arg "Arrival.schedule: clients must be positive";
@@ -332,31 +301,15 @@ let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~see
   let draw =
     match draw with Some d -> d | None -> uniform_draw ~key_range ~update_pct
   in
-  let boost = rate_boost process in
-  if clients > aggregate_threshold then
-    let p = Float.min 1. (rate /. 1000. *. boost) in
-    schedule_aggregate ~process ~draw ~p ~clients ~requests ~seed
-  else begin
-    let p = Float.min 1. (rate /. 1000. /. float_of_int clients *. boost) in
-    let master = Rng.create ~seed in
-    let sessions =
-      Array.init clients (fun id ->
-        { id; rng = Rng.split master; p; clock = -1; count = 0 })
-    in
-    (* Prime every session with its first arrival, then pull the globally
-       earliest [requests] times (earliest-deadline merge; ties by client id
-       via the scan order, seq is strictly increasing per client). *)
-    Array.iter (advance process) sessions;
-    let out =
-      Array.init requests (fun _ ->
-        let best = ref sessions.(0) in
-        Array.iter (fun s -> if s.clock < !best.clock then best := s) sessions;
-        let s = !best in
-        let op, key = draw s.rng ~at:s.clock in
-        let req = { arrival = s.clock; client = s.id; seq = s.count; op; key } in
-        s.count <- s.count + 1;
-        advance process s;
-        req)
-    in
-    out
-  end
+  let p = Float.min 1. (rate /. 1000. *. rate_boost process) in
+  let rng = Rng.create ~seed in
+  let counts = Array.make clients 0 in
+  let clock = ref (-1) in
+  Array.init requests (fun _ ->
+    let t = next_arrival process rng ~p ~from:(!clock + 1) in
+    clock := t;
+    let client = Rng.int rng clients in
+    let op, key = draw rng ~at:t in
+    let seq = counts.(client) in
+    counts.(client) <- seq + 1;
+    { arrival = t; client; seq; op; key })

@@ -6,23 +6,22 @@
     independently of how fast the server drains them — the regime where
     queueing delay, tail latency and load shedding exist at all.
 
-    A schedule is the deterministic merge of [clients] independent session
-    streams.  Each session owns a split of the master {!Skipit_sim.Rng}
-    stream and draws its own inter-arrival gaps, operations and keys, so the
-    whole schedule is a pure function of the configuration — the property
-    the byte-identical [--jobs] reduction and the CI gates rely on.  Above
-    {!aggregate_threshold} clients the schedule is drawn from the merged
-    aggregate stream instead (same law, one Bernoulli walk at the full
-    offered rate), which is what makes 10{^5}–10{^6}-client fleet runs
-    tractable.
+    A schedule is one Bernoulli stream at the aggregate offered rate, each
+    arrival owned by a client drawn uniformly from [clients]: the same law
+    as merging one thinned stream per client, at a cost independent of the
+    population, so 10{^5}–10{^6}-client fleet runs stay tractable.  The
+    gaps, clients, operations and keys all come from one {!Skipit_sim.Rng}
+    stream, so the whole schedule is a pure function of the configuration —
+    the property the byte-identical [--jobs] reduction and the CI gates rely
+    on.
 
     Inter-arrival gaps are sampled from a Bernoulli process (one trial per
     simulated cycle), i.e. the discrete-time Poisson process, using only
     integer and exact [Rng] arithmetic — no [libm] calls whose last-ulp
     behaviour could differ across hosts. *)
 
-(** Arrival process shape.  [Bursty] alternates fixed-length on/off phases
-    per client; arrivals are drawn only during on phases, at a rate scaled
+(** Arrival process shape.  [Bursty] alternates fixed-length on/off phases,
+    shared by every client; arrivals are drawn only during on phases, at a rate scaled
     by [(on + off) / on] so the long-run offered load still matches the
     configured rate (a deterministic on/off — interrupted Poisson —
     process).  [Phased] imposes a piecewise-constant diurnal rate schedule:
@@ -79,13 +78,9 @@ val next_arrival : process -> Skipit_sim.Rng.t -> p:float -> from:int -> int
 (** [next_arrival process rng ~p ~from] is the first cycle [>= from] whose
     Bernoulli trial succeeds: one [Rng.chance rng (p * multiplier)] per
     active cycle (gaps draw nothing).  After [10_000_001] failed trials it
-    gives up and returns the last cycle tried.  Both schedule paths advance
-    through this one walk, which draws the stream a constant-rate run at a
-    time ({!Skipit_sim.Rng.first_below}) with no per-trial allocation. *)
-
-val aggregate_threshold : int
-(** Client-count bound above which {!schedule} samples the merged aggregate
-    stream instead of one stream per session. *)
+    gives up and returns the last cycle tried.  {!schedule} advances through
+    this walk, which draws the stream a constant-rate run at a time
+    ({!Skipit_sim.Rng.first_below}) with no per-trial allocation. *)
 
 type op = Insert | Delete | Contains
 
@@ -100,8 +95,8 @@ type request = {
 }
 
 type draw = Skipit_sim.Rng.t -> at:int -> op * int
-(** Per-arrival op/key sampler: given the stream that owns the arrival and
-    the arrival cycle, produce the operation and key.  Must be a pure
+(** Per-arrival op/key sampler: given the schedule's stream and the arrival
+    cycle, produce the operation and key.  Must be a pure
     function of the rng state and [at] so schedules stay bit-identical. *)
 
 val uniform_draw : key_range:int -> update_pct:int -> draw
@@ -121,7 +116,6 @@ val schedule :
   request array
 (** [rate] is the aggregate offered load in operations per 1000 cycles,
     split evenly across [clients] sessions.  The result holds [requests]
-    entries sorted by arrival (ties broken by client id, then sequence
-    number).  Equal configurations give equal schedules.  [draw] replaces
+    entries sorted by arrival, at most one per cycle.  Equal configurations give equal schedules.  [draw] replaces
     the op/key sampler (see {!Workload.draw}); omitting it reproduces the
     pre-workload schedules byte-for-byte. *)

@@ -11,10 +11,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed64 = next_int64 t in
-  { state = seed64 }
-
 let copy t = { state = t.state }
 let copy_into ~src ~dst = dst.state <- src.state
 

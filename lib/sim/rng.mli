@@ -2,19 +2,14 @@
 
     All randomness in the simulator flows through this module so that every
     experiment is reproducible from a single seed.  The generator is the
-    splitmix64 algorithm: tiny state, excellent statistical quality for
-    simulation workloads, and trivially splittable so independent components
-    (cores, workload generators) can derive independent streams. *)
+    splitmix64 algorithm: tiny state and excellent statistical quality for
+    simulation workloads; independent components seed their own streams. *)
 
 type t
 (** Mutable generator state. *)
 
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds give equal streams. *)
-
-val split : t -> t
-(** [split t] derives a new generator whose stream is independent of [t]'s
-    future output.  Advances [t]. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing it. *)

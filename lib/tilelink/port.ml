@@ -60,6 +60,7 @@ type t = {
   name : string;
   channels : Channels.t;
   bank_channels : Channels.t array;  (* [||] = unbanked wiring *)
+  bank_shift : int;  (* log2 (Array.length bank_channels) *)
   line_bytes : int;
   stats : Stats.Registry.t;
   cs_a : chan_stats;
@@ -81,10 +82,12 @@ let create ?channels ?(bank_channels = [||]) ?(line_bytes = 64) ~name () =
   in
   let stats = Stats.Registry.create () in
   let h = Stats.Registry.handle stats in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   {
     name;
     channels;
     bank_channels;
+    bank_shift = log2 (Array.length bank_channels);
     line_bytes;
     stats;
     cs_a = chan_stats stats "a" Trace.Ch_a;
@@ -104,26 +107,23 @@ let name t = t.name
 let stats t = t.stats
 let channels t = t.channels
 
+let bank_fold ~shift ~mask line =
+  let h = ref 0 and x = ref line in
+  while !x <> 0 do
+    h := !h lxor (!x land mask);
+    x := !x lsr shift
+  done;
+  !h
+
 (* Banked wiring routes each message to the wire set of the LLC bank that
-   owns the line — the same XOR-folded line-number hash the banked L2 uses
-   for bank selection, so bus [i] carries exactly bank [i]'s traffic;
-   unbanked ports ignore [addr]. *)
+   owns the line — the bank hash the banked L2 uses, so bus [i] carries
+   exactly bank [i]'s traffic; unbanked ports ignore [addr]. *)
 let chans_for t ~addr =
-  let n = Array.length t.bank_channels in
-  if n = 0 then t.channels
-  else begin
-    let m = n - 1 in
-    let shift =
-      let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-      go 0 n
-    in
-    let h = ref 0 and x = ref (addr / t.line_bytes) in
-    while !x <> 0 do
-      h := !h lxor (!x land m);
-      x := !x lsr shift
-    done;
-    t.bank_channels.(!h)
-  end
+  match Array.length t.bank_channels with
+  | 0 -> t.channels
+  | 1 -> t.bank_channels.(0)
+  | n ->
+    t.bank_channels.(bank_fold ~shift:t.bank_shift ~mask:(n - 1) (addr / t.line_bytes))
 
 (* Wires shared with other ports are copied once per port that shares
    them: the copies agree, so that is only repeated work. *)

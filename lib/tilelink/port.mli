@@ -67,6 +67,14 @@ type client = {
           back on channel C is then written into [into] from word [off]. *)
 }
 
+val bank_fold : shift:int -> mask:int -> int -> int
+(** [bank_fold ~shift ~mask line] XOR-folds [line] in [shift]-wide chunks
+    under [mask]: the NUCA bank hash that picks a line's L2 bank (and its
+    banked wire set), and the data-array slice within a bank.  Plain
+    low-bit interleaving leaves power-of-two-strided patterns hammering one
+    bank in lockstep; folding the upper bits in decorrelates them.
+    [shift] must be positive. *)
+
 (** The physical wire sets of one link.  Create one per port for a crossbar,
     or share one across ports for a bus. *)
 module Channels : sig

@@ -29,19 +29,24 @@ let test_golden_cycles_at_one_bank () =
       | Error e -> Alcotest.failf "trace %s: %s" name e
       | Ok program ->
         let cores = TP.max_core program + 1 in
-        let sys =
-          S.create (C.platform ~cores ~skip_it:false ~l2_banks:1 ())
-        in
-        let cycles, _ = TP.run sys program in
-        Alcotest.(check int)
-          (Printf.sprintf "%s at l2_banks=1" name)
-          golden cycles;
-        (* The monolithic report must not grow per-bank keys. *)
+        (* A banked bus over one bank is one wire set every core shares:
+           on these traces, the crossbar's cycles. *)
         List.iter
-          (fun (k, _) ->
-            if String.length k >= 8 && String.sub k 0 8 = "l2.bank." then
-              Alcotest.failf "%s: unexpected banked counter %s" name k)
-          (S.stats_report sys))
+          (fun (topology, label) ->
+            let sys =
+              S.create (C.platform ~topology ~cores ~skip_it:false ~l2_banks:1 ())
+            in
+            let cycles, _ = TP.run sys program in
+            Alcotest.(check int)
+              (Printf.sprintf "%s at l2_banks=1, %s" name label)
+              golden cycles;
+            (* The monolithic report must not grow per-bank keys. *)
+            List.iter
+              (fun (k, _) ->
+                if String.length k >= 8 && String.sub k 0 8 = "l2.bank." then
+                  Alcotest.failf "%s: unexpected banked counter %s" name k)
+              (S.stats_report sys))
+          [ (`Crossbar, "crossbar"); (`Banked_bus, "banked bus") ])
     [ "producer_consumer", 915; "redundant_flush", 1120; "fig5_semantics", 127 ]
 
 (* == Observational equivalence: banked vs monolithic ==================== *)

@@ -11,6 +11,7 @@ module Arrival = Skipit_serve.Arrival
 module Pool = Skipit_par.Pool
 module Ds_bench = Skipit_workload.Ds_bench
 module Workload = Skipit_serve.Workload
+module Ops = Skipit_pds.Set_ops
 
 (* == Ring ============================================================== *)
 
@@ -120,6 +121,44 @@ let test_kill_run_passes_oracle () =
         (Printf.sprintf "shard %d live at quiesce" s.Fleet.s_id)
         "live" s.Fleet.s_state)
     p.Fleet.shards
+
+(* Same-key writes in flight across a crash: a write can commit on its
+   last replica after a later write to the same key executed.  The oracle
+   orders acked writes by when they last executed on their replicas, the
+   order every replica applied them in, so these runs verify; ordering by
+   last commit reported key 383 (seed 92) and key 502 (the BST run)
+   missing. *)
+let test_oracle_orders_by_execution () =
+  List.iter
+    (fun (what, cfg) ->
+      let p = Fleet.run cfg ~rate:16. in
+      Alcotest.(check (list string)) what [] p.Fleet.violations)
+    [
+      ( "200k clients, seed 92",
+        { Fleet.default with
+          Fleet.clients = 200_000; requests = 10_000; faults = Fleet.Seeded 1; seed = 92 } );
+      ( "bst/plain, 50:50, two kills",
+        { Fleet.default with
+          Fleet.kind = Ops.Bst_set;
+          spec = Ds_bench.Plain;
+          update_pct = 50;
+          faults = Fleet.Kill [ { Fleet.at = 3000; shard = 1 }; { Fleet.at = 9000; shard = 2 } ];
+        } );
+    ]
+
+(* Seed 1297 at rate 12: shard 2 crashes with an open group-commit epoch,
+   and replaying a hint after the repair loops on a zeroed node.  The
+   recovery bound ends the run with a fleet-hang violation naming the
+   shard and the operation instead of spinning for ever. *)
+let test_recovery_bound_reports_hang () =
+  let cfg =
+    { Fleet.default with
+      Fleet.clients = 200_000; requests = 10_000; faults = Fleet.Seeded 1; seed = 1297 }
+  in
+  let p = Fleet.run cfg ~rate:12. in
+  Alcotest.(check (list string)) "the hang, and nothing after it"
+    [ "[fleet-hang] shard 2: replaying hint insert 74 ran past 10000000 cycles" ]
+    p.Fleet.violations
 
 let test_unreplicated_kill_degrades_gracefully () =
   (* replicas=1 and a kill: writes to the dead shard's ranges retry with
@@ -389,6 +428,10 @@ let tests =
         test_kill_run_passes_oracle;
       Alcotest.test_case "replicas=1 kill: retry, backoff, shed — no hang" `Quick
         test_unreplicated_kill_degrades_gracefully;
+      Alcotest.test_case "oracle orders writes by execution" `Quick
+        test_oracle_orders_by_execution;
+      Alcotest.test_case "recovery bound reports a hang" `Quick
+        test_recovery_bound_reports_hang;
       Alcotest.test_case "replication reduces shed under a kill" `Quick
         test_replication_reduces_shed;
       Alcotest.test_case "sweep byte-identical at any width under faults" `Quick

@@ -24,14 +24,6 @@ let test_copy_preserves () =
   Alcotest.(check int64) "copy continues identically" (Skipit_sim.Rng.next_int64 a)
     (Skipit_sim.Rng.next_int64 b)
 
-let test_split_independent () =
-  let a = Skipit_sim.Rng.create ~seed:5 in
-  let child = Skipit_sim.Rng.split a in
-  (* The child stream should not replay the parent's continuation. *)
-  let parent_next = Skipit_sim.Rng.next_int64 a in
-  let child_next = Skipit_sim.Rng.next_int64 child in
-  Alcotest.(check bool) "split diverges" true (parent_next <> child_next)
-
 let prop_int_bounds =
   QCheck.Test.make ~name:"int within bounds" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -282,7 +274,6 @@ let tests =
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
       Alcotest.test_case "copy preserves state" `Quick test_copy_preserves;
-      Alcotest.test_case "split independent" `Quick test_split_independent;
       Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
       QCheck_alcotest.to_alcotest prop_int_bounds;
       QCheck_alcotest.to_alcotest prop_int_in_bounds;

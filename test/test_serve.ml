@@ -109,10 +109,10 @@ let test_degraded_windows_are_quiet () =
     s
 
 let test_aggregate_path_matches_contract () =
-  (* Above the client threshold the scheduler switches to one merged
-     Bernoulli stream.  The contract stays: sorted arrivals, per-client
-     seqs, keys in range, deterministic in the seed. *)
-  let clients = 4 * Arrival.aggregate_threshold in
+  (* A fleet-sized population on the one merged Bernoulli stream keeps the
+     contract: sorted arrivals, per-client seqs, keys in range,
+     deterministic in the seed. *)
+  let clients = 1024 in
   let make seed =
     Arrival.schedule ~process:Arrival.Poisson ~rate:16. ~clients ~requests:600
       ~key_range:256 ~update_pct:20 ~seed ()
@@ -165,7 +165,7 @@ let rec reference_boost = function
     float_of_int period *. 1000. /. float_of_int weight *. reference_boost base
   | Arrival.Degraded { base; _ } -> reference_boost base
 
-(* Fingerprints the owning stream's state at each arrival (without
+(* Fingerprints the schedule stream's state at each arrival (without
    advancing it) into the key, so equal schedules mean equal rng states
    after every walk. *)
 let fingerprint_draw : Arrival.draw =
@@ -175,41 +175,21 @@ let fingerprint_draw : Arrival.draw =
     let op, key = uniform rng ~at in
     (op, key + (256 * fp))
 
-(* [Arrival.schedule]'s two regimes, rebuilt over [reference_walk]. *)
+(* [Arrival.schedule] rebuilt over [reference_walk]. *)
 let reference_schedule ~process ~rate ~clients ~requests ~seed =
   let draw = fingerprint_draw in
-  let boost = reference_boost process in
-  if clients > Arrival.aggregate_threshold then begin
-    let p = Float.min 1. (rate /. 1000. *. boost) in
-    let rng = Rng.create ~seed in
-    let counts = Array.make clients 0 in
-    let clock = ref (-1) in
-    Array.init requests (fun _ ->
-      let t = reference_walk process rng p (!clock + 1) in
-      clock := t;
-      let client = Rng.int rng clients in
-      let op, key = draw rng ~at:t in
-      let seq = counts.(client) in
-      counts.(client) <- seq + 1;
-      (t, client, seq, Arrival.op_name op, key))
-  end
-  else begin
-    let p = Float.min 1. (rate /. 1000. /. float_of_int clients *. boost) in
-    let master = Rng.create ~seed in
-    let rngs = Array.init clients (fun _ -> Rng.split master) in
-    let clocks = Array.map (fun rng -> reference_walk process rng p 0) rngs in
-    let counts = Array.make clients 0 in
-    Array.init requests (fun _ ->
-      let c = ref 0 in
-      Array.iteri (fun i t -> if t < clocks.(!c) then c := i) clocks;
-      let c = !c in
-      let t = clocks.(c) in
-      let op, key = draw rngs.(c) ~at:t in
-      let seq = counts.(c) in
-      counts.(c) <- seq + 1;
-      clocks.(c) <- reference_walk process rngs.(c) p (t + 1);
-      (t, c, seq, Arrival.op_name op, key))
-  end
+  let p = Float.min 1. (rate /. 1000. *. reference_boost process) in
+  let rng = Rng.create ~seed in
+  let counts = Array.make clients 0 in
+  let clock = ref (-1) in
+  Array.init requests (fun _ ->
+    let t = reference_walk process rng p (!clock + 1) in
+    clock := t;
+    let client = Rng.int rng clients in
+    let op, key = draw rng ~at:t in
+    let seq = counts.(client) in
+    counts.(client) <- seq + 1;
+    (t, client, seq, Arrival.op_name op, key))
 
 (* Random process trees: poisson or bursty, optionally under diurnal
    phases, optionally under fault windows.  Short on/off phases, segments
@@ -275,26 +255,14 @@ let prop_schedule_matches_reference =
            (Arrival.process_name process) clients requests p seed)
        QCheck.Gen.(
          quad gen_process
-           (pair
-              (oneof
-                 [
-                   int_range 1 24;
-                   int_range (Arrival.aggregate_threshold + 1) (Arrival.aggregate_threshold + 40);
-                 ])
-              (int_range 1 40))
+           (pair (int_range 1 300) (int_range 1 40))
            (float_range 0. 1.) (int_bound 100_000)))
   @@ fun (process, (clients, requests), u, seed) ->
   (* Keep the reference's trial count near 2M: the smallest p scales with
-     the number of walks (priming plus one per request). *)
-  let aggregate = clients > Arrival.aggregate_threshold in
-  let walks = if aggregate then requests else clients + requests in
-  let lo = Float.max 1e-6 (float_of_int walks /. 2e6) in
+     the number of walks, one per request. *)
+  let lo = Float.max 1e-6 (float_of_int requests /. 2e6) in
   let p = 10. ** (log10 lo +. (u *. (0.3 -. log10 lo))) in
-  let boost = reference_boost process in
-  let rate =
-    if aggregate then p *. 1000. /. boost
-    else p *. 1000. *. float_of_int clients /. boost
-  in
+  let rate = p *. 1000. /. reference_boost process in
   let got =
     Arrival.schedule ~process ~draw:fingerprint_draw ~rate ~clients ~requests ~key_range:256
       ~update_pct:50 ~seed ()
@@ -317,7 +285,7 @@ let test_walk_trial_cap () =
 
 let test_schedule_allocation_budget () =
   (* The serve benchmark's schedule: Poisson, 16 clients, rate 8, 10k
-     requests, zipf:0.99 keys with churn.  The walk draws ~2000 trials per
+     requests, zipf:0.99 keys with churn.  The walk draws ~125 trials per
      request; any per-trial allocation shows up as thousands of words. *)
   let requests = 10_000 in
   let draw =

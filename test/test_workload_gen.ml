@@ -434,8 +434,8 @@ let test_with_phases () =
 
 let test_phase_trough_is_dark () =
   (* 1000-cycle dead trough alternating with a 2x segment: no arrival may
-     land in [0, 1000) mod 2000 — on both the per-session path and the
-     aggregate path (> aggregate_threshold clients). *)
+     land in [0, 1000) mod 2000, for a serve-sized and a fleet-sized
+     population. *)
   List.iter
     (fun clients ->
       let s =
@@ -454,7 +454,7 @@ let test_phase_trough_is_dark () =
             true
             (r.Arrival.arrival mod 2000 >= 1000))
         s)
-    [ 8; Arrival.aggregate_threshold + 1 ]
+    [ 8; 1024 ]
 
 let test_mult_milli_at () =
   let p = Arrival.Phased { phases = [ (100, 250); (50, 0); (100, 2000) ]; base = Arrival.Poisson } in
