@@ -98,13 +98,7 @@ let run_trace_workload trace ~skip_it =
 let run_banked_scaling_workload () =
   let params = C.Params.with_l2_banks C.default 4 in
   let measure threads =
-    match
-      (Micro.writeback_sweep ~params ~kind:Message.Wb_flush ~threads ~sizes:[ 32768 ]
-         ~repeats:1 ())
-        .Series.points
-    with
-    | [ p ] -> int_of_float p.Series.y
-    | _ -> fail "fig9_32k_flush_l2b4: expected one sweep point"
+    Micro.run params (Micro.Writeback Message.Wb_flush) ~threads ~size:32768 ~rep:0
   in
   let c1 = measure 1 and c8 = measure 8 in
   {

@@ -11,10 +11,9 @@
        original word-per-cycle array;
     5. {b coalescing} — §5.3 merging of back-to-back CBO.X to one line. *)
 
-(** Each ablation is a grid of independent per-config simulations; [pool]
-    runs one job per config on the parallel experiment engine, with results
-    reduced in submission order so the tables are byte-identical at any
-    pool width. *)
+(** Each ablation is a grid of independent per-config simulations, run by
+    {!Series.grid} on [pool] when given, so the tables are byte-identical
+    at any pool width. *)
 
 val fshr_count : ?counts:int list -> ?pool:Skipit_par.Pool.t -> unit -> Series.t
 (** x = FSHR count, y = cycles to flush the full 32 KiB L1 (1 thread). *)

@@ -5,7 +5,6 @@ module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
 module Ops = Skipit_pds.Set_ops
 module Rng = Skipit_sim.Rng
-module Pool = Skipit_par.Pool
 
 type strategy_spec =
   | Plain
@@ -152,49 +151,3 @@ let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
     let total = Array.fold_left ( + ) 0 ops_done in
     float_of_int total *. 1000. /. float_of_int w.window
   end
-
-let fig14 ?params ~kind w =
-  Pctx.all_modes
-  |> List.map (fun mode ->
-       let points =
-         List.mapi
-           (fun i spec -> float_of_int i, throughput ?params ~kind ~mode ~spec w)
-           default_specs
-       in
-       let label_series =
-         List.mapi
-           (fun i spec -> Series.v (spec_name spec) [ List.nth points i ])
-           default_specs
-       in
-       Pctx.mode_name mode, label_series)
-
-(* Fig. 15's grid is specs × update percentages: flatten it into one job
-   list (one trial per cell, each with its own system and seed), then
-   regroup the in-order results into per-spec series. *)
-let update_sweep ?params ?pool ~kind ~mode ~updates w =
-  let cells =
-    List.concat_map
-      (fun spec -> List.map (fun pct -> spec, pct) updates)
-      default_specs
-  in
-  let ys =
-    Pool.map pool
-      (fun (spec, pct) ->
-        throughput ?params ~kind ~mode ~spec { w with update_pct = pct })
-      cells
-  in
-  let tbl = List.combine cells ys in
-  default_specs
-  |> List.map (fun spec ->
-       Series.v (spec_name spec)
-         (List.map
-            (fun pct -> float_of_int pct, List.assoc (spec, pct) tbl)
-            updates))
-
-let flit_table_sweep ?params ?pool ~kind ~mode ~slots w =
-  let ys =
-    Pool.map pool
-      (fun n -> throughput ?params ~kind ~mode ~spec:(Flit_hash n) w)
-      slots
-  in
-  Series.v "flit-hash" (List.map2 (fun n y -> float_of_int n, y) slots ys)

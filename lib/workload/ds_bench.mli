@@ -82,35 +82,3 @@ val throughput :
   float
 (** Ops per 1000 cycles; [nan] when the combination is incompatible
     (Link-and-Persist × BST). *)
-
-val fig14 :
-  ?params:Skipit_cache.Params.t ->
-  kind:Skipit_pds.Set_ops.kind ->
-  workload ->
-  (string * Series.t list) list
-(** For one structure: per persistence mode, throughput of every strategy
-    (x = strategy index; rendered as grouped bars).  The baseline series is
-    included once per mode. *)
-
-val update_sweep :
-  ?params:Skipit_cache.Params.t ->
-  ?pool:Skipit_par.Pool.t ->
-  kind:Skipit_pds.Set_ops.kind ->
-  mode:Skipit_persist.Pctx.mode ->
-  updates:int list ->
-  workload ->
-  Series.t list
-(** Fig. 15: throughput vs update percentage, one series per strategy.  The
-    specs × updates grid runs as one trial per cell on [pool] when given;
-    results are identical at any pool width. *)
-
-val flit_table_sweep :
-  ?params:Skipit_cache.Params.t ->
-  ?pool:Skipit_par.Pool.t ->
-  kind:Skipit_pds.Set_ops.kind ->
-  mode:Skipit_persist.Pctx.mode ->
-  slots:int list ->
-  workload ->
-  Series.t
-(** Fig. 16: FliT hash-table size sensitivity (x = slots), one trial per
-    slot count on [pool] when given. *)

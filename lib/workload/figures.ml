@@ -2,7 +2,7 @@ module Params = Skipit_cache.Params
 module Pctx = Skipit_persist.Pctx
 module Ops = Skipit_pds.Set_ops
 module Model = Skipit_xarch.Model
-module Pool = Skipit_par.Pool
+module Sample = Skipit_sim.Stats.Sample
 open Skipit_tilelink
 
 let header ppf title =
@@ -12,40 +12,66 @@ let table ?(x_name = "bytes") ppf series = Series.pp_table ~x_name ppf series
 
 let repeats quick = if quick then 1 else 5
 let sizes quick = if quick then [ 64; 512; 4096; 32768 ] else Micro.sizes_default
+let platform params = Option.value params ~default:Params.boom_default
 
-(* Every figure below splits into two phases: produce the job grid and run
-   it (on [pool] when given — results come back in submission order, so the
-   printed tables are byte-identical at any pool width), then print. *)
+let wb_name = function Message.Wb_clean -> "clean" | Message.Wb_flush -> "flush"
+
+let median_cycles params kernel ~threads ~size ~repeats =
+  let sample = Sample.create () in
+  for rep = 0 to repeats - 1 do
+    Sample.add_int sample (Micro.run params kernel ~threads ~size ~rep)
+  done;
+  Sample.median sample
+
+(* One row of a microbenchmark figure: the kernel's median over the
+   repetitions at every size. *)
+let sweep ~quick params kernel ~threads label =
+  ( label,
+    List.map
+      (fun size ->
+        ( float_of_int size,
+          fun () -> median_cycles params kernel ~threads ~size ~repeats:(repeats quick) ))
+      (sizes quick) )
+
+(* Every figure below runs its grid with [Series.grid] (on [pool] when
+   given; results come back in submission order, so the printed tables are
+   byte-identical at any pool width), then prints. *)
 
 let scalar_7_2 ?(quick = false) ?pool ?params ppf =
   header ppf "§7.2 scalars";
+  let params = platform params in
   let reps = if quick then 3 else 50 in
-  let scalars =
-    Micro.run_prepared ?pool
+  let single kind =
+    ( wb_name kind,
+      List.init reps (fun rep ->
+        ( float_of_int rep,
+          fun () ->
+            float_of_int
+              (Micro.run params (Micro.Writeback kind) ~threads:1 ~size:64 ~rep) )) )
+  in
+  let full_l1 =
+    ( "full",
       [
-        Micro.prep_single_line ?params ~kind:Message.Wb_clean ~repeats:reps ();
-        Micro.prep_single_line ?params ~kind:Message.Wb_flush ~repeats:reps ();
-      ]
+        ( 32768.,
+          fun () ->
+            median_cycles params (Micro.Writeback Message.Wb_flush) ~threads:1 ~size:32768
+              ~repeats:(repeats quick) );
+      ] )
   in
-  (match scalars with
-   | [ (med_c, sd_c); (med_f, sd_f) ] ->
+  let stats s =
+    let sample = Sample.create () in
+    List.iter (fun p -> Sample.add sample p.Series.y) s.Series.points;
+    Sample.median sample, Sample.stddev sample
+  in
+  (match
+     Series.grid ?pool [ single Message.Wb_clean; single Message.Wb_flush; full_l1 ]
+   with
+   | [ clean; flush; { Series.points = [ full ]; _ } ] ->
+     let med_c, sd_c = stats clean and med_f, sd_f = stats flush in
      Format.fprintf ppf "single-line CBO.CLEAN + fence: median %.0f cycles (sigma %.1f)@," med_c sd_c;
-     Format.fprintf ppf "single-line CBO.FLUSH + fence: median %.0f cycles (sigma %.1f)@," med_f sd_f
-   | _ -> ());
-  let full =
-    match
-      Micro.run_prepared ?pool
-        [
-          Micro.prep_writeback_sweep ?params ~kind:Message.Wb_flush ~threads:1
-            ~sizes:[ 32 * 1024 ] ~repeats:(repeats quick) ();
-        ]
-    with
-    | [ s ] -> s
-    | _ -> assert false
-  in
-  (match full.Series.points with
-   | [ p ] -> Format.fprintf ppf "flush of full 32 KiB L1, 1 thread: %.0f cycles@," p.Series.y
-   | _ -> ());
+     Format.fprintf ppf "single-line CBO.FLUSH + fence: median %.0f cycles (sigma %.1f)@," med_f sd_f;
+     Format.fprintf ppf "flush of full 32 KiB L1, 1 thread: %.0f cycles@," full.Series.y
+   | _ -> assert false);
   Format.fprintf ppf "(paper: ~100 cycles sigma 13.2; ~7460 cycles)@,"
 
 (* Powers of two up to the platform's core count (at least the paper's 8). *)
@@ -61,46 +87,38 @@ let fig9 ?(quick = false) ?pool ?params ppf =
   header ppf
     (Printf.sprintf "Figure 9: CBO.X latency vs size, %s threads"
        (String.concat "/" (List.map string_of_int threads)));
-  let series =
-    Micro.run_prepared ?pool
-      (List.map
-         (fun threads ->
-           Micro.prep_writeback_sweep ?params ~kind:Message.Wb_flush ~threads
-             ~sizes:(sizes quick) ~repeats:(repeats quick) ())
-         threads)
-  in
-  table ppf series
+  let params = platform params in
+  Series.grid ?pool
+    (List.map
+       (fun threads ->
+         sweep ~quick params (Micro.Writeback Message.Wb_flush) ~threads
+           (Printf.sprintf "cbo.flush/%dT" threads))
+       threads)
+  |> table ppf
 
 let fig10 ?(quick = false) ?pool ?params ppf =
   header ppf "Figure 10: write - writeback x10 - fence - read (latency, log-scale in paper)";
-  let series =
-    Micro.run_prepared ?pool
-      (List.concat_map
-         (fun threads ->
-           [
-             Micro.prep_write_wb_read ?params ~kind:Message.Wb_clean ~threads
-               ~sizes:(sizes quick) ~repeats:(repeats quick) ();
-             Micro.prep_write_wb_read ?params ~kind:Message.Wb_flush ~threads
-               ~sizes:(sizes quick) ~repeats:(repeats quick) ();
-           ])
-         [ 1; 8 ])
-  in
-  table ppf series
+  let params = platform params in
+  Series.grid ?pool
+    (List.concat_map
+       (fun threads ->
+         List.map
+           (fun kind ->
+             sweep ~quick params (Micro.Write_wb_read kind) ~threads
+               (Printf.sprintf "%s/%dT" (wb_name kind) threads))
+           [ Message.Wb_clean; Message.Wb_flush ])
+       [ 1; 8 ])
+  |> table ppf
 
 let comparative ~threads ~quick ?pool ?params ppf =
   let szs = sizes quick in
   let boom =
-    match
-      Micro.run_prepared ?pool
-        [
-          Micro.prep_writeback_sweep ?params ~kind:Message.Wb_flush ~threads ~sizes:szs
-            ~repeats:(repeats quick) ();
-        ]
-    with
-    | [ s ] -> s
-    | _ -> assert false
+    Series.grid ?pool
+      [
+        sweep ~quick (platform params) (Micro.Writeback Message.Wb_flush) ~threads
+          "boom-cbo.flush";
+      ]
   in
-  let boom = { boom with Series.label = "boom-cbo.flush" } in
   let models =
     List.map
       (fun instr ->
@@ -110,7 +128,7 @@ let comparative ~threads ~quick ?pool ?params ppf =
              szs))
       Model.flush_like
   in
-  table ppf (boom :: models)
+  table ppf (boom @ models)
 
 let fig11 ?(quick = false) ?pool ?params ppf =
   header ppf "Figure 11: cross-architecture writeback latency, 1 thread";
@@ -122,14 +140,16 @@ let fig12 ?(quick = false) ?pool ?params ppf =
 
 let fig13 ?(quick = false) ?pool ?params ppf =
   header ppf "Figure 13: naive vs Skip It, 10 redundant writebacks (CBO.CLEAN semantics)";
+  let params = platform params in
   let series =
-    Micro.run_prepared ?pool
+    Series.grid ?pool
       (List.concat_map
          (fun threads ->
            List.map
              (fun skip_it ->
-               Micro.prep_redundant ?params ~kind:Message.Wb_clean ~skip_it ~threads
-                 ~redundant:10 ~sizes:(sizes quick) ~repeats:(repeats quick) ())
+               sweep ~quick (Params.with_skip_it params skip_it)
+                 (Micro.Redundant (Message.Wb_clean, 10)) ~threads
+                 (Printf.sprintf "%s/%dT" (if skip_it then "skip-it" else "naive") threads))
              [ false; true ])
          [ 1; 8 ])
   in
@@ -164,43 +184,39 @@ let fig14 ?(quick = false) ?pool ?params ppf =
   header ppf "Figure 14: throughput (ops/1000 cycles), 5% updates, 2 threads";
   let w0 = ds_workload quick in
   let kinds = if quick then [ Ops.List_set; Ops.Bst_set ] else Ops.all_kinds in
-  (* One trial per (structure, mode, strategy) cell, flattened to a job
-     list; the printing below walks the cells in the same order. *)
-  let cells =
+  (* One row per (structure, mode), one cell per strategy; the printing
+     below walks the rows in the same order. *)
+  let rows =
     List.concat_map
       (fun kind ->
-        List.concat_map
-          (fun mode -> List.map (fun spec -> kind, mode, spec) Ds_bench.default_specs)
+        List.map
+          (fun mode ->
+            ( Pctx.mode_name mode,
+              List.mapi
+                (fun i spec ->
+                  ( float_of_int i,
+                    fun () -> Ds_bench.throughput ~kind ~mode ~spec (workload_for kind w0) ))
+                Ds_bench.default_specs ))
           Pctx.all_modes)
       kinds
   in
-  let values =
-    Pool.map pool
-      (fun (kind, mode, spec) ->
-        Ds_bench.throughput ~kind ~mode ~spec (workload_for kind w0))
-      cells
-  in
-  let next = ref values in
-  let pop () =
-    match !next with
-    | v :: tl ->
-      next := tl;
-      v
-    | [] -> assert false
-  in
+  let rest = ref (Series.grid ?pool rows) in
   List.iter
     (fun kind ->
       Format.fprintf ppf "@,-- %s --@," (Ops.kind_name kind);
       List.iter
-        (fun mode ->
-          Format.fprintf ppf "%-12s" (Pctx.mode_name mode);
-          List.iter
-            (fun _spec ->
-              let v = pop () in
-              if Float.is_nan v then Format.fprintf ppf "%18s" "n/a"
-              else Format.fprintf ppf "%18.2f" v)
-            Ds_bench.default_specs;
-          Format.fprintf ppf "@,")
+        (fun _mode ->
+          match !rest with
+          | row :: tl ->
+            rest := tl;
+            Format.fprintf ppf "%-12s" row.Series.label;
+            List.iter
+              (fun p ->
+                if Float.is_nan p.Series.y then Format.fprintf ppf "%18s" "n/a"
+                else Format.fprintf ppf "%18.2f" p.Series.y)
+              row.Series.points;
+            Format.fprintf ppf "@,"
+          | [] -> assert false)
         Pctx.all_modes;
       Format.fprintf ppf "%-12s" "(columns)";
       List.iter
@@ -218,8 +234,19 @@ let fig15 ?(quick = false) ?pool ?params ppf =
   List.iter
     (fun kind ->
       Format.fprintf ppf "@,-- %s --@," (Ops.kind_name kind);
-      let series = Ds_bench.update_sweep ?pool ~kind ~mode:Pctx.Automatic ~updates w in
-      Series.pp_table ~x_name:"update%" ppf series)
+      Series.grid ?pool
+        (List.map
+           (fun spec ->
+             ( Ds_bench.spec_name spec,
+               List.map
+                 (fun pct ->
+                   ( float_of_int pct,
+                     fun () ->
+                       Ds_bench.throughput ~kind ~mode:Pctx.Automatic ~spec
+                         { w with Ds_bench.update_pct = pct } ))
+                 updates ))
+           Ds_bench.default_specs)
+      |> Series.pp_table ~x_name:"update%" ppf)
     kinds
 
 let fig16 ?(quick = false) ?pool ?params ppf =
@@ -231,8 +258,18 @@ let fig16 ?(quick = false) ?pool ?params ppf =
     else { base with Ds_bench.key_range = 10_000; prefill = 5_000; window = 600_000 }
   in
   let slots = if quick then [ 64; 4096 ] else [ 64; 256; 1024; 4096; 16384; 65536 ] in
-  let series = Ds_bench.flit_table_sweep ?pool ~kind:Ops.Bst_set ~mode:Pctx.Automatic ~slots w in
-  Series.pp_table ~x_name:"slots" ppf [ series ]
+  Series.grid ?pool
+    [
+      ( "flit-hash",
+        List.map
+          (fun n ->
+            ( float_of_int n,
+              fun () ->
+                Ds_bench.throughput ~kind:Ops.Bst_set ~mode:Pctx.Automatic
+                  ~spec:(Ds_bench.Flit_hash n) w ))
+          slots );
+    ]
+  |> Series.pp_table ~x_name:"slots" ppf
 
 let all ?quick ?pool ?params ppf =
   scalar_7_2 ?quick ?pool ?params ppf;

@@ -6,14 +6,19 @@
     behind the paper's plots.  [quick] trades repetitions / sweep density /
     measurement-window length for speed (used by the default bench run).
 
-    Every figure is a grid of independent simulations; [pool] runs the grid
-    on the parallel experiment engine.  Results are reduced in submission
-    order, so the printed output is byte-identical at any pool width.
+    Every figure is a grid of independent simulations, run by
+    {!Series.grid} on [pool] when given, so the printed output is
+    byte-identical at any pool width.
 
     [params] overrides the simulated platform (core count, [l2_banks],
     topology, L3, ...); figures that sweep thread counts (Fig 9)
     extend the sweep in powers of two up to [n_cores].  The data-structure
     figures (14-16) run on their own fixed platforms and ignore it. *)
+
+val median_cycles :
+  Skipit_cache.Params.t -> Micro.kernel -> threads:int -> size:int -> repeats:int -> float
+(** The median of {!Micro.run} over repetitions [0 .. repeats - 1]: one
+    point of a microbenchmark figure. *)
 
 val fig9 :
   ?quick:bool ->

@@ -2,6 +2,18 @@ type point = { x : float; y : float }
 type t = { label : string; points : point list }
 
 let v label pairs = { label; points = List.map (fun (x, y) -> { x; y }) pairs }
+(* One Pool.map over every cell, row-major; the results are then dealt
+   back to their rows in the same order. *)
+let grid ?pool rows =
+  let ys = Skipit_par.Pool.map pool (fun (_, cell) -> cell ()) (List.concat_map snd rows) in
+  let take ys (x, _) = match ys with y :: rest -> rest, { x; y } | [] -> assert false in
+  snd
+    (List.fold_left_map
+       (fun ys (label, cells) ->
+         let ys, points = List.fold_left_map take ys cells in
+         ys, { label; points })
+       ys rows)
+
 let map_y f t = { t with points = List.map (fun p -> { p with y = f p.y }) t.points }
 
 let xs series =

@@ -5,7 +5,6 @@
 module Pool = Skipit_par.Pool
 module Figures = Skipit_workload.Figures
 module Ablation = Skipit_workload.Ablation
-module Micro = Skipit_workload.Micro
 module Series = Skipit_workload.Series
 module Trace = Skipit_obs.Trace
 module S = Skipit_core.System
@@ -173,16 +172,21 @@ let test_ablation_deterministic () =
   let par = Pool.with_pool ~jobs:4 (fun pool -> section (Some pool)) in
   Alcotest.(check bool) "skip decomposition identical under pool" true (String.equal seq par)
 
-let test_prepared_split () =
-  (* run_prepared must route each experiment's slice of the flat result
-     list back to its own reducer. *)
-  let prep label xs = { Micro.jobs = List.map (fun x () -> x) xs; reduce = (fun ys -> label, ys) } in
-  let r =
-    Pool.with_pool ~jobs:3 (fun pool ->
-      Micro.run_prepared ~pool [ prep "a" [ 1.; 2. ]; prep "b" [ 3. ]; prep "c" [] ])
+let test_grid_rows_in_order () =
+  (* Series.grid must deal each row's slice of the flat, row-major result
+     list back to that row, uneven and empty rows included. *)
+  let row label ys = label, List.mapi (fun i y -> float_of_int i, fun () -> y) ys in
+  let rows = [ row "a" [ 1.; 2. ]; row "b" [ 3. ]; row "c" [] ] in
+  let flat series =
+    List.map (fun s -> s.Series.label, List.map (fun p -> p.Series.x, p.Series.y) s.Series.points) series
   in
-  Alcotest.(check (list (pair string (list (float 0.)))))
-    "slices" [ "a", [ 1.; 2. ]; "b", [ 3. ]; "c", [] ] r
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair string (list (pair (float 0.) (float 0.))))))
+        (Printf.sprintf "rows at width %d" jobs)
+        [ "a", [ 0., 1.; 1., 2. ]; "b", [ 0., 3. ]; "c", [] ]
+        (flat (Pool.with_pool ~jobs (fun pool -> Series.grid ~pool rows))))
+    [ 1; 3 ]
 
 (* == Golden cycle counts re-pinned under the pool ======================= *)
 
@@ -218,6 +222,6 @@ let tests =
         test_sink_count_keeps_domains_apart;
       Alcotest.test_case "figures byte-identical at any width" `Slow test_figures_deterministic;
       Alcotest.test_case "ablation byte-identical under pool" `Slow test_ablation_deterministic;
-      Alcotest.test_case "run_prepared slices results" `Quick test_prepared_split;
+      Alcotest.test_case "grid keeps row order at any width" `Quick test_grid_rows_in_order;
       Alcotest.test_case "golden cycles under the pool" `Quick test_golden_cycles_under_pool;
     ] )

@@ -2,6 +2,8 @@
    shapes the paper reports. *)
 
 module Micro = Skipit_workload.Micro
+module Figures = Skipit_workload.Figures
+module Params = Skipit_cache.Params
 module Series = Skipit_workload.Series
 module Ds_bench = Skipit_workload.Ds_bench
 module Ablation = Skipit_workload.Ablation
@@ -12,29 +14,25 @@ open Skipit_tilelink
 
 let ys series = List.map (fun p -> p.Series.y) series.Series.points
 
+let flush_cycles ~threads size =
+  Micro.run Params.boom_default (Micro.Writeback Message.Wb_flush) ~threads ~size ~rep:0
+
 let test_single_line_near_100 () =
-  let median, _ = Micro.single_line ~kind:Message.Wb_flush ~repeats:5 () in
+  let median =
+    Figures.median_cycles Params.boom_default (Micro.Writeback Message.Wb_flush) ~threads:1
+      ~size:64 ~repeats:5
+  in
   Alcotest.(check bool) "§7.2: ~100 cycles" true (median > 60. && median < 160.)
 
 let test_sweep_monotone () =
-  let s =
-    Micro.writeback_sweep ~kind:Message.Wb_flush ~threads:1 ~sizes:[ 64; 1024; 32768 ]
-      ~repeats:1 ()
-  in
-  match ys s with
+  match List.map (flush_cycles ~threads:1) [ 64; 1024; 32768 ] with
   | [ a; b; c ] -> Alcotest.(check bool) "monotone in size" true (a < b && b < c)
   | _ -> Alcotest.fail "expected 3 points"
 
 let test_thread_scaling () =
-  let at threads =
-    match
-      ys (Micro.writeback_sweep ~kind:Message.Wb_flush ~threads ~sizes:[ 32768 ] ~repeats:1 ())
-    with
-    | [ y ] -> y
-    | _ -> Alcotest.fail "expected 1 point"
-  in
+  let at threads = flush_cycles ~threads 32768 in
   let t1 = at 1 and t8 = at 8 in
-  let speedup = t1 /. t8 in
+  let speedup = float_of_int t1 /. float_of_int t8 in
   Alcotest.(check bool)
     (Printf.sprintf "8 threads speed up 5-8x (got %.1f)" speedup)
     true
@@ -42,11 +40,7 @@ let test_thread_scaling () =
 
 let test_clean_vs_flush_reread () =
   let total kind =
-    match
-      ys (Micro.write_wb_read ~kind ~threads:1 ~sizes:[ 4096 ] ~repeats:1 ())
-    with
-    | [ y ] -> y
-    | _ -> Alcotest.fail "expected 1 point"
+    float_of_int (Micro.run Params.boom_default (Micro.Write_wb_read kind) ~threads:1 ~size:4096 ~rep:0)
   in
   let clean = total Message.Wb_clean and flush = total Message.Wb_flush in
   Alcotest.(check bool)
@@ -56,13 +50,9 @@ let test_clean_vs_flush_reread () =
 
 let test_skip_it_beats_naive () =
   let run skip_it =
-    match
-      ys
-        (Micro.redundant ~kind:Message.Wb_clean ~skip_it ~threads:1 ~redundant:10
-           ~sizes:[ 4096 ] ~repeats:1 ())
-    with
-    | [ y ] -> y
-    | _ -> Alcotest.fail "expected 1 point"
+    float_of_int
+      (Micro.run (Params.with_skip_it Params.boom_default skip_it)
+         (Micro.Redundant (Message.Wb_clean, 10)) ~threads:1 ~size:4096 ~rep:0)
   in
   let naive = run false and skip = run true in
   let gain = (naive -. skip) /. naive in
