@@ -180,7 +180,6 @@ let workload_for kind w =
   | Ops.Hash_set | Ops.Bst_set | Ops.Skiplist_set -> w
 
 let fig14 ?(quick = false) ?pool ?params ppf =
-  ignore (params : Params.t option);
   header ppf "Figure 14: throughput (ops/1000 cycles), 5% updates, 2 threads";
   let w0 = ds_workload quick in
   let kinds = if quick then [ Ops.List_set; Ops.Bst_set ] else Ops.all_kinds in
@@ -195,7 +194,7 @@ let fig14 ?(quick = false) ?pool ?params ppf =
               List.mapi
                 (fun i spec ->
                   ( float_of_int i,
-                    fun () -> Ds_bench.throughput ~kind ~mode ~spec (workload_for kind w0) ))
+                    fun () -> Ds_bench.throughput ?params ~kind ~mode ~spec (workload_for kind w0) ))
                 Ds_bench.default_specs ))
           Pctx.all_modes)
       kinds
@@ -226,7 +225,6 @@ let fig14 ?(quick = false) ?pool ?params ppf =
     kinds
 
 let fig15 ?(quick = false) ?pool ?params ppf =
-  ignore (params : Params.t option);
   header ppf "Figure 15: throughput vs update percentage (automatic persistence, 2 threads)";
   let w = ds_workload quick in
   let updates = if quick then [ 0; 50 ] else [ 0; 5; 20; 50; 100 ] in
@@ -242,7 +240,7 @@ let fig15 ?(quick = false) ?pool ?params ppf =
                  (fun pct ->
                    ( float_of_int pct,
                      fun () ->
-                       Ds_bench.throughput ~kind ~mode:Pctx.Automatic ~spec
+                       Ds_bench.throughput ?params ~kind ~mode:Pctx.Automatic ~spec
                          { w with Ds_bench.update_pct = pct } ))
                  updates ))
            Ds_bench.default_specs)
@@ -250,7 +248,6 @@ let fig15 ?(quick = false) ?pool ?params ppf =
     kinds
 
 let fig16 ?(quick = false) ?pool ?params ppf =
-  ignore (params : Params.t option);
   header ppf "Figure 16: BST throughput vs FliT hash-table slots (automatic, 2 threads)";
   let w =
     let base = ds_workload quick in
@@ -265,7 +262,7 @@ let fig16 ?(quick = false) ?pool ?params ppf =
           (fun n ->
             ( float_of_int n,
               fun () ->
-                Ds_bench.throughput ~kind:Ops.Bst_set ~mode:Pctx.Automatic
+                Ds_bench.throughput ?params ~kind:Ops.Bst_set ~mode:Pctx.Automatic
                   ~spec:(Ds_bench.Flit_hash n) w ))
           slots );
     ]

@@ -13,7 +13,8 @@
     [params] overrides the simulated platform (core count, [l2_banks],
     topology, L3, ...); figures that sweep thread counts (Fig 9)
     extend the sweep in powers of two up to [n_cores].  The data-structure
-    figures (14-16) run on their own fixed platforms and ignore it. *)
+    figures (14-16) take every other setting but always run 2 threads,
+    whatever [n_cores] says. *)
 
 val median_cycles :
   Skipit_cache.Params.t -> Micro.kernel -> threads:int -> size:int -> repeats:int -> float
