@@ -9,10 +9,10 @@
     on the contended lines (where they hurt), which is the trade the
     paper makes interesting.
 
-    Everything is a pure function of the configuration and seed.  The
-    Zipf sampler is a precomputed Q30 fixed-point CDF built from integer
-    square roots and bit-by-bit log2/exp2 — no [libm] calls, so the same
-    config yields the same bytes on every host, every [--jobs] width. *)
+    Everything is a pure function of the configuration and seed.  Zipf
+    ranks come from {!Skipit_sim.Zipf}'s integer-only Q30 table, so the
+    same config yields the same bytes on every host, every [--jobs]
+    width. *)
 
 type keys =
   | Uniform
@@ -47,14 +47,10 @@ val name : t -> string
 
 val validate : t -> key_range:int -> (unit, string) result
 
-val zipf_cdf : n:int -> theta_milli:int -> int array
-(** Cumulative Q30 fixed-point Zipf weights over ranks [1..n] (exposed
-    for the qcheck comparison against a naive float reference). *)
-
 val draw : t -> key_range:int -> update_pct:int -> seed:int -> Arrival.draw
 (** The op/key sampler to hand {!Arrival.schedule}.  Uniform keys
     reproduce {!Arrival.uniform_draw} exactly (byte-identical schedules);
-    Zipf keys draw a rank from the fixed-point CDF and map it through a
+    Zipf keys draw a rank from {!Skipit_sim.Zipf} and map it through a
     seeded permutation, rotated per churn epoch.  Raises [Invalid_argument]
     on a config that fails {!validate}. *)
 

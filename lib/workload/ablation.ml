@@ -115,14 +115,14 @@ let skew ?pool () =
     { Ds_bench.default_workload with Ds_bench.key_range = 1024; prefill = 512; window = 250_000 }
   in
   points ?pool 1024.
-    ([ "uniform", 0.; "zipf-0.99", 0.99 ]
-    |> List.concat_map (fun (label, skew) ->
+    ([ "uniform", 0; "zipf-0.99", 990 ]
+    |> List.concat_map (fun (label, skew_milli) ->
          List.map
            (fun (name, spec) ->
              ( label ^ "/" ^ name,
                fun () ->
                  Ds_bench.throughput ~kind:Skipit_pds.Set_ops.Hash_set
-                   ~mode:Skipit_persist.Pctx.Automatic ~spec { base with Ds_bench.skew } ))
+                   ~mode:Skipit_persist.Pctx.Automatic ~spec { base with Ds_bench.skew_milli } ))
            [ "plain", Ds_bench.Plain; "skip-it", Ds_bench.Skipit ]))
 
 let run_all ?pool ppf =

@@ -5,6 +5,7 @@ module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
 module Ops = Skipit_pds.Set_ops
 module Rng = Skipit_sim.Rng
+module Zipf = Skipit_sim.Zipf
 
 type strategy_spec =
   | Plain
@@ -66,7 +67,7 @@ type workload = {
   prefill : int;
   window : int;
   seed : int;
-  skew : float;
+  skew_milli : int;
 }
 
 (* Sized so the structures pressure the 32 KiB L1 (and, with FliT's doubled
@@ -80,7 +81,7 @@ let default_workload =
     prefill = 1024;
     window = 500_000;
     seed = 7;
-    skew = 0.;
+    skew_milli = 0;
   }
 
 (* The one word-bit rule: Link-and-Persist marks a bit inside the data
@@ -119,8 +120,8 @@ let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
       prefill sys kind pctx ~key_range:w.key_range ~prefill:w.prefill ~seed:w.seed
     in
     let ops_done = Array.make w.threads 0 in
-    let distribution =
-      if w.skew > 0. then Some (Skipit_sim.Distribution.zipf ~n:w.key_range ~theta:w.skew)
+    let zipf =
+      if w.skew_milli > 0 then Some (Zipf.cdf ~n:w.key_range ~theta_milli:w.skew_milli)
       else None
     in
     let worker core =
@@ -133,8 +134,8 @@ let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
             let n = ref 0 in
             while T.now () < stop_at do
               let key =
-                match distribution with
-                | Some d -> 1 + Skipit_sim.Distribution.sample d rng
+                match zipf with
+                | Some cdf -> 1 + Zipf.draw cdf rng
                 | None -> 1 + Rng.int rng w.key_range
               in
               let r = Rng.int rng 100 in

@@ -5,7 +5,8 @@
     strategy), creates and prefills the structure to half the key range,
     then lets [threads] worker threads execute a read/update mix for a
     fixed window of simulated cycles.  Updates split evenly between inserts
-    and deletes of uniformly random keys (§7.4).  Reported throughput is
+    and deletes of uniformly random keys (§7.4) unless [skew_milli] asks
+    for Zipf keys.  Reported throughput is
     operations per 1000 simulated cycles. *)
 
 (** The compared series.  [Baseline] is the non-persistent dotted line of
@@ -65,10 +66,11 @@ type workload = {
   prefill : int;  (** Keys inserted before measuring. *)
   window : int;  (** Measured simulated cycles. *)
   seed : int;
-  skew : float;
-      (** Zipf theta over the key space (0 = uniform, the paper's setting;
-          ~0.99 = heavy skew — hot lines see many more redundant
-          writebacks). *)
+  skew_milli : int;
+      (** Zipf θ over the key space in thousandths, drawn with
+          {!Skipit_sim.Zipf} (0 = uniform, the paper's setting; 990 = heavy
+          skew — hot lines see many more redundant writebacks).  Rank r is
+          key r + 1. *)
 }
 
 val default_workload : workload

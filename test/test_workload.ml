@@ -8,7 +8,7 @@ module Series = Skipit_workload.Series
 module Ds_bench = Skipit_workload.Ds_bench
 module Ablation = Skipit_workload.Ablation
 module Model = Skipit_xarch.Model
-module Distribution = Skipit_sim.Distribution
+module Zipf = Skipit_sim.Zipf
 module Rng = Skipit_sim.Rng
 open Skipit_tilelink
 
@@ -138,19 +138,16 @@ let test_series_rendering () =
 
 let test_distribution () =
   let rng = Rng.create ~seed:3 in
-  let u = Distribution.uniform ~lo:5 ~hi:10 in
-  for _ = 1 to 200 do
-    let v = Distribution.sample u rng in
-    if v < 5 || v > 10 then Alcotest.fail "uniform out of range"
-  done;
-  let z = Distribution.zipf ~n:100 ~theta:0.99 in
+  let cdf = Zipf.cdf ~n:100 ~theta_milli:990 in
   let counts = Array.make 100 0 in
   for _ = 1 to 2000 do
-    let v = Distribution.sample z rng in
+    let v = Zipf.draw cdf rng in
     counts.(v) <- counts.(v) + 1
   done;
   Alcotest.(check bool) "zipf skews to head" true (counts.(0) > counts.(50) * 3);
-  Alcotest.(check int) "constant" 7 (Distribution.sample (Distribution.constant 7) rng)
+  Alcotest.(check (array int)) "theta 0 weighs every rank alike"
+    (Array.init 10 (fun k -> (k + 1) lsl 30))
+    (Zipf.cdf ~n:10 ~theta_milli:0)
 
 let tests =
   ( "workload",

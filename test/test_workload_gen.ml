@@ -8,6 +8,7 @@
 module Arrival = Skipit_serve.Arrival
 module Workload = Skipit_serve.Workload
 module Rng = Skipit_sim.Rng
+module Zipf = Skipit_sim.Zipf
 
 let zipf ?churn theta_milli =
   { Workload.keys = Workload.Zipf { theta_milli }; churn }
@@ -19,7 +20,7 @@ let zipf ?churn theta_milli =
    the whole supported (n, theta) envelope; the tolerance leaves room
    for the tail floor (every weight >= 1 ulp). *)
 let cdf_close ~n ~theta_milli =
-  let cum = Workload.zipf_cdf ~n ~theta_milli in
+  let cum = Zipf.cdf ~n ~theta_milli in
   let total = float_of_int cum.(n - 1) in
   let theta = float_of_int theta_milli /. 1000. in
   let fw = Array.init n (fun k -> Float.pow (float_of_int (k + 1)) (-.theta)) in
@@ -57,7 +58,7 @@ let prop_cdf_reference =
           theta_milli worst)
 
 let test_cdf_monotone_positive () =
-  let cum = Workload.zipf_cdf ~n:1024 ~theta_milli:4000 in
+  let cum = Zipf.cdf ~n:1024 ~theta_milli:4000 in
   Array.iteri
     (fun k c ->
       (* Strictly increasing: the 1-ulp floor keeps every key reachable
@@ -85,7 +86,7 @@ let test_draw_frequencies () =
      The 99.9th percentile of chi2(31) is 61.1; everything here is
      seeded, so this is a deterministic regression check, not a flaky
      statistical one. *)
-  let cum = Workload.zipf_cdf ~n ~theta_milli:990 in
+  let cum = Zipf.cdf ~n ~theta_milli:990 in
   let total = float_of_int cum.(n - 1) in
   let perm = Array.init n (fun i -> i + 1) in
   Rng.shuffle (Rng.create ~seed:5) perm;
