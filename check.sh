@@ -50,18 +50,10 @@ fi
 python3 tools/lint_compare.py
 
 # No dead exports: every val in a lib/ interface is named by some file
-# other than its own module's .ml/.mli (a word match, so a name that
-# something else also uses passes).  Delete an export nobody uses.
-dead=$(for mli in $(find lib -name '*.mli' | sort); do
-  for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
-    grep -rlw --include='*.ml' --include='*.mli' -e "$v" lib bin bench perfbench tools test examples \
-      | grep -qvx -e "$mli" -e "${mli%i}" || echo "  $mli: $v"
-  done
-done)
-if [ -n "$dead" ]; then
-  printf 'check.sh: exports named by no other file:\n%s\n' "$dead" >&2
-  exit 1
-fi
+# other than its own module's .ml/.mli, by its qualified name (M.v through
+# any path or module alias, or a bare v under a local or plain open of M).
+# Delete an export nobody uses.
+python3 tools/lint_exports.py || { echo "check.sh: dead exports (above)" >&2; exit 1; }
 
 dune build
 dune runtest

@@ -109,7 +109,6 @@ let with_l3 t =
   }
 
 let line_bytes t = t.l1_geom.Geometry.line_bytes
-let words_per_line t = Geometry.words_per_line t.l1_geom
 let data_beats t = line_bytes t / t.bus_bytes
 
 let fill_buffer_cycles t =

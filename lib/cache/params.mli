@@ -106,7 +106,6 @@ val with_l3 : t -> t
 (** Add a 4 MiB 16-way memory-side L3 (the deeper-hierarchy experiment). *)
 
 val line_bytes : t -> int
-val words_per_line : t -> int
 
 val data_beats : t -> int
 (** Beats to move one line over the bus ([line_bytes / bus_bytes] = 4). *)

@@ -40,7 +40,6 @@ let create ?(policy = Lru) geom =
     last_use = Array.make slots 0;
   }
 
-let geometry t = t.geom
 let slots t = Array.length t.tags
 let is_valid t id = Bytes.unsafe_get t.valid id <> '\000'
 

@@ -23,8 +23,6 @@ type t
 
 val create : ?policy:policy -> Geometry.t -> t
 
-val geometry : t -> Geometry.t
-
 val slots : t -> int
 (** Total slot count ([sets * ways]); the valid id range for parallel
     side tables. *)

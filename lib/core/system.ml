@@ -118,7 +118,6 @@ let lsu t core = t.lsus.(core)
 let dcache t core = t.dcaches.(core)
 let l2 t = t.l2
 let l3 t = t.l3
-let client_port t core = t.ports.(core)
 let dram t = t.dram
 let persist_log t = t.persist_log
 let allocator t = t.allocator

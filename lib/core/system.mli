@@ -4,7 +4,8 @@
 
     This is the main entry point of the library.  Build a system from a
     {!Config} parameter block, then either drive individual cores through
-    {!exec}/the typed wrappers, or run concurrent workloads with
+    the instruction wrappers ({!load}, {!store}, ...), or run concurrent
+    workloads with
     {!module:Thread}. *)
 
 module Params = Skipit_cache.Params
@@ -26,11 +27,6 @@ val l2 : t -> Skipit_l2.Inclusive_cache.t
 val l3 : t -> Skipit_l2.Memside_cache.t option
 (** The memory-side L3, when [Params.l3] is set. *)
 
-val client_port : t -> int -> Skipit_tilelink.Port.t
-(** The typed TileLink port wiring core [i]'s L1 to the L2.  Under
-    [`Crossbar] each port owns private channel wires; under [`Shared_bus]
-    they all contend for one set. *)
-
 val dram : t -> Skipit_mem.Dram.t
 
 val persist_log : t -> Skipit_mem.Persist_log.t
@@ -40,10 +36,7 @@ val persist_log : t -> Skipit_mem.Persist_log.t
 val allocator : t -> Skipit_mem.Allocator.t
 (** A system-wide bump allocator for workload data. *)
 
-val exec : t -> core:int -> Instr.t -> int
 (** Run one instruction on [core] at that core's current clock. *)
-
-(** Typed wrappers around {!exec}. *)
 
 val load : t -> core:int -> int -> int
 val store : t -> core:int -> int -> int -> unit
@@ -97,7 +90,8 @@ val set_audit_hook : t -> every:int -> (t -> unit) -> unit
 val maybe_audit : t -> unit
 (** Fire the installed audit hook if its period has elapsed (no-op
     otherwise, and when no hook is installed).  Called automatically by
-    {!exec} and by {!Thread.run}; exposed for custom drivers. *)
+    the instruction wrappers and by {!Thread.run}; exposed for custom
+    drivers. *)
 
 val check_coherence : t -> (unit, string) result
 (** Global invariants:

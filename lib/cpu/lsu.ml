@@ -23,7 +23,6 @@ let create dcache =
     clock = 0;
     instructions = 0;
   }
-let dcache t = t.dcache
 let core t = Dcache.core t.dcache
 let clock t = t.clock
 

@@ -18,7 +18,6 @@
 type t
 
 val create : Skipit_l1.Dcache.t -> t
-val dcache : t -> Skipit_l1.Dcache.t
 val core : t -> int
 
 val clock : t -> int

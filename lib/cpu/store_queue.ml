@@ -8,8 +8,6 @@ let create ~entries =
   if entries <= 0 then invalid_arg "Store_queue.create: no entries";
   { entries; q = Array.make entries 0; head = 0; len = 0 }
 
-let capacity t = t.entries
-
 let pop t =
   let d = t.q.(t.head) in
   t.head <- (if t.head = t.entries - 1 then 0 else t.head + 1);

@@ -26,8 +26,6 @@ val drained_at : t -> now:int -> int
 val occupancy : t -> now:int -> int
 (** Entries still draining at [now]. *)
 
-val capacity : t -> int
-
 val copy_into : src:t -> dst:t -> unit
 (** Make [dst] hold [src]'s draining entries; the capacities must
     match. *)

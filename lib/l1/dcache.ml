@@ -75,7 +75,6 @@ let core t = t.core
 let params t = t.p
 let flush_unit t = t.flush
 let stats t = t.stats
-let port t = t.port
 let done_at t = t.done_at
 
 let line_base t addr = Geometry.line_base t.p.Params.l1_geom addr

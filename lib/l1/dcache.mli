@@ -136,7 +136,6 @@ val slot_word : t -> int -> int -> int
 (** [slot_word t id w]: word [w] of the line in slot [id]. *)
 
 val flush_unit : t -> Flush_unit.t
-val port : t -> Port.t
 val stats : t -> Skipit_sim.Stats.Registry.t
 
 val mshrs : t -> Skipit_sim.Resource.t

@@ -142,7 +142,6 @@ let create p ~backend =
 
 let stats t = t.stats
 let backend t = t.backend
-let client_port t ~core = t.ports.(core)
 let n_banks t = t.n_banks
 let bank_stats t = Array.map (fun b -> b.b_stats) t.banks
 let mshr_files t = Array.map (fun b -> b.mshrs) t.banks

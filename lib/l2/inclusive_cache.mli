@@ -47,9 +47,6 @@ val connect_client : t -> core:int -> Port.t -> unit
     system builder before any traffic; raises [Invalid_argument] on a
     duplicate or out-of-range core. *)
 
-val client_port : t -> core:int -> Port.t option
-(** The port registered by {!connect_client}, if any. *)
-
 val backend : t -> Skipit_tilelink.Port.Memside.t
 (** The memory-side port this cache was created over. *)
 
@@ -81,11 +78,6 @@ val root_release :
 (** The paper's new channel-C message (§5.1/§5.5); returns the
     RootReleaseAck arrival time, by which the line is persisted.  [data]
     and [off] as for {!release}. *)
-
-val root_inval : t -> core:int -> addr:int -> now:int -> int
-(** CBO.INVAL (CMO spec): revoke and {e discard} every cached copy of the
-    line, including the L2's own, without writing anything back.  Returns
-    the acknowledgement time. *)
 
 val dir_dirty : t -> int -> bool
 (** Is the line present-and-dirty in L2?  (The ground truth against which the

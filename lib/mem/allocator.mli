@@ -21,12 +21,6 @@ val alloc_line : t -> line_bytes:int -> int
 (** Allocate one whole cache line, line-aligned — used when false sharing
     must be avoided (e.g. FliT's padded counters). *)
 
-val used : t -> int
-(** Bytes allocated so far. *)
-
-val next : t -> int
-(** The next address that would be returned (before alignment). *)
-
 val copy_into : src:t -> dst:t -> unit
 (** [dst] continues allocating where [src] would; the bases must
     match. *)

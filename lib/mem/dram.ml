@@ -28,8 +28,6 @@ let create ~channels ~read_latency ~write_latency ~occupancy ~line_bytes =
     log = None;
   }
 
-let line_bytes t = t.line_bytes
-
 (* How long a request arriving at [now] would queue for a free channel —
    deterministic lookahead for the memside port's stall accounting. *)
 let queue_wait t ~now = Int.max 0 (Resource.earliest_free t.channels - now)
@@ -60,7 +58,6 @@ let peek_word t addr = Backing.read_word t.backing addr
 let poke_word t addr v = Backing.write_word t.backing addr v
 let peek_line t ~addr = Backing.read_line t.backing ~line_bytes:t.line_bytes addr
 let snapshot t = Backing.copy t.backing
-let backing t = t.backing
 let reads t = t.reads
 let writes t = t.writes
 

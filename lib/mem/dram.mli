@@ -16,8 +16,6 @@ val create :
   line_bytes:int ->
   t
 
-val line_bytes : t -> int
-
 val queue_wait : t -> now:int -> int
 (** How long a request arriving at [now] would wait for a free channel (0
     when one is idle) — lookahead for port-level stall accounting; does not
@@ -42,9 +40,6 @@ val peek_line : t -> addr:int -> int array
 
 val snapshot : t -> Backing.t
 (** Copy of the current persisted image. *)
-
-val backing : t -> Backing.t
-(** The live backing store (shared, not a copy). *)
 
 val reads : t -> int
 val writes : t -> int

@@ -42,7 +42,6 @@ let create ?(window = default_window) () =
   if window <= 0 then invalid_arg "Metrics.create: window <= 0";
   { window; metrics = Hashtbl.create 16 }
 
-let window t = t.window
 let widx t ~at = if at <= 0 then 0 else at / t.window
 
 let bump (w : windowed) idx by =
@@ -123,10 +122,8 @@ let[@inline] with_current f = match Sink.get current with None -> () | Some t ->
 
 (* Ambient hooks used from the hierarchy: no-ops with no sink installed. *)
 let count name ~at = with_current (fun t -> counter_incr t name ~at)
-let add name ~at by = with_current (fun t -> counter_add t name ~at by)
 let alloc name ~at = with_current (fun t -> occupancy_alloc t name ~at)
 let free name ~at = with_current (fun t -> occupancy_free t name ~at)
-let sample name ~at v = with_current (fun t -> histogram_observe t name ~at v)
 
 (* == Deterministic views ================================================ *)
 

@@ -11,7 +11,6 @@ type t
 
 val default_window : int
 val create : ?window:int -> unit -> t
-val window : t -> int
 val widx : t -> at:int -> int
 (** Window index of simulated cycle [at]. *)
 
@@ -39,10 +38,8 @@ val stop : unit -> t option
 (** Ambient hooks for the hierarchy: no-ops with no sink installed. *)
 
 val count : string -> at:int -> unit
-val add : string -> at:int -> int -> unit
 val alloc : string -> at:int -> unit
 val free : string -> at:int -> unit
-val sample : string -> at:int -> int -> unit
 
 (** {1 Deterministic views} *)
 

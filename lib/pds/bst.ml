@@ -1,4 +1,5 @@
 module Pctx = Skipit_persist.Pctx
+module Strategy = Skipit_persist.Strategy
 module Allocator = Skipit_mem.Allocator
 
 (* Sentinel keys, above every legal key (legal keys < 2^49). *)
@@ -217,16 +218,16 @@ let repair t p =
 
 let elements_unsafe t system =
   let module S = Skipit_core.System in
-  let strip v = v land lnot Skipit_persist.Strategy.lap_mask in
+  let peek addr = Strategy.lap_strip (S.peek_word system addr) in
   let stride = t.stride in
   let rec walk node flagged acc =
     if Ptr.is_null node then acc
     else begin
-      let left = strip (S.peek_word system (fleft ~stride node)) in
-      let right = strip (S.peek_word system (fright ~stride node)) in
+      let left = peek (fleft ~stride node) in
+      let right = peek (fright ~stride node) in
       if Ptr.is_null left then begin
         (* Leaf. *)
-        let key = strip (S.peek_word system (fkey ~stride node)) in
+        let key = peek (fkey ~stride node) in
         if key < inf0 && not flagged then key :: acc else acc
       end
       else begin

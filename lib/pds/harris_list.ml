@@ -1,4 +1,5 @@
 module Pctx = Skipit_persist.Pctx
+module Strategy = Skipit_persist.Strategy
 module Allocator = Skipit_mem.Allocator
 
 let tail_key = 1 lsl 50
@@ -142,16 +143,16 @@ let repair t p =
 
 let to_list_unsafe t system =
   let module S = Skipit_core.System in
-  let strip v = v land lnot Skipit_persist.Strategy.lap_mask in
+  let peek addr = Strategy.lap_strip (S.peek_word system addr) in
   let rec walk node acc =
     if node = t.tail || Ptr.is_null node then List.rev acc
     else begin
-      let key = strip (S.peek_word system (key_field ~stride:t.stride node)) in
-      let next_raw = strip (S.peek_word system (next_field ~stride:t.stride node)) in
+      let key = peek (key_field ~stride:t.stride node) in
+      let next_raw = peek (next_field ~stride:t.stride node) in
       let acc = if Ptr.is_marked next_raw then acc else key :: acc in
       walk (Ptr.addr_of next_raw) acc
     end
   in
-  walk (Ptr.addr_of (strip (S.peek_word system (next_field ~stride:t.stride t.head)))) []
+  walk (Ptr.addr_of (peek (next_field ~stride:t.stride t.head))) []
 
 let rebind t alloc = { t with alloc }

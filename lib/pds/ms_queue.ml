@@ -1,4 +1,5 @@
 module Pctx = Skipit_persist.Pctx
+module Strategy = Skipit_persist.Strategy
 module Allocator = Skipit_mem.Allocator
 
 (* Node layout: field 0 = value, field 1 = next.  head/tail are single-word
@@ -113,12 +114,12 @@ let repair t p =
 
 let to_list_unsafe t system =
   let module S = Skipit_core.System in
-  let strip v = v land lnot Skipit_persist.Strategy.lap_mask in
-  let head = Ptr.addr_of (strip (S.peek_word system t.head_cell)) in
+  let peek addr = Strategy.lap_strip (S.peek_word system addr) in
+  let head = Ptr.addr_of (peek t.head_cell) in
   let rec walk node acc =
-    let next = Ptr.addr_of (strip (S.peek_word system (fnext ~stride:t.stride node))) in
+    let next = Ptr.addr_of (peek (fnext ~stride:t.stride node)) in
     if Ptr.is_null next then List.rev acc
-    else walk next (strip (S.peek_word system (fvalue ~stride:t.stride next)) :: acc)
+    else walk next (peek (fvalue ~stride:t.stride next) :: acc)
   in
   walk head []
 

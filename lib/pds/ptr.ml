@@ -5,6 +5,5 @@ let is_marked p = p land mark_bit <> 0
 let is_tagged p = p land tag_bit <> 0
 let with_mark p = p lor mark_bit
 let with_tag p = p lor tag_bit
-let strip = addr_of
 let null = 0
 let is_null p = addr_of p = 0

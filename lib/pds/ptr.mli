@@ -20,8 +20,6 @@ val is_marked : int -> bool
 val is_tagged : int -> bool
 val with_mark : int -> int
 val with_tag : int -> int
-val strip : int -> int
-(** Alias of {!addr_of}. *)
 
 val null : int
 (** The null simulated pointer (0). *)

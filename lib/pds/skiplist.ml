@@ -1,4 +1,5 @@
 module Pctx = Skipit_persist.Pctx
+module Strategy = Skipit_persist.Strategy
 module Allocator = Skipit_mem.Allocator
 
 let max_level = 12
@@ -229,16 +230,16 @@ let repair t p =
 
 let elements_unsafe t system =
   let module S = Skipit_core.System in
-  let strip v = v land lnot Skipit_persist.Strategy.lap_mask in
+  let peek addr = Strategy.lap_strip (S.peek_word system addr) in
   let rec walk node acc =
     if node = t.tail || Ptr.is_null node then List.rev acc
     else begin
-      let key = strip (S.peek_word system (fkey ~stride:t.stride node)) in
-      let raw = strip (S.peek_word system (fnext ~stride:t.stride node 0)) in
+      let key = peek (fkey ~stride:t.stride node) in
+      let raw = peek (fnext ~stride:t.stride node 0) in
       let acc = if Ptr.is_marked raw then acc else key :: acc in
       walk (Ptr.addr_of raw) acc
     end
   in
-  walk (Ptr.addr_of (strip (S.peek_word system (fnext ~stride:t.stride t.head 0)))) []
+  walk (Ptr.addr_of (peek (fnext ~stride:t.stride t.head 0))) []
 
 let rebind t alloc = { t with alloc }

@@ -111,10 +111,10 @@ let flit_hash ~table_base ~table_slots =
    yet persisted".  Stores set it; any persist point that finds it set
    flushes the line and clears the mark with a CAS.  Loads mask it out. *)
 let lap_mask = 1 lsl 62
+let lap_strip v = v land lnot lap_mask
 
 let link_and_persist () =
-  let strip v = v land lnot lap_mask in
-  let read addr = strip (Thread.load addr) in
+  let read addr = lap_strip (Thread.load addr) in
   let write addr value = Thread.store addr (value lor lap_mask) in
   let cas addr ~expected ~desired =
     (* The stored word may carry the mark in either state; try both
@@ -128,7 +128,7 @@ let link_and_persist () =
       Thread.flush addr;
       (* Clear the mark; losing the CAS race only costs an extra flush
          later, never a missed writeback. *)
-      ignore (Thread.cas addr ~expected:v ~desired:(strip v))
+      ignore (Thread.cas addr ~expected:v ~desired:(lap_strip v))
     end
   in
   {

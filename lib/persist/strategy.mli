@@ -60,6 +60,6 @@ val flit_hash : table_base:int -> table_slots:int -> t
 
 val link_and_persist : unit -> t
 
-val lap_mask : int
-(** The in-word mark bit used by {!link_and_persist} (bit 62) — exposed so
-    recovery procedures and tests can strip it from persisted images. *)
+val lap_strip : int -> int
+(** A word without the in-word mark bit {!link_and_persist} sets (bit 62):
+    what recovery procedures and tests read from persisted images. *)

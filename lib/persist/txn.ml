@@ -11,8 +11,6 @@ type t = { header : int; entries : int; capacity : int }
 
 type txn = { owner : t; mutable writes : (int * int) list; mutable count : int }
 
-let capacity t = t.capacity
-
 let status_addr t = t.header
 let count_addr t = t.header + 8
 let entry_addr t i = t.entries + (i * 64)

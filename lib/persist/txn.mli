@@ -20,8 +20,6 @@
 type t
 type txn
 
-val capacity : t -> int
-
 val create : Skipit_mem.Allocator.t -> capacity:int -> t
 (** Allocate and initialise the log region ([capacity] = max writes per
     transaction). *)

@@ -15,8 +15,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Admission.create: capacity must be positive";
   { capacity; departures = Array.make capacity 0; head = 0; len = 0; admitted = 0; released = 0 }
 
-let capacity t = t.capacity
-
 let peek_entry t ~now =
   (* Mirror [admit]'s arithmetic without consuming state: the next admission
      is number [admitted + 1], which waits on the FIFO-head departure once

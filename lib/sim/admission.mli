@@ -16,8 +16,6 @@ type t
 val create : capacity:int -> t
 (** [capacity] must be positive. *)
 
-val capacity : t -> int
-
 val admit : t -> now:int -> int
 (** Entry time: [now], or the departure time of the request [capacity]
     positions earlier if the room is still full then.  Raises

@@ -16,7 +16,6 @@ let create ?(count = 1) name =
   { name; free_at = Array.make count 0; busy_cycles = 0; order = Array.init count Fun.id; head = 0 }
 
 let name t = t.name
-let count t = Array.length t.free_at
 let min_index t = t.order.(t.head)
 
 (* Unit [a] sorts before unit [b]. *)

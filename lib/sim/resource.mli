@@ -15,7 +15,6 @@ val create : ?count:int -> string -> t
     (default 1).  [name] labels it in statistics. *)
 
 val name : t -> string
-val count : t -> int
 
 val acquire : t -> now:int -> busy:int -> int * int
 (** [acquire t ~now ~busy] returns [(start, finish)] with [start >= now] the

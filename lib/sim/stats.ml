@@ -250,9 +250,4 @@ module Registry = struct
           src.entries
     end;
     copy_counts src.entries dst.entries
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    List.iter (fun (name, n) -> Format.fprintf ppf "%s: %d@," name n) (to_list t);
-    Format.fprintf ppf "@]"
 end

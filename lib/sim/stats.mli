@@ -93,6 +93,4 @@ module Registry : sig
   (** Make [dst] equal to [src], overwriting whatever [dst] held: the same
       keys in the same order, counts and reported flags.  [dst]'s counter
       for a key both share stays the one its handles bump. *)
-
-  val pp : Format.formatter -> t -> unit
 end

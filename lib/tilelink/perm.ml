@@ -10,7 +10,6 @@ let compare a b = Int.compare (rank a) (rank b)
 let includes have need = rank have >= rank need
 
 let to_string = function Nothing -> "N" | Branch -> "B" | Trunk -> "T"
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 type grow = N_to_B | N_to_T | B_to_T
 type shrink = T_to_B | T_to_N | B_to_N | T_to_T | B_to_B | N_to_N

@@ -24,7 +24,6 @@ val includes : t -> t -> bool
 (** [includes have need]: do [have] permissions suffice for an access that
     needs [need]? *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Permission-growth parameter carried by an Acquire (client asks the

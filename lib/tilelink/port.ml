@@ -105,7 +105,6 @@ let create ?channels ?(bank_channels = [||]) ?(line_bytes = 64) ~name () =
 
 let name t = t.name
 let stats t = t.stats
-let channels t = t.channels
 
 let bank_fold ~shift ~mask line =
   let h = ref 0 and x = ref line in

@@ -81,9 +81,6 @@ module Channels : sig
   type t
 
   val create : name:string -> t
-
-  val copy_into : src:t -> dst:t -> unit
-  (** Give [dst]'s A, C and D wires [src]'s occupancy. *)
 end
 
 type t
@@ -104,7 +101,6 @@ val create :
 
 val name : t -> string
 val stats : t -> Skipit_sim.Stats.Registry.t
-val channels : t -> Channels.t
 
 val copy_into : src:t -> dst:t -> unit
 (** Make [dst]'s wires and counters equal to [src]'s.  The connected

@@ -26,15 +26,4 @@ val skip_decomposition : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
 (** Redundant-writeback latency (Fig. 13 workload, 4 KiB) for the three
     configurations. *)
 
-val coalescing : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
-(** The Fig. 13 naive workload with flush-queue coalescing on vs off — with
-    it on, the backed-up queue merges most redundant requests itself. *)
-
-val contention : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
-(** Contended (same region) vs disjoint per-thread writebacks at 4 KiB. *)
-
-val skew : ?pool:Skipit_par.Pool.t -> unit -> Series.t list
-(** Uniform vs Zipf-skewed keys on the hash table: skew concentrates
-    redundant writebacks on hot lines, the regime Skip It targets. *)
-
 val run_all : ?pool:Skipit_par.Pool.t -> Format.formatter -> unit

@@ -21,46 +21,6 @@ val median_cycles :
 (** The median of {!Micro.run} over repetitions [0 .. repeats - 1]: one
     point of a microbenchmark figure. *)
 
-val fig9 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** CBO.X latency vs writeback size for 1/2/4/8 threads. *)
-
-val fig13 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Naïve vs Skip It under redundant writebacks, 1 and 8 threads. *)
-
-val fig14 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Data-structure throughput at 5 % updates: 4 structures × 3 persistence
-    algorithms × 5 strategies (+ non-persistent baseline), 2 threads. *)
-
-val fig15 :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-(** Throughput vs update percentage. *)
-
-val all :
-  ?quick:bool ->
-  ?pool:Skipit_par.Pool.t ->
-  ?params:Skipit_cache.Params.t ->
-  Format.formatter ->
-  unit
-
 val by_name :
   string ->
   (?quick:bool ->
@@ -69,11 +29,20 @@ val by_name :
   Format.formatter ->
   unit)
   option
-(** Lookup by {!names}: "scalar" (§7.2 headline numbers: single-line CBO.X
-    median/σ and the full-32 KiB flush, 1 thread), "fig9" … "fig16" (Fig. 10:
-    write – writeback ×10 – fence – read, CBO.CLEAN vs CBO.FLUSH, 1 and 8
-    threads; Figs 11/12: cross-architecture writeback latency at 1 and 8
-    threads; Fig. 16: BST (10 k keys) sensitivity to the FliT hash-table
-    size), "all". *)
+(** Lookup by {!names}:
+    - "scalar": the §7.2 headline numbers (single-line CBO.X median/σ and
+      the full-32 KiB flush, 1 thread);
+    - "fig9": CBO.X latency vs writeback size for 1/2/4/8 threads;
+    - "fig10": write – writeback ×10 – fence – read, CBO.CLEAN vs
+      CBO.FLUSH, 1 and 8 threads;
+    - "fig11", "fig12": cross-architecture writeback latency at 1 and 8
+      threads;
+    - "fig13": naïve vs Skip It under redundant writebacks, 1 and 8
+      threads;
+    - "fig14": data-structure throughput at 5 % updates: 4 structures × 3
+      persistence algorithms × 5 strategies (+ non-persistent baseline);
+    - "fig15": throughput vs update percentage;
+    - "fig16": BST (10 k keys) sensitivity to the FliT hash-table size;
+    - "all": every figure above, in order. *)
 
 val names : string list

@@ -23,7 +23,7 @@ let persist_roundtrip strategy =
     strategy.Strategy.fence ());
   sys, a
 
-let strip v = v land lnot Strategy.lap_mask
+let strip = Strategy.lap_strip
 
 let test_persists name mk () =
   let strategy = mk () in
