@@ -37,6 +37,14 @@ if grep -rnw Marshal lib/; then
   exit 1
 fi
 
+# One hook per hierarchy event: the hierarchy emits Trace events and
+# Metrics windows its series off them (Metrics.start's Trace listener), so
+# no hierarchy file names Metrics.
+if grep -rnw Metrics lib/l1 lib/l2 lib/mem lib/tilelink lib/cpu lib/core; then
+  echo "check.sh: Metrics named in the hierarchy (above); the hierarchy emits Trace events and Metrics reads them" >&2
+  exit 1
+fi
+
 # One strategy vocabulary: persist strategies are named in Ds_bench alone,
 # which serve, fleet, the figures and the crash campaign all read.
 if grep -rln -- '-> "link-and-persist"' lib/ | grep -vx lib/workload/ds_bench.ml; then

@@ -57,6 +57,11 @@ let fault_schedule_of_name s =
 (* ------------------------------------------------------------------ *)
 (* Configuration.                                                     *)
 
+(* Max cycles a shard's epoch stays open short of [batch]; sub-reads per
+   multi-get. *)
+let linger = 600
+let fanout = 4
+
 type config = {
   shards : int;
   replicas : int;
@@ -70,13 +75,11 @@ type config = {
   requests : int;
   depth : int;
   batch : int;
-  linger : int;
   retry_max : int;
   backoff : int;
   backoff_cap : int;
   timeout : int;
   fanout_pct : int;
-  fanout : int;
   key_range : int;
   update_pct : int;
   prefill : int;
@@ -99,13 +102,11 @@ let default =
     requests = 2000;
     depth = 48;
     batch = 8;
-    linger = 600;
     retry_max = 5;
     backoff = 200;
     backoff_cap = 3200;
     timeout = 400;
     fanout_pct = 10;
-    fanout = 4;
     key_range = 1024;
     update_pct = 20;
     prefill = 512;
@@ -139,14 +140,12 @@ let validate cfg =
                   "replicas must be in [1, shards]"
   >>= fun () -> check (cfg.vnodes <= 0) "vnodes must be positive"
   >>= fun () -> Shard.validate (shard_config cfg)
-  >>= fun () -> check (cfg.linger <= 0) "linger must be positive"
   >>= fun () -> check (cfg.retry_max < 0) "retry-max must be non-negative"
   >>= fun () -> check (cfg.backoff <= 0) "backoff must be positive"
   >>= fun () -> check (cfg.backoff_cap < cfg.backoff) "backoff-cap must be >= backoff"
   >>= fun () -> check (cfg.timeout <= 0) "timeout must be positive"
   >>= fun () -> check (cfg.fanout_pct < 0 || cfg.fanout_pct > 100)
                   "fanout-pct must be in [0,100]"
-  >>= fun () -> check (cfg.fanout <= 0) "fanout must be positive"
   >>= fun () ->
   check
     (cfg.faults <> No_faults && cfg.spec = Ds_bench.Baseline)
@@ -648,7 +647,7 @@ let run cfg ~rate =
     checkpoint ~at "readmit"
   in
   let join_epoch s m ~start =
-    if s.epoch_n = 0 then s.epoch_deadline <- start + cfg.linger;
+    if s.epoch_n = 0 then s.epoch_deadline <- start + linger;
     s.epoch <- m :: s.epoch;
     s.epoch_n <- s.epoch_n + 1;
     s.occ <- s.occ + 1;
@@ -752,10 +751,10 @@ let run cfg ~rate =
      result is partial — degraded, never blocked. *)
   let dispatch_multi r ~at =
     let base = sched.(r.idx).Arrival.key in
-    let step = max 1 (cfg.key_range / cfg.fanout) in
+    let step = max 1 (cfg.key_range / fanout) in
     let best_ack = ref (-1) in
     let missing = ref 0 in
-    for j = 0 to cfg.fanout - 1 do
+    for j = 0 to fanout - 1 do
       match read_key r (1 + ((base - 1 + (j * step)) mod cfg.key_range)) ~at with
       | `Served fin -> if fin > !best_ack then best_ack := fin
       | `Full _ | `Down _ -> incr missing
@@ -962,7 +961,8 @@ let sweep ?pool cfg ~rates = Pool.map pool (fun rate -> run cfg ~rate) rates
 
 (* Every reproducer key, in file order, with whether it may be absent (keys
    older reproducers predate), its printer ([None] omits the line) and its
-   parser into a config.  The writer and the reader both walk this table. *)
+   parser into a config.  The writer and the reader both walk this table;
+   the reader ignores other keys (older files' [linger] and [fanout]). *)
 let repro_fields =
   let field ?(optional = false) k show (read : config -> string -> config option) =
     (k, optional, show, read)
@@ -997,13 +997,11 @@ let repro_fields =
     int "requests" (fun c -> c.requests) (fun c requests -> { c with requests });
     int "depth" (fun c -> c.depth) (fun c depth -> { c with depth });
     int "batch" (fun c -> c.batch) (fun c batch -> { c with batch });
-    int "linger" (fun c -> c.linger) (fun c linger -> { c with linger });
     int "retry_max" (fun c -> c.retry_max) (fun c retry_max -> { c with retry_max });
     int "backoff" (fun c -> c.backoff) (fun c backoff -> { c with backoff });
     int "backoff_cap" (fun c -> c.backoff_cap) (fun c backoff_cap -> { c with backoff_cap });
     int "timeout" (fun c -> c.timeout) (fun c timeout -> { c with timeout });
     int "fanout_pct" (fun c -> c.fanout_pct) (fun c fanout_pct -> { c with fanout_pct });
-    int "fanout" (fun c -> c.fanout) (fun c fanout -> { c with fanout });
     int "key_range" (fun c -> c.key_range) (fun c key_range -> { c with key_range });
     int "update_pct" (fun c -> c.update_pct) (fun c update_pct -> { c with update_pct });
     int "prefill" (fun c -> c.prefill) (fun c prefill -> { c with prefill });

@@ -67,14 +67,12 @@ type config = {
   clients : int;
   requests : int;
   depth : int;  (** Waiting-room slots per shard. *)
-  batch : int;  (** Group-commit epoch size per shard. *)
-  linger : int;  (** Max cycles an epoch stays open short of [batch]. *)
+  batch : int;  (** Group-commit epoch size per shard; a short epoch commits after 600 cycles. *)
   retry_max : int;
   backoff : int;  (** Base backoff in cycles; attempt i waits [backoff * 2^i]. *)
   backoff_cap : int;
   timeout : int;  (** Dead-shard detection penalty in cycles. *)
-  fanout_pct : int;  (** Percent of reads that become multi-gets. *)
-  fanout : int;  (** Sub-reads per multi-get. *)
+  fanout_pct : int;  (** Percent of reads that become multi-gets of 4 sub-reads. *)
   key_range : int;
   update_pct : int;
   prefill : int;

@@ -3,7 +3,6 @@ open Skipit_tilelink
 open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
-module Metrics = Skipit_obs.Metrics
 
 (* Metadata/state snapshot handed to tests; the live state is
    struct-of-arrays (below), so this record is built on demand. *)
@@ -34,7 +33,7 @@ type t = {
   data : int array;  (* line words, [slot id * wpl + word] *)
   wpl : int;  (* words per line *)
   mshrs : Resource.t;
-  mshr_comp : string Lazy.t;  (* trace/metrics component of [mshrs] *)
+  mshr_comp : string Lazy.t;  (* trace component of [mshrs] *)
   wbu : Resource.t;
   port : Port.t;
   flush : Flush_unit.t;
@@ -169,7 +168,6 @@ let refill t ~addr ~grow ~now =
     Trace.emit ~at:start
       (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_alloc });
   Attr.mark Attr.Mshr ~at:start;
-  if Metrics.enabled () then Metrics.alloc (Lazy.force t.mshr_comp) ~at:start;
   (* Upgrade in place (Branch → Trunk) needs no victim. *)
   let present = find_line t addr in
   let id = if present <> Store.miss then present else Store.victim t.store_arr addr in
@@ -190,7 +188,6 @@ let refill t ~addr ~grow ~now =
     Trace.emit ~at:done_at
       (Trace.Resource { comp = Lazy.force t.mshr_comp; idx; op = Trace.Res_free });
   Attr.mark Attr.Mshr ~at:done_at;
-  if Metrics.enabled () then Metrics.free (Lazy.force t.mshr_comp) ~at:done_at;
   Resource.hold t.mshrs ~idx ~start ~finish:done_at;
   t.line_at <- done_at;
   id

@@ -3,7 +3,6 @@ open Skipit_tilelink
 open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
-module Metrics = Skipit_obs.Metrics
 
 type pending = {
   addr : int;
@@ -201,7 +200,6 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   if Trace.enabled () then
     Trace.emit ~at:enq_at
       (Trace.Flushq { name = t.qname; op = Trace.Q_enqueue; addr; kind = tkind });
-  if Metrics.enabled () then Metrics.count (t.qname ^ ".enqueues") ~at:enq_at;
   Stats.Registry.bump t.fshr_allocs;
   (* FSHR allocation and the Fig. 7 walk.  The FSHR is picked at dequeue
      and held until the RootReleaseAck returns (root_release_ack state).
@@ -211,10 +209,6 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   let saved_frame = Attr.suspend () in
   let idx = Resource.min_index t.fshrs in
   let alloc_at = Int.max enq_at (Resource.earliest_free t.fshrs) in
-  if Metrics.enabled () then begin
-    Metrics.alloc (Printf.sprintf "fu.%d.fshr" t.core) ~at:alloc_at;
-    Metrics.count (Printf.sprintf "fu.%d.dequeues" t.core) ~at:alloc_at
-  end;
   if Trace.enabled () then begin
     Trace.emit ~at:alloc_at
       (Trace.Flushq { name = t.qname; op = Trace.Q_dequeue; addr; kind = tkind });
@@ -248,7 +242,6 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   Stats.Registry.bump (if with_data then t.wb_with_data else t.wb_without_data);
   let ack_at = sink.send c ~slot ~addr ~kind ~with_data ~now:release_at in
   if Trace.enabled () then fshr_ev t ~at:ack_at ~idx ~addr ~tkind Trace.Fshr_free;
-  if Metrics.enabled () then Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:ack_at;
   Resource.hold t.fshrs ~idx ~start:alloc_at ~finish:ack_at;
   Attr.restore saved_frame;
   Stats.Registry.bump_by t.fshr_busy_cycles (ack_at - alloc_at);

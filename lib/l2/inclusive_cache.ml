@@ -3,7 +3,6 @@ open Skipit_tilelink
 open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
-module Metrics = Skipit_obs.Metrics
 
 (* The L2's event counters, one handle per key. *)
 type counters = {
@@ -58,7 +57,7 @@ type bank = {
   slices : Resource.Banked.t;  (* BankedStore data slices *)
   b_stats : Stats.Registry.t;  (* per-bank counters, exported when banked *)
   b_ctr : counters;  (* handles on [b_stats]; the aggregate's when unbanked *)
-  mshr_comp : string;  (* trace/metrics component for this bank's MSHRs *)
+  mshr_comp : string;  (* trace component for this bank's MSHRs *)
 }
 
 type t = {
@@ -277,13 +276,11 @@ let evict_victim t b id ~now =
 let mshr_alloc t b ~idx ~at =
   if Trace.enabled () then
     Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
-  Attr.mark t.acq_stage ~at;
-  if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at
+  Attr.mark t.acq_stage ~at
 
 let mshr_free b ~idx ~at =
   if Trace.enabled () then
-    Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
-  if Metrics.enabled () then Metrics.free b.mshr_comp ~at
+    Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free })
 
 (* Close an acquire: free and hold its MSHR, count the grant flavour and
    reply with the D-channel serialization beats for the data plus

@@ -1,7 +1,6 @@
 open Skipit_sim
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
-module Metrics = Skipit_obs.Metrics
 
 type t = {
   backing : Backing.t;
@@ -36,7 +35,6 @@ let read_line t ~addr ~now ~into =
   t.reads <- t.reads + 1;
   let start = Resource.acquire_start t.channels ~now ~busy:t.occupancy in
   if Trace.enabled () then Trace.emit ~at:start (Trace.Dram { op = Trace.Dram_read; addr });
-  if Metrics.enabled () then Metrics.count "dram.reads" ~at:start;
   Attr.mark Attr.Dram ~at:(start + t.read_latency);
   Backing.read_line_into t.backing ~line_bytes:t.line_bytes addr into;
   start + t.read_latency
@@ -45,7 +43,6 @@ let write_line t ~addr ~data ~now =
   t.writes <- t.writes + 1;
   let start = Resource.acquire_start t.channels ~now ~busy:t.occupancy in
   if Trace.enabled () then Trace.emit ~at:start (Trace.Dram { op = Trace.Dram_write; addr });
-  if Metrics.enabled () then Metrics.count "dram.writes" ~at:start;
   Backing.write_line t.backing ~line_bytes:t.line_bytes addr data;
   let durable_at = start + t.write_latency in
   Attr.mark Attr.Dram ~at:durable_at;

@@ -3,10 +3,10 @@
    Counters, occupancy series and log2-bucket histograms, all aggregated
    into fixed-width windows of the simulated clock — never the wall clock —
    so the registry's contents are a pure function of the simulation and
-   byte-identical at any [--jobs] width.  Like [Trace] the installed sink
-   is domain-local and every hierarchy hook is guarded by [enabled ()]
-   (one ref read), so an uninstrumented run does no extra work and
-   recording never alters simulated timing.
+   byte-identical at any [--jobs] width.  The hierarchy's series are read
+   off the [Trace] event stream through its domain-local listener, so the
+   hierarchy has one guarded emission site per event, an uninstrumented
+   run does no extra work and recording never alters simulated timing.
 
    Occupancy is stored as per-window alloc/free deltas; the level series
    is integrated at export time, which makes recording insensitive to the
@@ -105,25 +105,28 @@ let histogram_observe t name ~at v =
   let b = min max_buckets (bucket_of v) in
   hw.buckets.(b) <- hw.buckets.(b) + 1
 
-(* == The installed sink (domain-local, like Trace) ====================== *)
+(* == Recording off the trace event stream ================================ *)
 
-let current : t Sink.t = Sink.create ()
-
-let[@inline] enabled () = Option.is_some (Sink.get current)
+(* The hierarchy's series, read off its trace events: the one place an
+   event becomes a metric. *)
+let observe t ~at : Trace.event -> unit = function
+  | Dram { op = Dram_read; _ } -> counter_incr t "dram.reads" ~at
+  | Dram { op = Dram_write; _ } -> counter_incr t "dram.writes" ~at
+  | Flushq { name; op = Q_enqueue; _ } -> counter_incr t (name ^ ".enqueues") ~at
+  | Fshr { core; op = Fshr_alloc; _ } ->
+    occupancy_alloc t (Printf.sprintf "fu.%d.fshr" core) ~at;
+    counter_incr t (Printf.sprintf "fu.%d.dequeues" core) ~at
+  | Fshr { core; op = Fshr_free; _ } -> occupancy_free t (Printf.sprintf "fu.%d.fshr" core) ~at
+  | Resource { comp; op = Res_alloc; _ } -> occupancy_alloc t comp ~at
+  | Resource { comp; op = Res_free; _ } -> occupancy_free t comp ~at
+  | _ -> ()
 
 let start ?window () =
   let t = create ?window () in
-  Sink.set current (Some t);
+  Trace.set_listener (Some (observe t));
   t
 
-let stop () = Sink.take current
-
-let[@inline] with_current f = match Sink.get current with None -> () | Some t -> f t
-
-(* Ambient hooks used from the hierarchy: no-ops with no sink installed. *)
-let count name ~at = with_current (fun t -> counter_incr t name ~at)
-let alloc name ~at = with_current (fun t -> occupancy_alloc t name ~at)
-let free name ~at = with_current (fun t -> occupancy_free t name ~at)
+let stop () = Trace.set_listener None
 
 (* == Deterministic views ================================================ *)
 

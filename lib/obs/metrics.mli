@@ -4,8 +4,7 @@
     to a level series at export) and log2-bucket histograms, aggregated
     into fixed-width windows of the *simulated* clock — no wall clock
     anywhere, so contents are byte-identical at any [--jobs] width.  The
-    installed sink is domain-local; the ambient hooks below are no-ops
-    with no sink installed. *)
+    hierarchy's series are read off {!Trace} events ({!start}). *)
 
 type t
 
@@ -29,17 +28,15 @@ val occupancy_alloc : t -> string -> at:int -> unit
 val occupancy_free : t -> string -> at:int -> unit
 val histogram_observe : t -> string -> at:int -> int -> unit
 
-(** {1 The installed sink (domain-local)} *)
+(** {1 Recording the hierarchy} *)
 
-val enabled : unit -> bool
 val start : ?window:int -> unit -> t
-val stop : unit -> t option
+(** A fresh registry, installed as this domain's {!Trace} listener: DRAM
+    reads/writes, flush-queue enqueues, FSHR and MSHR occupancy and FSHR
+    dequeues are windowed off the trace events the hierarchy emits. *)
 
-(** Ambient hooks for the hierarchy: no-ops with no sink installed. *)
-
-val count : string -> at:int -> unit
-val alloc : string -> at:int -> unit
-val free : string -> at:int -> unit
+val stop : unit -> unit
+(** Remove this domain's {!Trace} listener. *)
 
 (** {1 Deterministic views} *)
 

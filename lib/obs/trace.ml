@@ -1,10 +1,10 @@
 (* Cycle-stamped structured event tracing.
 
-   One global trace sink, installed for the duration of a run.  Every
-   emission point in the hierarchy is guarded by [enabled ()]; with no sink
-   installed the guard is a single mutable-ref read and the event payload is
-   never allocated, so an untraced run does exactly the work it did before
-   this layer existed.  Recording never influences timing: events carry the
+   One global trace sink and one listener, installed for a run.  Every
+   emission point in the hierarchy is guarded by [enabled ()]; with neither
+   installed the guard is two atomic reads and the event payload is never
+   allocated, so an untraced run does exactly the work it did before this
+   layer existed.  Recording never influences timing: events carry the
    cycle stamps the simulator already computed, so cycle counts are
    bit-identical with tracing on and off. *)
 
@@ -226,9 +226,9 @@ type t = {
   filter : string list;  (* track prefixes to keep; [] = keep all *)
   reqs_only : bool;
       (* Record only [Req_start]/[Req_end] spans: [enabled ()] reports
-         [false] so every detail emission site skips both the guard body
-         and the event allocation, while the latency histograms still see
-         exactly the spans they would under full tracing. *)
+         [false] (with no listener) so every detail emission site skips the
+         event allocation, while the latency histograms still see exactly
+         the spans they would under full tracing. *)
 }
 
 let default_capacity = 1 lsl 16
@@ -251,6 +251,8 @@ let length t = t.len
 let dropped t = t.dropped
 
 let keep t ev =
+  (match ev with Req_start _ | Req_end _ -> true | _ -> not t.reqs_only)
+  &&
   match t.filter with
   | [] -> true
   | prefixes ->
@@ -284,8 +286,13 @@ let fold t init f = List.fold_left f init (records t)
    domain this behaves exactly like the previous single global sink. *)
 let current : t Sink.t = Sink.create ()
 
+(* [emit] hands the listener every event, ring or no ring: [Metrics]
+   windows the hierarchy's series off it. *)
+let listener : (at:int -> event -> unit) Sink.t = Sink.create ()
+
 let[@inline] enabled () =
-  match Sink.get current with Some t -> not t.reqs_only | None -> false
+  Option.is_some (Sink.get listener)
+  || match Sink.get current with Some t -> not t.reqs_only | None -> false
 
 let start ?capacity ?filter ?reqs_only () =
   let t = create ?capacity ?filter ?reqs_only () in
@@ -294,18 +301,21 @@ let start ?capacity ?filter ?reqs_only () =
 
 let stop () = Sink.take current
 
+let set_listener f = Sink.set listener f
+
 let[@inline] emit ~at ev =
-  match Sink.get current with None -> () | Some t -> add t ~at ev
+  (match Sink.get current with None -> () | Some t -> add t ~at ev);
+  match Sink.get listener with None -> () | Some f -> f ~at ev
 
 (* Request spans: [req_start] hands out the matching id (or [-1] with no
-   sink installed, in which case [req_end] is a no-op too). *)
+   ring installed, in which case [req_end] is a no-op too). *)
 let req_start ~at ~cls ~core ~addr =
   match Sink.get current with
   | None -> -1
   | Some t ->
     let id = t.next_id in
     t.next_id <- t.next_id + 1;
-    add t ~at (Req_start { id; cls; core; addr });
+    emit ~at (Req_start { id; cls; core; addr });
     id
 
 let req_end ~at id = if id >= 0 then emit ~at (Req_end { id })

@@ -1,9 +1,10 @@
 (** Cycle-stamped structured event tracing across the memory hierarchy.
 
     A single global sink is installed with {!start} (or {!with_trace}) and
-    records typed events into a bounded ring buffer.  Emission points guard
-    with {!enabled} so that an untraced run performs no extra allocation and
-    no extra work beyond one ref read per potential event; tracing itself
+    records typed events into a bounded ring buffer; a listener
+    ({!set_listener}) sees every event.  Emission points guard with
+    {!enabled} so that an untraced run performs no extra allocation and no
+    extra work beyond two atomic reads per potential event; tracing itself
     never changes simulated timing — events carry cycle stamps the model
     already computed, so cycle counts are bit-identical with tracing on and
     off.
@@ -118,9 +119,9 @@ val create : ?capacity:int -> ?filter:string list -> ?reqs_only:bool -> unit -> 
     (default 65536).  [filter] is a list of
     track prefixes to keep; empty keeps everything.  With [reqs_only],
     only {!req_start}/{!req_end} spans are recorded once installed:
-    {!enabled} reports [false], so detail emission sites skip event
-    construction entirely — the cheap tracing mode the bench harness uses
-    for its latency histograms. *)
+    {!enabled} reports [false] with no listener, so detail emission sites
+    skip event construction entirely — the cheap tracing mode the bench
+    harness uses for its latency histograms. *)
 
 val capacity : t -> int
 
@@ -137,14 +138,15 @@ val iter : t -> (record -> unit) -> unit
 val fold : t -> 'a -> ('a -> record -> 'a) -> 'a
 
 val add : t -> at:int -> event -> unit
-(** Record directly into a buffer (respects its filter). *)
+(** Record directly into a buffer (respects its filter and [reqs_only]). *)
 
 (** {1 The installed sink} *)
 
 val enabled : unit -> bool
-(** True while a sink that records detail events is installed ([false] for
-    a [reqs_only] sink).  Emission sites must guard event construction
-    with this so the disabled path allocates nothing. *)
+(** True while a sink that records detail events ([false] for a
+    [reqs_only] sink) or a listener is installed: a listener makes this
+    true even over a [reqs_only] sink.  Emission sites must guard event
+    construction with this so the disabled path allocates nothing. *)
 
 val start : ?capacity:int -> ?filter:string list -> ?reqs_only:bool -> unit -> t
 (** Install a fresh sink (replacing any previous one) and return it. *)
@@ -152,8 +154,12 @@ val start : ?capacity:int -> ?filter:string list -> ?reqs_only:bool -> unit -> t
 val stop : unit -> t option
 (** Uninstall and return the sink, if one was installed. *)
 
+val set_listener : (at:int -> event -> unit) option -> unit
+(** Install ([Some]) or remove ([None]) this domain's listener, which
+    {!emit} passes every event, with or without a sink installed. *)
+
 val emit : at:int -> event -> unit
-(** Record into the installed sink; no-op when disabled. *)
+(** Record into the installed sink and pass to the listener. *)
 
 val req_start : at:int -> cls:cls -> core:int -> addr:int -> int
 (** Open a request span, returning the id to close it with.  Returns [-1]

@@ -269,7 +269,7 @@ let run ?(params = Params.boom_default) cfg ~rate =
   drain ();
   (if cfg.telemetry then begin
      ignore (Attr.stop () : Attr.t option);
-     ignore (Metrics.stop () : Metrics.t option)
+     Metrics.stop ()
    end);
   let elapsed = !t_end - t0 in
   let epochs = ref 0 and flushes = ref 0 and deferred = ref 0 in

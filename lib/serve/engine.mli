@@ -32,9 +32,9 @@ type config = {
   prefill : int;
   seed : int;
   telemetry : bool;
-      (** Install per-run attribution + metrics sinks for the serving
-          window.  Recording never alters simulated timing: cycles and
-          checksums are bit-identical on or off. *)
+      (** Install per-run attribution and the metrics trace listener for
+          the serving window.  Recording never alters simulated timing:
+          cycles and checksums are bit-identical on or off. *)
   window : int;  (** Metrics window width in simulated cycles. *)
 }
 

@@ -1,16 +1,16 @@
 (* The flush unit as it was before its pending table: live pendings in an
    intrusive doubly-linked list of records, and a [Stdlib.Queue] "book"
    mirroring the queued entries.  Kept verbatim (apart from this header,
-   the inlined queue module, a [Fshr_fsm] alias, and [enqueue] tracing and
-   counting every entry it is given, full book or not) as the differential
-   oracle of [test_flush_unit]: on the same sequence of submissions, queries,
+   the inlined queue module, a [Fshr_fsm] alias, [enqueue] tracing every
+   entry it is given, full book or not, and no [Metrics] hooks: metrics
+   are read off the trace events) as the differential oracle of
+   [test_flush_unit]: on the same sequence of submissions, queries,
    crashes and copies, the live unit must answer, trace and count what
    this one does. *)
 
 module Flush_queue = struct
   open Skipit_tilelink
   module Trace = Skipit_obs.Trace
-  module Metrics = Skipit_obs.Metrics
 
   type entry = {
     addr : int;
@@ -42,7 +42,6 @@ module Flush_queue = struct
       Trace.emit ~at:entry.enq_at
         (Trace.Flushq
            { name = t.name; op = Trace.Q_enqueue; addr = entry.addr; kind = trace_kind entry.kind });
-    if Metrics.enabled () then Metrics.count (t.name ^ ".enqueues") ~at:entry.enq_at;
     if is_full t then false
     else begin
       Queue.add entry t.q;
@@ -109,7 +108,6 @@ open Skipit_cache
 module Fshr_fsm = Skipit_l1.Fshr_fsm
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
-module Metrics = Skipit_obs.Metrics
 
 type pending = {
   entry : Flush_queue.entry;
@@ -338,10 +336,6 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   let saved_frame = Attr.suspend () in
   let idx = Resource.min_index t.fshrs in
   let alloc_at = Int.max enq_at (Resource.earliest_free t.fshrs) in
-  if Metrics.enabled () then begin
-    Metrics.alloc (Printf.sprintf "fu.%d.fshr" t.core) ~at:alloc_at;
-    Metrics.count (Printf.sprintf "fu.%d.dequeues" t.core) ~at:alloc_at
-  end;
   if Trace.enabled () then begin
     Trace.emit ~at:alloc_at
       (Trace.Flushq
@@ -379,7 +373,6 @@ let submit_fresh t sink c ~addr ~kind ~hit ~dirty ~slot ~now =
   Stats.Registry.bump (if with_data then t.wb_with_data else t.wb_without_data);
   let ack_at = sink.send c ~slot ~addr ~kind ~with_data ~now:release_at in
   if Trace.enabled () then fshr_ev t ~at:ack_at ~idx ~addr ~tkind Trace.Fshr_free;
-  if Metrics.enabled () then Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:ack_at;
   Resource.hold t.fshrs ~idx ~start:alloc_at ~finish:ack_at;
   Attr.restore saved_frame;
   let pending =

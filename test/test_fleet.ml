@@ -320,7 +320,19 @@ let test_reproducer_missing_key () =
       | Error e -> Alcotest.fail e
       | Ok (cfg, _) ->
         Alcotest.(check bool) "optional keys default" true
-          (cfg = { failing_cfg with Fleet.drop_persists = None }))
+          (cfg = { failing_cfg with Fleet.drop_persists = None }));
+  (* Older files carry linger and fanout, now constants, at their values:
+     the reader ignores both keys. *)
+  with_reproducer_lines
+    (fun l ->
+      if String.starts_with ~prefix:"batch=" l then l ^ "\nlinger=600"
+      else if String.starts_with ~prefix:"fanout_pct=" l then l ^ "\nfanout=4"
+      else l)
+    (fun path ->
+      match Fleet.read_reproducer path with
+      | Error e -> Alcotest.fail e
+      | Ok (cfg, _) ->
+        Alcotest.(check bool) "linger and fanout keys ignored" true (cfg = failing_cfg))
 
 let test_reproducer_missing_file () =
   match Fleet.read_reproducer "/nonexistent/fleet-repro.txt" with
@@ -332,7 +344,7 @@ let test_reproducer_missing_file () =
    phased and degraded arrival processes, kill lists and rand:N. *)
 let gen_repro =
   let open QCheck.Gen in
-  let* n = array_repeat 18 int in
+  let* n = array_repeat 16 int in
   let* kind = oneofl Skipit_pds.Set_ops.all_kinds in
   let* mode = oneofl Skipit_persist.Pctx.all_modes in
   let* spec =
@@ -355,10 +367,9 @@ let gen_repro =
     ( {
         Fleet.shards = n.(0); replicas = n.(1); vnodes = n.(2); kind; mode; spec; process;
         workload = { Workload.keys; churn }; clients = n.(3); requests = n.(4); depth = n.(5);
-        batch = n.(6); linger = n.(7); retry_max = n.(8); backoff = n.(9);
-        backoff_cap = n.(10); timeout = n.(11); fanout_pct = n.(12); fanout = n.(13);
-        key_range = n.(14); update_pct = n.(15); prefill = n.(16); seed = n.(17); faults;
-        drop_persists;
+        batch = n.(6); retry_max = n.(7); backoff = n.(8); backoff_cap = n.(9);
+        timeout = n.(10); fanout_pct = n.(11); key_range = n.(12); update_pct = n.(13);
+        prefill = n.(14); seed = n.(15); faults; drop_persists;
       },
       rate )
 

@@ -1,10 +1,12 @@
 (* The windowed metrics registry and the cycle-accounting attributor:
    histogram bucket boundaries, window rollover, order-insensitive
-   occupancy integration, byte-identical exports at any pool width, and
+   occupancy integration, byte-identical exports at any pool width, the
+   hierarchy's series read off the trace event stream, and
    the cursor-segmentation conservation guarantee (including overshoot
    trimming). *)
 
 module Metrics = Skipit_obs.Metrics
+module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 module Engine = Skipit_serve.Engine
 module Report = Skipit_serve.Report
@@ -110,6 +112,121 @@ let test_exports_byte_identical_across_jobs () =
     (String.equal seq par);
   Alcotest.(check bool) "exports non-empty" true (String.length seq > 0)
 
+(* == Metrics read the trace event stream =============================== *)
+
+let small_telemetry_cfg =
+  {
+    Engine.default with
+    Engine.requests = 300;
+    clients = 8;
+    depth = 8;
+    batch = 4;
+    key_range = 256;
+    prefill = 128;
+    telemetry = true;
+  }
+
+(* The serving window's records of a ring installed around [Engine.run]:
+   every record from the first serve span on.  The prefill's events come
+   before it, and the engine installs its metrics just before that span
+   opens and removes them after the last commit. *)
+let serving_window tr =
+  let rec from_first_span = function
+    | { Trace.ev = Trace.Req_start { cls = Trace.Cls_serve; _ }; _ } :: _ as rs -> rs
+    | _ :: rs -> from_first_span rs
+    | [] -> []
+  in
+  from_first_span (Trace.records tr)
+
+(* Sorted [(window, n)] pairs of the records [f] selects: a series per
+   window, and so in total. *)
+let event_windows m records f =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      if f r.Trace.ev then begin
+        let w = Metrics.widx m ~at:r.Trace.at in
+        Hashtbl.replace tbl w (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w))
+      end)
+    records;
+  Hashtbl.fold (fun w n acc -> (w, n) :: acc) tbl [] |> List.sort compare
+
+let test_metrics_follow_trace () =
+  let p, tr =
+    Trace.with_trace ~capacity:(1 lsl 18) (fun () -> Engine.run small_telemetry_cfg ~rate:16.)
+  in
+  Alcotest.(check int) "the ring dropped nothing" 0 (Trace.dropped tr);
+  let m = Option.get p.Engine.metrics in
+  let records = serving_window tr in
+  let pairs = Alcotest.(list (pair int int)) in
+  let non_empty name series =
+    Alcotest.(check bool) (name ^ " recorded something") true (series <> [])
+  in
+  let counter name f =
+    let want = event_windows m records f in
+    non_empty name want;
+    Alcotest.check pairs (name ^ " per window") want (Metrics.counter_series m name)
+  in
+  let occupancy name ~alloc ~free =
+    let rows = Metrics.occupancy_series m name in
+    let side pick =
+      List.filter_map (fun r -> match pick r with _, 0 -> None | wn -> Some wn) rows
+    in
+    let want_allocs = event_windows m records alloc in
+    non_empty name want_allocs;
+    Alcotest.check pairs (name ^ " allocs per window") want_allocs
+      (side (fun (w, a, _, _) -> w, a));
+    Alcotest.check pairs (name ^ " frees per window") (event_windows m records free)
+      (side (fun (w, _, f, _) -> w, f))
+  in
+  counter "dram.reads" (function Trace.Dram { op = Trace.Dram_read; _ } -> true | _ -> false);
+  counter "dram.writes" (function Trace.Dram { op = Trace.Dram_write; _ } -> true | _ -> false);
+  counter "fu.0.q.enqueues" (function
+    | Trace.Flushq { name = "fu.0.q"; op = Trace.Q_enqueue; _ } -> true
+    | _ -> false);
+  let fshr op = function Trace.Fshr { core = 0; op = o; _ } -> o = op | _ -> false in
+  counter "fu.0.dequeues" (fshr Trace.Fshr_alloc);
+  occupancy "fu.0.fshr" ~alloc:(fshr Trace.Fshr_alloc) ~free:(fshr Trace.Fshr_free);
+  List.iter
+    (fun comp ->
+      let res op = function
+        | Trace.Resource { comp = c; op = o; _ } -> c = comp && o = op
+        | _ -> false
+      in
+      occupancy comp ~alloc:(res Trace.Res_alloc) ~free:(res Trace.Res_free))
+    [ "l1.0.mshr"; "l2.mshr" ]
+
+(* A request-only ring under a telemetry run, as perfbench's traced serve
+   run installs it: the metrics listener turns [Trace.enabled] on, yet the
+   ring keeps only request spans, and neither changes the point. *)
+let test_reqs_only_ring_with_telemetry () =
+  let untraced = Engine.run small_telemetry_cfg ~rate:16. in
+  let tr = Trace.start ~capacity:(1 lsl 16) ~reqs_only:true () in
+  let traced =
+    Fun.protect ~finally:(fun () -> ignore (Trace.stop ())) (fun () ->
+      Engine.run small_telemetry_cfg ~rate:16.)
+  in
+  Alcotest.(check int) "the ring dropped nothing" 0 (Trace.dropped tr);
+  Alcotest.(check bool) "the ring holds request spans" true (Trace.length tr > 0);
+  Trace.iter tr (fun r ->
+    match r.Trace.ev with
+    | Trace.Req_start _ | Trace.Req_end _ -> ()
+    | ev -> Alcotest.failf "detail event %s on %s in the ring" (Trace.event_name ev) (Trace.track ev));
+  let serve_spans =
+    Trace.fold tr 0 (fun n r ->
+      match r.Trace.ev with Trace.Req_start { cls = Trace.Cls_serve; _ } -> n + 1 | _ -> n)
+  in
+  Alcotest.(check int) "one serve span per served request" traced.Engine.served serve_spans;
+  Alcotest.(check int) "elapsed" untraced.Engine.elapsed traced.Engine.elapsed;
+  Alcotest.(check int) "served" untraced.Engine.served traced.Engine.served;
+  Alcotest.(check int) "shed" untraced.Engine.shed traced.Engine.shed;
+  Alcotest.(check bool) "latency summary" true (untraced.Engine.latency = traced.Engine.latency);
+  Alcotest.(check bool) "dequeue latency summary" true
+    (untraced.Engine.dequeue_latency = traced.Engine.dequeue_latency);
+  Alcotest.(check string) "metrics"
+    (Metrics.to_json (Option.get untraced.Engine.metrics))
+    (Metrics.to_json (Option.get traced.Engine.metrics))
+
 (* == Attribution segmentation =========================================== *)
 
 let totals_assoc a = Attr.totals a
@@ -192,6 +309,9 @@ let tests =
         test_occupancy_order_insensitive;
       Alcotest.test_case "exports byte-identical at any width" `Slow
         test_exports_byte_identical_across_jobs;
+      Alcotest.test_case "metrics follow the trace" `Quick test_metrics_follow_trace;
+      Alcotest.test_case "request-only ring with telemetry on" `Quick
+        test_reqs_only_ring_with_telemetry;
       Alcotest.test_case "attribution segmentation" `Quick test_attribution_segmentation;
       Alcotest.test_case "attribution trims overshoot" `Quick
         test_attribution_overshoot_trim;
