@@ -52,6 +52,14 @@ if grep -rln -- '-> "link-and-persist"' lib/ | grep -vx lib/workload/ds_bench.ml
   exit 1
 fi
 
+# One durability judge: durable linearizability is checked and worded in
+# Dlin alone, which the crash campaign and the fleet both call.
+if grep -rlE 'durably-inserted|durably-deleted|phantom element|acked-prefix|amnesty' lib/ \
+  | grep -vx lib/audit/dlin.ml; then
+  echo "check.sh: a durability verdict outside lib/audit/dlin.ml; judge it with Dlin" >&2
+  exit 1
+fi
+
 # No polymorphic max/min/compare in the simulator core: on ints they cost
 # a compare_val call (and a closure as a fold argument) where Int.max is
 # one instruction.  Comments, definitions and qualified names pass.

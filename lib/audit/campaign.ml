@@ -108,10 +108,10 @@ let apply_fault fault ~calls (s : Strategy.t) =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic op schedules and the sequential oracle.              *)
+(* Deterministic op schedules.                                       *)
 
 type set_op = Insert of int | Delete of int | Contains of int
-type queue_op = Enqueue of int | Dequeue
+type queue_op = Dlin.queue_op = Enqueue of int | Dequeue
 
 (* A structure's op schedule and, once the trial body has built it, its
    handle.  Both are typed per structure, so a set op can never be
@@ -164,84 +164,6 @@ let build_system ?(l2_banks = 1) spec =
     }
   in
   S.create params
-
-(* Replay the completed prefix of the schedule on the host-side model. *)
-let set_model ops ~completed =
-  let model = Hashtbl.create 64 in
-  Array.iteri
-    (fun i op ->
-      if i < completed then
-        match op with
-        | Insert k -> Hashtbl.replace model k true
-        | Delete k -> Hashtbl.replace model k false
-        | Contains _ -> ())
-    ops;
-  model
-
-let queue_model ops ~completed =
-  let q = ref [] in
-  Array.iteri
-    (fun i op ->
-      if i < completed then
-        match op with
-        | Enqueue v -> q := !q @ [ v ]
-        | Dequeue -> (match !q with [] -> () | _ :: t -> q := t))
-    ops;
-  !q
-
-let verify_set (h : Ops.handle) p sys ops ~completed =
-  let out = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  ignore (T.run_task sys (fun () -> h.Ops.repair p));
-  let snap = h.Ops.snapshot sys in
-  let model = set_model ops ~completed in
-  let pending_key =
-    if completed < Array.length ops then
-      match ops.(completed) with Insert k | Delete k -> Some k | Contains _ -> None
-    else None
-  in
-  let touched = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (Insert k | Delete k | Contains k) ->
-      if i <= completed then Hashtbl.replace touched k ())
-    ops;
-  List.iter
-    (fun k ->
-      if not (Hashtbl.mem touched k) then
-        add "phantom element %d in post-crash snapshot (never inserted)" k)
-    snap;
-  Hashtbl.iter
-    (fun k present ->
-      if Some k <> pending_key then
-        if present && not (List.mem k snap) then
-          add "durably-inserted key %d lost after crash+repair" k
-        else if (not present) && List.mem k snap then
-          add "durably-deleted key %d resurrected after crash+repair" k)
-    model;
-  List.rev !out
-
-let verify_queue q p sys ops ~completed =
-  ignore (T.run_task sys (fun () -> MQ.repair q p));
-  let snap = MQ.to_list_unsafe q sys in
-  let base = queue_model ops ~completed in
-  let pending = if completed < Array.length ops then Some ops.(completed) else None in
-  let acceptable =
-    match pending with
-    | Some (Enqueue v) -> [ base; base @ [ v ] ]
-    | Some Dequeue -> [ base; (match base with [] -> [] | _ :: t -> t) ]
-    | None -> [ base ]
-  in
-  if List.mem snap acceptable then []
-  else
-    [
-      Printf.sprintf "queue mismatch after crash+repair: got [%s], expected [%s]%s"
-        (String.concat "; " (List.map string_of_int snap))
-        (String.concat "; " (List.map string_of_int base))
-        (match pending with
-         | Some (Enqueue v) -> Printf.sprintf " (or with pending enqueue %d)" v
-         | Some Dequeue -> " (or with pending dequeue applied)"
-         | None -> "");
-    ]
 
 (* Everything a trial mutates, in one record: the three stages below
    ([build], [run], [finish]) touch nothing else, which is what lets a
@@ -332,60 +254,57 @@ let run w ~stop =
   | `Stopped _ -> true
   | `Completed _ -> false
 
+(* The schedule as a {!Dlin} history: the first [completed] ops are
+   acked, stamped by their index, and a crash leaves the next one in
+   flight.  [entry] drops the ops that write nothing. *)
+let history ops ~completed ~crashed entry =
+  let started = Int.min (Array.length ops) (if crashed then completed + 1 else completed) in
+  List.filter_map Fun.id
+    (List.init started (fun i -> entry ops.(i) (if i < completed then Dlin.Acked i else In_flight)))
+
 let finish w ~crashed =
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let note_invariants ~quiesced =
-    List.iter
-      (fun v -> add (Invariant.violation_to_string v))
-      (Invariant.check_all ~quiesced w.sys)
-  in
   if crashed then begin
     S.crash w.sys;
-    Auditor.note_crash w.auditor;
-    (* Post-crash, pre-repair: the crash must leave the machinery clean. *)
-    note_invariants ~quiesced:true;
-    match w.target with
-    | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
-      ()  (* crashed during construction: nothing was promised *)
-    | Set_target { set = Some h; set_ops; _ } ->
-      List.iter add (verify_set h w.p w.sys set_ops ~completed:w.completed)
-    | Queue_target { queue = Some q; queue_ops } ->
-      List.iter add (verify_queue q w.p w.sys queue_ops ~completed:w.completed)
+    Auditor.note_crash w.auditor
   end
-  else begin
-    (* Uncrashed run: quiesced structural + conservation + oracle checks. *)
-    ignore (Auditor.observe w.auditor);
-    note_invariants ~quiesced:true;
-    match w.target with
-    | Set_target { set = Some h; set_ops; _ } ->
-      let snap = h.Ops.snapshot w.sys in
-      let model = set_model set_ops ~completed:w.completed in
-      Hashtbl.iter
-        (fun k present ->
-          if present <> List.mem k snap then
-            add
-              (Printf.sprintf "uncrashed run: key %d %s" k
-                 (if present then "missing" else "present-but-deleted")))
-        model
-    | Queue_target { queue = Some q; queue_ops } ->
-      let snap = MQ.to_list_unsafe q w.sys in
-      let want = queue_model queue_ops ~completed:w.completed in
-      if snap <> want then
-        add
-          (Printf.sprintf "uncrashed run: queue [%s], expected [%s]"
-             (String.concat "; " (List.map string_of_int snap))
-             (String.concat "; " (List.map string_of_int want)))
-    | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
-      add "uncrashed run never constructed the structure"
-  end;
+  else ignore (Auditor.observe w.auditor);
+  (* Post-crash (before the repair) or uncrashed: the machinery must be clean. *)
+  List.iter
+    (fun v -> add (Invariant.violation_to_string v))
+    (Invariant.check_all ~quiesced:true w.sys);
+  let repair f = if crashed then T.run_task w.sys f in
+  (* Dlin's verdicts print as their text alone. *)
+  let durability = List.iter (fun v -> add v.Invariant.detail) in
+  let completed = w.completed in
+  (match w.target with
+   | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
+     (* crashed during construction: nothing was promised *)
+     if not crashed then add "uncrashed run never constructed the structure"
+   | Set_target { set = Some h; set_ops; _ } ->
+     repair (fun () -> ignore (h.Ops.repair w.p));
+     durability
+       (Dlin.set ~crashed ~initial:[]
+          (history set_ops ~completed ~crashed (fun op ack ->
+             match op with
+             | Insert k -> Some (k, Dlin.Insert, ack)
+             | Delete k -> Some (k, Dlin.Delete, ack)
+             | Contains _ -> None))
+          (h.Ops.snapshot w.sys))
+   | Queue_target { queue = Some q; queue_ops } ->
+     repair (fun () -> ignore (MQ.repair q w.p));
+     durability
+       (Dlin.queue ~crashed
+          (history queue_ops ~completed ~crashed (fun op ack -> Some (op, ack)))
+          (MQ.to_list_unsafe q w.sys)));
   List.iter
     (fun v -> add ("audit: " ^ Invariant.violation_to_string v))
     (Auditor.failures w.auditor);
   {
     persists = !(w.persist_points);
     crashed;
-    completed = w.completed;
+    completed;
     violations = List.rev !violations;
   }
 

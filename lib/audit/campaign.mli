@@ -8,12 +8,15 @@
     that elided the writeback keeps its boundary and loses its data; the
     run is stopped at instruction granularity), then
     runs the structure's [repair] and verifies {e durable linearizability}
-    against an oracle model replaying the operations that completed before
-    the crash: every completed, fenced operation must be reflected in the
-    post-crash snapshot, the single in-flight operation may land either
-    way, and no phantom element may appear.  Structural invariants
-    ({!Invariant}, {!Auditor}) are audited during the run and after the
-    crash.
+    with {!Dlin}, the one checker: the ops that completed before the crash
+    are acked, stamped by their schedule index, and the one op the crash
+    interrupted is in flight.  A set is judged per key (each key's final
+    presence is its last completed write's, or the in-flight write's),
+    which linearizability's locality makes as strict as enumerating
+    whole-set states; the queue must hold the completed prefix, with or
+    without the in-flight op.  An uncrashed run goes through the same
+    check with nothing in flight.  Structural invariants ({!Invariant},
+    {!Auditor}) are audited during the run and after the crash.
 
     Failing crash points are shrunk to a minimal (op count, boundary) pair
     and written as a one-command reproducer file. *)
@@ -76,7 +79,7 @@ type trial = {
   persists : int;  (** Persist-point calls made when the run ended. *)
   crashed : bool;  (** The stop predicate fired (vs. ran to completion). *)
   completed : int;  (** Operations completed before the end. *)
-  violations : string list;  (** Durability oracle + invariant violations. *)
+  violations : string list;  (** {!Dlin} verdicts + invariant violations. *)
 }
 
 val run_trial : ?audit_every:int -> ?l2_banks:int -> spec -> crash_at:int option -> trial
@@ -109,9 +112,9 @@ val run : world -> stop:(unit -> bool) -> bool
 
 val finish : world -> crashed:bool -> trial
 (** [~crashed:true]: power-fail the system, audit it quiesced, repair and
-    check the completed prefix against the oracle.  [~crashed:false]:
-    quiesced audit and the uncrashed oracle.  Either way the auditor's
-    in-run failures are reported too. *)
+    check the completed prefix, and the op in flight, with {!Dlin}.
+    [~crashed:false]: quiesced audit and the same check with nothing in
+    flight.  Either way the auditor's in-run failures are reported too. *)
 
 val system : world -> Skipit_core.System.t
 val persist_points : world -> int
@@ -151,7 +154,7 @@ val boundaries : persists:int -> budget:int -> seed:int -> int list
 
 val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
 (** Test one spec: its {!boundaries} (budget default 20) and the
-    uncrashed run (oracle + invariants at quiesce).  The persist total
+    uncrashed run ({!Dlin} + invariants at quiesce).  The persist total
     that sizes the boundaries comes from a pass without the auditor; the
     crash trials are forked from one audited run ({!crash_trials}), which
     is then finished uncrashed.  An uncrashed failure is reported first,

@@ -18,6 +18,7 @@ module Shard = Skipit_serve.Shard
 module Invariant = Skipit_audit.Invariant
 module Repro_file = Skipit_audit.Repro_file
 module Campaign = Skipit_audit.Campaign
+module Dlin = Skipit_audit.Dlin
 
 (* ------------------------------------------------------------------ *)
 (* Fault schedules.                                                   *)
@@ -307,7 +308,7 @@ type status = Pending | Served | Shed
 type req_state = {
   idx : int;
   mutable status : status;
-  mutable stamp : int;  (* when a write last executed on its replicas: the oracle's order *)
+  mutable stamp : int;  (* when a write last executed on its replicas: its Dlin stamp *)
   mutable svc_start : int;
   mutable attempts : int;
   mutable touched : bool;
@@ -835,73 +836,39 @@ let run cfg ~rate =
            (Printf.sprintf "%d waiting-room slot(s) still held at quiesce" leaked));
     (* Structural invariants on every (now quiesced, repaired) shard. *)
     Array.iter shard_violations shards;
-    (* ---------------- durable-linearizability oracle ----------------
-       Replay acked writes in execution order over the prefilled model: every
-       live replica applies a write when it is dispatched, and a hint log
-       replays in the same order.  Every replica of every key must agree,
-       except keys written by a touched-but-shed request (lost mid-crash:
-       "either way" amnesty). *)
-    let model = Hashtbl.create 256 in
-    Array.iter (fun k -> Hashtbl.replace model k true) pre;
-    let writes =
-      Array.to_list reqs
-      |> List.filter_map (fun r ->
-           let req = sched.(r.idx) in
-           match req.Arrival.op with
-           | Arrival.Insert | Arrival.Delete when r.status = Served ->
-             Some (r.stamp, req.Arrival.op, req.Arrival.key)
-           | _ -> None)
-      |> List.sort compare
-    in
-    List.iter
-      (fun (_, op, key) ->
-        Hashtbl.replace model key (op = Arrival.Insert))
-      writes;
-    let amnesty = Hashtbl.create 64 in
+    (* Durable linearizability, one {!Dlin} check per replica: the
+       prefill it owns is the initial state, a served write is acked at
+       its execution stamp (every live replica applies writes in that
+       order, and a hint log replays in it), and a write that touched a
+       replica but was shed is in flight.  A key a replica does not own
+       has no history there, so holding it is a violation. *)
+    let initial = Array.make cfg.shards [] and history = Array.make cfg.shards [] in
+    let add tbl key x = List.iter (fun sid -> tbl.(sid) <- x :: tbl.(sid)) (route key) in
+    Array.iter (fun k -> add initial k k) pre;
     Array.iter
       (fun r ->
-        let req = sched.(r.idx) in
-        match req.Arrival.op with
-        | (Arrival.Insert | Arrival.Delete) when r.touched && r.status = Shed ->
-          Hashtbl.replace amnesty req.Arrival.key ()
+        let { Arrival.op; key; _ } = sched.(r.idx) in
+        let write =
+          match op with
+          | Arrival.Insert -> Some Dlin.Insert
+          | Arrival.Delete -> Some Dlin.Delete
+          | Arrival.Contains -> None
+        in
+        match write, r.status with
+        | Some w, Served -> add history key (key, w, Dlin.Acked r.stamp)
+        | Some w, Shed when r.touched -> add history key (key, w, In_flight)
         | _ -> ())
       reqs;
-    let snaps =
-      Array.map
-        (fun s ->
-          let tbl = Hashtbl.create 256 in
-          List.iter
-            (fun k ->
-              Hashtbl.replace tbl k ();
-              if k < 1 || k > cfg.key_range then
-                violation
-                  (Invariant.make ~rule:"fleet-durability"
-                     (Printf.sprintf "shard %d holds out-of-range key %d" s.sid k))
-              else if not (List.mem s.sid (route k)) then
-                violation
-                  (Invariant.make ~rule:"fleet-durability"
-                     (Printf.sprintf "shard %d holds key %d it does not replicate" s.sid k)))
-            (s.h.Ops.snapshot s.sys);
-          tbl)
-        shards
-    in
-    for key = 1 to cfg.key_range do
-      if not (Hashtbl.mem amnesty key) then begin
-        let expected = Hashtbl.find_opt model key = Some true in
+    Array.iter
+      (fun s ->
         List.iter
-          (fun sid ->
-            let actual = Hashtbl.mem snaps.(sid) key in
-            if actual <> expected then
-              violation
-                (Invariant.make ~rule:"fleet-durability" ~addr:key
-                   (Printf.sprintf
-                      "key %d %s on shard %d but the acked-prefix model says %s" key
-                      (if actual then "present" else "missing")
-                      sid
-                      (if expected then "present" else "absent"))))
-          (route key)
-      end
-    done
+          (fun v ->
+            violation
+              (Invariant.make ~rule:"fleet-durability"
+                 (Printf.sprintf "shard %d: %s" s.sid v.Invariant.detail)))
+          (Dlin.set ~crashed:(s.crashes > 0) ~initial:initial.(s.sid) history.(s.sid)
+             (s.h.Ops.snapshot s.sys)))
+      shards
   in
   let hang = match serve_all () with () -> None | exception Hung what -> Some what in
   let leaked = Array.fold_left (fun acc s -> acc + s.occ) 0 shards in

@@ -31,11 +31,12 @@
     - [served + shed + in_flight = issued] is asserted at every fleet
       checkpoint (crash, detection, re-admission, quiesce) and reported as
       {!Skipit_audit.Invariant.violation} records;
-    - at quiesce, durable linearizability is verified fleet-wide against
-      the completed-prefix oracle: acked writes applied in the order they
-      last executed on their replicas must match every live replica's
-      snapshot, with the campaign's "either
-      way" amnesty for writes lost mid-crash (touched but never acked). *)
+    - at quiesce, durable linearizability is verified on every replica by
+      {!Skipit_audit.Dlin}, the campaign's checker: the prefill the replica
+      owns is the initial state, served writes are acked in the order they
+      last executed, and writes that touched a replica but were shed are
+      in flight.  Each key must hold its last acked write's value or an
+      in-flight write's; a key the replica does not own must be absent. *)
 
 module Arrival = Skipit_serve.Arrival
 module Workload = Skipit_serve.Workload
