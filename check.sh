@@ -60,6 +60,17 @@ if grep -rlE 'durably-inserted|durably-deleted|phantom element|acked-prefix|amne
   exit 1
 fi
 
+# One timed path: the untimed memory port (a flat word table with no
+# caches and no clock) sizes the crash campaign's boundaries and nothing
+# else, so no figure, serve, fleet or crash run can pick it up.  It may be
+# named only where it is defined and in the campaign.
+if grep -rnE '\.untimed\b|\buntimed[[:space:]]*\(\)' lib bin bench examples tools perfbench \
+  --include='*.ml' --include='*.mli' \
+  | grep -vE '^lib/persist/mem_port\.mli?:|^lib/audit/campaign\.ml:'; then
+  echo "check.sh: the untimed memory port named outside lib/audit/campaign.ml (above); timed paths use Mem_port.timed" >&2
+  exit 1
+fi
+
 # No polymorphic max/min/compare in the simulator core: on ints they cost
 # a compare_val call (and a closure as a fold argument) where Int.max is
 # one instruction.  Comments, definitions and qualified names pass.

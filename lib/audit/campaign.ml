@@ -4,6 +4,8 @@ module T = Skipit_core.Thread
 module Params = Skipit_cache.Params
 module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
+module Mem_port = Skipit_persist.Mem_port
+module Allocator = Skipit_mem.Allocator
 module Ops = Skipit_pds.Set_ops
 module MQ = Skipit_pds.Ms_queue
 module PL = Skipit_mem.Persist_log
@@ -182,16 +184,17 @@ type world = {
   mutable completed : int;
 }
 
-let build_world ~audited ?(audit_every = 400) ?l2_banks spec =
-  let sys = build_system ?l2_banks spec in
-  let fault_calls = ref 0 in
-  let strategy = apply_fault spec.fault ~calls:fault_calls (Ds_bench.realize spec.strategy sys) in
-  (* Crash boundaries count persist-point *calls*, not persist-log events:
-     a fault that elides the writeback must not also elide the boundary
-     that would expose it.  The counter increments after the call returns,
-     so an honest flush has already issued (and, under eager timing, its
-     data is durable) when the crash lands at the next dispatch. *)
-  let persist_points = ref 0 in
+(* [spec]'s strategy over [port], with its fault applied, as the context
+   that counts persist points.  Crash boundaries count persist-point
+   *calls*, not persist-log events: a fault that elides the writeback must
+   not also elide the boundary that would expose it.  The counter
+   increments after the call returns, so an honest flush has already
+   issued (and, under eager timing, its data is durable) when the crash
+   lands at the next dispatch. *)
+let counted_pctx spec port alloc ~fault_calls ~persist_points =
+  let strategy =
+    apply_fault spec.fault ~calls:fault_calls (Ds_bench.realize spec.strategy port alloc)
+  in
   let counted =
     {
       strategy with
@@ -205,14 +208,21 @@ let build_world ~audited ?(audit_every = 400) ?l2_banks spec =
           incr persist_points);
     }
   in
+  Pctx.make counted spec.mode
+
+let build ?(audit_every = 400) ?l2_banks spec =
+  let sys = build_system ?l2_banks spec in
+  let fault_calls = ref 0 in
+  let persist_points = ref 0 in
+  let p = counted_pctx spec Mem_port.timed (S.allocator sys) ~fault_calls ~persist_points in
   let auditor = Auditor.create sys in
-  if audited then Auditor.attach auditor ~every:audit_every;
+  Auditor.attach auditor ~every:audit_every;
   {
     spec;
     audit_every;
     l2_banks;
     sys;
-    p = Pctx.make counted spec.mode;
+    p;
     target = gen_target spec;
     auditor;
     persist_points;
@@ -220,34 +230,36 @@ let build_world ~audited ?(audit_every = 400) ?l2_banks spec =
     completed = 0;
   }
 
-let build ?audit_every ?l2_banks spec = build_world ~audited:true ?audit_every ?l2_banks spec
-
 let system w = w.sys
 let persist_points w = !(w.persist_points)
 
-let body w () =
-  let alloc = S.allocator w.sys in
-  let completed () = w.completed <- w.completed + 1 in
-  match w.target with
+(* Build [target]'s structure through [p] on [alloc] and run its op
+   schedule, calling [completed] after each op. *)
+let run_schedule target p alloc ~completed =
+  match target with
   | Set_target t ->
-    let h = Ops.create_sized t.kind ~buckets:4 w.p alloc in
+    let h = Ops.create_sized t.kind ~buckets:4 p alloc in
     t.set <- Some h;
     Array.iter
       (fun op ->
         (match op with
-         | Insert k -> ignore (h.Ops.insert w.p k)
-         | Delete k -> ignore (h.Ops.delete w.p k)
-         | Contains k -> ignore (h.Ops.contains w.p k));
+         | Insert k -> ignore (h.Ops.insert p k)
+         | Delete k -> ignore (h.Ops.delete p k)
+         | Contains k -> ignore (h.Ops.contains p k));
         completed ())
       t.set_ops
   | Queue_target t ->
-    let q = MQ.create w.p alloc in
+    let q = MQ.create p alloc in
     t.queue <- Some q;
     Array.iter
       (fun op ->
-        (match op with Enqueue v -> MQ.enqueue q w.p v | Dequeue -> ignore (MQ.dequeue q w.p));
+        (match op with Enqueue v -> MQ.enqueue q p v | Dequeue -> ignore (MQ.dequeue q p));
         completed ())
       t.queue_ops
+
+let body w () =
+  run_schedule w.target w.p (S.allocator w.sys) ~completed:(fun () ->
+    w.completed <- w.completed + 1)
 
 let run w ~stop =
   match T.run_until w.sys ~stop [ { T.core = 0; body = body w } ] with
@@ -317,13 +329,21 @@ let run_trial ?audit_every ?l2_banks spec ~crash_at =
   in
   finish w ~crashed:(run w ~stop)
 
-(* The persist-point total of [spec]'s uncrashed run, from a pass with
-   no auditor and no [finish]: the auditor only observes, so the audited
-   run makes the same calls.  [with_persists] checks that it did. *)
-let count_persists ?l2_banks spec =
-  let w = build_world ~audited:false ?l2_banks spec in
-  ignore (run w ~stop:(fun () -> false));
-  !(w.persist_points)
+(* The persist-point total of [spec]'s uncrashed run, counted without
+   simulating it: the schedule runs straight through the strategy over
+   the untimed port, on an allocator with the system's base.  With one
+   core, which persist points a run calls depends only on the values it
+   reads, and the untimed port returns the values the hierarchy would;
+   the auditor only observes.  [with_persists] checks that the audited
+   run agreed. *)
+let count_persists spec =
+  let alloc = Allocator.create () in
+  let persist_points = ref 0 in
+  let p =
+    counted_pctx spec (Mem_port.untimed ()) alloc ~fault_calls:(ref 0) ~persist_points
+  in
+  run_schedule (gen_target spec) p alloc ~completed:ignore;
+  !persist_points
 
 let with_persists ~persists (t : trial) =
   if t.persists = persists then t
@@ -439,7 +459,7 @@ let boundaries ~persists ~budget ~seed =
    crash trials and, at its end, the uncrashed trial, whose failure takes
    precedence as if it had run first. *)
 let run_spec ?(budget = 20) ?l2_banks spec =
-  let persists = count_persists ?l2_banks spec in
+  let persists = count_persists spec in
   let bs = boundaries ~persists ~budget ~seed:spec.seed in
   let trials, uncrashed = forked_trials ?l2_banks spec bs in
   match (with_persists ~persists uncrashed).violations with
@@ -454,7 +474,8 @@ let run_spec ?(budget = 20) ?l2_banks spec =
     let failure = List.find_map (fun (b, t) -> failure_at spec b t) trials in
     { spec; persists; boundaries_tested = List.length bs; failure }
 
-(* Specs are independent jobs: each builds its own three worlds. *)
+(* Specs are independent jobs: each builds its own two worlds (the run
+   and its twin); the counting pass builds none. *)
 let run_campaign ?pool ?budget ?l2_banks specs =
   Pool.map pool (fun spec -> run_spec ?budget ?l2_banks spec) specs
 

@@ -155,9 +155,11 @@ val boundaries : persists:int -> budget:int -> seed:int -> int list
 val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
 (** Test one spec: its {!boundaries} (budget default 20) and the
     uncrashed run ({!Dlin} + invariants at quiesce).  The persist total
-    that sizes the boundaries comes from a pass without the auditor; the
-    crash trials are forked from one audited run ({!crash_trials}), which
-    is then finished uncrashed.  An uncrashed failure is reported first,
+    that sizes the boundaries comes from an untimed pass, which runs the
+    schedule through the strategy over a flat word table
+    ({!Skipit_persist.Mem_port}) and simulates no system; the crash trials are forked from one audited
+    run ({!crash_trials}), which is then finished uncrashed, and a total
+    that differs from the pass's is a [persist-count] violation.  An uncrashed failure is reported first,
     with [crash_at = None] and no boundaries tested. *)
 
 val run_campaign : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec list -> report list

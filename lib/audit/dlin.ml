@@ -5,41 +5,62 @@ type queue_op = Enqueue of int | Dequeue
 let verdict fmt = Printf.ksprintf (Invariant.make ~rule:"durability") fmt
 let after ~crashed = if crashed then "after crash+repair" else "at quiesce"
 
+(* The per-key state lives in arrays indexed by the key's rank among all
+   the keys named: the crash campaign judges a few dozen writes at every
+   boundary, and building hash tables for them cost more than the
+   judgement. *)
 let set ~crashed ~initial history snapshot =
-  (* key -> (stamp, present) of its last acked write; the initial state
-     ranks below every stamp. *)
-  let last = Hashtbl.create 64 and in_flight = Hashtbl.create 8 in
-  List.iter (fun k -> Hashtbl.replace last k (min_int, true)) initial;
+  let keys =
+    Array.of_list
+      (List.sort_uniq Int.compare
+         (List.rev_append initial
+            (List.rev_append snapshot (List.rev_map (fun (k, _, _) -> k) history))))
+  in
+  let n = Array.length keys in
+  let rank k =
+    let rec go lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) lsr 1 in
+        if keys.(mid) <= k then go mid hi else go lo mid
+    in
+    go 0 n
+  in
+  (* Per key: the stamp and value of its last acked write ([no_write]
+     when it has none; the initial state ranks below every stamp), the
+     values its in-flight writes would leave, and its presence. *)
+  let no_write = 0 and inserted = 1 and deleted = 2 in
+  let stamp = Array.make n min_int and last = Array.make n no_write in
+  let pending = Array.make n 0 and present = Array.make n false in
+  List.iter (fun k -> last.(rank k) <- inserted) initial;
   List.iter
     (fun (k, w, ack) ->
-      let v = w = Insert in
+      let i = rank k in
+      let v = match w with Insert -> inserted | Delete -> deleted in
       match ack with
-      | In_flight -> Hashtbl.add in_flight k v
-      | Acked s -> (
-        match Hashtbl.find_opt last k with
-        | Some (s', _) when s' > s -> ()
-        | _ -> Hashtbl.replace last k (s, v)))
+      | In_flight -> pending.(i) <- pending.(i) lor v
+      | Acked s ->
+        if last.(i) = no_write || stamp.(i) <= s then begin
+          stamp.(i) <- s;
+          last.(i) <- v
+        end)
     history;
-  let present = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace present k ()) snapshot;
-  let keys =
-    List.sort_uniq Int.compare
-      (initial @ List.map (fun (k, _, _) -> k) history @ snapshot)
-  in
-  List.filter_map
-    (fun k ->
-      let p = Hashtbl.mem present k in
-      let want = Option.map snd (Hashtbl.find_opt last k) in
-      if p = (want = Some true) || List.mem p (Hashtbl.find_all in_flight k) then None
-      else
-        Some
-          (match want with
-           | None ->
-             verdict "phantom element %d in %s snapshot (never inserted)" k
-               (if crashed then "post-crash" else "quiesced")
-           | Some true -> verdict "durably-inserted key %d lost %s" k (after ~crashed)
-           | Some false -> verdict "durably-deleted key %d resurrected %s" k (after ~crashed)))
-    keys
+  List.iter (fun k -> present.(rank k) <- true) snapshot;
+  let violations = ref [] in
+  for i = n - 1 downto 0 do
+    let p = if present.(i) then inserted else deleted in
+    let want = if last.(i) = inserted then inserted else deleted in
+    if p <> want && pending.(i) land p = 0 then
+      violations :=
+        (if last.(i) = no_write then
+           verdict "phantom element %d in %s snapshot (never inserted)" keys.(i)
+             (if crashed then "post-crash" else "quiesced")
+         else if last.(i) = inserted then
+           verdict "durably-inserted key %d lost %s" keys.(i) (after ~crashed)
+         else verdict "durably-deleted key %d resurrected %s" keys.(i) (after ~crashed))
+        :: !violations
+  done;
+  !violations
 
 let apply q = function Enqueue v -> q @ [ v ] | Dequeue -> ( match q with [] -> [] | _ :: t -> t)
 

@@ -36,11 +36,25 @@ type metric =
   | Occupancy of occ
   | Histogram of (int, hist_window) Hashtbl.t
 
-type t = { window : int; metrics : (string, metric) Hashtbl.t }
+type t = {
+  window : int;
+  metrics : (string, metric) Hashtbl.t;
+  (* The hierarchy's per-core and per-queue series ([interned]), so
+     [observe] builds no name string per event. *)
+  fshr : (int, occ) Hashtbl.t;  (* core -> "fu.<core>.fshr" *)
+  dequeues : (int, windowed) Hashtbl.t;  (* core -> "fu.<core>.dequeues" *)
+  enqueues : (string, windowed) Hashtbl.t;  (* queue -> "<queue>.enqueues" *)
+}
 
 let create ?(window = default_window) () =
   if window <= 0 then invalid_arg "Metrics.create: window <= 0";
-  { window; metrics = Hashtbl.create 16 }
+  {
+    window;
+    metrics = Hashtbl.create 16;
+    fshr = Hashtbl.create 8;
+    dequeues = Hashtbl.create 8;
+    enqueues = Hashtbl.create 8;
+  }
 
 let widx t ~at = if at <= 0 then 0 else at / t.window
 
@@ -107,16 +121,33 @@ let histogram_observe t name ~at v =
 
 (* == Recording off the trace event stream ================================ *)
 
+(* A per-core or per-queue series, looked up by its name on its first
+   event only. *)
+let interned tbl key series =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = series () in
+    Hashtbl.add tbl key s;
+    s
+
+let fshr t core = interned t.fshr core (fun () -> occupancy t (Printf.sprintf "fu.%d.fshr" core))
+
+let dequeues t core =
+  interned t.dequeues core (fun () -> counter t (Printf.sprintf "fu.%d.dequeues" core))
+
+let enqueues t queue = interned t.enqueues queue (fun () -> counter t (queue ^ ".enqueues"))
+
 (* The hierarchy's series, read off its trace events: the one place an
    event becomes a metric. *)
 let observe t ~at : Trace.event -> unit = function
   | Dram { op = Dram_read; _ } -> counter_incr t "dram.reads" ~at
   | Dram { op = Dram_write; _ } -> counter_incr t "dram.writes" ~at
-  | Flushq { name; op = Q_enqueue; _ } -> counter_incr t (name ^ ".enqueues") ~at
+  | Flushq { name; op = Q_enqueue; _ } -> bump (enqueues t name) (widx t ~at) 1
   | Fshr { core; op = Fshr_alloc; _ } ->
-    occupancy_alloc t (Printf.sprintf "fu.%d.fshr" core) ~at;
-    counter_incr t (Printf.sprintf "fu.%d.dequeues" core) ~at
-  | Fshr { core; op = Fshr_free; _ } -> occupancy_free t (Printf.sprintf "fu.%d.fshr" core) ~at
+    bump (fshr t core).allocs (widx t ~at) 1;
+    bump (dequeues t core) (widx t ~at) 1
+  | Fshr { core; op = Fshr_free; _ } -> bump (fshr t core).frees (widx t ~at) 1
   | Resource { comp; op = Res_alloc; _ } -> occupancy_alloc t comp ~at
   | Resource { comp; op = Res_free; _ } -> occupancy_free t comp ~at
   | _ -> ()

@@ -19,7 +19,11 @@
       issues CBO.FLUSH and the hardware drops redundant ones;
     - {b none} — the non-persistent baseline (dotted line in Figs 14/15).
 
-    All operation functions must run inside a {!Skipit_core.Thread} task. *)
+    Every strategy is built over a {!Mem_port}: all of its memory traffic,
+    FliT's counter updates and Link-and-Persist's mark-clearing CAS
+    included, goes through that port's functions.  The port defaults to
+    {!Mem_port.timed}, whose operations must run inside a
+    {!Skipit_core.Thread} task. *)
 
 type t = {
   name : string;
@@ -48,17 +52,17 @@ type t = {
           observe — for those only the trailing fence may be batched. *)
 }
 
-val plain : unit -> t
-val none : unit -> t
-val skipit_hw : unit -> t
+val plain : ?port:Mem_port.t -> unit -> t
+val none : ?port:Mem_port.t -> unit -> t
+val skipit_hw : ?port:Mem_port.t -> unit -> t
 
-val flit_adjacent : unit -> t
+val flit_adjacent : ?port:Mem_port.t -> unit -> t
 
-val flit_hash : table_base:int -> table_slots:int -> t
+val flit_hash : ?port:Mem_port.t -> table_base:int -> table_slots:int -> unit -> t
 (** The counter table must be a [table_slots * 8]-byte region reserved via
     the system allocator (zero-initialised memory). *)
 
-val link_and_persist : unit -> t
+val link_and_persist : ?port:Mem_port.t -> unit -> t
 
 val lap_strip : int -> int
 (** A word without the in-word mark bit {!link_and_persist} sets (bit 62):

@@ -44,7 +44,7 @@ type t = { sys : S.t; strategy : Strategy.t; handle : Ops.handle }
 
 let create ?keep ?shuffle_seed ~params c =
   let sys = S.create (Params.with_skip_it params (Ds_bench.wants_skip_it_hw c.spec)) in
-  let strategy = Ds_bench.realize c.spec sys in
+  let strategy = Ds_bench.realize c.spec Skipit_persist.Mem_port.timed (S.allocator sys) in
   let handle =
     Ds_bench.prefill ?keep sys c.kind (Pctx.make strategy c.mode) ~key_range:c.key_range
       ~prefill:c.prefill

@@ -3,6 +3,7 @@ module T = Skipit_core.Thread
 module Params = Skipit_cache.Params
 module Strategy = Skipit_persist.Strategy
 module Pctx = Skipit_persist.Pctx
+module Mem_port = Skipit_persist.Mem_port
 module Ops = Skipit_pds.Set_ops
 module Rng = Skipit_sim.Rng
 module Zipf = Skipit_sim.Zipf
@@ -43,18 +44,16 @@ let spec_of_name s =
         | Some _ | None -> None)
      | _ -> None)
 
-let realize spec sys =
+let realize spec port alloc =
   match spec with
-  | Plain -> Strategy.plain ()
-  | Flit_adjacent -> Strategy.flit_adjacent ()
+  | Plain -> Strategy.plain ~port ()
+  | Flit_adjacent -> Strategy.flit_adjacent ~port ()
   | Flit_hash slots ->
-    let table_base =
-      Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (slots * 8)
-    in
-    Strategy.flit_hash ~table_base ~table_slots:slots
-  | Link_and_persist -> Strategy.link_and_persist ()
-  | Skipit -> Strategy.skipit_hw ()
-  | Baseline -> Strategy.none ()
+    let table_base = Skipit_mem.Allocator.alloc alloc ~align:64 (slots * 8) in
+    Strategy.flit_hash ~port ~table_base ~table_slots:slots ()
+  | Link_and_persist -> Strategy.link_and_persist ~port ()
+  | Skipit -> Strategy.skipit_hw ~port ()
+  | Baseline -> Strategy.none ~port ()
 
 let wants_skip_it_hw = function
   | Skipit -> true
@@ -114,7 +113,7 @@ let throughput ?(params = Params.boom_default) ~kind ~mode ~spec w =
       Params.with_skip_it (Params.with_cores params w.threads) (wants_skip_it_hw spec)
     in
     let sys = S.create params in
-    let strategy = realize spec sys in
+    let strategy = realize spec Mem_port.timed (S.allocator sys) in
     let pctx = Pctx.make strategy mode in
     let h =
       prefill sys kind pctx ~key_range:w.key_range ~prefill:w.prefill ~seed:w.seed

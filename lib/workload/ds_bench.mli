@@ -25,9 +25,10 @@ val default_specs : strategy_spec list
 (** The five compared methods plus the baseline, with the paper's default
     FliT table of 2{^16} slots. *)
 
-val realize : strategy_spec -> Skipit_core.System.t -> Skipit_persist.Strategy.t
-(** Allocate any auxiliary memory (the FliT counter table) in the system
-    and return the strategy. *)
+val realize :
+  strategy_spec -> Skipit_persist.Mem_port.t -> Skipit_mem.Allocator.t -> Skipit_persist.Strategy.t
+(** The strategy over the given memory port, with any auxiliary memory
+    (the FliT counter table) allocated from [alloc]. *)
 
 val wants_skip_it_hw : strategy_spec -> bool
 

@@ -600,6 +600,48 @@ let prop_forked_equals_replay =
                (trial_to_string r))
         forked)
 
+(* The persist total that sizes a spec's boundaries comes from the
+   untimed counting pass; it must equal the audited, simulated run's
+   total, over the whole grid (every crash-testable strategy), each fault
+   kind, both L2 shapes and random schedules.  [run_spec ~budget:0] runs
+   that pass and the uncrashed audited run, whose disagreement would also
+   surface as a [persist-count] violation. *)
+let prop_untimed_count_matches =
+  let gen =
+    QCheck.Gen.(
+      let* fault =
+        oneof
+          [
+            return Campaign.No_fault;
+            return Campaign.Drop_all_persists;
+            map (fun n -> Campaign.Drop_nth_persist n) (int_range 1 30);
+          ]
+      in
+      let* l2_banks = oneofl [ 1; 4 ] in
+      let* seed = int_bound 10_000 in
+      let* n_ops = int_range 1 40 in
+      return (fault, l2_banks, seed, n_ops))
+  in
+  QCheck.Test.make ~name:"untimed persist count equals the simulated run's" ~count:20
+    (QCheck.make gen ~print:(fun (fault, l2_banks, seed, n_ops) ->
+       Printf.sprintf "fault=%s l2_banks=%d seed=%d ops=%d" (Campaign.fault_name fault)
+         l2_banks seed n_ops))
+    (fun (fault, l2_banks, seed, n_ops) ->
+      let specs =
+        Result.get_ok
+          (Campaign.grid
+             ~strategies:Ds_bench.[ Plain; Skipit; Flit_adjacent; Flit_hash 65536; Link_and_persist ]
+             ~seed ~n_ops ~fault ())
+      in
+      List.for_all
+        (fun spec ->
+          let counted = (Campaign.run_spec ~budget:0 ~l2_banks spec).Campaign.persists in
+          let simulated = (Campaign.run_trial ~l2_banks spec ~crash_at:None).Campaign.persists in
+          counted = simulated
+          || QCheck.Test.fail_reportf "%s: counted %d, simulated %d" (Campaign.spec_name spec)
+               counted simulated)
+        specs)
+
 (* A typed copy reproduces the world it copies: at random boundaries of a
    run, after [copy_into], the live world and its twin marshal (closures
    included) to the same bytes.  Byte equality covers every reachable
@@ -739,6 +781,7 @@ let tests =
       Alcotest.test_case "copied world shares no mutable state" `Quick
         test_copied_world_is_independent;
       QCheck_alcotest.to_alcotest prop_forked_equals_replay;
+      QCheck_alcotest.to_alcotest prop_untimed_count_matches;
       QCheck_alcotest.to_alcotest prop_typed_copy_is_faithful;
       Alcotest.test_case "reproducer rejects bad values" `Quick
         test_reproducer_rejects_bad_values;

@@ -137,10 +137,10 @@ let strategies_for kind =
   List.filter_map
     (fun (name, spec, mk) -> if Ds_bench.compatible kind spec then Some (name, mk) else None)
     [
-      "plain", Ds_bench.Plain, Strategy.plain;
-      "flit-adjacent", Ds_bench.Flit_adjacent, Strategy.flit_adjacent;
-      "link-and-persist", Ds_bench.Link_and_persist, Strategy.link_and_persist;
-      "skipit", Ds_bench.Skipit, Strategy.skipit_hw;
+      "plain", Ds_bench.Plain, (fun () -> Strategy.plain ());
+      "flit-adjacent", Ds_bench.Flit_adjacent, (fun () -> Strategy.flit_adjacent ());
+      "link-and-persist", Ds_bench.Link_and_persist, (fun () -> Strategy.link_and_persist ());
+      "skipit", Ds_bench.Skipit, (fun () -> Strategy.skipit_hw ());
     ]
 
 let tests =

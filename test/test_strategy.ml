@@ -5,6 +5,8 @@ module S = Skipit_core.System
 module T = Skipit_core.Thread
 module C = Skipit_core.Config
 module Strategy = Skipit_persist.Strategy
+module Mem_port = Skipit_persist.Mem_port
+module Ds_bench = Skipit_workload.Ds_bench
 
 let run_task sys f =
   let result = ref None in
@@ -129,7 +131,7 @@ let test_flit_hash_collisions_are_safe () =
      may spuriously flush, but never skips a required writeback. *)
   let sys = S.create (C.platform ~cores:1 ()) in
   let table = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 8 in
-  let strategy = Strategy.flit_hash ~table_base:table ~table_slots:1 in
+  let strategy = Strategy.flit_hash ~table_base:table ~table_slots:1 () in
   let a = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
   let b = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
   run_task sys (fun () ->
@@ -163,12 +165,54 @@ let test_skipit_uses_hardware () =
 
 let strategies =
   [
-    "plain", Strategy.plain;
-    "flit-adjacent", Strategy.flit_adjacent;
-    "link-and-persist", Strategy.link_and_persist;
-    "skipit", Strategy.skipit_hw;
-    "none", Strategy.none;
+    "plain", (fun () -> Strategy.plain ());
+    "flit-adjacent", (fun () -> Strategy.flit_adjacent ());
+    "link-and-persist", (fun () -> Strategy.link_and_persist ());
+    "skipit", (fun () -> Strategy.skipit_hw ());
+    "none", (fun () -> Strategy.none ());
   ]
+
+(* Every strategy over either port: the same script of writes, CASes,
+   persist points and fences must read back the same values, and leave
+   the same raw words (marks and FliT counters included), on the
+   simulated hierarchy and on the flat untimed table. *)
+let port_specs =
+  Ds_bench.[ Plain; Flit_adjacent; Flit_hash 4; Link_and_persist; Skipit; Baseline ]
+
+let port_script port alloc spec =
+  let s = Ds_bench.realize spec port alloc in
+  let addrs = List.init 3 (fun _ -> Skipit_mem.Allocator.alloc_line alloc ~line_bytes:64) in
+  let seen = ref [] in
+  let note v = seen := v :: !seen in
+  List.iteri
+    (fun i a ->
+      s.Strategy.write a (10 + i);
+      note (s.Strategy.read a);
+      s.Strategy.persist_store a;
+      note (Bool.to_int (s.Strategy.cas a ~expected:(10 + i) ~desired:(20 + i)));
+      note (Bool.to_int (s.Strategy.cas a ~expected:(10 + i) ~desired:(30 + i)));
+      s.Strategy.persist_load a;
+      note (s.Strategy.read a))
+    addrs;
+  List.iter (fun a -> s.Strategy.persist_store a) addrs;
+  s.Strategy.fence ();
+  List.iter (fun a -> note (s.Strategy.read a)) addrs;
+  (* Raw words: the data word (with any mark) and the word after it
+     (FliT-adjacent's counter). *)
+  List.iter (fun a -> note (port.Mem_port.load a); note (port.Mem_port.load (a + 8))) addrs;
+  List.rev !seen
+
+let test_ports_agree spec () =
+  let sys = S.create (C.platform ~cores:1 ~skip_it:(Ds_bench.wants_skip_it_hw spec) ()) in
+  let timed = run_task sys (fun () -> port_script Mem_port.timed (S.allocator sys) spec) in
+  let untimed =
+    port_script (Mem_port.untimed ()) (Skipit_mem.Allocator.create ()) spec
+  in
+  Alcotest.(check (list int)) (Ds_bench.spec_name spec ^ " timed = untimed") timed untimed;
+  Alcotest.(check (list int))
+    (Ds_bench.spec_name spec ^ " reads back what it wrote")
+    [ 10; 1; 0; 20; 11; 1; 0; 21; 12; 1; 0; 22; 20; 21; 22 ]
+    (List.filteri (fun i _ -> i < 15) untimed)
 
 let tests =
   ( "strategy",
@@ -188,4 +232,10 @@ let tests =
         Alcotest.test_case "lap mark invisible" `Quick test_lap_mark_invisible;
         Alcotest.test_case "flit-hash collisions safe" `Quick test_flit_hash_collisions_are_safe;
         Alcotest.test_case "skipit uses the hardware" `Quick test_skipit_uses_hardware;
-      ] )
+      ]
+    @ List.map
+        (fun spec ->
+          Alcotest.test_case
+            (Ds_bench.spec_name spec ^ " ports agree")
+            `Quick (test_ports_agree spec))
+        port_specs )
