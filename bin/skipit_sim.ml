@@ -85,12 +85,13 @@ let fail cmd msg =
 (* ------------------------------------------------------------------ *)
 (* Hierarchy shape shared by the simulation commands.                 *)
 
-let l2_banks_arg =
-  Arg.(value & opt pow2_int 1
-       & info [ "l2-banks" ] ~docv:"N"
-         ~doc:"Address-interleaved NUCA L2 banks, each with its own MSHRs, \
-               directory and request queue (power of two; 1 = the paper's \
-               monolithic L2).")
+let l2_banks_info =
+  Arg.info [ "l2-banks" ] ~docv:"N"
+    ~doc:"Address-interleaved NUCA L2 banks, each with its own MSHRs, \
+          directory and request queue (power of two; 1 = the paper's \
+          monolithic L2)."
+
+let l2_banks_arg = Arg.(value & opt pow2_int 1 l2_banks_info)
 
 let banked_bus_arg =
   Arg.(value & flag & info [ "banked-bus" ]
@@ -348,13 +349,26 @@ let audit_cmd =
          & info [ "repro-out" ] ~docv:"FILE"
            ~doc:"Where to write the shrunk reproducer when a spec fails.")
   in
+  (* A reproducer carries its platform: it replays on the file's bank
+     count, which an explicit --l2-banks must not contradict. *)
+  let l2_banks = Arg.(value & opt (some ~none:"1" pow2_int) None l2_banks_info) in
   let replay ~l2_banks file =
     match Campaign.read_reproducer file with
     | Error e ->
       prerr_endline ("reproducer error: " ^ e);
       exit 1
     | Ok f ->
-      let t = Campaign.run_trial ~l2_banks f.Campaign.spec ~crash_at:f.Campaign.crash_at in
+      let banks = f.Campaign.spec.Campaign.l2_banks in
+      Option.iter
+        (fun n ->
+          if n <> banks then
+            fail "audit"
+              (Printf.sprintf
+                 "--l2-banks %d contradicts the reproducer's l2_banks=%d; omit it to replay \
+                  on the file's platform"
+                 n banks))
+        l2_banks;
+      let t = Campaign.run_trial f.Campaign.spec ~crash_at:f.Campaign.crash_at in
       Printf.printf "replay %s crash_at=%s: %d persists, %d op(s) completed\n"
         (Campaign.spec_name f.Campaign.spec)
         (match f.Campaign.crash_at with Some b -> string_of_int b | None -> "-")
@@ -371,13 +385,15 @@ let audit_cmd =
     | None ->
       let specs =
         match Campaign.grid ?structures ?modes ?strategies ~seed ~n_ops:ops ~fault () with
-        | Ok specs -> specs
+        | Ok specs ->
+          let l2_banks = Option.value l2_banks ~default:1 in
+          List.map (fun s -> { s with Campaign.l2_banks }) specs
         | Error e -> fail "audit" e
       in
       Printf.printf "audit campaign: %d spec(s), seed %d, %d op(s), boundary budget %d\n%!"
         (List.length specs) seed ops budget;
       let reports =
-        with_jobs jobs (fun pool -> Campaign.run_campaign ?pool ~budget ~l2_banks specs)
+        with_jobs jobs (fun pool -> Campaign.run_campaign ?pool ~budget specs)
       in
       let failed = ref 0 in
       List.iter
@@ -411,7 +427,7 @@ let audit_cmd =
              crashed at persist boundaries, repaired and checked for durable \
              linearizability plus hierarchy invariants")
     Term.(const run $ seed $ ops $ budget $ structures $ modes $ strategies $ fault
-          $ repro $ repro_out $ l2_banks_arg $ jobs_arg)
+          $ repro $ repro_out $ l2_banks $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Serving front end: the flags serve and fleet share.                *)

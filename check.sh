@@ -60,6 +60,15 @@ if grep -rlE 'durably-inserted|durably-deleted|phantom element|acked-prefix|amne
   exit 1
 fi
 
+# One structural judge: the hierarchy's inclusion, single-writer and
+# skip-safety rules are checked and worded in Invariant.check_all alone,
+# which the campaign, the Auditor, the fleet, the tests and the examples
+# call.
+if grep -rnE 'check_coherence|check_inclusion' lib bin examples; then
+  echo "check.sh: a second structural checker (above); judge the hierarchy with Invariant.check_all" >&2
+  exit 1
+fi
+
 # One timed path: the untimed memory port (a flat word table with no
 # caches and no clock) sizes the crash campaign's boundaries and nothing
 # else, so no figure, serve, fleet or crash run can pick it up.  It may be

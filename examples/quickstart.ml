@@ -5,6 +5,7 @@
 
 module System = Skipit_core.System
 module Config = Skipit_core.Config
+module Invariant = Skipit_audit.Invariant
 
 let () =
   (* The §7.1 platform: two SonicBOOM cores, 32 KiB L1s, shared 512 KiB
@@ -45,6 +46,6 @@ let () =
   Printf.printf "crash            -> value after recovery=%d (99 was never written back)\n"
     (System.persisted_word sys addr);
 
-  match System.check_coherence sys with
-  | Ok () -> print_endline "coherence + skip-bit invariants hold"
-  | Error e -> print_endline ("INVARIANT VIOLATION: " ^ e)
+  match Invariant.check_all sys with
+  | [] -> print_endline "coherence + skip-bit invariants hold"
+  | v :: _ -> print_endline ("INVARIANT VIOLATION: " ^ Invariant.violation_to_string v)

@@ -50,6 +50,7 @@ type spec = {
   fault : fault;
   seed : int;
   n_ops : int;
+  l2_banks : int;
 }
 
 let spec_name s =
@@ -66,7 +67,9 @@ let compatible s =
 
 let grid ?(structures = all_structures) ?(modes = Pctx.all_modes)
     ?(strategies = Ds_bench.[ Plain; Skipit ]) ~seed ~n_ops ~fault () =
-  let spec structure mode strategy = { structure; mode; strategy; fault; seed; n_ops } in
+  let spec structure mode strategy =
+    { structure; mode; strategy; fault; seed; n_ops; l2_banks = 1 }
+  in
   let specs =
     List.concat_map
       (fun structure ->
@@ -157,12 +160,12 @@ type trial = {
   violations : string list;
 }
 
-let build_system ?(l2_banks = 1) spec =
+let build_system spec =
   let params =
     {
       (C.tiny ~cores:1 ()) with
       Params.skip_it = Ds_bench.wants_skip_it_hw spec.strategy;
-      l2_banks;
+      l2_banks = spec.l2_banks;
     }
   in
   S.create params
@@ -174,7 +177,6 @@ let build_system ?(l2_banks = 1) spec =
 type world = {
   spec : spec;
   audit_every : int;
-  l2_banks : int option;
   sys : S.t;
   p : Pctx.t;  (* the realized strategy, counting its persist points *)
   target : target;
@@ -210,8 +212,8 @@ let counted_pctx spec port alloc ~fault_calls ~persist_points =
   in
   Pctx.make counted spec.mode
 
-let build ?(audit_every = 400) ?l2_banks spec =
-  let sys = build_system ?l2_banks spec in
+let build ?(audit_every = 400) spec =
+  let sys = build_system spec in
   let fault_calls = ref 0 in
   let persist_points = ref 0 in
   let p = counted_pctx spec Mem_port.timed (S.allocator sys) ~fault_calls ~persist_points in
@@ -220,7 +222,6 @@ let build ?(audit_every = 400) ?l2_banks spec =
   {
     spec;
     audit_every;
-    l2_banks;
     sys;
     p;
     target = gen_target spec;
@@ -286,30 +287,37 @@ let finish w ~crashed =
   List.iter
     (fun v -> add (Invariant.violation_to_string v))
     (Invariant.check_all ~quiesced:true w.sys);
-  let repair f = if crashed then T.run_task w.sys f in
-  (* Dlin's verdicts print as their text alone. *)
-  let durability = List.iter (fun v -> add v.Invariant.detail) in
+  (* Dlin's verdicts print as their text alone.  After a crash the repair
+     runs first, bounded: one that runs past the bound is the trial's
+     [repair-hang], and the structure it left is not walked for a verdict. *)
+  let durability repair verdicts =
+    match if crashed then Recovery.run w.sys ~doing:(fun () -> "repair") repair else Ok 0 with
+    | Ok _ -> List.iter (fun v -> add v.Invariant.detail) (verdicts ())
+    | Error e -> add (Invariant.violation_to_string (Invariant.make ~rule:"repair-hang" e))
+  in
   let completed = w.completed in
   (match w.target with
    | Set_target { set = None; _ } | Queue_target { queue = None; _ } ->
      (* crashed during construction: nothing was promised *)
      if not crashed then add "uncrashed run never constructed the structure"
    | Set_target { set = Some h; set_ops; _ } ->
-     repair (fun () -> ignore (h.Ops.repair w.p));
      durability
-       (Dlin.set ~crashed ~initial:[]
-          (history set_ops ~completed ~crashed (fun op ack ->
-             match op with
-             | Insert k -> Some (k, Dlin.Insert, ack)
-             | Delete k -> Some (k, Dlin.Delete, ack)
-             | Contains _ -> None))
-          (h.Ops.snapshot w.sys))
+       (fun () -> ignore (h.Ops.repair w.p))
+       (fun () ->
+         Dlin.set ~crashed ~initial:[]
+           (history set_ops ~completed ~crashed (fun op ack ->
+              match op with
+              | Insert k -> Some (k, Dlin.Insert, ack)
+              | Delete k -> Some (k, Dlin.Delete, ack)
+              | Contains _ -> None))
+           (h.Ops.snapshot w.sys))
    | Queue_target { queue = Some q; queue_ops } ->
-     repair (fun () -> ignore (MQ.repair q w.p));
      durability
-       (Dlin.queue ~crashed
-          (history queue_ops ~completed ~crashed (fun op ack -> Some (op, ack)))
-          (MQ.to_list_unsafe q w.sys)));
+       (fun () -> ignore (MQ.repair q w.p))
+       (fun () ->
+         Dlin.queue ~crashed
+           (history queue_ops ~completed ~crashed (fun op ack -> Some (op, ack)))
+           (MQ.to_list_unsafe q w.sys)));
   List.iter
     (fun v -> add ("audit: " ^ Invariant.violation_to_string v))
     (Auditor.failures w.auditor);
@@ -320,8 +328,8 @@ let finish w ~crashed =
     violations = List.rev !violations;
   }
 
-let run_trial ?audit_every ?l2_banks spec ~crash_at =
-  let w = build ?audit_every ?l2_banks spec in
+let run_trial ?audit_every spec ~crash_at =
+  let w = build ?audit_every spec in
   let stop =
     match crash_at with
     | None -> fun () -> false
@@ -365,10 +373,8 @@ let with_persists ~persists (t : trial) =
    allocator.  Whatever [dst] held before, a finished trial included, is
    overwritten. *)
 let copy_into ~src ~dst =
-  if
-    (dst.spec != src.spec && dst.spec <> src.spec)
-    || dst.audit_every <> src.audit_every || dst.l2_banks <> src.l2_banks
-  then invalid_arg "Campaign.copy_into: worlds built from different arguments";
+  if (dst.spec != src.spec && dst.spec <> src.spec) || dst.audit_every <> src.audit_every then
+    invalid_arg "Campaign.copy_into: worlds built from different arguments";
   S.copy_into ~src:src.sys ~dst:dst.sys;
   Auditor.copy_into ~src:src.auditor ~dst:dst.auditor;
   dst.persist_points := !(src.persist_points);
@@ -381,7 +387,7 @@ let copy_into ~src ~dst =
   | (Set_target _ | Queue_target _), _ -> assert false (* same spec *)
 
 let copy w =
-  let twin = build ~audit_every:w.audit_every ?l2_banks:w.l2_banks w.spec in
+  let twin = build ~audit_every:w.audit_every w.spec in
   copy_into ~src:w ~dst:twin;
   twin
 
@@ -394,9 +400,9 @@ let copy w =
    it is finished uncrashed in place: the result is that trial and the
    boundaries first reached after the last dispatch.  A replay never
    stops at those either, so their trial is the uncrashed one. *)
-let fork_run ?l2_banks spec bs ~at =
-  let w = build ?l2_banks spec in
-  let twin = build ?l2_banks spec in
+let fork_run spec bs ~at =
+  let w = build spec in
+  let twin = build spec in
   let pending = ref bs in
   let rec reached () =
     match !pending with
@@ -409,10 +415,10 @@ let fork_run ?l2_banks spec bs ~at =
   if run w ~stop:reached then None else Some (finish w ~crashed:false, !pending)
 
 (* Every boundary's trial and the uncrashed one, from one forked run. *)
-let forked_trials ?l2_banks spec bs =
+let forked_trials spec bs =
   let trials = ref [] in
   match
-    fork_run ?l2_banks spec bs ~at:(fun b t ->
+    fork_run spec bs ~at:(fun b t ->
       trials := (b, t) :: !trials;
       false)
   with
@@ -420,7 +426,7 @@ let forked_trials ?l2_banks spec bs =
     List.rev_append !trials (List.map (fun b -> b, uncrashed) unreached), uncrashed
   | None -> assert false (* [at] never ends the run *)
 
-let crash_trials ?l2_banks spec bs = fst (forked_trials ?l2_banks spec bs)
+let crash_trials spec bs = fst (forked_trials spec bs)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver.                                                   *)
@@ -458,10 +464,10 @@ let boundaries ~persists ~budget ~seed =
 (* The counting pass sizes the boundaries; one forked run then yields the
    crash trials and, at its end, the uncrashed trial, whose failure takes
    precedence as if it had run first. *)
-let run_spec ?(budget = 20) ?l2_banks spec =
+let run_spec ?(budget = 20) spec =
   let persists = count_persists spec in
   let bs = boundaries ~persists ~budget ~seed:spec.seed in
-  let trials, uncrashed = forked_trials ?l2_banks spec bs in
+  let trials, uncrashed = forked_trials spec bs in
   match (with_persists ~persists uncrashed).violations with
   | _ :: _ as violations ->
     {
@@ -476,8 +482,7 @@ let run_spec ?(budget = 20) ?l2_banks spec =
 
 (* Specs are independent jobs: each builds its own two worlds (the run
    and its twin); the counting pass builds none. *)
-let run_campaign ?pool ?budget ?l2_banks specs =
-  Pool.map pool (fun spec -> run_spec ?budget ?l2_banks spec) specs
+let run_campaign ?pool ?budget specs = Pool.map pool (fun spec -> run_spec ?budget spec) specs
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking.                                                         *)
@@ -529,15 +534,16 @@ let write_reproducer path (fail : failure) =
   Repro_file.write path
     ~header:(Printf.sprintf "skipit_sim audit reproducer (replay: skipit_sim audit --repro %s)" path)
     ~notes:(List.map (( ^ ) "violation: ") fail.violations)
-    [
-      ("structure", structure_name fail.spec.structure);
-      ("mode", Pctx.mode_name fail.spec.mode);
-      ("strategy", Ds_bench.spec_name fail.spec.strategy);
-      ("fault", fault_name fail.spec.fault);
-      ("seed", string_of_int fail.spec.seed);
-      ("ops", string_of_int fail.spec.n_ops);
-      ("crash_at", string_of_int (match fail.crash_at with Some b -> b | None -> 0));
-    ]
+    ([
+       ("structure", structure_name fail.spec.structure);
+       ("mode", Pctx.mode_name fail.spec.mode);
+       ("strategy", Ds_bench.spec_name fail.spec.strategy);
+       ("fault", fault_name fail.spec.fault);
+       ("seed", string_of_int fail.spec.seed);
+       ("ops", string_of_int fail.spec.n_ops);
+     ]
+     @ (if fail.spec.l2_banks = 1 then [] else [ ("l2_banks", string_of_int fail.spec.l2_banks) ])
+     @ [ ("crash_at", string_of_int (match fail.crash_at with Some b -> b | None -> 0)) ])
 
 let read_reproducer path =
   let ( let* ) = Result.bind in
@@ -549,9 +555,17 @@ let read_reproducer path =
   let* seed = Repro_file.int r "seed" in
   let* n_ops = Repro_file.int r "ops" in
   let* () = if n_ops < 1 then Error "ops must be at least 1" else Ok () in
+  let* l2_banks =
+    match Repro_file.find r "l2_banks" with None -> Ok 1 | Some _ -> Repro_file.int r "l2_banks"
+  in
+  let* () =
+    if l2_banks < 1 || l2_banks land (l2_banks - 1) <> 0 then
+      Error "l2_banks must be a power of two >= 1"
+    else Ok ()
+  in
   let* crash_at = Repro_file.int r "crash_at" in
   let* () = if crash_at < 0 then Error "crash_at must be non-negative" else Ok () in
-  let spec = { structure; mode; strategy; fault; seed; n_ops } in
+  let spec = { structure; mode; strategy; fault; seed; n_ops; l2_banks } in
   let* () =
     if compatible spec then Ok ()
     else

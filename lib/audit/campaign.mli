@@ -51,9 +51,15 @@ type spec = {
   fault : fault;
   seed : int;
   n_ops : int;
+  l2_banks : int;
+      (** The platform: a trial runs on the tiny one-core system with this
+          many NUCA L2 banks (a power of two; 1 = the monolithic L2), so a
+          failure shrinks and replays on the hierarchy it was found on. *)
 }
 
 val spec_name : spec -> string
+(** Structure, mode, strategy, fault, seed and op count; the bank count
+    is not part of the name. *)
 
 val compatible : spec -> bool
 (** [false] for the non-persistent [Baseline] and where
@@ -69,7 +75,8 @@ val grid :
   unit ->
   (spec list, string) result
 (** Every compatible structure × mode × strategy spec, in that nesting
-    order (defaults: all structures, all modes, [Plain; Skipit]).
+    order (defaults: all structures, all modes, [Plain; Skipit]), each
+    on a one-bank L2.
     [Error] names a strategy that fits none of the structures. *)
 
 val default_specs : seed:int -> n_ops:int -> fault:fault -> spec list
@@ -82,13 +89,11 @@ type trial = {
   violations : string list;  (** {!Dlin} verdicts + invariant violations. *)
 }
 
-val run_trial : ?audit_every:int -> ?l2_banks:int -> spec -> crash_at:int option -> trial
+val run_trial : ?audit_every:int -> spec -> crash_at:int option -> trial
 (** One simulation: build a fresh system, run the generated op schedule,
     optionally crash at persist-point boundary [crash_at] (stop once that
     many persist-point calls have returned), repair, audit, verify.
-    [audit_every] (default 400) attaches the periodic {!Auditor};
-    [l2_banks] (default 1) runs the trial on a banked NUCA L2, exercising
-    the crash/repair path across every bank.  This is [build], [run] and
+    [audit_every] (default 400) attaches the periodic {!Auditor}.  This is [build], [run] and
     [finish] in sequence: the replay path (reproducers) and the oracle
     that forked trials are tested against. *)
 
@@ -100,7 +105,7 @@ val run_trial : ?audit_every:int -> ?l2_banks:int -> spec -> crash_at:int option
 
 type world
 
-val build : ?audit_every:int -> ?l2_banks:int -> spec -> world
+val build : ?audit_every:int -> spec -> world
 (** A fresh system with the spec's strategy, fault and auditor attached;
     nothing has run yet. *)
 
@@ -112,7 +117,9 @@ val run : world -> stop:(unit -> bool) -> bool
 
 val finish : world -> crashed:bool -> trial
 (** [~crashed:true]: power-fail the system, audit it quiesced, repair and
-    check the completed prefix, and the op in flight, with {!Dlin}.
+    check the completed prefix, and the op in flight, with {!Dlin}.  The
+    repair runs under {!Recovery.run}'s bound; past it the trial reports a
+    [repair-hang] violation instead of a {!Dlin} verdict.
     [~crashed:false]: quiesced audit and the same check with nothing in
     flight.  Either way the auditor's in-run failures are reported too. *)
 
@@ -129,7 +136,7 @@ val copy_into : src:world -> dst:world -> unit
 val copy : world -> world
 (** A fresh world built with [w]'s arguments, then {!copy_into}. *)
 
-val crash_trials : ?l2_banks:int -> spec -> int list -> (int * trial) list
+val crash_trials : spec -> int list -> (int * trial) list
 (** [crash_trials spec bs] is [List.map (fun b -> b, run_trial spec
     ~crash_at:(Some b)) bs] for ascending [bs], computed from one run
     beside one twin world: at the first dispatch where the persist-point
@@ -152,7 +159,7 @@ val boundaries : persists:int -> budget:int -> seed:int -> int list
     the last and seeded samples, [min persists budget] in all (budget 1:
     the first only). *)
 
-val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
+val run_spec : ?budget:int -> spec -> report
 (** Test one spec: its {!boundaries} (budget default 20) and the
     uncrashed run ({!Dlin} + invariants at quiesce).  The persist total
     that sizes the boundaries comes from an untimed pass, which runs the
@@ -162,7 +169,7 @@ val run_spec : ?budget:int -> ?l2_banks:int -> spec -> report
     that differs from the pass's is a [persist-count] violation.  An uncrashed failure is reported first,
     with [crash_at = None] and no boundaries tested. *)
 
-val run_campaign : ?pool:Pool.t -> ?budget:int -> ?l2_banks:int -> spec list -> report list
+val run_campaign : ?pool:Pool.t -> ?budget:int -> spec list -> report list
 (** {!run_spec} for every spec, the specs fanned out over [pool]; reports
     come back in submission order. *)
 
@@ -174,9 +181,10 @@ val shrink : failure -> failure
 val write_reproducer : string -> failure -> unit
 val read_reproducer : string -> (failure, string) result
 (** Round-trip a failure as a small key=value file ([crash_at=0] stands
-    for [None]); replay the spec with {!run_trial}
+    for [None]; [l2_banks] is written only when it is not 1, and read as 1
+    when absent); replay the spec with {!run_trial}
     [~crash_at:failure.crash_at].  [read_reproducer] returns [Error] for a
-    missing or unparsable field, [ops < 1], [crash_at < 0] or a spec that
-    is not {!compatible}. *)
+    missing or unparsable field, [ops < 1], [crash_at < 0], an [l2_banks]
+    that is not a power of two or a spec that is not {!compatible}. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -212,48 +212,6 @@ let crash t =
   L2.crash t.l2;
   Dram.crash t.dram
 
-let check_coherence t =
-  (* Inclusion + directory agreement. *)
-  let inclusion =
-    L2.check_inclusion t.l2 ~l1_lines:(fun core -> Dcache.held_lines t.dcaches.(core))
-  in
-  match inclusion with
-  | Error _ as e -> e
-  | Ok () ->
-    let error = ref None in
-    let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
-    let holders addr =
-      Array.to_list t.dcaches
-      |> List.filter_map (fun dc ->
-           match Dcache.line_state dc addr with
-           | Some line -> Some (Dcache.core dc, line)
-           | None -> None)
-    in
-    Array.iter
-      (fun dc ->
-        List.iter
-          (fun (addr, perm) ->
-            let others =
-              List.filter (fun (c, _) -> c <> Dcache.core dc) (holders addr)
-            in
-            (* Single writer. *)
-            if Perm.equal perm Perm.Trunk && others <> [] then
-              fail "line %#x: Trunk on core %d but %d other copies" addr (Dcache.core dc)
-                (List.length others);
-            match Dcache.line_state dc addr with
-            | None -> ()
-            | Some line ->
-              (* At most one dirty copy, and dirty requires Trunk. *)
-              if line.Dcache.dirty && not (Perm.equal line.Dcache.perm Perm.Trunk) then
-                fail "line %#x: dirty without Trunk on core %d" addr (Dcache.core dc);
-              (* §6.2 safety: valid ∧ ¬dirty ∧ skip ⇒ L2 copy not dirty. *)
-              if (not line.Dcache.dirty) && line.Dcache.skip && L2.dir_dirty t.l2 addr then
-                fail "line %#x: skip bit set on core %d but L2 copy is dirty" addr
-                  (Dcache.core dc))
-          (Dcache.held_lines dc))
-      t.dcaches;
-    (match !error with Some msg -> Error msg | None -> Ok ())
-
 (* Declare every component's trace track up front so the exported timeline
    shows the full topology even for components that stay silent. *)
 let emit_trace_meta t =

@@ -93,15 +93,6 @@ val maybe_audit : t -> unit
     the instruction wrappers and by {!Thread.run}; exposed for custom
     drivers. *)
 
-val check_coherence : t -> (unit, string) result
-(** Global invariants:
-    - inclusion: every L1 line is present in L2 with matching directory bits;
-    - single writer: a Trunk copy excludes all other copies;
-    - at most one dirty copy per line;
-    - the Skip-It safety invariant (§6.2): a valid, clean L1 line with its
-      skip bit {e set} implies the L2 copy is not dirty (skipping its
-      writeback cannot lose data). *)
-
 val emit_trace_meta : t -> unit
 (** When tracing is active, emit one [Meta] event per component track
     (L1s, MSHRs, flush queues, ports, L2, L3, DRAM) so the exported

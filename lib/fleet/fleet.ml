@@ -19,6 +19,7 @@ module Invariant = Skipit_audit.Invariant
 module Repro_file = Skipit_audit.Repro_file
 module Campaign = Skipit_audit.Campaign
 module Dlin = Skipit_audit.Dlin
+module Recovery = Skipit_audit.Recovery
 
 (* ------------------------------------------------------------------ *)
 (* Fault schedules.                                                   *)
@@ -322,26 +323,15 @@ let cycles sys f =
   T.run_task sys f;
   S.max_clock sys - c0
 
-(* Simulated cycles one recovery step (a shard's repair, or the replay of
-   its hint log) may take.  At the default key range a step takes under
-   10^5 cycles; a structure left inconsistent by a crash can send a
-   traversal round a loop that never ends, which past this bound ends the
-   run with a [fleet-hang] violation instead. *)
-let recovery_bound = 10_000_000
-
 exception Hung of string
 
-(* [cycles] under [recovery_bound]; [doing] names the operation in
-   progress for the violation. *)
+(* [cycles] under the recovery bound (a shard's repair, or the replay of
+   its hint log): past it the run ends with a [fleet-hang] violation.
+   [doing] names the operation in progress for the violation. *)
 let bounded s ~doing f =
-  let c0 = S.max_clock s.sys in
-  let stop () = S.max_clock s.sys - c0 > recovery_bound in
-  match T.run_until s.sys ~stop [ { T.core = 0; body = f } ] with
-  | `Completed c -> c - c0
-  | `Stopped _ ->
-    raise
-      (Hung
-         (Printf.sprintf "shard %d: %s ran past %d cycles" s.sid !doing recovery_bound))
+  match Recovery.run s.sys ~doing:(fun () -> !doing) f with
+  | Ok c -> c
+  | Error what -> raise (Hung (Printf.sprintf "shard %d: %s" s.sid what))
 
 let realize_faults cfg ~rate =
   let fs =

@@ -522,29 +522,6 @@ let find_dir t addr =
   let id = Store.find b.store (compress t a) in
   if id = Store.miss then None else Some (b.lines.(id))
 
-let check_inclusion t ~l1_lines =
-  let violation = ref None in
-  for core = 0 to t.p.Params.n_cores - 1 do
-    List.iter
-      (fun (addr, perm) ->
-        if !violation = None then begin
-          match find_slot t (line t addr) with
-          | _, id when id = Store.miss ->
-            violation :=
-              Some (Printf.sprintf "core %d holds %#x but L2 does not" core addr)
-          | b, id ->
-            let dir = b.lines.(id) in
-            if not (Perm.equal (Directory.owner_perm dir core) perm) then
-              violation :=
-                Some
-                  (Printf.sprintf "directory for %#x: core %d has %s, dir says %s" addr
-                     core (Perm.to_string perm)
-                     (Perm.to_string (Directory.owner_perm dir core)))
-        end)
-      (l1_lines core)
-  done;
-  match !violation with Some msg -> Error msg | None -> Ok ()
-
 let iter_lines t f =
   Array.iter
     (fun b ->

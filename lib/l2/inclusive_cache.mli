@@ -93,11 +93,6 @@ val find_dir : t -> int -> Directory.t option
 (** The directory entry (owners, dirty bit, data) of [addr]'s line, if
     resident: one lookup, for audits that read it whole.  Read-only. *)
 
-val check_inclusion : t -> l1_lines:(int -> (int * Perm.t) list) -> (unit, string) result
-(** Verify that every line any L1 claims to hold is present in L2 with
-    directory bits matching ([l1_lines core] lists that L1's
-    (line address, permission) pairs). *)
-
 val iter_lines : t -> (int -> Directory.t -> unit) -> unit
 (** [iter_lines t f] calls [f line_addr dir] for every resident line — the
     audit layer's window onto directory state (dirty bits, owner perms,

@@ -14,6 +14,7 @@ module PL = Skipit_mem.Persist_log
 module Invariant = Skipit_audit.Invariant
 module Auditor = Skipit_audit.Auditor
 module Campaign = Skipit_audit.Campaign
+module Recovery = Skipit_audit.Recovery
 module Ds_bench = Skipit_workload.Ds_bench
 module Pctx = Skipit_persist.Pctx
 module Strategy = Skipit_persist.Strategy
@@ -204,23 +205,24 @@ let prop_audit_matches_oracle =
       let* picks = list_size (int_range 1 4) (int_bound 1_000_000) in
       let* span = int_range 1 12 in
       let* salt = int_bound 1_000_000 in
-      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, l2_banks, (picks, span), salt))
+      let spec = { Campaign.structure; mode; strategy; fault; seed; n_ops; l2_banks } in
+      return (spec, (picks, span), salt))
   in
   QCheck.Test.make ~name:"audit matches its oracle on campaign worlds" ~count:100
-    (QCheck.make gen ~print:(fun (spec, l2_banks, (picks, span), salt) ->
+    (QCheck.make gen ~print:(fun (spec, (picks, span), salt) ->
        Printf.sprintf "%s l2_banks=%d picks=[%s] span=%d salt=%d" (Campaign.spec_name spec)
-         l2_banks
+         spec.Campaign.l2_banks
          (String.concat ";" (List.map string_of_int picks))
          span salt))
-    (fun (spec, l2_banks, (picks, span), salt) ->
+    (fun (spec, (picks, span), salt) ->
       QCheck.assume (Campaign.compatible spec);
-      let full = Campaign.run_trial ~l2_banks spec ~crash_at:None in
+      let full = Campaign.run_trial spec ~crash_at:None in
       (* The random picks, and a span of consecutive boundaries after the
          first: a line dirty at one boundary and clean at the next is what
          the conservation step judges. *)
       let bs = List.map (fun x -> 1 + (x mod (full.Campaign.persists + 1))) picks in
       let bs = List.sort_uniq compare (bs @ List.init span (fun i -> List.hd bs + i + 1)) in
-      let w = Campaign.build ~l2_banks spec and twin = Campaign.build ~l2_banks spec in
+      let w = Campaign.build spec and twin = Campaign.build spec in
       let sys = Campaign.system twin in
       let auditor = Auditor.create sys and oracle = Audit_oracle.create sys in
       let rng = Random.State.make [| salt |] in
@@ -347,10 +349,58 @@ let test_poked_nvmm_fires () =
     (List.map Invariant.violation_to_string (Audit_oracle.check_all ~quiesced:true sys))
     (List.map Invariant.violation_to_string (Invariant.check_all ~quiesced:true sys))
 
+(* The structural rules fire on a corrupted directory, worded as the
+   oracle words them: a line an L1 holds whose directory owner bit is
+   cleared breaks inclusion; an L2 dirty bit set under a clean L1 line
+   whose skip bit is set breaks §6.2's skip safety. *)
+let test_corrupt_directory_fires () =
+  let sys = S.create { (C.tiny ~cores:2 ()) with Params.skip_it = true } in
+  let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (2 * 64) in
+  let held = base and skipped = base + 64 in
+  ignore
+    (T.run sys
+       [
+         {
+           T.core = 0;
+           body =
+             (fun () ->
+               ignore (T.load held);
+               T.store skipped 5;
+               T.clean skipped;
+               T.fence ());
+         };
+       ]);
+  no_violations "before corruption" (Invariant.check_all sys);
+  let dir addr =
+    match L2.find_dir (S.l2 sys) addr with
+    | Some d -> d
+    | None -> Alcotest.failf "line %#x absent from L2" addr
+  in
+  let fires what rule =
+    let vs = Invariant.check_all sys in
+    Alcotest.(check (list string)) (what ^ ": check_all equals the oracle")
+      (List.map Invariant.violation_to_string (Audit_oracle.check_all ~quiesced:false sys))
+      (List.map Invariant.violation_to_string vs);
+    Alcotest.(check (list string)) (what ^ ": rules fired") [ rule ]
+      (List.sort_uniq compare (List.map (fun v -> v.Invariant.rule) vs))
+  in
+  Alcotest.(check bool) "clean line keeps its skip bit" true
+    (match Dcache.line_state (S.dcache sys 0) skipped with
+     | Some l -> l.Dcache.skip && not l.Dcache.dirty
+     | None -> false);
+  let d = dir held in
+  let perm = Directory.owner_perm d 0 in
+  Directory.set_owner d 0 Skipit_tilelink.Perm.Nothing;
+  fires "owner bit cleared" "inclusion";
+  Directory.set_owner d 0 perm;
+  no_violations "owner bit restored" (Invariant.check_all sys);
+  (dir skipped).Directory.dirty <- true;
+  fires "L2 dirty under a skip line" "skip-safety"
+
 (* ------------------------------------------------------------------ *)
 
 let quick_spec ?(fault = Campaign.No_fault) ?(ops = 10) structure mode strategy =
-  { Campaign.structure; mode; strategy; fault; seed = 11; n_ops = ops }
+  { Campaign.structure; mode; strategy; fault; seed = 11; n_ops = ops; l2_banks = 1 }
 
 let test_campaign_clean () =
   (* One structure per mode keeps the smoke test quick; the CLI covers the
@@ -375,34 +425,85 @@ let test_campaign_clean () =
 
 let test_campaign_catches_fault () =
   (* A strategy that silently drops every required writeback must fail, and
-     the failure must shrink and round-trip through a reproducer file. *)
-  let spec =
-    quick_spec ~fault:Campaign.Drop_all_persists ~ops:12 (Campaign.Set Ops.List_set)
-      Pctx.Manual Ds_bench.Plain
+     the failure must shrink and round-trip through a reproducer file.  A
+     spec carries its platform: found on a 4-bank L2, the failure shrinks
+     and replays on 4 banks. *)
+  List.iter
+    (fun l2_banks ->
+      let spec =
+        {
+          (quick_spec ~fault:Campaign.Drop_all_persists ~ops:12 (Campaign.Set Ops.List_set)
+             Pctx.Manual Ds_bench.Plain)
+          with
+          Campaign.l2_banks;
+        }
+      in
+      let r = Campaign.run_spec ~budget:8 spec in
+      match r.Campaign.failure with
+      | None -> Alcotest.fail "campaign missed a strategy that elides every writeback"
+      | Some f ->
+        let s = Campaign.shrink f in
+        Alcotest.(check bool) "shrunk schedule no longer than original" true
+          (s.Campaign.spec.Campaign.n_ops <= spec.Campaign.n_ops);
+        Alcotest.(check int) "shrunk on the spec's banks" l2_banks
+          s.Campaign.spec.Campaign.l2_banks;
+        Alcotest.(check bool) "shrunk failure still has violations" true
+          (s.Campaign.violations <> []);
+        let file = Filename.temp_file "skipit-repro" ".txt" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        Campaign.write_reproducer file s;
+        (match Campaign.read_reproducer file with
+         | Error e -> Alcotest.failf "reproducer did not parse back: %s" e
+         | Ok f' ->
+           Alcotest.(check bool) "spec round-trips, banks included" true
+             (f'.Campaign.spec = s.Campaign.spec);
+           Alcotest.(check bool) "crash point round-trips" true
+             (f'.Campaign.crash_at = s.Campaign.crash_at);
+           let t = Campaign.run_trial f'.Campaign.spec ~crash_at:f'.Campaign.crash_at in
+           Alcotest.(check (list string)) "replay reports the shrunk failure"
+             s.Campaign.violations t.Campaign.violations))
+    [ 1; 4 ]
+
+(* The recovery bound: a body that never ends is stopped past 10^7
+   simulated cycles and reported by name; one that ends reports the
+   cycles it took. *)
+let test_recovery_bound () =
+  let sys = S.create (C.tiny ~cores:1 ()) in
+  let a = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
+  let c0 = S.max_clock sys in
+  let flush_once () = T.store a 1; T.flush a; T.fence () in
+  (match Recovery.run sys ~doing:(fun () -> "one flush") flush_once with
+   | Ok c -> Alcotest.(check int) "cycles taken" (S.max_clock sys - c0) c
+   | Error e -> Alcotest.failf "a short body hung: %s" e);
+  let rec spin n =
+    T.store a n;
+    T.flush a;
+    T.fence ();
+    spin (n + 1)
   in
-  let r = Campaign.run_spec ~budget:8 spec in
-  match r.Campaign.failure with
-  | None -> Alcotest.fail "campaign missed a strategy that elides every writeback"
-  | Some f ->
-    let s = Campaign.shrink f in
-    Alcotest.(check bool) "shrunk schedule no longer than original" true
-      (s.Campaign.spec.Campaign.n_ops <= spec.Campaign.n_ops);
-    Alcotest.(check bool) "shrunk failure still has violations" true
-      (s.Campaign.violations <> []);
-    let file = Filename.temp_file "skipit-repro" ".txt" in
-    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-    Campaign.write_reproducer file s;
-    (match Campaign.read_reproducer file with
-     | Error e -> Alcotest.failf "reproducer did not parse back: %s" e
-     | Ok f' ->
-       Alcotest.(check string) "spec round-trips"
-         (Campaign.spec_name s.Campaign.spec)
-         (Campaign.spec_name f'.Campaign.spec);
-       Alcotest.(check bool) "crash point round-trips" true
-         (f'.Campaign.crash_at = s.Campaign.crash_at);
-       let t = Campaign.run_trial f'.Campaign.spec ~crash_at:f'.Campaign.crash_at in
-       Alcotest.(check bool) "replayed reproducer still fails" true
-         (t.Campaign.violations <> []))
+  let c0 = S.max_clock sys in
+  match Recovery.run sys ~doing:(fun () -> "spinning") (fun () -> spin 0) with
+  | Ok _ -> Alcotest.fail "a body that never ends completed"
+  | Error e ->
+    Alcotest.(check string) "reported" "spinning ran past 10000000 cycles" e;
+    Alcotest.(check bool) "stopped past the bound" true (S.max_clock sys - c0 > 10_000_000)
+
+(* A campaign repair past the bound is its trial's [repair-hang], and the
+   structure is then not walked for a verdict: the queue's durable head
+   and tail cells (the first two lines the campaign allocates) both name
+   a node whose next link points back at itself, so the repair's walk to
+   the last node never ends, and neither would the snapshot's.  A sparse
+   auditor keeps the 10^7-cycle walk quick. *)
+let test_repair_hang () =
+  let spec = quick_spec ~ops:4 Campaign.Queue Pctx.Nvtraverse Ds_bench.Plain in
+  let w = Campaign.build ~audit_every:1_000_000 spec in
+  ignore (Campaign.run w ~stop:(fun () -> false));
+  let sys = Campaign.system w in
+  let loop = 0x8_0000 in
+  List.iter (fun cell -> S.poke_word sys cell loop) [ 0x1_0000; 0x1_0040; loop + 8 ];
+  let t = Campaign.finish w ~crashed:true in
+  Alcotest.(check (list string)) "violations" [ "[repair-hang] repair ran past 10000000 cycles" ]
+    t.Campaign.violations
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer files: a written failure reads back as itself, and a file
@@ -422,7 +523,8 @@ let read_edited ?(edit = Fun.id) fail =
 
 let sample_failure =
   {
-    Campaign.spec = quick_spec (Campaign.Set Ops.Bst_set) Pctx.Manual Ds_bench.Plain;
+    Campaign.spec =
+      { (quick_spec (Campaign.Set Ops.Bst_set) Pctx.Manual Ds_bench.Plain) with l2_banks = 2 };
     crash_at = Some 3;
     completed = 0;
     violations = [];
@@ -444,6 +546,9 @@ let test_reproducer_rejects_bad_values () =
       ("strategy", "link-and-persist");
       ("fault", "drop-nth-persist:0");
       ("seed", "abc");
+      ("l2_banks", "3");
+      ("l2_banks", "0");
+      ("l2_banks", "two");
     ]
 
 let gen_fault =
@@ -469,8 +574,9 @@ let gen_failure =
     let* fault = gen_fault in
     let* seed = int in
     let* n_ops = oneof [ int_range 1 100; int_range 1 max_int ] in
+    let* l2_banks = oneofl [ 1; 2; 4; 8 ] in
     let* crash_at = opt (int_range 1 max_int) in
-    let spec structure = { Campaign.structure; mode; strategy; fault; seed; n_ops } in
+    let spec structure = { Campaign.structure; mode; strategy; fault; seed; n_ops; l2_banks } in
     let* structure =
       oneofl (List.filter (fun st -> Campaign.compatible (spec st)) Campaign.all_structures)
     in
@@ -542,7 +648,7 @@ let prop_crash_repair structure =
       let mode = List.nth Pctx.all_modes mode_ix in
       let spec =
         { Campaign.structure; mode; strategy = Ds_bench.Skipit; fault = Campaign.No_fault;
-          seed; n_ops = 8 }
+          seed; n_ops = 8; l2_banks = 1 }
       in
       let t = Campaign.run_trial spec ~crash_at:(Some boundary) in
       match t.Campaign.violations with
@@ -578,7 +684,7 @@ let prop_forked_equals_replay =
       let* seed = int_bound 10_000 in
       let* n_ops = int_range 1 40 in
       let* picks = list_size (int_range 1 5) (int_bound 1_000_000) in
-      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, picks))
+      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops; l2_banks = 1 }, picks))
   in
   QCheck.Test.make ~name:"forked crash trials equal replayed ones" ~count:40
     (QCheck.make gen ~print:(fun (spec, picks) ->
@@ -635,8 +741,9 @@ let prop_untimed_count_matches =
       in
       List.for_all
         (fun spec ->
-          let counted = (Campaign.run_spec ~budget:0 ~l2_banks spec).Campaign.persists in
-          let simulated = (Campaign.run_trial ~l2_banks spec ~crash_at:None).Campaign.persists in
+          let spec = { spec with Campaign.l2_banks } in
+          let counted = (Campaign.run_spec ~budget:0 spec).Campaign.persists in
+          let simulated = (Campaign.run_trial spec ~crash_at:None).Campaign.persists in
           counted = simulated
           || QCheck.Test.fail_reportf "%s: counted %d, simulated %d" (Campaign.spec_name spec)
                counted simulated)
@@ -668,19 +775,20 @@ let prop_typed_copy_is_faithful =
       let* seed = int_bound 10_000 in
       let* n_ops = int_range 1 40 in
       let* picks = list_size (int_range 2 5) (int_bound 1_000_000) in
-      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops }, l2_banks, picks))
+      return ({ Campaign.structure; mode; strategy; fault; seed; n_ops; l2_banks }, picks))
   in
   QCheck.Test.make ~name:"typed copy marshals like the world it copies" ~count:60
-    (QCheck.make gen ~print:(fun (spec, l2_banks, picks) ->
-       Printf.sprintf "%s l2_banks=%d picks=[%s]" (Campaign.spec_name spec) l2_banks
+    (QCheck.make gen ~print:(fun (spec, picks) ->
+       Printf.sprintf "%s l2_banks=%d picks=[%s]" (Campaign.spec_name spec)
+         spec.Campaign.l2_banks
          (String.concat ";" (List.map string_of_int picks))))
-    (fun (spec, l2_banks, picks) ->
+    (fun (spec, picks) ->
       QCheck.assume (Campaign.compatible spec);
-      let full = Campaign.run_trial ~l2_banks spec ~crash_at:None in
+      let full = Campaign.run_trial spec ~crash_at:None in
       let bs =
         List.sort_uniq compare (List.map (fun x -> 1 + (x mod (full.Campaign.persists + 1))) picks)
       in
-      let w = Campaign.build ~l2_banks spec and twin = Campaign.build ~l2_banks spec in
+      let w = Campaign.build spec and twin = Campaign.build spec in
       let image x = Marshal.to_string x [ Marshal.Closures ] in
       let check what =
         Campaign.copy_into ~src:w ~dst:twin;
@@ -772,10 +880,14 @@ let tests =
       Alcotest.test_case "crash mid-flush resets occupancy" `Quick test_crash_mid_flush;
       Alcotest.test_case "check cost flat in the persist log" `Quick test_check_cost_flat_in_log;
       Alcotest.test_case "poked NVMM fires the value rules" `Quick test_poked_nvmm_fires;
+      Alcotest.test_case "corrupt directory fires the structural rules" `Quick
+        test_corrupt_directory_fires;
       QCheck_alcotest.to_alcotest prop_audit_matches_oracle;
       QCheck_alcotest.to_alcotest prop_audit_matches_oracle_l3;
       Alcotest.test_case "campaign clean on default config" `Slow test_campaign_clean;
       Alcotest.test_case "campaign catches seeded fault" `Slow test_campaign_catches_fault;
+      Alcotest.test_case "recovery bound stops a body that never ends" `Quick test_recovery_bound;
+      Alcotest.test_case "campaign repair past the bound is a repair-hang" `Quick test_repair_hang;
       Alcotest.test_case "boundary reached only at completion" `Quick
         test_boundary_reached_at_completion;
       Alcotest.test_case "copied world shares no mutable state" `Quick

@@ -7,7 +7,7 @@ let make ?(cores = 2) () = S.create (C.platform ~cores ())
 let line sys = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64
 
 let check_ok sys =
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let test_inval_discards_dirty () =
   let sys = make () in

@@ -314,7 +314,7 @@ let test_held_lines_inclusion () =
   ignore (Dcache.load dc ~addr:a ~now:0);
   Alcotest.(check bool) "listed" true
     (List.mem_assoc a (Dcache.held_lines dc));
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let tests =
   ( "dcache",

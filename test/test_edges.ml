@@ -54,7 +54,7 @@ let test_l2_eviction_recalls_dirty_l1 () =
   for i = 0 to 7 do
     S.store sys ~core:0 (base + (i * stride)) (300 + i)
   done;
-  (match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e);
+  Structural.check sys;
   for i = 0 to 7 do
     Alcotest.(check int) "recalled value" (300 + i) (S.load sys ~core:0 (base + (i * stride)))
   done
@@ -105,7 +105,7 @@ let test_skiplist_towers () =
        ]);
   let t = Option.get !sl in
   Alcotest.(check int) "134 keys left" 134 (List.length (SL.elements_unsafe t sys));
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let test_zero_size_writeback_region () =
   (* A sweep at exactly one line with 8 threads: only thread 0 works. *)

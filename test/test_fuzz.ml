@@ -93,9 +93,9 @@ let run ?(random_replacement = false) ~tiny ~skip_it ~l3 ~cores ~ops ~seed () =
          ref_crash r);
       (* Spot-check invariants every few ops (full check is O(cache)). *)
       if op mod 25 = 0 then begin
-        match S.check_coherence sys with
-        | Ok () -> ()
-        | Error e -> fail "op%d invariant: %s" op e
+        match Structural.first_violation sys with
+        | None -> ()
+        | Some e -> fail "op%d invariant: %s" op e
       end
     end
   done;

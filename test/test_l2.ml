@@ -124,7 +124,7 @@ let test_l2_eviction_recalls_l1 () =
   for i = 0 to 15 do
     S.store sys ~core:0 (base + (i * sets * 64)) (100 + i)
   done;
-  (match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e);
+  Structural.check sys;
   Alcotest.(check bool) "L2 evictions happened" true
     (Skipit_sim.Stats.Registry.get (L2.stats l2) "evictions" > 0);
   (* All values remain architecturally visible. *)

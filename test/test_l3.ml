@@ -96,7 +96,7 @@ let test_system_flush_through_l3 () =
   S.flush sys ~core:0 a;
   S.fence sys ~core:0;
   Alcotest.(check int) "durable through L3" 11 (S.persisted_word sys a);
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let test_skip_invariant_with_dirty_l3 () =
   (* Line dirty only in the L3 (L2 evicted it); a refetch must grant
@@ -128,7 +128,7 @@ let test_skip_invariant_with_dirty_l3 () =
   (match Skipit_l1.Dcache.line_state (S.dcache sys 1) a with
    | Some l -> Alcotest.(check bool) "skip unset for dirty-below line" false l.Skipit_l1.Dcache.skip
    | None -> Alcotest.fail "line not installed");
-  (match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e);
+  Structural.check sys;
   (* And a clean must make it durable even though the L2 copy is clean. *)
   S.clean sys ~core:1 a;
   S.fence sys ~core:1;

@@ -47,7 +47,7 @@ let oracle ~kind ~strategy ~mode ~ops ~seed () =
     done);
   let want = Hashtbl.fold (fun k () acc -> k :: acc) model [] |> List.sort compare in
   Alcotest.(check (list int)) "snapshot = model" want (h.Ops.snapshot sys);
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let oracle_case kind (sname, strategy) mode =
   let name =
@@ -90,7 +90,7 @@ let concurrent ~kind ~strategy () =
       @ Hashtbl.fold (fun k () acc -> k :: acc) models.(1) [])
   in
   Alcotest.(check (list int)) "disjoint-range oracle" want (h.Ops.snapshot sys);
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 (* Crash durability: with every update fenced (any persistent strategy +
    nvtraverse), completed updates must survive a crash. *)

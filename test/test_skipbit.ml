@@ -133,7 +133,7 @@ let prop_drop_never_loses_data =
       S.fence sys ~core;
       if S.persisted_word sys a <> S.peek_word sys a then ok := false
   done;
-  !ok && S.check_coherence sys = Ok ()
+  !ok && Structural.first_violation sys = None
 
 let tests =
   ( "skip_bit",

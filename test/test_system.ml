@@ -12,18 +12,13 @@ let make ?(cores = 2) ?(skip_it = false) ?(tiny = false) () =
 
 let line sys = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64
 
-let check_ok sys =
-  match S.check_coherence sys with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("coherence: " ^ e)
-
 let test_store_load_roundtrip () =
   let sys = make () in
   let a = line sys in
   S.store sys ~core:0 a 7;
   Alcotest.(check int) "same core" 7 (S.load sys ~core:0 a);
   Alcotest.(check int) "other word still 0" 0 (S.load sys ~core:0 (a + 8));
-  check_ok sys
+  Structural.check sys
 
 let test_cross_core_coherence () =
   let sys = make () in
@@ -31,10 +26,10 @@ let test_cross_core_coherence () =
   S.store sys ~core:0 a 1;
   (* Core 1's load probes core 0's Trunk copy. *)
   Alcotest.(check int) "core1 sees the store" 1 (S.load sys ~core:1 a);
-  check_ok sys;
+  Structural.check sys;
   (* Core 1's store revokes core 0's copy; core 0 re-reads the new value. *)
   S.store sys ~core:1 a 2;
-  check_ok sys;
+  Structural.check sys;
   Alcotest.(check int) "core0 sees core1's store" 2 (S.load sys ~core:0 a)
 
 let test_cas () =
@@ -57,7 +52,7 @@ let test_flush_persists_and_invalidates () =
   let t0 = S.clock sys ~core:0 in
   Alcotest.(check int) "value survives" 11 (S.load sys ~core:0 a);
   Alcotest.(check bool) "read was a full miss" true (S.clock sys ~core:0 - t0 > 50);
-  check_ok sys
+  Structural.check sys
 
 let test_clean_persists_keeps_line () =
   let sys = make () in
@@ -69,7 +64,7 @@ let test_clean_persists_keeps_line () =
   let t0 = S.clock sys ~core:0 in
   Alcotest.(check int) "still cached" 12 (S.load sys ~core:0 a);
   Alcotest.(check bool) "read was a hit" true (S.clock sys ~core:0 - t0 < 10);
-  check_ok sys
+  Structural.check sys
 
 let test_cross_core_writeback () =
   (* §5.5: flushing a line that is dirty in ANOTHER core must probe it and
@@ -80,7 +75,7 @@ let test_cross_core_writeback () =
   S.flush sys ~core:1 a (* core 1 misses; core 0 holds it dirty *);
   S.fence sys ~core:1;
   Alcotest.(check int) "other core's dirty data persisted" 21 (S.persisted_word sys a);
-  check_ok sys
+  Structural.check sys
 
 let test_clean_of_remote_dirty () =
   let sys = make () in
@@ -93,7 +88,7 @@ let test_clean_of_remote_dirty () =
   let t0 = S.clock sys ~core:0 in
   Alcotest.(check int) "core0 keeps a copy" 22 (S.load sys ~core:0 a);
   Alcotest.(check bool) "hit" true (S.clock sys ~core:0 - t0 < 10);
-  check_ok sys
+  Structural.check sys
 
 let test_fence_orders_writebacks () =
   let sys = make () in
@@ -129,12 +124,12 @@ let test_eviction_writeback () =
   for i = 0 to n - 1 do
     S.store sys ~core:0 (base + (i * 64)) (i + 1)
   done;
-  check_ok sys;
+  Structural.check sys;
   for i = 0 to n - 1 do
     Alcotest.(check int) (Printf.sprintf "line %d value" i) (i + 1)
       (S.load sys ~core:0 (base + (i * 64)))
   done;
-  check_ok sys;
+  Structural.check sys;
   Alcotest.(check bool) "dirty lines reached DRAM" true (Skipit_mem.Dram.writes (S.dram sys) > 0)
 
 let test_stats_report () =
@@ -174,7 +169,7 @@ let random_ops ~tiny ~skip_it ~ops ~seed () =
   done;
   S.fence sys ~core:0;
   S.fence sys ~core:1;
-  check_ok sys;
+  Structural.check sys;
   (* Architectural values must match the reference everywhere. *)
   Hashtbl.iter
     (fun a v -> Alcotest.(check int) (Printf.sprintf "final %#x" a) v (S.peek_word sys a))

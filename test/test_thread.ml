@@ -131,9 +131,7 @@ let test_many_tasks_progress () =
           })));
   Alcotest.(check int) "all ran" 8 !total;
   Alcotest.(check int) "atomic counter exact" 160 (S.peek_word sys a);
-  match S.check_coherence sys with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let instructions sys =
   List.fold_left (fun acc c -> acc + Skipit_cpu.Lsu.instructions (S.lsu sys c)) 0

@@ -157,7 +157,7 @@ let test_queue_concurrent_producers () =
       Alcotest.(check (list int)) "producer order preserved"
         (List.sort compare mine) mine)
     [ 0; 1 ];
-  match S.check_coherence sys with Ok () -> () | Error e -> Alcotest.fail e
+  Structural.check sys
 
 let test_queue_durability () =
   let sys, _, _ = fresh () in
