@@ -8,6 +8,7 @@ module Mem_port = Skipit_persist.Mem_port
 module Allocator = Skipit_mem.Allocator
 module Ops = Skipit_pds.Set_ops
 module MQ = Skipit_pds.Ms_queue
+module Node = Skipit_pds.Node
 module PL = Skipit_mem.Persist_log
 module Rng = Skipit_sim.Rng
 module Pool = Skipit_par.Pool
@@ -289,10 +290,15 @@ let finish w ~crashed =
     (Invariant.check_all ~quiesced:true w.sys);
   (* Dlin's verdicts print as their text alone.  After a crash the repair
      runs first, bounded: one that runs past the bound is the trial's
-     [repair-hang], and the structure it left is not walked for a verdict. *)
+     [repair-hang], and the structure it left is not walked for a verdict.
+     A snapshot whose links loop is the trial's [snapshot-cycle]. *)
   let durability repair verdicts =
     match if crashed then Recovery.run w.sys ~doing:(fun () -> "repair") repair else Ok 0 with
-    | Ok _ -> List.iter (fun v -> add v.Invariant.detail) (verdicts ())
+    | Ok _ -> (
+      match verdicts () with
+      | vs -> List.iter (fun v -> add v.Invariant.detail) vs
+      | exception Node.Cycle at ->
+        add (Printf.sprintf "[snapshot-cycle] the snapshot walk loops (at node %#x)" at))
     | Error e -> add (Invariant.violation_to_string (Invariant.make ~rule:"repair-hang" e))
   in
   let completed = w.completed in

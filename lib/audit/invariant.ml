@@ -123,11 +123,21 @@ let check_l1_lines ctx =
     done
   done
 
-(* A clean L2 line agrees with the level below it; a clean L3 line agrees
-   with DRAM.  Catches an elided-but-needed writeback the moment metadata
-   claims cleanliness. *)
+(* The directory's side of single-writer (a Trunk grant excludes every
+   other owner, cached or not); a clean L2 line agrees with the level
+   below it; a clean L3 line agrees with DRAM.  Catches an
+   elided-but-needed writeback the moment metadata claims cleanliness. *)
 let check_lower_levels ctx =
+  let n = S.n_cores ctx.sys in
   L2.iter_lines ctx.l2 (fun addr dir ->
+    for core = 0 to n - 1 do
+      if Perm.equal (Directory.owner_perm dir core) Perm.Trunk then
+        for other = 0 to n - 1 do
+          if other <> core && not (Perm.equal (Directory.owner_perm dir other) Perm.Nothing) then
+            fail ctx ~addr "single-writer" "directory: Trunk on core %d but core %d owns it too"
+              core other
+        done
+    done;
     if not dir.Directory.dirty then begin
       let data = dir.Directory.data and below = below_l2 ctx addr in
       let w = diff_data ctx data below ~base:addr 0 in

@@ -3,7 +3,7 @@ module Lsu = Skipit_cpu.Lsu
 open Effect
 open Effect.Deep
 
-type request = Exec of Instr.t | Get_now | Get_core
+type request = Exec of Instr.t | Get_now
 
 type never = |
 
@@ -82,7 +82,6 @@ let here () =
 let answer c = function
   | Exec i -> Lsu.exec c.lsu i
   | Get_now -> Lsu.clock c.lsu
-  | Get_core -> Lsu.core c.lsu
 
 let request r =
   match here () with
@@ -122,7 +121,6 @@ let zero addr = ignore (request (Exec (Instr.Cbo_zero { addr })))
 let fence () = ignore (request (Exec Instr.Fence))
 let delay n = ignore (request (Exec (Instr.Delay n)))
 let now () = request Get_now
-let core_id () = request Get_core
 
 type task = { core : int; body : unit -> unit }
 

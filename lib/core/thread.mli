@@ -58,8 +58,6 @@ val delay : int -> unit
 val now : unit -> int
 (** This core's current clock. *)
 
-val core_id : unit -> int
-
 type task = { core : int; body : unit -> unit }
 
 val run : System.t -> task list -> int
@@ -79,7 +77,7 @@ val run_until :
     at instruction granularity (the crash-campaign driver's primitive).
     Typical predicate: "the persist log has reached [n] events".
 
-    Every operation of a task, [now] and [core_id] included, is one
+    Every operation of a task, [now] included, is one
     dispatch.  [stop] is called exactly once per dispatch, and never again for the
     same dispatch, also when the request that consulted it hands off to
     another task; it is not called after the last task finishes.  A run

@@ -9,10 +9,6 @@ type t =
   | Fence
   | Delay of int
 
-let is_memory = function
-  | Load _ | Store _ | Cas _ | Cbo_clean _ | Cbo_flush _ | Cbo_inval _ | Cbo_zero _ -> true
-  | Fence | Delay _ -> false
-
 let touches = function
   | Load { addr }
   | Store { addr; _ }
@@ -23,13 +19,3 @@ let touches = function
   | Cbo_zero { addr } -> Some addr
   | Fence | Delay _ -> None
 
-let pp ppf = function
-  | Load { addr } -> Format.fprintf ppf "ld %#x" addr
-  | Store { addr; value } -> Format.fprintf ppf "sd %#x <- %d" addr value
-  | Cas { addr; expected; desired } -> Format.fprintf ppf "cas %#x %d->%d" addr expected desired
-  | Cbo_clean { addr } -> Format.fprintf ppf "cbo.clean %#x" addr
-  | Cbo_flush { addr } -> Format.fprintf ppf "cbo.flush %#x" addr
-  | Cbo_inval { addr } -> Format.fprintf ppf "cbo.inval %#x" addr
-  | Cbo_zero { addr } -> Format.fprintf ppf "cbo.zero %#x" addr
-  | Fence -> Format.fprintf ppf "fence rw,rw"
-  | Delay n -> Format.fprintf ppf "delay %d" n

@@ -17,8 +17,5 @@ type t =
   | Fence
   | Delay of int  (** [Delay n]: n cycles of non-memory work. *)
 
-val is_memory : t -> bool
 val touches : t -> int option
 (** The address the instruction operates on, if any. *)
-
-val pp : Format.formatter -> t -> unit

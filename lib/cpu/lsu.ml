@@ -23,10 +23,7 @@ let create dcache =
     clock = 0;
     instructions = 0;
   }
-let core t = Dcache.core t.dcache
 let clock t = t.clock
-
-let advance_to t cycle = if cycle > t.clock then t.clock <- cycle
 
 let retire t = t.instructions <- t.instructions + 1
 

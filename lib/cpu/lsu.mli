@@ -12,17 +12,14 @@
     - nacks (full flush queue, pending-writeback conflicts) surface as
       stalls computed by the data cache.
 
-    The executed-instruction and cycle counters feed the throughput
-    figures. *)
+    The clock is what the thread scheduler orders tasks by;
+    the retired-instruction count is an observation for tests. *)
 
 type t
 
 val create : Skipit_l1.Dcache.t -> t
-val core : t -> int
 
 val clock : t -> int
-val advance_to : t -> int -> unit
-(** Move the clock forward (scheduler use); never backwards. *)
 
 val exec : t -> Instr.t -> int
 (** Execute one instruction at the current clock; returns its value (loaded

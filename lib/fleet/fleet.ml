@@ -851,13 +851,19 @@ let run cfg ~rate =
       reqs;
     Array.iter
       (fun s ->
-        List.iter
-          (fun v ->
-            violation
-              (Invariant.make ~rule:"fleet-durability"
-                 (Printf.sprintf "shard %d: %s" s.sid v.Invariant.detail)))
-          (Dlin.set ~crashed:(s.crashes > 0) ~initial:initial.(s.sid) history.(s.sid)
-             (s.h.Ops.snapshot s.sys)))
+        match s.h.Ops.snapshot s.sys with
+        | snapshot ->
+          List.iter
+            (fun v ->
+              violation
+                (Invariant.make ~rule:"fleet-durability"
+                   (Printf.sprintf "shard %d: %s" s.sid v.Invariant.detail)))
+            (Dlin.set ~crashed:(s.crashes > 0) ~initial:initial.(s.sid) history.(s.sid)
+               snapshot)
+        | exception Skipit_pds.Node.Cycle at ->
+          violation
+            (Invariant.make ~rule:"snapshot-cycle"
+               (Printf.sprintf "shard %d: the snapshot walk loops (at node %#x)" s.sid at)))
       shards
   in
   let hang = match serve_all () with () -> None | exception Hung what -> Some what in

@@ -43,13 +43,13 @@ type t = {
   last_change : Int_tbl.t;
   stats : Stats.Registry.t;
   (* Per-access counters resolved once at construction; the registry's
-     string lookup is off the load/store path.  The four hit/miss counters
-     are registered eagerly (they always report); the handles report from
-     their first bump. *)
-  c_load_hits : Stats.Counter.t;
-  c_store_hits : Stats.Counter.t;
-  c_load_misses : Stats.Counter.t;
-  c_store_misses : Stats.Counter.t;
+     string lookup is off the load/store path.  The four hit/miss handles
+     are reported at construction (their keys always print); the others
+     report from their first bump. *)
+  load_hits : Stats.Registry.handle;
+  store_hits : Stats.Registry.handle;
+  load_misses : Stats.Registry.handle;
+  store_misses : Stats.Registry.handle;
   evictions_dirty : Stats.Registry.handle;
   evictions_clean : Stats.Registry.handle;
   load_forwards : Stats.Registry.handle;
@@ -196,7 +196,7 @@ let rec load_word t ~addr ~now =
   Attr.activate ~core:t.core;
   match find_line t addr with
   | id when id <> Store.miss ->
-    Stats.Counter.incr t.c_load_hits;
+    Stats.Registry.bump t.load_hits;
     l1_ev t ~at:now ~addr Trace.Load_hit;
     Store.touch t.store_arr id ~now;
     t.done_at <- now + t.p.Params.l1_load_to_use;
@@ -218,7 +218,7 @@ let rec load_word t ~addr ~now =
       Attr.mark Attr.Fshr ~at:(tw + t.p.Params.nack_retry_delay);
       load_word t ~addr ~now:(tw + t.p.Params.nack_retry_delay)
     | Flush_unit.Load_no_conflict ->
-      Stats.Counter.incr t.c_load_misses;
+      Stats.Registry.bump t.load_misses;
       l1_ev t ~at:now ~addr Trace.Load_miss;
       let rid = Trace.req_start ~at:now ~cls:Trace.Cls_load_miss ~core:t.core ~addr in
       let id = refill t ~addr ~grow:Perm.N_to_B ~now in
@@ -227,10 +227,6 @@ let rec load_word t ~addr ~now =
       t.done_at <- t_done + t.p.Params.l1_load_to_use;
       Attr.mark Attr.L1_hit ~at:t.done_at;
       word t id (word_off t addr))
-
-let load t ~addr ~now =
-  let v = load_word t ~addr ~now in
-  v, t.done_at
 
 (* Obtain a Trunk copy for a write-type access, honouring the §5.3 pending-
    writeback conditions; returns the slot id and parks the cycle the write
@@ -250,7 +246,7 @@ let writable_line t ~addr ~now =
   in
   match find_line t addr with
   | id when id <> Store.miss && Perm.includes (line_perm t id) Perm.Trunk ->
-    Stats.Counter.incr t.c_store_hits;
+    Stats.Registry.bump t.store_hits;
     l1_ev t ~at:now ~addr Trace.Store_hit;
     Store.touch t.store_arr id ~now;
     Attr.mark Attr.L1_hit ~at:(now + t.p.Params.l1_store_commit);
@@ -268,7 +264,7 @@ let writable_line t ~addr ~now =
     t.line_at <- t_done + t.p.Params.l1_store_commit;
     id
   | _ ->
-    Stats.Counter.incr t.c_store_misses;
+    Stats.Registry.bump t.store_misses;
     l1_ev t ~at:now ~addr Trace.Store_miss;
     let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
     let id = refill t ~addr ~grow:Perm.N_to_T ~now in
@@ -300,10 +296,6 @@ let cas_word t ~addr ~expected ~desired ~now =
     true
   end
   else false
-
-let cas t ~addr ~expected ~desired ~now =
-  let ok = cas_word t ~addr ~expected ~desired ~now in
-  ok, t.done_at
 
 (* The flush unit's way back into this cache while an FSHR walks: closed
    functions, so a CBO builds no closure.  The dirty line goes to the L2
@@ -476,6 +468,7 @@ let crash t =
 
 let create p ~core ~port =
   let stats = Stats.Registry.create () in
+  let reported name = let h = Stats.Registry.handle stats name in Stats.Registry.bump_by h 0; h in
   let store_arr =
     let policy =
       match p.Params.l1_replacement with
@@ -502,10 +495,10 @@ let create p ~core ~port =
       last_change =
         Int_tbl.create ~size_hint:(Geometry.lines p.Params.l1_geom) ();
       stats;
-      c_load_hits = Stats.Registry.counter stats "load_hits";
-      c_store_hits = Stats.Registry.counter stats "store_hits";
-      c_load_misses = Stats.Registry.counter stats "load_misses";
-      c_store_misses = Stats.Registry.counter stats "store_misses";
+      load_hits = reported "load_hits";
+      store_hits = reported "store_hits";
+      load_misses = reported "load_misses";
+      store_misses = reported "store_misses";
       evictions_dirty = Stats.Registry.handle stats "evictions_dirty";
       evictions_clean = Stats.Registry.handle stats "evictions_clean";
       load_forwards = Stats.Registry.handle stats "load_forwards";

@@ -44,28 +44,19 @@ val create : Params.t -> core:int -> port:Port.t -> t
 val core : t -> int
 val params : t -> Params.t
 
-val load : t -> addr:int -> now:int -> int * int
-(** [(value, done_at)].  Handles §5.3 interactions with pending writebacks:
-    forwarding from a filled FSHR buffer, or nack-stall until the FSHR
-    completes.  Convenience wrapper over {!load_word}. *)
-
 val load_word : t -> addr:int -> now:int -> int
-(** Allocation-free {!load}: returns the value and parks the completion
-    time in the {!done_at} scratch slot.  An L1 hit performs zero
-    minor-heap allocation on this path — the property the bench's
-    [--profile] gate pins. *)
+(** The loaded value; the completion time is parked in the {!done_at}
+    scratch slot.  Handles §5.3 interactions with pending writebacks:
+    forwarding from a filled FSHR buffer, or nack-stall until the FSHR
+    completes.  An L1 hit performs zero minor-heap allocation. *)
 
 val store : t -> addr:int -> value:int -> now:int -> int
 (** Completion time.  Applies the §5.3 store conditions against pending
     writebacks before proceeding. *)
 
-val cas : t -> addr:int -> expected:int -> desired:int -> now:int -> bool * int
-(** Atomic compare-and-swap (AMO); acquires write permission like a store.
-    Convenience wrapper over {!cas_word}. *)
-
 val cas_word : t -> addr:int -> expected:int -> desired:int -> now:int -> bool
-(** Allocation-free {!cas}: returns success and parks the completion time
-    in {!done_at}. *)
+(** Atomic compare-and-swap (AMO); acquires write permission like a store.
+    Returns success and parks the completion time in {!done_at}. *)
 
 val done_at : t -> int
 (** Completion cycle of the most recent {!load_word}/{!cas_word} on this

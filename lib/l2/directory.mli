@@ -28,19 +28,9 @@ val copy_into : src:t -> dst:t -> unit
 val owner_perm : t -> int -> Perm.t
 val set_owner : t -> int -> Perm.t -> unit
 
-val trunk_owner : t -> int option
-(** The unique client holding Trunk, if any. *)
-
-val owners_above : t -> Perm.t -> int list
-(** Clients holding strictly more than the given level. *)
-
 val owners_into : t -> Perm.t -> exclude:int -> int array -> int
-(** Allocation-free {!owners_above} for the probe hot paths: write the
-    owning cores (ascending order, skipping [exclude]; pass [-1] to skip
-    none) into the caller's reusable buffer and return the count.  The
-    buffer must hold at least [n_cores] entries. *)
-
-val has_owners : t -> bool
-
-val check_invariants : t -> (unit, string) result
-(** Single-Trunk and Trunk-excludes-Branch coherence invariants. *)
+(** [owners_into t level ~exclude buf] writes the clients holding strictly
+    more than [level] into the caller's reusable buffer, in ascending
+    order, skipping [exclude] (pass [-1] to skip none), and returns their
+    count.  Allocation-free, for the probe paths.  The buffer must hold at
+    least [n_cores] entries. *)

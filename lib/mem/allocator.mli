@@ -21,6 +21,9 @@ val alloc_line : t -> line_bytes:int -> int
 (** Allocate one whole cache line, line-aligned — used when false sharing
     must be avoided (e.g. FliT's padded counters). *)
 
+val used : t -> int
+(** Bytes handed out so far, alignment padding included. *)
+
 val copy_into : src:t -> dst:t -> unit
 (** [dst] continues allocating where [src] would; the bases must
     match. *)

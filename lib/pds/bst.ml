@@ -220,9 +220,12 @@ let elements_unsafe t system =
   let module S = Skipit_core.System in
   let peek addr = Strategy.lap_strip (S.peek_word system addr) in
   let stride = t.stride in
+  let limit = Node.walk_limit t.alloc and visited = ref 0 in
   let rec walk node flagged acc =
     if Ptr.is_null node then acc
+    else if !visited > limit then raise (Node.Cycle node)
     else begin
+      incr visited;
       let left = peek (fleft ~stride node) in
       let right = peek (fright ~stride node) in
       if Ptr.is_null left then begin

@@ -28,4 +28,5 @@ val repair : t -> Skipit_persist.Pctx.t -> int
     cleanup durably.  Returns the number of cleanups performed. *)
 
 val elements_unsafe : t -> Skipit_core.System.t -> int list
-(** Untimed sorted snapshot of the present keys (tests only). *)
+(** Untimed sorted snapshot of the present keys.  Raises {!Node.Cycle}
+    when the edges loop. *)

@@ -144,15 +144,17 @@ let repair t p =
 let to_list_unsafe t system =
   let module S = Skipit_core.System in
   let peek addr = Strategy.lap_strip (S.peek_word system addr) in
-  let rec walk node acc =
+  let limit = Node.walk_limit t.alloc in
+  let rec walk node steps acc =
     if node = t.tail || Ptr.is_null node then List.rev acc
+    else if steps > limit then raise (Node.Cycle node)
     else begin
       let key = peek (key_field ~stride:t.stride node) in
       let next_raw = peek (next_field ~stride:t.stride node) in
       let acc = if Ptr.is_marked next_raw then acc else key :: acc in
-      walk (Ptr.addr_of next_raw) acc
+      walk (Ptr.addr_of next_raw) (steps + 1) acc
     end
   in
-  walk (Ptr.addr_of (peek (next_field ~stride:t.stride t.head))) []
+  walk (Ptr.addr_of (peek (next_field ~stride:t.stride t.head))) 0 []
 
 let rebind t alloc = { t with alloc }

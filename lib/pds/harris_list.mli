@@ -32,5 +32,5 @@ val repair : t -> Skipit_persist.Pctx.t -> int
     run at any time (it only completes interrupted deletions). *)
 
 val to_list_unsafe : t -> Skipit_core.System.t -> int list
-(** Untimed functional snapshot of the unmarked keys (tests only; reads the
-    coherent memory image directly). *)
+(** Untimed functional snapshot of the unmarked keys (reads the coherent
+    memory image directly).  Raises {!Node.Cycle} when the links loop. *)

@@ -22,4 +22,5 @@ val repair : t -> Skipit_persist.Pctx.t -> int
 (** Post-crash recovery over every bucket (see {!Harris_list.repair}). *)
 
 val elements_unsafe : t -> Skipit_core.System.t -> int list
-(** Untimed snapshot, sorted (tests only). *)
+(** Untimed snapshot, sorted.  Raises {!Node.Cycle} when a bucket's
+    links loop. *)

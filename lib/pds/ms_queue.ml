@@ -86,12 +86,6 @@ let rec dequeue t p =
     else dequeue t p
   end
 
-let is_empty t p =
-  let head = Ptr.addr_of (Pctx.read_traverse p t.head_cell) in
-  let next = Pctx.read_traverse p (fnext ~stride:t.stride head) in
-  Pctx.commit p ~updated:false;
-  Ptr.is_null next
-
 let repair t p =
   (* Post-crash recovery: the tail pointer is deliberately never persisted
      on the hot path (the linking CAS is the durable linearization point),
@@ -115,12 +109,14 @@ let repair t p =
 let to_list_unsafe t system =
   let module S = Skipit_core.System in
   let peek addr = Strategy.lap_strip (S.peek_word system addr) in
+  let limit = Node.walk_limit t.alloc in
   let head = Ptr.addr_of (peek t.head_cell) in
-  let rec walk node acc =
+  let rec walk node steps acc =
+    if steps > limit then raise (Node.Cycle node);
     let next = Ptr.addr_of (peek (fnext ~stride:t.stride node)) in
     if Ptr.is_null next then List.rev acc
-    else walk next (peek (fvalue ~stride:t.stride next) :: acc)
+    else walk next (steps + 1) (peek (fvalue ~stride:t.stride next) :: acc)
   in
-  walk head []
+  walk head 0 []
 
 let rebind t alloc = { t with alloc }

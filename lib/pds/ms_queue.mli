@@ -27,12 +27,11 @@ val rebind : t -> Skipit_mem.Allocator.t -> t
 val enqueue : t -> Skipit_persist.Pctx.t -> int -> unit
 val dequeue : t -> Skipit_persist.Pctx.t -> int option
 
-val is_empty : t -> Skipit_persist.Pctx.t -> bool
-
 val repair : t -> Skipit_persist.Pctx.t -> int
 (** Post-crash recovery: swing the (never-persisted-on-the-hot-path) tail
     pointer forward to the last reachable node, durably.  Returns the
     number of swings performed. *)
 
 val to_list_unsafe : t -> Skipit_core.System.t -> int list
-(** Untimed front-to-back snapshot (tests only). *)
+(** Untimed front-to-back snapshot.  Raises {!Node.Cycle} when the links
+    loop. *)

@@ -7,3 +7,7 @@ let alloc allocator ~stride ~fields =
   Skipit_mem.Allocator.alloc allocator ~align bytes
 
 let field ~stride base i = base + (i * stride)
+
+exception Cycle of int
+
+let walk_limit allocator = Skipit_mem.Allocator.used allocator / 8

@@ -13,3 +13,10 @@ val alloc : Skipit_mem.Allocator.t -> stride:int -> fields:int -> int
 
 val field : stride:int -> int -> int -> int
 (** [field ~stride base i] is the address of field [i]. *)
+
+exception Cycle of int
+(** An untimed snapshot walked past {!walk_limit}: its links loop.  The
+    payload is the node it had reached. *)
+
+val walk_limit : Skipit_mem.Allocator.t -> int
+(** The most nodes an acyclic walk can visit: one per word allocated. *)

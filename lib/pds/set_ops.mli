@@ -24,7 +24,8 @@ type handle = {
   repair : Skipit_persist.Pctx.t -> int;
       (** Post-crash recovery: complete interrupted operations durably. *)
   snapshot : Skipit_core.System.t -> int list;
-      (** Untimed sorted key snapshot (tests). *)
+      (** Untimed sorted key snapshot; raises {!Node.Cycle} when the
+          structure's links loop. *)
   structure : structure;  (** What the closures above operate on. *)
 }
 

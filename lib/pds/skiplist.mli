@@ -31,4 +31,5 @@ val repair : t -> Skipit_persist.Pctx.t -> int
     unlinks completed. *)
 
 val elements_unsafe : t -> Skipit_core.System.t -> int list
-(** Untimed snapshot from the bottom level (tests only). *)
+(** Untimed snapshot from the bottom level.  Raises {!Node.Cycle} when
+    the links loop. *)

@@ -293,14 +293,11 @@ let rec validate_process = function
    whatever the population.  Compared with one independent stream per
    client, at most one request arrives per cycle, a difference of order
    p^2 per cycle. *)
-let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~seed () =
+let schedule ~process ~draw ~rate ~clients ~requests ~key_range ~update_pct:_ ~seed () =
   if rate <= 0. then invalid_arg "Arrival.schedule: rate must be positive";
   if clients <= 0 then invalid_arg "Arrival.schedule: clients must be positive";
   if key_range <= 0 then invalid_arg "Arrival.schedule: key_range must be positive";
   validate_process process;
-  let draw =
-    match draw with Some d -> d | None -> uniform_draw ~key_range ~update_pct
-  in
   let p = Float.min 1. (rate /. 1000. *. rate_boost process) in
   let rng = Rng.create ~seed in
   let counts = Array.make clients 0 in

@@ -100,12 +100,11 @@ type draw = Skipit_sim.Rng.t -> at:int -> op * int
     function of the rng state and [at] so schedules stay bit-identical. *)
 
 val uniform_draw : key_range:int -> update_pct:int -> draw
-(** The historical draw (uniform keys, update split by [Rng.bool]); the
-    default when {!schedule} is given no [draw]. *)
+(** The historical draw: uniform keys, update split by [Rng.bool]. *)
 
 val schedule :
   process:process ->
-  ?draw:draw ->
+  draw:draw ->
   rate:float ->
   clients:int ->
   requests:int ->
@@ -116,6 +115,8 @@ val schedule :
   request array
 (** [rate] is the aggregate offered load in operations per 1000 cycles,
     split evenly across [clients] sessions.  The result holds [requests]
-    entries sorted by arrival, at most one per cycle.  Equal configurations give equal schedules.  [draw] replaces
-    the op/key sampler (see {!Workload.draw}); omitting it reproduces the
-    pre-workload schedules byte-for-byte. *)
+    entries sorted by arrival, at most one per cycle.  Equal configurations
+    give equal schedules.  [draw] samples each arrival's op and key (see
+    {!Workload.draw}; {!uniform_draw} reproduces the pre-workload
+    schedules byte-for-byte).  [key_range] must be positive; [update_pct]
+    is the draw's business and is not read here. *)

@@ -1,7 +1,6 @@
 type t = {
   name : string;
   free_at : int array;  (* per-unit time at which the unit becomes idle *)
-  mutable busy_cycles : int;
   (* Every unit, ordered by [(free_at, index)], as a ring starting at
      [head]: the head is the unit the naive scan picks (the lowest index
      among the earliest free).  An acquisition takes the head and slides
@@ -13,7 +12,7 @@ type t = {
 
 let create ?(count = 1) name =
   if count <= 0 then invalid_arg "Resource.create: count <= 0";
-  { name; free_at = Array.make count 0; busy_cycles = 0; order = Array.init count Fun.id; head = 0 }
+  { name; free_at = Array.make count 0; order = Array.init count Fun.id; head = 0 }
 
 let name t = t.name
 let min_index t = t.order.(t.head)
@@ -55,16 +54,11 @@ let place t i finish =
 
 (* Tuple-free: the per-access timing arithmetic needs only the finish. *)
 let acquire_finish t ~now ~busy =
-  if busy < 0 then invalid_arg "Resource.acquire: negative busy";
+  if busy < 0 then invalid_arg "Resource.acquire_finish: negative busy";
   let i = min_index t in
   let finish = Int.max now t.free_at.(i) + busy in
   place t i finish;
-  t.busy_cycles <- t.busy_cycles + busy;
   finish
-
-let acquire t ~now ~busy =
-  let finish = acquire_finish t ~now ~busy in
-  finish - busy, finish
 
 let acquire_start t ~now ~busy = acquire_finish t ~now ~busy - busy
 
@@ -73,8 +67,7 @@ let acquire_start t ~now ~busy = acquire_finish t ~now ~busy - busy
    as a scan of [free_at] would. *)
 let hold t ~idx ~start ~finish =
   if finish < start then invalid_arg "Resource.hold: finish < start";
-  place t idx finish;
-  t.busy_cycles <- t.busy_cycles + (finish - start)
+  place t idx finish
 
 let earliest_free t = t.free_at.(min_index t)
 let all_free_at t = Array.fold_left Int.max 0 t.free_at
@@ -82,20 +75,16 @@ let all_free_at t = Array.fold_left Int.max 0 t.free_at
 let busy_at t now =
   Array.fold_left (fun acc f -> if f > now then acc + 1 else acc) 0 t.free_at
 
-let total_busy_cycles t = t.busy_cycles
-
 let copy_into ~src ~dst =
   if Array.length dst.free_at <> Array.length src.free_at then
     invalid_arg "Resource.copy_into: unit counts differ";
   Ints.copy_into ~src:src.free_at ~dst:dst.free_at;
   Ints.copy_into ~src:src.order ~dst:dst.order;
-  dst.busy_cycles <- src.busy_cycles;
   dst.head <- src.head
 
 let reset t =
   Array.fill t.free_at 0 (Array.length t.free_at) 0;
   Array.iteri (fun i _ -> t.order.(i) <- i) t.order;
-  t.busy_cycles <- 0;
   t.head <- 0
 
 module Banked = struct
@@ -108,9 +97,6 @@ module Banked = struct
 
   let bank_of t ~addr ~line_bytes =
     t.banks.(addr / line_bytes mod Array.length t.banks)
-
-  let acquire t ~addr ~line_bytes ~now ~busy =
-    acquire (bank_of t ~addr ~line_bytes) ~now ~busy
 
   let acquire_finish t ~addr ~line_bytes ~now ~busy =
     acquire_finish (bank_of t ~addr ~line_bytes) ~now ~busy

@@ -12,21 +12,18 @@ type t
 
 val create : ?count:int -> string -> t
 (** [create ~count name] makes a resource with [count] parallel units
-    (default 1).  [name] labels it in statistics. *)
+    (default 1).  [name] identifies it; a bank of {!Banked} is named
+    [name[i]]. *)
 
 val name : t -> string
 
-val acquire : t -> now:int -> busy:int -> int * int
-(** [acquire t ~now ~busy] returns [(start, finish)] with [start >= now] the
-    earliest time a unit is free and [finish = start + busy].  The unit is
-    marked busy until [finish]. *)
-
 val acquire_finish : t -> now:int -> busy:int -> int
-(** {!acquire} returning only [finish] — no pair allocation on the
-    per-access path. *)
+(** [acquire_finish t ~now ~busy] takes the earliest-free unit from
+    [start], the later of [now] and the time it frees, until [start +
+    busy], which it returns.  Raises [Invalid_argument] when [busy < 0]. *)
 
 val acquire_start : t -> now:int -> busy:int -> int
-(** {!acquire} returning only [start]. *)
+(** {!acquire_finish}, returning [start] instead. *)
 
 (** {2 Pick/hold}
 
@@ -43,9 +40,8 @@ val min_index : t -> int
 (** The unit the next acquisition takes (0-based). *)
 
 val hold : t -> idx:int -> start:int -> finish:int -> unit
-(** [hold t ~idx ~start ~finish] marks unit [idx] busy until [finish] and
-    bills [finish - start] busy cycles.  Raises [Invalid_argument] when
-    [finish < start]. *)
+(** [hold t ~idx ~start ~finish] marks unit [idx] busy until [finish].
+    Raises [Invalid_argument] when [finish < start]. *)
 
 val earliest_free : t -> int
 (** Next time at which at least one unit is free (without acquiring). *)
@@ -56,9 +52,6 @@ val all_free_at : t -> int
 
 val busy_at : t -> int -> int
 (** [busy_at t now] is how many units are still busy at time [now]. *)
-
-val total_busy_cycles : t -> int
-(** Accumulated busy cycles across all units (utilisation accounting). *)
 
 val reset : t -> unit
 
@@ -74,13 +67,12 @@ module Banked : sig
   (** [banks] independent resources, each with [count] units; requests are
       routed by address. *)
 
-  val acquire : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int * int
-  (** Route to bank [(addr / line_bytes) mod banks] and acquire it. *)
-
   val acquire_finish : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int
-  (** {!acquire} returning only [finish] (no pair). *)
+  (** {!Resource.acquire_finish} on {!bank_of}'s bank. *)
 
   val bank_of : t -> addr:int -> line_bytes:int -> bank
+  (** Bank [(addr / line_bytes) mod banks]. *)
+
   val reset : t -> unit
 
   val copy_into : src:t -> dst:t -> unit

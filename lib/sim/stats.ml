@@ -155,24 +155,15 @@ module Sample = struct
   let values t = Array.sub t.data 0 t.len
 end
 
-module Counter = struct
-  (* [reported] is the registry's business: whether {!Registry.to_list}
-     shows the counter.  A standalone counter is always reported. *)
-  type t = { mutable n : int; mutable reported : bool }
-
-  let create () = { n = 0; reported = true }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let get t = t.n
-  let reset t = t.n <- 0
-end
-
 module Registry = struct
+  (* A counter's cell.  [reported] says whether [to_list] shows it. *)
+  type counter = { mutable n : int; mutable reported : bool }
+
   (* Entries newest first.  A component's registry holds at most a few
      dozen keys, fixed when the component is built, so a name lookup is a
      short scan; and the list is the registry's whole state, which makes
      [copy_into] a pairwise walk. *)
-  type t = { mutable entries : (string * Counter.t) list }
+  type t = { mutable entries : (string * counter) list }
 
   let create () = { entries = [] }
 
@@ -180,29 +171,20 @@ module Registry = struct
     | [] -> None
     | (k, c) :: rest -> if String.equal k name then Some c else find name rest
 
-  let register t name ~reported =
-    let c = { Counter.n = 0; reported } in
-    t.entries <- (name, c) :: t.entries;
-    c
-
-  let counter t name =
-    match find name t.entries with
-    | Some c ->
-      c.Counter.reported <- true;
-      c
-    | None -> register t name ~reported:true
-
-  let get t name = match find name t.entries with Some c -> Counter.get c | None -> 0
-  let incr t name = Counter.incr (counter t name)
-  let add t name k = Counter.add (counter t name) k
+  let get t name = match find name t.entries with Some c -> c.n | None -> 0
 
   (* A handle is its counter, registered unreported at creation: the first
      bump reports it, so a key whose handle never fires stays out of
-     [to_list], exactly as with [incr]. *)
-  type handle = Counter.t
+     [to_list]. *)
+  type handle = counter
 
   let handle t name =
-    match find name t.entries with Some c -> c | None -> register t name ~reported:false
+    match find name t.entries with
+    | Some c -> c
+    | None ->
+      let c = { n = 0; reported = false } in
+      t.entries <- (name, c) :: t.entries;
+      c
 
   let bump (h : handle) =
     h.n <- h.n + 1;
@@ -212,11 +194,9 @@ module Registry = struct
     h.n <- h.n + k;
     h.reported <- true
 
-  let reset_all t = List.iter (fun (_, c) -> Counter.reset c) t.entries
-
   let to_list t =
     List.filter_map
-      (fun (name, c) -> if c.Counter.reported then Some (name, Counter.get c) else None)
+      (fun (name, c) -> if c.reported then Some (name, c.n) else None)
       t.entries
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -228,7 +208,7 @@ module Registry = struct
 
   let rec copy_counts a b =
     match a, b with
-    | (_, (ca : Counter.t)) :: a, (_, (cb : Counter.t)) :: b ->
+    | (_, ca) :: a, (_, cb) :: b ->
       cb.n <- ca.n;
       cb.reported <- ca.reported;
       copy_counts a b
@@ -246,7 +226,7 @@ module Registry = struct
           (fun (name, _) ->
             match find name old with
             | Some c -> name, c
-            | None -> name, { Counter.n = 0; reported = false })
+            | None -> name, { n = 0; reported = false })
           src.entries
     end;
     copy_counts src.entries dst.entries

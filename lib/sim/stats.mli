@@ -3,7 +3,7 @@
     The paper reports medians and standard deviations over repeated
     microbenchmarks (§7.1: 50 repetitions, median latency) and mean throughput
     over repeated runs.  [Sample] collects raw observations and answers those
-    queries; [Counter] is a named monotonic event counter used for
+    queries; [Registry] holds a component's named event counters for
     microarchitectural accounting (hits, misses, nacks, skipped writebacks,
     ...). *)
 
@@ -48,15 +48,6 @@ module Sample : sig
       [Array.stable_sort Float.compare] would. *)
 end
 
-module Counter : sig
-  type t
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
-
 module Registry : sig
   type t
   (** A named set of counters, used as the per-component stats block so tests
@@ -64,27 +55,23 @@ module Registry : sig
 
   val create : unit -> t
 
-  val counter : t -> string -> Counter.t
-  (** [counter t name] returns the counter registered under [name], creating
-      it on first use. *)
-
   val get : t -> string -> int
   (** [get t name] is the current count ([0] if never touched). *)
 
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-
   type handle
-  (** A pre-resolved counter for per-access paths: create it once, bump it
-      without hashing a string.  Creating a handle registers its counter
+  (** A counter, the one way to count an event: create it once, when the
+      component is built, and bump it on the per-access path without
+      looking up a string.  Creating a handle registers its counter
       unreported; its first bump reports it, so a key whose handle never
-      fires stays out of {!to_list}, exactly as with {!incr}. *)
+      fires stays out of {!to_list}.  A key that must print even at 0 is
+      reported by a [bump_by h 0] at creation. *)
 
   val handle : t -> string -> handle
+  (** [handle t name] is the counter registered under [name], registering
+      it on first use. *)
+
   val bump : handle -> unit
   val bump_by : handle -> int -> unit
-
-  val reset_all : t -> unit
 
   val to_list : t -> (string * int) list
   (** All reported counters sorted by name. *)

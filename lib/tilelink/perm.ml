@@ -27,15 +27,6 @@ let shrink_to = function
   | T_to_N | B_to_N | N_to_N -> Nothing
   | T_to_T -> Trunk
 
-let grow_for_write = function
-  | Nothing -> Some N_to_T
-  | Branch -> Some B_to_T
-  | Trunk -> None
-
-let grow_for_read = function
-  | Nothing -> Some N_to_B
-  | Branch | Trunk -> None
-
 let shrink_for ~from ~cap =
   match from, cap with
   | Trunk, Nothing -> T_to_N
@@ -45,16 +36,3 @@ let shrink_for ~from ~cap =
   | Branch, (Branch | Trunk) -> B_to_B
   | Nothing, (Nothing | Branch | Trunk) -> N_to_N
 
-let pp_grow ppf g =
-  Format.pp_print_string ppf
-    (match g with N_to_B -> "NtoB" | N_to_T -> "NtoT" | B_to_T -> "BtoT")
-
-let pp_shrink ppf s =
-  Format.pp_print_string ppf
-    (match s with
-     | T_to_B -> "TtoB"
-     | T_to_N -> "TtoN"
-     | B_to_N -> "BtoN"
-     | T_to_T -> "TtoT"
-     | B_to_B -> "BtoB"
-     | N_to_N -> "NtoN")

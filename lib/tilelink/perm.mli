@@ -11,8 +11,9 @@
     upgrade an Acquire requests, a [shrink] (a.k.a. cap/prune in the spec)
     names the downgrade a Probe demands or a Release/ProbeAck performs, and a
     [report] states a final permission without change.  The predicates here
-    are the single source of truth for which transitions are legal; both the
-    L1 and the L2 directory use them. *)
+    are the single source of truth for the levels a transition moves
+    between: the L1 and the L2 read a grant's level off {!grow_to}, and
+    the L1 names its downgrade reports with {!shrink_for}. *)
 
 type t = Nothing | Branch | Trunk
 
@@ -42,17 +43,7 @@ val shrink_from : shrink -> t
 
 val shrink_to : shrink -> t
 
-val grow_for_write : t -> grow option
-(** [grow_for_write have] is the Acquire parameter needed to reach [Trunk]
-    from [have], or [None] if already sufficient. *)
-
-val grow_for_read : t -> grow option
-(** Likewise for [Branch]. *)
-
 val shrink_for : from:t -> cap:t -> shrink
 (** [shrink_for ~from ~cap] is the downgrade report when a client at [from]
     is capped to at most [cap].  When [from] is already within [cap] this is
     one of the no-change reports. *)
-
-val pp_grow : Format.formatter -> grow -> unit
-val pp_shrink : Format.formatter -> shrink -> unit

@@ -14,8 +14,6 @@ let grid ?pool rows =
          ys, { label; points })
        ys rows)
 
-let map_y f t = { t with points = List.map (fun p -> { p with y = f p.y }) t.points }
-
 let xs series =
   List.concat_map (fun s -> List.map (fun p -> p.x) s.points) series
   |> List.sort_uniq compare
@@ -46,21 +44,3 @@ let pp_table ?(x_name = "x") ?(y_name = "") ppf series =
       Format.fprintf ppf "@,")
     (xs series)
 
-let pp_csv ppf series =
-  Format.fprintf ppf "x,%s@," (String.concat "," (List.map (fun s -> s.label) series));
-  List.iter
-    (fun x ->
-      Format.fprintf ppf "%g" x;
-      List.iter
-        (fun s ->
-          match y_at s x with
-          | Some y -> Format.fprintf ppf ",%g" y
-          | None -> Format.fprintf ppf ",")
-        series;
-      Format.fprintf ppf "@,")
-    (xs series)
-
-let bytes_label n =
-  if n >= 1024 * 1024 && n mod (1024 * 1024) = 0 then Printf.sprintf "%dMiB" (n / 1024 / 1024)
-  else if n >= 1024 && n mod 1024 = 0 then Printf.sprintf "%dKiB" (n / 1024)
-  else Printf.sprintf "%dB" n

@@ -15,13 +15,6 @@ val grid :
     so the result — one series per row, in order — is byte-identical at
     any pool width.  Rows may differ in length. *)
 
-val map_y : (float -> float) -> t -> t
-
 val pp_table : ?x_name:string -> ?y_name:string -> Format.formatter -> t list -> unit
 (** Render several series as an aligned text table, one row per x value,
     one column per series (the form the paper's figures tabulate). *)
-
-val pp_csv : Format.formatter -> t list -> unit
-
-val bytes_label : int -> string
-(** "64B", "4KiB", ... for writeback-size axes. *)

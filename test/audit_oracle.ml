@@ -103,14 +103,30 @@ let check_l1_lines ctx =
       (Dcache.held_lines dc)
   done
 
-(* A clean L2 line agrees with the level below it; a clean L3 line agrees
-   with DRAM.  Catches an elided-but-needed writeback the moment metadata
-   claims cleanliness. *)
+(* Per L2 line: a Trunk grant in the directory excludes every other
+   owner; a clean L2 line agrees with the level below it.  Then a clean L3
+   line agrees with DRAM. *)
 let check_lower_levels ctx =
   let sys = ctx.sys in
   let l2 = S.l2 sys in
   let backend = L2.backend l2 in
+  let n = S.n_cores sys in
   L2.iter_lines l2 (fun addr dir ->
+    let owners =
+      List.filter
+        (fun core -> not (Perm.equal (L2.owner_perm l2 ~core ~addr) Perm.Nothing))
+        (List.init n Fun.id)
+    in
+    List.iter
+      (fun core ->
+        if Perm.equal (L2.owner_perm l2 ~core ~addr) Perm.Trunk then
+          List.iter
+            (fun other ->
+              if other <> core then
+                fail ctx ~addr "single-writer"
+                  "directory: Trunk on core %d but core %d owns it too" core other)
+            owners)
+      owners;
     if not dir.Directory.dirty then
       match
         first_diff ctx ~base:addr ~data:dir.Directory.data

@@ -394,6 +394,13 @@ let test_corrupt_directory_fires () =
   fires "owner bit cleared" "inclusion";
   Directory.set_owner d 0 perm;
   no_violations "owner bit restored" (Invariant.check_all sys);
+  (* A Trunk grant beside another owner breaks single-writer in the
+     directory alone: core 1 caches nothing, so every L1 copy still agrees
+     with its directory entry. *)
+  Directory.set_owner d 1 Skipit_tilelink.Perm.Trunk;
+  fires "Trunk granted beside another owner" "single-writer";
+  Directory.set_owner d 1 Skipit_tilelink.Perm.Nothing;
+  no_violations "second owner removed" (Invariant.check_all sys);
   (dir skipped).Directory.dirty <- true;
   fires "L2 dirty under a skip line" "skip-safety"
 
@@ -504,6 +511,26 @@ let test_repair_hang () =
   let t = Campaign.finish w ~crashed:true in
   Alcotest.(check (list string)) "violations" [ "[repair-hang] repair ran past 10000000 cycles" ]
     t.Campaign.violations
+
+(* The queue's head cell pointed at a self-linked node, the tail sound:
+   the repair (which walks from the tail) finishes, and the snapshot walk
+   from the head is stopped at the allocator's footprint and reported. *)
+let test_snapshot_cycle () =
+  let spec = quick_spec ~ops:4 Campaign.Queue Pctx.Nvtraverse Ds_bench.Plain in
+  let w = Campaign.build ~audit_every:1_000_000 spec in
+  ignore (Campaign.run w ~stop:(fun () -> false));
+  let sys = Campaign.system w in
+  let loop = 0x8_0000 in
+  (* The record's fields are allocated right to left: the tail cell is
+     the first line, the head cell the second. *)
+  List.iter (fun cell -> S.poke_word sys cell loop) [ 0x1_0040; loop + 8 ];
+  let started = Unix.gettimeofday () in
+  let t = Campaign.finish w ~crashed:true in
+  Alcotest.(check (list string)) "violations"
+    [ "[snapshot-cycle] the snapshot walk loops (at node 0x80000)" ]
+    t.Campaign.violations;
+  let took = Unix.gettimeofday () -. started in
+  Alcotest.(check bool) (Printf.sprintf "reported in %.3f s" took) true (took < 1.)
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer files: a written failure reads back as itself, and a file
@@ -888,6 +915,7 @@ let tests =
       Alcotest.test_case "campaign catches seeded fault" `Slow test_campaign_catches_fault;
       Alcotest.test_case "recovery bound stops a body that never ends" `Quick test_recovery_bound;
       Alcotest.test_case "campaign repair past the bound is a repair-hang" `Quick test_repair_hang;
+      Alcotest.test_case "a looping snapshot is a snapshot-cycle" `Quick test_snapshot_cycle;
       Alcotest.test_case "boundary reached only at completion" `Quick
         test_boundary_reached_at_completion;
       Alcotest.test_case "copied world shares no mutable state" `Quick

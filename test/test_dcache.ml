@@ -31,9 +31,11 @@ let fresh ?(cores = 2) ?(params_f = Fun.id) () =
 
 let test_load_miss_then_hit () =
   let _, dc, a = fresh () in
-  let _, t1 = Dcache.load dc ~addr:a ~now:0 in
+  ignore (Dcache.load_word dc ~addr:a ~now:0);
+  let t1 = Dcache.done_at dc in
   Alcotest.(check bool) "miss pays the L2/DRAM trip" true (t1 > 50);
-  let _, t2 = Dcache.load dc ~addr:a ~now:t1 in
+  ignore (Dcache.load_word dc ~addr:a ~now:t1);
+  let t2 = Dcache.done_at dc in
   Alcotest.(check bool) "hit is a few cycles" true (t2 - t1 < 10)
 
 let test_store_sets_dirty_and_value () =
@@ -48,7 +50,7 @@ let test_store_sets_dirty_and_value () =
 
 let test_branch_to_trunk_upgrade () =
   let _, dc, a = fresh () in
-  ignore (Dcache.load dc ~addr:a ~now:0) (* Branch *);
+  ignore (Dcache.load_word dc ~addr:a ~now:0) (* Branch *);
   let t = Dcache.store dc ~addr:a ~value:1 ~now:1000 in
   Alcotest.(check bool) "upgrade went to L2" true (t - 1000 > 20);
   let line = Option.get (Dcache.line_state dc a) in
@@ -59,9 +61,11 @@ let test_branch_to_trunk_upgrade () =
 let test_cas_semantics () =
   let _, dc, a = fresh () in
   ignore (Dcache.store dc ~addr:a ~value:3 ~now:0);
-  let ok, t1 = Dcache.cas dc ~addr:a ~expected:3 ~desired:4 ~now:500 in
+  let ok = Dcache.cas_word dc ~addr:a ~expected:3 ~desired:4 ~now:500 in
   Alcotest.(check bool) "success" true ok;
-  let ok2, _ = Dcache.cas dc ~addr:a ~expected:3 ~desired:5 ~now:t1 in
+  let t1 = Dcache.done_at dc in
+  Alcotest.(check bool) "after the request" true (t1 > 500);
+  let ok2 = Dcache.cas_word dc ~addr:a ~expected:3 ~desired:5 ~now:t1 in
   Alcotest.(check bool) "failure leaves value" false ok2;
   Alcotest.(check int) "value" 4 (Dcache.peek_word dc a)
 
@@ -70,7 +74,7 @@ let test_cbo_skip_check_disabled () =
   let sys = S.create (C.platform ~cores:1 ~skip_it:false ()) in
   let dc = S.dcache sys 0 in
   let a = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
-  ignore (Dcache.load dc ~addr:a ~now:0) (* clean + skip set *);
+  ignore (Dcache.load_word dc ~addr:a ~now:0) (* clean + skip set *);
   let r = cbo dc ~addr:a ~kind:Message.Wb_clean ~now:1000 in
   Alcotest.(check bool) "executed, not dropped" true (r.dropped = `Executed)
 
@@ -106,7 +110,8 @@ let test_load_forwarding_after_flush () =
   let r = cbo dc ~addr:a ~kind:Message.Wb_flush ~now:100 in
   (* Immediately after the flush commits, the line is gone but the FSHR's
      buffer holds it: the load forwards (§5.3). *)
-  let v, t = Dcache.load dc ~addr:a ~now:(r.commit_at + 1) in
+  let v = Dcache.load_word dc ~addr:a ~now:(r.commit_at + 1) in
+  let t = Dcache.done_at dc in
   Alcotest.(check int) "forwarded value" 9 v;
   Alcotest.(check bool) "well before the ack" true (t < r.ack_at);
   Alcotest.(check int) "counted" 1
@@ -237,9 +242,10 @@ let test_l1_miss_l2_hit_alloc () =
   let base = Skipit_mem.Allocator.alloc (S.allocator sys) ~align:64 (lines * 64) in
   (* Core 1 brings every line into the L2; core 0 then misses its L1 and
      hits the L2 on each (256 lines fit its L1 without evictions). *)
-  let now = ref 0 in
+  let now = ref 0 and dc1 = S.dcache sys 1 in
   for i = 0 to lines - 1 do
-    now := snd (Dcache.load (S.dcache sys 1) ~addr:(base + (i * 64)) ~now:!now)
+    ignore (Dcache.load_word dc1 ~addr:(base + (i * 64)) ~now:!now);
+    now := Dcache.done_at dc1
   done;
   ignore (Dcache.load_word dc ~addr:base ~now:!now);
   let words =
@@ -311,7 +317,7 @@ let test_store_miss_dirty_flush_fence_alloc () =
 
 let test_held_lines_inclusion () =
   let sys, dc, a = fresh () in
-  ignore (Dcache.load dc ~addr:a ~now:0);
+  ignore (Dcache.load_word dc ~addr:a ~now:0);
   Alcotest.(check bool) "listed" true
     (List.mem_assoc a (Dcache.held_lines dc));
   Structural.check sys

@@ -66,10 +66,11 @@ let test_load_nack_on_dataless_writeback () =
   let sys = S.create (C.platform ~cores:1 ()) in
   let dc = S.dcache sys 0 in
   let a = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
-  ignore (Dcache.load dc ~addr:a ~now:0) (* clean line in L1 *);
+  ignore (Dcache.load_word dc ~addr:a ~now:0) (* clean line in L1 *);
   let commit_at = Dcache.cbo dc ~addr:a ~kind:Message.Wb_flush ~now:1000 in
   let ack_at = Dcache.done_at dc in
-  let _, t = Dcache.load dc ~addr:a ~now:(commit_at + 1) in
+  ignore (Dcache.load_word dc ~addr:a ~now:(commit_at + 1));
+  let t = Dcache.done_at dc in
   Alcotest.(check bool) "load waited for the ack" true (t > ack_at);
   Alcotest.(check bool) "nack counted" true
     (Skipit_sim.Stats.Registry.get (Dcache.stats dc) "load_nacks" >= 1)

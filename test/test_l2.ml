@@ -8,20 +8,43 @@ module Directory = Skipit_l2.Directory
 module Dram = Skipit_mem.Dram
 open Skipit_tilelink
 
+(* The clients above [level], in ascending order, as the probe paths read
+   them. *)
+let owners ?(exclude = -1) dir level =
+  let buf = Array.make 8 (-1) in
+  Array.to_list (Array.sub buf 0 (Directory.owners_into dir level ~exclude buf))
+
 let test_directory_owners () =
   let dir = Directory.make ~n_cores:4 ~words:8 in
-  Alcotest.(check bool) "no owners" false (Directory.has_owners dir);
-  Directory.set_owner dir 1 Perm.Branch;
+  Alcotest.(check (list int)) "no owners" [] (owners dir Perm.Nothing);
   Directory.set_owner dir 3 Perm.Branch;
-  Alcotest.(check (list int)) "sharers" [ 1; 3 ] (Directory.owners_above dir Perm.Nothing);
-  Alcotest.(check bool) "no trunk" true (Directory.trunk_owner dir = None);
+  Directory.set_owner dir 1 Perm.Branch;
+  Alcotest.(check (list int)) "sharers" [ 1; 3 ] (owners dir Perm.Nothing);
+  Alcotest.(check (list int)) "no trunk" [] (owners dir Perm.Branch);
   Directory.set_owner dir 1 Perm.Trunk;
-  Alcotest.(check bool) "trunk found" true (Directory.trunk_owner dir = Some 1);
-  Alcotest.(check bool) "invariant violated (T+B)" true
-    (Result.is_error (Directory.check_invariants dir));
+  Alcotest.(check (list int)) "trunk found" [ 1 ] (owners dir Perm.Branch);
   Directory.set_owner dir 3 Perm.Nothing;
-  Alcotest.(check bool) "invariant restored" true
-    (Result.is_ok (Directory.check_invariants dir))
+  Alcotest.(check (list int)) "trunk alone" [ 1 ] (owners dir Perm.Nothing);
+  Directory.reset dir;
+  Alcotest.(check (list int)) "reset drops every owner" [] (owners dir Perm.Nothing)
+
+(* [owners_into] writes ascending core ids, skips [exclude] (and nothing
+   for -1), counts only the clients strictly above [level], and touches
+   no buffer entry past the count. *)
+let test_owners_into () =
+  let dir = Directory.make ~n_cores:4 ~words:8 in
+  List.iter (fun (core, p) -> Directory.set_owner dir core p)
+    [ 3, Perm.Branch; 0, Perm.Branch; 2, Perm.Trunk ];
+  let buf = Array.make 6 (-7) in
+  Alcotest.(check int) "count, exclude -1" 3
+    (Directory.owners_into dir Perm.Nothing ~exclude:(-1) buf);
+  Alcotest.(check (array int)) "ascending, rest untouched" [| 0; 2; 3; -7; -7; -7 |] buf;
+  Alcotest.(check (list int)) "exclude skips one core" [ 0; 3 ]
+    (owners ~exclude:2 dir Perm.Nothing);
+  Alcotest.(check (list int)) "exclude of a non-owner skips none" [ 0; 2; 3 ]
+    (owners ~exclude:1 dir Perm.Nothing);
+  Alcotest.(check (list int)) "strictly above Branch" [ 2 ] (owners dir Perm.Branch);
+  Alcotest.(check (list int)) "nothing above Trunk" [] (owners dir Perm.Trunk)
 
 let fresh () =
   let sys = S.create (C.platform ~cores:2 ()) in
@@ -143,6 +166,7 @@ let tests =
   ( "l2",
     [
       Alcotest.test_case "directory owners" `Quick test_directory_owners;
+      Alcotest.test_case "owners_into order and exclude" `Quick test_owners_into;
       Alcotest.test_case "acquire grants" `Quick test_acquire_grants;
       Alcotest.test_case "release data dirties L2" `Quick test_release_data_dirties;
       Alcotest.test_case "root release clean" `Quick test_root_release_clean_writes_dram;

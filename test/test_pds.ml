@@ -143,6 +143,39 @@ let strategies_for kind =
       "skipit", Ds_bench.Skipit, (fun () -> Strategy.skipit_hw ());
     ]
 
+(* A set whose links loop: after a crash, the node holding [key] gets a
+   pointer field aimed at itself (the next field of a list or bottom-level skiplist node,
+   a leaf's left edge in the BST).  The snapshot walk stops at the
+   allocator's footprint with [Node.Cycle] instead of running forever. *)
+let snapshot_cycle kind () =
+  let sys = S.create (C.platform ~cores:1 ()) in
+  let pctx = Pctx.make (Strategy.plain ()) Pctx.Manual in
+  let alloc = S.allocator sys in
+  let key = 4242 in
+  let handle = ref None in
+  run_task sys (fun () ->
+    let h = Ops.create_sized kind ~buckets:4 pctx alloc in
+    List.iter (fun k -> ignore (h.Ops.insert pctx k)) [ 7; key; 9000 ];
+    handle := Some h);
+  let h = Option.get !handle in
+  (* Every operation persisted its writes; with the caches dropped, what
+     the walk reads is NVMM, where the poke lands. *)
+  S.crash sys;
+  let base = 0x1_0000 in
+  let rec find a =
+    if a >= base + Skipit_mem.Allocator.used alloc then Alcotest.fail "key not found"
+    else if S.peek_word sys a = key then a
+    else find (a + 8)
+  in
+  let node = find base in
+  let field = match kind with Ops.Skiplist_set -> 2 | _ -> 1 in
+  S.poke_word sys (node + (8 * field)) node;
+  match h.Ops.snapshot sys with
+  | keys ->
+    Alcotest.failf "snapshot returned %d keys" (List.length keys)
+  | exception Skipit_pds.Node.Cycle at ->
+    Alcotest.(check int) "stopped on the looping node" node at
+
 let tests =
   let oracle_cases =
     List.concat_map
@@ -169,8 +202,16 @@ let tests =
           `Quick (durability ~kind))
       Ops.all_kinds
   in
+  let cycle_cases =
+    List.map
+      (fun kind ->
+        Alcotest.test_case
+          (Printf.sprintf "looping %s snapshot raises Cycle" (Ops.kind_name kind))
+          `Quick (snapshot_cycle kind))
+      Ops.all_kinds
+  in
   ( "pds",
-    oracle_cases @ concurrent_cases @ durability_cases
+    oracle_cases @ concurrent_cases @ durability_cases @ cycle_cases
     @ [
         Alcotest.test_case "BST rejects LaP" `Quick test_bst_rejects_lap;
         Alcotest.test_case "skiplist height bounded" `Quick test_skiplist_height_bounded;

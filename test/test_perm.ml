@@ -27,14 +27,6 @@ let test_shrink_endpoints () =
         (Perm.compare (Perm.shrink_from s) (Perm.shrink_to s) >= 0))
     all_shrinks
 
-let test_grow_for () =
-  Alcotest.(check bool) "write from N" true (Perm.grow_for_write Perm.Nothing = Some Perm.N_to_T);
-  Alcotest.(check bool) "write from B" true (Perm.grow_for_write Perm.Branch = Some Perm.B_to_T);
-  Alcotest.(check bool) "write from T" true (Perm.grow_for_write Perm.Trunk = None);
-  Alcotest.(check bool) "read from N" true (Perm.grow_for_read Perm.Nothing = Some Perm.N_to_B);
-  Alcotest.(check bool) "read from B" true (Perm.grow_for_read Perm.Branch = None);
-  Alcotest.(check bool) "read from T" true (Perm.grow_for_read Perm.Trunk = None)
-
 let test_shrink_for_consistent () =
   List.iter
     (fun from ->
@@ -50,9 +42,7 @@ let test_shrink_for_consistent () =
     all_perms
 
 let test_pp () =
-  Alcotest.(check string) "perm" "T" (Perm.to_string Perm.Trunk);
-  Alcotest.(check string) "grow" "NtoT" (Format.asprintf "%a" Perm.pp_grow Perm.N_to_T);
-  Alcotest.(check string) "shrink" "TtoN" (Format.asprintf "%a" Perm.pp_shrink Perm.T_to_N)
+  Alcotest.(check (list string)) "perm" [ "N"; "B"; "T" ] (List.map Perm.to_string all_perms)
 
 let tests =
   ( "perm",
@@ -60,7 +50,6 @@ let tests =
       Alcotest.test_case "lattice order" `Quick test_order;
       Alcotest.test_case "grow endpoints" `Quick test_grow_endpoints;
       Alcotest.test_case "shrink endpoints" `Quick test_shrink_endpoints;
-      Alcotest.test_case "grow_for_read/write" `Quick test_grow_for;
       Alcotest.test_case "shrink_for consistent" `Quick test_shrink_for_consistent;
       Alcotest.test_case "pretty printing" `Quick test_pp;
     ] )

@@ -2,26 +2,27 @@ module Resource = Skipit_sim.Resource
 
 let test_single_unit_serializes () =
   let r = Resource.create "r" in
-  let s1, f1 = Resource.acquire r ~now:0 ~busy:10 in
-  let s2, f2 = Resource.acquire r ~now:0 ~busy:10 in
-  Alcotest.(check (pair int int)) "first immediate" (0, 10) (s1, f1);
-  Alcotest.(check (pair int int)) "second queued" (10, 20) (s2, f2)
+  Alcotest.(check int) "first immediate" 0 (Resource.acquire_start r ~now:0 ~busy:10);
+  Alcotest.(check int) "second queued" 20 (Resource.acquire_finish r ~now:0 ~busy:10);
+  Alcotest.(check int) "third behind both" 20 (Resource.acquire_start r ~now:0 ~busy:10)
 
 let test_parallel_units () =
   let r = Resource.create ~count:3 "r" in
-  let starts = List.init 4 (fun _ -> fst (Resource.acquire r ~now:0 ~busy:10)) in
+  let starts = List.init 4 (fun _ -> Resource.acquire_start r ~now:0 ~busy:10) in
   Alcotest.(check (list int)) "three run now, fourth waits" [ 0; 0; 0; 10 ] starts
 
 let test_idle_time_not_billed () =
   let r = Resource.create "r" in
-  let _ = Resource.acquire r ~now:0 ~busy:5 in
-  let s, f = Resource.acquire r ~now:100 ~busy:5 in
-  Alcotest.(check (pair int int)) "starts at request time when idle" (100, 105) (s, f)
+  ignore (Resource.acquire_finish r ~now:0 ~busy:5);
+  Alcotest.(check int) "starts at request time when idle" 100
+    (Resource.acquire_start r ~now:100 ~busy:5);
+  Alcotest.(check int) "and finishes busy cycles later" 115
+    (Resource.acquire_finish r ~now:100 ~busy:10)
 
 let test_all_free_at () =
   let r = Resource.create ~count:2 "r" in
-  ignore (Resource.acquire r ~now:0 ~busy:10);
-  ignore (Resource.acquire r ~now:0 ~busy:30);
+  ignore (Resource.acquire_finish r ~now:0 ~busy:10);
+  ignore (Resource.acquire_finish r ~now:0 ~busy:30);
   Alcotest.(check int) "all free when slowest done" 30 (Resource.all_free_at r);
   Alcotest.(check int) "earliest free" 10 (Resource.earliest_free r);
   Alcotest.(check int) "busy at t=5" 2 (Resource.busy_at r 5);
@@ -33,9 +34,7 @@ let test_pick_hold () =
   let s = Int.max 3 (Resource.earliest_free r) in
   Resource.hold r ~idx:i ~start:s ~finish:(s + 7);
   Alcotest.(check (pair int int)) "held from start to finish" (3, 10) (s, Resource.earliest_free r);
-  Alcotest.(check int) "billed finish - start" 7 (Resource.total_busy_cycles r);
-  let s2, _ = Resource.acquire r ~now:0 ~busy:0 in
-  Alcotest.(check int) "queued behind the hold" 10 s2;
+  Alcotest.(check int) "queued behind the hold" 10 (Resource.acquire_start r ~now:0 ~busy:0);
   Alcotest.check_raises "finish before start"
     (Invalid_argument "Resource.hold: finish < start") (fun () ->
       Resource.hold r ~idx:0 ~start:5 ~finish:4);
@@ -43,22 +42,14 @@ let test_pick_hold () =
   Resource.hold r ~idx:(Resource.min_index r) ~start:0 ~finish:20;
   Alcotest.(check int) "next pick is the other unit" 1 (Resource.min_index r)
 
-let test_utilization () =
-  let r = Resource.create "r" in
-  ignore (Resource.acquire r ~now:0 ~busy:4);
-  ignore (Resource.acquire r ~now:0 ~busy:6);
-  Alcotest.(check int) "busy cycles accumulate" 10 (Resource.total_busy_cycles r);
-  Resource.reset r;
-  Alcotest.(check int) "reset" 0 (Resource.total_busy_cycles r)
-
 let test_banked_routing () =
   let b = Resource.Banked.create ~banks:4 "banks" in
   (* Same line → same bank → serialize; different lines → parallel. *)
-  let _, f1 = Resource.Banked.acquire b ~addr:0 ~line_bytes:64 ~now:0 ~busy:10 in
-  let s2, _ = Resource.Banked.acquire b ~addr:0 ~line_bytes:64 ~now:0 ~busy:10 in
-  let s3, _ = Resource.Banked.acquire b ~addr:64 ~line_bytes:64 ~now:0 ~busy:10 in
-  Alcotest.(check int) "same bank serializes" f1 s2;
-  Alcotest.(check int) "other bank parallel" 0 s3;
+  let f1 = Resource.Banked.acquire_finish b ~addr:0 ~line_bytes:64 ~now:0 ~busy:10 in
+  let f2 = Resource.Banked.acquire_finish b ~addr:0 ~line_bytes:64 ~now:0 ~busy:10 in
+  let f3 = Resource.Banked.acquire_finish b ~addr:64 ~line_bytes:64 ~now:0 ~busy:10 in
+  Alcotest.(check int) "same bank serializes" (f1 + 10) f2;
+  Alcotest.(check int) "other bank parallel" 10 f3;
   (* Bank index wraps. *)
   let bank0 = Resource.Banked.bank_of b ~addr:0 ~line_bytes:64 in
   let bank4 = Resource.Banked.bank_of b ~addr:(4 * 64) ~line_bytes:64 in
@@ -86,7 +77,7 @@ module Naive = struct
     let i = pick t in
     let start = max now t.(i) in
     hold t ~idx:i ~start ~finish:(start + busy);
-    start, start + busy
+    start + busy
 
   let earliest_free (t : t) = Array.fold_left min t.(0) t
   let all_free_at (t : t) = Array.fold_left max t.(0) t
@@ -125,8 +116,8 @@ let print_step = function
   | Dyn (n, b, Some (n', b')) -> Printf.sprintf "D(%d,%d,[%d,%d])" n b n' b'
   | Reset -> "R"
 
-(* Run [steps], logging every picked unit, start, finish and the derived
-   queries after each step. *)
+(* Run [steps], logging every picked unit, start, finish (an acquisition
+   logs its finish) and the derived queries after each step. *)
 let run_script ~acquire ~pick ~hold ~earliest_free ~all_free_at ~busy_at ~reset steps =
   let log = ref [] in
   let note l = log := l :: !log in
@@ -135,8 +126,7 @@ let run_script ~acquire ~pick ~hold ~earliest_free ~all_free_at ~busy_at ~reset 
       let now =
         match step with
         | Acquire (now, busy) ->
-          let s, f = acquire ~now ~busy in
-          note [ s; f ];
+          note [ acquire ~now ~busy ];
           now
         | Dyn (now, busy, inner) ->
           let i = pick () in
@@ -170,7 +160,7 @@ let prop_matches_naive_scan =
   let r = Resource.create ~count "r" in
   let m = Naive.create count in
   let real =
-    run_script ~acquire:(Resource.acquire r)
+    run_script ~acquire:(Resource.acquire_finish r)
       ~pick:(fun () -> Resource.min_index r)
       ~hold:(Resource.hold r)
       ~earliest_free:(fun () -> Resource.earliest_free r)
@@ -198,8 +188,7 @@ let prop_start_never_before_now =
   let r = Skipit_sim.Resource.create ~count:2 "r" in
   List.for_all
     (fun (now, busy) ->
-      let s, f = Resource.acquire r ~now ~busy in
-      s >= now && f = s + busy)
+      Resource.acquire_start r ~now ~busy >= now)
     reqs
 
 let tests =
@@ -210,7 +199,6 @@ let tests =
       Alcotest.test_case "idle time not billed" `Quick test_idle_time_not_billed;
       Alcotest.test_case "all_free_at/busy_at" `Quick test_all_free_at;
       Alcotest.test_case "pick/hold" `Quick test_pick_hold;
-      Alcotest.test_case "utilization accounting" `Quick test_utilization;
       Alcotest.test_case "banked routing" `Quick test_banked_routing;
       QCheck_alcotest.to_alcotest prop_start_never_before_now;
       QCheck_alcotest.to_alcotest prop_matches_naive_scan;

@@ -15,8 +15,9 @@ module Rng = Skipit_sim.Rng
 (* == Arrival schedules ================================================== *)
 
 let schedule ?(process = Arrival.Poisson) ?(seed = 42) ?(rate = 8.) () =
-  Arrival.schedule ~process ~rate ~clients:8 ~requests:400 ~key_range:256
-    ~update_pct:20 ~seed ()
+  Arrival.schedule ~process
+    ~draw:(Arrival.uniform_draw ~key_range:256 ~update_pct:20)
+    ~rate ~clients:8 ~requests:400 ~key_range:256 ~update_pct:20 ~seed ()
 
 let req_tuple (r : Arrival.request) =
   (r.Arrival.arrival, r.Arrival.client, r.Arrival.seq, Arrival.op_name r.Arrival.op, r.Arrival.key)
@@ -114,8 +115,9 @@ let test_aggregate_path_matches_contract () =
      deterministic in the seed. *)
   let clients = 1024 in
   let make seed =
-    Arrival.schedule ~process:Arrival.Poisson ~rate:16. ~clients ~requests:600
-      ~key_range:256 ~update_pct:20 ~seed ()
+    Arrival.schedule ~process:Arrival.Poisson
+      ~draw:(Arrival.uniform_draw ~key_range:256 ~update_pct:20)
+      ~rate:16. ~clients ~requests:600 ~key_range:256 ~update_pct:20 ~seed ()
   in
   let s = make 42 in
   Alcotest.(check int) "requested length" 600 (Array.length s);

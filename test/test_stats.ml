@@ -1,5 +1,4 @@
 module Sample = Skipit_sim.Stats.Sample
-module Counter = Skipit_sim.Stats.Counter
 module Registry = Skipit_sim.Stats.Registry
 
 let of_list xs =
@@ -122,39 +121,42 @@ let prop_percentile_monotone =
   let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
   Sample.percentile s lo <= Sample.percentile s hi +. 1e-9
 
+(* A handle counts bumps of 1 and of k; a [bump_by h 0] reports the key
+   at 0, which is how a component makes a key print before its first
+   event. *)
 let test_counter () =
-  let c = Counter.create () in
-  Counter.incr c;
-  Counter.add c 5;
-  Alcotest.(check int) "count" 6 (Counter.get c);
-  Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Counter.get c)
+  let r = Registry.create () in
+  let c = Registry.handle r "beats" in
+  Registry.bump c;
+  Registry.bump_by c 5;
+  Alcotest.(check int) "count" 6 (Registry.get r "beats");
+  let z = Registry.handle r "zero" in
+  Registry.bump_by z 0;
+  Alcotest.(check (list (pair string int))) "bump_by 0 reports the key"
+    [ "beats", 6; "zero", 0 ] (Registry.to_list r)
 
 let test_registry () =
   let r = Registry.create () in
-  Registry.incr r "hits";
-  Registry.add r "hits" 2;
-  Registry.incr r "misses";
+  let hits = Registry.handle r "hits" and misses = Registry.handle r "misses" in
+  Registry.bump hits;
+  Registry.bump_by hits 2;
+  Registry.bump misses;
   Alcotest.(check int) "hits" 3 (Registry.get r "hits");
   Alcotest.(check int) "untouched" 0 (Registry.get r "nacks");
   Alcotest.(check (list (pair string int))) "to_list sorted"
     [ "hits", 3; "misses", 1 ]
-    (Registry.to_list r);
-  Registry.reset_all r;
-  Alcotest.(check int) "reset all" 0 (Registry.get r "hits")
+    (Registry.to_list r)
 
 let test_handle_binds_on_first_bump () =
   let r = Registry.create () in
   let hits = Registry.handle r "hits" and nacks = Registry.handle r "nacks" in
   Alcotest.(check (list (pair string int))) "unbumped handles stay out" [] (Registry.to_list r);
-  Registry.incr r "hits";
+  let again = Registry.handle r "hits" in
+  Registry.bump again;
   Registry.bump hits;
   Registry.bump_by hits 3;
-  Alcotest.(check (list (pair string int))) "a bump shares the named counter"
+  Alcotest.(check (list (pair string int))) "handles of one name share its counter"
     [ "hits", 5 ] (Registry.to_list r);
-  Registry.reset_all r;
-  Registry.bump hits;
-  Alcotest.(check int) "bound across reset_all" 1 (Registry.get r "hits");
   ignore nacks
 
 (* [copy_into] makes the target report what the source reports, keeps the
@@ -173,8 +175,8 @@ let test_registry_copy_into () =
   Registry.bump dst_hits;
   Alcotest.(check int) "handle still bumps the copy" 5 (Registry.get dst "hits");
   Alcotest.(check int) "source untouched" 4 (Registry.get src "hits");
-  Registry.incr src "evictions";
-  Registry.incr dst "probes";
+  Registry.bump (Registry.handle src "evictions");
+  Registry.bump (Registry.handle dst "probes");
   Registry.copy_into ~src ~dst;
   Alcotest.(check (list (pair string int))) "differing keys rebuilt"
     (Registry.to_list src) (Registry.to_list dst);

@@ -16,9 +16,9 @@ let test_single_task () =
   Alcotest.(check int) "value flows" 9 !seen;
   Alcotest.(check bool) "time advanced" true (final > 0)
 
-let test_core_id_and_now () =
+let test_now_per_core () =
   let sys = make () in
-  let ids = ref [] in
+  let seen = ref [] in
   ignore
     (T.run sys
        (List.init 2 (fun core ->
@@ -26,14 +26,14 @@ let test_core_id_and_now () =
             T.core;
             body =
               (fun () ->
-                (* Bind effects first: [!ids] must be read after the last
+                (* Bind effects first: [!seen] must be read after the last
                    suspension point or concurrent fibers lose updates. *)
-                let c = T.core_id () in
+                T.delay (100 * (core + 1));
                 let t = T.now () in
-                ids := (c, t) :: !ids);
+                seen := (core, t) :: !seen);
           })));
-  Alcotest.(check (list int)) "both cores ran" [ 0; 1 ]
-    (List.sort compare (List.map fst !ids))
+  Alcotest.(check (list (pair int int))) "each task reads its own core's clock"
+    [ 0, 100; 1, 200 ] (List.sort compare !seen)
 
 let test_timestamp_ordering () =
   (* The slow thread's store at t~1000 must land after the fast thread's at
@@ -363,7 +363,7 @@ let tests =
   ( "thread",
     [
       Alcotest.test_case "single task" `Quick test_single_task;
-      Alcotest.test_case "core_id/now" `Quick test_core_id_and_now;
+      Alcotest.test_case "now reads each core's clock" `Quick test_now_per_core;
       Alcotest.test_case "timestamp ordering" `Quick test_timestamp_ordering;
       Alcotest.test_case "two tasks, one core" `Quick test_two_tasks_one_core;
       Alcotest.test_case "flush+fence in task" `Quick test_fence_and_flush_in_thread;

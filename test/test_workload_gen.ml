@@ -443,6 +443,7 @@ let test_phase_trough_is_dark () =
         Arrival.schedule
           ~process:
             (Arrival.Phased { phases = [ (1000, 0); (1000, 2000) ]; base = Arrival.Poisson })
+          ~draw:(Arrival.uniform_draw ~key_range:64 ~update_pct:20)
           ~rate:8. ~clients ~requests:300 ~key_range:64 ~update_pct:20 ~seed:17
           ()
       in
@@ -484,6 +485,7 @@ let test_zipf_schedule_deterministic () =
   let uniform =
     Arrival.schedule
       ~process:(Arrival.Phased { phases = [ (500, 500); (500, 1500) ]; base = Arrival.Poisson })
+      ~draw:(Arrival.uniform_draw ~key_range:128 ~update_pct:20)
       ~rate:8. ~clients:8 ~requests:400 ~key_range:128 ~update_pct:20 ~seed:42
       ()
   in

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on an export that no other file names by its qualified name.
+"""Fail on an export that no program file names by its qualified name.
 
     python3 tools/lint_exports.py [ROOT]
 
@@ -17,8 +17,13 @@ test examples, other than its module's own m.ml and m.mli, names it as
     `include M`.
 
 Comments, strings and character literals are blanked first.  Every
-unused export is printed as `  FILE: M.v`; the exit status is 1 when
-there is one, 0 otherwise.
+unused export is printed as `  FILE: M.v`.
+
+An export that only files under test/ name is test-only code in lib/: it
+fails too, unless tools/test_seams.txt lists it (one `M.v` per line, as
+printed here; `#` starts a comment).  A listed name that a program file
+names, or that no interface exports, fails as stale.  The exit status is
+1 when anything fails, 0 otherwise.
 """
 
 import re
@@ -29,7 +34,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from lint_compare import blank  # noqa: E402
 
-SEARCH = ["lib", "bin", "bench", "perfbench", "tools", "test", "examples"]
+PROGRAM = ["lib", "bin", "bench", "perfbench", "tools", "examples"]
+TESTS = "test"
+SEAMS = Path("tools") / "test_seams.txt"
 UPPER = r"[A-Z][\w']*"
 LOWER = r"[a-z_][\w']*"
 ALIAS = re.compile(rf"\bmodule\s+({UPPER})\s*=\s*({UPPER}(?:\s*\.\s*{UPPER})*)")
@@ -93,11 +100,24 @@ def uses(text, local, global_aliases):
     return names
 
 
+def seams(root):
+    """The (module, val) pairs tools/test_seams.txt lists, with their line."""
+    out = {}
+    path = root / SEAMS
+    if path.exists():
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            name = line.split("#", 1)[0].strip()
+            if name:
+                module, _, val = name.rpartition(".")
+                out[(module, val)] = n
+    return out
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
     files = sorted(
         p
-        for d in SEARCH
+        for d in PROGRAM + [TESTS]
         for p in (root / d).rglob("*.ml*")
         if p.suffix in (".ml", ".mli") and "_build" not in p.parts
     )
@@ -111,19 +131,37 @@ def main():
             if a != b:
                 global_aliases[a].add(b)
     used_by = {p: uses(t, local_aliases[p], global_aliases) for p, t in texts.items()}
-    dead = []
+    is_test = {p: p.parts[len(root.parts)] == TESTS for p in files}
+    listed = seams(root)
+    exported, dead, test_only, stale = set(), [], [], []
     for mli in files:
         if mli.suffix != ".mli" or mli.parts[len(root.parts)] != "lib":
             continue
         own = {mli, mli.with_suffix(".ml")}
         for name in sorted(set(exports(mli, texts[mli]))):
-            if not any(name in used_by[p] for p in files if p not in own):
-                dead.append(f"  {mli.relative_to(root)}: {name[0]}.{name[1]}")
-    if dead:
-        print("exports no other file names:")
-        print("\n".join(dead))
-        return 1
-    return 0
+            exported.add(name)
+            users = [p for p in files if p not in own and name in used_by[p]]
+            line = f"  {mli.relative_to(root)}: {name[0]}.{name[1]}"
+            if not users:
+                dead.append(line)
+            elif all(is_test[p] for p in users):
+                if name not in listed:
+                    test_only.append(line)
+            elif name in listed:
+                n = listed[name]
+                stale.append(f"  {SEAMS}:{n}: {name[0]}.{name[1]} (a program file names it)")
+    for name, n in sorted(listed.items(), key=lambda kv: kv[1]):
+        if name not in exported:
+            stale.append(f"  {SEAMS}:{n}: {name[0]}.{name[1]} (no interface exports it)")
+    for title, lines in [
+        ("exports no other file names:", dead),
+        (f"exports only test/ names (delete them, or list them in {SEAMS}):", test_only),
+        (f"stale entries in {SEAMS}:", stale),
+    ]:
+        if lines:
+            print(title)
+            print("\n".join(lines))
+    return 1 if dead or test_only or stale else 0
 
 
 if __name__ == "__main__":
