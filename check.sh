@@ -52,9 +52,10 @@ if grep -rln -- '-> "link-and-persist"' lib/ | grep -vx lib/workload/ds_bench.ml
   exit 1
 fi
 
-# One durability judge: durable linearizability is checked and worded in
-# Dlin alone, which the crash campaign and the fleet both call.
-if grep -rlE 'durably-inserted|durably-deleted|phantom element|acked-prefix|amnesty' lib/ \
+# One durability judge: durable linearizability, and the verdict on a
+# snapshot walk that loops, are checked and worded in Dlin alone, which the
+# crash campaign and the fleet both call.
+if grep -rlE 'durably-inserted|durably-deleted|phantom element|acked-prefix|amnesty|snapshot walk loops' lib/ \
   | grep -vx lib/audit/dlin.ml; then
   echo "check.sh: a durability verdict outside lib/audit/dlin.ml; judge it with Dlin" >&2
   exit 1
@@ -66,6 +67,14 @@ fi
 # call.
 if grep -rnE 'check_coherence|check_inclusion|check_invariants' lib bin examples; then
   echo "check.sh: a second structural checker (above); judge the hierarchy with Invariant.check_all" >&2
+  exit 1
+fi
+
+# One per-dispatch callback: the Auditor observes from a run's stop
+# predicate (Auditor.tick, in Campaign.run and Recovery.run), so neither
+# System nor Thread carries an audit hook of its own.
+if grep -rnE 'set_audit_hook|maybe_audit' lib bin examples; then
+  echo "check.sh: an audit hook in the simulator (above); tick the Auditor from the run's stop predicate" >&2
   exit 1
 fi
 

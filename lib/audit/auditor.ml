@@ -26,9 +26,15 @@ type t = {
      restores the initial bucket count, so it iterates as a fresh table. *)
   now_dirty : unit Tbl.t;
   mutable rev_failures : Invariant.violation list;
+  (* The schedule: [tick] observes once the maximum core clock reaches
+     [next_due], [max_int] until [attach] arms it. *)
+  mutable every : int;
+  mutable next_due : int;
 }
 
-let create sys = { sys; tracked = Tbl.create 64; now_dirty = Tbl.create 64; rev_failures = [] }
+let create sys =
+  { sys; tracked = Tbl.create 64; now_dirty = Tbl.create 64; rev_failures = []; every = 0;
+    next_due = max_int }
 
 let persist_count t addr = PL.persist_count (S.persist_log t.sys) ~addr
 
@@ -95,12 +101,27 @@ let observe t =
   t.rev_failures <- List.rev_append fresh t.rev_failures;
   fresh
 
-let attach t ~every = S.set_audit_hook t.sys ~every (fun _ -> ignore (observe t))
+let attach t ~every =
+  if every <= 0 then invalid_arg "Auditor.attach: every must be positive";
+  t.every <- every;
+  t.next_due <- S.max_clock t.sys + every
+
+(* Catch up in one observation even if the clock jumped several periods. *)
+let tick t =
+  let now = S.max_clock t.sys in
+  if now >= t.next_due then begin
+    t.next_due <- now + t.every;
+    ignore (observe t)
+  end
+
 let note_crash t = Tbl.reset t.tracked
 
 (* [Tbl.copy] keeps the bucket layout, so the copy iterates, and reports
    violations, in [src]'s order. *)
 let copy_into ~src ~dst =
   dst.tracked <- Tbl.copy src.tracked;
-  dst.rev_failures <- src.rev_failures
+  dst.rev_failures <- src.rev_failures;
+  dst.every <- src.every;
+  dst.next_due <- src.next_due
+
 let failures t = List.rev t.rev_failures

@@ -9,9 +9,9 @@
     turns clean while its value still differs from NVMM is exactly the
     elided-writeback bug class FliT exists to catch.
 
-    An auditor can be invoked directly ({!observe}) or attached as the
-    periodic {!Skipit_core.System} audit hook ({!attach}) — the hook is
-    untimed, so golden cycle counts are identical with auditing on or
+    An auditor observes when called ({!observe}), or on its own periodic
+    schedule ({!attach}, then {!tick} from the driver's run).  Observing
+    is untimed, so golden cycle counts are identical with auditing on or
     off. *)
 
 type t
@@ -24,8 +24,17 @@ val observe : t -> Invariant.violation list
     from this observation. *)
 
 val attach : t -> every:int -> unit
-(** Install {!observe} as the system's periodic audit hook, firing every
-    [every] simulated cycles.  Violations accumulate in {!failures}. *)
+(** Arm the periodic schedule: the first {!tick} at which the system's
+    maximum core clock is [every] cycles past its value now observes.
+    Raises [Invalid_argument] unless [every] is positive. *)
+
+val tick : t -> unit
+(** {!observe} once the schedule is due; the next observation is then due
+    [every] cycles past the current clock (one catches up several periods).
+    A no-op before {!attach}.  Tick at every [stop] consultation of a
+    {!Skipit_core.Thread.run_until} run, before its test, and once when the
+    run completes: task bodies change the system only through [Thread]'s
+    operations, so this sees every instruction that makes the schedule due. *)
 
 val note_crash : t -> unit
 (** Tell the auditor a power failure happened: dirty lines legitimately
@@ -33,9 +42,9 @@ val note_crash : t -> unit
     conservation, judges crash-induced loss). *)
 
 val copy_into : src:t -> dst:t -> unit
-(** Give [dst] [src]'s tracked dirty lines and recorded failures.  Each
-    auditor keeps watching its own system: copy the systems with
-    {!Skipit_core.System.copy_into}. *)
+(** Give [dst] [src]'s tracked dirty lines, recorded failures and
+    schedule.  Each auditor keeps watching its own system: copy the
+    systems with {!Skipit_core.System.copy_into}. *)
 
 val failures : t -> Invariant.violation list
 (** All violations recorded so far, oldest first. *)

@@ -177,7 +177,6 @@ let build_system spec =
    arguments come first, so a copy can be built like its original. *)
 type world = {
   spec : spec;
-  audit_every : int;
   sys : S.t;
   p : Pctx.t;  (* the realized strategy, counting its persist points *)
   target : target;
@@ -220,17 +219,7 @@ let build ?(audit_every = 400) spec =
   let p = counted_pctx spec Mem_port.timed (S.allocator sys) ~fault_calls ~persist_points in
   let auditor = Auditor.create sys in
   Auditor.attach auditor ~every:audit_every;
-  {
-    spec;
-    audit_every;
-    sys;
-    p;
-    target = gen_target spec;
-    auditor;
-    persist_points;
-    fault_calls;
-    completed = 0;
-  }
+  { spec; sys; p; target = gen_target spec; auditor; persist_points; fault_calls; completed = 0 }
 
 let system w = w.sys
 let persist_points w = !(w.persist_points)
@@ -263,10 +252,16 @@ let body w () =
   run_schedule w.target w.p (S.allocator w.sys) ~completed:(fun () ->
     w.completed <- w.completed + 1)
 
+(* The auditor ticks at every [stop] consultation, before [stop]'s own
+   test, and once more at completion (see {!Auditor.tick}). *)
 let run w ~stop =
+  let a = w.auditor in
+  let stop () = Auditor.tick a; stop () in
   match T.run_until w.sys ~stop [ { T.core = 0; body = body w } ] with
   | `Stopped _ -> true
-  | `Completed _ -> false
+  | `Completed _ ->
+    Auditor.tick a;
+    false
 
 (* The schedule as a {!Dlin} history: the first [completed] ops are
    acked, stamped by their index, and a crash leaves the next one in
@@ -293,12 +288,12 @@ let finish w ~crashed =
      [repair-hang], and the structure it left is not walked for a verdict.
      A snapshot whose links loop is the trial's [snapshot-cycle]. *)
   let durability repair verdicts =
-    match if crashed then Recovery.run w.sys ~doing:(fun () -> "repair") repair else Ok 0 with
+    let observe () = Auditor.tick w.auditor in
+    match if crashed then Recovery.run w.sys ~observe ~doing:(fun () -> "repair") repair else Ok 0 with
     | Ok _ -> (
       match verdicts () with
       | vs -> List.iter (fun v -> add v.Invariant.detail) vs
-      | exception Node.Cycle at ->
-        add (Printf.sprintf "[snapshot-cycle] the snapshot walk loops (at node %#x)" at))
+      | exception Node.Cycle at -> add (Invariant.violation_to_string (Dlin.snapshot_cycle at)))
     | Error e -> add (Invariant.violation_to_string (Invariant.make ~rule:"repair-hang" e))
   in
   let completed = w.completed in
@@ -372,15 +367,15 @@ let with_persists ~persists (t : trial) =
 (* ------------------------------------------------------------------ *)
 (* Forked crash trials.                                               *)
 
-(* Make [dst], a world built with [src]'s arguments, a faithful copy of
+(* Make [dst], a world built from [src]'s spec, a faithful copy of
    [src] paused between dispatches.  Every component is copied in place
    by its own [copy_into], so [dst]'s closures stay wired to [dst]'s
    components; the structure handle is the one piece rebuilt, on [dst]'s
    allocator.  Whatever [dst] held before, a finished trial included, is
    overwritten. *)
 let copy_into ~src ~dst =
-  if (dst.spec != src.spec && dst.spec <> src.spec) || dst.audit_every <> src.audit_every then
-    invalid_arg "Campaign.copy_into: worlds built from different arguments";
+  if dst.spec != src.spec && dst.spec <> src.spec then
+    invalid_arg "Campaign.copy_into: worlds built from different specs";
   S.copy_into ~src:src.sys ~dst:dst.sys;
   Auditor.copy_into ~src:src.auditor ~dst:dst.auditor;
   dst.persist_points := !(src.persist_points);
@@ -393,7 +388,7 @@ let copy_into ~src ~dst =
   | (Set_target _ | Queue_target _), _ -> assert false (* same spec *)
 
 let copy w =
-  let twin = build ~audit_every:w.audit_every w.spec in
+  let twin = build w.spec in
   copy_into ~src:w ~dst:twin;
   twin
 
@@ -536,56 +531,59 @@ let shrink fail =
 (* ------------------------------------------------------------------ *)
 (* Reproducer files.                                                  *)
 
+(* The file's keys in order, over a spec and its crash boundary
+   ([crash_at=0] for none); [l2_banks] is written only when it is not 1. *)
+let repro_fields =
+  let named k name of_name get set =
+    Repro_file.named k name of_name ~get:(fun (s, _) -> get s) ~set:(fun (s, b) v -> (set s v, b))
+  in
+  let int ?optional ?check k show set =
+    Repro_file.int ?optional ?check k ~show:(fun (s, _) -> show s) ~set:(fun (s, b) n ->
+      (set s n, b))
+  in
+  [
+    named "structure" structure_name structure_of_name (fun s -> s.structure) (fun s structure ->
+      { s with structure });
+    named "mode" Pctx.mode_name Pctx.mode_of_name (fun s -> s.mode) (fun s mode -> { s with mode });
+    named "strategy" Ds_bench.spec_name Ds_bench.spec_of_name (fun s -> s.strategy)
+      (fun s strategy -> { s with strategy });
+    named "fault" fault_name fault_of_name (fun s -> s.fault) (fun s fault -> { s with fault });
+    int "seed" (fun s -> Some s.seed) (fun s seed -> { s with seed });
+    int "ops"
+      ~check:(fun n -> if n < 1 then Some "ops must be at least 1" else None)
+      (fun s -> Some s.n_ops)
+      (fun s n_ops -> { s with n_ops });
+    int ~optional:true "l2_banks"
+      ~check:(fun n ->
+        if n < 1 || n land (n - 1) <> 0 then Some "l2_banks must be a power of two >= 1" else None)
+      (fun s -> if s.l2_banks = 1 then None else Some s.l2_banks)
+      (fun s l2_banks -> { s with l2_banks });
+    Repro_file.int "crash_at"
+      ~check:(fun b -> if b < 0 then Some "crash_at must be non-negative" else None)
+      ~show:(fun (_, b) -> Some b) ~set:(fun (s, _) b -> (s, b));
+  ]
+
 let write_reproducer path (fail : failure) =
   Repro_file.write path
     ~header:(Printf.sprintf "skipit_sim audit reproducer (replay: skipit_sim audit --repro %s)" path)
     ~notes:(List.map (( ^ ) "violation: ") fail.violations)
-    ([
-       ("structure", structure_name fail.spec.structure);
-       ("mode", Pctx.mode_name fail.spec.mode);
-       ("strategy", Ds_bench.spec_name fail.spec.strategy);
-       ("fault", fault_name fail.spec.fault);
-       ("seed", string_of_int fail.spec.seed);
-       ("ops", string_of_int fail.spec.n_ops);
-     ]
-     @ (if fail.spec.l2_banks = 1 then [] else [ ("l2_banks", string_of_int fail.spec.l2_banks) ])
-     @ [ ("crash_at", string_of_int (match fail.crash_at with Some b -> b | None -> 0)) ])
+    repro_fields
+    (fail.spec, Option.value fail.crash_at ~default:0)
 
 let read_reproducer path =
   let ( let* ) = Result.bind in
   let* r = Repro_file.read path in
-  let* structure = Repro_file.parse r "structure" structure_of_name in
-  let* mode = Repro_file.parse r "mode" Pctx.mode_of_name in
-  let* strategy = Repro_file.parse r "strategy" Ds_bench.spec_of_name in
-  let* fault = Repro_file.parse r "fault" fault_of_name in
-  let* seed = Repro_file.int r "seed" in
-  let* n_ops = Repro_file.int r "ops" in
-  let* () = if n_ops < 1 then Error "ops must be at least 1" else Ok () in
-  let* l2_banks =
-    match Repro_file.find r "l2_banks" with None -> Ok 1 | Some _ -> Repro_file.int r "l2_banks"
+  let blank =
+    { structure = Queue; mode = Pctx.Manual; strategy = Ds_bench.Plain; fault = No_fault; seed = 0;
+      n_ops = 1; l2_banks = 1 }
   in
-  let* () =
-    if l2_banks < 1 || l2_banks land (l2_banks - 1) <> 0 then
-      Error "l2_banks must be a power of two >= 1"
-    else Ok ()
-  in
-  let* crash_at = Repro_file.int r "crash_at" in
-  let* () = if crash_at < 0 then Error "crash_at must be non-negative" else Ok () in
-  let spec = { structure; mode; strategy; fault; seed; n_ops; l2_banks } in
-  let* () =
-    if compatible spec then Ok ()
-    else
-      Error
-        (Printf.sprintf "strategy %s cannot be crash-tested on %s" (Ds_bench.spec_name strategy)
-           (structure_name structure))
-  in
-  Ok
-    {
-      spec;
-      crash_at = (if crash_at > 0 then Some crash_at else None);
-      completed = 0;
-      violations = [];
-    }
+  let* spec, b = Repro_file.decode r repro_fields (blank, 0) in
+  if compatible spec then
+    Ok { spec; crash_at = (if b > 0 then Some b else None); completed = 0; violations = [] }
+  else
+    Error
+      (Printf.sprintf "strategy %s cannot be crash-tested on %s" (Ds_bench.spec_name spec.strategy)
+         (structure_name spec.structure))
 
 let pp_report ppf r =
   match r.failure with

@@ -127,14 +127,15 @@ val system : world -> Skipit_core.System.t
 val persist_points : world -> int
 
 val copy_into : src:world -> dst:world -> unit
-(** Make [dst] a faithful copy of [src], overwriting whatever [dst] held
-    (a finished trial included).  [dst] must have been built with [src]'s
-    arguments; it keeps its own components and the closures wiring them,
-    so the two share no mutable state afterwards.  [src] must be paused
+(** Make [dst] a faithful copy of [src], the auditor's schedule included,
+    overwriting whatever [dst] held (a finished trial included).  [dst]
+    must have been built from [src]'s spec; it keeps its own components
+    and the closures wiring them, so the two share no mutable state
+    afterwards.  [src] must be paused
     between dispatches (or not yet run). *)
 
 val copy : world -> world
-(** A fresh world built with [w]'s arguments, then {!copy_into}. *)
+(** A fresh world built from [w]'s spec, then {!copy_into}. *)
 
 val crash_trials : spec -> int list -> (int * trial) list
 (** [crash_trials spec bs] is [List.map (fun b -> b, run_trial spec

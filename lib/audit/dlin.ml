@@ -86,3 +86,6 @@ let queue ~crashed history snapshot =
                 | Dequeue -> " (or with pending dequeue applied)")
               pending));
     ]
+
+let snapshot_cycle at =
+  Invariant.make ~rule:"snapshot-cycle" (Printf.sprintf "the snapshot walk loops (at node %#x)" at)

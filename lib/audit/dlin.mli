@@ -33,3 +33,7 @@ type queue_op = Enqueue of int | Dequeue
 val queue : crashed:bool -> (queue_op * ack) list -> int list -> Invariant.violation list
 (** [queue ~crashed history snapshot], the queue empty at first and its
     snapshot listed head first: no violation, or one naming both lists. *)
+
+val snapshot_cycle : int -> Invariant.violation
+(** The verdict when no snapshot can be taken because the walk loops
+    ([Node.Cycle] at the given node): rule [snapshot-cycle]. *)

@@ -1,10 +1,33 @@
 type t = (string, string) Hashtbl.t
 
-let write path ~header ?(notes = []) fields =
+type 'a field = {
+  key : string;
+  optional : bool;
+  show : 'a -> string option;
+  read : 'a -> string -> ('a, string) result;
+}
+
+let named ?(optional = false) key name of_name ~get ~set =
+  let show a = Some (name (get a)) in
+  let read a v =
+    Option.to_result ~none:(Printf.sprintf "unknown %s %s" key v) (Option.map (set a) (of_name v))
+  in
+  { key; optional; show; read }
+
+let int ?(optional = false) ?(check = fun _ -> None) key ~show ~set =
+  let show a = Option.map string_of_int (show a) in
+  let read a v =
+    match int_of_string_opt v with
+    | None -> Error ("bad integer for " ^ key)
+    | Some n -> ( match check n with Some why -> Error why | None -> Ok (set a n))
+  in
+  { key; optional; show; read }
+
+let write path ~header ?(notes = []) fields v =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   Printf.fprintf oc "# %s\n" header;
-  List.iter (fun (k, v) -> Printf.fprintf oc "%s=%s\n" k v) fields;
+  List.iter (fun f -> Option.iter (Printf.fprintf oc "%s=%s\n" f.key) (f.show v)) fields;
   List.iter (Printf.fprintf oc "# %s\n") notes
 
 let read path =
@@ -26,14 +49,12 @@ let read path =
     Ok fields
   with Sys_error e -> Error e
 
-let find = Hashtbl.find_opt
-
-let get t k = Option.to_result ~none:("missing field " ^ k) (find t k)
-
-let parse t k of_name =
-  Result.bind (get t k) (fun v ->
-    Option.to_result ~none:(Printf.sprintf "unknown %s %s" k v) (of_name v))
-
-let int t k =
-  Result.bind (get t k) (fun v ->
-    Option.to_result ~none:("bad integer for " ^ k) (int_of_string_opt v))
+let decode t fields v =
+  List.fold_left
+    (fun acc f ->
+      Result.bind acc (fun v ->
+        match Hashtbl.find_opt t f.key with
+        | None when f.optional -> Ok v
+        | None -> Error ("missing field " ^ f.key)
+        | Some s -> f.read v s))
+    (Ok v) fields

@@ -79,8 +79,9 @@ type t = {
       (** §3.2: stores retire at commit and drain from the STQ in the
           background (BOOM's actual behaviour; the ROB considers a store
           complete once the data cache accepts it).  Off = stores block the
-          core until the cache completes them (the stricter model, as an
-          ablation). *)
+          core until the cache completes them, the stricter model, which
+          only unit tests run: no figure, [ablate] row, serve, fleet or
+          audit run turns it off. *)
   stq_entries : int;  (** Store-queue capacity (32 in SonicBOOM, Fig. 2). *)
   topology : [ `Crossbar | `Shared_bus | `Banked_bus ];
       (** Interconnect shape between the L1 clients and the LLC.

@@ -10,17 +10,6 @@ open Skipit_tilelink
 
 module Memside = Skipit_l2.Memside_cache
 
-(* Periodic audit hook (off by default): [hook] fires whenever the maximum
-   core clock has advanced at least [every] simulated cycles since the last
-   firing.  The hook is untimed — it must only observe, never execute
-   instructions — so enabling it cannot perturb cycle counts. *)
-type audit_state = {
-  every : int;
-  mutable next_due : int;
-  mutable in_hook : bool;
-  hook : unit -> unit;
-}
-
 type t = {
   params : Params.t;
   dcaches : Dcache.t array;
@@ -32,7 +21,6 @@ type t = {
   dram : Dram.t;
   allocator : Allocator.t;
   persist_log : Skipit_mem.Persist_log.t;
-  mutable audit : audit_state option;
 }
 
 let create params =
@@ -109,7 +97,6 @@ let create params =
     dram;
     allocator = Allocator.create ();
     persist_log;
-    audit = None;
   }
 
 let params t = t.params
@@ -122,8 +109,8 @@ let dram t = t.dram
 let persist_log t = t.persist_log
 let allocator t = t.allocator
 
-(* Runs on every dispatch while an audit hook is attached: an int loop,
-   not a fold with the polymorphic [max]. *)
+(* Runs on every stop consultation of an audited run: an int loop, not a
+   fold with the polymorphic [max]. *)
 let max_clock t =
   let m = ref 0 in
   for core = 0 to Array.length t.lsus - 1 do
@@ -131,26 +118,7 @@ let max_clock t =
   done;
   !m
 
-let set_audit_hook t ~every hook =
-  if every <= 0 then invalid_arg "System.set_audit_hook: every must be positive";
-  t.audit <- Some { every; next_due = max_clock t + every; in_hook = false; hook = (fun () -> hook t) }
-
-let maybe_audit t =
-  match t.audit with
-  | None -> ()
-  | Some a ->
-    let now = max_clock t in
-    if now >= a.next_due && not a.in_hook then begin
-      a.in_hook <- true;
-      (* Catch up in one firing even if the clock jumped several periods. *)
-      a.next_due <- now + a.every;
-      Fun.protect ~finally:(fun () -> a.in_hook <- false) a.hook
-    end
-
-let exec t ~core instr =
-  let r = Lsu.exec t.lsus.(core) instr in
-  maybe_audit t;
-  r
+let exec t ~core instr = Lsu.exec t.lsus.(core) instr
 
 let load t ~core addr = exec t ~core (Instr.Load { addr })
 let store t ~core addr value = ignore (exec t ~core (Instr.Store { addr; value }))
@@ -183,7 +151,7 @@ let persisted_word t addr = Dram.peek_word t.dram addr
 
 (* Every component is copied once, here: the wiring between them (ports,
    memside ports, the DRAM's log) belongs to the system, not to either
-   end.  The audit hook is [dst]'s own; only its schedule is copied. *)
+   end. *)
 let copy_into ~src ~dst =
   Array.iter2 (fun src dst -> Dcache.copy_into ~src ~dst) src.dcaches dst.dcaches;
   Array.iter2 (fun src dst -> Lsu.copy_into ~src ~dst) src.lsus dst.lsus;
@@ -198,14 +166,7 @@ let copy_into ~src ~dst =
    | (Some _ | None), _ -> assert false (* equal parameters *));
   Dram.copy_into ~src:src.dram ~dst:dst.dram;
   Allocator.copy_into ~src:src.allocator ~dst:dst.allocator;
-  Skipit_mem.Persist_log.copy_into ~src:src.persist_log ~dst:dst.persist_log;
-  match src.audit, dst.audit with
-  | None, _ -> dst.audit <- None
-  | Some a, Some b ->
-    if b.every <> a.every then invalid_arg "System.copy_into: audit periods differ";
-    b.next_due <- a.next_due;
-    b.in_hook <- a.in_hook
-  | Some _, None -> invalid_arg "System.copy_into: no audit hook to copy into"
+  Skipit_mem.Persist_log.copy_into ~src:src.persist_log ~dst:dst.persist_log
 
 let crash t =
   Array.iter Dcache.crash t.dcaches;

@@ -74,24 +74,7 @@ val copy_into : src:t -> dst:t -> unit
     every cache, LSU, port, memside port, the DRAM contents, allocator
     and persist log.  Typed and in place: [dst]'s components and the
     closures wiring them stay [dst]'s own, so the two systems share no
-    mutable state afterwards.  [dst] must come from the same parameters.
-    An audit hook is not copied, only its schedule: [dst] must have its
-    own hook installed with the same period when [src] has one (and
-    loses it when [src] has none). *)
-
-val set_audit_hook : t -> every:int -> (t -> unit) -> unit
-(** Install a periodic audit hook: [hook] fires after any instruction that
-    advances the maximum core clock at least [every] cycles past the last
-    firing (and from {!Thread}'s scheduler between instructions).  The hook
-    must be purely observational — it runs outside simulated time, so
-    enabling it never changes cycle counts.  Off by default; at most one
-    hook is installed (a second call replaces the first). *)
-
-val maybe_audit : t -> unit
-(** Fire the installed audit hook if its period has elapsed (no-op
-    otherwise, and when no hook is installed).  Called automatically by
-    the instruction wrappers and by {!Thread.run}; exposed for custom
-    drivers. *)
+    mutable state afterwards.  [dst] must come from the same parameters. *)
 
 val emit_trace_meta : t -> unit
 (** When tracing is active, emit one [Meta] event per component track

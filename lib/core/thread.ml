@@ -17,7 +17,6 @@ type _ Effect.t += Mem : request -> int Effect.t | Halt : never Effect.t
    [cur] indexes the running one, whose LSU is cached in [lsu].  [started]
    is false while the tasks are being started. *)
 type ctx = {
-  system : System.t;
   stop : (unit -> bool) option;
   mutable lsus : Lsu.t array;
   mutable live : int;
@@ -83,35 +82,21 @@ let answer c = function
   | Exec i -> Lsu.exec c.lsu i
   | Get_now -> Lsu.clock c.lsu
 
-let request r =
-  match here () with
-  | Some c ->
-    let v = answer c r in
-    System.maybe_audit c.system;
-    v
-  | None -> perform (Mem r)
+let request r = match here () with Some c -> answer c r | None -> perform (Mem r)
 
 let load addr =
   match here () with
-  | Some c ->
-    let v = Lsu.load c.lsu addr in
-    System.maybe_audit c.system;
-    v
+  | Some c -> Lsu.load c.lsu addr
   | None -> perform (Mem (Exec (Instr.Load { addr })))
 
 let store addr value =
   match here () with
-  | Some c ->
-    Lsu.store c.lsu addr value;
-    System.maybe_audit c.system
+  | Some c -> Lsu.store c.lsu addr value
   | None -> ignore (perform (Mem (Exec (Instr.Store { addr; value }))))
 
 let cas addr ~expected ~desired =
   match here () with
-  | Some c ->
-    let ok = Lsu.cas c.lsu addr ~expected ~desired in
-    System.maybe_audit c.system;
-    ok
+  | Some c -> Lsu.cas c.lsu addr ~expected ~desired
   | None -> perform (Mem (Exec (Instr.Cas { addr; expected; desired }))) = 1
 
 let clean addr = ignore (request (Exec (Instr.Cbo_clean { addr })))
@@ -139,7 +124,6 @@ let run_fibers (type r) system (mode : r mode) tasks : r =
   let stop = match mode with Forever -> None | Until s -> Some s in
   let c =
     {
-      system;
       stop;
       lsus = [||];
       live = 0;
@@ -199,7 +183,6 @@ let run_fibers (type r) system (mode : r mode) tasks : r =
       c.cur <- i;
       c.lsu <- c.lsus.(i);
       let v = answer c f.req in
-      System.maybe_audit system;
       match continue f.k v with
       | Done ->
         finished i;
@@ -232,7 +215,7 @@ let run_fibers (type r) system (mode : r mode) tasks : r =
    the caller's stack, with no fiber. *)
 let lone system core =
   let lsu = System.lsu system core in
-  { system; stop = None; lsus = [| lsu |]; live = 1; cur = 0; lsu; started = true }
+  { stop = None; lsus = [| lsu |]; live = 1; cur = 0; lsu; started = true }
 
 let run system tasks =
   match tasks with

@@ -10,28 +10,29 @@
 
     {b Inline dispatch.}  When the task requesting an instruction is the one
     the scheduler would pick next, the instruction executes in place, on the
-    task's own stack, followed by the system's audit hook
-    ({!System.set_audit_hook}).  A task leaves its stack (an effect) only to
-    hand off to an earlier task, or when a {!run_until} predicate fires.  A
-    lone task that cannot be stopped ({!run} of one task, {!run_task}) runs
-    on the caller's stack with no fiber at all.  Every instruction, stop
-    check and audit-hook call happens in the order the timestamp rule
-    defines, however a request is dispatched.
+    task's own stack: the LSU call and nothing else.  A task leaves its
+    stack (an effect) only to hand off to an earlier task, or when a
+    {!run_until} predicate fires.  A lone task that cannot be stopped
+    ({!run} of one task, {!run_task}) runs on the caller's stack with no
+    fiber at all.  Every instruction and stop check happens in the order
+    the timestamp rule defines, however a request is dispatched.  A
+    {!run_until} predicate is the one per-dispatch callback: an observer
+    such as the crash campaign's auditor runs inside it.
 
-    Consequently an exception raised by the memory hierarchy or by the
-    audit hook propagates {e through the task body} before it leaves
+    Consequently an exception raised by the memory hierarchy or by a stop
+    predicate propagates {e through the task body} before it leaves
     {!run}: a handler in the body sees it.  Task code must not catch
     exceptions it does not raise itself.  Today the only handler in any
     task body is [Skiplist]'s, for its own [Retry]; [test/test_thread.ml]
-    checks that no structure swallows a hierarchy exception.
+    checks that no structure swallows an exception a predicate raises.
 
     The running scheduler is recorded per domain, so runs on different
     domains are independent, and runs nest: a run started from inside a
-    task body, a stop predicate or an audit hook (on another system)
-    restores the enclosing run's context when it returns or raises.  The
-    operations below must be called from inside a task body; called outside
-    any run they raise [Effect.Unhandled].  Stop predicates and audit hooks
-    must not call them for the enclosing run. *)
+    task body or a stop predicate (on another system) restores the
+    enclosing run's context when it returns or raises.  The operations
+    below must be called from inside a task body; called outside any run
+    they raise [Effect.Unhandled].  Stop predicates must not call them for
+    the enclosing run. *)
 
 val load : int -> int
 val store : int -> int -> unit

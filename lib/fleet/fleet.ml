@@ -329,7 +329,7 @@ exception Hung of string
    its hint log): past it the run ends with a [fleet-hang] violation.
    [doing] names the operation in progress for the violation. *)
 let bounded s ~doing f =
-  match Recovery.run s.sys ~doing:(fun () -> !doing) f with
+  match Recovery.run s.sys ~observe:ignore ~doing:(fun () -> !doing) f with
   | Ok c -> c
   | Error what -> raise (Hung (Printf.sprintf "shard %d: %s" s.sid what))
 
@@ -861,9 +861,8 @@ let run cfg ~rate =
             (Dlin.set ~crashed:(s.crashes > 0) ~initial:initial.(s.sid) history.(s.sid)
                snapshot)
         | exception Skipit_pds.Node.Cycle at ->
-          violation
-            (Invariant.make ~rule:"snapshot-cycle"
-               (Printf.sprintf "shard %d: the snapshot walk loops (at node %#x)" s.sid at)))
+          let v = Dlin.snapshot_cycle at in
+          violation { v with detail = Printf.sprintf "shard %d: %s" s.sid v.Invariant.detail })
       shards
   in
   let hang = match serve_all () with () -> None | exception Hung what -> Some what in
@@ -922,23 +921,26 @@ let sweep ?pool cfg ~rates = Pool.map pool (fun rate -> run cfg ~rate) rates
 (* ------------------------------------------------------------------ *)
 (* Reproducers (campaign-style key=value files) and shrinking.        *)
 
-(* Every reproducer key, in file order, with whether it may be absent (keys
-   older reproducers predate), its printer ([None] omits the line) and its
-   parser into a config.  The writer and the reader both walk this table;
-   the reader ignores other keys (older files' [linger] and [fanout]). *)
+(* Every reproducer key, in file order, over the run's config and rate.
+   Only keys/churn/drop_persists may be absent (keys older reproducers
+   predate); the reader ignores other keys (older files' [linger] and
+   [fanout]). *)
 let repro_fields =
-  let field ?(optional = false) k show (read : config -> string -> config option) =
-    (k, optional, show, read)
+  let named ?optional k name of_name (get : config -> _) set =
+    Repro_file.named ?optional k name of_name
+      ~get:(fun (c, _) -> get c)
+      ~set:(fun (c, rate) v -> (set c v, rate))
   in
-  let named k name of_name (get : config -> _) set =
-    field k (fun c -> Some (name (get c))) (fun c v -> Option.map (set c) (of_name v))
+  let shown_int ?optional k show set =
+    Repro_file.int ?optional k ~show:(fun (c, _) -> show c) ~set:(fun (c, rate) n -> (set c n, rate))
   in
-  let int k = named k string_of_int int_of_string_opt in
-  let opt_int k (get : config -> _) set =
-    field ~optional:true k (fun c -> Option.map string_of_int (get c)) (fun c v ->
-      Option.map (fun n -> set c (Some n)) (int_of_string_opt v))
+  let int k (get : config -> int) = shown_int k (fun c -> Some (get c)) in
+  let opt_int k (get : config -> int option) set =
+    shown_int ~optional:true k get (fun c n -> set c (Some n))
   in
   [
+    Repro_file.named "rate" (Printf.sprintf "%h") float_of_string_opt ~get:snd
+      ~set:(fun (c, _) rate -> (c, rate));
     int "shards" (fun c -> c.shards) (fun c shards -> { c with shards });
     int "replicas" (fun c -> c.replicas) (fun c replicas -> { c with replicas });
     int "vnodes" (fun c -> c.vnodes) (fun c vnodes -> { c with vnodes });
@@ -949,11 +951,9 @@ let repro_fields =
       { c with spec });
     named "process" Arrival.process_name Arrival.process_of_name (fun c -> c.process)
       (fun c process -> { c with process });
-    field ~optional:true "keys"
-      (fun c -> Some (Workload.keys_name c.workload.Workload.keys))
-      (fun c v ->
-        Option.map (fun keys -> { c with workload = { c.workload with keys } })
-          (Workload.keys_of_name v));
+    named ~optional:true "keys" Workload.keys_name Workload.keys_of_name
+      (fun c -> c.workload.Workload.keys)
+      (fun c keys -> { c with workload = { c.workload with keys } });
     opt_int "churn" (fun c -> c.workload.Workload.churn) (fun c churn ->
       { c with workload = { c.workload with churn } });
     int "clients" (fun c -> c.clients) (fun c clients -> { c with clients });
@@ -976,26 +976,12 @@ let repro_fields =
   ]
 
 let write_reproducer path (cfg : config) ~rate =
-  Repro_file.write path ~header:"skipit fleet failure reproducer"
-    (("rate", Printf.sprintf "%h" rate)
-    :: List.filter_map (fun (k, _, show, _) -> Option.map (fun v -> (k, v)) (show cfg)) repro_fields)
+  Repro_file.write path ~header:"skipit fleet failure reproducer" repro_fields (cfg, rate)
 
 let read_reproducer path =
-  let ( let* ) = Result.bind in
-  let* r = Repro_file.read path in
-  Result.map_error (Printf.sprintf "reproducer %s: %s" path)
-    (let* rate = Repro_file.parse r "rate" float_of_string_opt in
-     let* cfg =
-       List.fold_left
-         (fun acc (k, optional, _, read) ->
-           let* c = acc in
-           match Repro_file.find r k with
-           | None when optional -> Ok c
-           | None -> Error ("missing field " ^ k)
-           | Some v -> Option.to_result ~none:(Printf.sprintf "unknown %s %s" k v) (read c v))
-         (Ok default) repro_fields
-     in
-     Ok (cfg, rate))
+  Result.bind (Repro_file.read path) (fun r ->
+    Result.map_error (Printf.sprintf "reproducer %s: %s" path)
+      (Repro_file.decode r repro_fields (default, 0.)))
 
 let shrink cfg ~rate =
   let fails c = let p = run c ~rate in (p, p.violations <> []) in

@@ -22,26 +22,15 @@ let unmatched_ends t = t.unmatched_ends
 let of_trace trace =
   let by_class = List.map (fun c -> c, Sample.create ()) Trace.all_classes in
   let all = Sample.create () in
-  let open_reqs : (int, Trace.cls * int) Hashtbl.t = Hashtbl.create 64 in
-  let unmatched_ends = ref 0 in
-  Trace.iter trace (fun { Trace.at; ev } ->
-    match ev with
-    | Trace.Req_start { id; cls; _ } -> Hashtbl.replace open_reqs id (cls, at)
-    | Trace.Req_end { id } -> (
-      match Hashtbl.find_opt open_reqs id with
-      | Some (cls, t0) ->
-        Hashtbl.remove open_reqs id;
-        let d = float_of_int (at - t0) in
+  let (), unmatched_starts, unmatched_ends =
+    Trace.fold_spans trace ()
+      ~other:(fun () _ -> ())
+      ~span:(fun () { Trace.cls; t0; t1; _ } ->
+        let d = float_of_int (t1 - t0) in
         Sample.add (List.assq cls by_class) d;
-        Sample.add all d
-      | None -> incr unmatched_ends)
-    | _ -> ());
-  {
-    by_class;
-    all;
-    unmatched_starts = Hashtbl.length open_reqs;
-    unmatched_ends = !unmatched_ends;
-  }
+        Sample.add all d)
+  in
+  { by_class; all; unmatched_starts; unmatched_ends }
 
 (* == Percentile summaries =============================================== *)
 

@@ -33,43 +33,24 @@ let escape s =
 (* Flatten a trace into renderable entries: instants for plain events,
    slices for matched request pairs. *)
 let entries trace =
-  let open_reqs : (int, Trace.cls * int * int * int) Hashtbl.t = Hashtbl.create 64 in
-  let acc =
-    Trace.fold trace [] (fun acc { Trace.at; ev } ->
-      match ev with
-      | Trace.Req_start { id; cls; core; addr } ->
-        Hashtbl.replace open_reqs id (cls, core, addr, at);
-        acc
-      | Trace.Req_end { id } -> (
-        match Hashtbl.find_opt open_reqs id with
-        | Some (cls, core, addr, t0) ->
-          Hashtbl.remove open_reqs id;
-          {
-            ts = t0;
-            dur = Some (max 0 (at - t0));
-            track = "req." ^ Trace.cls_name cls;
-            name = Trace.cls_name cls;
-            args =
-              [
-                "id", string_of_int id;
-                "core", string_of_int core;
-                "addr", Printf.sprintf "%#x" addr;
-              ];
-          }
-          :: acc
-        | None -> acc)
-      | Trace.Meta _ ->
-        (* Declares its track; nothing to render. *)
-        { ts = at; dur = None; track = Trace.track ev; name = ""; args = [] } :: acc
-      | _ ->
+  let acc, _, _ =
+    Trace.fold_spans trace []
+      ~span:(fun acc { Trace.id; cls; core; addr; t0; t1 } ->
         {
-          ts = at;
-          dur = None;
-          track = Trace.track ev;
-          name = Trace.event_name ev;
-          args = Trace.event_args ev;
+          ts = t0;
+          dur = Some (max 0 (t1 - t0));
+          track = "req." ^ Trace.cls_name cls;
+          name = Trace.cls_name cls;
+          args =
+            [ "id", string_of_int id; "core", string_of_int core; "addr", Printf.sprintf "%#x" addr ];
         }
         :: acc)
+      ~other:(fun acc { Trace.at; ev } ->
+        (* A [Meta] event declares its track; nothing to render. *)
+        let name, args =
+          match ev with Trace.Meta _ -> "", [] | _ -> Trace.event_name ev, Trace.event_args ev
+        in
+        { ts = at; dur = None; track = Trace.track ev; name; args } :: acc)
   in
   List.stable_sort (fun a b -> compare a.ts b.ts) (List.rev acc)
 

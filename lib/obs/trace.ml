@@ -274,9 +274,30 @@ let records t =
   let start = (t.next - t.len + t.capacity) mod t.capacity in
   List.init t.len (fun i -> t.buf.((start + i) mod t.capacity))
 
-let iter t f = List.iter f (records t)
+type span = { id : int; cls : cls; core : int; addr : int; t0 : int; t1 : int }
 
-let fold t init f = List.fold_left f init (records t)
+(* The one pairing of request spans: a start waits under its id (a later
+   start with the same id replaces it) until the end that closes it. *)
+let fold_spans t init ~span ~other =
+  let started : (int, cls * int * int * int) Hashtbl.t = Hashtbl.create 64 in
+  let unmatched_ends = ref 0 in
+  let acc =
+    List.fold_left
+      (fun acc ({ at; ev } as r) ->
+        match ev with
+        | Req_start { id; cls; core; addr } ->
+          Hashtbl.replace started id (cls, core, addr, at);
+          acc
+        | Req_end { id } -> (
+          match Hashtbl.find_opt started id with
+          | Some (cls, core, addr, t0) ->
+            Hashtbl.remove started id;
+            span acc { id; cls; core; addr; t0; t1 = at }
+          | None -> incr unmatched_ends; acc)
+        | _ -> other acc r)
+      init (records t)
+  in
+  acc, Hashtbl.length started, !unmatched_ends
 
 (* == The installed sink ================================================= *)
 

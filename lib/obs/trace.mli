@@ -134,8 +134,16 @@ val dropped : t -> int
 val records : t -> record list
 (** Oldest-first snapshot of the live records. *)
 
-val iter : t -> (record -> unit) -> unit
-val fold : t -> 'a -> ('a -> record -> 'a) -> 'a
+type span = { id : int; cls : cls; core : int; addr : int; t0 : int; t1 : int }
+(** A matched request: its start's fields, opened at [t0], closed at [t1]. *)
+
+val fold_spans :
+  t -> 'a -> span:('a -> span -> 'a) -> other:('a -> record -> 'a) -> 'a * int * int
+(** Fold the live records oldest first, pairing {!Req_start}/{!Req_end} by
+    id: [span] sees each matched request at its end record, [other] every
+    record that is neither.  Also returns the unmatched starts and ends
+    (a partner lost to ring wraparound or a track filter); a second start
+    under an open id replaces the first, which is then lost. *)
 
 val add : t -> at:int -> event -> unit
 (** Record directly into a buffer (respects its filter and [reqs_only]). *)

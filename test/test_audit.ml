@@ -473,15 +473,20 @@ let test_campaign_catches_fault () =
 
 (* The recovery bound: a body that never ends is stopped past 10^7
    simulated cycles and reported by name; one that ends reports the
-   cycles it took. *)
+   cycles it took, observed before each of its three dispatches and once
+   at completion. *)
 let test_recovery_bound () =
   let sys = S.create (C.tiny ~cores:1 ()) in
   let a = Skipit_mem.Allocator.alloc_line (S.allocator sys) ~line_bytes:64 in
   let c0 = S.max_clock sys in
   let flush_once () = T.store a 1; T.flush a; T.fence () in
-  (match Recovery.run sys ~doing:(fun () -> "one flush") flush_once with
+  let observed = ref 0 in
+  (match
+     Recovery.run sys ~observe:(fun () -> incr observed) ~doing:(fun () -> "one flush") flush_once
+   with
    | Ok c -> Alcotest.(check int) "cycles taken" (S.max_clock sys - c0) c
    | Error e -> Alcotest.failf "a short body hung: %s" e);
+  Alcotest.(check int) "observations" 4 !observed;
   let rec spin n =
     T.store a n;
     T.flush a;
@@ -489,7 +494,7 @@ let test_recovery_bound () =
     spin (n + 1)
   in
   let c0 = S.max_clock sys in
-  match Recovery.run sys ~doing:(fun () -> "spinning") (fun () -> spin 0) with
+  match Recovery.run sys ~observe:ignore ~doing:(fun () -> "spinning") (fun () -> spin 0) with
   | Ok _ -> Alcotest.fail "a body that never ends completed"
   | Error e ->
     Alcotest.(check string) "reported" "spinning ran past 10000000 cycles" e;
@@ -531,6 +536,94 @@ let test_snapshot_cycle () =
     t.Campaign.violations;
   let took = Unix.gettimeofday () -. started in
   Alcotest.(check bool) (Printf.sprintf "reported in %.3f s" took) true (took < 1.)
+
+(* Both audited drivers observe once more when their run completes.  Word
+   0 of every clean L2 directory entry is flipped just before the last
+   dispatch, a [value-coherence] breach that the final operation leaves
+   standing, under a period equal to the run's final clock, so that
+   completion observation is the only one due. *)
+let corrupt_clean_l2_lines sys =
+  L2.iter_lines (S.l2 sys) (fun _ d ->
+    if not d.Directory.dirty then d.Directory.data.(0) <- d.Directory.data.(0) lxor 1)
+
+let value_coherence what lines =
+  if lines = [] then Alcotest.failf "%s: the breach left by the last operation was never observed" what;
+  List.iter
+    (fun l ->
+      if not (String.starts_with ~prefix:"[value-coherence]" l) then
+        Alcotest.failf "%s: unexpected observation %s" what l)
+    lines
+
+let test_campaign_observes_completion () =
+  (* Without persists the structure's lines stay cached to the end. *)
+  let spec =
+    quick_spec ~fault:Campaign.Drop_all_persists ~ops:6 (Campaign.Set Ops.List_set) Pctx.Manual
+      Ds_bench.Plain
+  in
+  let w = Campaign.build spec in
+  let dispatches = ref 0 in
+  Alcotest.(check bool) "completes" false (Campaign.run w ~stop:(fun () -> incr dispatches; false));
+  let final = S.max_clock (Campaign.system w) in
+  let w = Campaign.build ~audit_every:final spec in
+  let sys = Campaign.system w in
+  let seen = ref 0 in
+  let stop () =
+    incr seen;
+    Alcotest.(check bool) "only the completion observation is due" true (S.max_clock sys < final);
+    if !seen = !dispatches then corrupt_clean_l2_lines sys;
+    false
+  in
+  Alcotest.(check bool) "completes" false (Campaign.run w ~stop);
+  Alcotest.(check int) "final clock" final (S.max_clock sys);
+  (* The crash clears the corrupted L2 before [finish] audits, so every
+     [audit:] line comes from the run. *)
+  let t = Campaign.finish w ~crashed:true in
+  value_coherence "campaign"
+    (List.filter_map
+       (fun v ->
+         if String.starts_with ~prefix:"audit: " v then Some (String.sub v 7 (String.length v - 7))
+         else None)
+       t.Campaign.violations)
+
+let test_recovery_observes_completion () =
+  let world () =
+    let sys = S.create (C.tiny ~cores:1 ()) in
+    let alloc = S.allocator sys in
+    let a = Skipit_mem.Allocator.alloc_line alloc ~line_bytes:64 in
+    let b = Skipit_mem.Allocator.alloc_line alloc ~line_bytes:64 in
+    sys, a, b
+  in
+  let body sys a b ~corrupt () =
+    ignore (T.load b);
+    T.store a 1;
+    if corrupt then corrupt_clean_l2_lines sys;
+    ignore (T.load a)
+  in
+  let sys, a, b = world () in
+  let final =
+    match Recovery.run sys ~observe:ignore ~doing:(fun () -> "body") (body sys a b ~corrupt:false) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "the body hung: %s" e
+  in
+  let sys, a, b = world () in
+  let auditor = Auditor.create sys in
+  Auditor.attach auditor ~every:final;
+  let clocks = ref [] in
+  let observe () =
+    clocks := S.max_clock sys :: !clocks;
+    Auditor.tick auditor
+  in
+  (match Recovery.run sys ~observe ~doing:(fun () -> "body") (body sys a b ~corrupt:true) with
+   | Ok c -> Alcotest.(check int) "final clock" final c
+   | Error e -> Alcotest.failf "the body hung: %s" e);
+  (match !clocks with
+   | last :: earlier ->
+     Alcotest.(check int) "observed last at the final clock" final last;
+     Alcotest.(check bool) "only the completion observation is due" true
+       (List.for_all (fun c -> c < final) earlier)
+   | [] -> Alcotest.fail "never observed");
+  value_coherence "recovery"
+    (List.map Invariant.violation_to_string (Auditor.failures auditor))
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer files: a written failure reads back as itself, and a file
@@ -916,6 +1009,10 @@ let tests =
       Alcotest.test_case "recovery bound stops a body that never ends" `Quick test_recovery_bound;
       Alcotest.test_case "campaign repair past the bound is a repair-hang" `Quick test_repair_hang;
       Alcotest.test_case "a looping snapshot is a snapshot-cycle" `Quick test_snapshot_cycle;
+      Alcotest.test_case "campaign run observes at completion" `Quick
+        test_campaign_observes_completion;
+      Alcotest.test_case "recovery run observes at completion" `Quick
+        test_recovery_observes_completion;
       Alcotest.test_case "boundary reached only at completion" `Quick
         test_boundary_reached_at_completion;
       Alcotest.test_case "copied world shares no mutable state" `Quick

@@ -6,6 +6,7 @@
 
 module S = Skipit_core.System
 module C = Skipit_core.Config
+module T = Skipit_core.Thread
 module TP = Skipit_workload.Trace_program
 
 let trace = Example_trace.path
@@ -44,9 +45,23 @@ let test_cycles_golden () =
         [ false; true ])
     [ "producer_consumer", 915; "redundant_flush", 1120; "fig5_semantics", 127 ]
 
-(* The periodic invariant auditor is observation-only: with it attached at
-   a cadence that fires many times per trace, the cycle counts must stay
-   bit-identical to the unaudited runs — and it must find nothing. *)
+(* One trace instruction through the thread operations. *)
+let exec = function
+  | Skipit_cpu.Instr.Load { addr } -> ignore (T.load addr)
+  | Store { addr; value } -> T.store addr value
+  | Cas { addr; expected; desired } -> ignore (T.cas addr ~expected ~desired)
+  | Cbo_clean { addr } -> T.clean addr
+  | Cbo_flush { addr } -> T.flush addr
+  | Cbo_inval { addr } -> T.inval addr
+  | Cbo_zero { addr } -> T.zero addr
+  | Fence -> T.fence ()
+  | Delay n -> T.delay n
+
+(* The periodic invariant auditor is observation-only: ticked from the
+   stop predicate of a run over the trace's per-core streams, and once at
+   completion, at a cadence that observes many times per trace, the cycle
+   counts must stay bit-identical to the unaudited runs — and it must
+   find nothing. *)
 let test_cycles_golden_with_auditor () =
   List.iter
     (fun (name, golden) ->
@@ -59,7 +74,21 @@ let test_cycles_golden_with_auditor () =
             let sys = S.create (C.platform ~cores ~skip_it ~topology:`Crossbar ()) in
             let auditor = Skipit_audit.Auditor.create sys in
             Skipit_audit.Auditor.attach auditor ~every:25;
-            let cycles, _ = TP.run sys program in
+            let tasks =
+              List.map
+                (fun (core, instrs) -> { T.core; body = (fun () -> List.iter exec instrs) })
+                program
+            in
+            let stop () =
+              Skipit_audit.Auditor.tick auditor;
+              false
+            in
+            let cycles =
+              match T.run_until sys ~stop tasks with
+              | `Completed c -> c
+              | `Stopped _ -> Alcotest.fail "a stop that never fires stopped the run"
+            in
+            Skipit_audit.Auditor.tick auditor;
             Alcotest.(check int)
               (Printf.sprintf "%s skip_it=%b audited" name skip_it)
               golden cycles;

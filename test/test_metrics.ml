@@ -208,13 +208,19 @@ let test_reqs_only_ring_with_telemetry () =
   in
   Alcotest.(check int) "the ring dropped nothing" 0 (Trace.dropped tr);
   Alcotest.(check bool) "the ring holds request spans" true (Trace.length tr > 0);
-  Trace.iter tr (fun r ->
-    match r.Trace.ev with
-    | Trace.Req_start _ | Trace.Req_end _ -> ()
-    | ev -> Alcotest.failf "detail event %s on %s in the ring" (Trace.event_name ev) (Trace.track ev));
+  let records = Trace.records tr in
+  List.iter
+    (fun r ->
+      match r.Trace.ev with
+      | Trace.Req_start _ | Trace.Req_end _ -> ()
+      | ev ->
+        Alcotest.failf "detail event %s on %s in the ring" (Trace.event_name ev) (Trace.track ev))
+    records;
   let serve_spans =
-    Trace.fold tr 0 (fun n r ->
-      match r.Trace.ev with Trace.Req_start { cls = Trace.Cls_serve; _ } -> n + 1 | _ -> n)
+    List.fold_left
+      (fun n r ->
+        match r.Trace.ev with Trace.Req_start { cls = Trace.Cls_serve; _ } -> n + 1 | _ -> n)
+      0 records
   in
   Alcotest.(check int) "one serve span per served request" traced.Engine.served serve_spans;
   Alcotest.(check int) "elapsed" untraced.Engine.elapsed traced.Engine.elapsed;

@@ -86,8 +86,9 @@ let run_traced ?(skip_it = true) name =
 
 let queue_events tr op =
   let n = ref 0 in
-  Trace.iter tr (fun r ->
-    match r.Trace.ev with Trace.Flushq { op = o; _ } when o = op -> incr n | _ -> ());
+  List.iter
+    (fun r -> match r.Trace.ev with Trace.Flushq { op = o; _ } when o = op -> incr n | _ -> ())
+    (Trace.records tr);
   !n
 
 (* The golden cycle counts must hold with tracing ENABLED: recording events
@@ -118,14 +119,16 @@ let test_golden_cycles_traced () =
    see. *)
 let component_fingerprint tr =
   let tbl = Hashtbl.create 16 in
-  Trace.iter tr (fun r ->
-    let track = Trace.track r.Trace.ev in
-    let comp =
-      match String.index_opt track '.' with
-      | Some i -> String.sub track 0 i
-      | None -> track
-    in
-    Hashtbl.replace tbl comp (1 + Option.value ~default:0 (Hashtbl.find_opt tbl comp)));
+  List.iter
+    (fun r ->
+      let track = Trace.track r.Trace.ev in
+      let comp =
+        match String.index_opt track '.' with
+        | Some i -> String.sub track 0 i
+        | None -> track
+      in
+      Hashtbl.replace tbl comp (1 + Option.value ~default:0 (Hashtbl.find_opt tbl comp)))
+    (Trace.records tr);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 

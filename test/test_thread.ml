@@ -310,11 +310,12 @@ let test_nested_runs_restore_context () =
 
 exception Boom
 
-(* Instructions may execute on a task's own stack, so an exception the
-   hierarchy or its audit hook raises passes through the task body.  No
-   structure's operation may swallow one (Skiplist catches only its own
-   [Retry]): a hook that raises at its k-th firing, mid-operation on two
-   concurrent threads, must end the run with that exception. *)
+(* Instructions and stop checks may run on a task's own stack, so an
+   exception the hierarchy or a [run_until] predicate raises passes
+   through the task body.  No structure's operation may swallow one
+   (Skiplist catches only its own [Retry]): a predicate that raises at
+   its k-th consultation, mid-operation on two concurrent threads, must
+   end the run with that exception. *)
 let test_hierarchy_exceptions_escape_bodies () =
   let module Ops = Skipit_pds.Set_ops in
   let module Pctx = Skipit_persist.Pctx in
@@ -342,18 +343,17 @@ let test_hierarchy_exceptions_escape_bodies () =
   List.iter
     (fun kind ->
       let sys, tasks = setup kind in
-      let firings = ref 0 in
-      S.set_audit_hook sys ~every:1 (fun _ -> incr firings);
-      ignore (T.run sys tasks);
-      let total = !firings in
+      let consulted = ref 0 in
+      ignore (T.run_until sys ~stop:(fun () -> incr consulted; false) tasks);
+      let total = !consulted in
       List.iter
         (fun k ->
           let sys, tasks = setup kind in
           let n = ref 0 in
-          S.set_audit_hook sys ~every:1 (fun _ -> incr n; if !n = k then raise Boom);
-          match T.run sys tasks with
+          let stop () = incr n; if !n = k then raise Boom else false in
+          match T.run_until sys ~stop tasks with
           | _ ->
-            Alcotest.failf "%s: the exception raised at firing %d of %d was swallowed"
+            Alcotest.failf "%s: the exception raised at consultation %d of %d was swallowed"
               (Ops.kind_name kind) k total
           | exception Boom -> ())
         (List.init 8 (fun i -> 1 + (i * (total - 1) / 7))))
